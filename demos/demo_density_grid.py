@@ -14,7 +14,7 @@ from betaone.kernels import density_integral
 
 def profile(ensemble, size, xs):
     bundle = kernel_bundle(ensemble, size)
-    values = [float(np.real(bundle.scalar_kernel(x, x))) for x in xs]
+    values = [float(v) for v in np.real(bundle.scalar_kernel(xs, xs))]
     mass = density_integral(bundle)
     return values, mass
 

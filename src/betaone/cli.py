@@ -55,6 +55,7 @@ DEFAULT_TOLERANCES = {
 CLOSED_FORM_TOL = 1e-8
 IDENTITY_TOL = 1e-8
 MAX_CORRELATE_POINTS = 5
+MAX_SIZE = 64
 FAILURE_RATE_CAP = 1e-3
 
 
@@ -198,6 +199,8 @@ def kernel_bundle(ensemble, size):
 def make_config(args):
     if args.size < 1:
         raise ConfigError("size must be a positive integer")
+    if args.size > MAX_SIZE:
+        raise ConfigError("size must be at most %d" % MAX_SIZE)
     command = args.command
     fields = dict(
         command=command,
@@ -259,7 +262,7 @@ def cmd_density(config):
     extra = [("kernel", "%s-%s" % (config.ensemble, config.parity))]
     finite = closed = None
     if config.path != "summed-up":
-        finite = [float(np.real(bundle.scalar_kernel(x, x))) for x in xs]
+        finite = [float(v) for v in np.real(bundle.scalar_kernel(xs, xs))]
     if config.path != "finite-sum":
         closed = [
             float(np.real(ginoe_summed_S(config.size, "rr", x, x))) for x in xs
@@ -500,7 +503,7 @@ def cmd_mc_compare(config):
     rate = meta["resamples"] / config.samples
     if rate > FAILURE_RATE_CAP:
         raise ArithmeticError(
-            "eigensolver failure rate %.4g exceeds %.4g"
+            "eigenvalue failure rate %.4g exceeds %.4g"
             % (rate, FAILURE_RATE_CAP)
         )
     bundle = kernel_bundle(config.ensemble, config.size)

@@ -1,10 +1,12 @@
 """Correlation kernels for the real Ginibre ensemble at both parities.
 
 Points live on two components, the real line and the open upper half
-plane, and the kernel blocks branch on which component each argument
-belongs to.  The convention here is by dtype: a float argument is a
-real eigenvalue, a complex argument is a complex one (even if its
-imaginary part is tiny).  The 2x2 cell layout is
+plane.  The convention here is by dtype: a float argument is a real
+eigenvalue, a complex argument is a complex one (even if its imaginary
+part is tiny).  Every point contributes the rows (W, P) of the kernel
+engine in kernels: W the family polynomials times the pair weight, P
+their partners, minus the half-range transform at a real point and i
+times W at the conjugate of a complex point.  The 2x2 cell layout is
 
     [[ d(s,t),  s(s,t) ],
      [ -s(t,s), i(s,t) ]]
@@ -20,9 +22,8 @@ import math
 import numpy as np
 
 from .ginibre import ginoe_family, hatted_ginoe
-from .kernels import KernelBundle, PointConfiguration
-from .quadrature import gauss_legendre_rule
-from .skewortho import gaussian_weight, half_range_transform, poly_eval
+from .kernels import KernelBundle, family_basis, rho, weighted_rows
+from .skewortho import coefficient_matrix, gaussian_weight, half_range_rows
 from .specfun import erfcx, lower_gamma, upper_gamma
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -45,95 +46,22 @@ def pair_weight(z):
     return np.sqrt(erfcx(SQRT2 * np.abs(y))) * np.exp(-0.5 * z * z - y * y)
 
 
-def _weighted(coeffs, z):
-    return poly_eval(coeffs, z) * pair_weight(z)
-
-
-def _partner(coeffs, weight, z):
-    # real argument: minus the half-range transform of the polynomial;
-    # complex argument: i times the weighted polynomial at the conjugate
-    z = np.asarray(z)
-    if not np.iscomplexobj(z):
-        return -half_range_transform(coeffs, weight, z)
-    return 1j * _weighted(coeffs, np.conjugate(z))
-
-
-def weighted_value(coeffs, z):
-    """Polynomial times the plane pair weight, real or complex point."""
-    return _weighted(coeffs, z)
-
-
-def partner_value(coeffs, z):
-    """Transform partner of a weighted polynomial, real or complex point."""
-    return _partner(coeffs, gaussian_weight(), z)
-
-
-def _sign_term(mu, eta):
-    mu = np.asarray(mu)
-    eta = np.asarray(eta)
-    if np.iscomplexobj(mu) or np.iscomplexobj(eta):
-        return 0.0
-    return 0.5 * np.sign(mu - eta)
-
-
-def _ginoe_bundle(N, parity, family, coeff_table, norms, extra_s, extra_i):
+def _plane_bundle(coeffs, pair_norms, N, parity):
+    C = coefficient_matrix(coeffs)
     weight = gaussian_weight()
-    pairs = len(norms)
 
-    def scalar_kernel(mu, eta):
-        total = extra_s(mu, eta)
-        for k in range(pairs):
-            total = total + (2.0 / norms[k]) * (
-                _weighted(coeff_table[2 * k], mu)
-                * _partner(coeff_table[2 * k + 1], weight, eta)
-                - _weighted(coeff_table[2 * k + 1], mu)
-                * _partner(coeff_table[2 * k], weight, eta)
-            )
-        return total
+    def rows(z):
+        z = np.asarray(z)
+        W = weighted_rows(C, z, pair_weight(z))
+        if np.iscomplexobj(z):
+            partner = 1j * np.conjugate(W)
+        else:
+            partner = -half_range_rows(C, weight, z)
+        return np.stack([W, partner], axis=-2)
 
-    def derivative_kernel(mu, eta):
-        total = 0.0
-        for k in range(pairs):
-            total = total + (2.0 / norms[k]) * (
-                _weighted(coeff_table[2 * k], mu) * _weighted(coeff_table[2 * k + 1], eta)
-                - _weighted(coeff_table[2 * k + 1], mu) * _weighted(coeff_table[2 * k], eta)
-            )
-        return total
-
-    def integral_kernel(mu, eta):
-        total = _sign_term(mu, eta) + extra_i(mu, eta)
-        for k in range(pairs):
-            total = total + (2.0 / norms[k]) * (
-                _partner(coeff_table[2 * k], weight, mu)
-                * _partner(coeff_table[2 * k + 1], weight, eta)
-                - _partner(coeff_table[2 * k + 1], weight, mu)
-                * _partner(coeff_table[2 * k], weight, eta)
-            )
-        return total
-
-    def assemble(config):
-        pts = list(config.reals) + list(config.complexes)
-        n = len(pts)
-        dtype = complex if config.complexes else float
-        A = np.zeros((2 * n, 2 * n), dtype=dtype)
-        for i in range(n):
-            for j in range(n):
-                A[2 * i, 2 * j] = derivative_kernel(pts[i], pts[j])
-                A[2 * i, 2 * j + 1] = scalar_kernel(pts[i], pts[j])
-                A[2 * i + 1, 2 * j] = -scalar_kernel(pts[j], pts[i])
-                A[2 * i + 1, 2 * j + 1] = integral_kernel(pts[i], pts[j])
-        return A
-
-    return KernelBundle(
-        ensemble="ginoe",
-        N=N,
-        parity=parity,
-        family=family,
-        scalar_kernel=scalar_kernel,
-        derivative_kernel=derivative_kernel,
-        integral_kernel=integral_kernel,
-        assemble=assemble,
-    )
+    weights = [2.0 / r for r in pair_norms]
+    basis = family_basis(rows, weights, "plane", odd=parity == "odd")
+    return KernelBundle.from_basis("ginoe", N, parity, basis)
 
 
 def ginoe_even_kernel(N):
@@ -141,55 +69,21 @@ def ginoe_even_kernel(N):
     if N % 2 != 0:
         raise ValueError("even-size kernel needs even N")
     family = ginoe_family(N)
-    zero = lambda mu, eta: 0.0
-    return _ginoe_bundle(
-        N, "even", family, family.coeffs, family.norms, extra_s=zero, extra_i=zero
-    )
+    return _plane_bundle(family.coeffs, family.norms, N, "even")
 
 
 def ginoe_odd_kernel(N):
     """Kernel bundle for an odd number of Ginibre eigenvalues.
 
-    The pair sums run over the hatted polynomials; rank-one corrections
-    tied to the top polynomial enter the scalar block (real second
-    argument only) and the integrated block (vanishing when both
-    arguments are complex).
+    The pairs run over the hatted polynomials; the top one pairs with
+    the constant partner column, which reaches the scalar block at a
+    real second argument and the integrated block unless both arguments
+    are complex.
     """
     if N % 2 != 1:
         raise ValueError("odd-size kernel needs odd N")
     hat = hatted_ginoe(N)
-    weight = gaussian_weight()
-    top = hat.hat_coeffs[N - 1]
-    top_norm = hat.hat_norms[-1]
-
-    def extra_s(mu, eta):
-        if np.iscomplexobj(np.asarray(eta)):
-            return 0.0
-        return _weighted(top, mu) / (2.0 * top_norm)
-
-    def extra_i(mu, eta):
-        mu_real = not np.iscomplexobj(np.asarray(mu))
-        eta_real = not np.iscomplexobj(np.asarray(eta))
-        if mu_real and eta_real:
-            return (
-                half_range_transform(top, weight, eta)
-                - half_range_transform(top, weight, mu)
-            ) / (2.0 * top_norm)
-        if mu_real:
-            return -_partner(top, weight, eta) / (2.0 * top_norm)
-        if eta_real:
-            return _partner(top, weight, mu) / (2.0 * top_norm)
-        return 0.0
-
-    return _ginoe_bundle(
-        N,
-        "odd",
-        hat,
-        hat.hat_coeffs,
-        hat.hat_norms[:-1],
-        extra_s=extra_s,
-        extra_i=extra_i,
-    )
+    return _plane_bundle(hat.hat_coeffs, hat.hat_norms[:-1], N, "odd")
 
 
 def _signed_gaussian_partial(N, y):
@@ -209,99 +103,55 @@ def ginoe_summed_S(N, block, mu, eta):
     """Closed form of the scalar kernel through incomplete gamma tails.
 
     Valid for every size N >= 2 regardless of parity; block names the
-    component pair of (mu, eta) among rr, rc, cr, cc.
+    component pair of (mu, eta) among rr, rc, cr, cc.  A real first
+    argument is the complex form at zero imaginary part, so only the
+    second argument picks the form.
     """
     if N < 2:
         raise ValueError("closed forms need N >= 2")
-    fact = math.factorial(N - 2)
-    if block == "rr":
-        x, y = float(mu), float(eta)
-        smooth = np.exp(-0.5 * (x - y) ** 2) * _regularized_tail(N, x * y)
-        edge = x ** (N - 1) * np.exp(-0.5 * x * x) * _signed_gaussian_partial(N, y) / fact
-        return (smooth + edge) / SQRT_2PI
-    if block == "rc":
-        x, w = float(mu), complex(eta)
-        v = w.imag
-        stable = np.exp(-0.5 * (x - np.conjugate(w)) ** 2 - v * v) * np.sqrt(
-            erfcx(SQRT2 * abs(v))
-        )
-        return (
-            1j
-            / SQRT_2PI
-            * stable
-            * (np.conjugate(w) - x)
-            * _regularized_tail(N, x * np.conjugate(w))
-        )
-    if block == "cr":
-        w, x = complex(mu), float(eta)
-        v = w.imag
-        stable = np.exp(-0.5 * (w - x) ** 2 - v * v) * np.sqrt(erfcx(SQRT2 * abs(v)))
-        smooth = stable * _regularized_tail(N, w * x)
-        edge = w ** (N - 1) * pair_weight(np.asarray(w)) * _signed_gaussian_partial(N, x) / fact
-        return (smooth + edge) / SQRT_2PI
-    if block == "cc":
-        w, z = complex(mu), complex(eta)
-        vw, vz = w.imag, z.imag
-        stable = np.exp(-0.5 * (w - np.conjugate(z)) ** 2 - vw * vw - vz * vz) * np.sqrt(
-            erfcx(SQRT2 * abs(vw)) * erfcx(SQRT2 * abs(vz))
-        )
-        return (
-            1j
-            / SQRT_2PI
-            * stable
-            * (np.conjugate(z) - w)
-            * _regularized_tail(N, w * np.conjugate(z))
-        )
-    raise ValueError(f"unknown block {block!r}")
+    if block not in ("rr", "rc", "cr", "cc"):
+        raise ValueError(f"unknown block {block!r}")
+    mu = float(mu) if block[0] == "r" else complex(mu)
+    v = np.imag(mu)
+    if block[1] == "r":
+        y = float(eta)
+        stable = np.exp(-0.5 * (mu - y) ** 2 - v * v) * np.sqrt(erfcx(SQRT2 * abs(v)))
+        smooth = stable * _regularized_tail(N, mu * y)
+        edge = mu ** (N - 1) * pair_weight(np.asarray(mu)) * _signed_gaussian_partial(N, y)
+        return (smooth + edge / math.factorial(N - 2)) / SQRT_2PI
+    z = np.conjugate(complex(eta))
+    stable = np.exp(-0.5 * (mu - z) ** 2 - v * v - z.imag ** 2) * np.sqrt(
+        erfcx(SQRT2 * abs(v)) * erfcx(SQRT2 * abs(z.imag))
+    )
+    return 1j / SQRT_2PI * stable * (z - mu) * _regularized_tail(N, mu * z)
 
 
 def interrelations_check(bundle, reals, complexes):
     """Derivative, integral, and conjugation relations among the blocks.
 
-    Checked pointwise with central differences (step FD_STEP) and a
-    fixed Gauss-Legendre rule; returns the worst absolute deviation per
-    relation.
+    Checked on all pairs of the given points at once, with central
+    differences (step FD_STEP) and a 64-node Gauss-Legendre rule;
+    returns the worst absolute deviation per relation.
     """
-    s = bundle.scalar_kernel
-    d = bundle.derivative_kernel
-    i_ = bundle.integral_kernel
-    report = {
-        "derivative-real-real": 0.0,
-        "integral-real-real": 0.0,
-        "derivative-real-complex": 0.0,
-        "derivative-complex-real": 0.0,
-        "derivative-complex-complex": 0.0,
-        "integral-complex-real": 0.0,
-        "integral-complex-complex": 0.0,
-        "integral-mixed-antisymmetry": 0.0,
+    s, d, i_ = bundle.scalar_kernel, bundle.derivative_kernel, bundle.integral_kernel
+    x = np.asarray(reals, dtype=float)[:, None]
+    w = np.asarray(complexes, dtype=complex)[:, None]
+    y, z, h = x.T, w.T, FD_STEP
+    # integral of s(., y) along [x, y]
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    half = 0.5 * (y - x)[..., None]
+    path = (s(0.5 * (x + y)[..., None] + half * nodes, y[..., None]) * weights * half).sum(-1)
+    relations = {
+        "derivative-real-real": d(x, y) + (s(x, y + h) - s(x, y - h)) / (2.0 * h),
+        "integral-real-real": np.where(x != y, i_(x, y) - path - 0.5 * np.sign(x - y), 0.0),
+        "derivative-real-complex": d(x, z) + 1j * s(x, np.conjugate(z)),
+        "derivative-complex-real": d(w, y) + (s(w, y + h) - s(w, y - h)) / (2.0 * h),
+        "derivative-complex-complex": d(w, z) + 1j * s(w, np.conjugate(z)),
+        "integral-complex-real": i_(w, y) - 1j * s(np.conjugate(w), y),
+        "integral-complex-complex": i_(w, z) - 1j * s(np.conjugate(w), z),
+        "integral-mixed-antisymmetry": i_(x, z) + i_(w, y).T,
     }
-
-    def bump(key, value):
-        report[key] = max(report[key], float(abs(value)))
-
-    for x in reals:
-        for y in reals:
-            fd = (s(x, y + FD_STEP) - s(x, y - FD_STEP)) / (2.0 * FD_STEP)
-            bump("derivative-real-real", d(x, y) + fd)
-            if x != y:
-                rule = gauss_legendre_rule(64, min(x, y), max(x, y))
-                path = rule.integrate(lambda z: s(z, y))
-                if x > y:
-                    path = -path
-                target = path + 0.5 * np.sign(x - y)
-                bump("integral-real-real", i_(x, y) - target)
-    for x in reals:
-        for w in complexes:
-            bump("derivative-real-complex", d(x, w) + 1j * s(x, np.conjugate(w)))
-            fd = (s(w, x + FD_STEP) - s(w, x - FD_STEP)) / (2.0 * FD_STEP)
-            bump("derivative-complex-real", d(w, x) + fd)
-            bump("integral-complex-real", i_(w, x) - 1j * s(np.conjugate(w), x))
-            bump("integral-mixed-antisymmetry", i_(x, w) + i_(w, x))
-    for w in complexes:
-        for z in complexes:
-            bump("derivative-complex-complex", d(w, z) + 1j * s(w, np.conjugate(z)))
-            bump("integral-complex-complex", i_(w, z) - 1j * s(np.conjugate(w), z))
-    return report
+    return {key: float(np.abs(value).max(initial=0.0)) for key, value in relations.items()}
 
 
 def ginoe_rho(bundle, config):
@@ -310,11 +160,7 @@ def ginoe_rho(bundle, config):
     The assembled Pfaffian is real up to roundoff; the imaginary
     residue is returned alongside for audit.
     """
-    from .pfaffian import pfaffian
-
-    if not isinstance(config, PointConfiguration):
-        config = PointConfiguration(reals=tuple(np.atleast_1d(config)))
-    value = pfaffian(bundle.assemble(config))
+    value = rho(bundle, config)
     if isinstance(value, complex):
         return value.real, abs(value.imag)
     return float(value), 0.0

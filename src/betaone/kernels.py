@@ -1,11 +1,19 @@
-"""Correlation kernels for weights on the real line at both parities.
+"""One Pfaffian kernel engine for every ensemble and both parities.
 
 An n-point correlation is the Pfaffian of a 2n x 2n antisymmetric
-matrix built from three scalar functions: the scalar kernel carrying
-the density, its derivative-type partner, and an integrated partner
-containing a sign-function term.  Even sizes pair the family
-polynomials directly; odd sizes use the hatted companions plus
-rank-one corrections tied to the top polynomial.
+matrix A = B M B^T + sign term.  Every point contributes two rows to
+B: its weighted family polynomials W and their partners (half-range
+transforms on the line); M is the antisymmetric pairing of the family
+and the sign term 1/2 sgn(x_i - x_j) couples the partner rows of real
+points.  Even sizes pair the polynomials (2k, 2k+1) by the inverse pair
+norms.  Odd sizes pair the hatted polynomials and border M with a
+constant partner column (1 on the partner row of a real point, 0
+elsewhere) tied to the top polynomial: what the sign term of a point
+sent to +infinity leaves behind (see reduction).
+
+The kernel blocks are cell entries of A: the line ensembles here use
+the cell [[-I, S], [-S^T, D]] on rows (partner, W), the plane ensemble
+(ginoe_kernels) [[D, S], [-S^T, I]] on rows (W, partner).
 """
 
 from __future__ import annotations
@@ -16,7 +24,11 @@ import numpy as np
 
 from .pfaffian import pfaffian
 from .quadrature import integrate_line
-from .skewortho import half_range_transform, poly_eval
+from .skewortho import coefficient_matrix, half_range_rows, poly_rows
+
+# layout -> (slot of the partner row in the cell, sign of the integrated
+# block on the partner-partner entry)
+LAYOUTS = {"line": (0, -1.0), "plane": (1, 1.0)}
 
 
 @dataclass(frozen=True)
@@ -36,13 +48,115 @@ class PointConfiguration:
         return len(self.reals) + len(self.complexes)
 
 
+def pairing_upper(pair_weights, border=None):
+    """Upper triangle U of the antisymmetric pairing M = U - U^T.
+
+    pair_weights[k] pairs columns 2k and 2k+1; for odd sizes border
+    pairs the top polynomial with the constant column appended last.
+    """
+    m = 2 * len(pair_weights) + (0 if border is None else 2)
+    U = np.zeros((m, m))
+    for k, value in enumerate(pair_weights):
+        U[2 * k, 2 * k + 1] = value
+    if border is not None:
+        U[m - 2, m - 1] = border
+    return U
+
+
+def weighted_rows(C, z, weight):
+    """Column polynomials of C at z times the weight values at z.
+
+    A vanishing weight gives exact zeros, also where the polynomials
+    overflow (the point at +infinity).
+    """
+    weight = np.asarray(weight)[..., None]
+    with np.errstate(invalid="ignore"):
+        return np.where(weight == 0.0, 0.0, poly_rows(C, z) * weight)
+
+
+class PairingBasis:
+    """Basis rows of a kernel family and their antisymmetric pairing.
+
+    rows(z) maps points of one kind (float: real, complex: complex) to
+    an array z.shape + (2, m): the two rows of every point in cell
+    order.  upper is the upper triangle U of M = U - U^T.
+    """
+
+    def __init__(self, rows, upper, layout):
+        self.rows = rows
+        self.upper = np.asarray(upper)
+        self.layout = layout
+        self.partner_slot, self.integral_sign = LAYOUTS[layout]
+
+    @property
+    def pairing(self):
+        return self.upper - self.upper.T
+
+    def form(self, u, v):
+        """u M v^T over the last axis, exactly antisymmetric in (u, v)."""
+        return ((u @ self.upper) * v).sum(-1) - ((v @ self.upper) * u).sum(-1)
+
+    def entry(self, a, b, mu, eta):
+        """Cell entry (a, b) between the points mu and eta, broadcast."""
+        first = self.rows(mu)
+        second = first if eta is mu else self.rows(eta)
+        value = self.form(first[..., a, :], second[..., b, :])
+        real_pair = not (np.iscomplexobj(mu) or np.iscomplexobj(eta))
+        if a == b == self.partner_slot and real_pair:
+            value = value + 0.5 * np.sign(np.asarray(mu) - np.asarray(eta))
+        return value
+
+    def matrix(self, rows, reals):
+        """Assembled matrices from rows (..., n, 2, m) of n points.
+
+        The first reals.shape[-1] points are real with the values in
+        reals; the rest are complex.
+        """
+        B = rows.reshape(rows.shape[:-3] + (-1, rows.shape[-1]))
+        G = B @ self.upper @ np.swapaxes(B, -1, -2)
+        A = G - np.swapaxes(G, -1, -2)
+        p, n = self.partner_slot, 2 * reals.shape[-1]
+        A[..., p:n:2, p:n:2] += 0.5 * np.sign(reals[..., :, None] - reals[..., None, :])
+        return A
+
+    def bordered(self, upper):
+        """These rows plus a constant partner column, paired by upper.
+
+        The column is 1 on the partner row of a real point, else 0.
+        """
+
+        def rows(z):
+            base = self.rows(z)
+            extra = np.zeros(base.shape[:-1] + (1,), dtype=base.dtype)
+            if not np.iscomplexobj(z):
+                extra[..., self.partner_slot, 0] = 1.0
+            return np.concatenate([base, extra], axis=-1)
+
+        return PairingBasis(rows, upper, self.layout)
+
+
+def family_basis(rows, pair_weights, layout, odd=False):
+    """Pairing basis of a family; odd sizes get the bordered form.
+
+    The border pairs the constant partner column with the top hatted
+    polynomial through -1/2 over that polynomial's partner at +infinity
+    (its half moment, signed by the layout's partner rule).
+    """
+    basis = PairingBasis(rows, pairing_upper(pair_weights), layout)
+    if not odd:
+        return basis
+    border = -0.5 / rows(np.inf)[basis.partner_slot, -1]
+    return basis.bordered(pairing_upper(pair_weights, border))
+
+
 @dataclass(frozen=True)
 class KernelBundle:
     """Evaluable kernel triple with its point-matrix assembler.
 
     scalar_kernel(x, x) is the one-point density; derivative_kernel and
     integral_kernel complete the 2x2 cell structure whose Pfaffian over
-    a point configuration gives the correlations.
+    a point configuration gives the correlations.  family is the
+    PairingBasis all four are evaluated from.
     """
 
     ensemble: str
@@ -53,6 +167,30 @@ class KernelBundle:
     derivative_kernel: callable
     integral_kernel: callable
     assemble: callable
+
+    @classmethod
+    def from_basis(cls, ensemble, N, parity, basis):
+        """Bundle whose blocks are cell entries of the basis's matrix."""
+        p, w = basis.partner_slot, 1 - basis.partner_slot
+
+        def scalar_kernel(mu, eta):
+            return basis.entry(0, 1, mu, eta)
+
+        def derivative_kernel(mu, eta):
+            return basis.entry(w, w, mu, eta)
+
+        def integral_kernel(mu, eta):
+            return basis.integral_sign * basis.entry(p, p, mu, eta)
+
+        def assemble(config):
+            reals = np.asarray(config.reals, dtype=float)
+            rows = [basis.rows(reals)]
+            if config.complexes:
+                rows.append(basis.rows(np.asarray(config.complexes, dtype=complex)))
+            return basis.matrix(np.concatenate(rows), reals)
+
+        kernels = (scalar_kernel, derivative_kernel, integral_kernel, assemble)
+        return cls(ensemble, N, parity, basis, *kernels)
 
 
 def _as_config(points):
@@ -69,22 +207,19 @@ def rho(bundle, points):
     return pfaffian(bundle.assemble(config))
 
 
-def _line_assemble(scalar_kernel, derivative_kernel, integral_kernel):
-    def assemble(config):
-        if config.complexes:
-            raise ValueError("this ensemble lives on the real line only")
-        pts = config.reals
-        n = len(pts)
-        A = np.zeros((2 * n, 2 * n))
-        for i in range(n):
-            for j in range(n):
-                A[2 * i, 2 * j] = -integral_kernel(pts[i], pts[j])
-                A[2 * i, 2 * j + 1] = scalar_kernel(pts[i], pts[j])
-                A[2 * i + 1, 2 * j] = -scalar_kernel(pts[j], pts[i])
-                A[2 * i + 1, 2 * j + 1] = derivative_kernel(pts[i], pts[j])
-        return A
+def _line_bundle(coeffs, weight, pair_norms, N, parity):
+    C = coefficient_matrix(coeffs)
 
-    return assemble
+    def rows(x):
+        x = np.asarray(x)
+        if np.iscomplexobj(x):
+            raise ValueError("this ensemble lives on the real line only")
+        partner = half_range_rows(C, weight, x)
+        return np.stack([partner, weighted_rows(C, x, np.exp(-weight.V(x)))], axis=-2)
+
+    weights = [1.0 / r for r in pair_norms]
+    basis = family_basis(rows, weights, "line", odd=parity == "odd")
+    return KernelBundle.from_basis("beta1:" + weight.label, N, parity, basis)
 
 
 def beta1_even_kernel(family, N=None):
@@ -94,115 +229,22 @@ def beta1_even_kernel(family, N=None):
         raise ValueError("even-size kernel needs even N")
     if N > family.N:
         raise ValueError("family too small for the requested size")
-    pairs = N // 2
-    weight = family.weight
-    coeffs = family.coeffs
-    norms = family.norms
-
-    def phi(k, x):
-        return half_range_transform(coeffs[k], weight, x)
-
-    def weighted(k, x):
-        return poly_eval(coeffs[k], x) * np.exp(-weight.V(x))
-
-    def scalar_kernel(x, y):
-        total = 0.0
-        for k in range(pairs):
-            total = total + (
-                phi(2 * k, x) * weighted(2 * k + 1, y)
-                - phi(2 * k + 1, x) * weighted(2 * k, y)
-            ) / norms[k]
-        return total
-
-    def derivative_kernel(x, y):
-        total = 0.0
-        for k in range(pairs):
-            total = total + (
-                weighted(2 * k, x) * weighted(2 * k + 1, y)
-                - weighted(2 * k + 1, x) * weighted(2 * k, y)
-            ) / norms[k]
-        return total
-
-    def integral_kernel(x, y):
-        total = 0.5 * np.sign(np.asarray(y) - np.asarray(x))
-        for k in range(pairs):
-            total = total + (
-                phi(2 * k + 1, x) * phi(2 * k, y) - phi(2 * k, x) * phi(2 * k + 1, y)
-            ) / norms[k]
-        return total
-
-    return KernelBundle(
-        ensemble="beta1:" + weight.label,
-        N=N,
-        parity="even",
-        family=family,
-        scalar_kernel=scalar_kernel,
-        derivative_kernel=derivative_kernel,
-        integral_kernel=integral_kernel,
-        assemble=_line_assemble(scalar_kernel, derivative_kernel, integral_kernel),
-    )
+    return _line_bundle(family.coeffs[:N], family.weight, family.norms[: N // 2], N, "even")
 
 
 def beta1_odd_kernel(hatted, N=None):
     """Kernel bundle for an odd number of eigenvalues.
 
-    Built from the hatted companions: the pair sums run over the hatted
-    norms below the top one, and the scalar/integrated kernels carry
-    rank-one terms tied to the weighted top polynomial.
+    Built from the hatted companions: the pairs run over the hatted
+    norms below the top one, and the top polynomial pairs with the
+    constant partner column.
     """
     N = hatted.N if N is None else N
     if N % 2 != 1:
         raise ValueError("odd-size kernel needs odd N")
     if N != hatted.N:
         raise ValueError("hatted companions are built for one size only")
-    pairs = (N - 1) // 2
-    weight = hatted.weight
-    norms = hatted.hat_norms
-    top = norms[-1]
-
-    def phi(k, x):
-        return hatted.phi(k, x)
-
-    def weighted(k, x):
-        return hatted.weighted_poly(k, x)
-
-    def scalar_kernel(x, y):
-        total = weighted(N - 1, y) / (2.0 * top)
-        for k in range(pairs):
-            total = total + (
-                phi(2 * k, x) * weighted(2 * k + 1, y)
-                - phi(2 * k + 1, x) * weighted(2 * k, y)
-            ) / norms[k]
-        return total
-
-    def derivative_kernel(x, y):
-        total = np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape)
-        for k in range(pairs):
-            total = total + (
-                weighted(2 * k, x) * weighted(2 * k + 1, y)
-                - weighted(2 * k + 1, x) * weighted(2 * k, y)
-            ) / norms[k]
-        return total
-
-    def integral_kernel(x, y):
-        total = 0.5 * np.sign(np.asarray(y) - np.asarray(x))
-        total = total + (phi(N - 1, x) - phi(N - 1, y)) / (2.0 * top)
-        for k in range(pairs):
-            total = total + (
-                phi(2 * k + 1, x) * phi(2 * k, y) - phi(2 * k, x) * phi(2 * k + 1, y)
-            ) / norms[k]
-        return total
-
-    return KernelBundle(
-        ensemble="beta1:" + weight.label,
-        N=N,
-        parity="odd",
-        family=hatted,
-        scalar_kernel=scalar_kernel,
-        derivative_kernel=derivative_kernel,
-        integral_kernel=integral_kernel,
-        assemble=_line_assemble(scalar_kernel, derivative_kernel, integral_kernel),
-    )
+    return _line_bundle(hatted.hat_coeffs, hatted.weight, hatted.hat_norms[:-1], N, "odd")
 
 
 def density(bundle, x):
@@ -225,9 +267,16 @@ def dyson_recurrence_check(bundle, n, points, tol=1e-8):
     if len(points) != n:
         raise ValueError("need exactly n probe points")
     base = rho(bundle, points)
+    basis = bundle.family
+    fixed = basis.rows(np.array(points))
 
     def integrand(ys):
-        return np.array([rho(bundle, points + (float(y),)) for y in np.atleast_1d(ys)])
+        ys = np.atleast_1d(np.asarray(ys, dtype=float))
+        rows = np.concatenate(
+            [np.broadcast_to(fixed, ys.shape + fixed.shape), basis.rows(ys)[:, None]], axis=1
+        )
+        reals = np.concatenate([np.broadcast_to(points, ys.shape + (n,)), ys[:, None]], axis=1)
+        return np.array([pfaffian(A) for A in basis.matrix(rows, reals)])
 
     integrated = integrate_line(
         integrand, tol=tol, breakpoints=points, degree=2 * bundle.N

@@ -1,14 +1,14 @@
 """Monte Carlo sampling of GOE and real Ginibre spectra.
 
 This is the ground truth the analytic kernels are judged against:
-matrices drawn entry by entry, eigenvalues from the in-house solver,
-spectra split into reals and conjugate pairs.  Nothing here touches
+matrices drawn entry by entry, eigenvalues from LAPACK (numpy's
+eigvals), spectra split into reals and conjugate pairs.  Nothing here touches
 the kernel formulas, so agreement between the two sides checks the
 whole analytic chain at once.
 
 Sampling is seeded per matrix index, which makes the stream
 reproducible, restartable, and splittable across workers by seed
-range.  Rejected draws (solver non-convergence or an unclassifiable
+range.  Rejected draws (LAPACK non-convergence or an unclassifiable
 spectrum) are retried under an incremented sub-seed and counted in
 the batch diagnostics.
 """
@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigensolve import NonConvergenceError, eig_nonsymmetric
 from .quadrature import gauss_legendre_rule, integrate_line, truncation_radius
 
 REALNESS_FACTOR = 1e-7  # of the Frobenius norm; QR noise sits near 1e-12
@@ -98,7 +97,7 @@ class SpectrumSample:
 def _classified(A, factor=REALNESS_FACTOR):
     A = np.asarray(A, dtype=float)
     threshold = factor * float(np.linalg.norm(A))
-    reals, upper = classify_real(eig_nonsymmetric(A), threshold)
+    reals, upper = classify_real(np.linalg.eigvals(A), threshold)
     return SpectrumSample(A.shape[0], reals, upper)
 
 
@@ -129,7 +128,7 @@ def _ginibre_attempts(N, seed, factor=REALNESS_FACTOR):
         rng = np.random.default_rng(_entropy(seed, attempt))
         try:
             return _classified(rng.standard_normal((N, N)), factor), attempt
-        except (NonConvergenceError, ValueError):
+        except (np.linalg.LinAlgError, ValueError):
             continue
     raise ArithmeticError(f"no classifiable sample after {MAX_ATTEMPTS} attempts")
 
@@ -137,7 +136,7 @@ def _ginibre_attempts(N, seed, factor=REALNESS_FACTOR):
 def sample_real_ginibre(N, seed, factor=REALNESS_FACTOR):
     """One real Ginibre draw: all N^2 entries independent standard normals.
 
-    Eigenvalues come from the in-house solver and are classified into
+    Eigenvalues come from LAPACK and are classified into
     reals and conjugate pairs; a rejected spectrum is redrawn under an
     incremented sub-seed.
     """
@@ -230,9 +229,8 @@ def empirical_density(samples, edges):
 
 
 def _density_on_nodes(bundle, nodes):
-    return np.array(
-        [float(np.real(bundle.scalar_kernel(float(x), float(x)))) for x in nodes]
-    )
+    nodes = np.asarray(nodes, dtype=float)
+    return np.real(bundle.scalar_kernel(nodes, nodes))
 
 
 def expected_bin_masses(bundle, edges):

@@ -1,23 +1,17 @@
 """Kernel reduction from even to odd ensemble size.
 
-Pinning one eigenvalue of an even-size ensemble at a point far out on
-the real axis and conditioning on it removes that point's row pair
-from the correlation Pfaffian through a rank-two Schur update.  The
-identity
+Pinning one eigenvalue of an even-size ensemble at a real point x_far
+and conditioning on it removes that point's cell from the correlation
+Pfaffian through a Schur complement, so that
 
-    Pf[extended] = S(far, far) * Pf[updated]
+    Pf[extended] = corner * Pf[updated]
 
-is exact at every finite conditioning point.  As the point moves to
-+infinity the updated blocks converge, entry by entry, to the kernel
-blocks of the ensemble one size smaller, which is the practical route
-from even-size data to odd-size correlations.
-
-The convergence is algebraic: each updated entry differs from its
-target by c1/far + c2/far**2 + ..., with coefficients fixed by the
-ensemble.  The limits themselves are available in closed form because
-every far-point factor either dies like the weight or saturates at a
-half-moment, so the module also provides the exact limiting blocks
-and the leading asymptotic forms of the far-point entries.
+at every finite x_far.  On the engine's basis the update is a bundle of
+its own (conditioned_bundle): the even rows plus the constant partner
+column, paired by the even M bordered through a rank-two term built
+from the far point's rows.  At x_far = +infinity the same construction
+is the exact limit, the kernel of the ensemble one size smaller; at
+finite distance each entry differs from it by c1/far + c2/far**2 + ...
 """
 
 from __future__ import annotations
@@ -30,22 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ginibre import ginoe_half_moments
-from .kernels import PointConfiguration, beta1_even_kernel, beta1_odd_kernel
-from .ginoe_kernels import (
-    ginoe_even_kernel,
-    ginoe_odd_kernel,
-    partner_value,
-    weighted_value,
-)
+from .ginoe_kernels import ginoe_even_kernel, ginoe_odd_kernel
+from .kernels import KernelBundle, PointConfiguration, beta1_even_kernel, beta1_odd_kernel
 from .pfaffian import pfaffian
-from .skewortho import (
-    build_family_beta1,
-    gaussian_weight,
-    hatted_beta1,
-    phi_transform,
-    weight_full_moment,
-)
+from .skewortho import build_family_beta1, gaussian_weight, hatted_beta1
 
 CORNER_FLOOR = 1e-300
 DEFAULT_SCHEDULE = (6.0, 8.0, 10.0, 12.0)
@@ -69,145 +51,83 @@ TRACKED_BLOCK = "scalar"
 MONOTONE_SLACK = 1.10
 
 
-def _half_total(weight, coeffs):
-    # half the full weighted integral of the polynomial
-    return 0.5 * sum(
-        c * weight_full_moment(weight, k) for k, c in enumerate(coeffs)
-    )
+def _require_even(bundle):
+    if bundle.parity != "even":
+        raise ValueError("reduction starts from an even-size bundle")
 
 
-def _corner(bundle, x_far):
-    s = bundle.scalar_kernel(x_far, x_far)
-    if abs(s) < CORNER_FLOOR:
+def _corner(value, x_far):
+    if abs(value) < CORNER_FLOOR:
         raise ArithmeticError(
             f"conditioning weight underflowed at far point {x_far!r}"
         )
-    return s
+    return value
+
+
+def conditioned_bundle(bundle, x_far):
+    """Kernel of the other N-1 points with one pinned at x_far (+inf allowed).
+
+    With Phi, W the far point's partner and weighted rows and M the even
+    pairing, the bordered pairing is
+
+        [[M, 0], [0, 0]] + (u v^T - v u^T) / (Phi M W^T),
+        u = [M W^T; 0],  v = [M Phi^T; -1/2],
+
+    the -1/2 being the sign term between the far point and every real
+    point below it, so the update is exact for probes below x_far.  At
+    +inf only the direction of the vanishing W enters, the top-degree
+    unit vector.
+    """
+    _require_even(bundle)
+    basis = bundle.family
+    far = basis.rows(np.float64(x_far))
+    partner, weighted = far[basis.partner_slot], far[1 - basis.partner_slot]
+    if np.isposinf(x_far):
+        weighted = np.eye(len(weighted))[-1]
+    M = basis.pairing
+    corner = _corner(basis.form(partner, weighted), x_far)
+    u = np.append(M @ weighted, 0.0)
+    v = np.append(M @ partner, -0.5)
+    bordered = np.pad(M, ((0, 1), (0, 1))) + (np.outer(u, v) - np.outer(v, u)) / corner
+    reduced = basis.bordered(np.triu(bordered, 1))
+    return KernelBundle.from_basis(bundle.ensemble, bundle.N - 1, "odd", reduced)
+
+
+def _blocks(bundle, mu, eta):
+    return {
+        "scalar": bundle.scalar_kernel(mu, eta),
+        "derivative": bundle.derivative_kernel(mu, eta),
+        "integral": bundle.integral_kernel(mu, eta),
+    }
 
 
 def reduce_star(bundle, mu, eta, x_far):
-    """Updated kernel blocks at (mu, eta) after removing the far point.
+    """Updated kernel blocks at (mu, eta) after removing the far point."""
+    return _blocks(conditioned_bundle(bundle, x_far), mu, eta)
 
-    The update is the exact Schur complement of the far point's 2x2
-    cell in the extended Pfaffian layout; the two ensembles order
-    their cells differently, so the correction terms differ.
-    """
-    if bundle.parity != "even":
-        raise ValueError("reduction starts from an even-size bundle")
-    s = _corner(bundle, x_far)
-    S = bundle.scalar_kernel
-    D = bundle.derivative_kernel
-    I = bundle.integral_kernel
-    if bundle.ensemble == "ginoe":
-        d_star = D(mu, eta) + (S(mu, x_far) * D(eta, x_far) - D(mu, x_far) * S(eta, x_far)) / s
-        s_star = S(mu, eta) - (D(mu, x_far) * I(eta, x_far) + S(mu, x_far) * S(x_far, eta)) / s
-        i_star = I(mu, eta) + (S(x_far, mu) * I(eta, x_far) - I(mu, x_far) * S(x_far, eta)) / s
-    else:
-        s_star = S(mu, eta) + (I(mu, x_far) * D(eta, x_far) - S(mu, x_far) * S(x_far, eta)) / s
-        d_star = D(mu, eta) + (S(x_far, mu) * D(eta, x_far) - D(mu, x_far) * S(x_far, eta)) / s
-        i_star = I(mu, eta) - (I(mu, x_far) * S(eta, x_far) - S(mu, x_far) * I(eta, x_far)) / s
-    return {"scalar": s_star, "derivative": d_star, "integral": i_star}
+
+def reduce_star_limit(bundle, mu, eta):
+    """Exact limits of the updated blocks as the far point recedes."""
+    return _blocks(conditioned_bundle(bundle, np.inf), mu, eta)
 
 
 def scalar_far_limit(bundle, x):
     """Limit of the scalar block as its far argument goes to +infinity.
 
-    For the line ensembles the far point sits in the first slot and the
-    half-range transforms saturate at half the full weighted moments;
-    for the plane ensemble the far point sits in the second slot and
-    the partner transforms saturate the same way.
+    The far argument is the one whose partner row the scalar block
+    reads (the first on the line, the second in the plane): its partner
+    saturates at the half moments while its weighted row dies.
     """
-    if bundle.parity != "even":
-        raise ValueError("far-point limits feed the even-size reduction only")
-    fam = bundle.family
-    if bundle.ensemble == "ginoe":
-        nus = ginoe_half_moments(bundle.N)
-        total = 0.0
-        for k in range(bundle.N // 2):
-            total = total + (2.0 / fam.norms[k]) * (
-                -weighted_value(fam.coeffs[2 * k], x) * nus[2 * k + 1]
-                + weighted_value(fam.coeffs[2 * k + 1], x) * nus[2 * k]
-            )
-        return total
-    total = 0.0
-    for k in range(bundle.N // 2):
-        m_even = _half_total(fam.weight, fam.coeffs[2 * k])
-        m_odd = _half_total(fam.weight, fam.coeffs[2 * k + 1])
-        total = total + (
-            m_even * fam.weighted_poly(2 * k + 1, x)
-            - m_odd * fam.weighted_poly(2 * k, x)
-        ) / fam.norms[k]
-    return total
+    _require_even(bundle)
+    args = [x, x]
+    args[bundle.family.partner_slot] = np.inf
+    return bundle.scalar_kernel(*args)
 
 
 def integral_far_limit(bundle, x):
     """Limit of the integrated block as its second argument goes to +infinity."""
-    if bundle.parity != "even":
-        raise ValueError("far-point limits feed the even-size reduction only")
-    fam = bundle.family
-    if bundle.ensemble == "ginoe":
-        nus = ginoe_half_moments(bundle.N)
-        total = -0.5 if not np.iscomplexobj(np.asarray(x)) else 0.0
-        for k in range(bundle.N // 2):
-            total = total + (2.0 / fam.norms[k]) * (
-                -partner_value(fam.coeffs[2 * k], x) * nus[2 * k + 1]
-                + partner_value(fam.coeffs[2 * k + 1], x) * nus[2 * k]
-            )
-        return total
-    total = 0.5
-    for k in range(bundle.N // 2):
-        m_even = _half_total(fam.weight, fam.coeffs[2 * k])
-        m_odd = _half_total(fam.weight, fam.coeffs[2 * k + 1])
-        total = total + (
-            phi_transform(fam, 2 * k + 1, x) * m_even
-            - phi_transform(fam, 2 * k, x) * m_odd
-        ) / fam.norms[k]
-    return total
-
-
-def reduce_star_limit(bundle, mu, eta):
-    """Exact limits of the updated blocks as the far point recedes.
-
-    Every far-point factor in the Schur correction either decays like
-    the weight or saturates; the decaying factors only enter through
-    ratios against the corner entry, and those ratios have finite
-    limits set by the top-degree member of the family.  Substituting
-    the limits gives the reduced blocks in closed form.
-    """
-    if bundle.parity != "even":
-        raise ValueError("reduction starts from an even-size bundle")
-    fam = bundle.family
-    N = bundle.N
-    S = bundle.scalar_kernel
-    D = bundle.derivative_kernel
-    I = bundle.integral_kernel
-    if bundle.ensemble == "ginoe":
-        nu_top = ginoe_half_moments(N)[N - 2]
-        wq_mu = weighted_value(fam.coeffs[N - 2], mu)
-        wq_eta = weighted_value(fam.coeffs[N - 2], eta)
-        tau_mu = partner_value(fam.coeffs[N - 2], mu)
-        tau_eta = partner_value(fam.coeffs[N - 2], eta)
-        s_inf_mu = scalar_far_limit(bundle, mu)
-        s_inf_eta = scalar_far_limit(bundle, eta)
-        i_inf_mu = integral_far_limit(bundle, mu)
-        i_inf_eta = integral_far_limit(bundle, eta)
-        d_star = D(mu, eta) + (s_inf_mu * wq_eta - wq_mu * s_inf_eta) / nu_top
-        s_star = S(mu, eta) - (wq_mu * i_inf_eta - s_inf_mu * tau_eta) / nu_top
-        i_star = I(mu, eta) + (-tau_mu * i_inf_eta + i_inf_mu * tau_eta) / nu_top
-        return {"scalar": s_star, "derivative": d_star, "integral": i_star}
-    m_top = _half_total(fam.weight, fam.coeffs[N - 2])
-    w_mu = fam.weighted_poly(N - 2, mu)
-    w_eta = fam.weighted_poly(N - 2, eta)
-    phi_mu = phi_transform(fam, N - 2, mu)
-    phi_eta = phi_transform(fam, N - 2, eta)
-    s_inf_mu = scalar_far_limit(bundle, mu)
-    s_inf_eta = scalar_far_limit(bundle, eta)
-    i_inf_mu = integral_far_limit(bundle, mu)
-    i_inf_eta = integral_far_limit(bundle, eta)
-    s_star = S(mu, eta) + (i_inf_mu * w_eta - phi_mu * s_inf_eta) / m_top
-    d_star = D(mu, eta) + (s_inf_mu * w_eta - w_mu * s_inf_eta) / m_top
-    i_star = I(mu, eta) - (i_inf_mu * phi_eta - phi_mu * i_inf_eta) / m_top
-    return {"scalar": s_star, "derivative": d_star, "integral": i_star}
+    _require_even(bundle)
+    return bundle.integral_kernel(x, np.inf)
 
 
 @dataclass(frozen=True)
@@ -228,71 +148,45 @@ def asymptotic_forms(bundle, x_i, x_m):
     Two entries decay like the top-degree weighted polynomial, the
     corner decays the same way with a half-moment coefficient, and two
     entries saturate at finite limits.  Valid once the far point is
-    clear of the spectrum's edge.
+    clear of the spectrum's edge; the names follow the line layout.
     """
-    if bundle.ensemble == "ginoe" or bundle.parity != "even":
+    basis = bundle.family
+    if bundle.parity != "even" or basis.layout != "line":
         raise ValueError("asymptotic forms cover the even-size line ensemble")
     if x_m < 2.0 * math.sqrt(bundle.N):
         raise ValueError("far point must sit beyond twice the root of the size")
-    fam = bundle.family
-    N = bundle.N
-    r_top = fam.norms[N // 2 - 1]
-    w_top_far = fam.weighted_poly(N - 1, x_m)
-    m_top = _half_total(fam.weight, fam.coeffs[N - 2])
-    return {
-        "derivative_probe_far": AsymptoticForm(
-            exact=bundle.derivative_kernel(x_i, x_m),
-            leading=fam.weighted_poly(N - 2, x_i) * w_top_far / r_top,
-        ),
-        "scalar_probe_far": AsymptoticForm(
-            exact=bundle.scalar_kernel(x_i, x_m),
-            leading=phi_transform(fam, N - 2, x_i) * w_top_far / r_top,
-        ),
-        "scalar_far_probe": AsymptoticForm(
-            exact=bundle.scalar_kernel(x_m, x_i),
-            leading=scalar_far_limit(bundle, x_i),
-        ),
-        "scalar_far_far": AsymptoticForm(
-            exact=bundle.scalar_kernel(x_m, x_m),
-            leading=m_top * w_top_far / r_top,
-        ),
-        "integral_probe_far": AsymptoticForm(
-            exact=bundle.integral_kernel(x_i, x_m),
-            leading=integral_far_limit(bundle, x_i),
-        ),
+    # a far weighted row is, to leading order, its top entry times the
+    # top-degree unit vector e: each decaying entry is a row times M e
+    lead = basis.pairing[:, -1] * basis.rows(np.float64(x_m))[1, -1]
+    probe = basis.rows(np.float64(x_i))
+    S, D, I = bundle.scalar_kernel, bundle.derivative_kernel, bundle.integral_kernel
+    forms = {
+        "derivative_probe_far": (D(x_i, x_m), probe[1] @ lead),
+        "scalar_probe_far": (S(x_i, x_m), probe[0] @ lead),
+        "scalar_far_probe": (S(x_m, x_i), scalar_far_limit(bundle, x_i)),
+        "scalar_far_far": (S(x_m, x_m), basis.rows(np.inf)[0] @ lead),
+        "integral_probe_far": (I(x_i, x_m), integral_far_limit(bundle, x_i)),
     }
+    return {name: AsymptoticForm(*pair) for name, pair in forms.items()}
 
 
 def _points(config):
     return list(config.reals) + list(config.complexes)
 
 
+def target_blocks(bundle, config):
+    """The kernel blocks tabulated on all ordered pairs of probe points."""
+    pts = _points(config)
+    table = [[_blocks(bundle, mu, eta) for eta in pts] for mu in pts]
+    return {
+        name: np.array([[entry[name] for entry in line] for line in table])
+        for name in BLOCK_NAMES
+    }
+
+
 def starred_blocks(bundle, config, x_far):
     """Updated blocks tabulated on all ordered pairs of probe points."""
-    pts = _points(config)
-    n = len(pts)
-    dtype = complex if config.complexes else float
-    out = {name: np.zeros((n, n), dtype=dtype) for name in BLOCK_NAMES}
-    for i in range(n):
-        for j in range(n):
-            entry = reduce_star(bundle, pts[i], pts[j], x_far)
-            for name in BLOCK_NAMES:
-                out[name][i, j] = entry[name]
-    return out
-
-
-def target_blocks(bundle, config):
-    """The same tabulation from a directly built (odd-size) bundle."""
-    pts = _points(config)
-    n = len(pts)
-    dtype = complex if config.complexes else float
-    out = {name: np.zeros((n, n), dtype=dtype) for name in BLOCK_NAMES}
-    for i in range(n):
-        for j in range(n):
-            out["scalar"][i, j] = bundle.scalar_kernel(pts[i], pts[j])
-            out["derivative"][i, j] = bundle.derivative_kernel(pts[i], pts[j])
-            out["integral"][i, j] = bundle.integral_kernel(pts[i], pts[j])
-    return out
+    return target_blocks(conditioned_bundle(bundle, x_far), config)
 
 
 def entry_deviations(starred, target):
@@ -303,14 +197,11 @@ def entry_deviations(starred, target):
     """
     out = {}
     for name in BLOCK_NAMES:
-        a = np.asarray(starred[name])
-        b = np.asarray(target[name])
-        table = np.full(a.shape, np.nan)
-        mask = np.ones(a.shape, dtype=bool)
+        a, b = np.asarray(starred[name]), np.asarray(target[name])
+        with np.errstate(invalid="ignore", divide="ignore"):
+            out[name] = np.abs(a - b) / np.abs(b)
         if name != "scalar":
-            np.fill_diagonal(mask, False)
-        table[mask] = np.abs(a[mask] - b[mask]) / np.abs(b[mask])
-        out[name] = table
+            np.fill_diagonal(out[name], np.nan)
     return out
 
 
@@ -345,26 +236,24 @@ def _cell_last(A, cell, n_cells):
 def pfaffian_reduction_identity(bundle, config, x_far):
     """Relative gap in Pf[extended] = corner * Pf[updated].
 
-    Moving the far point's cell to the last position is an even
-    permutation of rows and columns, so it leaves the Pfaffian alone.
-    The identity is exact at any finite far point; it is checked at
-    moderate distances where the extended matrix still carries its
+    The updated matrix is the one the conditioned bundle assembles, so the
+    identity checks the bordered pairing against the extended matrix it
+    stands for.  Moving the far point's cell to the last position is an
+    even permutation of rows and columns, so it leaves the Pfaffian
+    alone.  The identity is exact at any finite far point; it is checked
+    at moderate distances where the extended matrix still carries its
     small entries above roundoff.
     """
     extended = _extended_config(config, x_far)
-    A = bundle.assemble(extended)
-    far_cell = len(config.reals)
-    A = _cell_last(A, far_cell, len(extended))
-    m = A.shape[0] - 2
-    s = A[m, m + 1]
-    if abs(s) < CORNER_FLOOR:
-        raise ArithmeticError("conditioning weight underflowed")
-    B = A[:m, m:]
-    einv = np.array([[0.0, -1.0], [1.0, 0.0]]) / s
-    reduced = A[:m, :m] + B @ einv @ B.T
+    A = _cell_last(bundle.assemble(extended), len(config.reals), len(extended))
+    corner = _corner(A[-2, -1], x_far)
+    updated = conditioned_bundle(bundle, x_far).assemble(config)
     lhs = pfaffian(A)
-    rhs = s * pfaffian(reduced)
-    return abs(lhs - rhs) / max(abs(lhs), CORNER_FLOOR)
+    return abs(lhs - corner * pfaffian(updated)) / max(abs(lhs), CORNER_FLOOR)
+
+
+def _json_number(value):
+    return None if np.isnan(value) else float(value)
 
 
 @dataclass(frozen=True)
@@ -399,16 +288,10 @@ class ReductionReport:
             "per_far": [
                 {
                     "far": row["far"],
-                    "worst": {
-                        name: (None if np.isnan(row[name]) else row[name])
-                        for name in BLOCK_NAMES
-                    },
+                    "worst": {name: _json_number(row[name]) for name in BLOCK_NAMES},
                     "tracked": row["tracked"],
                     "tables": {
-                        name: [
-                            [None if np.isnan(v) else float(v) for v in line]
-                            for line in row["tables"][name]
-                        ]
+                        name: [[_json_number(v) for v in line] for line in row["tables"][name]]
                         for name in BLOCK_NAMES
                     },
                 }
@@ -486,11 +369,6 @@ def verify_odd_limit_ginoe(N, config=GINOE_PROBES, schedule=DEFAULT_SCHEDULE):
     )
 
 
-def _rho_real(bundle, config):
-    value = pfaffian(bundle.assemble(config))
-    return value.real if isinstance(value, complex) else float(value)
-
-
 def factorisation_check(bundle, reduced_bundle, config, x_far):
     """Conditioned correlation over (one-point weight times reduced target).
 
@@ -504,9 +382,9 @@ def factorisation_check(bundle, reduced_bundle, config, x_far):
     if len(_points(config)) > 3:
         raise ValueError("factorisation check takes at most three probe points")
     extended = _extended_config(config, x_far)
-    joint = _rho_real(bundle, extended)
-    weight = _corner(bundle, x_far)
+    joint = np.real(pfaffian(bundle.assemble(extended)))
+    weight = _corner(bundle.scalar_kernel(x_far, x_far), x_far)
     if not _points(config):
         return joint / weight
-    target = _rho_real(reduced_bundle, config)
+    target = np.real(pfaffian(reduced_bundle.assemble(config)))
     return joint / (weight * target)

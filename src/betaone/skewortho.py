@@ -23,7 +23,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npp
 
 from .quadrature import gauss_legendre_rule, integrate_line, truncation_radius
-from .specfun import gaussian_full_moment, gaussian_tail_moment
+from .specfun import gaussian_full_moment, gaussian_tail_moment, gaussian_tail_moments
 
 BREAKDOWN_TOL = 1e-12
 
@@ -48,7 +48,7 @@ def gaussian_weight():
     return WeightSpec(
         V=lambda x: 0.5 * np.asarray(x) ** 2,
         label="gaussian",
-        tail_moment=lambda k, x: gaussian_tail_moment(k, x),
+        tail_moment=gaussian_tail_moment,
         full_moment=gaussian_full_moment,
     )
 
@@ -86,12 +86,37 @@ def half_range_transform(coeffs, weight, x):
     Equals half the weighted mass below x minus half the mass above;
     vectorized in x.
     """
-    total = sum(c * weight_full_moment(weight, i) for i, c in enumerate(coeffs) if c != 0.0)
-    tail = 0.0
-    for i, c in enumerate(coeffs):
-        if c != 0.0:
-            tail = tail + c * weight_tail_moment(weight, i, x)
-    return 0.5 * total - tail
+    return half_range_rows(np.asarray(coeffs, dtype=float)[:, None], weight, x)[..., 0][()]
+
+
+def coefficient_matrix(coeffs):
+    """Ascending coefficient vectors as the zero-padded columns of one matrix."""
+    C = np.zeros((max(len(c) for c in coeffs), len(coeffs)))
+    for k, c in enumerate(coeffs):
+        C[: len(c), k] = c
+    return C
+
+
+def poly_rows(C, z):
+    """Every column polynomial of C at z, shape z.shape + (columns,)."""
+    return np.moveaxis(npp.polyval(np.asarray(z), C), 0, -1)
+
+
+def half_range_rows(C, weight, x):
+    """half_range_transform of every column of C at x, shape x.shape + (columns,).
+
+    The Gaussian weight takes all tail moments from one recurrence.
+    """
+    x = np.asarray(x, dtype=float)
+    if weight.tail_moment is gaussian_tail_moment:
+        tails = gaussian_tail_moments(C.shape[0], x)
+    else:
+        tails = np.stack(
+            [np.asarray(weight_tail_moment(weight, k, x)) for k in range(C.shape[0])],
+            axis=-1,
+        )
+    full = np.array([weight_full_moment(weight, k) for k in range(C.shape[0])])
+    return 0.5 * (full @ C) - tails @ C
 
 
 def skew_inner(f_coeffs, g_coeffs, weight, tol=1e-12):
@@ -125,10 +150,6 @@ class SkewOrthogonalFamily:
 
     def poly(self, k, x):
         return poly_eval(self.coeffs[k], x)
-
-    def weighted_poly(self, k, x):
-        x = np.asarray(x)
-        return poly_eval(self.coeffs[k], x) * np.exp(-self.weight.V(x))
 
 
 def phi_transform(family, k, x):
@@ -190,15 +211,9 @@ class HattedFamily:
     def weight(self):
         return self.base.weight
 
-    def poly(self, k, x):
-        return poly_eval(self.hat_coeffs[k], x)
-
     def weighted_poly(self, k, x):
         x = np.asarray(x)
         return poly_eval(self.hat_coeffs[k], x) * np.exp(-self.weight.V(x))
-
-    def phi(self, k, x):
-        return half_range_transform(self.hat_coeffs[k], self.weight, x)
 
 
 def hatted_beta1(family):

@@ -134,18 +134,28 @@ def lower_gamma(s, x):
     return math.gamma(s) - upper_gamma(s, x)
 
 
-def gaussian_tail_moment(k, x):
-    """Integral of t^k e^(-t^2/2) over [x, inf) for integer k >= 0.
+def gaussian_tail_moments(n, x):
+    """Integrals of t^k e^(-t^2/2) over [x, inf) for k = 0..n-1.
 
-    Vectorized in x.  Recurrence in k with the erfc base case keeps the
-    evaluation stable for every sign of x.
+    Vectorized in x; the result has shape x.shape + (n,).  The upward
+    recurrence in k from the erfc and Gaussian base cases is stable for
+    every sign of x, and every moment is exactly 0 at x = +inf.
     """
     x = np.asarray(x, dtype=float)
-    if k == 0:
-        return math.sqrt(2.0 * math.pi) * normal_cdf(-x)
-    if k == 1:
-        return np.exp(-0.5 * x * x)
-    return x ** (k - 1) * np.exp(-0.5 * x * x) + (k - 1) * gaussian_tail_moment(k - 2, x)
+    gauss = np.exp(-0.5 * x * x)
+    out = np.empty(x.shape + (max(n, 2),))
+    out[..., 0] = math.sqrt(2.0 * math.pi) * normal_cdf(-x)
+    out[..., 1] = gauss
+    with np.errstate(invalid="ignore"):
+        for k in range(2, n):
+            head = np.where(gauss > 0.0, x ** (k - 1) * gauss, 0.0)
+            out[..., k] = head + (k - 1) * out[..., k - 2]
+    return out[..., :n]
+
+
+def gaussian_tail_moment(k, x):
+    """Integral of t^k e^(-t^2/2) over [x, inf) for integer k >= 0."""
+    return gaussian_tail_moments(k + 1, x)[..., k][()]
 
 
 def gaussian_full_moment(k):

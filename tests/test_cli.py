@@ -102,6 +102,8 @@ def test_density_validation_exits():
     assert code == 2 and "ginoe" in err
     code, _, err = run_cli(["density", "--grid", "nonsense"])
     assert code == 2
+    code, _, err = run_cli(["density", "--size", "65", "--grid=-1:1:5"])
+    assert code == 2 and "64" in err
 
 
 def test_correlate_single_point_matches_density():
@@ -146,6 +148,8 @@ def test_correlate_validation_exits():
     assert code == 2 and "axis" in err
     code, _, err = run_cli(["correlate", "--points", "spam"])
     assert code == 2
+    code, _, err = run_cli(["correlate", "--ensemble", "ginoe", "--size", "65", "--points", "0.5"])
+    assert code == 2 and "64" in err
 
 
 def test_correlate_mixed_matches_monte_carlo_pair_mass():

@@ -259,11 +259,11 @@ def test_interrelations_odd():
 
 
 def test_assembled_matrix_antisymmetric_mixed_points():
-    bundle = ginoe_even_kernel(4)
     config = PointConfiguration(reals=(-0.6, 1.1), complexes=(0.4 + 0.8j,))
-    A = bundle.assemble(config)
-    as_antisymmetric(A)
-    assert A.shape == (6, 6)
+    for bundle in (ginoe_even_kernel(4), ginoe_odd_kernel(5)):
+        A = bundle.assemble(config)
+        as_antisymmetric(A)
+        assert A.shape == (6, 6)
 
 
 def test_correlations_invariant_under_point_reordering():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from betaone.ginoe_kernels import ginoe_even_kernel, ginoe_odd_kernel
 from betaone.kernels import (
     PointConfiguration,
     beta1_even_kernel,
@@ -111,6 +112,44 @@ def test_assembled_matrix_is_antisymmetric():
     for bundle in [even_bundle(4), odd_bundle(5)]:
         config = PointConfiguration(reals=(-1.1, 0.2, 0.9))
         as_antisymmetric(bundle.assemble(config))
+
+
+def cells_from_kernels(bundle, points, layout):
+    # reference loop: every 2x2 cell written out from the three kernels
+    S, D, I = bundle.scalar_kernel, bundle.derivative_kernel, bundle.integral_kernel
+    A = np.zeros((2 * len(points), 2 * len(points)), dtype=complex)
+    for i, a in enumerate(points):
+        for j, b in enumerate(points):
+            if layout == "line":
+                cell = [[-I(a, b), S(a, b)], [-S(b, a), D(a, b)]]
+            else:
+                cell = [[D(a, b), S(a, b)], [-S(b, a), I(a, b)]]
+            A[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = cell
+    return A
+
+
+def test_assembled_matrix_matches_kernel_cells():
+    line = PointConfiguration(reals=(-1.1, 0.2, 0.9))
+    mixed = PointConfiguration(reals=(-0.6, 1.1), complexes=(0.4 + 0.8j, -0.3 + 1.5j))
+    cases = (
+        (even_bundle(4), line, "line"),
+        (odd_bundle(5), line, "line"),
+        (ginoe_even_kernel(4), mixed, "plane"),
+        (ginoe_odd_kernel(5), mixed, "plane"),
+    )
+    for bundle, config, layout in cases:
+        points = list(config.reals) + list(config.complexes)
+        reference = cells_from_kernels(bundle, points, layout)
+        assert np.allclose(bundle.assemble(config), reference, rtol=0, atol=1e-14)
+
+
+def test_vectorized_kernels_match_pointwise_calls():
+    xs = np.linspace(-3.0, 3.0, 13)
+    for bundle in (even_bundle(4), odd_bundle(5), ginoe_odd_kernel(5)):
+        for kernel in (bundle.scalar_kernel, bundle.derivative_kernel, bundle.integral_kernel):
+            grid = kernel(xs[:, None], xs[None, :])
+            loop = np.array([[kernel(x, y) for y in xs] for x in xs])
+            assert np.allclose(grid, loop, rtol=0, atol=1e-14)
 
 
 def test_pair_correlation_exchange_symmetry():

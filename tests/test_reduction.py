@@ -24,6 +24,7 @@ from betaone.reduction import (
     GINOE_PROBES,
     asymptotic_forms,
     block_deviations,
+    conditioned_bundle,
     factorisation_check,
     integral_far_limit,
     pfaffian_reduction_identity,
@@ -96,13 +97,33 @@ def test_reduction_identity_both_ensembles():
                 assert pfaffian_reduction_identity(bundle, config, far) <= 1e-8
 
 
+def test_conditioned_bundle_is_schur_complement():
+    # the bordered rank-two pairing against the Schur complement of the
+    # far point's cell in the extended matrix, entry by entry
+    cases = (
+        (even_bundle(6), PointConfiguration(reals=(0.5, -0.2, 1.3))),
+        (ginoe_even_kernel(6), PointConfiguration(reals=(0.5, -0.2), complexes=(0.3 + 0.7j,))),
+    )
+    for bundle, config in cases:
+        for far in (4.0, 6.0, 8.0):
+            extended = PointConfiguration(
+                reals=config.reals + (far,), complexes=config.complexes
+            )
+            A = _cell_last(bundle.assemble(extended), len(config.reals), len(extended))
+            m = A.shape[0] - 2
+            einv = np.array([[0.0, -1.0], [1.0, 0.0]]) / A[m, m + 1]
+            schur = A[:m, :m] + A[:m, m:] @ einv @ A[:m, m:].T
+            updated = conditioned_bundle(bundle, far).assemble(config)
+            assert np.allclose(updated, schur, rtol=0, atol=1e-13 * np.abs(schur).max())
+
+
 def test_identity_fails_loudly_when_corner_underflows():
     with pytest.raises(ArithmeticError):
         reduce_star(even_bundle(4), 0.1, 0.2, 60.0)
 
 
 def test_closed_form_limit_matches_direct_odd_line_ensemble():
-    for N in (4, 6):
+    for N in (4, 6, 8, 10):
         even, odd = even_bundle(N), odd_bundle(N - 1)
         for mu, eta in ((0.5, -0.2), (1.1, 0.3), (0.07, 0.07), (-1.4, 0.9)):
             lim = reduce_star_limit(even, mu, eta)
@@ -113,7 +134,7 @@ def test_closed_form_limit_matches_direct_odd_line_ensemble():
 
 def test_closed_form_limit_matches_direct_odd_plane_ensemble():
     z1, z2 = 0.2 + 0.3j, -0.5 + 0.8j
-    for N in (4, 6):
+    for N in (4, 6, 8, 10):
         even, odd = ginoe_even_kernel(N), ginoe_odd_kernel(N - 1)
         for mu, eta in ((0.3, -0.4), (0.3, 0.3), (z1, z2), (0.3, z1), (z1, 0.3)):
             lim = reduce_star_limit(even, mu, eta)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -8,6 +9,7 @@ from betaone.specfun import (
     erfcx,
     gaussian_full_moment,
     gaussian_tail_moment,
+    gaussian_tail_moments,
     lower_gamma,
     normal_cdf,
     upper_gamma,
@@ -168,6 +170,31 @@ def test_gaussian_tail_moment_against_quadrature_oracle():
             ww = 0.5 * (b - a) * w
             oracle = np.sum(ww * tt ** k * np.exp(-0.5 * tt * tt))
             assert np.isclose(gaussian_tail_moment(k, x), oracle, rtol=1e-11, atol=1e-13), (k, x)
+
+
+def mp_gaussian_tail(k, x):
+    # 50-digit oracle: the tail is 2^((k-1)/2) Gamma((k+1)/2, x^2/2) for
+    # x >= 0; below 0 it is the full moment minus the mirrored tail
+    s = mpmath.mpf(k + 1) / 2
+    mirrored = 2 ** (mpmath.mpf(k - 1) / 2) * mpmath.gammainc(s, mpmath.mpf(x) ** 2 / 2)
+    if x >= 0:
+        return mirrored
+    full = 2 ** (mpmath.mpf(k + 1) / 2) * mpmath.gamma(s) if k % 2 == 0 else 0
+    return full - (-1) ** k * mirrored
+
+
+def test_gaussian_tail_moments_against_high_precision_oracle():
+    xs = (-9.0, -6.0, -3.3, -1.2, 0.0, 0.7, 2.5, 5.0, 9.0)
+    table = gaussian_tail_moments(64, np.array(xs))
+    worst = 0.0
+    with mpmath.workdps(50):
+        for i, x in enumerate(xs):
+            for k in range(64):
+                want = mp_gaussian_tail(k, x)
+                worst = max(worst, float(abs(table[i, k] - want) / abs(want)))
+    assert worst <= 1e-13
+    assert gaussian_tail_moment(5, 0.7) == table[5, 5]
+    assert not gaussian_tail_moments(64, np.inf).any()
 
 
 def test_gaussian_full_moments():
