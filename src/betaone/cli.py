@@ -15,6 +15,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.hermite import herm2poly
 
 from . import __version__
 from .ginibre import ginoe_norm, ginoe_skew_inner
@@ -42,7 +43,7 @@ from .montecarlo import (
 )
 from .pfaffian import dual_block, flatten_blocks, pfaffian, pfaffian_laplace, qdet
 from .reduction import verify_odd_limit_beta1, verify_odd_limit_ginoe
-from .skewortho import build_family_beta1, gaussian_weight, hatted_beta1, skew_inner
+from .skewortho import gaussian_weight, goe_coefficients, goe_norm, skew_inner
 
 SUITES = ("pfaffian", "skew", "kernels", "reduction", "all")
 PATHS = ("finite-sum", "summed-up", "both")
@@ -187,13 +188,10 @@ def _parse_points(text):
 def kernel_bundle(ensemble, size):
     """Kernel bundle for the ensemble at the given size, parity derived."""
     if ensemble == "ginoe":
-        if size % 2 == 0:
-            return ginoe_even_kernel(size)
-        return ginoe_odd_kernel(size)
-    family = build_family_beta1(gaussian_weight(), size)
-    if size % 2 == 0:
-        return beta1_even_kernel(family)
-    return beta1_odd_kernel(hatted_beta1(family))
+        even, odd = ginoe_even_kernel, ginoe_odd_kernel
+    else:
+        even, odd = beta1_even_kernel, beta1_odd_kernel
+    return (odd if size % 2 else even)(size)
 
 
 def make_config(args):
@@ -374,15 +372,18 @@ def _suite_pfaffian(config):
 def _suite_skew(config):
     tol = config.tolerances["skew"]
     if config.ensemble == "goe":
-        family = build_family_beta1(gaussian_weight(), max(config.size, 2))
-        r0 = abs(family.norms[0])
+        # the closed-form family on He_n = H_n / 2^n, as monomials
+        N = max(config.size, 2)
+        C = goe_coefficients(N) * 0.5 ** np.arange(N)[:, None]
+        family = [herm2poly(C[: k + 1, k]) for k in range(N)]
+        weight = gaussian_weight()
         worst = 0.0
-        for j in range(family.N):
-            for k in range(j + 1, family.N):
-                inner = skew_inner(family.coeffs[j], family.coeffs[k], family.weight)
+        for j in range(N):
+            for k in range(j + 1, N):
+                inner = skew_inner(family[j], family[k], weight)
                 if j % 2 == 0 and k == j + 1:
-                    inner -= family.norms[j // 2]
-                worst = max(worst, abs(inner) / r0)
+                    inner -= goe_norm(j // 2)
+                worst = max(worst, abs(inner) / goe_norm(0))
         return [_check("skew", "gram-residual", worst, tol)]
     pairs = max(config.size // 2, 1)
     r0 = ginoe_norm(0)

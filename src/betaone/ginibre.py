@@ -19,13 +19,14 @@ import numpy as np
 
 from .quadrature import integrate_halfplane, integrate_line
 from .skewortho import (
-    HattedFamily,
     SkewOrthogonalFamily,
+    coefficient_matrix,
     gaussian_weight,
+    half_range_rows,
     half_range_transform,
     poly_eval,
 )
-from .specfun import erfcx, gaussian_full_moment
+from .specfun import erfcx
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -105,45 +106,6 @@ def ginoe_skew_inner(j, k, tol=1e-10):
     return real_sector_pairing(j, k, tol=tol) + complex_sector_pairing(j, k, tol=tol)
 
 
-def ginoe_half_moments(N):
-    """Half the weighted line integral of each p_{l-1}, l = 1..N."""
-    out = []
-    for l in range(1, N + 1):
-        c = ginoe_poly_coeffs(l - 1)
-        out.append(0.5 * sum(ci * gaussian_full_moment(i) for i, ci in enumerate(c)))
-    return tuple(out)
-
-
-def hatted_ginoe(N):
-    """Odd-size hatted companions of the explicit family.
-
-    p-hat_i = p_i - (nu_{i+1}/nu_N) p_{N-1} for i < N-1, which makes
-    every hatted polynomial below the top integrate to zero against the
-    weight.
-    """
-    if N % 2 == 0:
-        raise ValueError("hatted construction needs odd N")
-    base = ginoe_family(N)
-    nus = ginoe_half_moments(N)
-    top = nus[N - 1]
-    if top == 0.0:
-        raise ArithmeticError("top half moment vanishes")
-    hat_coeffs = []
-    for i in range(N - 1):
-        c = np.zeros(N)
-        c[: i + 1] = base.coeffs[i]
-        c -= (nus[i] / top) * np.asarray(base.coeffs[N - 1])
-        hat_coeffs.append(c)
-    hat_coeffs.append(np.asarray(base.coeffs[N - 1], dtype=float))
-    hat_norms = tuple(base.norms[: (N - 1) // 2]) + (top,)
-    return HattedFamily(
-        base=base,
-        hat_coeffs=tuple(hat_coeffs),
-        hat_norms=hat_norms,
-        half_moments=nus,
-    )
-
-
 def sinclair_prefactor(N):
     """Normalization constant that makes the partition Pfaffian equal 1."""
     denom = 1.0
@@ -155,26 +117,20 @@ def sinclair_prefactor(N):
 def partition_function_check(N, tol=1e-9):
     """Prefactor times the pairing Pfaffian; equals 1 for every N.
 
-    Even N uses the N x N pairing matrix; odd N borders it with the
-    full weighted integrals of the polynomials.
+    The N x N pairing matrix, bordered for odd N by the full weighted
+    integrals of the polynomials (twice the half moments the odd-size
+    kernels hat with).
     """
     from .pfaffian import pfaffian
 
-    if N % 2 == 0:
-        G = np.zeros((N, N))
-        for j in range(1, N + 1):
-            for k in range(j + 1, N + 1):
-                G[j - 1, k - 1] = ginoe_skew_inner(j, k, tol=tol)
-                G[k - 1, j - 1] = -G[j - 1, k - 1]
-        pf = pfaffian(G)
-    else:
-        B = np.zeros((N + 1, N + 1))
-        for j in range(1, N + 1):
-            for k in range(j + 1, N + 1):
-                B[j - 1, k - 1] = ginoe_skew_inner(j, k, tol=tol)
-                B[k - 1, j - 1] = -B[j - 1, k - 1]
-        border = 2.0 * np.asarray(ginoe_half_moments(N))
-        B[:N, N] = border
-        B[N, :N] = -border
-        pf = pfaffian(B)
-    return sinclair_prefactor(N) * pf
+    G = np.zeros((N + N % 2, N + N % 2))
+    for j in range(1, N + 1):
+        for k in range(j + 1, N + 1):
+            G[j - 1, k - 1] = ginoe_skew_inner(j, k, tol=tol)
+            G[k - 1, j - 1] = -G[j - 1, k - 1]
+    if N % 2:
+        C = coefficient_matrix(ginoe_family(N).coeffs)
+        border = 2.0 * half_range_rows(C, gaussian_weight(), np.inf)
+        G[:N, N] = border
+        G[N, :N] = -border
+    return sinclair_prefactor(N) * pfaffian(G)

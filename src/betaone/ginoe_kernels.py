@@ -21,8 +21,9 @@ import math
 
 import numpy as np
 
-from .ginibre import ginoe_family, hatted_ginoe
+from .ginibre import ginoe_family
 from .kernels import KernelBundle, family_basis, rho, weighted_rows
+from .quadrature import gauss_legendre_rule
 from .skewortho import coefficient_matrix, gaussian_weight, half_range_rows
 from .specfun import erfcx, lower_gamma, upper_gamma
 
@@ -46,8 +47,9 @@ def pair_weight(z):
     return np.sqrt(erfcx(SQRT2 * np.abs(y))) * np.exp(-0.5 * z * z - y * y)
 
 
-def _plane_bundle(coeffs, pair_norms, N, parity):
-    C = coefficient_matrix(coeffs)
+def _plane_bundle(N):
+    family = ginoe_family(N)
+    C = coefficient_matrix(family.coeffs)
     weight = gaussian_weight()
 
     def rows(z):
@@ -59,17 +61,16 @@ def _plane_bundle(coeffs, pair_norms, N, parity):
             partner = -half_range_rows(C, weight, z)
         return np.stack([W, partner], axis=-2)
 
-    weights = [2.0 / r for r in pair_norms]
-    basis = family_basis(rows, weights, "plane", odd=parity == "odd")
-    return KernelBundle.from_basis("ginoe", N, parity, basis)
+    weights = [2.0 / r for r in family.norms]
+    basis = family_basis(rows, weights, "plane", odd=N % 2 == 1)
+    return KernelBundle.from_basis("ginoe", N, basis)
 
 
 def ginoe_even_kernel(N):
     """Kernel bundle for an even number of Ginibre eigenvalues."""
     if N % 2 != 0:
         raise ValueError("even-size kernel needs even N")
-    family = ginoe_family(N)
-    return _plane_bundle(family.coeffs, family.norms, N, "even")
+    return _plane_bundle(N)
 
 
 def ginoe_odd_kernel(N):
@@ -82,8 +83,7 @@ def ginoe_odd_kernel(N):
     """
     if N % 2 != 1:
         raise ValueError("odd-size kernel needs odd N")
-    hat = hatted_ginoe(N)
-    return _plane_bundle(hat.hat_coeffs, hat.hat_norms[:-1], N, "odd")
+    return _plane_bundle(N)
 
 
 def _signed_gaussian_partial(N, y):
@@ -138,7 +138,8 @@ def interrelations_check(bundle, reals, complexes):
     w = np.asarray(complexes, dtype=complex)[:, None]
     y, z, h = x.T, w.T, FD_STEP
     # integral of s(., y) along [x, y]
-    nodes, weights = np.polynomial.legendre.leggauss(64)
+    rule = gauss_legendre_rule(64, -1.0, 1.0)
+    nodes, weights = rule.nodes, rule.weights
     half = 0.5 * (y - x)[..., None]
     path = (s(0.5 * (x + y)[..., None] + half * nodes, y[..., None]) * weights * half).sum(-1)
     relations = {

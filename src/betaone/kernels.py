@@ -6,10 +6,11 @@ B: its weighted family polynomials W and their partners (half-range
 transforms on the line); M is the antisymmetric pairing of the family
 and the sign term 1/2 sgn(x_i - x_j) couples the partner rows of real
 points.  Even sizes pair the polynomials (2k, 2k+1) by the inverse pair
-norms.  Odd sizes pair the hatted polynomials and border M with a
-constant partner column (1 on the partner row of a real point, 0
-elsewhere) tied to the top polynomial: what the sign term of a point
-sent to +infinity leaves behind (see reduction).
+norms.  Odd sizes hat the rows once (every polynomial below the top
+loses the multiple of the top one that carries its weighted integral)
+and border M with a constant partner column (1 on the partner row of a
+real point, 0 elsewhere) tied to the top polynomial: what the sign term
+of a point sent to +infinity leaves behind (see reduction).
 
 The kernel blocks are cell entries of A: the line ensembles here use
 the cell [[-I, S], [-S^T, D]] on rows (partner, W), the plane ensemble
@@ -24,7 +25,8 @@ import numpy as np
 
 from .pfaffian import pfaffian
 from .quadrature import integrate_line
-from .skewortho import coefficient_matrix, half_range_rows, poly_rows
+from .skewortho import goe_coefficients, goe_norm, poly_rows
+from .specfun import gaussian_basis, gaussian_tail_moments
 
 # layout -> (slot of the partner row in the cell, sign of the integrated
 # block on the partner-partner entry)
@@ -135,18 +137,32 @@ class PairingBasis:
         return PairingBasis(rows, upper, self.layout)
 
 
-def family_basis(rows, pair_weights, layout, odd=False):
-    """Pairing basis of a family; odd sizes get the bordered form.
+def hat_transform(h):
+    """T with rows @ T the hatted rows of an odd-size family.
 
-    The border pairs the constant partner column with the top hatted
-    polynomial through -1/2 over that polynomial's partner at +infinity
-    (its half moment, signed by the layout's partner rule).
+    h holds the partners of the rows at +infinity (the half moments,
+    signed by the layout's partner rule).  Every column below the top
+    loses h_j / h_top times the top column, so its partner at +infinity
+    vanishes: the hatted polynomials integrate to zero against the weight.
+    """
+    T = np.eye(len(h))
+    T[-1, :-1] = -h[:-1] / h[-1]
+    return T
+
+
+def family_basis(rows, pair_weights, layout, odd=False):
+    """Pairing basis of a family; odd sizes get the hatted, bordered form.
+
+    The border pairs the constant partner column with the top polynomial
+    (unchanged by the hatting) through -1/2 over its partner at +infinity.
     """
     basis = PairingBasis(rows, pairing_upper(pair_weights), layout)
     if not odd:
         return basis
-    border = -0.5 / rows(np.inf)[basis.partner_slot, -1]
-    return basis.bordered(pairing_upper(pair_weights, border))
+    h = rows(np.inf)[basis.partner_slot]
+    T = hat_transform(h)
+    hatted = PairingBasis(lambda z: rows(z) @ T, basis.upper, layout)
+    return hatted.bordered(pairing_upper(pair_weights, -0.5 / h[-1]))
 
 
 @dataclass(frozen=True)
@@ -169,8 +185,8 @@ class KernelBundle:
     assemble: callable
 
     @classmethod
-    def from_basis(cls, ensemble, N, parity, basis):
-        """Bundle whose blocks are cell entries of the basis's matrix."""
+    def from_basis(cls, ensemble, N, basis):
+        """Bundle of N eigenvalues whose blocks are cell entries of the basis's matrix."""
         p, w = basis.partner_slot, 1 - basis.partner_slot
 
         def scalar_kernel(mu, eta):
@@ -190,7 +206,7 @@ class KernelBundle:
             return basis.matrix(np.concatenate(rows), reals)
 
         kernels = (scalar_kernel, derivative_kernel, integral_kernel, assemble)
-        return cls(ensemble, N, parity, basis, *kernels)
+        return cls(ensemble, N, "odd" if N % 2 else "even", basis, *kernels)
 
 
 def _as_config(points):
@@ -207,44 +223,58 @@ def rho(bundle, points):
     return pfaffian(bundle.assemble(config))
 
 
-def _line_bundle(coeffs, weight, pair_norms, N, parity):
-    C = coefficient_matrix(coeffs)
+def gaussian_line_rows(C):
+    """Line rows (partner, W) of the columns of C, coefficients on He_n.
+
+    W is the polynomial times e^(-x^2/2), its partner the half-range
+    transform, both from the Hermite recurrences of specfun.
+    """
+    n = C.shape[0]
+    full = gaussian_tail_moments(n, -np.inf, hermite=True) @ C
 
     def rows(x):
         x = np.asarray(x)
         if np.iscomplexobj(x):
             raise ValueError("this ensemble lives on the real line only")
-        partner = half_range_rows(C, weight, x)
-        return np.stack([partner, weighted_rows(C, x, np.exp(-weight.V(x)))], axis=-2)
+        partner = 0.5 * full - gaussian_tail_moments(n, x, hermite=True) @ C
+        return np.stack([partner, gaussian_basis(n, x, hermite=True) @ C], axis=-2)
 
-    weights = [1.0 / r for r in pair_norms]
-    basis = family_basis(rows, weights, "line", odd=parity == "odd")
-    return KernelBundle.from_basis("beta1:" + weight.label, N, parity, basis)
+    return rows
 
 
-def beta1_even_kernel(family, N=None):
-    """Kernel bundle for an even number of eigenvalues."""
-    N = family.N if N is None else N
+def line_bundle(rows, pair_norms, N):
+    """Kernel bundle of N eigenvalues on the line from its family's rows.
+
+    pair_norms are the norms of the complete pairs; odd N is hatted and
+    bordered.
+    """
+    basis = family_basis(rows, [1.0 / r for r in pair_norms], "line", odd=N % 2 == 1)
+    return KernelBundle.from_basis("beta1:gaussian", N, basis)
+
+
+def _goe_bundle(N):
+    rows = gaussian_line_rows(goe_coefficients(N))
+    return line_bundle(rows, [goe_norm(m) for m in range(N // 2)], N)
+
+
+def beta1_even_kernel(N):
+    """GOE kernel bundle for an even number N of eigenvalues.
+
+    Built from the closed-form family on the weighted He_n rows.
+    """
     if N % 2 != 0:
         raise ValueError("even-size kernel needs even N")
-    if N > family.N:
-        raise ValueError("family too small for the requested size")
-    return _line_bundle(family.coeffs[:N], family.weight, family.norms[: N // 2], N, "even")
+    return _goe_bundle(N)
 
 
-def beta1_odd_kernel(hatted, N=None):
-    """Kernel bundle for an odd number of eigenvalues.
+def beta1_odd_kernel(N):
+    """GOE kernel bundle for an odd number N of eigenvalues.
 
-    Built from the hatted companions: the pairs run over the hatted
-    norms below the top one, and the top polynomial pairs with the
-    constant partner column.
+    The closed-form family of size N, hatted and bordered.
     """
-    N = hatted.N if N is None else N
     if N % 2 != 1:
         raise ValueError("odd-size kernel needs odd N")
-    if N != hatted.N:
-        raise ValueError("hatted companions are built for one size only")
-    return _line_bundle(hatted.hat_coeffs, hatted.weight, hatted.hat_norms[:-1], N, "odd")
+    return _goe_bundle(N)
 
 
 def density(bundle, x):

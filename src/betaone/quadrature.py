@@ -11,6 +11,7 @@ Integrands must be numpy-vectorized (scalar broadcasting is tolerated).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -50,9 +51,18 @@ class QuadratureRule:
         return (values * self.weights).sum()
 
 
+@functools.cache
+def _legendre_reference(n):
+    # nodes and weights on [-1, 1], built once per node count
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre_rule(n, a, b):
     """Gauss-Legendre rule with n nodes mapped to the interval [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _legendre_reference(n)
     half = 0.5 * (b - a)
     return QuadratureRule(0.5 * (a + b) + half * x, half * w, (a, b))
 

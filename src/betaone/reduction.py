@@ -27,7 +27,6 @@ import numpy as np
 from .ginoe_kernels import ginoe_even_kernel, ginoe_odd_kernel
 from .kernels import KernelBundle, PointConfiguration, beta1_even_kernel, beta1_odd_kernel
 from .pfaffian import pfaffian
-from .skewortho import build_family_beta1, gaussian_weight, hatted_beta1
 
 CORNER_FLOOR = 1e-300
 DEFAULT_SCHEDULE = (6.0, 8.0, 10.0, 12.0)
@@ -90,7 +89,7 @@ def conditioned_bundle(bundle, x_far):
     v = np.append(M @ partner, -0.5)
     bordered = np.pad(M, ((0, 1), (0, 1))) + (np.outer(u, v) - np.outer(v, u)) / corner
     reduced = basis.bordered(np.triu(bordered, 1))
-    return KernelBundle.from_basis(bundle.ensemble, bundle.N - 1, "odd", reduced)
+    return KernelBundle.from_basis(bundle.ensemble, bundle.N - 1, reduced)
 
 
 def _blocks(bundle, mu, eta):
@@ -356,10 +355,7 @@ def verify_odd_limit_beta1(N, config=None, schedule=DEFAULT_SCHEDULE):
     """Gaussian-weight reduction N -> N-1 on calibrated real probes."""
     if config is None:
         config = BETA1_PROBES.get(N, BETA1_PROBE_FALLBACK)
-    weight = gaussian_weight()
-    even = beta1_even_kernel(build_family_beta1(weight, N))
-    odd = beta1_odd_kernel(hatted_beta1(build_family_beta1(weight, N - 1)))
-    return verify_odd_limit(even, odd, config, schedule)
+    return verify_odd_limit(beta1_even_kernel(N), beta1_odd_kernel(N - 1), config, schedule)
 
 
 def verify_odd_limit_ginoe(N, config=GINOE_PROBES, schedule=DEFAULT_SCHEDULE):

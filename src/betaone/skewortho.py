@@ -6,10 +6,15 @@ The antisymmetric pairing on the real line is
 
 Monic polynomials R_0, R_1, ... built against it satisfy the pair
 structure <R_{2m}|R_{2n+1}> = r_n delta_{mn} with all even-even and
-odd-odd pairings zero.  Odd family sizes need hatted companions: every
-polynomial below the top degree is shifted by a multiple of the top one
-so that its weighted integral over the line vanishes, and the last pair
-norm is replaced by that integral.
+odd-odd pairings zero.  The Gaussian weight has the family in closed
+form on the monic Hermite polynomials He_n = H_n / 2^n:
+
+    R_{2m} = He_{2m},  R_{2m+1} = He_{2m+1} - m He_{2m-1},
+    r_m = sqrt(pi) (2m)! / 4^m.
+
+The skew Gram-Schmidt below builds a family for any weight by
+quadrature; it is the reference the closed form is tested against.
+Odd family sizes are hatted on the kernel rows (kernels.hat_transform).
 
 Polynomial coefficient vectors are in ascending degree order throughout.
 """
@@ -17,6 +22,7 @@ Polynomial coefficient vectors are in ascending degree order throughout.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,17 +111,20 @@ def poly_rows(C, z):
 def half_range_rows(C, weight, x):
     """half_range_transform of every column of C at x, shape x.shape + (columns,).
 
-    The Gaussian weight takes all tail moments from one recurrence.
+    The Gaussian weight takes all tail and full moments from one
+    recurrence.
     """
     x = np.asarray(x, dtype=float)
+    n = C.shape[0]
     if weight.tail_moment is gaussian_tail_moment:
-        tails = gaussian_tail_moments(C.shape[0], x)
+        tails = gaussian_tail_moments(n, x)
+        full = gaussian_tail_moments(n, -np.inf)
     else:
         tails = np.stack(
-            [np.asarray(weight_tail_moment(weight, k, x)) for k in range(C.shape[0])],
+            [np.asarray(weight_tail_moment(weight, k, x)) for k in range(n)],
             axis=-1,
         )
-    full = np.array([weight_full_moment(weight, k) for k in range(C.shape[0])])
+        full = np.array([weight_full_moment(weight, k) for k in range(n)])
     return 0.5 * (full @ C) - tails @ C
 
 
@@ -131,6 +140,21 @@ def skew_inner(f_coeffs, g_coeffs, weight, tol=1e-12):
         )
 
     return -integrate_line(integrand, tol=tol, degree=degree)
+
+
+def goe_coefficients(N):
+    """The closed-form Gaussian family R_0..R_{N-1} as columns on He_0..He_{N-1}."""
+    if N < 1:
+        raise ValueError("family size must be positive")
+    C = np.eye(N)
+    for m in range(1, N // 2):
+        C[2 * m - 1, 2 * m + 1] = -m
+    return C
+
+
+def goe_norm(m):
+    """Pair norm r_m = <R_{2m}|R_{2m+1}> of the Gaussian family."""
+    return math.sqrt(math.pi) * (math.factorial(2 * m) / 4 ** m)
 
 
 @dataclass(frozen=True)
@@ -187,66 +211,6 @@ def build_family_beta1(weight, N):
     )
 
 
-@dataclass(frozen=True)
-class HattedFamily:
-    """Odd-size companions of a base family of odd size N.
-
-    Every hat_coeffs[n] with n < N-1 integrates to zero against the
-    weight; hat_coeffs[N-1] is the base top polynomial unchanged.  The
-    last hat norm equals half the weighted integral of that top
-    polynomial.  half_moments[i] is half the weighted integral of the
-    base R_i.
-    """
-
-    base: SkewOrthogonalFamily
-    hat_coeffs: tuple
-    hat_norms: tuple
-    half_moments: tuple
-
-    @property
-    def N(self):
-        return self.base.N
-
-    @property
-    def weight(self):
-        return self.base.weight
-
-    def weighted_poly(self, k, x):
-        x = np.asarray(x)
-        return poly_eval(self.hat_coeffs[k], x) * np.exp(-self.weight.V(x))
-
-
-def hatted_beta1(family):
-    """Build the odd-size hatted companions of a family of odd size."""
-    N = family.N
-    if N % 2 == 0:
-        raise ValueError("hatted construction needs an odd family size")
-    half = [
-        0.5 * sum(
-            c * weight_full_moment(family.weight, i)
-            for i, c in enumerate(family.coeffs[n])
-        )
-        for n in range(N)
-    ]
-    top = half[N - 1]
-    if abs(top) < BREAKDOWN_TOL:
-        raise ArithmeticError("top polynomial has vanishing weighted integral")
-    hat_coeffs = []
-    for n in range(N - 1):
-        c = np.zeros(N)
-        c[: n + 1] = family.coeffs[n]
-        c -= (half[n] / top) * np.asarray(family.coeffs[N - 1])
-        hat_coeffs.append(c)
-    hat_coeffs.append(np.asarray(family.coeffs[N - 1], dtype=float))
-    hat_norms = list(family.norms[: (N - 1) // 2]) + [top]
-    return HattedFamily(
-        base=family,
-        hat_coeffs=tuple(hat_coeffs),
-        hat_norms=tuple(hat_norms),
-        half_moments=tuple(half),
-    )
-
-
 def generating_pfaffian_even(family, N=None):
     """Pfaffian of the monomial pairing matrix of even order N.
 
@@ -269,8 +233,8 @@ def generating_pfaffian_odd(family, N=None):
     """Bordered Pfaffian of odd order N.
 
     The pairing matrix of the first N monomials is bordered by half
-    their weighted integrals; the result equals the product of the
-    hatted pair norms.
+    their weighted integrals; the result equals the product of the pair
+    norms below the top degree times the top polynomial's half moment.
     """
     from .pfaffian import pfaffian
 

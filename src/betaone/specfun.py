@@ -134,22 +134,44 @@ def lower_gamma(s, x):
     return math.gamma(s) - upper_gamma(s, x)
 
 
-def gaussian_tail_moments(n, x):
-    """Integrals of t^k e^(-t^2/2) over [x, inf) for k = 0..n-1.
+def gaussian_basis(n, x, hermite=False):
+    """Weighted basis values P_k(x) e^(-x^2/2) for k = 0..n-1.
 
-    Vectorized in x; the result has shape x.shape + (n,).  The upward
-    recurrence in k from the erfc and Gaussian base cases is stable for
-    every sign of x, and every moment is exactly 0 at x = +inf.
+    P_k is the monomial x^k, or with hermite the monic Hermite polynomial
+    He_k = H_k / 2^k.  Both obey P_{k+1} = x P_k - c k P_{k-1} (c = 0 or
+    1/2) and P_k' = k P_{k-1}.  Vectorized in x, shape x.shape + (n,);
+    exactly 0 where the Gaussian underflows, +-inf included.
     """
     x = np.asarray(x, dtype=float)
+    c = 0.5 if hermite else 0.0
     gauss = np.exp(-0.5 * x * x)
+    out = np.empty(x.shape + (n,))
+    previous, current = 0.0, gauss
+    with np.errstate(invalid="ignore"):
+        for k in range(n):
+            out[..., k] = current
+            previous, current = current, x * current - c * k * previous
+    return np.where(gauss[..., None] > 0.0, out, 0.0)
+
+
+def gaussian_tail_moments(n, x, hermite=False):
+    """Integrals of P_k(t) e^(-t^2/2) over [x, inf) for k = 0..n-1.
+
+    P_k as in gaussian_basis.  Integrating (P_k e^(-t^2/2))' =
+    ((1 - c) k P_{k-1} - P_{k+1}) e^(-t^2/2) over [x, inf) gives the upward
+    recurrence T_{k+1} = (1 - c) k T_{k-1} + P_k(x) e^(-x^2/2) from the
+    erfc and Gaussian base cases.  It is stable for every sign of x; every
+    moment is exactly 0 at x = +inf, and x = -inf gives the full moments.
+    Vectorized in x; the result has shape x.shape + (n,).
+    """
+    x = np.asarray(x, dtype=float)
+    heads = gaussian_basis(max(n - 1, 1), x, hermite)
+    step = 0.5 if hermite else 1.0
     out = np.empty(x.shape + (max(n, 2),))
     out[..., 0] = math.sqrt(2.0 * math.pi) * normal_cdf(-x)
-    out[..., 1] = gauss
-    with np.errstate(invalid="ignore"):
-        for k in range(2, n):
-            head = np.where(gauss > 0.0, x ** (k - 1) * gauss, 0.0)
-            out[..., k] = head + (k - 1) * out[..., k - 2]
+    out[..., 1] = heads[..., 0]
+    for k in range(2, n):
+        out[..., k] = heads[..., k - 1] + step * (k - 1) * out[..., k - 2]
     return out[..., :n]
 
 
@@ -160,9 +182,4 @@ def gaussian_tail_moment(k, x):
 
 def gaussian_full_moment(k):
     """Integral of t^k e^(-t^2/2) over the whole line for integer k >= 0."""
-    if k % 2 == 1:
-        return 0.0
-    value = math.sqrt(2.0 * math.pi)
-    for j in range(2, k + 1, 2):
-        value *= j - 1
-    return value
+    return float(gaussian_tail_moment(k, -np.inf))

@@ -48,16 +48,12 @@ from betaone.reduction import (
     verify_odd_limit_beta1,
     verify_odd_limit_ginoe,
 )
-from betaone.skewortho import build_family_beta1, gaussian_weight, hatted_beta1
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def beta1_bundle(N):
-    family = build_family_beta1(gaussian_weight(), N)
-    if N % 2 == 0:
-        return beta1_even_kernel(family)
-    return beta1_odd_kernel(hatted_beta1(family))
+    return beta1_even_kernel(N) if N % 2 == 0 else beta1_odd_kernel(N)
 
 
 def ginoe_bundle(N):

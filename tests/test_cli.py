@@ -62,13 +62,15 @@ def test_density_reruns_are_byte_identical():
 
 
 def test_density_ginoe_odd_positive():
-    code, text, _ = run_cli(
-        ["density", "--ensemble", "ginoe", "--size", "3", "--grid=-4:4:17"]
-    )
-    assert code == 0
-    _, body = split_csv(text)
-    values = [float(line.split(",")[1]) for line in body[1:]]
-    assert all(v > 0.0 for v in values)
+    # also the GOE sizes the quadrature-built family could not reach
+    for ensemble, size in (("ginoe", "3"), ("goe", "12"), ("goe", "64")):
+        code, text, _ = run_cli(
+            ["density", "--ensemble", ensemble, "--size", size, "--grid=-4:4:17"]
+        )
+        assert code == 0, size
+        _, body = split_csv(text)
+        values = [float(line.split(",")[1]) for line in body[1:]]
+        assert all(v > 0.0 for v in values)
 
 
 def test_density_paths_agree_pointwise():

@@ -7,16 +7,17 @@ from scipy import special
 from betaone.ginibre import (
     complex_sector_pairing,
     ginoe_family,
-    ginoe_half_moments,
     ginoe_norm,
     ginoe_poly_coeffs,
     ginoe_skew_inner,
-    hatted_ginoe,
     partition_function_check,
     real_sector_pairing,
     sinclair_prefactor,
 )
+from betaone.ginoe_kernels import ginoe_odd_kernel
+from betaone.kernels import hat_transform
 from betaone.quadrature import gauss_legendre_rule
+from betaone.skewortho import coefficient_matrix, gaussian_weight, half_range_rows
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -85,33 +86,44 @@ def test_skew_orthogonality_small_battery():
     assert np.isclose(ginoe_skew_inner(3, 4), ginoe_norm(1), rtol=1e-8, atol=0)
 
 
+def half_moments(N):
+    C = coefficient_matrix(ginoe_family(N).coeffs)
+    return half_range_rows(C, gaussian_weight(), np.inf)
+
+
 def test_half_moments():
-    nus = ginoe_half_moments(3)
+    nus = half_moments(3)
     assert np.isclose(nus[0], 0.5 * SQRT_2PI, rtol=1e-15, atol=0)
     assert nus[1] == 0.0
     assert np.isclose(nus[2], 0.5 * SQRT_2PI, rtol=1e-15, atol=0)
 
 
 def test_hatted_family_small_case():
-    hat = hatted_ginoe(3)
-    assert np.allclose(hat.hat_coeffs[0], [1.0, 0.0, -1.0], atol=1e-14)
-    assert np.allclose(hat.hat_coeffs[1], [0.0, 1.0, 0.0], atol=1e-14)
-    assert np.allclose(hat.hat_coeffs[2], [0.0, 0.0, 1.0], atol=0)
-    assert np.isclose(hat.hat_norms[0], 2.0 * SQRT_2PI, rtol=1e-15, atol=0)
-    assert np.isclose(hat.hat_norms[1], 0.5 * SQRT_2PI, rtol=1e-15, atol=0)
+    # the plane partner at +infinity is minus the half moment; hatting
+    # leaves it on the top polynomial and the constant column only
+    basis = ginoe_odd_kernel(3).family
+    at_infinity = basis.rows(np.inf)[basis.partner_slot]
+    assert np.allclose(at_infinity, [0.0, 0.0, -0.5 * SQRT_2PI, 1.0], rtol=1e-15, atol=1e-15)
+    hat = coefficient_matrix(ginoe_family(3).coeffs) @ hat_transform(-half_moments(3))
+    assert np.allclose(hat[:, 0], [1.0, 0.0, -1.0], atol=1e-14)
+    assert np.allclose(hat[:, 1], [0.0, 1.0, 0.0], atol=1e-14)
+    assert np.allclose(hat[:, 2], [0.0, 0.0, 1.0], atol=0)
+    # pair (0, 1) by 2 / r_0; the top with the constant column by -1/2 over its partner
+    assert np.isclose(basis.upper[0, 1], 2.0 / (2.0 * SQRT_2PI), rtol=1e-15, atol=0)
+    assert np.isclose(basis.upper[2, 3], 0.5 / (0.5 * SQRT_2PI), rtol=1e-15, atol=0)
 
 
 def test_hatted_family_kills_weighted_integrals():
-    hat = hatted_ginoe(5)
+    rows = ginoe_odd_kernel(5).family.rows
     rule = gauss_legendre_rule(240, -12.0, 12.0)
     for i in range(4):
-        value = rule.integrate(lambda x: hat.weighted_poly(i, x))
+        value = rule.integrate(lambda x: rows(x)[:, 0, i])
         assert abs(value) < 1e-10, i
 
 
 def test_hatted_requires_odd_size():
     with pytest.raises(ValueError):
-        hatted_ginoe(4)
+        ginoe_odd_kernel(4)
 
 
 def test_sinclair_prefactor_small_values():

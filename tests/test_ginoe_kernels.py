@@ -21,7 +21,7 @@ import pytest
 
 from betaone.ginibre import (
     complex_sector_pairing,
-    ginoe_half_moments,
+    ginoe_poly_coeffs,
     real_sector_pairing,
     sinclair_prefactor,
 )
@@ -36,7 +36,7 @@ from betaone.ginoe_kernels import (
 from betaone.kernels import PointConfiguration, rho
 from betaone.pfaffian import as_antisymmetric, pfaffian
 from betaone.quadrature import gauss_legendre_rule, integrate_halfplane, integrate_line
-from betaone.specfun import erfc
+from betaone.specfun import erfc, gaussian_full_moment
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -60,7 +60,10 @@ def fugacity_partition(N):
     pref = sinclair_prefactor(N)
     if N % 2 == 0:
         return lambda z: pref * pfaffian(z * z * alpha + beta)
-    border = 2.0 * np.asarray(ginoe_half_moments(N))
+    # full weighted line integrals of the polynomials
+    border = np.array(
+        [ginoe_poly_coeffs(k) @ [gaussian_full_moment(i) for i in range(k + 1)] for k in range(N)]
+    )
 
     def value(z):
         M = np.zeros((N + 1, N + 1))

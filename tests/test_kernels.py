@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special
@@ -12,21 +13,22 @@ from betaone.kernels import (
     density,
     density_integral,
     dyson_recurrence_check,
+    line_bundle,
     rho,
+    weighted_rows,
 )
 from betaone.pfaffian import as_antisymmetric
-from betaone.skewortho import build_family_beta1, gaussian_weight, hatted_beta1
+from betaone.skewortho import (
+    build_family_beta1,
+    coefficient_matrix,
+    gaussian_weight,
+    half_range_rows,
+)
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-
-def even_bundle(N):
-    return beta1_even_kernel(build_family_beta1(gaussian_weight(), N))
-
-
-def odd_bundle(N):
-    return beta1_odd_kernel(hatted_beta1(build_family_beta1(gaussian_weight(), N)))
+even_bundle, odd_bundle = beta1_even_kernel, beta1_odd_kernel
 
 
 def two_point_density_closed_form(x):
@@ -188,11 +190,81 @@ def test_point_configuration_validation():
 
 
 def test_parity_validation():
-    fam = build_family_beta1(gaussian_weight(), 4)
     with pytest.raises(ValueError):
-        beta1_even_kernel(fam, 3)
+        beta1_even_kernel(3)
     with pytest.raises(ValueError):
-        beta1_even_kernel(fam, 6)
-    fam3 = build_family_beta1(gaussian_weight(), 3)
+        beta1_odd_kernel(4)
     with pytest.raises(ValueError):
-        beta1_odd_kernel(hatted_beta1(fam3), 4)
+        beta1_even_kernel(0)
+    with pytest.raises(ValueError):
+        beta1_even_kernel(4).scalar_kernel(0.1 + 0.2j, 0.3)
+
+
+def monomial_line_rows(C, weight):
+    def rows(x):
+        x = np.asarray(x)
+        partner = half_range_rows(C, weight, x)
+        return np.stack([partner, weighted_rows(C, x, np.exp(-weight.V(x)))], axis=-2)
+
+    return rows
+
+
+def test_closed_form_kernels_match_gram_schmidt_family():
+    # reference: the quadrature-built family, as monomial rows, through
+    # the same line builder; the family of size 10 holds every smaller one
+    weight = gaussian_weight()
+    family = build_family_beta1(weight, 10)
+    xs = np.linspace(-4.0, 4.0, 17)
+    config = PointConfiguration(reals=(-2.3, -0.6, 0.1, 1.4))
+    for N in range(1, 11):
+        rows = monomial_line_rows(coefficient_matrix(family.coeffs[:N]), weight)
+        reference = line_bundle(rows, family.norms[: N // 2], N)
+        bundle = beta1_even_kernel(N) if N % 2 == 0 else beta1_odd_kernel(N)
+        for name in ("scalar_kernel", "derivative_kernel", "integral_kernel"):
+            want = getattr(reference, name)(xs[:, None], xs[None, :])
+            got = getattr(bundle, name)(xs[:, None], xs[None, :])
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (N, name)
+        want = reference.assemble(config)
+        got = bundle.assemble(config)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), N
+
+
+def mp_goe_density(N, x):
+    """50-digit GOE density from the Hermite functions psi_k, orthonormal for e^{-x^2}.
+
+    rho = sum_{k<N} psi_k^2 + sqrt(N/2) psi_{N-1} eps psi_N, plus
+    psi_{N-1} / int psi_{N-1} for odd N (Adler, Forrester, Nagao and van
+    Moerbeke), with eps f = 1/2 int sgn(x - t) f(t) dt taken from
+    eps(psi_k') = psi_k and psi_k' = sqrt(k/2) psi_{k-1} - sqrt((k+1)/2) psi_{k+1}.
+    """
+    x = mpmath.mpf(x)
+    psi = [
+        mpmath.hermite(k, x) * mpmath.exp(-x * x / 2)
+        / mpmath.sqrt(2 ** k * mpmath.factorial(k) * mpmath.sqrt(mpmath.pi))
+        for k in range(N + 1)
+    ]
+    half = mpmath.pi ** mpmath.mpf(-0.25) * mpmath.sqrt(mpmath.pi / 2)
+    eps = [half * mpmath.erf(x / mpmath.sqrt(2)), -mpmath.sqrt(2) * psi[0]]
+    total = [2 * half, 0]
+    for k in range(1, N):
+        a, b = mpmath.sqrt(mpmath.mpf(k) / (k + 1)), mpmath.sqrt(mpmath.mpf(2) / (k + 1))
+        eps.append(a * eps[k - 1] - b * psi[k])
+        total.append(a * total[k - 1])
+    value = mpmath.fsum(p * p for p in psi[:N]) + mpmath.sqrt(mpmath.mpf(N) / 2) * psi[N - 1] * eps[N]
+    if N % 2:
+        value += psi[N - 1] / total[N - 1]
+    return value
+
+
+def test_density_against_high_precision_oracle():
+    # bulk and tail points out to 1.3 times the spectrum edge sqrt(2N)
+    worst = 0.0
+    with mpmath.workdps(50):
+        for N in (12, 31, 32, 48, 63, 64):
+            edge = math.sqrt(2.0 * N)
+            xs = edge * np.array([-1.3, -1.1, -0.9, -0.5, -0.05, 0.02, 0.3, 0.7, 1.0, 1.3])
+            bundle = beta1_even_kernel(N) if N % 2 == 0 else beta1_odd_kernel(N)
+            for x, got in zip(xs, density(bundle, xs)):
+                want = mp_goe_density(N, float(x))
+                worst = max(worst, float(abs(got - want) / want))
+    assert worst <= 1e-12

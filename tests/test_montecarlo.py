@@ -31,7 +31,6 @@ from betaone.montecarlo import (
     sample_real_ginibre,
 )
 from betaone.quadrature import gauss_legendre_rule
-from betaone.skewortho import build_family_beta1, gaussian_weight
 
 THRESHOLD = 1e-7
 
@@ -186,12 +185,11 @@ def test_empirical_density_bookkeeping():
 def test_comparison_requires_enough_samples():
     samples, _ = goe_spectra(2, 100, seed=1)
     with pytest.raises(ValueError):
-        empirical_vs_analytic(samples, beta1_even_kernel(
-            build_family_beta1(gaussian_weight(), 2)), bins=10)
+        empirical_vs_analytic(samples, beta1_even_kernel(2), bins=10)
 
 
 def test_comparison_report_round_trip():
-    bundle = beta1_even_kernel(build_family_beta1(gaussian_weight(), 2))
+    bundle = beta1_even_kernel(2)
     samples, meta = goe_spectra(2, 10_000, seed=19)
     report = empirical_vs_analytic(samples, bundle, bins=20, meta=meta)
     assert report.flagged == ()
@@ -211,7 +209,7 @@ def test_expected_real_count_matches_known_values():
     # size 3 plane ensemble: 1 + 1/sqrt(2) real eigenvalues on average
     assert np.isclose(expected_real_count(ginoe_odd_kernel(3)),
                       1.0 + 1.0 / math.sqrt(2.0), rtol=1e-8, atol=0)
-    bundle = beta1_even_kernel(build_family_beta1(gaussian_weight(), 4))
+    bundle = beta1_even_kernel(4)
     assert np.isclose(expected_real_count(bundle), 4.0, rtol=1e-8, atol=0)
 
 

@@ -37,17 +37,10 @@ from betaone.reduction import (
     verify_odd_limit_ginoe,
 )
 from betaone.reduction import _cell_last
-from betaone.skewortho import build_family_beta1, gaussian_weight, hatted_beta1
 
 BLOCKS = ("scalar", "derivative", "integral")
 
-
-def even_bundle(N):
-    return beta1_even_kernel(build_family_beta1(gaussian_weight(), N))
-
-
-def odd_bundle(N):
-    return beta1_odd_kernel(hatted_beta1(build_family_beta1(gaussian_weight(), N)))
+even_bundle, odd_bundle = beta1_even_kernel, beta1_odd_kernel
 
 
 def odd_values(bundle, mu, eta):

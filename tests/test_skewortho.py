@@ -4,17 +4,19 @@ import numpy as np
 import pytest
 from scipy import special
 
+from betaone.kernels import beta1_odd_kernel, hat_transform
 from betaone.quadrature import gauss_legendre_rule
 from betaone.skewortho import (
     WeightSpec,
     build_family_beta1,
+    coefficient_matrix,
     family_from_json,
     family_to_json,
     gaussian_weight,
     generating_pfaffian_even,
     generating_pfaffian_odd,
+    half_range_rows,
     half_range_transform,
-    hatted_beta1,
     phi_transform,
     poly_eval,
     skew_inner,
@@ -142,32 +144,34 @@ def test_generic_weight_fallback_matches_gaussian_closed_forms():
     assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
+def half_moments(family):
+    return half_range_rows(coefficient_matrix(family.coeffs), family.weight, np.inf)
+
+
 def test_hatted_family_exact_small_case():
     fam = build_family_beta1(gaussian_weight(), 3)
-    hat = hatted_beta1(fam)
-    assert np.allclose(hat.hat_coeffs[0], [2.0, 0.0, -2.0], atol=1e-9)
-    assert np.allclose(hat.hat_coeffs[1], [0.0, 1.0, 0.0], atol=1e-9)
-    assert np.allclose(hat.hat_coeffs[2], fam.coeffs[2], atol=0)
-    assert np.isclose(hat.hat_norms[0], SQRT_PI, rtol=1e-11, atol=0)
-    assert np.isclose(hat.hat_norms[1], 0.25 * SQRT_2PI, rtol=1e-10, atol=0)
-    assert np.isclose(hat.half_moments[0], 0.5 * SQRT_2PI, rtol=1e-12, atol=0)
-    assert np.isclose(hat.half_moments[1], 0.0, rtol=0, atol=1e-12)
-    assert np.isclose(hat.half_moments[2], 0.25 * SQRT_2PI, rtol=1e-10, atol=0)
+    half = half_moments(fam)
+    hat = coefficient_matrix(fam.coeffs) @ hat_transform(half)
+    assert np.allclose(hat[:, 0], [2.0, 0.0, -2.0], atol=1e-9)
+    assert np.allclose(hat[:, 1], [0.0, 1.0, 0.0], atol=1e-9)
+    assert np.allclose(hat[:, 2], fam.coeffs[2], atol=0)
+    assert np.isclose(fam.norms[0], SQRT_PI, rtol=1e-11, atol=0)
+    assert np.isclose(half[0], 0.5 * SQRT_2PI, rtol=1e-12, atol=0)
+    assert np.isclose(half[1], 0.0, rtol=0, atol=1e-12)
+    assert np.isclose(half[2], 0.25 * SQRT_2PI, rtol=1e-10, atol=0)
 
 
 def test_hatted_family_kills_weighted_integrals():
-    fam = build_family_beta1(gaussian_weight(), 5)
-    hat = hatted_beta1(fam)
+    rows = beta1_odd_kernel(5).family.rows
     rule = gauss_legendre_rule(240, -12.0, 12.0)
     for n in range(4):
-        value = rule.integrate(lambda x: hat.weighted_poly(n, x))
+        value = rule.integrate(lambda x: rows(x)[:, 1, n])
         assert abs(value) < 1e-10, n
 
 
 def test_hatted_requires_odd_size():
-    fam = build_family_beta1(gaussian_weight(), 4)
     with pytest.raises(ValueError):
-        hatted_beta1(fam)
+        beta1_odd_kernel(4)
 
 
 def test_generating_pfaffian_even_equals_norm_product():
@@ -179,9 +183,8 @@ def test_generating_pfaffian_even_equals_norm_product():
 
 def test_generating_pfaffian_odd_equals_hatted_norm_product():
     fam = build_family_beta1(gaussian_weight(), 3)
-    hat = hatted_beta1(fam)
     got = generating_pfaffian_odd(fam)
-    assert np.isclose(got, np.prod(hat.hat_norms), rtol=1e-9, atol=0)
+    assert np.isclose(got, fam.norms[0] * half_moments(fam)[2], rtol=1e-9, atol=0)
     assert np.isclose(got, SQRT_PI * 0.25 * SQRT_2PI, rtol=1e-9, atol=0)
 
 

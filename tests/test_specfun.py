@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -183,18 +184,41 @@ def mp_gaussian_tail(k, x):
     return full - (-1) ** k * mirrored
 
 
+def he_coefficients(n):
+    # exact ascending monomial coefficients of He_0..He_{n-1}, from
+    # He_{k+1} = x He_k - (k/2) He_{k-1}
+    rows = [[Fraction(1)], [Fraction(0), Fraction(1)]]
+    for k in range(1, n):
+        row = [Fraction(0)] + rows[k]
+        for i, c in enumerate(rows[k - 1]):
+            row[i] -= Fraction(k, 2) * c
+        rows.append(row)
+    return rows[:n]
+
+
 def test_gaussian_tail_moments_against_high_precision_oracle():
     xs = (-9.0, -6.0, -3.3, -1.2, 0.0, 0.7, 2.5, 5.0, 9.0)
-    table = gaussian_tail_moments(64, np.array(xs))
+    hermite = he_coefficients(64)
+    tables = {}
     worst = 0.0
     with mpmath.workdps(50):
-        for i, x in enumerate(xs):
-            for k in range(64):
-                want = mp_gaussian_tail(k, x)
-                worst = max(worst, float(abs(table[i, k] - want) / abs(want)))
+        for basis in ("monomial", "hermite"):
+            table = tables[basis] = gaussian_tail_moments(
+                64, np.array(xs), hermite=basis == "hermite"
+            )
+            for i, x in enumerate(xs):
+                tails = [mp_gaussian_tail(k, x) for k in range(64)]
+                for k in range(64):
+                    want = tails[k]
+                    if basis == "hermite":
+                        want = mpmath.fsum(
+                            mpmath.mpf(c.numerator) / c.denominator * tails[j]
+                            for j, c in enumerate(hermite[k])
+                        )
+                    worst = max(worst, float(abs(table[i, k] - want) / abs(want)))
+            assert not gaussian_tail_moments(64, np.inf, hermite=basis == "hermite").any()
     assert worst <= 1e-13
-    assert gaussian_tail_moment(5, 0.7) == table[5, 5]
-    assert not gaussian_tail_moments(64, np.inf).any()
+    assert gaussian_tail_moment(5, 0.7) == tables["monomial"][5, 5]
 
 
 def test_gaussian_full_moments():
