@@ -1,16 +1,22 @@
 """Monte Carlo sampling of GOE and real Ginibre spectra.
 
 This is the ground truth the analytic kernels are judged against:
-matrices drawn entry by entry, eigenvalues from LAPACK (numpy's
-eigvals), spectra split into reals and conjugate pairs.  Nothing here touches
-the kernel formulas, so agreement between the two sides checks the
-whole analytic chain at once.
+matrices drawn entry by entry, eigenvalues from LAPACK in one stacked
+call per block of matrices.  Nothing here touches the kernel formulas,
+so agreement between the two sides checks the whole analytic chain at
+once.
+
+A batch of spectra is a (count, N) array, one row per matrix.  Real
+Ginibre rows come from `numpy.linalg.eigvals` (LAPACK dgeev), which
+returns each real eigenvalue with an imaginary part of exactly 0 and
+each complex eigenvalue together with its exact conjugate, so the
+reals are the entries with imag == 0 and the pair representatives the
+entries with imag > 0; no threshold is involved.  GOE rows come from
+`numpy.linalg.eigvalsh` and are real and ascending.
 
 Sampling is seeded per matrix index, which makes the stream
 reproducible, restartable, and splittable across workers by seed
-range.  Rejected draws (LAPACK non-convergence or an unclassifiable
-spectrum) are retried under an incremented sub-seed and counted in
-the batch diagnostics.
+range.
 """
 
 from __future__ import annotations
@@ -23,12 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import gauss_legendre_rule, integrate_line, truncation_radius
+from .quadrature import composite_rule, integrate_line, truncation_radius
 
-REALNESS_FACTOR = 1e-7  # of the Frobenius norm; QR noise sits near 1e-12
-ORPHAN_BAND = 2.0  # |Im| multiples of the threshold eligible for parity repair
-MAX_ATTEMPTS = 8
 GENERATOR = "PCG64"
+BLOCK_ENTRIES = 1 << 16  # matrix entries drawn and solved per LAPACK call
 DEFAULT_SPAN = (-4.0, 4.0)
 BIN_QUAD_ORDER = 24
 Z_FLAG = 4.0
@@ -36,148 +40,67 @@ COUNT_SLACK = 1e-6  # absolute slack when the count variance vanishes (GOE)
 MIN_COMPARISON_SAMPLES = 10_000
 
 
-def classify_real(eigs, threshold):
-    """Split a conjugation-closed spectrum into reals and pair representatives.
+def _spectra(N, count, entropy, solve, dtype):
+    """Eigenvalues of `count` matrices, one row per matrix.
 
-    Values with |Im| at most threshold are declared real and their
-    imaginary parts discarded.  The rest are greedily matched to their
-    conjugates, nearest first.  A lone near-axis value whose partner
-    was rounded onto the axis is pulled back to the reals (smallest
-    |Im| first); any other unmatched value means the input was not
-    closed under conjugation and the sample is rejected.
+    Matrix i holds standard normals from default_rng(entropy(i)).  The
+    matrices are drawn and solved a block at a time, so memory stays
+    proportional to count * N.
     """
-    if threshold < 0.0:
-        raise ValueError("threshold must be nonnegative")
-    values = [complex(z) for z in eigs]
-    reals = [z.real for z in values if abs(z.imag) <= threshold]
-    strays = sorted(
-        (z for z in values if abs(z.imag) > threshold), key=lambda z: abs(z.imag)
-    )
-    upper = [z for z in strays if z.imag > 0.0]
-    lower = [z for z in strays if z.imag < 0.0]
-    while len(upper) != len(lower):
-        side = upper if len(upper) > len(lower) else lower
-        orphan = side[0]
-        if abs(orphan.imag) > ORPHAN_BAND * threshold:
-            raise ValueError(
-                f"unmatched complex eigenvalue {orphan:.6g}; "
-                "spectrum is not conjugation-closed"
-            )
-        side.pop(0)
-        reals.append(orphan.real)
-    pairs = []
-    for u in upper:
-        want = u.conjugate()
-        j = min(range(len(lower)), key=lambda i: abs(lower[i] - want))
-        mate = lower.pop(j)
-        if abs(mate - want) > 2.0 * threshold:
-            raise ValueError(
-                f"conjugate of {u:.6g} missing; nearest candidate off by "
-                f"{abs(mate - want):.3e}"
-            )
-        pairs.append(u)
-    return tuple(sorted(reals)), tuple(sorted(pairs, key=lambda z: (z.real, z.imag)))
+    if N < 1:
+        raise ValueError("N must be positive")
+    spectra = np.empty((count, N), dtype=dtype)
+    step = max(1, BLOCK_ENTRIES // (N * N))
+    block = np.empty((min(step, count), N, N))
+    for lo in range(0, count, step):
+        hi = min(lo + step, count)
+        for j in range(hi - lo):
+            np.random.default_rng(entropy(lo + j)).standard_normal(out=block[j])
+        spectra[lo:hi] = solve(block[: hi - lo])
+    return spectra
 
 
-@dataclass(frozen=True)
-class SpectrumSample:
-    """Classified spectrum of one sampled matrix."""
-
-    N: int
-    reals: tuple
-    complex_upper: tuple
-
-    def __post_init__(self):
-        if len(self.reals) + 2 * len(self.complex_upper) != self.N:
-            raise ValueError("real and pair counts do not add up to the size")
-        if any(z.imag <= 0.0 for z in self.complex_upper):
-            raise ValueError("pair representatives must lie above the real axis")
+def _meta(ensemble, N, count, seed):
+    return {
+        "ensemble": ensemble,
+        "size": N,
+        "samples": count,
+        "seed": seed,
+        "generator": GENERATOR,
+    }
 
 
-def _classified(A, factor=REALNESS_FACTOR):
-    A = np.asarray(A, dtype=float)
-    threshold = factor * float(np.linalg.norm(A))
-    reals, upper = classify_real(np.linalg.eigvals(A), threshold)
-    return SpectrumSample(A.shape[0], reals, upper)
-
-
-def _entropy(seed, extra):
-    parts = seed if isinstance(seed, tuple) else (seed,)
-    return (*parts, extra)
-
-
-def sample_goe(N, seed, factor=REALNESS_FACTOR):
-    """One GOE draw: (G + G^T)/2 with G of independent standard normals.
+def goe_spectra(N, count, seed):
+    """GOE batch: (G + G^T)/2 with G of independent standard normals.
 
     Diagonal entries have variance 1 and off-diagonal entries variance
     1/2, so the eigenvalue density carries the plain exp(-x^2/2) weight.
-    The spectrum of a symmetric matrix is real, and the classification
-    threshold sits far above solver noise, so no pairs can survive.
+    Returns the (count, N) array of ascending spectra and the
+    reproducibility metadata.
     """
-    if N < 1:
-        raise ValueError("N must be positive")
-    G = np.random.default_rng(seed).standard_normal((N, N))
-    sample = _classified(0.5 * (G + G.T), factor)
-    if sample.complex_upper:
-        raise ArithmeticError("symmetric sample produced a complex pair")
-    return sample
+
+    def solve(G):
+        return np.linalg.eigvalsh(0.5 * (G + np.swapaxes(G, -1, -2)))
+
+    spectra = _spectra(N, count, lambda i: (seed, i), solve, float)
+    return spectra, _meta("goe", N, count, seed)
 
 
-def _ginibre_attempts(N, seed, factor=REALNESS_FACTOR):
-    for attempt in range(MAX_ATTEMPTS):
-        rng = np.random.default_rng(_entropy(seed, attempt))
-        try:
-            return _classified(rng.standard_normal((N, N)), factor), attempt
-        except (np.linalg.LinAlgError, ValueError):
-            continue
-    raise ArithmeticError(f"no classifiable sample after {MAX_ATTEMPTS} attempts")
+def ginibre_spectra(N, count, seed):
+    """Real Ginibre batch: all N^2 entries independent standard normals.
 
-
-def sample_real_ginibre(N, seed, factor=REALNESS_FACTOR):
-    """One real Ginibre draw: all N^2 entries independent standard normals.
-
-    Eigenvalues come from LAPACK and are classified into
-    reals and conjugate pairs; a rejected spectrum is redrawn under an
-    incremented sub-seed.
+    Returns the (count, N) complex array of spectra and the
+    reproducibility metadata.
     """
-    if N < 1:
-        raise ValueError("N must be positive")
-    return _ginibre_attempts(N, seed, factor)[0]
+    # the trailing 0 was the attempt index of a retired redraw loop;
+    # keeping it preserves the sample stream
+    spectra = _spectra(N, count, lambda i: (seed, i, 0), np.linalg.eigvals, complex)
+    return spectra, _meta("ginoe", N, count, seed)
 
 
-def goe_spectra(N, count, seed, factor=REALNESS_FACTOR):
-    """Batch of GOE samples plus reproducibility diagnostics."""
-    samples = [sample_goe(N, _entropy(seed, i), factor) for i in range(count)]
-    meta = {
-        "ensemble": "goe",
-        "size": N,
-        "samples": count,
-        "seed": seed,
-        "generator": GENERATOR,
-        "threshold_factor": factor,
-        "resamples": 0,
-    }
-    return samples, meta
-
-
-def ginibre_spectra(N, count, seed, factor=REALNESS_FACTOR):
-    """Batch of real Ginibre samples plus reproducibility diagnostics."""
-    samples = []
-    resamples = 0
-    for i in range(count):
-        sample, attempts = _ginibre_attempts(N, _entropy(seed, i), factor)
-        samples.append(sample)
-        resamples += attempts
-    meta = {
-        "ensemble": "ginoe",
-        "size": N,
-        "samples": count,
-        "seed": seed,
-        "generator": GENERATOR,
-        "threshold_factor": factor,
-        "resamples": resamples,
-    }
-    return samples, meta
+def real_counts(spectra):
+    """Number of real eigenvalues in each row of a batch of spectra."""
+    return np.count_nonzero(np.imag(spectra) == 0, axis=1)
 
 
 @dataclass(frozen=True)
@@ -214,17 +137,18 @@ class EmpiricalDensity:
         return (sum(self.counts) + self.overflow) / self.samples
 
 
-def empirical_density(samples, edges):
-    """Bin the real eigenvalues of a batch of spectrum samples."""
+def empirical_density(spectra, edges):
+    """Bin the real eigenvalues of a batch of spectra."""
+    spectra = np.asarray(spectra)
     edges = np.asarray(edges, dtype=float)
-    reals = np.array([x for s in samples for x in s.reals])
+    reals = spectra.real[np.imag(spectra) == 0]
     counts, _ = np.histogram(reals, edges)
     overflow = int(reals.size - counts.sum())
     return EmpiricalDensity(
         tuple(float(e) for e in edges),
         tuple(int(c) for c in counts),
         overflow,
-        len(samples),
+        len(spectra),
     )
 
 
@@ -235,11 +159,9 @@ def _density_on_nodes(bundle, nodes):
 
 def expected_bin_masses(bundle, edges):
     """Integral of the one-point density over each bin."""
-    masses = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        rule = gauss_legendre_rule(BIN_QUAD_ORDER, float(a), float(b))
-        masses.append(float(rule.weights @ _density_on_nodes(bundle, rule.nodes)))
-    return np.array(masses)
+    rule = composite_rule(edges, BIN_QUAD_ORDER)
+    terms = rule.weights * _density_on_nodes(bundle, rule.nodes)
+    return terms.reshape(len(edges) - 1, BIN_QUAD_ORDER).sum(axis=1)
 
 
 def expected_real_count(bundle, tol=1e-9):
@@ -324,8 +246,8 @@ class ComparisonReport:
         return buf.getvalue()
 
 
-def empirical_vs_analytic(samples, bundle, bins=40, span=DEFAULT_SPAN, meta=None):
-    """Score a sample batch against the kernel's real-eigenvalue density.
+def empirical_vs_analytic(spectra, bundle, bins=40, span=DEFAULT_SPAN, meta=None):
+    """Score a batch of spectra against the kernel's real-eigenvalue density.
 
     Each bin total is compared with the integrated density under a
     Poisson width floored at one count; eigenvalue repulsion makes the
@@ -335,22 +257,22 @@ def empirical_vs_analytic(samples, bundle, bins=40, span=DEFAULT_SPAN, meta=None
     (plus a small absolute slack for the case of zero variance, where
     every eigenvalue is real).
     """
-    if len(samples) < MIN_COMPARISON_SAMPLES:
+    if len(spectra) < MIN_COMPARISON_SAMPLES:
         raise ValueError(f"need at least {MIN_COMPARISON_SAMPLES} samples")
     if isinstance(bins, int):
         edges = np.linspace(span[0], span[1], bins + 1)
     else:
         edges = np.asarray(bins, dtype=float)
-    hist = empirical_density(samples, edges)
-    expected = len(samples) * expected_bin_masses(bundle, edges)
+    hist = empirical_density(spectra, edges)
+    expected = len(spectra) * expected_bin_masses(bundle, edges)
     observed = np.asarray(hist.counts, dtype=float)
     z = (observed - expected) / np.sqrt(np.maximum(expected, 1.0))
-    per_sample = np.array([len(s.reals) for s in samples], dtype=float)
-    stderr = float(per_sample.std(ddof=1) / math.sqrt(len(samples)))
+    per_sample = real_counts(spectra).astype(float)
+    stderr = float(per_sample.std(ddof=1) / math.sqrt(len(spectra)))
     return ComparisonReport(
         ensemble=bundle.ensemble,
         size=bundle.N,
-        samples=len(samples),
+        samples=len(spectra),
         edges=hist.edges,
         observed=hist.counts,
         expected=tuple(float(e) for e in expected),
@@ -364,7 +286,7 @@ def empirical_vs_analytic(samples, bundle, bins=40, span=DEFAULT_SPAN, meta=None
     )
 
 
-def pair_mass_estimate(samples, interval, box):
+def pair_mass_estimate(spectra, interval, box):
     """Mean and standard error of (#reals in interval)x(#pairs in box).
 
     The expectation of this product over samples is the integral of the
@@ -376,17 +298,12 @@ def pair_mass_estimate(samples, interval, box):
     (re_lo, re_hi), (im_lo, im_hi) = box
     if not (a < b and re_lo < re_hi and 0.0 <= im_lo < im_hi):
         raise ValueError("interval and box must be nonempty; box must sit above the axis")
-    products = np.array(
-        [
-            sum(1 for x in s.reals if a <= x <= b)
-            * sum(
-                1
-                for z in s.complex_upper
-                if re_lo <= z.real <= re_hi and im_lo <= z.imag <= im_hi
-            )
-            for s in samples
-        ],
-        dtype=float,
+    spectra = np.asarray(spectra)
+    x, y = spectra.real, np.imag(spectra)
+    reals = np.count_nonzero((y == 0) & (a <= x) & (x <= b), axis=1)
+    pairs = np.count_nonzero(
+        (y > 0) & (re_lo <= x) & (x <= re_hi) & (im_lo <= y) & (y <= im_hi), axis=1
     )
+    products = (reals * pairs).astype(float)
     stderr = float(products.std(ddof=1) / math.sqrt(len(products)))
     return float(products.mean()), stderr

@@ -21,7 +21,6 @@ Polynomial coefficient vectors are in ascending degree order throughout.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -266,28 +265,3 @@ def _monomial_gram(weight, N):
             gram[j, k] = value
             gram[k, j] = -value
     return gram
-
-
-def family_to_json(family):
-    """Serialize a family (only weights known by label can round-trip)."""
-    payload = {
-        "N": family.N,
-        "kind": family.kind,
-        "weight": family.weight.label,
-        "coeffs": [list(map(float, c)) for c in family.coeffs],
-        "norms": [float(r) for r in family.norms],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def family_from_json(text):
-    payload = json.loads(text)
-    if payload["weight"] != "gaussian":
-        raise ValueError(f"unknown weight label {payload['weight']!r}")
-    return SkewOrthogonalFamily(
-        N=payload["N"],
-        coeffs=tuple(np.asarray(c, dtype=float) for c in payload["coeffs"]),
-        norms=tuple(payload["norms"]),
-        weight=gaussian_weight(),
-        kind=payload["kind"],
-    )

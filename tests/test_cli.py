@@ -259,6 +259,7 @@ def test_mc_compare_goe_passes():
     header, body = split_csv(text)
     assert header["passed"] == "true"
     assert header["flagged_bins"] == "0"
+    assert header["resamples"] == "0"
     assert float(header["mean_real_count"]) == 3.0
     assert body[0] == "bin_lo,bin_hi,observed,expected,z"
     assert len(body) == 41
@@ -286,6 +287,18 @@ def test_mc_compare_json_embeds_config():
     assert doc["meta"]["command"] == "mc-compare"
     assert doc["meta"]["version"]
     assert doc["meta"]["generator"] == "PCG64"
+
+
+def test_mc_compare_lapack_failure_exits_3(monkeypatch):
+    def failing(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    code, text, err = run_cli(
+        ["mc-compare", "--ensemble", "ginoe", "--size", "3", "--samples", "10000"]
+    )
+    assert code == 3 and text == ""
+    assert "numerical failure" in err and "did not converge" in err
 
 
 def test_mc_compare_rejects_small_sample_counts():

@@ -1,4 +1,4 @@
-"""Tests for the sampling side: classification, samplers, comparisons.
+"""Tests for the sampling side: samplers, spectrum structure, comparisons.
 
 The distributional oracles are quadratures of the joint eigenvalue
 densities, written out here independently of the kernel machinery:
@@ -19,84 +19,74 @@ from betaone.ginoe_kernels import ginoe_odd_kernel
 from betaone.kernels import beta1_even_kernel
 from betaone.montecarlo import (
     EmpiricalDensity,
-    SpectrumSample,
-    classify_real,
     empirical_density,
     empirical_vs_analytic,
     expected_real_count,
     ginibre_spectra,
     goe_spectra,
     pair_mass_estimate,
-    sample_goe,
-    sample_real_ginibre,
+    real_counts,
 )
 from betaone.quadrature import gauss_legendre_rule
 
-THRESHOLD = 1e-7
+
+def test_spectra_follow_per_matrix_streams():
+    # N=64 spans several solve blocks
+    for N, count, seed in ((3, 50, 7), (64, 40, 11)):
+        spectra, _ = ginibre_spectra(N, count, seed)
+        assert spectra.shape == (count, N)
+        for i in (0, count // 2, count - 1):
+            A = np.random.default_rng((seed, i, 0)).standard_normal((N, N))
+            assert np.array_equal(spectra[i], np.linalg.eigvals(A))
+        spectra, _ = goe_spectra(N, count, seed)
+        assert spectra.shape == (count, N)
+        for i in (0, count // 2, count - 1):
+            G = np.random.default_rng((seed, i)).standard_normal((N, N))
+            assert np.array_equal(spectra[i], np.linalg.eigvalsh(0.5 * (G + G.T)))
 
 
-def test_classify_all_real_stays_real():
-    reals, upper = classify_real([1.0 + 0j, -2.0 + 0j, 0.5 + 0j], THRESHOLD)
-    assert reals == (-2.0, 0.5, 1.0)
-    assert upper == ()
-
-
-def test_classify_wide_pair():
-    reals, upper = classify_real([0.5j, -0.5j], THRESHOLD)
-    assert reals == ()
-    assert upper == (0.5j,)
-
-
-def test_classify_near_axis_orphan_rejoins_reals():
-    # the partner fell inside the threshold band, the orphan just above
-    eigs = [0.3 + 1.5e-8j, 0.3 - 0.8e-8j, 1.0 + 0j]
-    reals, upper = classify_real(eigs, 1e-8)
-    assert upper == ()
-    assert np.allclose(reals, (0.3, 0.3, 1.0))
-
-
-def test_classify_rejects_nonconjugate_input():
-    with pytest.raises(ValueError):
-        classify_real([0.5 + 1.0j, 2.0 + 0j], THRESHOLD)
-    with pytest.raises(ValueError):
-        classify_real([0.5 + 1.0j, 0.5 - 2.0j], THRESHOLD)
-
-
-def test_spectrum_sample_invariants():
-    with pytest.raises(ValueError):
-        SpectrumSample(N=3, reals=(0.0,), complex_upper=())
-    with pytest.raises(ValueError):
-        SpectrumSample(N=2, reals=(), complex_upper=(1.0 - 1.0j,))
-    sample = SpectrumSample(N=3, reals=(0.1,), complex_upper=(1j,))
-    assert len(sample.reals) % 2 == sample.N % 2
+def test_reals_are_read_from_structure():
+    # a conjugate pair 1e-12 off the axis: a realness threshold of 1e-7
+    # times the norm would have counted two reals
+    a, eps = 0.7, 1e-12
+    eigs = np.linalg.eigvals(np.array([[a, eps], [-eps, a]]))
+    assert real_counts(eigs[None]).tolist() == [0]
+    assert eigs[0] == eigs[1].conjugate() and eigs[0].imag != 0.0
+    for N in (2, 3, 8):
+        spectra, _ = ginibre_spectra(N, 2000, seed=N)
+        assert np.all((N - real_counts(spectra)) % 2 == 0)
+        # every pair representative has its exact conjugate in its row
+        assert np.array_equal(
+            np.sort_complex(spectra), np.sort_complex(spectra.conj())
+        )
 
 
 def test_sample_goe_size_one_is_single_real():
-    sample = sample_goe(1, 7)
-    assert sample.reals == (float(np.random.default_rng(7).standard_normal()),)
-    assert sample.complex_upper == ()
+    spectra, _ = goe_spectra(1, 3, 7)
+    draws = [np.random.default_rng((7, i)).standard_normal() for i in range(3)]
+    assert spectra.tolist() == [[x] for x in draws]
 
 
 def test_sample_goe_preserves_trace():
-    for seed in range(20):
-        G = np.random.default_rng(seed).standard_normal((5, 5))
-        sample = sample_goe(5, seed)
-        assert abs(sum(sample.reals) - np.trace(0.5 * (G + G.T))) <= 1e-10
+    spectra, _ = goe_spectra(5, 20, 0)
+    for i in range(20):
+        G = np.random.default_rng((0, i)).standard_normal((5, 5))
+        assert abs(spectra[i].sum() - np.trace(0.5 * (G + G.T))) <= 1e-10
 
 
 def test_sample_ginibre_size_one_and_determinism():
-    assert sample_real_ginibre(1, 3).complex_upper == ()
-    assert sample_real_ginibre(4, 123) == sample_real_ginibre(4, 123)
-    assert sample_real_ginibre(4, 123) != sample_real_ginibre(4, 124)
+    assert np.all(real_counts(ginibre_spectra(1, 5, 3)[0]) == 1)
+    first, _ = ginibre_spectra(4, 50, 123)
+    assert np.array_equal(first, ginibre_spectra(4, 50, 123)[0])
+    assert not np.array_equal(first, ginibre_spectra(4, 50, 124)[0])
 
 
 def test_batch_diagnostics_and_parity():
     samples, meta = ginibre_spectra(4, 200, seed=9)
     assert meta["samples"] == 200 and meta["generator"] == "PCG64"
-    assert meta["resamples"] == 0
-    assert all(len(s.reals) % 2 == 0 for s in samples)
+    assert all(real_counts(samples) % 2 == 0)
     again, _ = ginibre_spectra(4, 200, seed=9)
-    assert samples == again
+    assert np.array_equal(samples, again)
 
 
 def ordered_pair_moment(power):
@@ -112,7 +102,7 @@ def ordered_pair_moment(power):
 
 def test_goe_two_by_two_largest_eigenvalue_mean():
     samples, _ = goe_spectra(2, 100_000, seed=17)
-    largest = np.array([s.reals[-1] for s in samples])
+    largest = samples[:, -1]
     oracle = ordered_pair_moment(1) / ordered_pair_moment(0)
     stderr = largest.std(ddof=1) / math.sqrt(largest.size)
     assert abs(largest.mean() - oracle) <= 3.0 * stderr
@@ -144,32 +134,13 @@ def test_ginibre_two_by_two_real_fraction():
                       rtol=1e-10, atol=0)
     p_real = sinclair_prefactor(2) * two_real
     samples, _ = ginibre_spectra(2, 100_000, seed=29)
-    hits = np.array([1.0 if len(s.reals) == 2 else 0.0 for s in samples])
+    hits = (real_counts(samples) == 2).astype(float)
     stderr = hits.std(ddof=1) / math.sqrt(hits.size)
     assert abs(hits.mean() - p_real) <= 3.0 * stderr
 
 
-def test_classification_threshold_stability():
-    rng = np.random.default_rng(31)
-    fractions = []
-    matrices = rng.standard_normal((20_000, 3, 3))
-    spectra = [(A, np.linalg.eigvals(A)) for A in matrices]
-    for factor in (1e-6, 1e-8):
-        all_real = sum(
-            1
-            for A, eigs in spectra
-            if len(classify_real(eigs, factor * np.linalg.norm(A))[0]) == 3
-        )
-        fractions.append(all_real / len(spectra))
-    assert abs(fractions[0] - fractions[1]) < 1e-3
-
-
 def test_empirical_density_bookkeeping():
-    samples = [
-        SpectrumSample(N=2, reals=(-0.5, 0.5), complex_upper=()),
-        SpectrumSample(N=2, reals=(0.4, 5.0), complex_upper=()),
-        SpectrumSample(N=2, reals=(), complex_upper=(1j,)),
-    ]
+    samples = np.array([[-0.5, 0.5], [0.4, 5.0], [1j, -1j]])
     hist = empirical_density(samples, np.linspace(-1.0, 1.0, 5))
     # edges at -1, -0.5, 0, 0.5, 1; bins are closed on the left
     assert hist.counts == (0, 1, 1, 1)
@@ -214,11 +185,13 @@ def test_expected_real_count_matches_known_values():
 
 
 def test_pair_mass_estimate_mechanics():
-    samples = [
-        SpectrumSample(N=4, reals=(0.1, 0.2), complex_upper=(0.5 + 0.5j,)),
-        SpectrumSample(N=4, reals=(-3.0, 0.15), complex_upper=(2.0 + 2.0j,)),
-        SpectrumSample(N=4, reals=(), complex_upper=(0.4 + 0.4j, 3.0 + 1.0j)),
-    ]
+    samples = np.array(
+        [
+            [0.1, 0.2, 0.5 + 0.5j, 0.5 - 0.5j],
+            [-3.0, 0.15, 2.0 + 2.0j, 2.0 - 2.0j],
+            [0.4 + 0.4j, 0.4 - 0.4j, 3.0 + 1.0j, 3.0 - 1.0j],
+        ]
+    )
     box = ((0.0, 1.0), (0.0, 1.0))
     # per-sample products: 2 reals x 1 pair, 1 real x 0 pairs, 0 x 1
     mean, stderr = pair_mass_estimate(samples, (0.0, 0.3), box)

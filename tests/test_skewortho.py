@@ -10,8 +10,6 @@ from betaone.skewortho import (
     WeightSpec,
     build_family_beta1,
     coefficient_matrix,
-    family_from_json,
-    family_to_json,
     gaussian_weight,
     generating_pfaffian_even,
     generating_pfaffian_odd,
@@ -196,16 +194,3 @@ def test_generating_pfaffian_parity_validation():
         generating_pfaffian_odd(fam, 4)
     with pytest.raises(ValueError):
         generating_pfaffian_even(fam, 6)
-
-
-def test_family_json_round_trip():
-    fam = build_family_beta1(gaussian_weight(), 4)
-    text = family_to_json(fam)
-    back = family_from_json(text)
-    assert back.N == fam.N
-    assert back.kind == fam.kind
-    assert np.allclose(back.norms, fam.norms, rtol=0, atol=0)
-    for a, b in zip(back.coeffs, fam.coeffs):
-        assert np.allclose(a, b, rtol=0, atol=0)
-    with pytest.raises(ValueError):
-        family_from_json(text.replace("gaussian", "mystery"))
