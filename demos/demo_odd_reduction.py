@@ -1,16 +1,19 @@
 """Even-size kernels collapse to odd-size kernels as one point recedes.
 
-Runs the reduction on calibrated probes for the Gaussian ensemble
-(sizes 4 -> 3 and 6 -> 5) and the real Ginibre ensemble (4 -> 3),
-printing the tracked deviation along the far-point schedule, the exact
-Pfaffian identity gap, and the closed-form limit of the updated scalar
-block.
+Runs the reduction for the Gaussian ensemble (sizes 4 -> 3, 6 -> 5,
+8 -> 7 and 20 -> 19) and the real Ginibre ensemble (4 -> 3) on the
+probe grid derived from each size, printing the deviation from the
+directly built odd kernel at each far point, at the exact limit, and
+the Pfaffian identity gap; then the updated scalar block at one pair
+of points on the way to its limit.
 """
+
+import numpy as np
 
 from betaone.cli import kernel_bundle
 from betaone.reduction import (
-    reduce_star,
-    reduce_star_limit,
+    FAR_POINTS,
+    conditioned_bundle,
     verify_odd_limit_beta1,
     verify_odd_limit_ginoe,
 )
@@ -18,30 +21,25 @@ from betaone.reduction import (
 
 def show(label, report):
     print(label)
-    print("  far point:  " + "  ".join(f"{far:8.1f}" for far in report.schedule))
-    devs = [entry["tracked"] for entry in report.per_far]
+    print("  far point:  " + "  ".join(f"{far:8.1f}" for far in FAR_POINTS) + "       inf")
+    devs = report.far + (report.exact,)
     print("  deviation:  " + "  ".join(f"{d:8.1e}" for d in devs))
-    print(
-        f"  final {report.final_deviation:.2e}, monotone={report.monotone},"
-        f" identity gap {report.identity_gap:.1e} at far={report.identity_far:g}"
-    )
+    print(f"  worst ratio {report.ratio:.3f}, identity gap {report.identity_gap:.1e}")
 
 
 def main():
-    show("gaussian weight, 4 -> 3", verify_odd_limit_beta1(4))
-    show("gaussian weight, 6 -> 5", verify_odd_limit_beta1(6))
+    for N in (4, 6, 8, 20):
+        show(f"gaussian weight, {N} -> {N - 1}", verify_odd_limit_beta1(N))
     show("real ginibre, 4 -> 3", verify_odd_limit_ginoe(4))
     print()
     bundle = kernel_bundle("goe", 4)
     target = kernel_bundle("goe", 3)
     mu, eta = 0.5, -0.2
-    at_12 = reduce_star(bundle, mu, eta, 12.0)["scalar"]
-    limit = reduce_star_limit(bundle, mu, eta)["scalar"]
-    direct = target.scalar_kernel(mu, eta)
     print(f"updated scalar block at ({mu}, {eta}):")
-    print(f"  far=12      {at_12:.10f}")
-    print(f"  closed form {limit:.10f}")
-    print(f"  direct odd  {direct:.10f}")
+    for x_far in FAR_POINTS + (np.inf,):
+        value = conditioned_bundle(bundle, x_far).scalar_kernel(mu, eta)
+        print(f"  far={x_far:<7g} {value:.10f}")
+    print(f"  direct odd  {target.scalar_kernel(mu, eta):.10f}")
 
 
 if __name__ == "__main__":

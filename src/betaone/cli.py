@@ -50,7 +50,7 @@ DEFAULT_TOLERANCES = {
     "pfaffian": 1e-10,
     "skew": 1e-6,
     "kernels": 1e-5,
-    "reduction": 1e-3,
+    "reduction": 1e-12,
 }
 CLOSED_FORM_TOL = 1e-8
 IDENTITY_TOL = 1e-8
@@ -439,21 +439,13 @@ def _suite_kernels(config):
 
 
 def _suite_reduction(config):
-    tol = config.tolerances["reduction"]
-    if config.size % 2 or config.size < 4:
-        raise ConfigError("the reduction suite needs an even size of at least 4")
-    if config.ensemble == "goe":
-        report = verify_odd_limit_beta1(config.size)
-    else:
-        report = verify_odd_limit_ginoe(config.size)
+    # an odd size is the target of the reduction from the even size above it
+    even = config.size + config.size % 2
+    verify = verify_odd_limit_beta1 if config.ensemble == "goe" else verify_odd_limit_ginoe
+    report = verify(even)
     return [
-        _check("reduction", "final-deviation", report.final_deviation, tol),
-        _check(
-            "reduction",
-            "monotone-violation",
-            0.0 if report.monotone else 1.0,
-            0.0,
-        ),
+        _check("reduction", "exact-limit", report.exact, config.tolerances["reduction"]),
+        _check("reduction", "far-convergence", report.ratio, 1.0),
         _check("reduction", "pfaffian-identity-gap", report.identity_gap, IDENTITY_TOL),
     ]
 

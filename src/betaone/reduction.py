@@ -12,13 +12,15 @@ column, paired by the even M bordered through a rank-two term built
 from the far point's rows.  At x_far = +infinity the same construction
 is the exact limit, the kernel of the ensemble one size smaller; at
 finite distance each entry differs from it by c1/far + c2/far**2 + ...
+
+verify_odd_limit gates the reduction on one probe configuration derived
+from the size: the exact limit against the directly built odd kernel,
+the finite-far deviations shrinking along FAR_POINTS, and the Pfaffian
+identity at those same points.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -29,25 +31,10 @@ from .kernels import KernelBundle, PointConfiguration, beta1_even_kernel, beta1_
 from .pfaffian import pfaffian
 
 CORNER_FLOOR = 1e-300
-DEFAULT_SCHEDULE = (6.0, 8.0, 10.0, 12.0)
-IDENTITY_FAR = 6.0
-
-# Default probes sit where the two leading error orders of the tracked
-# scalar entry cancel just beyond the last scheduled distance, so the
-# deviation decays monotonically and lands well under tolerance; the
-# windows around these values are a few hundredths wide.  The plane
-# ensemble converges fast enough that no tuning is needed and the
-# probes just sit near the bulk.
-BETA1_PROBES = {
-    4: PointConfiguration(reals=(0.07,)),
-    6: PointConfiguration(reals=(0.2,)),
-}
-BETA1_PROBE_FALLBACK = PointConfiguration(reals=(0.1,))
-GINOE_PROBES = PointConfiguration(reals=(0.3, -0.4))
-
-BLOCK_NAMES = ("scalar", "derivative", "integral")
-TRACKED_BLOCK = "scalar"
-MONOTONE_SLACK = 1.10
+# past the spectrum's edge up to N = 64 (about 11.3), where the deviations
+# shrink like 1/far, and short of far = 37, where the corner falls below
+# CORNER_FLOOR
+FAR_POINTS = (16.0, 24.0, 32.0)
 
 
 def _require_even(bundle):
@@ -90,24 +77,6 @@ def conditioned_bundle(bundle, x_far):
     bordered = np.pad(M, ((0, 1), (0, 1))) + (np.outer(u, v) - np.outer(v, u)) / corner
     reduced = basis.bordered(np.triu(bordered, 1))
     return KernelBundle.from_basis(bundle.ensemble, bundle.N - 1, reduced)
-
-
-def _blocks(bundle, mu, eta):
-    return {
-        "scalar": bundle.scalar_kernel(mu, eta),
-        "derivative": bundle.derivative_kernel(mu, eta),
-        "integral": bundle.integral_kernel(mu, eta),
-    }
-
-
-def reduce_star(bundle, mu, eta, x_far):
-    """Updated kernel blocks at (mu, eta) after removing the far point."""
-    return _blocks(conditioned_bundle(bundle, x_far), mu, eta)
-
-
-def reduce_star_limit(bundle, mu, eta):
-    """Exact limits of the updated blocks as the far point recedes."""
-    return _blocks(conditioned_bundle(bundle, np.inf), mu, eta)
 
 
 def scalar_far_limit(bundle, x):
@@ -173,53 +142,6 @@ def _points(config):
     return list(config.reals) + list(config.complexes)
 
 
-def target_blocks(bundle, config):
-    """The kernel blocks tabulated on all ordered pairs of probe points."""
-    pts = _points(config)
-    table = [[_blocks(bundle, mu, eta) for eta in pts] for mu in pts]
-    return {
-        name: np.array([[entry[name] for entry in line] for line in table])
-        for name in BLOCK_NAMES
-    }
-
-
-def starred_blocks(bundle, config, x_far):
-    """Updated blocks tabulated on all ordered pairs of probe points."""
-    return target_blocks(conditioned_bundle(bundle, x_far), config)
-
-
-def entry_deviations(starred, target):
-    """Entrywise relative deviations per block.
-
-    Derivative and integral blocks vanish identically on the diagonal,
-    so their diagonal positions are left as NaN.
-    """
-    out = {}
-    for name in BLOCK_NAMES:
-        a, b = np.asarray(starred[name]), np.asarray(target[name])
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out[name] = np.abs(a - b) / np.abs(b)
-        if name != "scalar":
-            np.fill_diagonal(out[name], np.nan)
-    return out
-
-
-def block_deviations(starred, target):
-    """Worst entrywise relative deviation per block, plus the tracked worst.
-
-    A single-probe configuration leaves the off-diagonal blocks with no
-    comparable entries; their worst is NaN then.
-    """
-    tables = entry_deviations(starred, target)
-    out = {
-        name: (np.nan if np.isnan(tables[name]).all()
-               else float(np.nanmax(tables[name])))
-        for name in BLOCK_NAMES
-    }
-    out["tracked"] = out[TRACKED_BLOCK]
-    return out
-
-
 def _extended_config(config, x_far):
     return PointConfiguration(
         reals=tuple(config.reals) + (float(x_far),), complexes=config.complexes
@@ -239,9 +161,8 @@ def pfaffian_reduction_identity(bundle, config, x_far):
     identity checks the bordered pairing against the extended matrix it
     stands for.  Moving the far point's cell to the last position is an
     even permutation of rows and columns, so it leaves the Pfaffian
-    alone.  The identity is exact at any finite far point; it is checked
-    at moderate distances where the extended matrix still carries its
-    small entries above roundoff.
+    alone.  The identity is exact at any finite far point and holds to
+    roundoff until the corner falls below CORNER_FLOOR.
     """
     extended = _extended_config(config, x_far)
     A = _cell_last(bundle.assemble(extended), len(config.reals), len(extended))
@@ -251,118 +172,68 @@ def pfaffian_reduction_identity(bundle, config, x_far):
     return abs(lhs - corner * pfaffian(updated)) / max(abs(lhs), CORNER_FLOOR)
 
 
-def _json_number(value):
-    return None if np.isnan(value) else float(value)
+def _probe_configuration(bundle):
+    """Seven bulk reals over +-0.9 sqrt(N), in the plane also at height 0.5."""
+    grid = np.linspace(-0.9, 0.9, 7) * math.sqrt(bundle.N)
+    complexes = grid + 0.5j if bundle.family.layout == "plane" else ()
+    return PointConfiguration(reals=grid, complexes=complexes)
 
 
 @dataclass(frozen=True)
 class ReductionReport:
-    """Convergence record of the updated blocks toward the odd target.
-
-    The tracked figure is the worst relative deviation among the
-    scalar-block entries over the probe pairs; the derivative and
-    integral tables ride along as diagnostics.  The Pfaffian identity
-    gap is evaluated once at a moderate distance.
+    """Deviations of the reduced kernel from the odd target, relative to
+    the target matrix's largest entry: exact at the limit, far at each
+    of FAR_POINTS; identity_gap is the worst Pfaffian identity gap there.
     """
 
-    ensemble: str
-    size: int
-    target_size: int
-    schedule: tuple
-    probes: PointConfiguration
-    per_far: tuple
-    monotone: bool
-    final_deviation: float
-    identity_far: float
+    exact: float
+    far: tuple
     identity_gap: float
 
-    def as_dict(self):
-        return {
-            "ensemble": self.ensemble,
-            "size": self.size,
-            "target_size": self.target_size,
-            "schedule": list(self.schedule),
-            "probes_real": [float(x) for x in self.probes.reals],
-            "probes_complex": [[w.real, w.imag] for w in self.probes.complexes],
-            "per_far": [
-                {
-                    "far": row["far"],
-                    "worst": {name: _json_number(row[name]) for name in BLOCK_NAMES},
-                    "tracked": row["tracked"],
-                    "tables": {
-                        name: [[_json_number(v) for v in line] for line in row["tables"][name]]
-                        for name in BLOCK_NAMES
-                    },
-                }
-                for row in self.per_far
-            ],
-            "monotone": self.monotone,
-            "final_deviation": self.final_deviation,
-            "identity_far": self.identity_far,
-            "identity_gap": self.identity_gap,
-        }
-
-    def as_json(self, indent=2):
-        return json.dumps(self.as_dict(), indent=indent)
-
-    def as_csv(self):
-        """Flat per-entry table: far, block, row, col, deviation."""
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["far", "block", "row", "col", "deviation"])
-        for row in self.per_far:
-            for name in BLOCK_NAMES:
-                table = row["tables"][name]
-                for i, line in enumerate(table):
-                    for j, v in enumerate(line):
-                        if not np.isnan(v):
-                            writer.writerow(
-                                [row["far"], name, i, j, f"{float(v):.17g}"]
-                            )
-        return buf.getvalue()
+    @property
+    def ratio(self):
+        """Worst ratio of successive far deviations: below 1 while they shrink."""
+        return max(b / a for a, b in zip(self.far, self.far[1:]))
 
 
-def verify_odd_limit(even_bundle, odd_bundle, config, schedule=DEFAULT_SCHEDULE,
-                     identity_far=IDENTITY_FAR):
-    """Track the updated blocks toward the directly built odd kernels."""
+def verify_odd_limit(even_bundle, odd_bundle):
+    """The reduction of even_bundle against the directly built odd_bundle.
+
+    The identity runs on the real probes only, at most N - 1 of them, so
+    the extended configuration holds at most N eigenvalues.  Complex
+    probes stand for a conjugate pair each and would fill it: with all
+    fourteen at N = 10 the correlation vanishes identically and the gap
+    measures roundoff.
+    """
     if odd_bundle.N != even_bundle.N - 1:
         raise ValueError("target bundle must be one size smaller")
-    target = target_blocks(odd_bundle, config)
-    rows = []
-    for x_far in schedule:
-        starred = starred_blocks(even_bundle, config, x_far)
-        devs = block_deviations(starred, target)
-        devs["far"] = float(x_far)
-        devs["tables"] = entry_deviations(starred, target)
-        rows.append(devs)
-    tracked = [row["tracked"] for row in rows]
-    monotone = all(b <= a * MONOTONE_SLACK for a, b in zip(tracked, tracked[1:]))
+    config = _probe_configuration(even_bundle)
+    target = odd_bundle.assemble(config)
+    scale = np.abs(target).max()
+
+    def deviation(x_far):
+        reduced = conditioned_bundle(even_bundle, x_far).assemble(config)
+        return float(np.abs(reduced - target).max() / scale)
+
+    identity_config = PointConfiguration(reals=config.reals[: odd_bundle.N])
     return ReductionReport(
-        ensemble=even_bundle.ensemble,
-        size=even_bundle.N,
-        target_size=odd_bundle.N,
-        schedule=tuple(float(x) for x in schedule),
-        probes=config,
-        per_far=tuple(rows),
-        monotone=monotone,
-        final_deviation=tracked[-1],
-        identity_far=float(identity_far),
-        identity_gap=pfaffian_reduction_identity(even_bundle, config, identity_far),
+        exact=deviation(np.inf),
+        far=tuple(deviation(x_far) for x_far in FAR_POINTS),
+        identity_gap=float(max(
+            pfaffian_reduction_identity(even_bundle, identity_config, x_far)
+            for x_far in FAR_POINTS
+        )),
     )
 
 
-def verify_odd_limit_beta1(N, config=None, schedule=DEFAULT_SCHEDULE):
-    """Gaussian-weight reduction N -> N-1 on calibrated real probes."""
-    if config is None:
-        config = BETA1_PROBES.get(N, BETA1_PROBE_FALLBACK)
-    return verify_odd_limit(beta1_even_kernel(N), beta1_odd_kernel(N - 1), config, schedule)
+def verify_odd_limit_beta1(N):
+    """Gaussian-weight reduction N -> N-1 (N even)."""
+    return verify_odd_limit(beta1_even_kernel(N), beta1_odd_kernel(N - 1))
 
 
-def verify_odd_limit_ginoe(N, config=GINOE_PROBES, schedule=DEFAULT_SCHEDULE):
-    """Plane-ensemble reduction N -> N-1 on real probe points."""
-    return verify_odd_limit(
-        ginoe_even_kernel(N), ginoe_odd_kernel(N - 1), config, schedule
-    )
+def verify_odd_limit_ginoe(N):
+    """Plane-ensemble reduction N -> N-1 (N even)."""
+    return verify_odd_limit(ginoe_even_kernel(N), ginoe_odd_kernel(N - 1))
 
 
 def factorisation_check(bundle, reduced_bundle, config, x_far):

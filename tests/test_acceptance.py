@@ -198,16 +198,15 @@ def test_criterion_06_integrate_out_recurrence():
 
 def test_criterion_07_even_to_odd_reduction():
     start = time.time()
-    reports = (
-        ("beta1 4->3", verify_odd_limit_beta1(4)),
-        ("beta1 6->5", verify_odd_limit_beta1(6)),
-        ("ginoe 4->3", verify_odd_limit_ginoe(4)),
-    )
-    for label, rep in reports:
-        assert rep.schedule[-1] == 12.0, label
-        assert rep.final_deviation <= 1e-3, label
-        assert rep.monotone, label
-        assert rep.identity_gap <= 1e-8, label
+    reports = [
+        (label, N, verify(N))
+        for label, verify in (("beta1", verify_odd_limit_beta1), ("ginoe", verify_odd_limit_ginoe))
+        for N in range(4, 65, 2)
+    ]
+    for label, N, rep in reports:
+        assert rep.exact <= 1e-12, (label, N)
+        assert rep.ratio < 1.0, (label, N)
+        assert rep.identity_gap <= 1e-8, (label, N)
     # the pre-limit identity also holds for two-point configurations
     worst_identity = 0.0
     config = PointConfiguration(reals=(0.5, -0.2))
@@ -216,10 +215,11 @@ def test_criterion_07_even_to_odd_reduction():
             worst_identity, pfaffian_reduction_identity(bundle, config, 6.0)
         )
     assert worst_identity <= 1e-8
-    finals = ", ".join(f"{label} {rep.final_deviation:.1e}" for label, rep in reports)
     report(
         "criterion 7 (even to odd reduction)",
-        f"final deviations {finals}; identity gap {worst_identity:.1e}",
+        f"N=4..64: worst exact limit {max(rep.exact for *_, rep in reports):.1e},"
+        f" far ratio {max(rep.ratio for *_, rep in reports):.2f},"
+        f" identity gap {max(worst_identity, *(rep.identity_gap for *_, rep in reports)):.1e}",
         time.time() - start,
         120.0,
     )

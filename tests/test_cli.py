@@ -199,14 +199,34 @@ def test_correlate_mixed_matches_monte_carlo_pair_mass():
 
 
 def test_verify_reduction_suite_passes():
-    code, text, _ = run_cli(["verify", "--suite", "reduction"])
-    assert code == 0
-    doc = json.loads(text)
-    assert doc["passed"] is True
-    by_name = {c["check"]: c for c in doc["checks"]}
-    assert by_name["final-deviation"]["deviation"] <= 1e-3
-    assert by_name["monotone-violation"]["deviation"] == 0.0
-    assert by_name["pfaffian-identity-gap"]["deviation"] <= 1e-8
+    for ensemble in ("goe", "ginoe"):
+        for size in range(4, 65, 2):
+            code, text, _ = run_cli(
+                ["verify", "--suite", "reduction", "--ensemble", ensemble, "--size", str(size)]
+            )
+            assert code == 0, (ensemble, size)
+            doc = json.loads(text)
+            assert doc["passed"] is True
+            by_name = {c["check"]: c for c in doc["checks"]}
+            assert by_name["exact-limit"]["deviation"] <= 1e-12
+            assert by_name["far-convergence"]["deviation"] < 1.0
+            assert by_name["pfaffian-identity-gap"]["deviation"] <= 1e-8
+
+
+def test_verify_runs_at_odd_and_smallest_sizes():
+    # odd sizes are the target of the reduction from the size above
+    for ensemble in ("goe", "ginoe"):
+        for size in (1, 2, 3, 5):
+            code, text, _ = run_cli(
+                ["verify", "--suite", "all", "--ensemble", ensemble, "--size", str(size)]
+            )
+            assert code == 0, (ensemble, size)
+            assert json.loads(text)["passed"] is True
+        for size in (63, 64):
+            code, _, _ = run_cli(
+                ["verify", "--suite", "reduction", "--ensemble", ensemble, "--size", str(size)]
+            )
+            assert code == 0, (ensemble, size)
 
 
 def test_verify_all_passes():
