@@ -15,10 +15,9 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.hermite import herm2poly
 
 from . import __version__
-from .ginibre import ginoe_norm, ginoe_skew_inner
+from .ginibre import ginoe_gram, ginoe_norm
 from .ginoe_kernels import (
     ginoe_even_kernel,
     ginoe_odd_kernel,
@@ -42,13 +41,13 @@ from .montecarlo import (
 )
 from .pfaffian import dual_block, flatten_blocks, pfaffian, pfaffian_laplace, qdet
 from .reduction import verify_odd_limit_beta1, verify_odd_limit_ginoe
-from .skewortho import gaussian_weight, goe_coefficients, goe_norm, skew_inner
+from .skewortho import goe_gram, goe_norm, skew_deviation
 
 SUITES = ("pfaffian", "skew", "kernels", "reduction", "all")
 PATHS = ("finite-sum", "summed-up", "both")
 DEFAULT_TOLERANCES = {
     "pfaffian": 1e-10,
-    "skew": 1e-6,
+    "skew": 1e-12,
     "kernels": 1e-5,
     "reduction": 1e-12,
 }
@@ -301,7 +300,7 @@ def cmd_correlate(config):
     return _csv_text(config, ("record", "row", "col", "value"), rows, extra), 0
 
 
-def _check(suite, name, deviation, tolerance):
+def _check(suite, name, deviation, tolerance, **diagnostics):
     deviation = float(deviation)
     tolerance = float(tolerance)
     return {
@@ -310,6 +309,7 @@ def _check(suite, name, deviation, tolerance):
         "deviation": deviation,
         "tolerance": tolerance,
         "passed": deviation <= tolerance,
+        **diagnostics,
     }
 
 
@@ -363,41 +363,19 @@ def _suite_pfaffian(config):
 
 
 def _suite_skew(config):
+    # the family's Gram, refined to the tolerance it is gated at
     tol = config.tolerances["skew"]
-    if config.ensemble == "goe":
-        # the closed-form family on He_n = H_n / 2^n, as monomials
-        N = max(config.size, 2)
-        C = goe_coefficients(N) * 0.5 ** np.arange(N)[:, None]
-        family = [herm2poly(C[: k + 1, k]) for k in range(N)]
-        weight = gaussian_weight()
-        worst = 0.0
-        for j in range(N):
-            for k in range(j + 1, N):
-                inner = skew_inner(family[j], family[k], weight)
-                if j % 2 == 0 and k == j + 1:
-                    inner -= goe_norm(j // 2)
-                worst = max(worst, abs(inner) / goe_norm(0))
-        return [_check("skew", "gram-residual", worst, tol)]
-    pairs = max(config.size // 2, 1)
-    r0 = ginoe_norm(0)
-    worst_zero = 0.0
-    worst_norm = 0.0
-    for j in range(1, pairs + 1):
-        for k in range(1, pairs + 1):
-            if k > j:  # <2j,2k> and <2j-1,2k-1> are antisymmetric in (j, k)
-                worst_zero = max(
-                    worst_zero,
-                    abs(ginoe_skew_inner(2 * j, 2 * k)),
-                    abs(ginoe_skew_inner(2 * j - 1, 2 * k - 1)),
-                )
-            if k != j:
-                worst_zero = max(worst_zero, abs(ginoe_skew_inner(2 * j - 1, 2 * k)))
-        quadrature = ginoe_skew_inner(2 * j - 1, 2 * j)
-        expected = ginoe_norm(j - 1)
-        worst_norm = max(worst_norm, abs(quadrature - expected) / abs(expected))
+    gram, norm = (goe_gram, goe_norm) if config.ensemble == "goe" else (ginoe_gram, ginoe_norm)
+    refined = gram(config.size, tol)
     return [
-        _check("skew", "off-pair-zeros", worst_zero / r0, tol),
-        _check("skew", "pair-norms", worst_norm, tol),
+        _check(
+            "skew",
+            "gram-deviation",
+            skew_deviation(refined.value, norm),
+            tol,
+            panels=refined.panels,
+            refinement_difference=refined.difference,
+        )
     ]
 
 

@@ -21,48 +21,17 @@ import math
 
 import numpy as np
 
-from .ginibre import ginoe_family
-from .kernels import KernelBundle, family_basis, rho, weighted_rows
+from .ginibre import SQRT2, SQRT_2PI, ginoe_coefficients, ginoe_norm, ginoe_rows, pair_weight
+from .kernels import KernelBundle, family_basis, rho
 from .quadrature import gauss_legendre_rule
-from .skewortho import coefficient_matrix, gaussian_weight, half_range_rows
 from .specfun import erfcx, lower_gamma, upper_gamma
-
-SQRT_2PI = math.sqrt(2.0 * math.pi)
-SQRT2 = math.sqrt(2.0)
 
 FD_STEP = 1e-5
 
 
-def pair_weight(z):
-    """sqrt(erfc(sqrt2 |Im z|)) exp(-z^2/2), evaluated without overflow.
-
-    The erfc root is folded into its scaled form so the real part of
-    the exponent is -(Re z)^2/2 - (Im z)^2/2 for every z; real input
-    reduces to the plain Gaussian factor.
-    """
-    z = np.asarray(z)
-    if not np.iscomplexobj(z):
-        return np.exp(-0.5 * z * z)
-    y = z.imag
-    return np.sqrt(erfcx(SQRT2 * np.abs(y))) * np.exp(-0.5 * z * z - y * y)
-
-
 def _plane_bundle(N):
-    family = ginoe_family(N)
-    C = coefficient_matrix(family.coeffs)
-    weight = gaussian_weight()
-
-    def rows(z):
-        z = np.asarray(z)
-        W = weighted_rows(C, z, pair_weight(z))
-        if np.iscomplexobj(z):
-            partner = 1j * np.conjugate(W)
-        else:
-            partner = -half_range_rows(C, weight, z)
-        return np.stack([W, partner], axis=-2)
-
-    weights = [2.0 / r for r in family.norms]
-    basis = family_basis(rows, weights, "plane", odd=N % 2 == 1)
+    weights = [2.0 / ginoe_norm(k) for k in range(N // 2)]
+    basis = family_basis(ginoe_rows(ginoe_coefficients(N)), weights, "plane", odd=N % 2 == 1)
     return KernelBundle.from_basis("ginoe", N, basis)
 
 

@@ -25,8 +25,7 @@ import numpy as np
 
 from .pfaffian import pfaffian
 from .quadrature import integrate_line
-from .skewortho import goe_coefficients, goe_norm, poly_rows
-from .specfun import gaussian_basis, gaussian_tail_moments
+from .skewortho import gaussian_line_rows, goe_coefficients, goe_norm
 
 # layout -> (slot of the partner row in the cell, sign of the integrated
 # block on the partner-partner entry)
@@ -63,17 +62,6 @@ def pairing_upper(pair_weights, border=None):
     if border is not None:
         U[m - 2, m - 1] = border
     return U
-
-
-def weighted_rows(C, z, weight):
-    """Column polynomials of C at z times the weight values at z.
-
-    A vanishing weight gives exact zeros, also where the polynomials
-    overflow (the point at +infinity).
-    """
-    weight = np.asarray(weight)[..., None]
-    with np.errstate(invalid="ignore"):
-        return np.where(weight == 0.0, 0.0, poly_rows(C, z) * weight)
 
 
 class PairingBasis:
@@ -216,30 +204,18 @@ def _as_config(points):
 
 
 def rho(bundle, points):
-    """n-point correlation at a point configuration."""
+    """n-point correlation at a point configuration.
+
+    Exactly 0.0 when the configuration holds more eigenvalues than N, a
+    complex point standing for a conjugate pair.
+    """
     config = _as_config(points)
     if len(config) == 0:
         raise ValueError("need at least one point")
-    return pfaffian(bundle.assemble(config))
-
-
-def gaussian_line_rows(C):
-    """Line rows (partner, W) of the columns of C, coefficients on He_n.
-
-    W is the polynomial times e^(-x^2/2), its partner the half-range
-    transform, both from the Hermite recurrences of specfun.
-    """
-    n = C.shape[0]
-    full = gaussian_tail_moments(n, -np.inf, hermite=True) @ C
-
-    def rows(x):
-        x = np.asarray(x)
-        if np.iscomplexobj(x):
-            raise ValueError("this ensemble lives on the real line only")
-        partner = 0.5 * full - gaussian_tail_moments(n, x, hermite=True) @ C
-        return np.stack([partner, gaussian_basis(n, x, hermite=True) @ C], axis=-2)
-
-    return rows
+    A = bundle.assemble(config)
+    if len(config.reals) + 2 * len(config.complexes) > bundle.N:
+        return 0.0
+    return pfaffian(A)
 
 
 def line_bundle(rows, pair_norms, N):

@@ -162,8 +162,13 @@ def pfaffian_reduction_identity(bundle, config, x_far):
     stands for.  Moving the far point's cell to the last position is an
     even permutation of rows and columns, so it leaves the Pfaffian
     alone.  The identity is exact at any finite far point and holds to
-    roundoff until the corner falls below CORNER_FLOOR.
+    roundoff until the corner falls below CORNER_FLOOR.  Raises
+    ValueError when the configuration plus the far point holds more
+    eigenvalues than N (a complex point counting twice): both sides
+    vanish there and their gap is roundoff over roundoff.
     """
+    if len(config.reals) + 2 * len(config.complexes) + 1 > bundle.N:
+        raise ValueError("configuration plus the far point exceeds the bundle's N eigenvalues")
     extended = _extended_config(config, x_far)
     A = _cell_last(bundle.assemble(extended), len(config.reals), len(extended))
     corner = _corner(A[-2, -1], x_far)

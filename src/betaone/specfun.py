@@ -134,24 +134,35 @@ def lower_gamma(s, x):
     return math.gamma(s) - upper_gamma(s, x)
 
 
+def weighted_powers(n, z, weight, c=0.0):
+    """Rows P_k(z) times weight for k = 0..n-1, shape z.shape + (n,).
+
+    P_0 = 1 and P_{k+1} = z P_k - c k P_{k-1}: the monomials for c = 0,
+    the monic Hermite polynomials He_k = H_k / 2^k for c = 1/2.  Real or
+    complex z; exactly 0 where the weight vanishes, +-inf included.
+    """
+    z = np.asarray(z)
+    weight = np.broadcast_to(weight, z.shape)
+    out = np.empty(z.shape + (n,), dtype=np.result_type(z, weight))
+    previous, current = 0.0, weight
+    with np.errstate(invalid="ignore"):
+        for k in range(n):
+            out[..., k] = current
+            previous, current = current, z * current - c * k * previous
+    out[weight == 0.0] = 0.0
+    return out
+
+
 def gaussian_basis(n, x, hermite=False):
     """Weighted basis values P_k(x) e^(-x^2/2) for k = 0..n-1.
 
     P_k is the monomial x^k, or with hermite the monic Hermite polynomial
-    He_k = H_k / 2^k.  Both obey P_{k+1} = x P_k - c k P_{k-1} (c = 0 or
-    1/2) and P_k' = k P_{k-1}.  Vectorized in x, shape x.shape + (n,);
-    exactly 0 where the Gaussian underflows, +-inf included.
+    He_k = H_k / 2^k (see weighted_powers); P_k' = k P_{k-1}.  Vectorized
+    in x, shape x.shape + (n,); exactly 0 where the Gaussian underflows,
+    +-inf included.
     """
     x = np.asarray(x, dtype=float)
-    c = 0.5 if hermite else 0.0
-    gauss = np.exp(-0.5 * x * x)
-    out = np.empty(x.shape + (n,))
-    previous, current = 0.0, gauss
-    with np.errstate(invalid="ignore"):
-        for k in range(n):
-            out[..., k] = current
-            previous, current = current, x * current - c * k * previous
-    return np.where(gauss[..., None] > 0.0, out, 0.0)
+    return weighted_powers(n, x, np.exp(-0.5 * x * x), 0.5 if hermite else 0.0)
 
 
 def gaussian_tail_moments(n, x, hermite=False):

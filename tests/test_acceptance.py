@@ -13,8 +13,8 @@ import time
 import numpy as np
 
 from betaone.ginibre import (
+    ginoe_gram,
     ginoe_norm,
-    ginoe_skew_inner,
     partition_function_check,
 )
 from betaone.ginoe_kernels import (
@@ -48,6 +48,7 @@ from betaone.reduction import (
     verify_odd_limit_beta1,
     verify_odd_limit_ginoe,
 )
+from betaone.skewortho import expected_gram, skew_deviation
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -130,23 +131,22 @@ def test_criterion_03_ginoe_skew_orthogonality():
     start = time.time()
     N = 8
     r0 = ginoe_norm(0)
-    worst_zero = 0.0
-    worst_norm = 0.0
-    for j in range(1, N // 2 + 1):
-        for k in range(1, N // 2 + 1):
-            worst_zero = max(
-                worst_zero,
-                abs(ginoe_skew_inner(2 * j, 2 * k)),
-                abs(ginoe_skew_inner(2 * j - 1, 2 * k - 1)),
-            )
-        quadrature = ginoe_skew_inner(2 * j - 1, 2 * j)
-        expected = 2.0 * SQRT_2PI * math.gamma(2 * j - 1)
-        worst_norm = max(worst_norm, relative(quadrature, expected))
-    assert worst_zero <= 1e-6 * r0
-    assert worst_norm <= 1e-5
+    refined = ginoe_gram(N, 1e-12)
+    gram = refined.value
+    zeros = expected_gram(ginoe_norm, N) == 0.0
+    worst_zero = np.abs(gram[zeros]).max()
+    worst_norm = max(
+        relative(gram[2 * j, 2 * j + 1], 2.0 * SQRT_2PI * math.gamma(2 * j + 1))
+        for j in range(N // 2)
+    )
+    deviation = skew_deviation(gram, ginoe_norm)
+    assert worst_zero <= 1e-12 * r0
+    assert worst_norm <= 1e-13
+    assert deviation <= 1e-12
     report(
         "criterion 3 (ginoe skew-orthogonality)",
-        f"zero pairings {worst_zero:.2e}, norm gap {worst_norm:.2e}",
+        f"zero pairings {worst_zero:.2e}, norm gap {worst_norm:.2e},"
+        f" Gram deviation {deviation:.2e} on {refined.panels} panels",
         time.time() - start,
         60.0,
     )
@@ -155,9 +155,9 @@ def test_criterion_03_ginoe_skew_orthogonality():
 def test_criterion_04_partition_function_normalization():
     start = time.time()
     worst = max(abs(partition_function_check(N) - 1.0) for N in (2, 3, 4))
-    assert worst <= 1e-4
+    assert worst <= 1e-13
     report(
-        "criterion 4 (prefactor times pairing pfaffian)",
+        "criterion 4 (prefactor times Gram pfaffian)",
         f"worst gap from 1 is {worst:.2e}",
         time.time() - start,
         60.0,

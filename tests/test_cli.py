@@ -229,6 +229,40 @@ def test_verify_runs_at_odd_and_smallest_sizes():
             assert code == 0, (ensemble, size)
 
 
+def test_verify_skew_and_all_pass_across_sizes():
+    for ensemble in ("goe", "ginoe"):
+        for size in (1, 2, 3, 12, 14, 33, 63, 64):
+            for suite in ("skew", "all"):
+                argv = ["verify", "--suite", suite, "--ensemble", ensemble, "--size", str(size)]
+                code, text, err = run_cli(argv)
+                assert code == 0, (ensemble, size, suite, err)
+                assert json.loads(text)["passed"] is True
+
+
+def test_verify_skew_reports_refinement_deterministically():
+    argv = ["verify", "--suite", "skew", "--ensemble", "ginoe", "--size", "10"]
+    code, text, _ = run_cli(argv)
+    assert code == 0
+    assert run_cli(argv)[1] == text
+    (check,) = json.loads(text)["checks"]
+    assert check["check"] == "gram-deviation"
+    assert check["tolerance"] == 1e-12
+    assert check["deviation"] <= 1e-12
+    assert check["panels"] >= 2
+    assert 0.0 <= check["refinement_difference"] <= 1e-12
+    # the CSV report keeps its five columns
+    code, text, _ = run_cli(argv + ["--format", "csv"])
+    _, body = split_csv(text)
+    assert body[0] == "suite,check,deviation,tolerance,passed"
+    assert len(body[1].split(",")) == 5
+
+
+def test_verify_skew_past_reach_exits_3():
+    code, _, err = run_cli(["verify", "--suite", "skew", "--size", "6", "--tol-skew", "1e-18"])
+    assert code == 3
+    assert "skew Gram did not reach tolerance" in err
+
+
 def test_verify_all_passes():
     code, text, _ = run_cli(["verify", "--suite", "all"])
     assert code == 0

@@ -5,19 +5,18 @@ import pytest
 from scipy import special
 
 from betaone.ginibre import (
-    complex_sector_pairing,
-    ginoe_family,
+    ginoe_coefficients,
+    ginoe_gram,
     ginoe_norm,
-    ginoe_poly_coeffs,
-    ginoe_skew_inner,
     partition_function_check,
-    real_sector_pairing,
+    plane_rows,
+    sector_grams,
     sinclair_prefactor,
 )
 from betaone.ginoe_kernels import ginoe_odd_kernel
 from betaone.kernels import hat_transform
 from betaone.quadrature import gauss_legendre_rule
-from betaone.skewortho import coefficient_matrix, gaussian_weight, half_range_rows
+from betaone.skewortho import gaussian_line_rows
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -30,11 +29,14 @@ COMPLEX_PIECE_12 = 2.0 * SQRT_PI * (math.sqrt(2.0) - 1.0)
 
 
 def test_polynomial_coefficients():
-    assert np.array_equal(ginoe_poly_coeffs(0), [1.0])
-    assert np.array_equal(ginoe_poly_coeffs(1), [0.0, 1.0])
-    assert np.array_equal(ginoe_poly_coeffs(2), [0.0, 0.0, 1.0])
-    assert np.array_equal(ginoe_poly_coeffs(3), [0.0, -2.0, 0.0, 1.0])
-    assert np.array_equal(ginoe_poly_coeffs(5), [0.0, 0.0, 0.0, -4.0, 0.0, 1.0])
+    C = ginoe_coefficients(6)
+    assert np.array_equal(C[:, 0], [1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(C[:, 1], [0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(C[:, 2], [0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(C[:, 3], [0.0, -2.0, 0.0, 1.0, 0.0, 0.0])
+    assert np.array_equal(C[:, 5], [0.0, 0.0, 0.0, -4.0, 0.0, 1.0])
+    with pytest.raises(ValueError):
+        ginoe_coefficients(0)
 
 
 def test_norms_closed_form():
@@ -44,17 +46,17 @@ def test_norms_closed_form():
 
 
 def test_family_container():
-    fam = ginoe_family(5)
-    assert fam.N == 5
-    assert fam.kind == "ginoe"
-    assert len(fam.norms) == 2
-    assert np.isclose(fam.poly(3, 2.0), 8.0 - 4.0, rtol=1e-15, atol=0)
+    C = ginoe_coefficients(5)
+    assert C.shape == (5, 5)
+    # p_3(w) times the pair weight, which is e^{-2} at the real point 2
+    assert np.isclose(plane_rows(C, np.array([2.0 + 0.0j]))[0, 3], (8.0 - 4.0) * math.exp(-2.0), rtol=1e-15, atol=0)
 
 
 def test_lowest_pairing_pieces_match_hand_values():
-    assert np.isclose(real_sector_pairing(1, 2), REAL_PIECE_12, rtol=1e-9, atol=0)
-    assert np.isclose(complex_sector_pairing(1, 2), COMPLEX_PIECE_12, rtol=1e-8, atol=0)
-    assert np.isclose(ginoe_skew_inner(1, 2), 2.0 * SQRT_2PI, rtol=1e-9, atol=0)
+    real, plane = sector_grams(2, 4)
+    assert np.isclose(real[0, 1], REAL_PIECE_12, rtol=1e-14, atol=0)
+    assert np.isclose(plane[0, 1], COMPLEX_PIECE_12, rtol=1e-14, atol=0)
+    assert np.isclose(ginoe_gram(2, 1e-12).value[0, 1], 2.0 * SQRT_2PI, rtol=1e-14, atol=0)
 
 
 def test_complex_piece_against_monte_carlo_oracle():
@@ -69,26 +71,28 @@ def test_complex_piece_against_monte_carlo_oracle():
     h = -2.0 * math.pi * special.erfcx(math.sqrt(2.0) * y) * np.imag(p0 * np.conj(p1))
     estimate = h.mean()
     stderr = h.std(ddof=1) / math.sqrt(n)
-    assert abs(complex_sector_pairing(1, 2) - estimate) <= 3.0 * stderr
+    _, plane = sector_grams(2, 4)
+    assert abs(plane[0, 1] - estimate) <= 3.0 * stderr
 
 
 def test_pairing_antisymmetry_and_diagonal():
-    assert ginoe_skew_inner(3, 3) == 0.0
-    assert np.isclose(
-        ginoe_skew_inner(2, 1), -ginoe_skew_inner(1, 2), rtol=1e-12, atol=0
-    )
+    gram = ginoe_gram(6, 1e-12).value
+    s = np.sqrt([ginoe_norm(j // 2) for j in range(6)])
+    scale = np.outer(s, s)
+    assert np.abs(np.diag(gram) / np.diag(scale)).max() <= 1e-15
+    assert np.abs((gram + gram.T) / scale).max() <= 1e-14
 
 
 def test_skew_orthogonality_small_battery():
+    gram = ginoe_gram(4, 1e-12).value
     r0 = ginoe_norm(0)
-    assert abs(ginoe_skew_inner(1, 3)) <= 1e-7 * r0
-    assert abs(ginoe_skew_inner(2, 4)) <= 1e-7 * r0
-    assert np.isclose(ginoe_skew_inner(3, 4), ginoe_norm(1), rtol=1e-8, atol=0)
+    assert abs(gram[0, 2]) <= 1e-14 * r0
+    assert abs(gram[1, 3]) <= 1e-14 * r0
+    assert np.isclose(gram[2, 3], ginoe_norm(1), rtol=1e-14, atol=0)
 
 
 def half_moments(N):
-    C = coefficient_matrix(ginoe_family(N).coeffs)
-    return half_range_rows(C, gaussian_weight(), np.inf)
+    return gaussian_line_rows(ginoe_coefficients(N), hermite=False)(np.inf)[0]
 
 
 def test_half_moments():
@@ -104,7 +108,7 @@ def test_hatted_family_small_case():
     basis = ginoe_odd_kernel(3).family
     at_infinity = basis.rows(np.inf)[basis.partner_slot]
     assert np.allclose(at_infinity, [0.0, 0.0, -0.5 * SQRT_2PI, 1.0], rtol=1e-15, atol=1e-15)
-    hat = coefficient_matrix(ginoe_family(3).coeffs) @ hat_transform(-half_moments(3))
+    hat = ginoe_coefficients(3) @ hat_transform(-half_moments(3))
     assert np.allclose(hat[:, 0], [1.0, 0.0, -1.0], atol=1e-14)
     assert np.allclose(hat[:, 1], [0.0, 1.0, 0.0], atol=1e-14)
     assert np.allclose(hat[:, 2], [0.0, 0.0, 1.0], atol=0)
@@ -134,5 +138,5 @@ def test_sinclair_prefactor_small_values():
 
 
 def test_partition_function_normalization_small_sizes():
-    assert np.isclose(partition_function_check(2), 1.0, rtol=1e-7, atol=0)
-    assert np.isclose(partition_function_check(3), 1.0, rtol=1e-7, atol=0)
+    assert np.isclose(partition_function_check(2), 1.0, rtol=1e-14, atol=0)
+    assert np.isclose(partition_function_check(3), 1.0, rtol=1e-14, atol=0)

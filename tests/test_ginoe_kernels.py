@@ -10,7 +10,7 @@ Independent oracles used here:
   Pfaffian: give each real eigenvalue a fugacity zeta, so the real
   sector pairing carries zeta^2 and the odd-size border carries zeta,
   then d/dzeta at zeta = 1 counts reals and the second derivative
-  counts ordered real pairs.  These use only the pairing quadratures,
+  counts ordered real pairs.  These use only the sector Grams,
   never the kernels under test.
 """
 
@@ -20,9 +20,9 @@ import numpy as np
 import pytest
 
 from betaone.ginibre import (
-    complex_sector_pairing,
-    ginoe_poly_coeffs,
-    real_sector_pairing,
+    ginoe_coefficients,
+    ginoe_gram,
+    sector_grams,
     sinclair_prefactor,
 )
 from betaone.ginoe_kernels import (
@@ -35,7 +35,14 @@ from betaone.ginoe_kernels import (
 )
 from betaone.kernels import PointConfiguration, rho
 from betaone.pfaffian import as_antisymmetric, pfaffian
-from betaone.quadrature import gauss_legendre_rule, integrate_halfplane, integrate_line
+from betaone.quadrature import (
+    PLANE_PANEL_CAP,
+    gauss_legendre_rule,
+    halfplane_rule,
+    integrate_line,
+    refine,
+    truncation_radius,
+)
 from betaone.specfun import erfc, gaussian_full_moment
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -49,21 +56,12 @@ def scalar_closed_form_size_two(x, y):
 
 def fugacity_partition(N):
     """Partition sum as a function of the fugacity attached to each real."""
-    alpha = np.zeros((N, N))
-    beta = np.zeros((N, N))
-    for j in range(1, N + 1):
-        for k in range(j + 1, N + 1):
-            alpha[j - 1, k - 1] = real_sector_pairing(j, k)
-            alpha[k - 1, j - 1] = -alpha[j - 1, k - 1]
-            beta[j - 1, k - 1] = complex_sector_pairing(j, k)
-            beta[k - 1, j - 1] = -beta[j - 1, k - 1]
+    alpha, beta = sector_grams(N, ginoe_gram(N, 1e-12).panels)
     pref = sinclair_prefactor(N)
     if N % 2 == 0:
         return lambda z: pref * pfaffian(z * z * alpha + beta)
     # full weighted line integrals of the polynomials
-    border = np.array(
-        [ginoe_poly_coeffs(k) @ [gaussian_full_moment(i) for i in range(k + 1)] for k in range(N)]
-    )
+    border = np.array([gaussian_full_moment(i) for i in range(N)]) @ ginoe_coefficients(N)
 
     def value(z):
         M = np.zeros((N + 1, N + 1))
@@ -160,11 +158,13 @@ def test_complex_density_integrates_to_expected_pair_count():
     for N, make in ((2, ginoe_even_kernel), (3, ginoe_odd_kernel)):
         bundle = make(N)
 
-        def planar(x, y):
-            w = x + 1j * y
-            return bundle.scalar_kernel(w, w).real
+        radius = truncation_radius(2 * N) / math.sqrt(2.0)
 
-        total = integrate_halfplane(planar, tol=1e-9, degree=2 * N)
+        def planar(panels):
+            rule = halfplane_rule(panels, radius)
+            return rule.integrate(lambda w: bundle.scalar_kernel(w, w).real)
+
+        total = refine(planar, 1e-12, "complex density", cap=PLANE_PANEL_CAP).value
         expected = 0.5 * (N - expected_real_count(N))
         assert np.isclose(total, expected, rtol=1e-6)
 

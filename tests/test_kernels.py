@@ -13,17 +13,9 @@ from betaone.kernels import (
     density,
     density_integral,
     dyson_recurrence_check,
-    line_bundle,
     rho,
-    weighted_rows,
 )
 from betaone.pfaffian import as_antisymmetric
-from betaone.skewortho import (
-    build_family_beta1,
-    coefficient_matrix,
-    gaussian_weight,
-    half_range_rows,
-)
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -200,33 +192,16 @@ def test_parity_validation():
         beta1_even_kernel(4).scalar_kernel(0.1 + 0.2j, 0.3)
 
 
-def monomial_line_rows(C, weight):
-    def rows(x):
-        x = np.asarray(x)
-        partner = half_range_rows(C, weight, x)
-        return np.stack([partner, weighted_rows(C, x, np.exp(-weight.V(x)))], axis=-2)
-
-    return rows
-
-
-def test_closed_form_kernels_match_gram_schmidt_family():
-    # reference: the quadrature-built family, as monomial rows, through
-    # the same line builder; the family of size 10 holds every smaller one
-    weight = gaussian_weight()
-    family = build_family_beta1(weight, 10)
-    xs = np.linspace(-4.0, 4.0, 17)
-    config = PointConfiguration(reals=(-2.3, -0.6, 0.1, 1.4))
-    for N in range(1, 11):
-        rows = monomial_line_rows(coefficient_matrix(family.coeffs[:N]), weight)
-        reference = line_bundle(rows, family.norms[: N // 2], N)
-        bundle = beta1_even_kernel(N) if N % 2 == 0 else beta1_odd_kernel(N)
-        for name in ("scalar_kernel", "derivative_kernel", "integral_kernel"):
-            want = getattr(reference, name)(xs[:, None], xs[None, :])
-            got = getattr(bundle, name)(xs[:, None], xs[None, :])
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (N, name)
-        want = reference.assemble(config)
-        got = bundle.assemble(config)
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), N
+def test_rho_vanishes_beyond_n_eigenvalues():
+    # more eigenvalues than N, a complex point counting twice: exactly 0
+    assert rho(beta1_odd_kernel(3), [-0.4, 0.1, 0.6, 1.2]) == 0.0
+    assert rho(beta1_even_kernel(2), [-0.4, 0.1, 0.6]) == 0.0
+    bundle = ginoe_even_kernel(4)
+    over = PointConfiguration(reals=(0.2,), complexes=(0.3 + 0.5j, -0.6 + 0.9j))
+    assert rho(bundle, over) == 0.0
+    assert rho(ginoe_odd_kernel(3), PointConfiguration(reals=(0.2, 0.7), complexes=(0.1 + 0.4j,))) == 0.0
+    full = PointConfiguration(reals=(0.2, -0.5), complexes=(0.3 + 0.5j,))
+    assert abs(rho(bundle, full)) > 0.0
 
 
 def mp_goe_density(N, x):

@@ -5,11 +5,15 @@ import pytest
 from scipy import special
 
 from betaone.quadrature import (
+    ORDER,
+    PLANE_PANEL_CAP,
     QuadratureError,
     composite_rule,
     gauss_legendre_rule,
-    integrate_halfplane,
+    halfplane_rule,
     integrate_line,
+    panel_rule,
+    refine,
     truncation_radius,
 )
 
@@ -96,15 +100,43 @@ def test_undeclared_kink_raises_with_estimate():
     assert err.error > 1e-13
 
 
+def halfplane_integral(f, tol=1e-12):
+    return refine(
+        lambda panels: halfplane_rule(panels, truncation_radius(0)).integrate(f),
+        tol,
+        "half-plane integral",
+        cap=PLANE_PANEL_CAP,
+    )
+
+
 def test_halfplane_gaussian():
-    value = integrate_halfplane(lambda x, y: np.exp(-x * x - y * y))
-    assert np.isclose(value, 0.5 * math.pi, rtol=0, atol=1e-10)
+    refined = halfplane_integral(lambda w: np.exp(-(w * np.conj(w)).real))
+    assert np.isclose(refined.value, 0.5 * math.pi, rtol=0, atol=1e-14)
+    assert refined.difference <= 1e-12
 
 
 def test_halfplane_zero_integrand():
-    assert integrate_halfplane(lambda x, y: np.zeros_like(x)) == 0.0
+    assert halfplane_integral(lambda w: np.zeros(w.shape)).value == 0.0
 
 
 def test_halfplane_handles_scalar_returns():
-    value = integrate_halfplane(lambda x, y: 0.0)
-    assert value == 0.0
+    assert halfplane_integral(lambda w: 0.0).value == 0.0
+
+
+def test_panel_rule_splits_every_segment_evenly():
+    rule = panel_rule((-2.0, 0.5, 3.0), 4)
+    assert rule.nodes.size == 8 * ORDER
+    assert np.all(np.diff(rule.nodes) > 0.0)
+    assert np.isclose(rule.weights.sum(), 5.0, rtol=1e-15, atol=0)
+    plane = halfplane_rule(2, 3.0)
+    assert plane.nodes.size == (4 * ORDER) * (2 * ORDER)
+    assert np.all(plane.nodes.imag > 0.0)
+    assert np.isclose(plane.weights.sum(), 18.0, rtol=1e-14, atol=0)
+
+
+def test_refinement_reports_panels_and_last_difference():
+    estimates = {1: 1.0, 2: 0.5, 4: 0.5 + 1e-13}
+    refined = refine(estimates.__getitem__, 1e-12, "toy")
+    assert refined.panels == 4
+    assert refined.value == 0.5 + 1e-13
+    assert np.isclose(refined.difference, 1e-13, rtol=1e-3)

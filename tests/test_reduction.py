@@ -82,6 +82,20 @@ def test_reduction_identity_both_ensembles():
                 assert pfaffian_reduction_identity(bundle, config, far) <= 1e-8
 
 
+def test_identity_rejects_configurations_beyond_n_eigenvalues():
+    # 7 reals and 2 complex probes plus the far point hold 12 > 10
+    # eigenvalues; the gap there used to read 6.3 without an error
+    grid = np.linspace(-0.9, 0.9, 7) * math.sqrt(10.0)
+    crowded = PointConfiguration(reals=grid, complexes=(0.1 + 0.5j, 0.6 + 0.5j))
+    with pytest.raises(ValueError):
+        pfaffian_reduction_identity(ginoe_even_kernel(10), crowded, 16.0)
+    with pytest.raises(ValueError):
+        pfaffian_reduction_identity(even_bundle(4), PointConfiguration(reals=(-0.5, 0.1, 0.7, 1.2)), 8.0)
+    # exactly N eigenvalues with the far point is still an identity
+    full = PointConfiguration(reals=grid[:7], complexes=(0.1 + 0.5j,))
+    assert pfaffian_reduction_identity(ginoe_even_kernel(10), full, 16.0) <= 1e-8
+
+
 def test_conditioned_bundle_is_schur_complement():
     # the bordered rank-two pairing against the Schur complement of the
     # far point's cell in the extended matrix, entry by entry

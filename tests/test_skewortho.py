@@ -5,21 +5,16 @@ import pytest
 from scipy import special
 
 from betaone.kernels import beta1_odd_kernel, hat_transform
-from betaone.quadrature import gauss_legendre_rule
+from betaone.pfaffian import pfaffian
+from betaone.quadrature import QuadratureError, gauss_legendre_rule, truncation_radius
 from betaone.skewortho import (
-    WeightSpec,
-    build_family_beta1,
-    coefficient_matrix,
-    gaussian_weight,
-    generating_pfaffian_even,
-    generating_pfaffian_odd,
-    half_range_rows,
-    half_range_transform,
-    phi_transform,
-    poly_eval,
-    skew_inner,
-    weight_full_moment,
-    weight_tail_moment,
+    expected_gram,
+    gaussian_line_rows,
+    goe_coefficients,
+    goe_gram,
+    goe_norm,
+    line_gram,
+    skew_deviation,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -35,128 +30,97 @@ MONOMIAL_PAIRINGS = {
 }
 
 
-def monomial(k):
-    c = np.zeros(k + 1)
-    c[k] = 1.0
-    return c
+def monomial_gram(C, panels=4):
+    # line Gram of the columns of C, on monomials
+    rows = gaussian_line_rows(C, hermite=False)
+    return line_gram(rows, panels, truncation_radius(2 * C.shape[0]))
 
 
-def family_gram(family):
-    n = family.N
-    gram = np.zeros((n, n))
-    for a in range(n):
-        for b in range(n):
-            if a != b:
-                gram[a, b] = skew_inner(
-                    family.coeffs[a], family.coeffs[b], family.weight
-                )
-    return gram
+def hermite_to_monomials(n):
+    # columns: He_0..He_{n-1} (He_k = H_k / 2^k) on the monomials
+    M = np.zeros((n, n))
+    M[0, 0] = 1.0
+    for k in range(n - 1):
+        M[1:, k + 1] = M[:-1, k]
+        if k >= 1:
+            M[:, k + 1] -= 0.5 * k * M[:, k - 1]
+    return M
+
+
+def half_moments(C):
+    return gaussian_line_rows(C)(np.inf)[0]
 
 
 def test_skew_inner_monomial_closed_forms():
-    w = gaussian_weight()
+    gram = monomial_gram(np.eye(4))
     for (a, b), expected in MONOMIAL_PAIRINGS.items():
-        got = skew_inner(monomial(a), monomial(b), w)
-        assert np.isclose(got, expected, rtol=1e-11, atol=0), (a, b)
+        assert np.isclose(gram[a, b], expected, rtol=1e-14, atol=0), (a, b)
 
 
 def test_skew_inner_antisymmetry():
-    w = gaussian_weight()
     rng = np.random.default_rng(19)
-    for _ in range(5):
-        f = rng.normal(size=rng.integers(1, 5))
-        g = rng.normal(size=rng.integers(1, 5))
-        assert np.isclose(
-            skew_inner(f, g, w), -skew_inner(g, f, w), rtol=1e-10, atol=1e-12
-        )
+    C = rng.normal(size=(5, 6))
+    gram = monomial_gram(C)
+    scale = np.abs(gram).max()
+    assert np.abs(gram + gram.T).max() <= 1e-14 * scale
 
 
 def test_gaussian_family_exact_coefficients():
-    fam = build_family_beta1(gaussian_weight(), 4)
-    assert np.allclose(fam.coeffs[0], [1.0], atol=1e-12)
-    assert np.allclose(fam.coeffs[1], [0.0, 1.0], atol=1e-12)
-    assert np.allclose(fam.coeffs[2], [-0.5, 0.0, 1.0], atol=1e-10)
-    assert np.allclose(fam.coeffs[3], [0.0, -2.5, 0.0, 1.0], atol=1e-10)
-    assert np.isclose(fam.norms[0], SQRT_PI, rtol=1e-11, atol=0)
-    assert np.isclose(fam.norms[1], 0.5 * SQRT_PI, rtol=1e-10, atol=0)
+    monomials = hermite_to_monomials(4) @ goe_coefficients(4)
+    assert np.array_equal(monomials[:, 0], [1.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(monomials[:, 1], [0.0, 1.0, 0.0, 0.0])
+    assert np.array_equal(monomials[:, 2], [-0.5, 0.0, 1.0, 0.0])
+    assert np.array_equal(monomials[:, 3], [0.0, -2.5, 0.0, 1.0])
+    assert np.isclose(goe_norm(0), SQRT_PI, rtol=1e-15, atol=0)
+    assert np.isclose(goe_norm(1), 0.5 * SQRT_PI, rtol=1e-15, atol=0)
+    # the Gram of the monomial expansion is the family's Gram
+    family = monomial_gram(monomials)
+    assert skew_deviation(family, goe_norm) <= 1e-14
 
 
 def test_family_skew_orthogonality_battery():
-    fam = build_family_beta1(gaussian_weight(), 6)
-    gram = family_gram(fam)
-    r_min = min(fam.norms)
-    for a in range(6):
-        for b in range(6):
-            expected = 0.0
-            if a % 2 == 0 and b == a + 1:
-                expected = fam.norms[a // 2]
-            elif b % 2 == 0 and a == b + 1:
-                expected = -fam.norms[b // 2]
-            assert abs(gram[a, b] - expected) <= 1e-8 * r_min, (a, b)
+    refined = goe_gram(6, 1e-12)
+    gram = refined.value
+    r_min = min(goe_norm(m) for m in range(3))
+    assert np.abs(gram - expected_gram(goe_norm, 6)).max() <= 1e-13 * r_min
+    assert refined.difference <= 1e-12
 
 
 def test_phi_transform_closed_forms():
-    fam = build_family_beta1(gaussian_weight(), 4)
+    rows = gaussian_line_rows(goe_coefficients(4))
     x = np.linspace(-3.0, 3.0, 13)
+    eps = rows(x)[:, 0]
     assert np.allclose(
-        phi_transform(fam, 0, x),
-        0.5 * SQRT_2PI * special.erf(x / math.sqrt(2.0)),
-        rtol=0,
-        atol=1e-12,
+        eps[:, 0], 0.5 * SQRT_2PI * special.erf(x / math.sqrt(2.0)), rtol=0, atol=1e-14
     )
-    assert np.allclose(phi_transform(fam, 1, x), -np.exp(-0.5 * x * x), rtol=0, atol=1e-12)
+    assert np.allclose(eps[:, 1], -np.exp(-0.5 * x * x), rtol=0, atol=1e-15)
     # saturation far to the right: half the full weighted integrals
-    assert np.isclose(phi_transform(fam, 0, 9.0), 0.5 * SQRT_2PI, rtol=1e-12, atol=0)
-    assert np.isclose(phi_transform(fam, 2, 9.0), 0.25 * SQRT_2PI, rtol=1e-10, atol=0)
+    far = rows(9.0)[0]
+    assert np.isclose(far[0], 0.5 * SQRT_2PI, rtol=1e-15, atol=0)
+    assert np.isclose(far[2], 0.25 * SQRT_2PI, rtol=1e-15, atol=0)
 
 
 def test_phi_transform_against_quadrature_oracle():
-    fam = build_family_beta1(gaussian_weight(), 4)
+    rows = gaussian_line_rows(goe_coefficients(4))
     x0 = 0.7
     for k in [2, 3]:
         left = gauss_legendre_rule(200, -12.0, x0)
         right = gauss_legendre_rule(200, x0, 12.0)
-        f = lambda y: poly_eval(fam.coeffs[k], y) * np.exp(-0.5 * y * y)
+        f = lambda y: rows(y)[:, 1, k]
         oracle = 0.5 * (left.integrate(f) - right.integrate(f))
-        assert np.isclose(phi_transform(fam, k, x0), oracle, rtol=0, atol=1e-12), k
-
-
-def test_generic_weight_fallback_matches_gaussian_closed_forms():
-    plain = WeightSpec(V=lambda x: 0.5 * np.asarray(x) ** 2, label="plain")
-    for k in [0, 1, 3]:
-        assert np.isclose(
-            weight_full_moment(plain, k),
-            gaussian_weight().full_moment(k),
-            rtol=1e-10,
-            atol=1e-12,
-        )
-        for x in [-1.3, 0.0, 2.4]:
-            assert np.isclose(
-                weight_tail_moment(plain, k, x),
-                gaussian_weight().tail_moment(k, x),
-                rtol=1e-9,
-                atol=1e-12,
-            )
-    got = half_range_transform([1.0], plain, np.array([0.4]))
-    want = half_range_transform([1.0], gaussian_weight(), np.array([0.4]))
-    assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
-
-
-def half_moments(family):
-    return half_range_rows(coefficient_matrix(family.coeffs), family.weight, np.inf)
+        assert np.isclose(rows(x0)[0, k], oracle, rtol=0, atol=1e-14), k
 
 
 def test_hatted_family_exact_small_case():
-    fam = build_family_beta1(gaussian_weight(), 3)
-    half = half_moments(fam)
-    hat = coefficient_matrix(fam.coeffs) @ hat_transform(half)
-    assert np.allclose(hat[:, 0], [2.0, 0.0, -2.0], atol=1e-9)
-    assert np.allclose(hat[:, 1], [0.0, 1.0, 0.0], atol=1e-9)
-    assert np.allclose(hat[:, 2], fam.coeffs[2], atol=0)
-    assert np.isclose(fam.norms[0], SQRT_PI, rtol=1e-11, atol=0)
-    assert np.isclose(half[0], 0.5 * SQRT_2PI, rtol=1e-12, atol=0)
-    assert np.isclose(half[1], 0.0, rtol=0, atol=1e-12)
-    assert np.isclose(half[2], 0.25 * SQRT_2PI, rtol=1e-10, atol=0)
+    C = goe_coefficients(3)
+    half = half_moments(C)
+    hat = hermite_to_monomials(3) @ C @ hat_transform(half)
+    assert np.allclose(hat[:, 0], [2.0, 0.0, -2.0], rtol=0, atol=1e-15)
+    assert np.allclose(hat[:, 1], [0.0, 1.0, 0.0], rtol=0, atol=0)
+    assert np.allclose(hat[:, 2], [-0.5, 0.0, 1.0], rtol=0, atol=0)
+    assert np.isclose(half[0], 0.5 * SQRT_2PI, rtol=1e-15, atol=0)
+    assert half[1] == 0.0
+    assert np.isclose(half[2], 0.25 * SQRT_2PI, rtol=1e-15, atol=0)
 
 
 def test_hatted_family_kills_weighted_integrals():
@@ -173,24 +137,35 @@ def test_hatted_requires_odd_size():
 
 
 def test_generating_pfaffian_even_equals_norm_product():
-    fam = build_family_beta1(gaussian_weight(), 4)
-    got = generating_pfaffian_even(fam)
-    assert np.isclose(got, fam.norms[0] * fam.norms[1], rtol=1e-9, atol=0)
-    assert np.isclose(got, 0.5 * math.pi, rtol=1e-9, atol=0)
+    got = pfaffian(goe_gram(4, 1e-12).value)
+    assert np.isclose(got, goe_norm(0) * goe_norm(1), rtol=1e-14, atol=0)
+    assert np.isclose(got, 0.5 * math.pi, rtol=1e-14, atol=0)
 
 
 def test_generating_pfaffian_odd_equals_hatted_norm_product():
-    fam = build_family_beta1(gaussian_weight(), 3)
-    got = generating_pfaffian_odd(fam)
-    assert np.isclose(got, fam.norms[0] * half_moments(fam)[2], rtol=1e-9, atol=0)
-    assert np.isclose(got, SQRT_PI * 0.25 * SQRT_2PI, rtol=1e-9, atol=0)
+    # the Gram bordered by the half moments: the pair norm below the
+    # top times the top polynomial's half moment
+    gram = np.pad(goe_gram(3, 1e-12).value, ((0, 1), (0, 1)))
+    border = half_moments(goe_coefficients(3))
+    gram[:3, 3] = border
+    gram[3, :3] = -border
+    got = pfaffian(gram)
+    assert np.isclose(got, goe_norm(0) * border[2], rtol=1e-14, atol=0)
+    assert np.isclose(got, SQRT_PI * 0.25 * SQRT_2PI, rtol=1e-14, atol=0)
 
 
-def test_generating_pfaffian_parity_validation():
-    fam = build_family_beta1(gaussian_weight(), 4)
-    with pytest.raises(ValueError):
-        generating_pfaffian_even(fam, 3)
-    with pytest.raises(ValueError):
-        generating_pfaffian_odd(fam, 4)
-    with pytest.raises(ValueError):
-        generating_pfaffian_even(fam, 6)
+def test_coarse_rule_fails_loudly():
+    # two panels per half-line cannot resolve the N = 64 family: the
+    # deviation reads about 15 against a 1e-12 gate, not a quiet pass
+    rows = gaussian_line_rows(goe_coefficients(64))
+    coarse = skew_deviation(line_gram(rows, 2, truncation_radius(128)), goe_norm)
+    assert 10.0 < coarse < 20.0
+    refined = goe_gram(64, 1e-12)
+    assert skew_deviation(refined.value, goe_norm) <= 1e-12
+    assert refined.panels > 2
+
+
+def test_refinement_past_reach_raises():
+    with pytest.raises(QuadratureError) as info:
+        goe_gram(8, 1e-18)
+    assert 0.0 < info.value.error < 1e-13
