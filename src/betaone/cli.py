@@ -194,6 +194,8 @@ def make_config(args):
         raise ConfigError("size must be a positive integer")
     if args.size > MAX_SIZE:
         raise ConfigError("size must be at most %d" % MAX_SIZE)
+    if args.seed < 0:
+        raise ConfigError("seed must be a non-negative integer")
     command = args.command
     fields = dict(
         command=command,

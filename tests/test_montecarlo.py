@@ -18,7 +18,10 @@ from betaone.ginibre import sinclair_prefactor
 from betaone.ginoe_kernels import ginoe_odd_kernel
 from betaone.kernels import beta1_even_kernel
 from betaone.montecarlo import (
+    BLOCK_ENTRIES,
     EmpiricalDensity,
+    _pcg64_states,
+    _stream_words,
     empirical_density,
     empirical_vs_analytic,
     expected_real_count,
@@ -31,18 +34,40 @@ from betaone.quadrature import gauss_legendre_rule
 
 
 def test_spectra_follow_per_matrix_streams():
-    # N=64 spans several solve blocks
-    for N, count, seed in ((3, 50, 7), (64, 40, 11)):
+    # N=8 and N=64 span solve blocks (1024 and 16 matrices); a seed of
+    # 2^32 or more takes two words in the stream key
+    for N, count, seed in ((3, 50, 7), (8, 1030, 2**32 + 11), (64, 40, 11)):
         spectra, _ = ginibre_spectra(N, count, seed)
-        assert spectra.shape == (count, N)
-        for i in (0, count // 2, count - 1):
-            A = np.random.default_rng((seed, i, 0)).standard_normal((N, N))
-            assert np.array_equal(spectra[i], np.linalg.eigvals(A))
+        draws = np.stack(
+            [np.random.default_rng((seed, i, 0)).standard_normal((N, N)) for i in range(count)]
+        )
+        assert np.array_equal(spectra, np.linalg.eigvals(draws))
         spectra, _ = goe_spectra(N, count, seed)
-        assert spectra.shape == (count, N)
-        for i in (0, count // 2, count - 1):
-            G = np.random.default_rng((seed, i)).standard_normal((N, N))
-            assert np.array_equal(spectra[i], np.linalg.eigvalsh(0.5 * (G + G.T)))
+        draws = np.stack(
+            [np.random.default_rng((seed, i)).standard_normal((N, N)) for i in range(count)]
+        )
+        sym = 0.5 * (draws + np.swapaxes(draws, -1, -2))
+        assert np.array_equal(spectra, np.linalg.eigvalsh(sym))
+
+
+def test_block_seeding_matches_seed_sequence():
+    step = BLOCK_ENTRIES // 16  # matrices per block at N = 4
+    indices = [0, 1, step - 1, step, 2**31, 2**32 + 3]
+    for seed in (0, 1, 2**32 - 1, 2**32, 2**64 + 5):
+        for tail in ((0,), ()):
+            words = _stream_words(seed, indices, tail)
+            states = list(_pcg64_states(words))
+            for i, row, (state, inc) in zip(indices, words, states):
+                key = np.random.SeedSequence((seed, i, *tail))
+                assert np.array_equal(row, key.generate_state(4, np.uint64))
+                expected = np.random.PCG64(key).state["state"]
+                assert expected == {"state": state, "inc": inc}
+
+
+def test_negative_seed_is_rejected():
+    for sampler in (ginibre_spectra, goe_spectra):
+        with pytest.raises(ValueError, match="non-negative"):
+            sampler(3, 5, -1)
 
 
 def test_reals_are_read_from_structure():
