@@ -10,11 +10,15 @@ the library version, then a column header, then data rows.
 """
 
 import argparse
+import cmath
 import json
+import locale  # noqa: F401  argparse's gettext imports it while building the parser
+import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import __version__
 from .ginibre import ginoe_gram, ginoe_norm
@@ -162,6 +166,8 @@ def _parse_grid(text):
         raise ConfigError("grid must look like min:max:count") from None
     if count < 2:
         raise ConfigError("grid needs at least two points")
+    if not math.isfinite(hi - lo):
+        raise ConfigError("grid endpoints and their span must be finite")
     if not lo < hi:
         raise ConfigError("grid minimum must lie below its maximum")
     return lo, hi, count
@@ -172,9 +178,12 @@ def _parse_points(text):
     for token in text.split(","):
         token = token.strip()
         try:
-            points.append(complex(token))
+            point = complex(token)
         except ValueError:
             raise ConfigError("cannot parse point %r" % token) from None
+        if not cmath.isfinite(point):
+            raise ConfigError("point %r is not finite" % token)
+        points.append(point)
     if not points:
         raise ConfigError("need at least one point")
     return tuple(points)
@@ -230,8 +239,8 @@ def make_config(args):
         tolerances = {
             name: getattr(args, "tol_" + name) for name in DEFAULT_TOLERANCES
         }
-        if any(tol <= 0 for tol in tolerances.values()):
-            raise ConfigError("tolerances must be positive")
+        if not all(0 < tol < math.inf for tol in tolerances.values()):
+            raise ConfigError("tolerances must be finite and positive")
         fields["suite"] = args.suite
         fields["tolerances"] = tolerances
     elif command == "mc-compare":
@@ -334,7 +343,7 @@ def _squared_gap(A):
 
 def _suite_pfaffian(config):
     tol = config.tolerances["pfaffian"]
-    rng = np.random.default_rng(config.seed)
+    rng = default_rng(config.seed)
     worst_real = worst_complex = 0.0
     for _ in range(30):
         n = 2 * int(rng.integers(1, 7))

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .pfaffian import pfaffian
-from .quadrature import PLANE_PANEL_CAP, halfplane_rule, truncation_radius
+from .quadrature import ORDER, PLANE_PANEL_CAP, halfplane_rule, truncation_radius
 from .skewortho import gaussian_line_rows, line_gram, refined_gram
 from .specfun import erfcx, weighted_powers
 
@@ -56,8 +56,12 @@ def pair_weight(z):
     z = np.asarray(z)
     if not np.iscomplexobj(z):
         return np.exp(-0.5 * z * z)
-    y = z.imag
-    return np.sqrt(erfcx(SQRT2 * np.abs(y))) * np.exp(-0.5 * z * z - y * y)
+    return _folded_weight(z, np.sqrt(erfcx(SQRT2 * np.abs(z.imag))))
+
+
+def _folded_weight(z, root):
+    # pair_weight from root = sqrt(erfcx(sqrt2 |Im z|))
+    return root * np.exp(-0.5 * z * z - z.imag * z.imag)
 
 
 def plane_rows(C, z):
@@ -88,15 +92,20 @@ def plane_gram(C, panels, radius):
     """Complex-sector pairing -4 sum w Im(W^T conj W) on the half-plane rule.
 
     Im(W^T diag(w) conj W) is A - A^T with A = Im(W)^T diag(w) Re(W);
-    W is evaluated in blocks of at most BLOCK_ENTRIES entries.
+    W is evaluated in blocks of at most BLOCK_ENTRIES entries.  The erfc
+    root of pair_weight is taken once per height of the rule, whose
+    nodes run over the heights fastest.
     """
     rule = halfplane_rule(panels, radius)
+    heights = ORDER * panels
+    root = np.sqrt(erfcx(SQRT2 * rule.nodes[:heights].imag))
     n = C.shape[0]
     block = max(1, BLOCK_ENTRIES // n)
     A = np.zeros((n, n))
     for start in range(0, rule.nodes.size, block):
         z = rule.nodes[start : start + block]
-        W = plane_rows(C, z)
+        weight = _folded_weight(z, root[np.arange(start, start + z.size) % heights])
+        W = weighted_powers(n, z, weight) @ C
         A += (W.imag * rule.weights[start : start + block, None]).T @ W.real
     return -4.0 * (A - A.T)
 

@@ -36,6 +36,7 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import PCG64, Generator
 
 from .quadrature import composite_rule, integrate_line, truncation_radius
 
@@ -171,8 +172,8 @@ def _spectra(N, count, seed, tail, solve, dtype):
     spectra = np.empty((count, N), dtype=dtype)
     step = max(1, BLOCK_ENTRIES // (N * N))
     block = np.empty((min(step, count), N, N))
-    bitgen = np.random.PCG64(0)
-    draw = np.random.Generator(bitgen).standard_normal
+    bitgen = PCG64(0)
+    draw = Generator(bitgen).standard_normal
     pcg = {"state": 0, "inc": 0}
     bitgen_state = {"bit_generator": GENERATOR, "state": pcg, "has_uint32": 0, "uinteger": 0}
     for lo in range(0, count, step):

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 ORDER = 32
 # refinement stops with QuadratureError beyond these panel counts per
@@ -61,7 +62,7 @@ class QuadratureRule:
 @functools.cache
 def _legendre_reference(n):
     # nodes and weights on [-1, 1], built once per node count
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = leggauss(n)
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
@@ -94,7 +95,8 @@ def panel_rule(edges, panels):
 def halfplane_rule(panels, radius):
     """Tensor rule on [-radius, radius] x [0, radius] with complex nodes x + iy.
 
-    Each coordinate carries `panels` panels per half-line.
+    Each coordinate carries `panels` panels per half-line; the nodes run
+    over the heights fastest, ORDER * panels of them per real node.
     """
     x = panel_rule((-radius, 0.0, radius), panels)
     y = panel_rule((0.0, radius), panels)

@@ -1,36 +1,110 @@
 """Special functions used throughout the kernel evaluators.
 
-The complementary error function comes from scipy.  The incomplete gamma
-functions are implemented here: the closed-form kernels evaluate them at
-complex and negative arguments, which scipy.special does not cover.
+The complementary error function comes from the standard library
+(math.erfc); erfcx and normal_cdf are built on it here, exact to a few
+units in the last place, and applied element by element to arrays.
+The incomplete gamma functions are implemented here too: the
+closed-form kernels evaluate them at complex and negative arguments.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 import numpy as np
-from scipy import special as _sp
 
 _MAX_ITER = 600
 _EPS = 1e-16
 _TINY = 1e-300
 
+_SQRT2 = math.sqrt(2.0)
+# sqrt(2) - _SQRT2, the rounding error of the double nearest sqrt(2)
+_SQRT2_LO = -9.667293313452913e-17
+_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
+_SQRT_PI = math.sqrt(math.pi)
+# beyond this erfcx is its asymptotic series; below -_ERFCX_OVERFLOW,
+# where 2 exp(x^2) passes the largest double, it is inf
+_ERFCX_ASYMPTOTIC = 26.0
+_ERFCX_OVERFLOW = math.sqrt(math.log(0.5 * sys.float_info.max))
+# (-1)^k (2k-1)!! for k = 8, 7, ..., 0: the series in 1/(2x^2), Horner order
+_ERFCX_SERIES = (2027025.0, -135135.0, 10395.0, -945.0, 105.0, -15.0, 3.0, -1.0, 1.0)
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
 
-def erfc(x):
-    """Complementary error function for real argument (vectorized)."""
-    return _sp.erfc(x)
+
+def _elementwise(f, x):
+    """f of each element of x: a float for 0-d input, else an array of x's shape."""
+    if isinstance(x, float):  # numpy float64 scalars included
+        return f(float(x))
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        return f(float(x))
+    return np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _erfcx(x):
+    if x > _ERFCX_ASYMPTOTIC:
+        # sum_k (-1)^k (2k-1)!! / (2x^2)^k / (x sqrt(pi)); 0 at +inf
+        s = 0.5 / (x * x)
+        total = 0.0
+        for c in _ERFCX_SERIES:
+            total = total * s + c
+        return total / x / _SQRT_PI
+    if x < -_ERFCX_OVERFLOW:
+        return math.inf
+    if x != x:
+        return x
+    # x^2 = hi^2 + (x - hi)(x + hi) with hi^2 exact: hi has at most 18 bits
+    hi = round(x * 8192.0) / 8192.0
+    return math.exp(hi * hi) * math.exp((x - hi) * (x + hi)) * math.erfc(x)
+
+
+def _split(a):
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_SQRT2_HI, _SQRT2_TAIL = _split(_SQRT2)
+
+
+def _normal_cdf(x):
+    # erfc amplifies a relative error of its argument t = -x/sqrt 2 by
+    # 2t^2, about 1400 at x = -37: above t = 1 take erfc(u) - r erfc'(u)
+    # with u = fl(t) and its residual r = t - u
+    u = -x / _SQRT2
+    if not u > 1.0:  # nan too
+        return 0.5 * math.erfc(u)
+    p = u * _SQRT2
+    u_hi, u_tail = _split(u)
+    # p + error = u * _SQRT2 exactly (Dekker's product)
+    error = ((u_hi * _SQRT2_HI - p) + u_hi * _SQRT2_TAIL + u_tail * _SQRT2_HI) + u_tail * _SQRT2_TAIL
+    if not math.isfinite(error):  # u infinite, or the split overflowed near the double range
+        return 0.5 * math.erfc(u)
+    r = ((-x - p) - error - u * _SQRT2_LO) / _SQRT2
+    return 0.5 * (math.erfc(u) - _TWO_OVER_SQRT_PI * math.exp(-u * u) * r)
 
 
 def erfcx(x):
-    """Scaled complementary error function exp(x^2)*erfc(x) (vectorized)."""
-    return _sp.erfcx(x)
+    """Scaled complementary error function exp(x^2) erfc(x) for real x.
+
+    exp(x^2) math.erfc(x) up to 26, with x^2 carried in two exact parts;
+    its asymptotic series in 1/(2x^2), to order 8, beyond.  A 0-d input
+    gives a float, an array one of the same shape; inf below about -26.63,
+    where the value passes the largest double.
+    """
+    return _elementwise(_erfcx, x)
 
 
 def normal_cdf(x):
-    """Standard normal cumulative distribution function."""
-    return 0.5 * _sp.erfc(-x / math.sqrt(2.0))
+    """Standard normal cumulative distribution function, 0.5 erfc(-x/sqrt 2).
+
+    The rounding of -x/sqrt 2 is corrected to first order, which keeps
+    the result exact to a few units in the last place far into the lower
+    tail.  A 0-d input gives a float, an array one of the same shape.
+    """
+    return _elementwise(_normal_cdf, x)
 
 
 def _check_order(s):

@@ -1,12 +1,14 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import betaone
 from betaone.cli import kernel_bundle, main
 from betaone.ginoe_kernels import ginoe_rho
 from betaone.kernels import PointConfiguration
@@ -108,6 +110,13 @@ def test_density_validation_exits():
     assert code == 2 and "64" in err
 
 
+@pytest.mark.parametrize("grid", ["-1e308:1e308:3", "-inf:0:5", "0:inf:5", "nan:1:5", "-1:nan:5"])
+def test_density_rejects_non_finite_grid(grid):
+    code, text, err = run_cli(["density", "--grid=" + grid])
+    assert code == 2 and text == ""
+    assert "finite" in err
+
+
 def test_negative_seed_exits_2_for_every_subcommand():
     for argv in (
         ["density", "--grid=-1:1:5"],
@@ -164,6 +173,13 @@ def test_correlate_validation_exits():
     assert code == 2
     code, _, err = run_cli(["correlate", "--ensemble", "ginoe", "--size", "65", "--points", "0.5"])
     assert code == 2 and "64" in err
+
+
+@pytest.mark.parametrize("points", ["inf,0.2", "nan", "nan,nan", "0.1+infj", "0.2,-inf", "0.3+nanj"])
+def test_correlate_rejects_non_finite_points(points):
+    code, text, err = run_cli(["correlate", "--ensemble", "ginoe", "--size", "4", "--points=" + points])
+    assert code == 2 and text == ""
+    assert "not finite" in err
 
 
 def test_correlate_mixed_matches_monte_carlo_pair_mass():
@@ -307,6 +323,13 @@ def test_verify_rejects_nonpositive_tolerance():
     assert code == 2 and "positive" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_verify_rejects_non_finite_tolerance(value):
+    code, text, err = run_cli(["verify", "--suite", "kernels", "--tol-kernels=" + value])
+    assert code == 2 and text == ""
+    assert "finite and positive" in err
+
+
 def test_mc_compare_goe_passes():
     code, text, _ = run_cli(
         [
@@ -401,3 +424,39 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("# command=density")
+
+
+STARTUP_SCRIPT = """
+import contextlib, io, json, sys
+import betaone.cli
+fresh = {"scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}
+for argv in json.loads(sys.argv[1]):
+    before = set(sys.modules)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = betaone.cli.main(argv)
+    fresh[" ".join(argv)] = [code, sorted(set(sys.modules) - before)]
+print(json.dumps(fresh))
+"""
+
+
+def test_commands_import_nothing_after_startup():
+    # every module a command needs is imported with betaone.cli, which
+    # does not import scipy; a call that imported one would move start-up
+    # cost into the command's own time
+    commands = [
+        ["density", "--ensemble", "goe", "--size", "5", "--grid=-3:3:7"],
+        ["density", "--ensemble", "ginoe", "--size", "6", "--grid=-3:3:7", "--path", "both"],
+        ["correlate", "--ensemble", "ginoe", "--size", "5", "--points=-0.4,0.3+0.6j"],
+        ["verify", "--suite", "all", "--ensemble", "goe", "--size", "3"],
+        ["verify", "--suite", "all", "--ensemble", "ginoe", "--size", "3"],
+        ["mc-compare", "--ensemble", "ginoe", "--size", "3", "--samples", "10000"],
+    ]
+    src = os.path.dirname(os.path.dirname(betaone.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_SCRIPT, json.dumps(commands)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    fresh = json.loads(proc.stdout)
+    assert fresh.pop("scipy") == []
+    assert fresh == {" ".join(argv): [0, []] for argv in commands}

@@ -43,7 +43,7 @@ from betaone.quadrature import (
     refine,
     truncation_radius,
 )
-from betaone.specfun import erfc, gaussian_full_moment
+from betaone.specfun import gaussian_full_moment
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -94,7 +94,7 @@ def two_point_real_density(bundle, x, y):
 
 def test_pair_weight_agrees_with_naive_form():
     zs = np.array([0.4 + 0.3j, -1.2 + 0.9j, 2.0 + 1.5j, 0.0 + 2.0j])
-    naive = np.sqrt(erfc(math.sqrt(2.0) * zs.imag)) * np.exp(-0.5 * zs * zs)
+    naive = np.sqrt([math.erfc(math.sqrt(2.0) * y) for y in zs.imag]) * np.exp(-0.5 * zs * zs)
     assert np.allclose(pair_weight(zs), naive, rtol=1e-13)
     reals = np.array([-2.0, 0.0, 1.3])
     assert np.allclose(pair_weight(reals), np.exp(-0.5 * reals**2), rtol=0, atol=0)

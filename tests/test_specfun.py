@@ -5,8 +5,9 @@ import mpmath
 import numpy as np
 import pytest
 
+from scipy import special
+
 from betaone.specfun import (
-    erfc,
     erfcx,
     gaussian_full_moment,
     gaussian_tail_moment,
@@ -15,14 +16,6 @@ from betaone.specfun import (
     normal_cdf,
     upper_gamma,
 )
-
-
-def erf_series(x, terms=50):
-    # Maclaurin series oracle: erf(x) = 2/sqrt(pi) sum (-1)^n x^(2n+1) / (n! (2n+1))
-    total = 0.0
-    for n in range(terms):
-        total += (-1) ** n * x ** (2 * n + 1) / (math.factorial(n) * (2 * n + 1))
-    return 2.0 / math.sqrt(math.pi) * total
 
 
 def gamma_tail_quadrature(s, x, upper=80.0, n=240):
@@ -36,24 +29,66 @@ def gamma_tail_quadrature(s, x, upper=80.0, n=240):
     return total
 
 
-def test_erfc_at_zero():
-    assert erfc(0.0) == 1.0
-
-
-def test_erfc_against_series_oracle():
-    assert np.isclose(erfc(1.0), 1.0 - erf_series(1.0), rtol=0, atol=1e-14)
-    assert np.isclose(erfc(0.37), 1.0 - erf_series(0.37), rtol=0, atol=1e-14)
-
-
-def test_erfc_reflection_and_monotonicity():
-    x = np.linspace(-5.0, 5.0, 1001)
-    assert np.allclose(erfc(x) + erfc(-x), 2.0, rtol=0, atol=1e-14)
-    assert np.all(np.diff(erfc(x)) < 0.0)
-
-
 def test_erfcx_matches_unscaled_form():
+    # scipy as an independent cross-check
     x = np.linspace(0.0, 5.0, 41)
-    assert np.allclose(erfcx(x), np.exp(x * x) * erfc(x), rtol=1e-13, atol=0)
+    assert np.allclose(erfcx(x), np.exp(x * x) * special.erfc(x), rtol=1e-13, atol=0)
+
+
+def max_relative_error(values, oracle, xs):
+    worst = 0.0
+    for value, x in zip(values, xs):
+        exact = oracle(mpmath.mpf(float(x)))
+        worst = max(worst, float(abs((mpmath.mpf(float(value)) - exact) / exact)))
+    return worst
+
+
+def test_erfcx_against_high_precision_oracle():
+    # a dense grid, random points, and the doubles next to the switch to
+    # the asymptotic series at x = 26
+    switch = [np.nextafter(26.0, -np.inf), 26.0, np.nextafter(26.0, np.inf), 25.999, 26.001]
+    rng = np.random.default_rng(2026)
+    xs = np.concatenate([np.linspace(-5.0, 60.0, 1301), rng.uniform(-5.0, 60.0, 700), switch])
+    with mpmath.workdps(50):
+        worst = max_relative_error(erfcx(xs), lambda t: mpmath.exp(t * t) * mpmath.erfc(t), xs)
+    assert worst <= 2e-15, worst
+
+
+def test_normal_cdf_against_high_precision_oracle():
+    rng = np.random.default_rng(2027)
+    xs = np.concatenate([np.linspace(-37.0, 8.0, 901), rng.uniform(-37.0, 8.0, 600)])
+    with mpmath.workdps(50):
+        worst = max_relative_error(normal_cdf(xs), mpmath.ncdf, xs)
+    assert worst <= 2e-14, worst
+
+
+def test_edge_values_and_shapes():
+    assert erfcx(0.0) == 1.0 and normal_cdf(0.0) == 0.5
+    assert erfcx(np.inf) == 0.0 and erfcx(-np.inf) == np.inf
+    assert normal_cdf(np.inf) == 1.0 and normal_cdf(-np.inf) == 0.0
+    assert math.isnan(erfcx(np.nan)) and math.isnan(normal_cdf(np.nan))
+    # 2 exp(x^2) passes the largest double between -26.62 and -26.63
+    assert math.isfinite(erfcx(-26.62)) and erfcx(-26.63) == np.inf
+    for f in (erfcx, normal_cdf):
+        for scalar in (0.3, np.float64(0.3), np.asarray(0.3), 2):
+            assert isinstance(f(scalar), float)
+        grid = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        values = f(grid)
+        assert values.shape == (3, 4)
+        assert np.array_equal(values.ravel(), [f(x) for x in grid.ravel()])
+        assert f(np.zeros((0, 2))).shape == (0, 2)
+    edges = np.array([-np.inf, np.nan, np.inf, -1e308, 1e308, 0.0])
+    assert np.array_equal(normal_cdf(edges), [0.0, np.nan, 1.0, 0.0, 1.0, 0.5], equal_nan=True)
+    assert np.array_equal(normal_cdf(edges), [normal_cdf(x) for x in edges], equal_nan=True)
+
+
+def test_erfcx_and_normal_cdf_match_scipy():
+    # scipy as an independent cross-check of both functions, on ranges
+    # where its own rounding of x^2 or x/sqrt(2) stays below the bound
+    x = np.linspace(-5.0, 40.0, 451)
+    assert np.allclose(erfcx(x), special.erfcx(x), rtol=1e-14, atol=0)
+    x = np.linspace(-37.0, 8.0, 451)
+    assert np.allclose(normal_cdf(x), special.ndtr(x), rtol=1e-12, atol=0)
 
 
 def test_normal_cdf_basics():
@@ -85,7 +120,7 @@ def test_lower_gamma_at_zero():
 def test_lower_gamma_half_order_identity():
     # gamma(1/2, x^2/2) = sqrt(pi) (1 - erfc(x/sqrt(2))) for x >= 0
     x = 0.7
-    expected = math.sqrt(math.pi) * (1.0 - erfc(x / math.sqrt(2.0)))
+    expected = math.sqrt(math.pi) * (1.0 - math.erfc(x / math.sqrt(2.0)))
     assert np.isclose(lower_gamma(0.5, 0.5 * x * x), expected, rtol=1e-13, atol=0)
 
 
