@@ -335,36 +335,34 @@ def _random_self_dual(rng, n_blocks):
     return blocks
 
 
-def _squared_gap(A):
-    # LAPACK determinant as the reference value
-    det = np.linalg.det(A)
-    return abs(pfaffian(A) ** 2 - det) / max(1.0, abs(det))
+def _worst_gap(values, reference):
+    return np.max(np.abs(values - reference) / np.maximum(1.0, np.abs(reference)))
 
 
 def _suite_pfaffian(config):
+    # every Pfaffian and determinant is taken on one stack per matrix size
     tol = config.tolerances["pfaffian"]
     rng = default_rng(config.seed)
-    worst_real = worst_complex = 0.0
+    real, complex_, cofactor = {}, {}, {}
     for _ in range(30):
         n = 2 * int(rng.integers(1, 7))
         A = rng.standard_normal((n, n))
-        worst_real = max(worst_real, _squared_gap(A - A.T))
+        real.setdefault(n, []).append(A - A.T)
         B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        worst_complex = max(worst_complex, _squared_gap(B - B.T))
-    worst_cofactor = 0.0
+        complex_.setdefault(n, []).append(B - B.T)
     for _ in range(10):
         n = 2 * int(rng.integers(1, 5))
         A = rng.standard_normal((n, n))
-        A = A - A.T
-        reference = pfaffian_laplace(A)
-        gap = abs(pfaffian(A) - reference) / max(1.0, abs(reference))
-        worst_cofactor = max(worst_cofactor, gap)
-    worst_qdet = 0.0
-    for _ in range(10):
-        blocks = _random_self_dual(rng, int(rng.integers(1, 5)))
-        det = np.linalg.det(flatten_blocks(blocks))
-        gap = abs(qdet(blocks) ** 2 - det) / max(1.0, abs(det))
-        worst_qdet = max(worst_qdet, gap)
+        cofactor.setdefault(n, []).append(A - A.T)
+    worst_real, worst_complex = (
+        max(_worst_gap(pfaffian(S) ** 2, np.linalg.det(S)) for S in map(np.stack, groups.values()))
+        for groups in (real, complex_)
+    )
+    worst_cofactor = max(
+        _worst_gap(pfaffian(S), pfaffian_laplace(S)) for S in map(np.stack, cofactor.values())
+    )
+    blocks = [_random_self_dual(rng, int(rng.integers(1, 5))) for _ in range(10)]
+    worst_qdet = max(_worst_gap(qdet(B) ** 2, np.linalg.det(flatten_blocks(B))) for B in blocks)
     return [
         _check("pfaffian", "squared-vs-determinant-real", worst_real, tol),
         _check("pfaffian", "squared-vs-determinant-complex", worst_complex, tol),

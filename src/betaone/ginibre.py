@@ -55,13 +55,16 @@ def pair_weight(z):
     """
     z = np.asarray(z)
     if not np.iscomplexobj(z):
-        return np.exp(-0.5 * z * z)
+        with np.errstate(over="ignore"):
+            return np.exp(-0.5 * z * z)
     return _folded_weight(z, np.sqrt(erfcx(SQRT2 * np.abs(z.imag))))
 
 
 def _folded_weight(z, root):
-    # pair_weight from root = sqrt(erfcx(sqrt2 |Im z|))
-    return root * np.exp(-0.5 * z * z - z.imag * z.imag)
+    # pair_weight from root = sqrt(erfcx(sqrt2 |Im z|)), as root exp(-|z|^2/2 - i Re z Im z):
+    # z*z is never formed, and where |z|^2 overflows the weight is exactly 0
+    with np.errstate(over="ignore"):
+        return root * np.exp(-0.5 * (z.real**2 + z.imag**2) - 1j * z.real * z.imag)
 
 
 def plane_rows(C, z):

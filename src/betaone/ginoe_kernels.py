@@ -86,7 +86,9 @@ def ginoe_summed_S(N, block, mu, eta):
         y = float(eta)
         stable = np.exp(-0.5 * (mu - y) ** 2 - v * v) * np.sqrt(erfcx(SQRT2 * abs(v)))
         smooth = stable * _regularized_tail(N, mu * y)
-        edge = mu ** (N - 1) * pair_weight(np.asarray(mu)) * _signed_gaussian_partial(N, y)
+        # mu^(N-1) is formed only where the weight is not 0, |mu| < 39: no overflow
+        weight = pair_weight(np.asarray(mu))
+        edge = mu ** (N - 1) * weight * _signed_gaussian_partial(N, y) if weight else 0.0
         return (smooth + edge / math.factorial(N - 2)) / SQRT_2PI
     z = np.conjugate(complex(eta))
     stable = np.exp(-0.5 * (mu - z) ** 2 - v * v - z.imag ** 2) * np.sqrt(

@@ -274,15 +274,11 @@ def dyson_recurrence_check(bundle, n, points, tol=1e-8):
         raise ValueError("need exactly n probe points")
     base = rho(bundle, points)
     basis = bundle.family
-    fixed = basis.rows(np.array(points))
 
     def integrand(ys):
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
-        rows = np.concatenate(
-            [np.broadcast_to(fixed, ys.shape + fixed.shape), basis.rows(ys)[:, None]], axis=1
-        )
         reals = np.concatenate([np.broadcast_to(points, ys.shape + (n,)), ys[:, None]], axis=1)
-        return np.array([pfaffian(A) for A in basis.matrix(rows, reals)])
+        return pfaffian(basis.matrix(basis.rows(reals), reals))
 
     integrated = integrate_line(
         integrand, tol=tol, breakpoints=points, degree=2 * bundle.N

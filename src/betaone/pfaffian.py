@@ -1,15 +1,20 @@
 """Pfaffians and quaternion determinants.
 
 The Pfaffian of an even-dimensional antisymmetric matrix is computed two
-ways: a combinatorial expansion along the first row (reference
-implementation, factorial cost) and a skew-symmetric Parlett-Reid
-elimination with partial pivoting (production path, cubic cost).  A
-quaternion determinant of a self-dual block matrix reduces to the
-Pfaffian of its flattened form times the inverse of the standard
-symplectic block-diagonal matrix.
+ways: the first-row expansion as a signed sum over perfect matchings
+(reference, factorial cost) and a skew-symmetric Parlett-Reid
+elimination with partial pivoting (production path, cubic cost).  Both
+take a stack (..., 2n, 2n), validate, pivot and floor each matrix on its
+own, and return the batch shape (...); a 2-D input is a stack of one and
+gives a Python float or complex.  A quaternion determinant of a
+self-dual block matrix reduces to the Pfaffian of its flattened form
+times the inverse of the standard symplectic block-diagonal matrix.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 
@@ -19,60 +24,54 @@ ASYMMETRY_TOL = 1e-12
 
 
 def as_antisymmetric(matrix):
-    """Validate and return a clean antisymmetric copy of a square matrix.
+    """Validate and return a clean antisymmetric copy of a stack of square matrices.
 
     Roundoff asymmetry up to ASYMMETRY_TOL (relative to the largest
-    entry) is symmetrized away; anything larger is rejected.  The
-    dimension must be even.
+    entry of the same matrix, at least 1) is symmetrized away; anything
+    larger is rejected.  The dimension must be even.
     """
     A = np.array(matrix)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if A.shape[0] % 2 != 0:
-        raise ValueError(f"dimension must be even, got {A.shape[0]}")
-    scale = max(1.0, np.abs(A).max()) if A.size else 1.0
-    asymmetry = np.abs(A + A.T).max() if A.size else 0.0
-    if asymmetry > ASYMMETRY_TOL * scale:
-        raise ValueError(f"matrix is not antisymmetric (defect {asymmetry:.3e})")
-    return 0.5 * (A - A.T)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2] or A.shape[-1] % 2:
+        raise ValueError(f"expected square matrices of even dimension, got shape {A.shape}")
+    scale = np.maximum(1.0, np.abs(A).max(axis=(-2, -1), initial=0.0))
+    asymmetry = np.abs(A + np.swapaxes(A, -1, -2)).max(axis=(-2, -1), initial=0.0)
+    if np.any(asymmetry > ASYMMETRY_TOL * scale):
+        raise ValueError(f"matrix is not antisymmetric (defect {asymmetry.max():.3e})")
+    return 0.5 * (A - np.swapaxes(A, -1, -2))
 
 
 def z_matrix(n_blocks):
     """Block-diagonal matrix of n_blocks copies of [[0, -1], [1, 0]]."""
     if n_blocks < 1:
         raise ValueError("need at least one block")
-    Z = np.zeros((2 * n_blocks, 2 * n_blocks))
-    for k in range(n_blocks):
-        Z[2 * k, 2 * k + 1] = -1.0
-        Z[2 * k + 1, 2 * k] = 1.0
-    return Z
+    D = np.diag(np.resize([-1.0, 0.0], 2 * n_blocks - 1), 1)
+    return D - D.T
+
+
+@functools.cache
+def _expansion(n):
+    # the first-row expansion unrolled into (terms, n/2, 2) index pairs and
+    # signs: (0, j) at sign (-1)^(j+1), then the minor without 0 and j
+    if n == 0:
+        return np.zeros((1, 0, 2), dtype=np.intp), np.ones(1)
+    minor_pairs, minor_signs = _expansion(n - 2)
+    pairs, signs = [], []
+    for j in range(1, n):
+        head = np.broadcast_to([0, j], (len(minor_signs), 1, 2))
+        pairs.append(np.concatenate([head, np.delete(np.arange(1, n), j - 1)[minor_pairs]], 1))
+        signs.append((-1.0) ** (j + 1) * minor_signs)
+    return np.concatenate(pairs), np.concatenate(signs)
 
 
 def pfaffian_laplace(matrix):
-    """Pfaffian by recursive expansion along the first row.
-
-    Exponential cost; only usable as a cross-check for small matrices.
-    """
+    """Pfaffian by expansion along the first row, a cross-check for small
+    matrices: one gather, product and signed sum over the matchings."""
     A = as_antisymmetric(matrix)
-    n = A.shape[0]
-    if n > LAPLACE_DIM_CAP:
+    if A.shape[-1] > LAPLACE_DIM_CAP:
         raise ValueError(f"expansion is infeasible beyond dim {LAPLACE_DIM_CAP}")
-    return _laplace(A)
-
-
-def _laplace(A):
-    n = A.shape[0]
-    if n == 0:
-        return 1.0
-    if n == 2:
-        return A[0, 1]
-    total = 0.0
-    # expansion starts at the (1,2) entry; the diagonal term vanishes
-    for j in range(1, n):
-        keep = [k for k in range(1, n) if k != j]
-        minor = A[np.ix_(keep, keep)]
-        total += (-1.0) ** (j + 1) * A[0, j] * _laplace(minor)
-    return total
+    pairs, signs = _expansion(A.shape[-1])
+    value = A[..., pairs[..., 0], pairs[..., 1]].prod(axis=-1) @ signs
+    return value if A.ndim > 2 else value.item()
 
 
 def pfaffian(matrix):
@@ -80,36 +79,38 @@ def pfaffian(matrix):
 
     Equivalent to tridiagonalizing with congruence transforms whose
     determinant is +-1; the Pfaffian is the product of the resulting
-    superdiagonal entries times the accumulated permutation sign.
-    Structurally singular input (a pivot column that is numerically
-    zero) gives an exact 0.
+    superdiagonal entries times the accumulated permutation sign.  A
+    stack takes the n/2 - 1 steps together, each matrix on its own
+    pivots.  A pivot below PIVOT_RATIO_FLOOR times the matrix's largest
+    entry (structurally singular input) gives an exact 0.
     """
     A = as_antisymmetric(matrix)
-    n = A.shape[0]
-    if n == 0:
-        return 1.0
-    scale = np.abs(A).max()
-    if scale == 0.0:
-        return 0.0
-    value = 1.0 + 0.0j if np.iscomplexobj(A) else 1.0
+    n = A.shape[-1]
+    stack = A.reshape((math.prod(A.shape[:-2]), n, n))
+    value = np.ones(len(stack), dtype=A.dtype)
+    floor = PIVOT_RATIO_FLOOR * np.abs(stack).max(axis=(1, 2), initial=0.0)
+    singular = np.zeros(len(stack), dtype=bool)
     for k in range(0, n - 2, 2):
         # pivot: largest entry in column k below the diagonal
-        kp = k + 1 + np.argmax(np.abs(A[k + 1:, k]))
-        if kp != k + 1:
-            A[[k + 1, kp], :] = A[[kp, k + 1], :]
-            A[:, [k + 1, kp]] = A[:, [kp, k + 1]]
-            value = -value
-        pivot = A[k, k + 1]
-        if np.abs(pivot) < PIVOT_RATIO_FLOOR * scale:
-            return 0.0
+        kp = k + 1 + np.argmax(np.abs(stack[:, k + 1 :, k]), axis=1)
+        s = np.flatnonzero(kp != k + 1)
+        if s.size:
+            p = kp[s]
+            stack[s, k + 1], stack[s, p] = stack[s, p], stack[s, k + 1]
+            stack[s, :, k + 1], stack[s, :, p] = stack[s, :, p], stack[s, :, k + 1]
+            value[s] = -value[s]
+        pivot = stack[:, k, k + 1]
+        singular |= (np.abs(pivot) < floor) | (pivot == 0.0)
+        # a singular matrix is left as it is, so no step divides by its pivot
+        pivot = np.where(singular, 1.0, pivot)
         value *= pivot
-        tau = A[k, k + 2:] / pivot
-        col = A[k + 2:, k + 1]
-        A[k + 2:, k + 2:] += np.outer(tau, col) - np.outer(col, tau)
-    value *= A[n - 2, n - 1]
-    if not np.iscomplexobj(A):
-        return float(value)
-    return complex(value)
+        tau = stack[:, k, k + 2 :] / pivot[:, None]
+        tau[singular] = 0.0
+        outer = tau[:, :, None] * stack[:, None, k + 2 :, k + 1]
+        stack[:, k + 2 :, k + 2 :] += outer - np.swapaxes(outer, 1, 2)
+    value *= stack[:, n - 2, n - 1] if n else 1.0
+    value = np.where(singular, 0.0, value).reshape(A.shape[:-2])
+    return value if A.ndim > 2 else value.item()
 
 
 def dual_block(block):

@@ -162,15 +162,13 @@ def _upper_fraction(s, x):
 
 
 def _upper_integer(n, x):
-    # Gamma(n, x) = (n-1)! e^{-x} sum_{k<n} x^k / k!, exact for every complex x
-    total = 1.0
-    term = 1.0
+    # Gamma(n, x) = (n-1)! e^{-x} sum_{k<n} x^k / k! for any complex x; 0 where e^{-x} underflows
+    weight = cmath.exp(-x) if isinstance(x, complex) else math.exp(-x)
+    total = term = 1.0
     for k in range(1, n):
         term = term * x / k
         total = total + term
-    if isinstance(x, complex):
-        return math.factorial(n - 1) * cmath.exp(-x) * total
-    return math.factorial(n - 1) * math.exp(-x) * total
+    return math.factorial(n - 1) * weight * total if weight else weight
 
 
 def upper_gamma(s, x):
@@ -236,7 +234,9 @@ def gaussian_basis(n, x, hermite=False):
     +-inf included.
     """
     x = np.asarray(x, dtype=float)
-    return weighted_powers(n, x, np.exp(-0.5 * x * x), 0.5 if hermite else 0.0)
+    with np.errstate(over="ignore"):
+        weight = np.exp(-0.5 * x * x)
+    return weighted_powers(n, x, weight, 0.5 if hermite else 0.0)
 
 
 def gaussian_tail_moments(n, x, hermite=False):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -180,6 +181,33 @@ def test_correlate_rejects_non_finite_points(points):
     code, text, err = run_cli(["correlate", "--ensemble", "ginoe", "--size", "4", "--points=" + points])
     assert code == 2 and text == ""
     assert "not finite" in err
+
+
+@pytest.mark.parametrize("points", ["0.1+1e200j", "1e200+1e200j", "-0.3,0.1+1e200j"])
+def test_correlate_far_off_axis_point_reads_zero(points):
+    # |z|^2 overflows there, so the pair weight and the correlation are exactly 0
+    argv = ["correlate", "--ensemble", "ginoe", "--size", "4", "--points=" + points]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text, err = run_cli(argv)
+    assert code == 0 and err == ""
+    header, body = split_csv(text)
+    assert float(body[1].split(",")[3]) == 0.0
+    assert float(header["imag_residue"]) == 0.0
+
+
+@pytest.mark.parametrize("size", [4, 5])
+def test_density_far_grid_reads_zero_on_both_paths(size):
+    # x^2 overflows at the ends of the grid: both paths give the weight's 0
+    argv = ["density", "--ensemble", "ginoe", "--size", str(size), "--grid=-1e200:1e200:3"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text, err = run_cli(argv + ["--path", "both"])
+    assert code == 0 and err == ""
+    _, body = split_csv(text)
+    rows = [[float(v) for v in line.split(",")] for line in body[1:]]
+    assert rows[0][1:] == rows[2][1:] == [0.0, 0.0]
+    assert rows[1][1] == pytest.approx(rows[1][2], abs=1e-15)
 
 
 def test_correlate_mixed_matches_monte_carlo_pair_mass():

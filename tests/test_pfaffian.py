@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -52,11 +53,11 @@ def _perm_sign(perm):
     return sign
 
 
-def random_antisymmetric(rng, n, complex_entries=False):
-    M = rng.normal(size=(n, n))
+def random_antisymmetric(rng, n, complex_entries=False, batch=()):
+    M = rng.normal(size=batch + (n, n))
     if complex_entries:
-        M = M + 1j * rng.normal(size=(n, n))
-    return M - M.T
+        M = M + 1j * rng.normal(size=batch + (n, n))
+    return M - np.swapaxes(M, -1, -2)
 
 
 def random_self_dual(rng, n_blocks, complex_entries=False):
@@ -227,3 +228,78 @@ def test_check_self_dual_reports_shape_errors():
         check_self_dual(np.zeros((2, 3, 2, 2)))
     with pytest.raises(ValueError):
         check_self_dual(np.zeros((2, 2, 3, 2)))
+
+
+@pytest.mark.parametrize("n", range(2, 34, 2))
+def test_stack_matches_matrix_by_matrix(n):
+    # each matrix pivots on its own: real stacks give the per-matrix values
+    # bit for bit, complex ones to roundoff of the complex products
+    rng = np.random.default_rng(100 + n)
+    for complex_entries in [False, True]:
+        stack = random_antisymmetric(rng, n, complex_entries, (1000,))
+        values = pfaffian(stack)
+        assert values.shape == (1000,)
+        single = np.array([pfaffian(A) for A in stack[::25]])
+        if complex_entries:
+            assert np.all(np.abs(values[::25] - single) <= 1e-15 * np.abs(single))
+        else:
+            assert np.array_equal(values[::25], single)
+
+
+def test_stack_keeps_batch_shape():
+    rng = np.random.default_rng(53)
+    stack = random_antisymmetric(rng, 6, batch=(2, 3))
+    for function in (pfaffian, pfaffian_laplace):
+        values = function(stack)
+        assert values.shape == (2, 3)
+        assert values[1, 2] == function(stack[1, 2])
+        assert np.array_equal(function(np.zeros((4, 0, 0))), np.ones(4))
+        assert function(np.zeros((0, 4, 4))).shape == (0,)
+
+
+def test_two_dimensional_input_gives_python_scalars():
+    rng = np.random.default_rng(59)
+    for function in (pfaffian, pfaffian_laplace):
+        assert type(function(random_antisymmetric(rng, 4))) is float
+        assert type(function(random_antisymmetric(rng, 4, complex_entries=True))) is complex
+        assert type(function(np.zeros((0, 0)))) is float
+
+
+def test_singular_members_read_zero_and_leave_neighbours_alone():
+    rng = np.random.default_rng(61)
+    stack = random_antisymmetric(rng, 8, batch=(5,))
+    stack[1, :, 3] = stack[1, 3, :] = 0.0  # structurally singular
+    stack[3] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = pfaffian(stack)
+    assert values[1] == 0.0 and values[3] == 0.0
+    for i in (0, 2, 4):
+        assert values[i] == pfaffian(stack[i]) != 0.0
+
+
+def test_stack_validates_each_matrix_on_its_own_scale():
+    rng = np.random.default_rng(67)
+    stack = random_antisymmetric(rng, 6, batch=(4,))
+    stack[0] *= 1e6
+    # 1e-9 asymmetry passes against the first matrix's scale, not the third's
+    stack[2, 0, 1] += 1e-9
+    with pytest.raises(ValueError):
+        pfaffian(stack)
+    with pytest.raises(ValueError):
+        pfaffian_laplace(stack)
+    stack[2, 0, 1] -= 1e-9
+    stack[0, 0, 1] += 1e-9
+    assert pfaffian(stack).shape == (4,)
+
+
+def test_stacked_laplace_matches_pairing_sum_and_elimination():
+    rng = np.random.default_rng(71)
+    for n in [2, 4, 6, 8]:
+        stack = random_antisymmetric(rng, n, batch=(3,))
+        expected = [pfaffian_pairing_sum(A) for A in stack]
+        assert np.allclose(pfaffian_laplace(stack), expected, rtol=1e-12, atol=0)
+    for n in [10, 12]:
+        for complex_entries in [False, True]:
+            stack = random_antisymmetric(rng, n, complex_entries, (4,))
+            assert np.allclose(pfaffian_laplace(stack), pfaffian(stack), rtol=1e-10, atol=1e-12)
