@@ -21,7 +21,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from . import __version__
-from .ginibre import ginoe_gram, ginoe_norm
+from .ginibre import SQRT_2PI, ginoe_gram, ginoe_norm
 from .ginoe_kernels import (
     ginoe_even_kernel,
     ginoe_odd_kernel,
@@ -55,7 +55,8 @@ DEFAULT_TOLERANCES = {
     "kernels": 1e-5,
     "reduction": 1e-12,
 }
-CLOSED_FORM_TOL = 1e-8
+# relative to the GinOE kernel scale 1/sqrt(2 pi)
+CLOSED_FORM_TOL = 1e-13
 IDENTITY_TOL = 1e-8
 MAX_CORRELATE_POINTS = 5
 MAX_SIZE = 64
@@ -265,12 +266,10 @@ def cmd_density(config):
     if config.path != "summed-up":
         finite = [float(v) for v in np.real(bundle.scalar_kernel(xs, xs))]
     if config.path != "finite-sum":
-        closed = [
-            float(np.real(ginoe_summed_S(config.size, "rr", x, x))) for x in xs
-        ]
+        closed = [float(v) for v in ginoe_summed_S(config.size, xs, xs)]
     if config.path == "both":
         gap = max(abs(f - c) for f, c in zip(finite, closed))
-        if gap > CLOSED_FORM_TOL:
+        if gap * SQRT_2PI > CLOSED_FORM_TOL:
             raise ArithmeticError(
                 "finite-sum and closed-form densities disagree by %.3e" % gap
             )
@@ -388,14 +387,6 @@ def _suite_skew(config):
     ]
 
 
-SUMMED_PROBES = {
-    "rr": (0.4, -1.2),
-    "rc": (0.4, 0.3 + 0.8j),
-    "cr": (0.3 + 0.8j, 0.4),
-    "cc": (0.3 + 0.8j, -0.5 + 1.1j),
-}
-
-
 def _suite_kernels(config):
     tol = config.tolerances["kernels"]
     bundle = kernel_bundle(config.ensemble, config.size)
@@ -414,13 +405,16 @@ def _suite_kernels(config):
         _check("kernels", "block-interrelations", max(relations.values()), tol)
     ]
     if bundle.N >= 2:
-        worst = 0.0
-        for block, (mu, eta) in SUMMED_PROBES.items():
-            finite = bundle.scalar_kernel(mu, eta)
-            closed = ginoe_summed_S(bundle.N, block, mu, eta)
-            worst = max(worst, abs(finite - closed))
+        # all pairs of a real grid across the spectrum and the same grid at +0.5i
+        reals = np.linspace(-1.3, 1.3, 9) * math.sqrt(bundle.N)
+        points = (reals, reals + 0.5j)
+        worst = max(
+            np.abs(bundle.scalar_kernel(mu[:, None], eta) - ginoe_summed_S(bundle.N, mu[:, None], eta)).max()
+            for mu in points
+            for eta in points
+        )
         checks.append(
-            _check("kernels", "closed-form-agreement", worst, CLOSED_FORM_TOL)
+            _check("kernels", "closed-form-agreement", worst * SQRT_2PI, CLOSED_FORM_TOL)
         )
     return checks
 

@@ -17,14 +17,12 @@ n1 real and n2 complex arguments.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .ginibre import SQRT2, SQRT_2PI, ginoe_coefficients, ginoe_norm, ginoe_rows, pair_weight
+from .ginibre import SQRT_2PI, ginoe_coefficients, ginoe_norm, ginoe_rows, pair_weight
 from .kernels import KernelBundle, family_basis, rho
 from .quadrature import gauss_legendre_rule
-from .specfun import erfcx, lower_gamma, upper_gamma
+from .specfun import gaussian_tail_moments, weighted_powers
 
 FD_STEP = 1e-5
 
@@ -55,46 +53,42 @@ def ginoe_odd_kernel(N):
     return _plane_bundle(N)
 
 
-def _signed_gaussian_partial(N, y):
-    # integral of u^(N-2) e^{-u^2/2} over [0, y], odd-continued in y
-    y = float(y)
-    value = 2.0 ** (0.5 * (N - 3)) * lower_gamma(0.5 * (N - 1), 0.5 * y * y)
-    if y < 0.0 and N % 2 == 0:
-        value = -value
-    return value
+def ginoe_summed_S(N, mu, eta):
+    """Closed form of the scalar kernel: the Poisson head and the Gaussian tail moments.
 
+    The parity-free form of Forrester and Nagao (2007) and Sommers and
+    Wieczorek (2008), valid for every size N >= 2.  Broadcasts over mu
+    and eta like KernelBundle.scalar_kernel.  Only the dtype of eta picks
+    the form (a float is a real point, a complex a complex one): a real
+    mu is the complex form at zero imaginary part.  With z = eta at a
+    real eta and conj(eta) at a complex one, Gamma(N-1, mu z)/(N-2)! is
+    e^{-mu z} times the Poisson head sum_{k<N-1} (mu z)^k/k!, and e^{-mu z}
+    folds into the weights as pair_weight(mu) pair_weight(z) = W:
 
-def _regularized_tail(N, arg):
-    return upper_gamma(N - 1, arg) / math.factorial(N - 2)
+        real eta:     (W head + mu^(N-1) pair_weight(mu) (T(0) - T(eta)) / (N-2)!) / sqrt(2 pi)
+        complex eta:  i (z - mu) W head / sqrt(2 pi)
 
-
-def ginoe_summed_S(N, block, mu, eta):
-    """Closed form of the scalar kernel through incomplete gamma tails.
-
-    Valid for every size N >= 2 regardless of parity; block names the
-    component pair of (mu, eta) among rr, rc, cr, cc.  A real first
-    argument is the complex form at zero imaginary part, so only the
-    second argument picks the form.
+    T(x) is the tail moment of t^(N-2) e^{-t^2/2} over [x, inf), so
+    T(0) - T(eta) is the integral over [0, eta] at either sign.  Every
+    term is exactly 0 where its weight underflows.  The accuracy is
+    absolute: within 1e-14 of the kernel scale 1/sqrt(2 pi) for N up to
+    64, with no relative accuracy promised for entries far below it.
     """
     if N < 2:
         raise ValueError("closed forms need N >= 2")
-    if block not in ("rr", "rc", "cr", "cc"):
-        raise ValueError(f"unknown block {block!r}")
-    mu = float(mu) if block[0] == "r" else complex(mu)
-    v = np.imag(mu)
-    if block[1] == "r":
-        y = float(eta)
-        stable = np.exp(-0.5 * (mu - y) ** 2 - v * v) * np.sqrt(erfcx(SQRT2 * abs(v)))
-        smooth = stable * _regularized_tail(N, mu * y)
-        # mu^(N-1) is formed only where the weight is not 0, |mu| < 39: no overflow
-        weight = pair_weight(np.asarray(mu))
-        edge = mu ** (N - 1) * weight * _signed_gaussian_partial(N, y) if weight else 0.0
-        return (smooth + edge / math.factorial(N - 2)) / SQRT_2PI
-    z = np.conjugate(complex(eta))
-    stable = np.exp(-0.5 * (mu - z) ** 2 - v * v - z.imag ** 2) * np.sqrt(
-        erfcx(SQRT2 * abs(v)) * erfcx(SQRT2 * abs(z.imag))
-    )
-    return 1j / SQRT_2PI * stable * (z - mu) * _regularized_tail(N, mu * z)
+    mu, eta = np.asarray(mu), np.asarray(eta)
+    complex_eta = np.iscomplexobj(eta)
+    z = np.conjugate(eta) if complex_eta else eta.astype(float)
+    mu_weight = pair_weight(mu)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = mu * z
+    factorials = np.cumprod(np.arange(N - 1, dtype=float).clip(1.0))  # 0!, 1!, ..., (N-2)!
+    head = (weighted_powers(N - 1, w, mu_weight * pair_weight(z)) / factorials).sum(-1)
+    if complex_eta:
+        return 1j / SQRT_2PI * (z - mu) * head
+    partial = gaussian_tail_moments(N - 1, 0.0)[-1] - gaussian_tail_moments(N - 1, z)[..., -1]
+    edge = weighted_powers(N, mu, mu_weight)[..., -1] * partial / factorials[-1]
+    return (head + edge) / SQRT_2PI
 
 
 def interrelations_check(bundle, reals, complexes):

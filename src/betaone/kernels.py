@@ -277,6 +277,8 @@ def dyson_recurrence_check(bundle, n, points, tol=1e-8):
 
     def integrand(ys):
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
+        if n >= bundle.N:  # n + 1 eigenvalues are more than N: exactly 0, as in rho
+            return np.zeros(ys.shape)
         reals = np.concatenate([np.broadcast_to(points, ys.shape + (n,)), ys[:, None]], axis=1)
         return pfaffian(basis.matrix(basis.rows(reals), reals))
 

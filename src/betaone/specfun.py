@@ -3,21 +3,18 @@
 The complementary error function comes from the standard library
 (math.erfc); erfcx and normal_cdf are built on it here, exact to a few
 units in the last place, and applied element by element to arrays.
-The incomplete gamma functions are implemented here too: the
-closed-form kernels evaluate them at complex and negative arguments.
+weighted_powers gives weighted monomial and Hermite rows by one
+three-term recurrence, gaussian_tail_moments their Gaussian tail
+moments by another.  The GinOE closed form is built from these two:
+the Poisson head and the Gaussian tail moments.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 
 import numpy as np
-
-_MAX_ITER = 600
-_EPS = 1e-16
-_TINY = 1e-300
 
 _SQRT2 = math.sqrt(2.0)
 # sqrt(2) - _SQRT2, the rounding error of the double nearest sqrt(2)
@@ -107,105 +104,6 @@ def normal_cdf(x):
     return _elementwise(_normal_cdf, x)
 
 
-def _check_order(s):
-    two_s = 2.0 * s
-    if s <= 0 or abs(two_s - round(two_s)) > 1e-12:
-        raise ValueError(f"order must be a positive integer or half-integer, got {s}")
-
-
-def _is_integer(s):
-    return abs(s - round(s)) <= 1e-12
-
-
-def _pow_exp(s, x):
-    # x^s * exp(-x), principal branch for complex x
-    if isinstance(x, complex):
-        return cmath.exp(s * cmath.log(x) - x)
-    return math.exp(s * math.log(x) - x)
-
-
-def _lower_series(s, x):
-    # gamma(s, x) = x^s e^{-x} * sum_{n>=0} x^n / (s (s+1) ... (s+n))
-    denom = s
-    term = 1.0 / s
-    total = term
-    for _ in range(_MAX_ITER):
-        denom += 1.0
-        term *= x / denom
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            return total * _pow_exp(s, x)
-    raise ArithmeticError("incomplete gamma series did not converge")
-
-
-def _upper_fraction(s, x):
-    # modified Lentz continued fraction, well conditioned for |x| >= s + 1
-    b = x + 1.0 - s
-    c = 1.0 / _TINY
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER + 1):
-        an = -i * (i - s)
-        b = b + 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h = h * delta
-        if abs(delta - 1.0) < _EPS:
-            return h * _pow_exp(s, x)
-    raise ArithmeticError("incomplete gamma continued fraction did not converge")
-
-
-def _upper_integer(n, x):
-    # Gamma(n, x) = (n-1)! e^{-x} sum_{k<n} x^k / k! for any complex x; 0 where e^{-x} underflows
-    weight = cmath.exp(-x) if isinstance(x, complex) else math.exp(-x)
-    total = term = 1.0
-    for k in range(1, n):
-        term = term * x / k
-        total = total + term
-    return math.factorial(n - 1) * weight * total if weight else weight
-
-
-def upper_gamma(s, x):
-    """Upper incomplete gamma integral of t^(s-1) e^(-t) over [x, inf).
-
-    The order s must be a positive integer or half-integer.  Integer
-    orders accept any real or complex argument; half-integer orders
-    require a nonnegative real part (branch cut on the negative axis).
-    """
-    _check_order(s)
-    if isinstance(x, complex) and x.imag == 0.0:
-        x = x.real
-    if _is_integer(s):
-        return _upper_integer(round(s), x)
-    if (x.real if isinstance(x, complex) else x) < 0.0:
-        raise ValueError("half-integer order needs an argument with Re >= 0")
-    if x == 0:
-        return math.gamma(s)
-    if abs(x) < s + 1.0:
-        return math.gamma(s) - _lower_series(s, x)
-    return _upper_fraction(s, x)
-
-
-def lower_gamma(s, x):
-    """Lower incomplete gamma integral of t^(s-1) e^(-t) over [0, x]."""
-    _check_order(s)
-    if isinstance(x, complex) and x.imag == 0.0:
-        x = x.real
-    if x == 0:
-        return 0.0
-    if not _is_integer(s) and (x.real if isinstance(x, complex) else x) < 0.0:
-        raise ValueError("half-integer order needs an argument with Re >= 0")
-    if abs(x) < s + 1.0:
-        return _lower_series(s, x)
-    return math.gamma(s) - upper_gamma(s, x)
-
-
 def weighted_powers(n, z, weight, c=0.0):
     """Rows P_k(z) times weight for k = 0..n-1, shape z.shape + (n,).
 
@@ -259,12 +157,3 @@ def gaussian_tail_moments(n, x, hermite=False):
         out[..., k] = heads[..., k - 1] + step * (k - 1) * out[..., k - 2]
     return out[..., :n]
 
-
-def gaussian_tail_moment(k, x):
-    """Integral of t^k e^(-t^2/2) over [x, inf) for integer k >= 0."""
-    return gaussian_tail_moments(k + 1, x)[..., k][()]
-
-
-def gaussian_full_moment(k):
-    """Integral of t^k e^(-t^2/2) over the whole line for integer k >= 0."""
-    return float(gaussian_tail_moment(k, -np.inf))

@@ -238,9 +238,9 @@ def test_criterion_08_summed_kernels_match_finite_sums():
                 "cr": (0.2 * t + 0.6j, t),
                 "cc": (0.5 * t + 0.5j, -0.4 * t + 0.9j),
             }
-            for block, (mu, eta) in probes.items():
+            for mu, eta in probes.values():
                 finite = bundle.scalar_kernel(mu, eta)
-                closed = ginoe_summed_S(N, block, mu, eta)
+                closed = ginoe_summed_S(N, mu, eta)
                 worst = max(worst, abs(finite - closed) / max(abs(closed), 1e-10))
     assert worst <= 1e-8
     report(

@@ -329,6 +329,23 @@ def test_verify_all_passes():
     assert all(c["passed"] for c in doc["checks"])
 
 
+def test_verify_kernels_goe_size_one_integrates_out_exactly():
+    # one eigenvalue leaves no two-point correlation to integrate
+    code, text, _ = run_cli(["verify", "--suite", "kernels", "--ensemble", "goe", "--size", "1"])
+    assert code == 0
+    checks = {c["check"]: c for c in json.loads(text)["checks"]}
+    assert checks["integrate-out-recurrence"]["deviation"] == 0.0
+
+
+def test_verify_closed_form_agreement_is_relative_to_the_kernel_scale():
+    for size in (2, 17, 64):
+        code, text, _ = run_cli(["verify", "--suite", "kernels", "--ensemble", "ginoe", "--size", str(size)])
+        assert code == 0
+        checks = {c["check"]: c for c in json.loads(text)["checks"]}
+        assert checks["closed-form-agreement"]["tolerance"] == 1e-13
+        assert checks["closed-form-agreement"]["deviation"] <= 1e-14
+
+
 def test_verify_failure_names_the_quantity():
     # an unreachable tolerance forces a clean failure path
     code, text, err = run_cli(

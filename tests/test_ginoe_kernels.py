@@ -15,7 +15,9 @@ Independent oracles used here:
 """
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -43,7 +45,7 @@ from betaone.quadrature import (
     refine,
     truncation_radius,
 )
-from betaone.specfun import gaussian_full_moment
+from betaone.specfun import gaussian_tail_moments
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -61,7 +63,7 @@ def fugacity_partition(N):
     if N % 2 == 0:
         return lambda z: pref * pfaffian(z * z * alpha + beta)
     # full weighted line integrals of the polynomials
-    border = np.array([gaussian_full_moment(i) for i in range(N)]) @ ginoe_coefficients(N)
+    border = gaussian_tail_moments(N, -np.inf) @ ginoe_coefficients(N)
 
     def value(z):
         M = np.zeros((N + 1, N + 1))
@@ -191,46 +193,75 @@ def test_odd_size_one_kernel():
 
 
 def test_summed_forms_match_pair_sums():
-    reals = (-1.2, 0.4, 2.1)
-    comps = (0.5 + 0.7j, -1.1 + 1.9j)
+    reals = np.array([-1.2, 0.4, 2.1])
+    comps = np.array([0.5 + 0.7j, -1.1 + 1.9j])
     for N, make in ((4, ginoe_even_kernel), (5, ginoe_odd_kernel), (2, ginoe_even_kernel), (3, ginoe_odd_kernel)):
         bundle = make(N)
-        for x in reals:
-            for y in reals:
-                assert np.isclose(
-                    ginoe_summed_S(N, "rr", x, y),
-                    bundle.scalar_kernel(x, y),
-                    rtol=0,
-                    atol=1e-10,
-                )
-            for w in comps:
-                assert np.isclose(
-                    ginoe_summed_S(N, "rc", x, w),
-                    bundle.scalar_kernel(x, w),
-                    rtol=0,
-                    atol=1e-10,
-                )
-                assert np.isclose(
-                    ginoe_summed_S(N, "cr", w, x),
-                    bundle.scalar_kernel(w, x),
-                    rtol=0,
-                    atol=1e-10,
-                )
-        for w in comps:
-            for z in comps:
-                assert np.isclose(
-                    ginoe_summed_S(N, "cc", w, z),
-                    bundle.scalar_kernel(w, z),
-                    rtol=0,
-                    atol=1e-10,
-                )
+        for mu, eta in ((reals, reals), (reals, comps), (comps, reals), (comps, comps)):
+            closed = ginoe_summed_S(N, mu[:, None], eta)
+            assert closed.shape == (mu.size, eta.size)
+            assert np.allclose(closed, bundle.scalar_kernel(mu[:, None], eta), rtol=0, atol=1e-10)
+        assert np.isclose(ginoe_summed_S(N, 0.4, -1.2), bundle.scalar_kernel(0.4, -1.2), rtol=0, atol=1e-10)
+    # a huge real second argument: the Gaussian sends the smooth term to 0
+    # and the edge term to its full half moment, without overflow
+    huge = {
+        (4, 1e200): 0.006452983002373430,
+        (4, -1e200): -0.006452983002373430,
+        (5, 1e200): 0.001029747101743415,
+        (5, -1e200): 0.001029747101743415,
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for (N, eta), finite_rr in huge.items():
+            bundle = (ginoe_odd_kernel if N % 2 else ginoe_even_kernel)(N)
+            assert abs(ginoe_summed_S(N, 0.3, eta) - finite_rr) <= 1e-15
+            for mu in (0.3, 0.3 + 0.4j):
+                assert abs(ginoe_summed_S(N, mu, eta) - bundle.scalar_kernel(mu, eta)) <= 1e-15
+
+
+def mp_pair_weight(z):
+    z = mpmath.mpc(z)
+    return mpmath.sqrt(mpmath.erfc(mpmath.sqrt(2) * abs(z.imag))) * mpmath.exp(-z * z / 2)
+
+
+def mp_summed_S(N, mu, eta):
+    # the incomplete-gamma form at 50 digits, sharing no code with the library
+    mu = mpmath.mpc(mu)
+    complex_eta = isinstance(eta, complex)
+    z = mpmath.conj(mpmath.mpc(eta)) if complex_eta else mpmath.mpf(eta)
+    smooth = (
+        mp_pair_weight(mu) * mp_pair_weight(z) * mpmath.exp(mu * z)
+        * mpmath.gammainc(N - 1, mu * z) / mpmath.factorial(N - 2)
+    )
+    if complex_eta:
+        return 1j * (z - mu) * smooth / mpmath.sqrt(2 * mpmath.pi)
+    # integral of u^(N-2) e^(-u^2/2) over [0, eta]
+    s = mpmath.mpf(N - 1) / 2
+    partial = 2 ** (s - 1) * mpmath.gammainc(s, 0, z * z / 2)
+    if z < 0 and N % 2 == 0:
+        partial = -partial
+    edge = mu ** (N - 1) * mp_pair_weight(mu) * partial / mpmath.factorial(N - 2)
+    return (smooth + edge) / mpmath.sqrt(2 * mpmath.pi)
+
+
+@pytest.mark.parametrize("N", [2, 3, 16, 17, 32, 64])
+def test_summed_forms_against_high_precision_oracle(N):
+    # bulk points and tails out to 1.4 sqrt(N), above and near the axis
+    reals = np.array([-1.4, -0.9, -0.3, 0.2, 0.8, 1.4]) * math.sqrt(N)
+    comps = reals + np.array([0.6j, 1.5j, 0.1j, 0.6j, 2.2j, 0.4j])
+    worst = 0.0
+    with mpmath.workdps(50):
+        for mu, eta in ((reals, reals), (reals, comps), (comps, reals), (comps, comps)):
+            closed = ginoe_summed_S(N, mu[:, None], eta)
+            for i, a in enumerate(mu):
+                for j, b in enumerate(eta):
+                    worst = max(worst, float(abs(closed[i, j] - mp_summed_S(N, a, b))))
+    assert worst * SQRT_2PI <= 1e-14, worst * SQRT_2PI
 
 
 def test_summed_form_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        ginoe_summed_S(1, "rr", 0.0, 0.0)
-    with pytest.raises(ValueError):
-        ginoe_summed_S(4, "xy", 0.0, 0.0)
+        ginoe_summed_S(1, 0.0, 0.0)
 
 
 def test_interrelations_even():

@@ -169,6 +169,11 @@ def test_dyson_recurrence_small_cases():
     assert report["relative_deviation"] < 1e-6
     report = dyson_recurrence_check(even_bundle(4), 2, [-0.5, 1.1])
     assert report["relative_deviation"] < 1e-6
+    # at n = N the n + 1 point correlation is 0: both sides vanish exactly
+    for bundle, points in ((odd_bundle(1), [0.37]), (even_bundle(2), [-1.1, 0.4])):
+        report = dyson_recurrence_check(bundle, bundle.N, points)
+        assert report["integrated"] == report["expected"] == 0.0
+        assert report["relative_deviation"] == 0.0
 
 
 def test_point_configuration_validation():
