@@ -15,7 +15,7 @@ SAMPLES = 20_000
 def main():
     samples, meta = ginibre_spectra(3, SAMPLES, seed=42)
     bundle = kernel_bundle("ginoe", 3)
-    comparison = empirical_vs_analytic(samples, bundle, bins=16, meta=meta)
+    comparison = empirical_vs_analytic(samples, bundle, bins=16)
     print(f"real ginibre N=3, {SAMPLES} samples, seed 42, {meta['generator']}")
     print("   bin            observed  expected      z")
     for k in range(len(comparison.observed)):

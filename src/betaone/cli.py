@@ -3,10 +3,11 @@ Monte Carlo comparisons.
 
 Exit codes: 0 success (and all checks passed where checks ran), 1 a
 verification or comparison failed, 2 invalid configuration, 3 numerical
-failure.  Output is deterministic for a fixed configuration: fixed
-float formatting, no timestamps, seeded randomness only.  CSV reports
-start with `# key=value` comment lines echoing the configuration and
-the library version, then a column header, then data rows.
+failure or an allocation too large for memory.  Output is deterministic
+for a fixed configuration: fixed float formatting, no timestamps, seeded
+randomness only.  CSV reports start with `# key=value` comment lines
+echoing the configuration and the library version, then a column
+header, then data rows.
 """
 
 import argparse
@@ -22,21 +23,8 @@ from numpy.random import default_rng
 
 from . import __version__
 from .ginibre import SQRT_2PI, ginoe_gram, ginoe_norm
-from .ginoe_kernels import (
-    ginoe_even_kernel,
-    ginoe_odd_kernel,
-    ginoe_rho,
-    ginoe_summed_S,
-    interrelations_check,
-)
-from .kernels import (
-    PointConfiguration,
-    beta1_even_kernel,
-    beta1_odd_kernel,
-    density_integral,
-    dyson_recurrence_check,
-    rho,
-)
+from .ginoe_kernels import ginoe_kernel, ginoe_rho, ginoe_summed_S, interrelations_check
+from .kernels import PointConfiguration, density_integral, dyson_recurrence_check, goe_kernel, rho
 from .montecarlo import (
     MIN_COMPARISON_SAMPLES,
     empirical_vs_analytic,
@@ -192,11 +180,7 @@ def _parse_points(text):
 
 def kernel_bundle(ensemble, size):
     """Kernel bundle for the ensemble at the given size, parity derived."""
-    if ensemble == "ginoe":
-        even, odd = ginoe_even_kernel, ginoe_odd_kernel
-    else:
-        even, odd = beta1_even_kernel, beta1_odd_kernel
-    return (odd if size % 2 else even)(size)
+    return {"goe": goe_kernel, "ginoe": ginoe_kernel}[ensemble](size)
 
 
 def make_config(args):
@@ -466,29 +450,26 @@ def cmd_mc_compare(config):
     """Sampled spectra against the analytic real-axis density."""
     sampler = ginibre_spectra if config.ensemble == "ginoe" else goe_spectra
     spectra, meta = sampler(config.size, config.samples, config.seed)
-    # every draw is used as drawn; the key stays for readers of the report
-    meta["resamples"] = 0
     bundle = kernel_bundle(config.ensemble, config.size)
-    report_meta = dict(config.echo())
-    report_meta.update(meta)
-    report = empirical_vs_analytic(
-        spectra, bundle, bins=config.bins, meta=report_meta
-    )
+    report = empirical_vs_analytic(spectra, bundle, bins=config.bins)
+    # every draw is used as drawn, so resamples is always 0; the key stays
+    # because bench/run.py parses it
+    extra = [
+        ("generator", meta["generator"]),
+        ("resamples", 0),
+        ("flagged_bins", len(report.flagged)),
+        ("mean_real_count", report.mean_real_count),
+        ("expected_real_count", report.expected_real_count),
+        ("count_stderr", report.count_stderr),
+        ("overflow", report.overflow),
+        ("passed", report.passed),
+    ]
+    columns = ("bin_lo", "bin_hi", "observed", "expected", "z")
+    series = (report.edges[:-1], report.edges[1:], report.observed, report.expected, report.z_scores)
     if config.format == "json":
-        text = report.as_json()
+        text = _json_text(config, dict(zip(columns, series)), extra)
     else:
-        summary = [
-            ("generator", meta["generator"]),
-            ("resamples", meta["resamples"]),
-            ("flagged_bins", len(report.flagged)),
-            ("mean_real_count", report.mean_real_count),
-            ("expected_real_count", report.expected_real_count),
-            ("count_stderr", report.count_stderr),
-            ("overflow", report.overflow),
-            ("passed", report.passed),
-        ]
-        lines = ["# %s=%s" % (k, _fmt(v)) for k, v in (*config.echo(), *summary)]
-        text = "\n".join(lines) + "\n" + report.as_csv()
+        text = _csv_text(config, columns, zip(*series), extra)
     if not report.passed:
         print(
             "mc-compare failed: flagged_bins=%d count_deviation=%s stderr=%s"
@@ -589,6 +570,10 @@ def main(argv=None):
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         # LinAlgError subclasses ValueError, so it is caught first
         print("numerical failure: %s" % exc, file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        # a grid or sample count too large to allocate
+        print("out of memory: %s" % exc, file=sys.stderr)
         return 3
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -27,30 +27,17 @@ from .specfun import gaussian_tail_moments, weighted_powers
 FD_STEP = 1e-5
 
 
-def _plane_bundle(N):
+def ginoe_kernel(N):
+    """Kernel bundle of N real Ginibre eigenvalues, parity derived from N.
+
+    At odd N the pairs run over the hatted polynomials; the top one
+    pairs with the constant partner column, which reaches the scalar
+    block at a real second argument and the integrated block unless
+    both arguments are complex.
+    """
     weights = [2.0 / ginoe_norm(k) for k in range(N // 2)]
     basis = family_basis(ginoe_rows(ginoe_coefficients(N)), weights, "plane", odd=N % 2 == 1)
     return KernelBundle.from_basis("ginoe", N, basis)
-
-
-def ginoe_even_kernel(N):
-    """Kernel bundle for an even number of Ginibre eigenvalues."""
-    if N % 2 != 0:
-        raise ValueError("even-size kernel needs even N")
-    return _plane_bundle(N)
-
-
-def ginoe_odd_kernel(N):
-    """Kernel bundle for an odd number of Ginibre eigenvalues.
-
-    The pairs run over the hatted polynomials; the top one pairs with
-    the constant partner column, which reaches the scalar block at a
-    real second argument and the integrated block unless both arguments
-    are complex.
-    """
-    if N % 2 != 1:
-        raise ValueError("odd-size kernel needs odd N")
-    return _plane_bundle(N)
 
 
 def ginoe_summed_S(N, mu, eta):

@@ -218,44 +218,15 @@ def rho(bundle, points):
     return pfaffian(A)
 
 
-def line_bundle(rows, pair_norms, N):
-    """Kernel bundle of N eigenvalues on the line from its family's rows.
+def goe_kernel(N):
+    """GOE kernel bundle of N eigenvalues, parity derived from N.
 
-    pair_norms are the norms of the complete pairs; odd N is hatted and
-    bordered.
+    Built from the closed-form family on the weighted He_n rows; odd N
+    is hatted and bordered.
     """
-    basis = family_basis(rows, [1.0 / r for r in pair_norms], "line", odd=N % 2 == 1)
-    return KernelBundle.from_basis("beta1:gaussian", N, basis)
-
-
-def _goe_bundle(N):
-    rows = gaussian_line_rows(goe_coefficients(N))
-    return line_bundle(rows, [goe_norm(m) for m in range(N // 2)], N)
-
-
-def beta1_even_kernel(N):
-    """GOE kernel bundle for an even number N of eigenvalues.
-
-    Built from the closed-form family on the weighted He_n rows.
-    """
-    if N % 2 != 0:
-        raise ValueError("even-size kernel needs even N")
-    return _goe_bundle(N)
-
-
-def beta1_odd_kernel(N):
-    """GOE kernel bundle for an odd number N of eigenvalues.
-
-    The closed-form family of size N, hatted and bordered.
-    """
-    if N % 2 != 1:
-        raise ValueError("odd-size kernel needs odd N")
-    return _goe_bundle(N)
-
-
-def density(bundle, x):
-    """One-point correlation, vectorized over x."""
-    return bundle.scalar_kernel(x, x)
+    weights = [1.0 / goe_norm(m) for m in range(N // 2)]
+    basis = family_basis(gaussian_line_rows(goe_coefficients(N)), weights, "line", odd=N % 2 == 1)
+    return KernelBundle.from_basis("goe", N, basis)
 
 
 def density_integral(bundle, tol=1e-9):

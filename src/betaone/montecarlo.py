@@ -28,12 +28,9 @@ samples are the per-matrix streams bit for bit.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import PCG64, Generator
@@ -230,55 +227,6 @@ def real_counts(spectra):
     return np.count_nonzero(np.imag(spectra) == 0, axis=1)
 
 
-@dataclass(frozen=True)
-class EmpiricalDensity:
-    """Real-eigenvalue histogram normalized to a per-matrix expectation.
-
-    The integral of the normalized density over the binned range equals
-    the mean number of in-range real eigenvalues per matrix; strays
-    beyond the edges are kept in the overflow count so the total is
-    still exact.
-    """
-
-    edges: tuple
-    counts: tuple
-    overflow: int
-    samples: int
-    mode: str = "per-matrix"
-
-    def __post_init__(self):
-        if len(self.edges) != len(self.counts) + 1:
-            raise ValueError("need one more edge than bins")
-        if any(b <= a for a, b in zip(self.edges, self.edges[1:])):
-            raise ValueError("edges must increase strictly")
-        if self.samples < 1:
-            raise ValueError("need at least one sample")
-        if self.overflow < 0 or any(c < 0 for c in self.counts):
-            raise ValueError("counts must be nonnegative")
-
-    def density(self):
-        widths = np.diff(self.edges)
-        return np.asarray(self.counts, dtype=float) / (self.samples * widths)
-
-    def mean_real_count(self):
-        return (sum(self.counts) + self.overflow) / self.samples
-
-
-def empirical_density(spectra, edges):
-    """Bin the real eigenvalues of a batch of spectra."""
-    spectra = np.asarray(spectra)
-    edges = np.asarray(edges, dtype=float)
-    reals = spectra.real[np.imag(spectra) == 0]
-    counts, _ = np.histogram(reals, edges)
-    overflow = int(reals.size - counts.sum())
-    return EmpiricalDensity(
-        tuple(float(e) for e in edges),
-        tuple(int(c) for c in counts),
-        overflow,
-        len(spectra),
-    )
-
-
 def _density_on_nodes(bundle, nodes):
     nodes = np.asarray(nodes, dtype=float)
     return np.real(bundle.scalar_kernel(nodes, nodes))
@@ -304,7 +252,10 @@ def expected_real_count(bundle, tol=1e-9):
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Sampled real-eigenvalue statistics scored against a kernel."""
+    """Sampled real-eigenvalue statistics scored against a kernel.
+
+    overflow counts the real eigenvalues outside the binned span.
+    """
 
     ensemble: str
     size: int
@@ -318,7 +269,6 @@ class ComparisonReport:
     expected_real_count: float
     count_stderr: float
     overflow: int
-    meta: dict = field(default_factory=dict)
 
     @property
     def count_deviation(self):
@@ -333,47 +283,8 @@ class ComparisonReport:
     def passed(self):
         return not self.flagged and self.count_within
 
-    def as_dict(self):
-        return {
-            "ensemble": self.ensemble,
-            "size": self.size,
-            "samples": self.samples,
-            "edges": list(self.edges),
-            "observed": list(self.observed),
-            "expected": list(self.expected),
-            "z_scores": list(self.z_scores),
-            "flagged": list(self.flagged),
-            "mean_real_count": self.mean_real_count,
-            "expected_real_count": self.expected_real_count,
-            "count_stderr": self.count_stderr,
-            "count_within": self.count_within,
-            "overflow": self.overflow,
-            "passed": self.passed,
-            "meta": dict(self.meta),
-        }
 
-    def as_json(self, indent=2):
-        return json.dumps(self.as_dict(), indent=indent)
-
-    def as_csv(self):
-        """Per-bin table: bin_lo, bin_hi, observed, expected, z."""
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["bin_lo", "bin_hi", "observed", "expected", "z"])
-        for i, (a, b) in enumerate(zip(self.edges[:-1], self.edges[1:])):
-            writer.writerow(
-                [
-                    f"{a:.17g}",
-                    f"{b:.17g}",
-                    self.observed[i],
-                    f"{self.expected[i]:.17g}",
-                    f"{self.z_scores[i]:.17g}",
-                ]
-            )
-        return buf.getvalue()
-
-
-def empirical_vs_analytic(spectra, bundle, bins=40, span=DEFAULT_SPAN, meta=None):
+def empirical_vs_analytic(spectra, bundle, bins=40, span=DEFAULT_SPAN):
     """Score a batch of spectra against the kernel's real-eigenvalue density.
 
     Each bin total is compared with the integrated density under a
@@ -390,26 +301,26 @@ def empirical_vs_analytic(spectra, bundle, bins=40, span=DEFAULT_SPAN, meta=None
         edges = np.linspace(span[0], span[1], bins + 1)
     else:
         edges = np.asarray(bins, dtype=float)
-    hist = empirical_density(spectra, edges)
+    spectra = np.asarray(spectra)
+    reals = spectra.real[np.imag(spectra) == 0]
+    counts, _ = np.histogram(reals, edges)  # left-closed bins, the last closed
     expected = len(spectra) * expected_bin_masses(bundle, edges)
-    observed = np.asarray(hist.counts, dtype=float)
-    z = (observed - expected) / np.sqrt(np.maximum(expected, 1.0))
+    z = (counts - expected) / np.sqrt(np.maximum(expected, 1.0))
     per_sample = real_counts(spectra).astype(float)
     stderr = float(per_sample.std(ddof=1) / math.sqrt(len(spectra)))
     return ComparisonReport(
         ensemble=bundle.ensemble,
         size=bundle.N,
         samples=len(spectra),
-        edges=hist.edges,
-        observed=hist.counts,
+        edges=tuple(float(e) for e in edges),
+        observed=tuple(int(c) for c in counts),
         expected=tuple(float(e) for e in expected),
         z_scores=tuple(float(v) for v in z),
         flagged=tuple(int(i) for i in np.flatnonzero(np.abs(z) > Z_FLAG)),
         mean_real_count=float(per_sample.mean()),
         expected_real_count=float(expected_real_count(bundle)),
         count_stderr=stderr,
-        overflow=hist.overflow,
-        meta=dict(meta or {}),
+        overflow=int(reals.size - counts.sum()),
     )
 
 

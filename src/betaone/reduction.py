@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ginoe_kernels import ginoe_even_kernel, ginoe_odd_kernel
-from .kernels import KernelBundle, PointConfiguration, beta1_even_kernel, beta1_odd_kernel
+from .ginoe_kernels import ginoe_kernel
+from .kernels import KernelBundle, PointConfiguration, goe_kernel
 from .pfaffian import pfaffian
 
 CORNER_FLOOR = 1e-300
@@ -35,11 +35,6 @@ CORNER_FLOOR = 1e-300
 # shrink like 1/far, and short of far = 37, where the corner falls below
 # CORNER_FLOOR
 FAR_POINTS = (16.0, 24.0, 32.0)
-
-
-def _require_even(bundle):
-    if bundle.parity != "even":
-        raise ValueError("reduction starts from an even-size bundle")
 
 
 def _corner(value, x_far):
@@ -64,7 +59,8 @@ def conditioned_bundle(bundle, x_far):
     +inf only the direction of the vanishing W enters, the top-degree
     unit vector.
     """
-    _require_even(bundle)
+    if bundle.parity != "even":
+        raise ValueError("reduction starts from an even-size bundle")
     basis = bundle.family
     far = basis.rows(np.float64(x_far))
     partner, weighted = far[basis.partner_slot], far[1 - basis.partner_slot]
@@ -77,65 +73,6 @@ def conditioned_bundle(bundle, x_far):
     bordered = np.pad(M, ((0, 1), (0, 1))) + (np.outer(u, v) - np.outer(v, u)) / corner
     reduced = basis.bordered(np.triu(bordered, 1))
     return KernelBundle.from_basis(bundle.ensemble, bundle.N - 1, reduced)
-
-
-def scalar_far_limit(bundle, x):
-    """Limit of the scalar block as its far argument goes to +infinity.
-
-    The far argument is the one whose partner row the scalar block
-    reads (the first on the line, the second in the plane): its partner
-    saturates at the half moments while its weighted row dies.
-    """
-    _require_even(bundle)
-    args = [x, x]
-    args[bundle.family.partner_slot] = np.inf
-    return bundle.scalar_kernel(*args)
-
-
-def integral_far_limit(bundle, x):
-    """Limit of the integrated block as its second argument goes to +infinity."""
-    _require_even(bundle)
-    return bundle.integral_kernel(x, np.inf)
-
-
-@dataclass(frozen=True)
-class AsymptoticForm:
-    """Exact far-point entry next to its leading asymptotic value."""
-
-    exact: float
-    leading: float
-
-    @property
-    def ratio(self):
-        return self.exact / self.leading
-
-
-def asymptotic_forms(bundle, x_i, x_m):
-    """Leading far-point behaviour of the five entries the update uses.
-
-    Two entries decay like the top-degree weighted polynomial, the
-    corner decays the same way with a half-moment coefficient, and two
-    entries saturate at finite limits.  Valid once the far point is
-    clear of the spectrum's edge; the names follow the line layout.
-    """
-    basis = bundle.family
-    if bundle.parity != "even" or basis.layout != "line":
-        raise ValueError("asymptotic forms cover the even-size line ensemble")
-    if x_m < 2.0 * math.sqrt(bundle.N):
-        raise ValueError("far point must sit beyond twice the root of the size")
-    # a far weighted row is, to leading order, its top entry times the
-    # top-degree unit vector e: each decaying entry is a row times M e
-    lead = basis.pairing[:, -1] * basis.rows(np.float64(x_m))[1, -1]
-    probe = basis.rows(np.float64(x_i))
-    S, D, I = bundle.scalar_kernel, bundle.derivative_kernel, bundle.integral_kernel
-    forms = {
-        "derivative_probe_far": (D(x_i, x_m), probe[1] @ lead),
-        "scalar_probe_far": (S(x_i, x_m), probe[0] @ lead),
-        "scalar_far_probe": (S(x_m, x_i), scalar_far_limit(bundle, x_i)),
-        "scalar_far_far": (S(x_m, x_m), basis.rows(np.inf)[0] @ lead),
-        "integral_probe_far": (I(x_i, x_m), integral_far_limit(bundle, x_i)),
-    }
-    return {name: AsymptoticForm(*pair) for name, pair in forms.items()}
 
 
 def _points(config):
@@ -233,12 +170,12 @@ def verify_odd_limit(even_bundle, odd_bundle):
 
 def verify_odd_limit_beta1(N):
     """Gaussian-weight reduction N -> N-1 (N even)."""
-    return verify_odd_limit(beta1_even_kernel(N), beta1_odd_kernel(N - 1))
+    return verify_odd_limit(goe_kernel(N), goe_kernel(N - 1))
 
 
 def verify_odd_limit_ginoe(N):
     """Plane-ensemble reduction N -> N-1 (N even)."""
-    return verify_odd_limit(ginoe_even_kernel(N), ginoe_odd_kernel(N - 1))
+    return verify_odd_limit(ginoe_kernel(N), ginoe_kernel(N - 1))
 
 
 def factorisation_check(bundle, reduced_bundle, config, x_far):

@@ -18,16 +18,14 @@ from betaone.ginibre import (
     partition_function_check,
 )
 from betaone.ginoe_kernels import (
-    ginoe_even_kernel,
-    ginoe_odd_kernel,
+    ginoe_kernel,
     ginoe_summed_S,
     interrelations_check,
 )
 from betaone.kernels import (
-    beta1_even_kernel,
-    beta1_odd_kernel,
     density_integral,
     dyson_recurrence_check,
+    goe_kernel,
 )
 from betaone.montecarlo import (
     empirical_vs_analytic,
@@ -51,14 +49,6 @@ from betaone.reduction import (
 from betaone.skewortho import expected_gram, skew_deviation
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-def beta1_bundle(N):
-    return beta1_even_kernel(N) if N % 2 == 0 else beta1_odd_kernel(N)
-
-
-def ginoe_bundle(N):
-    return ginoe_even_kernel(N) if N % 2 == 0 else ginoe_odd_kernel(N)
 
 
 def report(label, detail, elapsed, budget):
@@ -168,7 +158,7 @@ def test_criterion_05_density_normalization():
     start = time.time()
     worst = 0.0
     for N in (2, 3, 4, 5):
-        worst = max(worst, relative(density_integral(beta1_bundle(N)), N))
+        worst = max(worst, relative(density_integral(goe_kernel(N)), N))
     assert worst <= 1e-5
     report(
         "criterion 5 (density integrates to N)",
@@ -183,7 +173,7 @@ def test_criterion_06_integrate_out_recurrence():
     probes = (-1.5, -0.6, 0.0, 0.8, 1.7)
     worst = 0.0
     for N in (3, 4, 5, 6):
-        bundle = beta1_bundle(N)
+        bundle = goe_kernel(N)
         for x in probes:
             check = dyson_recurrence_check(bundle, 1, (x,))
             worst = max(worst, check["relative_deviation"])
@@ -210,7 +200,7 @@ def test_criterion_07_even_to_odd_reduction():
     # the pre-limit identity also holds for two-point configurations
     worst_identity = 0.0
     config = PointConfiguration(reals=(0.5, -0.2))
-    for bundle in (beta1_bundle(4), beta1_bundle(6), ginoe_bundle(4)):
+    for bundle in (goe_kernel(4), goe_kernel(6), ginoe_kernel(4)):
         worst_identity = max(
             worst_identity, pfaffian_reduction_identity(bundle, config, 6.0)
         )
@@ -230,7 +220,7 @@ def test_criterion_08_summed_kernels_match_finite_sums():
     shifts = np.linspace(-1.9, 1.9, 20)
     worst = 0.0
     for N in (4, 5):
-        bundle = ginoe_bundle(N)
+        bundle = ginoe_kernel(N)
         for t in shifts:
             probes = {
                 "rr": (t, 0.3 - 0.4 * t),
@@ -256,7 +246,7 @@ def test_criterion_09_block_interrelations():
     rng = np.random.default_rng(1009)
     worst = 0.0
     for N in (4, 5):
-        bundle = ginoe_bundle(N)
+        bundle = ginoe_kernel(N)
         reals = tuple(rng.uniform(-2.0, 2.0, size=5))
         complexes = tuple(
             complex(u, v)
@@ -278,14 +268,14 @@ def test_criterion_09_block_interrelations():
 def test_criterion_10_monte_carlo_ground_truth():
     start = time.time()
     runs = (
-        (ginibre_spectra, 3, ginoe_bundle(3), 2101),
-        (ginibre_spectra, 4, ginoe_bundle(4), 2102),
-        (goe_spectra, 3, beta1_bundle(3), 2103),
+        (ginibre_spectra, 3, ginoe_kernel(3), 2101),
+        (ginibre_spectra, 4, ginoe_kernel(4), 2102),
+        (goe_spectra, 3, goe_kernel(3), 2103),
     )
     details = []
     for sampler, N, bundle, seed in runs:
         samples, meta = sampler(N, 100_000, seed)
-        comparison = empirical_vs_analytic(samples, bundle, bins=40, meta=meta)
+        comparison = empirical_vs_analytic(samples, bundle, bins=40)
         assert comparison.flagged == (), (meta["ensemble"], N)
         assert comparison.count_within, (meta["ensemble"], N)
         details.append(
@@ -305,10 +295,10 @@ def test_criterion_11_factorisation_ratio():
     config = PointConfiguration(reals=(0.07,))
     gaps = {
         "beta1": abs(
-            factorisation_check(beta1_bundle(4), beta1_bundle(3), config, 10.0) - 1.0
+            factorisation_check(goe_kernel(4), goe_kernel(3), config, 10.0) - 1.0
         ),
         "ginoe": abs(
-            factorisation_check(ginoe_bundle(4), ginoe_bundle(3), config, 10.0) - 1.0
+            factorisation_check(ginoe_kernel(4), ginoe_kernel(3), config, 10.0) - 1.0
         ),
     }
     assert all(gap <= 1e-2 for gap in gaps.values()), gaps

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import betaone
+from betaone import montecarlo
 from betaone.cli import kernel_bundle, main
 from betaone.ginoe_kernels import ginoe_rho
 from betaone.kernels import PointConfiguration
@@ -375,6 +376,13 @@ def test_verify_rejects_non_finite_tolerance(value):
     assert "finite and positive" in err
 
 
+@pytest.mark.parametrize("ensemble", ["goe", "ginoe"])
+def test_kernel_bundle_is_labelled_with_its_ensemble(ensemble):
+    for size in (3, 4):
+        bundle = kernel_bundle(ensemble, size)
+        assert (bundle.ensemble, bundle.N) == (ensemble, size)
+
+
 def test_mc_compare_goe_passes():
     code, text, _ = run_cli(
         [
@@ -418,9 +426,64 @@ def test_mc_compare_json_embeds_config():
     assert code == 0
     doc = json.loads(text)
     assert doc["passed"] is True
-    assert doc["meta"]["command"] == "mc-compare"
-    assert doc["meta"]["version"]
-    assert doc["meta"]["generator"] == "PCG64"
+    assert doc["config"]["command"] == "mc-compare"
+    assert doc["config"]["version"]
+    assert doc["config"]["seed"] == 11
+    assert doc["generator"] == "PCG64"
+
+
+def test_mc_compare_report_layout():
+    argv = ["mc-compare", "--ensemble", "goe", "--size", "2", "--samples", "10000",
+            "--seed", "19", "--bins", "20"]
+    code, text, _ = run_cli(argv + ["--format", "json"])
+    assert code == 0
+    doc = json.loads(text)
+    assert doc["config"]["samples"] == 10_000
+    assert len(doc["z"]) == len(doc["bin_lo"]) == 20
+    assert doc["bin_lo"][1:] == doc["bin_hi"][:-1]
+    assert sum(doc["observed"]) + doc["overflow"] == 2 * 10_000
+    code, text, _ = run_cli(argv)
+    assert code == 0
+    header, body = split_csv(text)
+    assert header["overflow"] == str(doc["overflow"])
+    assert body[0] == "bin_lo,bin_hi,observed,expected,z"
+    assert len(body) == 21
+
+
+REPORTS = {
+    "density": ["density", "--size", "3", "--grid=-1:1:3"],
+    "correlate": ["correlate", "--size", "3", "--points=-0.2,0.4"],
+    "verify": ["verify", "--suite", "skew", "--size", "3"],
+    "mc-compare": ["mc-compare", "--size", "2", "--samples", "10000"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", sorted(REPORTS))
+def test_reports_end_in_one_line_feed(command, fmt):
+    code, text, _ = run_cli(REPORTS[command] + ["--format", fmt])
+    assert code == 0
+    assert "\r" not in text
+    assert text.endswith("\n") and not text.endswith("\n\n")
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["density", "--grid=-4:4:10000000000000"], (np, "linspace")),
+        (["mc-compare", "--samples", "100000000000000"], (montecarlo, "_spectra")),
+    ],
+    ids=["density", "mc-compare"],
+)
+def test_allocation_failure_exits_3(monkeypatch, argv, target):
+    # the allocation is stubbed out: the real one would ask for terabytes
+    def failing(*args, **kwargs):
+        raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+    monkeypatch.setattr(*target, failing)
+    code, text, err = run_cli(argv)
+    assert code == 3 and text == ""
+    assert "out of memory" in err and "Unable to allocate" in err
 
 
 def test_mc_compare_lapack_failure_exits_3(monkeypatch):

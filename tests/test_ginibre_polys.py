@@ -8,12 +8,13 @@ from betaone.ginibre import (
     ginoe_coefficients,
     ginoe_gram,
     ginoe_norm,
+    ginoe_rows,
     partition_function_check,
     plane_rows,
     sector_grams,
     sinclair_prefactor,
 )
-from betaone.ginoe_kernels import ginoe_odd_kernel
+from betaone.ginoe_kernels import ginoe_kernel
 from betaone.kernels import hat_transform
 from betaone.quadrature import gauss_legendre_rule
 from betaone.skewortho import gaussian_line_rows
@@ -105,7 +106,7 @@ def test_half_moments():
 def test_hatted_family_small_case():
     # the plane partner at +infinity is minus the half moment; hatting
     # leaves it on the top polynomial and the constant column only
-    basis = ginoe_odd_kernel(3).family
+    basis = ginoe_kernel(3).family
     at_infinity = basis.rows(np.inf)[basis.partner_slot]
     assert np.allclose(at_infinity, [0.0, 0.0, -0.5 * SQRT_2PI, 1.0], rtol=1e-15, atol=1e-15)
     hat = ginoe_coefficients(3) @ hat_transform(-half_moments(3))
@@ -118,7 +119,7 @@ def test_hatted_family_small_case():
 
 
 def test_hatted_family_kills_weighted_integrals():
-    rows = ginoe_odd_kernel(5).family.rows
+    rows = ginoe_kernel(5).family.rows
     rule = gauss_legendre_rule(240, -12.0, 12.0)
     for i in range(4):
         value = rule.integrate(lambda x: rows(x)[:, 0, i])
@@ -126,8 +127,10 @@ def test_hatted_family_kills_weighted_integrals():
 
 
 def test_hatted_requires_odd_size():
-    with pytest.raises(ValueError):
-        ginoe_odd_kernel(4)
+    # an even size keeps the plain rows: no hatting, no border column
+    basis = ginoe_kernel(4).family
+    x = np.array([-0.7, 0.4])
+    assert np.array_equal(basis.rows(x), ginoe_rows(ginoe_coefficients(4))(x))
 
 
 def test_sinclair_prefactor_small_values():

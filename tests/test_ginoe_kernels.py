@@ -28,8 +28,7 @@ from betaone.ginibre import (
     sinclair_prefactor,
 )
 from betaone.ginoe_kernels import (
-    ginoe_even_kernel,
-    ginoe_odd_kernel,
+    ginoe_kernel,
     ginoe_rho,
     ginoe_summed_S,
     interrelations_check,
@@ -111,7 +110,7 @@ def test_pair_weight_stable_far_from_axis():
 
 
 def test_even_size_two_scalar_closed_form():
-    bundle = ginoe_even_kernel(2)
+    bundle = ginoe_kernel(2)
     for x in (-1.5, -0.3, 0.8, 2.0):
         for y in (-1.1, 0.2, 1.7):
             assert np.isclose(
@@ -124,7 +123,7 @@ def test_even_size_two_scalar_closed_form():
 
 def test_even_real_density_integrates_to_expected_count():
     for N in (2, 4):
-        bundle = ginoe_even_kernel(N)
+        bundle = ginoe_kernel(N)
         total = integrate_line(
             lambda x: bundle.scalar_kernel(x, x), tol=1e-11, degree=2 * N
         )
@@ -134,7 +133,7 @@ def test_even_real_density_integrates_to_expected_count():
 
 def test_odd_real_density_integrates_to_expected_count():
     for N in (1, 3, 5):
-        bundle = ginoe_odd_kernel(N)
+        bundle = ginoe_kernel(N)
         total = integrate_line(
             lambda x: bundle.scalar_kernel(x, x), tol=1e-11, degree=2 * N
         )
@@ -146,7 +145,7 @@ def test_two_point_real_normalization_size_two():
     # integral of the two-real-point density equals the expected number
     # of ordered real pairs, sqrt(2) at size 2; fixes the ordering of
     # the integrated block's sign term
-    bundle = ginoe_even_kernel(2)
+    bundle = ginoe_kernel(2)
     outer = gauss_legendre_rule(140, -9.0, 9.0)
     total = 0.0
     for x, wx in zip(outer.nodes, outer.weights):
@@ -157,8 +156,8 @@ def test_two_point_real_normalization_size_two():
 
 
 def test_complex_density_integrates_to_expected_pair_count():
-    for N, make in ((2, ginoe_even_kernel), (3, ginoe_odd_kernel)):
-        bundle = make(N)
+    for N in (2, 3):
+        bundle = ginoe_kernel(N)
 
         radius = truncation_radius(2 * N) / math.sqrt(2.0)
 
@@ -172,7 +171,7 @@ def test_complex_density_integrates_to_expected_pair_count():
 
 
 def test_complex_density_is_real_and_nonnegative():
-    bundle = ginoe_even_kernel(4)
+    bundle = ginoe_kernel(4)
     for w in (0.3 + 0.4j, -1.5 + 1.1j, 2.0 + 0.2j, 0.0 + 2.5j):
         value = bundle.scalar_kernel(w, w)
         assert abs(value.imag) < 1e-14
@@ -180,7 +179,7 @@ def test_complex_density_is_real_and_nonnegative():
 
 
 def test_odd_size_one_kernel():
-    bundle = ginoe_odd_kernel(1)
+    bundle = ginoe_kernel(1)
     xs = np.linspace(-3.0, 3.0, 13)
     for x in xs:
         assert np.isclose(
@@ -195,8 +194,8 @@ def test_odd_size_one_kernel():
 def test_summed_forms_match_pair_sums():
     reals = np.array([-1.2, 0.4, 2.1])
     comps = np.array([0.5 + 0.7j, -1.1 + 1.9j])
-    for N, make in ((4, ginoe_even_kernel), (5, ginoe_odd_kernel), (2, ginoe_even_kernel), (3, ginoe_odd_kernel)):
-        bundle = make(N)
+    for N in (4, 5, 2, 3):
+        bundle = ginoe_kernel(N)
         for mu, eta in ((reals, reals), (reals, comps), (comps, reals), (comps, comps)):
             closed = ginoe_summed_S(N, mu[:, None], eta)
             assert closed.shape == (mu.size, eta.size)
@@ -213,7 +212,7 @@ def test_summed_forms_match_pair_sums():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for (N, eta), finite_rr in huge.items():
-            bundle = (ginoe_odd_kernel if N % 2 else ginoe_even_kernel)(N)
+            bundle = ginoe_kernel(N)
             assert abs(ginoe_summed_S(N, 0.3, eta) - finite_rr) <= 1e-15
             for mu in (0.3, 0.3 + 0.4j):
                 assert abs(ginoe_summed_S(N, mu, eta) - bundle.scalar_kernel(mu, eta)) <= 1e-15
@@ -265,7 +264,7 @@ def test_summed_form_rejects_bad_inputs():
 
 
 def test_interrelations_even():
-    bundle = ginoe_even_kernel(4)
+    bundle = ginoe_kernel(4)
     report = interrelations_check(
         bundle, reals=(-1.3, 0.7), complexes=(0.4 + 0.6j, -0.9 + 1.4j)
     )
@@ -284,7 +283,7 @@ def test_interrelations_even():
 
 
 def test_interrelations_odd():
-    bundle = ginoe_odd_kernel(5)
+    bundle = ginoe_kernel(5)
     report = interrelations_check(
         bundle, reals=(-0.8, 1.4), complexes=(0.3 + 0.5j, -1.2 + 1.0j)
     )
@@ -294,21 +293,21 @@ def test_interrelations_odd():
 
 def test_assembled_matrix_antisymmetric_mixed_points():
     config = PointConfiguration(reals=(-0.6, 1.1), complexes=(0.4 + 0.8j,))
-    for bundle in (ginoe_even_kernel(4), ginoe_odd_kernel(5)):
+    for bundle in (ginoe_kernel(4), ginoe_kernel(5)):
         A = bundle.assemble(config)
         as_antisymmetric(A)
         assert A.shape == (6, 6)
 
 
 def test_correlations_invariant_under_point_reordering():
-    bundle = ginoe_even_kernel(4)
+    bundle = ginoe_kernel(4)
     a = ginoe_rho(bundle, PointConfiguration(reals=(-0.6, 1.1), complexes=(0.4 + 0.8j,)))
     b = ginoe_rho(bundle, PointConfiguration(reals=(1.1, -0.6), complexes=(0.4 + 0.8j,)))
     assert np.isclose(a[0], b[0], rtol=1e-11)
 
 
 def test_mixed_correlation_real_with_small_residue():
-    bundle = ginoe_odd_kernel(5)
+    bundle = ginoe_kernel(5)
     value, residue = ginoe_rho(
         bundle, PointConfiguration(reals=(0.5,), complexes=(0.2 + 0.9j, -1.0 + 0.6j))
     )
@@ -317,7 +316,7 @@ def test_mixed_correlation_real_with_small_residue():
 
 
 def test_rho_agrees_with_generic_entry_point():
-    bundle = ginoe_even_kernel(4)
+    bundle = ginoe_kernel(4)
     config = PointConfiguration(reals=(0.3, -1.2))
     direct = rho(bundle, config)
     wrapped, residue = ginoe_rho(bundle, config)

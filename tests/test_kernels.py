@@ -5,22 +5,18 @@ import numpy as np
 import pytest
 from scipy import special
 
-from betaone.ginoe_kernels import ginoe_even_kernel, ginoe_odd_kernel
+from betaone.ginoe_kernels import ginoe_kernel
 from betaone.kernels import (
     PointConfiguration,
-    beta1_even_kernel,
-    beta1_odd_kernel,
-    density,
     density_integral,
     dyson_recurrence_check,
+    goe_kernel,
     rho,
 )
 from betaone.pfaffian import as_antisymmetric
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-even_bundle, odd_bundle = beta1_even_kernel, beta1_odd_kernel
 
 
 def two_point_density_closed_form(x):
@@ -33,31 +29,31 @@ def two_point_density_closed_form(x):
 
 
 def test_two_point_scalar_kernel_closed_form():
-    bundle = even_bundle(2)
+    bundle = goe_kernel(2)
     x = np.linspace(-3.0, 3.0, 25)
-    assert np.allclose(density(bundle, x), two_point_density_closed_form(x), rtol=1e-10, atol=1e-13)
+    assert np.allclose(bundle.scalar_kernel(x, x), two_point_density_closed_form(x), rtol=1e-10, atol=1e-13)
 
 
 def test_density_is_one_point_correlation():
-    bundle = even_bundle(4)
+    bundle = goe_kernel(4)
     for x in [-1.7, 0.0, 0.8]:
-        assert np.isclose(rho(bundle, [x]), density(bundle, x), rtol=1e-12, atol=0)
+        assert np.isclose(rho(bundle, [x]), bundle.scalar_kernel(x, x), rtol=1e-12, atol=0)
 
 
 def test_density_integrates_to_size_even():
     for N in [2, 4]:
-        assert np.isclose(density_integral(even_bundle(N)), N, rtol=1e-8, atol=0), N
+        assert np.isclose(density_integral(goe_kernel(N)), N, rtol=1e-8, atol=0), N
 
 
 def test_density_integrates_to_size_odd():
     for N in [1, 3, 5]:
-        assert np.isclose(density_integral(odd_bundle(N)), N, rtol=1e-8, atol=0), N
+        assert np.isclose(density_integral(goe_kernel(N)), N, rtol=1e-8, atol=0), N
 
 
 def test_smallest_odd_size_is_standard_normal():
-    bundle = odd_bundle(1)
+    bundle = goe_kernel(1)
     x = np.linspace(-3.0, 3.0, 7)
-    assert np.allclose(density(bundle, x), np.exp(-0.5 * x * x) / SQRT_2PI, rtol=1e-12, atol=0)
+    assert np.allclose(bundle.scalar_kernel(x, x), np.exp(-0.5 * x * x) / SQRT_2PI, rtol=1e-12, atol=0)
     # the scalar kernel is independent of its first argument here
     assert np.isclose(
         bundle.scalar_kernel(-2.0, 0.4), bundle.scalar_kernel(1.5, 0.4), rtol=0, atol=1e-15
@@ -67,7 +63,7 @@ def test_smallest_odd_size_is_standard_normal():
 def test_odd_derivative_kernel_closed_form():
     # hand-derived for size 3: prefactor 2/sqrt(pi), antisymmetric
     # factor (y - x)(1 + xy) under the joint Gaussian weight
-    bundle = odd_bundle(3)
+    bundle = goe_kernel(3)
     rng = np.random.default_rng(3)
     for _ in range(8):
         x, y = rng.normal(size=2) * 1.5
@@ -82,7 +78,7 @@ def test_odd_derivative_kernel_closed_form():
 
 
 def test_kernel_antisymmetries():
-    for bundle in [even_bundle(4), odd_bundle(3)]:
+    for bundle in [goe_kernel(4), goe_kernel(3)]:
         rng = np.random.default_rng(5)
         for _ in range(5):
             x, y = rng.normal(size=2)
@@ -103,7 +99,7 @@ def test_kernel_antisymmetries():
 
 
 def test_assembled_matrix_is_antisymmetric():
-    for bundle in [even_bundle(4), odd_bundle(5)]:
+    for bundle in [goe_kernel(4), goe_kernel(5)]:
         config = PointConfiguration(reals=(-1.1, 0.2, 0.9))
         as_antisymmetric(bundle.assemble(config))
 
@@ -126,10 +122,10 @@ def test_assembled_matrix_matches_kernel_cells():
     line = PointConfiguration(reals=(-1.1, 0.2, 0.9))
     mixed = PointConfiguration(reals=(-0.6, 1.1), complexes=(0.4 + 0.8j, -0.3 + 1.5j))
     cases = (
-        (even_bundle(4), line, "line"),
-        (odd_bundle(5), line, "line"),
-        (ginoe_even_kernel(4), mixed, "plane"),
-        (ginoe_odd_kernel(5), mixed, "plane"),
+        (goe_kernel(4), line, "line"),
+        (goe_kernel(5), line, "line"),
+        (ginoe_kernel(4), mixed, "plane"),
+        (ginoe_kernel(5), mixed, "plane"),
     )
     for bundle, config, layout in cases:
         points = list(config.reals) + list(config.complexes)
@@ -139,7 +135,7 @@ def test_assembled_matrix_matches_kernel_cells():
 
 def test_vectorized_kernels_match_pointwise_calls():
     xs = np.linspace(-3.0, 3.0, 13)
-    for bundle in (even_bundle(4), odd_bundle(5), ginoe_odd_kernel(5)):
+    for bundle in (goe_kernel(4), goe_kernel(5), ginoe_kernel(5)):
         for kernel in (bundle.scalar_kernel, bundle.derivative_kernel, bundle.integral_kernel):
             grid = kernel(xs[:, None], xs[None, :])
             loop = np.array([[kernel(x, y) for y in xs] for x in xs])
@@ -147,14 +143,14 @@ def test_vectorized_kernels_match_pointwise_calls():
 
 
 def test_pair_correlation_exchange_symmetry():
-    for bundle in [even_bundle(4), odd_bundle(3)]:
+    for bundle in [goe_kernel(4), goe_kernel(3)]:
         a = rho(bundle, [0.7, -0.4])
         b = rho(bundle, [-0.4, 0.7])
         assert np.isclose(a, b, rtol=1e-10, atol=1e-14)
 
 
 def test_pair_correlation_nonnegative_and_vanishing_at_coincidence():
-    bundle = even_bundle(4)
+    bundle = goe_kernel(4)
     rng = np.random.default_rng(9)
     for _ in range(10):
         x, y = rng.normal(size=2) * 1.5
@@ -163,14 +159,14 @@ def test_pair_correlation_nonnegative_and_vanishing_at_coincidence():
 
 
 def test_dyson_recurrence_small_cases():
-    report = dyson_recurrence_check(even_bundle(4), 1, [0.3])
+    report = dyson_recurrence_check(goe_kernel(4), 1, [0.3])
     assert report["relative_deviation"] < 1e-6
-    report = dyson_recurrence_check(odd_bundle(3), 1, [-0.8])
+    report = dyson_recurrence_check(goe_kernel(3), 1, [-0.8])
     assert report["relative_deviation"] < 1e-6
-    report = dyson_recurrence_check(even_bundle(4), 2, [-0.5, 1.1])
+    report = dyson_recurrence_check(goe_kernel(4), 2, [-0.5, 1.1])
     assert report["relative_deviation"] < 1e-6
     # at n = N the n + 1 point correlation is 0: both sides vanish exactly
-    for bundle, points in ((odd_bundle(1), [0.37]), (even_bundle(2), [-1.1, 0.4])):
+    for bundle, points in ((goe_kernel(1), [0.37]), (goe_kernel(2), [-1.1, 0.4])):
         report = dyson_recurrence_check(bundle, bundle.N, points)
         assert report["integrated"] == report["expected"] == 0.0
         assert report["relative_deviation"] == 0.0
@@ -179,7 +175,7 @@ def test_dyson_recurrence_small_cases():
 def test_point_configuration_validation():
     with pytest.raises(ValueError):
         PointConfiguration(reals=(0.0,), complexes=(1.0 - 2.0j,))
-    bundle = even_bundle(2)
+    bundle = goe_kernel(2)
     with pytest.raises(ValueError):
         rho(bundle, PointConfiguration(reals=(0.0,), complexes=(1.0 + 2.0j,)))
     with pytest.raises(ValueError):
@@ -187,24 +183,26 @@ def test_point_configuration_validation():
 
 
 def test_parity_validation():
+    # the parity comes from N; odd sizes carry the border column
+    for make in (goe_kernel, ginoe_kernel):
+        for N in (3, 4):
+            bundle = make(N)
+            assert bundle.parity == ("odd" if N % 2 else "even")
+            assert bundle.family.rows(0.3).shape == (2, N + N % 2)
+        with pytest.raises(ValueError):
+            make(0)
     with pytest.raises(ValueError):
-        beta1_even_kernel(3)
-    with pytest.raises(ValueError):
-        beta1_odd_kernel(4)
-    with pytest.raises(ValueError):
-        beta1_even_kernel(0)
-    with pytest.raises(ValueError):
-        beta1_even_kernel(4).scalar_kernel(0.1 + 0.2j, 0.3)
+        goe_kernel(4).scalar_kernel(0.1 + 0.2j, 0.3)
 
 
 def test_rho_vanishes_beyond_n_eigenvalues():
     # more eigenvalues than N, a complex point counting twice: exactly 0
-    assert rho(beta1_odd_kernel(3), [-0.4, 0.1, 0.6, 1.2]) == 0.0
-    assert rho(beta1_even_kernel(2), [-0.4, 0.1, 0.6]) == 0.0
-    bundle = ginoe_even_kernel(4)
+    assert rho(goe_kernel(3), [-0.4, 0.1, 0.6, 1.2]) == 0.0
+    assert rho(goe_kernel(2), [-0.4, 0.1, 0.6]) == 0.0
+    bundle = ginoe_kernel(4)
     over = PointConfiguration(reals=(0.2,), complexes=(0.3 + 0.5j, -0.6 + 0.9j))
     assert rho(bundle, over) == 0.0
-    assert rho(ginoe_odd_kernel(3), PointConfiguration(reals=(0.2, 0.7), complexes=(0.1 + 0.4j,))) == 0.0
+    assert rho(ginoe_kernel(3), PointConfiguration(reals=(0.2, 0.7), complexes=(0.1 + 0.4j,))) == 0.0
     full = PointConfiguration(reals=(0.2, -0.5), complexes=(0.3 + 0.5j,))
     assert abs(rho(bundle, full)) > 0.0
 
@@ -243,8 +241,8 @@ def test_density_against_high_precision_oracle():
         for N in (12, 31, 32, 48, 63, 64):
             edge = math.sqrt(2.0 * N)
             xs = edge * np.array([-1.3, -1.1, -0.9, -0.5, -0.05, 0.02, 0.3, 0.7, 1.0, 1.3])
-            bundle = beta1_even_kernel(N) if N % 2 == 0 else beta1_odd_kernel(N)
-            for x, got in zip(xs, density(bundle, xs)):
+            bundle = goe_kernel(N)
+            for x, got in zip(xs, bundle.scalar_kernel(xs, xs)):
                 want = mp_goe_density(N, float(x))
                 worst = max(worst, float(abs(got - want) / want))
     assert worst <= 1e-12

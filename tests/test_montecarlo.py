@@ -8,21 +8,19 @@ reproduce the exact normalization before the sector fraction is
 trusted.
 """
 
-import json
 import math
 
 import numpy as np
 import pytest
 
 from betaone.ginibre import sinclair_prefactor
-from betaone.ginoe_kernels import ginoe_odd_kernel
-from betaone.kernels import beta1_even_kernel
+from betaone.ginoe_kernels import ginoe_kernel
+from betaone.kernels import goe_kernel
 from betaone.montecarlo import (
     BLOCK_ENTRIES,
-    EmpiricalDensity,
+    MIN_COMPARISON_SAMPLES,
     _pcg64_states,
     _stream_words,
-    empirical_density,
     empirical_vs_analytic,
     expected_real_count,
     ginibre_spectra,
@@ -165,47 +163,37 @@ def test_ginibre_two_by_two_real_fraction():
 
 
 def test_empirical_density_bookkeeping():
-    samples = np.array([[-0.5, 0.5], [0.4, 5.0], [1j, -1j]])
-    hist = empirical_density(samples, np.linspace(-1.0, 1.0, 5))
+    rows = np.array([[-0.5, 0.5], [0.4, 5.0], [1j, -1j]])
+    index = np.arange(MIN_COMPARISON_SAMPLES) % 3
+    copies = np.bincount(index)
+    report = empirical_vs_analytic(rows[index], goe_kernel(2), bins=np.linspace(-1.0, 1.0, 5))
     # edges at -1, -0.5, 0, 0.5, 1; bins are closed on the left
-    assert hist.counts == (0, 1, 1, 1)
-    assert hist.overflow == 1
-    assert hist.mean_real_count() == pytest.approx(4.0 / 3.0)
-    widths = np.diff(hist.edges)
-    inrange = float(hist.density() @ widths)
-    assert inrange == pytest.approx(3.0 / 3.0)
-    with pytest.raises(ValueError):
-        EmpiricalDensity(edges=(0.0, 1.0), counts=(1, 2), overflow=0, samples=1)
+    assert report.observed == (0, copies[0], copies[1], copies[0])
+    assert report.overflow == copies[1]
 
 
 def test_comparison_requires_enough_samples():
     samples, _ = goe_spectra(2, 100, seed=1)
     with pytest.raises(ValueError):
-        empirical_vs_analytic(samples, beta1_even_kernel(2), bins=10)
+        empirical_vs_analytic(samples, goe_kernel(2), bins=10)
 
 
 def test_comparison_report_round_trip():
-    bundle = beta1_even_kernel(2)
-    samples, meta = goe_spectra(2, 10_000, seed=19)
-    report = empirical_vs_analytic(samples, bundle, bins=20, meta=meta)
+    samples, _ = goe_spectra(2, 10_000, seed=19)
+    report = empirical_vs_analytic(samples, goe_kernel(2), bins=20)
     assert report.flagged == ()
     assert report.mean_real_count == 2.0
     assert report.count_within and report.passed
-    data = json.loads(report.as_json())
-    assert data["samples"] == 10_000
-    assert data["meta"]["seed"] == 19
-    assert len(data["z_scores"]) == 20
-    lines = report.as_csv().strip().splitlines()
-    assert lines[0] == "bin_lo,bin_hi,observed,expected,z"
-    assert len(lines) == 21
+    assert report.samples == 10_000
+    assert len(report.z_scores) == 20
     assert sum(report.observed) + report.overflow == 2 * 10_000
 
 
 def test_expected_real_count_matches_known_values():
     # size 3 plane ensemble: 1 + 1/sqrt(2) real eigenvalues on average
-    assert np.isclose(expected_real_count(ginoe_odd_kernel(3)),
+    assert np.isclose(expected_real_count(ginoe_kernel(3)),
                       1.0 + 1.0 / math.sqrt(2.0), rtol=1e-8, atol=0)
-    bundle = beta1_even_kernel(4)
+    bundle = goe_kernel(4)
     assert np.isclose(expected_real_count(bundle), 4.0, rtol=1e-8, atol=0)
 
 

@@ -14,16 +14,13 @@ import math
 import numpy as np
 import pytest
 
-from betaone.ginoe_kernels import ginoe_even_kernel, ginoe_odd_kernel
-from betaone.kernels import PointConfiguration, beta1_even_kernel, beta1_odd_kernel
+from betaone.ginoe_kernels import ginoe_kernel
+from betaone.kernels import PointConfiguration, goe_kernel
 from betaone.pfaffian import pfaffian
 from betaone.reduction import (
-    asymptotic_forms,
     conditioned_bundle,
     factorisation_check,
-    integral_far_limit,
     pfaffian_reduction_identity,
-    scalar_far_limit,
     verify_odd_limit_beta1,
     verify_odd_limit_ginoe,
 )
@@ -31,8 +28,6 @@ from betaone.reduction import _cell_last
 
 BLOCKS = ("scalar", "derivative", "integral")
 EVEN_SIZES = range(4, 65, 2)
-
-even_bundle, odd_bundle = beta1_even_kernel, beta1_odd_kernel
 
 
 def block_values(bundle, mu, eta):
@@ -45,11 +40,11 @@ def block_values(bundle, mu, eta):
 
 def test_reduce_star_rejects_odd_bundle():
     with pytest.raises(ValueError):
-        conditioned_bundle(odd_bundle(3), 8.0)
+        conditioned_bundle(goe_kernel(3), 8.0)
 
 
 def test_reduce_star_coincident_points_antisymmetric():
-    bundle = conditioned_bundle(even_bundle(4), 8.0)
+    bundle = conditioned_bundle(goe_kernel(4), 8.0)
     for x in (-0.6, 0.0, 0.9):
         entry = block_values(bundle, x, x)
         assert abs(entry["derivative"]) <= 1e-10
@@ -62,8 +57,8 @@ def test_reduce_star_coincident_points_antisymmetric():
 
 
 def test_starred_entries_near_target_at_moderate_distance():
-    starred = block_values(conditioned_bundle(even_bundle(4), 6.0), 0.5, -0.2)
-    target = block_values(odd_bundle(3), 0.5, -0.2)
+    starred = block_values(conditioned_bundle(goe_kernel(4), 6.0), 0.5, -0.2)
+    target = block_values(goe_kernel(3), 0.5, -0.2)
     for name in BLOCKS:
         assert np.isfinite(starred[name])
         assert abs(starred[name] - target[name]) <= 0.10 * abs(target[name])
@@ -75,7 +70,7 @@ def test_reduction_identity_both_ensembles():
         PointConfiguration(reals=(0.5,)),
         PointConfiguration(reals=(0.5, -0.2)),
     )
-    bundles = [even_bundle(4), even_bundle(6), ginoe_even_kernel(4), ginoe_even_kernel(6)]
+    bundles = [goe_kernel(4), goe_kernel(6), ginoe_kernel(4), ginoe_kernel(6)]
     for bundle in bundles:
         for config in configs:
             for far in (4.0, 6.0):
@@ -88,20 +83,20 @@ def test_identity_rejects_configurations_beyond_n_eigenvalues():
     grid = np.linspace(-0.9, 0.9, 7) * math.sqrt(10.0)
     crowded = PointConfiguration(reals=grid, complexes=(0.1 + 0.5j, 0.6 + 0.5j))
     with pytest.raises(ValueError):
-        pfaffian_reduction_identity(ginoe_even_kernel(10), crowded, 16.0)
+        pfaffian_reduction_identity(ginoe_kernel(10), crowded, 16.0)
     with pytest.raises(ValueError):
-        pfaffian_reduction_identity(even_bundle(4), PointConfiguration(reals=(-0.5, 0.1, 0.7, 1.2)), 8.0)
+        pfaffian_reduction_identity(goe_kernel(4), PointConfiguration(reals=(-0.5, 0.1, 0.7, 1.2)), 8.0)
     # exactly N eigenvalues with the far point is still an identity
     full = PointConfiguration(reals=grid[:7], complexes=(0.1 + 0.5j,))
-    assert pfaffian_reduction_identity(ginoe_even_kernel(10), full, 16.0) <= 1e-8
+    assert pfaffian_reduction_identity(ginoe_kernel(10), full, 16.0) <= 1e-8
 
 
 def test_conditioned_bundle_is_schur_complement():
     # the bordered rank-two pairing against the Schur complement of the
     # far point's cell in the extended matrix, entry by entry
     cases = (
-        (even_bundle(6), PointConfiguration(reals=(0.5, -0.2, 1.3))),
-        (ginoe_even_kernel(6), PointConfiguration(reals=(0.5, -0.2), complexes=(0.3 + 0.7j,))),
+        (goe_kernel(6), PointConfiguration(reals=(0.5, -0.2, 1.3))),
+        (ginoe_kernel(6), PointConfiguration(reals=(0.5, -0.2), complexes=(0.3 + 0.7j,))),
     )
     for bundle, config in cases:
         for far in (4.0, 6.0, 8.0):
@@ -118,12 +113,12 @@ def test_conditioned_bundle_is_schur_complement():
 
 def test_identity_fails_loudly_when_corner_underflows():
     with pytest.raises(ArithmeticError):
-        conditioned_bundle(even_bundle(4), 60.0)
+        conditioned_bundle(goe_kernel(4), 60.0)
 
 
 def test_closed_form_limit_matches_direct_odd_line_ensemble():
     for N in (4, 6, 8, 10):
-        limit, odd = conditioned_bundle(even_bundle(N), np.inf), odd_bundle(N - 1)
+        limit, odd = conditioned_bundle(goe_kernel(N), np.inf), goe_kernel(N - 1)
         for mu, eta in ((0.5, -0.2), (1.1, 0.3), (0.07, 0.07), (-1.4, 0.9)):
             lim = block_values(limit, mu, eta)
             tgt = block_values(odd, mu, eta)
@@ -134,7 +129,7 @@ def test_closed_form_limit_matches_direct_odd_line_ensemble():
 def test_closed_form_limit_matches_direct_odd_plane_ensemble():
     z1, z2 = 0.2 + 0.3j, -0.5 + 0.8j
     for N in (4, 6, 8, 10):
-        limit, odd = conditioned_bundle(ginoe_even_kernel(N), np.inf), ginoe_odd_kernel(N - 1)
+        limit, odd = conditioned_bundle(ginoe_kernel(N), np.inf), ginoe_kernel(N - 1)
         for mu, eta in ((0.3, -0.4), (0.3, 0.3), (z1, z2), (0.3, z1), (z1, 0.3)):
             lim = block_values(limit, mu, eta)
             tgt = block_values(odd, mu, eta)
@@ -145,7 +140,7 @@ def test_closed_form_limit_matches_direct_odd_plane_ensemble():
 def test_plane_ensemble_complex_sector_limit_is_tight():
     # no extra odd-size terms live on the upper half-plane pairs, so the
     # limiting update there lands on the direct odd kernel to roundoff
-    limit, odd = conditioned_bundle(ginoe_even_kernel(4), np.inf), ginoe_odd_kernel(3)
+    limit, odd = conditioned_bundle(ginoe_kernel(4), np.inf), ginoe_kernel(3)
     z1, z2 = 0.2 + 0.3j, -0.5 + 0.8j
     for mu, eta in ((z1, z1), (z1, z2), (z2, z1)):
         lim = block_values(limit, mu, eta)
@@ -155,7 +150,7 @@ def test_plane_ensemble_complex_sector_limit_is_tight():
 
 
 def test_finite_distance_update_approaches_closed_form_limit():
-    even = even_bundle(4)
+    even = goe_kernel(4)
 
     def scalar(x_far):
         return conditioned_bundle(even, x_far).scalar_kernel(0.5, -0.2)
@@ -166,7 +161,7 @@ def test_finite_distance_update_approaches_closed_form_limit():
 
 
 def test_cell_move_keeps_pfaffian():
-    bundle = even_bundle(4)
+    bundle = goe_kernel(4)
     config = PointConfiguration(reals=(0.3, -0.7, 1.1))
     A = bundle.assemble(config)
     base = pfaffian(A)
@@ -197,8 +192,8 @@ def test_exact_limit_holds_on_random_bulk_configurations():
     rng = np.random.default_rng(20080)
     for N in EVEN_SIZES:
         edge = 0.9 * math.sqrt(N)
-        for even, odd in ((even_bundle(N), odd_bundle(N - 1)),
-                          (ginoe_even_kernel(N), ginoe_odd_kernel(N - 1))):
+        for even, odd in ((goe_kernel(N), goe_kernel(N - 1)),
+                          (ginoe_kernel(N), ginoe_kernel(N - 1))):
             limit = conditioned_bundle(even, np.inf)
             plane = even.family.layout == "plane"
             for _ in range(5):
@@ -212,57 +207,15 @@ def test_exact_limit_holds_on_random_bulk_configurations():
                     assert gap <= 1e-12 * np.abs(target).max(), (even.ensemble, N, n)
 
 
-def test_far_limits_are_saturation_values():
-    even = even_bundle(4)
-    for x in (-0.8, 0.1, 1.3):
-        assert np.isclose(even.scalar_kernel(20.0, x), scalar_far_limit(even, x),
-                          rtol=0, atol=1e-12)
-        assert np.isclose(even.integral_kernel(x, 20.0), integral_far_limit(even, x),
-                          rtol=0, atol=1e-12)
-    geven = ginoe_even_kernel(4)
-    for x in (-0.8, 0.1, 0.2 + 0.3j):
-        assert np.isclose(geven.scalar_kernel(x, 20.0), scalar_far_limit(geven, x),
-                          rtol=0, atol=1e-12)
-        assert np.isclose(geven.integral_kernel(x, 20.0), integral_far_limit(geven, x),
-                          rtol=0, atol=1e-12)
-
-
-def test_far_limit_helpers_reject_odd_bundles():
-    with pytest.raises(ValueError):
-        scalar_far_limit(odd_bundle(3), 0.1)
-    with pytest.raises(ValueError):
-        integral_far_limit(odd_bundle(3), 0.1)
-
-
-def test_asymptotic_forms_ratios_settle():
-    even = even_bundle(4)
-    gaps = [abs(asymptotic_forms(even, 0.5, xm)["derivative_probe_far"].ratio - 1.0)
-            for xm in (4.0, 6.0, 8.0, 10.0)]
-    assert all(b < a for a, b in zip(gaps, gaps[1:]))
-    corner = asymptotic_forms(even, 0.5, 10.0)["scalar_far_far"]
-    assert corner.exact * corner.leading > 0
-    assert abs(corner.ratio - 1.0) < 0.05
-    i_near = asymptotic_forms(even, 0.5, 10.0)["integral_probe_far"].exact
-    i_far = asymptotic_forms(even, 0.5, 14.0)["integral_probe_far"].exact
-    assert abs(i_near - i_far) <= 1e-6
-
-
-def test_asymptotic_forms_guard_rails():
-    with pytest.raises(ValueError):
-        asymptotic_forms(ginoe_even_kernel(4), 0.5, 10.0)
-    with pytest.raises(ValueError):
-        asymptotic_forms(even_bundle(4), 0.5, 3.0)
-
-
 def test_factorisation_single_point_is_exact():
     empty = PointConfiguration(reals=())
-    assert factorisation_check(even_bundle(4), odd_bundle(3), empty, 8.0) == 1.0
+    assert factorisation_check(goe_kernel(4), goe_kernel(3), empty, 8.0) == 1.0
 
 
 def test_factorisation_two_point_both_ensembles():
     config = PointConfiguration(reals=(0.07,))
-    for even, odd in ((even_bundle(4), odd_bundle(3)),
-                      (ginoe_even_kernel(4), ginoe_odd_kernel(3))):
+    for even, odd in ((goe_kernel(4), goe_kernel(3)),
+                      (ginoe_kernel(4), ginoe_kernel(3))):
         gaps = [abs(factorisation_check(even, odd, config, far) - 1.0)
                 for far in (6.0, 8.0, 10.0)]
         assert gaps[-1] <= 1e-2
@@ -272,15 +225,15 @@ def test_factorisation_two_point_both_ensembles():
 def test_factorisation_rejects_too_many_probes():
     config = PointConfiguration(reals=(0.1, 0.2, 0.3, 0.4))
     with pytest.raises(ValueError):
-        factorisation_check(even_bundle(6), odd_bundle(5), config, 8.0)
+        factorisation_check(goe_kernel(6), goe_kernel(5), config, 8.0)
 
 
 def test_conditioning_odd_size_recovers_even_target():
     # the reduction chain closes: conditioning the odd-size ensemble on a
     # far eigenvalue walks back down to the even size below it
     config = PointConfiguration(reals=(0.5,))
-    for joint, reduced, tol in ((odd_bundle(5), even_bundle(4), 4e-3),
-                                (ginoe_odd_kernel(3), ginoe_even_kernel(2), 2e-2)):
+    for joint, reduced, tol in ((goe_kernel(5), goe_kernel(4), 4e-3),
+                                (ginoe_kernel(3), ginoe_kernel(2), 2e-2)):
         gaps = [abs(factorisation_check(joint, reduced, config, far) - 1.0)
                 for far in (6.0, 8.0, 10.0, 12.0)]
         assert max(gaps) <= tol

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from betaone.kernels import beta1_odd_kernel, hat_transform
+from betaone.kernels import goe_kernel, hat_transform
 from betaone.pfaffian import pfaffian
 from betaone.quadrature import QuadratureError, gauss_legendre_rule, truncation_radius
 from betaone.skewortho import (
@@ -124,7 +124,7 @@ def test_hatted_family_exact_small_case():
 
 
 def test_hatted_family_kills_weighted_integrals():
-    rows = beta1_odd_kernel(5).family.rows
+    rows = goe_kernel(5).family.rows
     rule = gauss_legendre_rule(240, -12.0, 12.0)
     for n in range(4):
         value = rule.integrate(lambda x: rows(x)[:, 1, n])
@@ -132,8 +132,10 @@ def test_hatted_family_kills_weighted_integrals():
 
 
 def test_hatted_requires_odd_size():
-    with pytest.raises(ValueError):
-        beta1_odd_kernel(4)
+    # an even size keeps the plain rows: no hatting, no border column
+    basis = goe_kernel(4).family
+    x = np.array([-0.7, 0.4])
+    assert np.array_equal(basis.rows(x), gaussian_line_rows(goe_coefficients(4))(x))
 
 
 def test_generating_pfaffian_even_equals_norm_product():
