@@ -10,9 +10,10 @@ weight erfc(sqrt2 y) e^{y^2 - x^2} is |pair_weight|^2.  The monic family
 
 is skew-orthogonal for that pairing with pair norms 2 sqrt(2pi) (2k)!.
 Its Gram matrix is one quadrature sum per sector over the rows the
-kernels use (ginoe_rows): the line product and -4 Im(W^T diag(w) conj W)
-on a half-plane tensor rule, taken in blocks of at most BLOCK_ENTRIES
-point-column entries.
+kernels use (ginoe_rows): the line product, and -4 Im(W^T diag(w) conj W)
+over the upper half-plane.  At a fixed height the plane integrand is
+e^{-x^2} times a polynomial in x, so a Gauss-Hermite rule takes x
+exactly and only the height y is refined.
 """
 
 from __future__ import annotations
@@ -20,15 +21,15 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.polynomial.hermite import hermgauss
 
 from .pfaffian import pfaffian
-from .quadrature import ORDER, PLANE_PANEL_CAP, halfplane_rule, truncation_radius
+from .quadrature import PLANE_PANEL_CAP, panel_rule, truncation_radius
 from .skewortho import gaussian_line_rows, line_gram, refined_gram
 from .specfun import erfcx, weighted_powers
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 SQRT2 = math.sqrt(2.0)
-BLOCK_ENTRIES = 2 ** 16
 
 
 def ginoe_coefficients(N):
@@ -92,24 +93,28 @@ def ginoe_rows(C):
 
 
 def plane_gram(C, panels, radius):
-    """Complex-sector pairing -4 sum w Im(W^T conj W) on the half-plane rule.
+    """Complex-sector pairing -4 sum w Im(W^T conj W) over the upper half-plane.
 
+    At a fixed height, Im(W_j conj W_k) is e^{-x^2} times a polynomial
+    of degree at most 2n - 2 in x, n = C.shape[0], so the n-node
+    Gauss-Hermite rule is exact in x; its weights carry e^{x^2} because
+    both rows already hold e^{-x^2/2}.  The heights are `panels` panels
+    of [0, radius], taken half a panel (16 heights, 16 n^2 row entries)
+    at a time, with the erfc root of pair_weight once per height.
     Im(W^T diag(w) conj W) is A - A^T with A = Im(W)^T diag(w) Re(W);
-    W is evaluated in blocks of at most BLOCK_ENTRIES entries.  The erfc
-    root of pair_weight is taken once per height of the rule, whose
-    nodes run over the heights fastest.
+    W = P C on the weighted monomials P, and C is real, so it maps
+    Re P and Im P apart.
     """
-    rule = halfplane_rule(panels, radius)
-    heights = ORDER * panels
-    root = np.sqrt(erfcx(SQRT2 * rule.nodes[:heights].imag))
     n = C.shape[0]
-    block = max(1, BLOCK_ENTRIES // n)
+    x, wx = hermgauss(n)
+    wx = wx * np.exp(x * x)
+    y = panel_rule((0.0, radius), panels)
+    root = np.sqrt(erfcx(SQRT2 * y.nodes))
     A = np.zeros((n, n))
-    for start in range(0, rule.nodes.size, block):
-        z = rule.nodes[start : start + block]
-        weight = _folded_weight(z, root[np.arange(start, start + z.size) % heights])
-        W = weighted_powers(n, z, weight) @ C
-        A += (W.imag * rule.weights[start : start + block, None]).T @ W.real
+    for height, wy, r in zip(*(a.reshape(2 * panels, -1) for a in (y.nodes, y.weights, root))):
+        z = x[:, None] + 1j * height
+        P = weighted_powers(n, z, _folded_weight(z, r)).reshape(-1, n)
+        A += ((P.imag @ C) * np.outer(wx, wy).reshape(-1, 1)).T @ (P.real @ C)
     return -4.0 * (A - A.T)
 
 

@@ -1,7 +1,8 @@
 """Composite Gauss-Legendre quadrature for Gaussian-weighted integrals.
 
-Every integral in the library runs over the real line (or the upper half
-plane) against a weight that decays at least as fast as exp(-x^2/2).
+Every integral in the library runs over the real line (or the heights
+of the upper half plane) against a weight that decays at least as fast
+as exp(-x^2/2).
 Integrands are truncated to a radius where the weighted tail is far below
 the requested tolerance, segments are split at any sign-function kinks,
 and refinement doubles the number of equal panels per segment, each
@@ -21,7 +22,7 @@ from numpy.polynomial.legendre import leggauss
 
 ORDER = 32
 # refinement stops with QuadratureError beyond these panel counts per
-# segment: 2048 nodes on a line segment, 512 x 1024 in the half plane
+# segment: 2048 nodes on a line segment, 512 heights in the half plane
 LINE_PANEL_CAP = 64
 PLANE_PANEL_CAP = 16
 
@@ -90,21 +91,6 @@ def panel_rule(edges, panels):
     """ORDER-node panels, `panels` equal ones on every segment between edges."""
     fine = [np.linspace(a, b, panels + 1)[:-1] for a, b in zip(edges[:-1], edges[1:])]
     return composite_rule(np.append(np.concatenate(fine), edges[-1]), ORDER)
-
-
-def halfplane_rule(panels, radius):
-    """Tensor rule on [-radius, radius] x [0, radius] with complex nodes x + iy.
-
-    Each coordinate carries `panels` panels per half-line; the nodes run
-    over the heights fastest, ORDER * panels of them per real node.
-    """
-    x = panel_rule((-radius, 0.0, radius), panels)
-    y = panel_rule((0.0, radius), panels)
-    return QuadratureRule(
-        (x.nodes[:, None] + 1j * y.nodes).reshape(-1),
-        np.outer(x.weights, y.weights).reshape(-1),
-        (x.domain, y.domain),
-    )
 
 
 def truncation_radius(degree):

@@ -315,9 +315,13 @@ def test_verify_skew_reports_refinement_deterministically():
 
 
 def test_verify_skew_past_reach_exits_3():
-    code, _, err = run_cli(["verify", "--suite", "skew", "--size", "6", "--tol-skew", "1e-18"])
-    assert code == 3
-    assert "skew Gram did not reach tolerance" in err
+    for argv in (
+        ["--size", "6", "--tol-skew", "1e-18"],
+        ["--ensemble", "ginoe", "--size", "64", "--tol-skew", "1e-17"],
+    ):
+        code, _, err = run_cli(["verify", "--suite", "skew", *argv])
+        assert code == 3
+        assert "skew Gram did not reach tolerance" in err
 
 
 def test_verify_all_passes():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
 from scipy import special
 
 from betaone.ginibre import (
@@ -10,14 +11,16 @@ from betaone.ginibre import (
     ginoe_norm,
     ginoe_rows,
     partition_function_check,
+    plane_gram,
     plane_rows,
     sector_grams,
     sinclair_prefactor,
 )
 from betaone.ginoe_kernels import ginoe_kernel
 from betaone.kernels import hat_transform
-from betaone.quadrature import gauss_legendre_rule
-from betaone.skewortho import gaussian_line_rows
+from betaone.quadrature import ORDER, gauss_legendre_rule, panel_rule, truncation_radius
+from betaone.skewortho import gaussian_line_rows, goe_gram, goe_norm, skew_deviation
+from betaone.specfun import erfcx, weighted_powers
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -90,6 +93,48 @@ def test_skew_orthogonality_small_battery():
     assert abs(gram[0, 2]) <= 1e-14 * r0
     assert abs(gram[1, 3]) <= 1e-14 * r0
     assert np.isclose(gram[2, 3], ginoe_norm(1), rtol=1e-14, atol=0)
+
+
+def plane_pairing(C, x, wx, heights):
+    # -4 Im sum wx wy W_j conj W_k over the nodes x + iy, one panel of the
+    # rule `heights` at a time; W are the plane_rows, with pair_weight
+    # written out as sqrt(erfcx(sqrt2 y)) e^{-(x^2 + y^2)/2 - ixy}, and
+    # Im(W^T diag(w) conj W) is A - A^T with A = Im(W)^T diag(w) Re(W)
+    n = C.shape[0]
+    A = 0.0
+    for y, wy in zip(heights.nodes.reshape(-1, ORDER), heights.weights.reshape(-1, ORDER)):
+        x_, y_ = np.meshgrid(x, y, indexing="ij")
+        weight = np.sqrt(erfcx(math.sqrt(2.0) * y)) * np.exp(-0.5 * (x_**2 + y_**2) - 1j * x_ * y_)
+        W = (weighted_powers(n, x_ + 1j * y_, weight) @ C).reshape(-1, n)
+        A = A + (W.imag.T * np.outer(wx, wy).reshape(-1)) @ W.real
+    return -4.0 * (A - A.T)
+
+
+def test_plane_gram_is_exact_in_x():
+    # at a fixed height the x-integrand is e^{-x^2} times a polynomial of
+    # degree below 2N, so N Gauss-Hermite nodes give what N + 6 give (on
+    # the same heights) and what the 16-panel tensor Gauss-Legendre rule
+    # gives, to rounding
+    for N in (2, 5, 16, 33):
+        C = ginoe_coefficients(N)
+        radius = truncation_radius(2 * N) / math.sqrt(2.0)
+        s = np.sqrt([ginoe_norm(j // 2) for j in range(N)])
+        scale = np.outer(s, s)
+        G = plane_gram(C, 16, radius)
+        heights = panel_rule((0.0, radius), 16)
+        x, wx = hermgauss(N + 6)
+        more = plane_pairing(C, x, wx * np.exp(x * x), heights)
+        assert np.abs((G - more) / scale).max() <= 3e-15, N
+        x = panel_rule((-radius, 0.0, radius), 16)
+        tensor = plane_pairing(C, x.nodes, x.weights, heights)
+        assert np.abs((G - tensor) / scale).max() <= 1e-14, N
+
+
+def test_grams_hold_at_every_size():
+    for N in range(1, 65):
+        for refined, norm in ((ginoe_gram(N, 1e-12), ginoe_norm), (goe_gram(N, 1e-12), goe_norm)):
+            assert skew_deviation(refined.value, norm) <= 1e-12, (N, norm)
+            assert refined.difference <= 1e-12, (N, norm)
 
 
 def half_moments(N):

@@ -39,8 +39,8 @@ from betaone.pfaffian import as_antisymmetric, pfaffian
 from betaone.quadrature import (
     PLANE_PANEL_CAP,
     gauss_legendre_rule,
-    halfplane_rule,
     integrate_line,
+    panel_rule,
     refine,
     truncation_radius,
 )
@@ -162,8 +162,12 @@ def test_complex_density_integrates_to_expected_pair_count():
         radius = truncation_radius(2 * N) / math.sqrt(2.0)
 
         def planar(panels):
-            rule = halfplane_rule(panels, radius)
-            return rule.integrate(lambda w: bundle.scalar_kernel(w, w).real)
+            # tensor Gauss-Legendre rule on [-radius, radius] x [0, radius]
+            x = panel_rule((-radius, 0.0, radius), panels)
+            y = panel_rule((0.0, radius), panels)
+            w = (x.nodes[:, None] + 1j * y.nodes).reshape(-1)
+            weights = np.outer(x.weights, y.weights).reshape(-1)
+            return weights @ bundle.scalar_kernel(w, w).real
 
         total = refine(planar, 1e-12, "complex density", cap=PLANE_PANEL_CAP).value
         expected = 0.5 * (N - expected_real_count(N))
