@@ -7,16 +7,16 @@ bins and the mean real-eigenvalue count.
 """
 
 from betaone.cli import kernel_bundle
-from betaone.montecarlo import empirical_vs_analytic, ginibre_spectra
+from betaone.montecarlo import GENERATOR, empirical_vs_analytic, ginibre_spectra
 
 SAMPLES = 20_000
 
 
 def main():
-    samples, meta = ginibre_spectra(3, SAMPLES, seed=42)
+    samples = ginibre_spectra(3, SAMPLES, seed=42)
     bundle = kernel_bundle("ginoe", 3)
     comparison = empirical_vs_analytic(samples, bundle, bins=16)
-    print(f"real ginibre N=3, {SAMPLES} samples, seed 42, {meta['generator']}")
+    print(f"real ginibre N=3, {SAMPLES} samples, seed 42, {GENERATOR}")
     print("   bin            observed  expected      z")
     for k in range(len(comparison.observed)):
         lo, hi = comparison.edges[k], comparison.edges[k + 1]

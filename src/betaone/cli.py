@@ -2,7 +2,8 @@
 Monte Carlo comparisons.
 
 Exit codes: 0 success (and all checks passed where checks ran), 1 a
-verification or comparison failed, 2 invalid configuration, 3 numerical
+verification or comparison failed, 2 invalid configuration or an
+`--out` path that cannot be written, 3 numerical
 failure or an allocation too large for memory.  Output is deterministic
 for a fixed configuration: fixed float formatting, no timestamps, seeded
 randomness only.  CSV reports start with `# key=value` comment lines
@@ -26,6 +27,7 @@ from .ginibre import SQRT_2PI, ginoe_gram, ginoe_norm
 from .ginoe_kernels import ginoe_kernel, ginoe_rho, ginoe_summed_S, interrelations_check
 from .kernels import PointConfiguration, density_integral, dyson_recurrence_check, goe_kernel, rho
 from .montecarlo import (
+    GENERATOR,
     MIN_COMPARISON_SAMPLES,
     empirical_vs_analytic,
     ginibre_spectra,
@@ -35,17 +37,27 @@ from .pfaffian import dual_block, flatten_blocks, pfaffian, pfaffian_laplace, qd
 from .reduction import verify_odd_limit_beta1, verify_odd_limit_ginoe
 from .skewortho import goe_gram, goe_norm, skew_deviation
 
-SUITES = ("pfaffian", "skew", "kernels", "reduction", "all")
 PATHS = ("finite-sum", "summed-up", "both")
-DEFAULT_TOLERANCES = {
-    "pfaffian": 1e-10,
-    "skew": 1e-12,
-    "kernels": 1e-5,
-    "reduction": 1e-12,
+# The bound on each verify check's deviation, with the worst reading over
+# N = 1..64 in both ensembles (the pfaffian checks over seeds 0..1999).
+GATES = {
+    "squared-vs-determinant-real": 1e-10,  # 6.8e-13 at seed 858
+    "squared-vs-determinant-complex": 1e-10,  # 7.8e-14
+    "elimination-vs-cofactor": 1e-10,  # 2.1e-14
+    "quaternion-determinant-squared": 1e-10,  # 1.5e-14
+    # also the agreement the Gram's refinement stops at
+    "gram-deviation": 1e-12,  # 2.4e-14 (GOE N = 50)
+    "density-normalization": 1e-13,  # 8.9e-16
+    "integrate-out-recurrence": 1e-13,  # 1.1e-15
+    "block-interrelations": 1e-9,  # 1.1e-11 (N = 21), limited by FD_STEP
+    # relative to the GinOE kernel scale 1/sqrt(2 pi); density --path both too
+    "closed-form-agreement": 1e-13,  # 2.8e-15
+    # relative to the target matrix's largest entry
+    "exact-limit": 1e-13,  # 7.0e-16
+    # the worst ratio of successive far deviations: below 1 while they shrink
+    "far-convergence": 1.0,  # 0.75
+    "pfaffian-identity-gap": 1e-12,  # 7.8e-15
 }
-# relative to the GinOE kernel scale 1/sqrt(2 pi)
-CLOSED_FORM_TOL = 1e-13
-IDENTITY_TOL = 1e-8
 MAX_CORRELATE_POINTS = 5
 MAX_SIZE = 64
 
@@ -59,14 +71,13 @@ class RunConfig:
     command: str
     ensemble: str
     size: int
-    seed: int
     out: str
     format: str
+    seed: int = None
     grid: tuple = None
     path: str = "finite-sum"
     points: tuple = ()
     suite: str = "all"
-    tolerances: dict = None
     samples: int = 0
     bins: int = 40
 
@@ -82,9 +93,10 @@ class RunConfig:
             ("ensemble", self.ensemble),
             ("size", self.size),
             ("parity", self.parity),
-            ("seed", self.seed),
-            ("format", self.format),
         ]
+        if self.seed is not None:
+            rows.append(("seed", self.seed))
+        rows.append(("format", self.format))
         if self.command == "density":
             lo, hi, count = self.grid
             rows.append(("grid", "%s:%s:%d" % (_fmt(lo), _fmt(hi), count)))
@@ -93,8 +105,6 @@ class RunConfig:
             rows.append(("points", ",".join(_fmt_point(z) for z in self.points)))
         elif self.command == "verify":
             rows.append(("suite", self.suite))
-            for name in sorted(self.tolerances):
-                rows.append(("tol_" + name, _fmt(self.tolerances[name])))
         elif self.command == "mc-compare":
             rows.append(("samples", self.samples))
             rows.append(("bins", self.bins))
@@ -188,14 +198,16 @@ def make_config(args):
         raise ConfigError("size must be a positive integer")
     if args.size > MAX_SIZE:
         raise ConfigError("size must be at most %d" % MAX_SIZE)
-    if args.seed < 0:
+    # only verify (its pfaffian battery) and mc-compare draw random numbers
+    seed = getattr(args, "seed", None)
+    if seed is not None and seed < 0:
         raise ConfigError("seed must be a non-negative integer")
     command = args.command
     fields = dict(
         command=command,
         ensemble=args.ensemble,
         size=args.size,
-        seed=args.seed,
+        seed=seed,
         out=args.out,
         format=args.format or ("json" if command == "verify" else "csv"),
     )
@@ -221,13 +233,7 @@ def make_config(args):
             raise ConfigError("complex points need the ginoe ensemble")
         fields["points"] = points
     elif command == "verify":
-        tolerances = {
-            name: getattr(args, "tol_" + name) for name in DEFAULT_TOLERANCES
-        }
-        if not all(0 < tol < math.inf for tol in tolerances.values()):
-            raise ConfigError("tolerances must be finite and positive")
         fields["suite"] = args.suite
-        fields["tolerances"] = tolerances
     elif command == "mc-compare":
         if args.samples < MIN_COMPARISON_SAMPLES:
             raise ConfigError(
@@ -253,7 +259,7 @@ def cmd_density(config):
         closed = [float(v) for v in ginoe_summed_S(config.size, xs, xs)]
     if config.path == "both":
         gap = max(abs(f - c) for f, c in zip(finite, closed))
-        if gap * SQRT_2PI > CLOSED_FORM_TOL:
+        if gap * SQRT_2PI > GATES["closed-form-agreement"]:
             raise ArithmeticError(
                 "finite-sum and closed-form densities disagree by %.3e" % gap
             )
@@ -294,15 +300,14 @@ def cmd_correlate(config):
     return _csv_text(config, ("record", "row", "col", "value"), rows, extra), 0
 
 
-def _check(suite, name, deviation, tolerance, **diagnostics):
+def _check(suite, name, deviation, **diagnostics):
     deviation = float(deviation)
-    tolerance = float(tolerance)
     return {
         "suite": suite,
         "check": name,
         "deviation": deviation,
-        "tolerance": tolerance,
-        "passed": deviation <= tolerance,
+        "tolerance": GATES[name],
+        "passed": deviation <= GATES[name],
         **diagnostics,
     }
 
@@ -324,7 +329,6 @@ def _worst_gap(values, reference):
 
 def _suite_pfaffian(config):
     # every Pfaffian and determinant is taken on one stack per matrix size
-    tol = config.tolerances["pfaffian"]
     rng = default_rng(config.seed)
     real, complex_, cofactor = {}, {}, {}
     for _ in range(30):
@@ -347,24 +351,22 @@ def _suite_pfaffian(config):
     blocks = [_random_self_dual(rng, int(rng.integers(1, 5))) for _ in range(10)]
     worst_qdet = max(_worst_gap(qdet(B) ** 2, np.linalg.det(flatten_blocks(B))) for B in blocks)
     return [
-        _check("pfaffian", "squared-vs-determinant-real", worst_real, tol),
-        _check("pfaffian", "squared-vs-determinant-complex", worst_complex, tol),
-        _check("pfaffian", "elimination-vs-cofactor", worst_cofactor, tol),
-        _check("pfaffian", "quaternion-determinant-squared", worst_qdet, tol),
+        _check("pfaffian", "squared-vs-determinant-real", worst_real),
+        _check("pfaffian", "squared-vs-determinant-complex", worst_complex),
+        _check("pfaffian", "elimination-vs-cofactor", worst_cofactor),
+        _check("pfaffian", "quaternion-determinant-squared", worst_qdet),
     ]
 
 
 def _suite_skew(config):
-    # the family's Gram, refined to the tolerance it is gated at
-    tol = config.tolerances["skew"]
+    # the family's Gram, refined to the bound it is gated at
     gram, norm = (goe_gram, goe_norm) if config.ensemble == "goe" else (ginoe_gram, ginoe_norm)
-    refined = gram(config.size, tol)
+    refined = gram(config.size, GATES["gram-deviation"])
     return [
         _check(
             "skew",
             "gram-deviation",
             skew_deviation(refined.value, norm),
-            tol,
             panels=refined.panels,
             refinement_difference=refined.difference,
         )
@@ -372,7 +374,6 @@ def _suite_skew(config):
 
 
 def _suite_kernels(config):
-    tol = config.tolerances["kernels"]
     bundle = kernel_bundle(config.ensemble, config.size)
     if config.ensemble == "goe":
         gap = abs(density_integral(bundle) - bundle.N) / bundle.N
@@ -381,13 +382,11 @@ def _suite_kernels(config):
             report = dyson_recurrence_check(bundle, 1, (x,))
             worst = max(worst, report["relative_deviation"])
         return [
-            _check("kernels", "density-normalization", gap, tol),
-            _check("kernels", "integrate-out-recurrence", worst, tol),
+            _check("kernels", "density-normalization", gap),
+            _check("kernels", "integrate-out-recurrence", worst),
         ]
     relations = interrelations_check(bundle, (0.3, -0.8), (0.4 + 0.6j,))
-    checks = [
-        _check("kernels", "block-interrelations", max(relations.values()), tol)
-    ]
+    checks = [_check("kernels", "block-interrelations", max(relations.values()))]
     if bundle.N >= 2:
         # all pairs of a real grid across the spectrum and the same grid at +0.5i
         reals = np.linspace(-1.3, 1.3, 9) * math.sqrt(bundle.N)
@@ -397,9 +396,7 @@ def _suite_kernels(config):
             for mu in points
             for eta in points
         )
-        checks.append(
-            _check("kernels", "closed-form-agreement", worst * SQRT_2PI, CLOSED_FORM_TOL)
-        )
+        checks.append(_check("kernels", "closed-form-agreement", worst * SQRT_2PI))
     return checks
 
 
@@ -409,13 +406,13 @@ def _suite_reduction(config):
     verify = verify_odd_limit_beta1 if config.ensemble == "goe" else verify_odd_limit_ginoe
     report = verify(even)
     return [
-        _check("reduction", "exact-limit", report.exact, config.tolerances["reduction"]),
-        _check("reduction", "far-convergence", report.ratio, 1.0),
-        _check("reduction", "pfaffian-identity-gap", report.identity_gap, IDENTITY_TOL),
+        _check("reduction", "exact-limit", report.exact),
+        _check("reduction", "far-convergence", report.ratio),
+        _check("reduction", "pfaffian-identity-gap", report.identity_gap),
     ]
 
 
-SUITE_RUNNERS = {
+SUITES = {
     "pfaffian": _suite_pfaffian,
     "skew": _suite_skew,
     "kernels": _suite_kernels,
@@ -425,10 +422,10 @@ SUITE_RUNNERS = {
 
 def cmd_verify(config):
     """Self-check suites built from the library's own cross relations."""
-    names = SUITES[:-1] if config.suite == "all" else (config.suite,)
+    names = SUITES if config.suite == "all" else (config.suite,)
     checks = []
     for name in names:
-        checks.extend(SUITE_RUNNERS[name](config))
+        checks.extend(SUITES[name](config))
     failed = [c for c in checks if not c["passed"]]
     extra = [("passed", not failed), ("checks", len(checks))]
     if config.format == "csv":
@@ -449,13 +446,13 @@ def cmd_verify(config):
 def cmd_mc_compare(config):
     """Sampled spectra against the analytic real-axis density."""
     sampler = ginibre_spectra if config.ensemble == "ginoe" else goe_spectra
-    spectra, meta = sampler(config.size, config.samples, config.seed)
+    spectra = sampler(config.size, config.samples, config.seed)
     bundle = kernel_bundle(config.ensemble, config.size)
     report = empirical_vs_analytic(spectra, bundle, bins=config.bins)
     # every draw is used as drawn, so resamples is always 0; the key stays
     # because bench/run.py parses it
     extra = [
-        ("generator", meta["generator"]),
+        ("generator", GENERATOR),
         ("resamples", 0),
         ("flagged_bins", len(report.flagged)),
         ("mean_real_count", report.mean_real_count),
@@ -506,7 +503,6 @@ def build_parser():
             help="ensemble family (default: goe)",
         )
         p.add_argument("--size", type=int, default=4, help="matrix size N (default: 4)")
-        p.add_argument("--seed", type=int, default=0, help="random seed (default: 0)")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument(
             "--format",
@@ -514,6 +510,9 @@ def build_parser():
             default=None,
             help="report format (default: csv, or json for verify)",
         )
+
+    def seeded(p):
+        p.add_argument("--seed", type=int, default=0, help="random seed (default: 0)")
 
     p = sub.add_parser("density", help="one-point density on a uniform grid")
     common(p)
@@ -540,20 +539,14 @@ def build_parser():
 
     p = sub.add_parser("verify", help="internal consistency suites")
     common(p)
+    seeded(p)
     p.add_argument(
-        "--suite", choices=SUITES, default="all", help="suite name (default: all)"
+        "--suite", choices=(*SUITES, "all"), default="all", help="suite name (default: all)"
     )
-    for name, default in DEFAULT_TOLERANCES.items():
-        p.add_argument(
-            "--tol-" + name,
-            type=float,
-            default=default,
-            dest="tol_" + name,
-            help="%s suite tolerance (default: %g)" % (name, default),
-        )
 
     p = sub.add_parser("mc-compare", help="sampled spectra against the density")
     common(p)
+    seeded(p)
     p.add_argument("--samples", type=int, required=True, help="sample count, >= 10000")
     p.add_argument("--bins", type=int, default=40, help="histogram bins (default: 40)")
     return parser
@@ -579,8 +572,13 @@ def main(argv=None):
         print("error: %s" % exc, file=sys.stderr)
         return 2
     if config.out:
-        with open(config.out, "w") as handle:
-            handle.write(text)
+        try:
+            with open(config.out, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            reason = exc.strerror or exc
+            print("error: cannot write %s: %s" % (config.out, reason), file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -146,7 +146,7 @@ def sinclair_prefactor(N):
     return 2.0 ** (-0.25 * N * (N + 1)) / denom
 
 
-def partition_function_check(N, tol=1e-12):
+def partition_function_check(N):
     """Prefactor times the Pfaffian of the Gram; equals 1 for every N.
 
     Odd N borders the Gram by the full weighted integrals of the
@@ -158,7 +158,7 @@ def partition_function_check(N, tol=1e-12):
     factor per l = 1..N, sqrt(r_{(l-1)//2}) 2^{-l/2} / Gamma(l/2), of
     order one.
     """
-    G = ginoe_gram(N, tol).value
+    G = ginoe_gram(N, 1e-12).value
     roots = np.sqrt([ginoe_norm(j // 2) for j in range(N)])
     halves = 0.5 * np.arange(1, N + 1)
     factors = roots * 2.0 ** -halves / np.array([math.gamma(h) for h in halves])

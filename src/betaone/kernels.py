@@ -229,14 +229,14 @@ def goe_kernel(N):
     return KernelBundle.from_basis("goe", N, basis)
 
 
-def density_integral(bundle, tol=1e-9):
+def density_integral(bundle):
     """Integral of the one-point correlation; equals N."""
     return integrate_line(
-        lambda x: bundle.scalar_kernel(x, x), tol=tol, degree=2 * bundle.N
+        lambda x: bundle.scalar_kernel(x, x), tol=1e-9, degree=2 * bundle.N
     )
 
 
-def dyson_recurrence_check(bundle, n, points, tol=1e-8):
+def dyson_recurrence_check(bundle, n, points):
     """Integrating out one argument drops an n+1 point correlation to
     (N - n) times the n point one; returns both sides and the deviation.
     """
@@ -254,7 +254,7 @@ def dyson_recurrence_check(bundle, n, points, tol=1e-8):
         return pfaffian(basis.matrix(basis.rows(reals), reals))
 
     integrated = integrate_line(
-        integrand, tol=tol, breakpoints=points, degree=2 * bundle.N
+        integrand, tol=1e-8, breakpoints=points, degree=2 * bundle.N
     )
     expected = (bundle.N - n) * base
     scale = max(abs(expected), 1e-12)

@@ -184,42 +184,28 @@ def _spectra(N, count, seed, tail, solve, dtype):
     return spectra
 
 
-def _meta(ensemble, N, count, seed):
-    return {
-        "ensemble": ensemble,
-        "size": N,
-        "samples": count,
-        "seed": seed,
-        "generator": GENERATOR,
-    }
-
-
 def goe_spectra(N, count, seed):
     """GOE batch: (G + G^T)/2 with G of independent standard normals.
 
     Diagonal entries have variance 1 and off-diagonal entries variance
     1/2, so the eigenvalue density carries the plain exp(-x^2/2) weight.
-    Returns the (count, N) array of ascending spectra and the
-    reproducibility metadata.
+    Returns the (count, N) array of ascending spectra.
     """
 
     def solve(G):
         return np.linalg.eigvalsh(0.5 * (G + np.swapaxes(G, -1, -2)))
 
-    spectra = _spectra(N, count, seed, (), solve, float)
-    return spectra, _meta("goe", N, count, seed)
+    return _spectra(N, count, seed, (), solve, float)
 
 
 def ginibre_spectra(N, count, seed):
     """Real Ginibre batch: all N^2 entries independent standard normals.
 
-    Returns the (count, N) complex array of spectra and the
-    reproducibility metadata.
+    Returns the (count, N) complex array of spectra.
     """
     # the trailing 0 was the attempt index of a retired redraw loop;
     # keeping it preserves the sample stream
-    spectra = _spectra(N, count, seed, (0,), np.linalg.eigvals, complex)
-    return spectra, _meta("ginoe", N, count, seed)
+    return _spectra(N, count, seed, (0,), np.linalg.eigvals, complex)
 
 
 def real_counts(spectra):
@@ -239,12 +225,12 @@ def expected_bin_masses(bundle, edges):
     return terms.reshape(len(edges) - 1, BIN_QUAD_ORDER).sum(axis=1)
 
 
-def expected_real_count(bundle, tol=1e-9):
+def expected_real_count(bundle):
     """Full-line integral of the one-point density of real eigenvalues."""
     radius = truncation_radius(2 * bundle.N + 2)
     return integrate_line(
         lambda xs: _density_on_nodes(bundle, np.atleast_1d(xs)),
-        tol=tol,
+        tol=1e-9,
         breakpoints=(0.0,),
         radius=radius,
     )

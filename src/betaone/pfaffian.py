@@ -119,7 +119,7 @@ def dual_block(block):
     return np.array([[b[1, 1], -b[0, 1]], [-b[1, 0], b[0, 0]]], dtype=b.dtype)
 
 
-def check_self_dual(blocks, tol=1e-10):
+def check_self_dual(blocks):
     """Raise unless blocks[j][i] is the dual of blocks[i][j] for all pairs."""
     B = np.asarray(blocks)
     if B.ndim != 4 or B.shape[0] != B.shape[1] or B.shape[2:] != (2, 2):
@@ -128,7 +128,7 @@ def check_self_dual(blocks, tol=1e-10):
     for i in range(B.shape[0]):
         for j in range(i, B.shape[0]):
             defect = np.abs(B[j, i] - dual_block(B[i, j])).max()
-            if defect > tol * scale:
+            if defect > 1e-10 * scale:
                 raise ValueError(f"blocks ({i},{j})/({j},{i}) are not mutually dual")
 
 

@@ -274,13 +274,13 @@ def test_criterion_10_monte_carlo_ground_truth():
     )
     details = []
     for sampler, N, bundle, seed in runs:
-        samples, meta = sampler(N, 100_000, seed)
+        samples = sampler(N, 100_000, seed)
         comparison = empirical_vs_analytic(samples, bundle, bins=40)
-        assert comparison.flagged == (), (meta["ensemble"], N)
-        assert comparison.count_within, (meta["ensemble"], N)
+        assert comparison.flagged == (), (bundle.ensemble, N)
+        assert comparison.count_within, (bundle.ensemble, N)
         details.append(
             "%s N=%d worst |z|=%.2f"
-            % (meta["ensemble"], N, max(abs(z) for z in comparison.z_scores))
+            % (bundle.ensemble, N, max(abs(z) for z in comparison.z_scores))
         )
     report(
         "criterion 10 (sampled spectra match kernels)",

@@ -35,12 +35,12 @@ def test_spectra_follow_per_matrix_streams():
     # N=8 and N=64 span solve blocks (1024 and 16 matrices); a seed of
     # 2^32 or more takes two words in the stream key
     for N, count, seed in ((3, 50, 7), (8, 1030, 2**32 + 11), (64, 40, 11)):
-        spectra, _ = ginibre_spectra(N, count, seed)
+        spectra = ginibre_spectra(N, count, seed)
         draws = np.stack(
             [np.random.default_rng((seed, i, 0)).standard_normal((N, N)) for i in range(count)]
         )
         assert np.array_equal(spectra, np.linalg.eigvals(draws))
-        spectra, _ = goe_spectra(N, count, seed)
+        spectra = goe_spectra(N, count, seed)
         draws = np.stack(
             [np.random.default_rng((seed, i)).standard_normal((N, N)) for i in range(count)]
         )
@@ -76,7 +76,7 @@ def test_reals_are_read_from_structure():
     assert real_counts(eigs[None]).tolist() == [0]
     assert eigs[0] == eigs[1].conjugate() and eigs[0].imag != 0.0
     for N in (2, 3, 8):
-        spectra, _ = ginibre_spectra(N, 2000, seed=N)
+        spectra = ginibre_spectra(N, 2000, seed=N)
         assert np.all((N - real_counts(spectra)) % 2 == 0)
         # every pair representative has its exact conjugate in its row
         assert np.array_equal(
@@ -85,30 +85,30 @@ def test_reals_are_read_from_structure():
 
 
 def test_sample_goe_size_one_is_single_real():
-    spectra, _ = goe_spectra(1, 3, 7)
+    spectra = goe_spectra(1, 3, 7)
     draws = [np.random.default_rng((7, i)).standard_normal() for i in range(3)]
     assert spectra.tolist() == [[x] for x in draws]
 
 
 def test_sample_goe_preserves_trace():
-    spectra, _ = goe_spectra(5, 20, 0)
+    spectra = goe_spectra(5, 20, 0)
     for i in range(20):
         G = np.random.default_rng((0, i)).standard_normal((5, 5))
         assert abs(spectra[i].sum() - np.trace(0.5 * (G + G.T))) <= 1e-10
 
 
 def test_sample_ginibre_size_one_and_determinism():
-    assert np.all(real_counts(ginibre_spectra(1, 5, 3)[0]) == 1)
-    first, _ = ginibre_spectra(4, 50, 123)
-    assert np.array_equal(first, ginibre_spectra(4, 50, 123)[0])
-    assert not np.array_equal(first, ginibre_spectra(4, 50, 124)[0])
+    assert np.all(real_counts(ginibre_spectra(1, 5, 3)) == 1)
+    first = ginibre_spectra(4, 50, 123)
+    assert np.array_equal(first, ginibre_spectra(4, 50, 123))
+    assert not np.array_equal(first, ginibre_spectra(4, 50, 124))
 
 
 def test_batch_diagnostics_and_parity():
-    samples, meta = ginibre_spectra(4, 200, seed=9)
-    assert meta["samples"] == 200 and meta["generator"] == "PCG64"
+    samples = ginibre_spectra(4, 200, seed=9)
+    assert samples.shape == (200, 4) and samples.dtype == complex
     assert all(real_counts(samples) % 2 == 0)
-    again, _ = ginibre_spectra(4, 200, seed=9)
+    again = ginibre_spectra(4, 200, seed=9)
     assert np.array_equal(samples, again)
 
 
@@ -124,7 +124,7 @@ def ordered_pair_moment(power):
 
 
 def test_goe_two_by_two_largest_eigenvalue_mean():
-    samples, _ = goe_spectra(2, 100_000, seed=17)
+    samples = goe_spectra(2, 100_000, seed=17)
     largest = samples[:, -1]
     oracle = ordered_pair_moment(1) / ordered_pair_moment(0)
     stderr = largest.std(ddof=1) / math.sqrt(largest.size)
@@ -156,7 +156,7 @@ def test_ginibre_two_by_two_real_fraction():
     assert np.isclose(sinclair_prefactor(2) * (two_real + pair), 1.0,
                       rtol=1e-10, atol=0)
     p_real = sinclair_prefactor(2) * two_real
-    samples, _ = ginibre_spectra(2, 100_000, seed=29)
+    samples = ginibre_spectra(2, 100_000, seed=29)
     hits = (real_counts(samples) == 2).astype(float)
     stderr = hits.std(ddof=1) / math.sqrt(hits.size)
     assert abs(hits.mean() - p_real) <= 3.0 * stderr
@@ -173,13 +173,13 @@ def test_empirical_density_bookkeeping():
 
 
 def test_comparison_requires_enough_samples():
-    samples, _ = goe_spectra(2, 100, seed=1)
+    samples = goe_spectra(2, 100, seed=1)
     with pytest.raises(ValueError):
         empirical_vs_analytic(samples, goe_kernel(2), bins=10)
 
 
 def test_comparison_report_round_trip():
-    samples, _ = goe_spectra(2, 10_000, seed=19)
+    samples = goe_spectra(2, 10_000, seed=19)
     report = empirical_vs_analytic(samples, goe_kernel(2), bins=20)
     assert report.flagged == ()
     assert report.mean_real_count == 2.0
