@@ -10,17 +10,16 @@ trusted.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from betaone import montecarlo
 from betaone.ginibre import sinclair_prefactor
 from betaone.ginoe_kernels import ginoe_kernel
 from betaone.kernels import goe_kernel
 from betaone.montecarlo import (
-    BLOCK_ENTRIES,
     MIN_COMPARISON_SAMPLES,
-    _pcg64_states,
-    _stream_words,
     empirical_vs_analytic,
     expected_real_count,
     ginibre_spectra,
@@ -31,35 +30,20 @@ from betaone.montecarlo import (
 from betaone.quadrature import gauss_legendre_rule
 
 
-def test_spectra_follow_per_matrix_streams():
-    # N=8 and N=64 span solve blocks (1024 and 16 matrices); a seed of
-    # 2^32 or more takes two words in the stream key
-    for N, count, seed in ((3, 50, 7), (8, 1030, 2**32 + 11), (64, 40, 11)):
-        spectra = ginibre_spectra(N, count, seed)
-        draws = np.stack(
-            [np.random.default_rng((seed, i, 0)).standard_normal((N, N)) for i in range(count)]
-        )
-        assert np.array_equal(spectra, np.linalg.eigvals(draws))
-        spectra = goe_spectra(N, count, seed)
-        draws = np.stack(
-            [np.random.default_rng((seed, i)).standard_normal((N, N)) for i in range(count)]
-        )
-        sym = 0.5 * (draws + np.swapaxes(draws, -1, -2))
-        assert np.array_equal(spectra, np.linalg.eigvalsh(sym))
-
-
-def test_block_seeding_matches_seed_sequence():
-    step = BLOCK_ENTRIES // 16  # matrices per block at N = 4
-    indices = [0, 1, step - 1, step, 2**31, 2**32 + 3]
-    for seed in (0, 1, 2**32 - 1, 2**32, 2**64 + 5):
-        for tail in ((0,), ()):
-            words = _stream_words(seed, indices, tail)
-            states = list(_pcg64_states(words))
-            for i, row, (state, inc) in zip(indices, words, states):
-                key = np.random.SeedSequence((seed, i, *tail))
-                assert np.array_equal(row, key.generate_state(4, np.uint64))
-                expected = np.random.PCG64(key).state["state"]
-                assert expected == {"state": state, "inc": inc}
+def test_spectra_follow_per_matrix_streams(monkeypatch):
+    # the batch is default_rng(seed)'s standard normals, matrix after
+    # matrix: the same at any block size (N=8 and N=64 span blocks of
+    # 1024 and 16 matrices by default), and a smaller batch is the
+    # prefix of a larger one; the seed 2^32 + 11 takes two words in
+    # numpy's seed hash
+    for block_entries in (montecarlo.BLOCK_ENTRIES, 1000):
+        monkeypatch.setattr(montecarlo, "BLOCK_ENTRIES", block_entries)
+        for N, count, seed in ((3, 50, 7), (8, 1030, 2**32 + 11), (64, 40, 11)):
+            G = np.random.default_rng(seed).standard_normal((count, N, N))
+            sym = 0.5 * (G + np.swapaxes(G, -1, -2))
+            for n in (count, count - 3):
+                assert np.array_equal(ginibre_spectra(N, n, seed), np.linalg.eigvals(G[:n]))
+                assert np.array_equal(goe_spectra(N, n, seed), np.linalg.eigvalsh(sym[:n]))
 
 
 def test_negative_seed_is_rejected():
@@ -86,15 +70,14 @@ def test_reals_are_read_from_structure():
 
 def test_sample_goe_size_one_is_single_real():
     spectra = goe_spectra(1, 3, 7)
-    draws = [np.random.default_rng((7, i)).standard_normal() for i in range(3)]
+    draws = np.random.default_rng(7).standard_normal(3)
     assert spectra.tolist() == [[x] for x in draws]
 
 
 def test_sample_goe_preserves_trace():
     spectra = goe_spectra(5, 20, 0)
-    for i in range(20):
-        G = np.random.default_rng((0, i)).standard_normal((5, 5))
-        assert abs(spectra[i].sum() - np.trace(0.5 * (G + G.T))) <= 1e-10
+    for row, G in zip(spectra, np.random.default_rng(0).standard_normal((20, 5, 5))):
+        assert abs(row.sum() - np.trace(0.5 * (G + G.T))) <= 1e-10
 
 
 def test_sample_ginibre_size_one_and_determinism():
@@ -189,10 +172,20 @@ def test_comparison_report_round_trip():
     assert sum(report.observed) + report.overflow == 2 * 10_000
 
 
+def eks_real_count(N):
+    # Edelman, Kostlan and Shub: mean number of real eigenvalues of an
+    # N x N real Ginibre matrix, 1/2 + sqrt2 2F1(1, -1/2; N; 1/2)/B(N, 1/2)
+    with mpmath.workdps(50):
+        half = mpmath.mpf(1) / 2
+        return float(half + mpmath.sqrt(2) * mpmath.hyp2f1(1, -half, N, half) / mpmath.beta(N, half))
+
+
 def test_expected_real_count_matches_known_values():
     # size 3 plane ensemble: 1 + 1/sqrt(2) real eigenvalues on average
-    assert np.isclose(expected_real_count(ginoe_kernel(3)),
-                      1.0 + 1.0 / math.sqrt(2.0), rtol=1e-8, atol=0)
+    assert np.isclose(eks_real_count(3), 1.0 + 1.0 / math.sqrt(2.0), rtol=1e-15, atol=0)
+    for N in range(1, 65):
+        assert np.isclose(expected_real_count(ginoe_kernel(N)), eks_real_count(N),
+                          rtol=1e-14, atol=0), N
     bundle = goe_kernel(4)
     assert np.isclose(expected_real_count(bundle), 4.0, rtol=1e-8, atol=0)
 
