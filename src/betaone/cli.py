@@ -33,7 +33,7 @@ from .montecarlo import (
     ginibre_spectra,
     goe_spectra,
 )
-from .pfaffian import dual_block, flatten_blocks, pfaffian, pfaffian_laplace, qdet
+from .pfaffian import dual_block, flatten_blocks, pfaffian, pfaffian_laplace, qdet, z_matrix
 from .reduction import verify_odd_limit_beta1, verify_odd_limit_ginoe
 from .skewortho import goe_gram, goe_norm, skew_deviation
 
@@ -42,14 +42,14 @@ PATHS = ("finite-sum", "summed-up", "both")
 # N = 1..64 in both ensembles (the pfaffian checks over seeds 0..1999).
 GATES = {
     "squared-vs-determinant-real": 1e-10,  # 6.8e-13 at seed 858
-    "squared-vs-determinant-complex": 1e-10,  # 7.8e-14
-    "elimination-vs-cofactor": 1e-10,  # 2.1e-14
-    "quaternion-determinant-squared": 1e-10,  # 1.5e-14
+    "squared-vs-determinant-complex": 1e-10,  # 7.5e-14 at seed 1929
+    "elimination-vs-cofactor": 1e-10,  # 2.1e-14 at seed 406
+    "quaternion-determinant-squared": 1e-10,  # 1.5e-14 at seed 242
     # also the agreement the Gram's refinement stops at
     "gram-deviation": 1e-12,  # 2.4e-14 (GOE N = 50)
     "density-normalization": 1e-13,  # 8.9e-16
     "integrate-out-recurrence": 1e-13,  # 1.1e-15
-    "block-interrelations": 1e-9,  # 1.1e-11 (N = 21), limited by FD_STEP
+    "block-interrelations": 1e-12,  # 8.9e-14 (N = 51), five-point stencil
     # relative to the GinOE kernel scale 1/sqrt(2 pi); density --path both too
     "closed-form-agreement": 1e-13,  # 2.8e-15
     # relative to the target matrix's largest entry
@@ -327,29 +327,53 @@ def _worst_gap(values, reference):
     return np.max(np.abs(values - reference) / np.maximum(1.0, np.abs(reference)))
 
 
+def _stacked(matrices, unit):
+    # one stack at the largest size, each matrix padded by unit's diagonal:
+    # unit blocks [[0, 1], [-1, 0]] (or identity quaternion blocks) leave a
+    # real Pfaffian bit for bit, a complex one to roundoff, and the determinant
+    size = max(len(A) for A in matrices)
+    stack = np.array([unit(size)] * len(matrices), dtype=np.result_type(*matrices))
+    for S, A in zip(stack, matrices):
+        S[: len(A), : len(A)] = A
+    return stack
+
+
+def _unit_pairs(size):
+    return -z_matrix(size // 2)
+
+
+def _unit_blocks(size):
+    return np.eye(size)[:, :, None, None] * np.eye(2)
+
+
 def _suite_pfaffian(config):
-    # every Pfaffian and determinant is taken on one stack per matrix size
+    # one stacked Pfaffian per check, every matrix padded to the check's largest
     rng = default_rng(config.seed)
-    real, complex_, cofactor = {}, {}, {}
+    real, complex_, cofactor = [], [], []
     for _ in range(30):
         n = 2 * int(rng.integers(1, 7))
         A = rng.standard_normal((n, n))
-        real.setdefault(n, []).append(A - A.T)
+        real.append(A - A.T)
         B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        complex_.setdefault(n, []).append(B - B.T)
+        complex_.append(B - B.T)
     for _ in range(10):
         n = 2 * int(rng.integers(1, 5))
         A = rng.standard_normal((n, n))
-        cofactor.setdefault(n, []).append(A - A.T)
+        cofactor.append(A - A.T)
     worst_real, worst_complex = (
-        max(_worst_gap(pfaffian(S) ** 2, np.linalg.det(S)) for S in map(np.stack, groups.values()))
-        for groups in (real, complex_)
+        _worst_gap(pfaffian(S) ** 2, np.linalg.det(S))
+        for S in (_stacked(real, _unit_pairs), _stacked(complex_, _unit_pairs))
     )
+    # the matching sum on each size's own stack: padding would reorder its terms
+    values, sizes = pfaffian(_stacked(cofactor, _unit_pairs)), [len(A) for A in cofactor]
     worst_cofactor = max(
-        _worst_gap(pfaffian(S), pfaffian_laplace(S)) for S in map(np.stack, cofactor.values())
+        _worst_gap(values[np.equal(sizes, n)], pfaffian_laplace([A for A in cofactor if len(A) == n]))
+        for n in set(sizes)
     )
-    blocks = [_random_self_dual(rng, int(rng.integers(1, 5))) for _ in range(10)]
-    worst_qdet = max(_worst_gap(qdet(B) ** 2, np.linalg.det(flatten_blocks(B))) for B in blocks)
+    blocks = _stacked(
+        [_random_self_dual(rng, int(rng.integers(1, 5))) for _ in range(10)], _unit_blocks
+    )
+    worst_qdet = _worst_gap(qdet(blocks) ** 2, np.linalg.det(flatten_blocks(blocks)))
     return [
         _check("pfaffian", "squared-vs-determinant-real", worst_real),
         _check("pfaffian", "squared-vs-determinant-complex", worst_complex),

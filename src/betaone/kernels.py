@@ -30,6 +30,8 @@ from .skewortho import gaussian_line_rows, goe_coefficients, goe_norm
 # layout -> (slot of the partner row in the cell, sign of the integrated
 # block on the partner-partner entry)
 LAYOUTS = {"line": (0, -1.0), "plane": (1, 1.0)}
+# bytes of rows a family keeps, the least recently used dropped first
+ROW_CACHE_BYTES = 2**18
 
 
 @dataclass(frozen=True)
@@ -125,6 +127,34 @@ class PairingBasis:
         return PairingBasis(rows, upper, self.layout)
 
 
+def cached_rows(rows):
+    """rows evaluated once per distinct point array, among the most recent
+    ones whose rows fit in ROW_CACHE_BYTES together.
+
+    Points are keyed exactly, by dtype, shape and bytes; rows larger than
+    the whole budget (quadrature nodes at large N) are not kept.  Every
+    caller shares the arrays returned, so they are read-only.
+    """
+    cache = {}
+    held = 0
+
+    def cached(z):
+        nonlocal held
+        z = np.asarray(z)
+        key = (z.dtype.str, z.shape, z.tobytes())
+        value = cache.pop(key, None)
+        if value is None:
+            value = rows(z)
+            value.flags.writeable = False
+            held += value.nbytes
+        cache[key] = value
+        while held > ROW_CACHE_BYTES:
+            held -= cache.pop(next(iter(cache))).nbytes
+        return value
+
+    return cached
+
+
 def hat_transform(h):
     """T with rows @ T the hatted rows of an odd-size family.
 
@@ -143,7 +173,11 @@ def family_basis(rows, pair_weights, layout, odd=False):
 
     The border pairs the constant partner column with the top polynomial
     (unchanged by the hatting) through -1/2 over its partner at +infinity.
+    The family's rows are cached (cached_rows), and every basis derived
+    from it, hatted, bordered or conditioned, evaluates them through
+    that one cache.
     """
+    rows = cached_rows(rows)
     basis = PairingBasis(rows, pairing_upper(pair_weights), layout)
     if not odd:
         return basis

@@ -114,41 +114,49 @@ def pfaffian(matrix):
 
 
 def dual_block(block):
-    """Quaternion dual of a 2x2 block: swap the diagonal, negate the rest."""
+    """Quaternion dual of a 2x2 block, or of every block of a (..., 2, 2)
+    array: swap the diagonal, negate the rest."""
     b = np.asarray(block)
-    return np.array([[b[1, 1], -b[0, 1]], [-b[1, 0], b[0, 0]]], dtype=b.dtype)
+    dual = -b
+    dual[..., 0, 0] = b[..., 1, 1]
+    dual[..., 1, 1] = b[..., 0, 0]
+    return dual
 
 
 def check_self_dual(blocks):
-    """Raise unless blocks[j][i] is the dual of blocks[i][j] for all pairs."""
+    """Raise unless blocks[j][i] is the dual of blocks[i][j] for all pairs.
+
+    blocks is an (n, n, 2, 2) block array or a stack (..., n, n, 2, 2) of
+    them, each measured against its own largest entry (at least 1).
+    """
     B = np.asarray(blocks)
-    if B.ndim != 4 or B.shape[0] != B.shape[1] or B.shape[2:] != (2, 2):
-        raise ValueError(f"expected an (n, n, 2, 2) block array, got shape {B.shape}")
-    scale = max(1.0, np.abs(B).max())
-    for i in range(B.shape[0]):
-        for j in range(i, B.shape[0]):
-            defect = np.abs(B[j, i] - dual_block(B[i, j])).max()
-            if defect > 1e-10 * scale:
-                raise ValueError(f"blocks ({i},{j})/({j},{i}) are not mutually dual")
+    if B.ndim < 4 or B.shape[-4] != B.shape[-3] or B.shape[-2:] != (2, 2):
+        raise ValueError(f"expected (n, n, 2, 2) block arrays, got shape {B.shape}")
+    scale = np.maximum(1.0, np.abs(B).max(axis=(-4, -3, -2, -1), initial=0.0))
+    # defect[..., i, j] compares blocks[j][i] with the dual of blocks[i][j];
+    # it is symmetric in (i, j), so the first offender in row order has i <= j
+    defect = np.abs(np.swapaxes(B, -4, -3) - dual_block(B)).max(axis=(-2, -1))
+    bad = np.argwhere(defect > 1e-10 * scale[..., None, None])
+    if len(bad):
+        i, j = bad[0, -2:]
+        raise ValueError(f"blocks ({i},{j})/({j},{i}) are not mutually dual")
 
 
 def flatten_blocks(blocks):
-    """Reshape an (n, n, 2, 2) block array into its 2n x 2n scalar form."""
+    """Reshape (..., n, n, 2, 2) block arrays into their 2n x 2n scalar form."""
     B = np.asarray(blocks)
-    n = B.shape[0]
-    return B.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
+    n = B.shape[-3]
+    return np.swapaxes(B, -3, -2).reshape(B.shape[:-4] + (2 * n, 2 * n))
 
 
 def qdet(blocks):
-    """Quaternion determinant of a self-dual block matrix.
+    """Quaternion determinant of a self-dual block matrix, or of each in a stack.
 
     Computed as the Pfaffian of (flattened matrix) @ inverse(Z); for
     scalar blocks c*I this reduces to the ordinary determinant of the
-    scalars.
+    scalars.  An (n, n, 2, 2) input gives a number, a stack
+    (..., n, n, 2, 2) the batch shape (...).
     """
     B = np.asarray(blocks)
     check_self_dual(B)
-    n = B.shape[0]
-    flat = flatten_blocks(B)
-    z_inv = -z_matrix(n)
-    return pfaffian(flat @ z_inv)
+    return pfaffian(flatten_blocks(B) @ -z_matrix(B.shape[-3]))

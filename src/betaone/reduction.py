@@ -91,14 +91,15 @@ def _cell_last(A, cell, n_cells):
     return A[np.ix_(idx, idx)]
 
 
-def pfaffian_reduction_identity(bundle, config, x_far):
+def pfaffian_reduction_identity(bundle, config, x_far, conditioned=None):
     """Relative gap in Pf[extended] = corner * Pf[updated].
 
     The updated matrix is the one the conditioned bundle assembles, so the
     identity checks the bordered pairing against the extended matrix it
-    stands for.  Moving the far point's cell to the last position is an
-    even permutation of rows and columns, so it leaves the Pfaffian
-    alone.  The identity is exact at any finite far point and holds to
+    stands for; conditioned is conditioned_bundle(bundle, x_far) when the
+    caller has built it already.  Moving the far point's cell to the last
+    position is an even permutation of rows and columns, so it leaves the
+    Pfaffian alone.  The identity is exact at any finite far point and holds to
     roundoff until the corner falls below CORNER_FLOOR.  Raises
     ValueError when the configuration plus the far point holds more
     eigenvalues than N (a complex point counting twice): both sides
@@ -109,7 +110,9 @@ def pfaffian_reduction_identity(bundle, config, x_far):
     extended = _extended_config(config, x_far)
     A = _cell_last(bundle.assemble(extended), len(config.reals), len(extended))
     corner = _corner(A[-2, -1], x_far)
-    updated = conditioned_bundle(bundle, x_far).assemble(config)
+    if conditioned is None:
+        conditioned = conditioned_bundle(bundle, x_far)
+    updated = conditioned.assemble(config)
     lhs = pfaffian(A)
     return abs(lhs - corner * pfaffian(updated)) / max(abs(lhs), CORNER_FLOOR)
 
@@ -141,11 +144,12 @@ class ReductionReport:
 def verify_odd_limit(even_bundle, odd_bundle):
     """The reduction of even_bundle against the directly built odd_bundle.
 
-    The identity runs on the real probes only, at most N - 1 of them, so
-    the extended configuration holds at most N eigenvalues.  Complex
-    probes stand for a conjugate pair each and would fill it: with all
-    fourteen at N = 10 the correlation vanishes identically and the gap
-    measures roundoff.
+    The conditioned bundle at +inf and at each of FAR_POINTS is built
+    once; the deviations and the identity share it.  The identity runs on
+    the real probes only, at most N - 1 of them, so the extended
+    configuration holds at most N eigenvalues.  Complex probes stand for
+    a conjugate pair each and would fill it: with all fourteen at N = 10
+    the correlation vanishes identically and the gap measures roundoff.
     """
     if odd_bundle.N != even_bundle.N - 1:
         raise ValueError("target bundle must be one size smaller")
@@ -153,8 +157,12 @@ def verify_odd_limit(even_bundle, odd_bundle):
     target = odd_bundle.assemble(config)
     scale = np.abs(target).max()
 
+    conditioned = {
+        x_far: conditioned_bundle(even_bundle, x_far) for x_far in (np.inf, *FAR_POINTS)
+    }
+
     def deviation(x_far):
-        reduced = conditioned_bundle(even_bundle, x_far).assemble(config)
+        reduced = conditioned[x_far].assemble(config)
         return float(np.abs(reduced - target).max() / scale)
 
     identity_config = PointConfiguration(reals=config.reals[: odd_bundle.N])
@@ -162,7 +170,7 @@ def verify_odd_limit(even_bundle, odd_bundle):
         exact=deviation(np.inf),
         far=tuple(deviation(x_far) for x_far in FAR_POINTS),
         identity_gap=float(max(
-            pfaffian_reduction_identity(even_bundle, identity_config, x_far)
+            pfaffian_reduction_identity(even_bundle, identity_config, x_far, conditioned[x_far])
             for x_far in FAR_POINTS
         )),
     )

@@ -16,6 +16,7 @@ from betaone.cli import COMMANDS, build_parser, kernel_bundle, main
 from betaone.ginoe_kernels import ginoe_rho
 from betaone.kernels import PointConfiguration
 from betaone.montecarlo import ginibre_spectra, pair_mass_estimate
+from betaone.pfaffian import flatten_blocks, pfaffian, qdet
 from betaone.quadrature import gauss_legendre_rule
 
 
@@ -380,6 +381,34 @@ def test_verify_pfaffian_passes_at_the_worst_seed():
     assert code == 0
     checks = {c["check"]: c for c in json.loads(text)["checks"]}
     assert 1e-13 < checks["squared-vs-determinant-real"]["deviation"] <= 1e-12
+
+
+def test_battery_padding_keeps_pfaffian_and_determinant():
+    # unit blocks [[0, 1], [-1, 0]] on the diagonal: a real Pfaffian is the
+    # same bit for bit, a complex one to the roundoff of its products (the
+    # longer rows regroup them), and the determinant to roundoff
+    rng = np.random.default_rng(59)
+    for complex_entries in (False, True):
+        matrices = []
+        for n in (2, 4, 6, 8, 10, 12, 4):
+            A = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if complex_entries else 0.0)
+            matrices.append(A - A.T)
+        stack = cli._stacked(matrices, cli._unit_pairs)
+        assert stack.shape == (7, 12, 12)
+        values, dets = pfaffian(stack), np.linalg.det(stack)
+        for A, value, det in zip(matrices, values, dets):
+            if complex_entries:
+                assert abs(value - pfaffian(A)) <= 1e-15 * abs(value)
+            else:
+                assert value == pfaffian(A)
+            assert np.isclose(det, np.linalg.det(A), rtol=1e-13, atol=0)
+    # identity quaternion blocks: the same quaternion determinant
+    blocks = [cli._random_self_dual(rng, n) for n in (1, 2, 3, 4)]
+    stack = cli._stacked(blocks, cli._unit_blocks)
+    assert stack.shape == (4, 4, 4, 2, 2)
+    for B, value, det in zip(blocks, qdet(stack), np.linalg.det(flatten_blocks(stack))):
+        assert value == qdet(B)
+        assert np.isclose(det, np.linalg.det(flatten_blocks(B)), rtol=1e-13, atol=0)
 
 
 def test_only_seeded_commands_take_a_seed():

@@ -5,15 +5,21 @@ import numpy as np
 import pytest
 from scipy import special
 
+from betaone.ginibre import ginoe_coefficients, ginoe_rows
 from betaone.ginoe_kernels import ginoe_kernel
 from betaone.kernels import (
+    ROW_CACHE_BYTES,
+    KernelBundle,
     PointConfiguration,
     density_integral,
     dyson_recurrence_check,
+    family_basis,
     goe_kernel,
     rho,
 )
 from betaone.pfaffian import as_antisymmetric
+from betaone.reduction import conditioned_bundle
+from betaone.skewortho import gaussian_line_rows, goe_coefficients, goe_norm
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -193,6 +199,92 @@ def test_parity_validation():
             make(0)
     with pytest.raises(ValueError):
         goe_kernel(4).scalar_kernel(0.1 + 0.2j, 0.3)
+
+
+ROW_FAMILIES = {
+    "goe": (goe_kernel, gaussian_line_rows, goe_coefficients),
+    "ginoe": (ginoe_kernel, ginoe_rows, ginoe_coefficients),
+}
+
+
+def row_points(ensemble):
+    # real arrays, a 0-d real and both infinities; complex points in the plane
+    points = [np.array([-0.7, 0.0, 1.3]), np.array([[0.25], [-2.0]]), np.float64(0.4), np.inf, -np.inf]
+    if ensemble == "ginoe":
+        points += [np.array([0.3 + 0.6j, -1.1 + 0.2j]), np.complex128(0.5 + 1.5j)]
+    return points
+
+
+def derived_bases(make, N):
+    # the hatted and bordered rows of the odd size N - 1, the plain rows of
+    # the even size N, and those conditioned at a far point and at +inf
+    even = make(N)
+    return [
+        make(N - 1).family,
+        even.family,
+        conditioned_bundle(even, 16.0).family,
+        conditioned_bundle(even, np.inf).family,
+    ]
+
+
+@pytest.mark.parametrize("ensemble", ["goe", "ginoe"])
+def test_cached_rows_match_a_fresh_evaluation_and_are_read_only(ensemble):
+    make, family_rows, coefficients = ROW_FAMILIES[ensemble]
+    points = row_points(ensemble)
+    warm = derived_bases(make, 6)
+    for basis in warm:
+        for z in points:
+            basis.rows(z)
+    for z in points:
+        fresh = derived_bases(make, 6)
+        for basis, new in zip(warm, fresh):
+            assert np.array_equal(basis.rows(z), new.rows(z))
+        plain = warm[1].rows(z)
+        assert np.array_equal(plain, family_rows(coefficients(6))(z))
+        assert warm[1].rows(np.array(z)) is plain
+        assert not plain.flags.writeable
+        with pytest.raises(ValueError):
+            plain[...] = 0.0
+
+
+def test_rows_are_evaluated_once_per_point_array():
+    # the hatted, bordered and conditioned bases all read one family cache
+    evaluated = []
+
+    def counting(rows):
+        def counted(z):
+            evaluated.append(np.array(z))
+            return rows(z)
+
+        return counted
+
+    weights = [1.0 / goe_norm(m) for m in range(2)]
+    even_rows = counting(gaussian_line_rows(goe_coefficients(4)))
+    even = KernelBundle.from_basis("goe", 4, family_basis(even_rows, weights, "line"))
+    config = PointConfiguration(reals=(-0.8, 0.1, 0.9))
+    first = even.assemble(config)
+    conditioned = [conditioned_bundle(even, far) for far in (16.0, 24.0, 16.0)]
+    for bundle in (even, *conditioned, even):
+        bundle.assemble(config)
+    assert len(evaluated) == 3  # the probes, 16 and 24
+    assert np.array_equal(even.assemble(config), first)
+    # the bound: rows of 64 bytes per point (two rows of four columns); an
+    # array filling half the budget is kept, one past it is not and evicts
+    # everything older
+    half = np.linspace(-3.0, 3.0, ROW_CACHE_BYTES // 128)
+    over = np.linspace(-3.0, 3.0, ROW_CACHE_BYTES // 64 + 1)
+    for x in (half, half, over, over):
+        even.scalar_kernel(x, x)
+    even.assemble(config)
+    assert [len(np.atleast_1d(e)) for e in evaluated[3:]] == [len(half), len(over), len(over), 3]
+
+    evaluated.clear()
+    odd_rows = counting(gaussian_line_rows(goe_coefficients(5)))
+    odd = family_basis(odd_rows, weights, "line", odd=True)  # evaluates +inf for the hat
+    x = np.linspace(-1.0, 1.0, 5)
+    for basis in (odd, odd.bordered(odd.upper), odd):
+        basis.rows(x.copy())
+    assert [e.shape for e in evaluated] == [(), (5,)]
 
 
 def test_rho_vanishes_beyond_n_eigenvalues():

@@ -223,6 +223,32 @@ def test_qdet_rejects_non_self_dual():
         qdet(M)
 
 
+def test_stacked_qdet_matches_matrix_by_matrix():
+    # each member checked and eliminated on its own: real stacks give the
+    # per-matrix values bit for bit, and keep their batch shape
+    rng = np.random.default_rng(43)
+    for n_blocks in (1, 3, 4):
+        stack = np.array([random_self_dual(rng, n_blocks) for _ in range(6)])
+        values = qdet(stack)
+        assert values.shape == (6,)
+        assert np.array_equal(values, [qdet(M) for M in stack])
+        assert np.array_equal(qdet(stack.reshape((2, 3) + stack.shape[1:])), values.reshape(2, 3))
+
+
+def test_qdet_stack_rejects_one_non_self_dual_member():
+    rng = np.random.default_rng(47)
+    stack = np.array([random_self_dual(rng, 3) for _ in range(5)])
+    qdet(stack)
+    # each member is measured against its own largest entry: a large
+    # neighbour does not hide a small defect
+    stack[0] *= 1e6
+    stack[3, 2, 0, 1, 1] += 1e-6
+    with pytest.raises(ValueError, match=r"blocks \(0,2\)/\(2,0\)"):
+        qdet(stack)
+    with pytest.raises(ValueError, match=r"blocks \(0,2\)/\(2,0\)"):
+        check_self_dual(stack[3])
+
+
 def test_check_self_dual_reports_shape_errors():
     with pytest.raises(ValueError):
         check_self_dual(np.zeros((2, 3, 2, 2)))
