@@ -24,8 +24,8 @@ from numpy.random import default_rng
 
 from . import __version__
 from .ginibre import SQRT_2PI, ginoe_gram, ginoe_norm
-from .ginoe_kernels import ginoe_kernel, ginoe_rho, ginoe_summed_S, interrelations_check
-from .kernels import PointConfiguration, density_integral, dyson_recurrence_check, goe_kernel, rho
+from .ginoe_kernels import ginoe_kernel, ginoe_summed_S, interrelations_check
+from .kernels import PointConfiguration, density_integral, dyson_recurrence_check, goe_kernel
 from .montecarlo import (
     GENERATOR,
     MIN_COMPARISON_SAMPLES,
@@ -283,16 +283,14 @@ def cmd_correlate(config):
     complexes = tuple(z for z in config.points if z.imag != 0.0)
     pc = PointConfiguration(reals=reals, complexes=complexes)
     bundle = kernel_bundle(config.ensemble, config.size)
-    if config.ensemble == "ginoe":
-        value, residue = ginoe_rho(bundle, pc)
-    else:
-        value, residue = float(rho(bundle, pc)), 0.0
-    matrix = np.asarray(bundle.assemble(pc))
-    extra = [("imag_residue", residue)]
+    matrix = bundle.assemble(pc)
+    # as in rho: 0 when the points stand for more eigenvalues than N
+    value = complex(pfaffian(matrix)) if pc.eigenvalues <= bundle.N else 0j
+    extra = [("imag_residue", abs(value.imag))]
     if config.format == "json":
-        payload = {"rho": value, "matrix": matrix}
+        payload = {"rho": value.real, "matrix": matrix}
         return _json_text(config, payload, extra), 0
-    rows = [("rho", "", "", value)]
+    rows = [("rho", "", "", value.real)]
     for i in range(matrix.shape[0]):
         for j in range(matrix.shape[1]):
             entry = matrix[i, j]

@@ -50,6 +50,11 @@ class PointConfiguration:
     def __len__(self):
         return len(self.reals) + len(self.complexes)
 
+    @property
+    def eigenvalues(self):
+        """Eigenvalues the points stand for, a complex point for its conjugate pair."""
+        return len(self.reals) + 2 * len(self.complexes)
+
 
 def pairing_upper(pair_weights, border=None):
     """Upper triangle U of the antisymmetric pairing M = U - U^T.
@@ -247,7 +252,7 @@ def rho(bundle, points):
     if len(config) == 0:
         raise ValueError("need at least one point")
     A = bundle.assemble(config)
-    if len(config.reals) + 2 * len(config.complexes) > bundle.N:
+    if config.eigenvalues > bundle.N:
         return 0.0
     return pfaffian(A)
 
@@ -264,9 +269,10 @@ def goe_kernel(N):
 
 
 def density_integral(bundle):
-    """Integral of the one-point correlation; equals N."""
+    """Integral of the real one-point density: N on the line, in the plane
+    the mean real count of Edelman, Kostlan and Shub (1994)."""
     return integrate_line(
-        lambda x: bundle.scalar_kernel(x, x), tol=1e-9, degree=2 * bundle.N
+        lambda x: np.real(bundle.scalar_kernel(x, x)), tol=1e-9, breakpoints=(0.0,), degree=2 * bundle.N + 2
     )
 
 

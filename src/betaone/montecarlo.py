@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import composite_rule, integrate_line, truncation_radius
+from .kernels import density_integral
+from .quadrature import gauss_legendre_rule
 
 GENERATOR = "PCG64"
 BLOCK_ENTRIES = 1 << 16  # matrix entries drawn and solved per LAPACK call
@@ -88,27 +89,11 @@ def real_counts(spectra):
     return np.count_nonzero(np.imag(spectra) == 0, axis=1)
 
 
-def _density_on_nodes(bundle, nodes):
-    nodes = np.asarray(nodes, dtype=float)
-    return np.real(bundle.scalar_kernel(nodes, nodes))
-
-
 def expected_bin_masses(bundle, edges):
     """Integral of the one-point density over each bin."""
-    rule = composite_rule(edges, BIN_QUAD_ORDER)
-    terms = rule.weights * _density_on_nodes(bundle, rule.nodes)
+    rule = gauss_legendre_rule(BIN_QUAD_ORDER, edges[:-1], edges[1:])
+    terms = rule.weights * np.real(bundle.scalar_kernel(rule.nodes, rule.nodes))
     return terms.reshape(len(edges) - 1, BIN_QUAD_ORDER).sum(axis=1)
-
-
-def expected_real_count(bundle):
-    """Full-line integral of the one-point density of real eigenvalues."""
-    radius = truncation_radius(2 * bundle.N + 2)
-    return integrate_line(
-        lambda xs: _density_on_nodes(bundle, np.atleast_1d(xs)),
-        tol=1e-9,
-        breakpoints=(0.0,),
-        radius=radius,
-    )
 
 
 @dataclass(frozen=True)
@@ -179,7 +164,7 @@ def empirical_vs_analytic(spectra, bundle, bins=40, span=DEFAULT_SPAN):
         z_scores=tuple(float(v) for v in z),
         flagged=tuple(int(i) for i in np.flatnonzero(np.abs(z) > Z_FLAG)),
         mean_real_count=float(per_sample.mean()),
-        expected_real_count=float(expected_real_count(bundle)),
+        expected_real_count=float(density_integral(bundle)),
         count_stderr=stderr,
         overflow=int(reals.size - counts.sum()),
     )

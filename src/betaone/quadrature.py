@@ -42,11 +42,10 @@ class QuadratureError(ArithmeticError):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and positive weights for a fixed integration domain."""
+    """Nodes and positive weights."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    domain: tuple
 
     def __post_init__(self):
         if self.nodes.size < 2:
@@ -70,27 +69,19 @@ def _legendre_reference(n):
 
 
 def gauss_legendre_rule(n, a, b):
-    """Gauss-Legendre rule with n nodes mapped to the interval [a, b]."""
+    """Gauss-Legendre rule with n nodes mapped to [a, b]; for arrays of
+    panel ends a and b, the rules of the panels [a_i, b_i] in order."""
     x, w = _legendre_reference(n)
+    a, b = np.asarray(a, dtype=float)[..., None], np.asarray(b, dtype=float)[..., None]
     half = 0.5 * (b - a)
-    return QuadratureRule(0.5 * (a + b) + half * x, half * w, (a, b))
-
-
-def composite_rule(edges, nodes_per_panel):
-    """Gauss-Legendre panels of nodes_per_panel nodes over consecutive edge pairs."""
-    x, w = _legendre_reference(nodes_per_panel)
-    edges = np.asarray(edges, dtype=float)
-    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    return QuadratureRule(
-        (mid + half * x).reshape(-1), (half * w).reshape(-1), (edges[0], edges[-1])
-    )
+    return QuadratureRule((0.5 * (a + b) + half * x).reshape(-1), (half * w).reshape(-1))
 
 
 def panel_rule(edges, panels):
     """ORDER-node panels, `panels` equal ones on every segment between edges."""
     fine = [np.linspace(a, b, panels + 1)[:-1] for a, b in zip(edges[:-1], edges[1:])]
-    return composite_rule(np.append(np.concatenate(fine), edges[-1]), ORDER)
+    ends = np.append(np.concatenate(fine), edges[-1])
+    return gauss_legendre_rule(ORDER, ends[:-1], ends[1:])
 
 
 def truncation_radius(degree):
@@ -137,14 +128,14 @@ def refine(evaluate, tol, context, cap=LINE_PANEL_CAP, gap=_relative_gap):
     raise QuadratureError(f"{context} did not reach tolerance {tol}", previous, difference)
 
 
-def integrate_line(f, tol=1e-12, breakpoints=(), degree=0, radius=None):
+def integrate_line(f, tol=1e-12, breakpoints=(), degree=0):
     """Integrate f over the real line assuming Gaussian-type decay.
 
     degree bounds the polynomial growth of the integrand against the
     exp(-x^2/2) weight and fixes the truncation radius; breakpoints list
     the kink locations of any sign-function factors.
     """
-    T = truncation_radius(degree) if radius is None else radius
+    T = truncation_radius(degree)
     inner = sorted(p for p in breakpoints if -T < p < T)
     edges = [-T, *inner, T]
     return refine(

@@ -105,7 +105,7 @@ def pfaffian_reduction_identity(bundle, config, x_far, conditioned=None):
     eigenvalues than N (a complex point counting twice): both sides
     vanish there and their gap is roundoff over roundoff.
     """
-    if len(config.reals) + 2 * len(config.complexes) + 1 > bundle.N:
+    if config.eigenvalues + 1 > bundle.N:
         raise ValueError("configuration plus the far point exceeds the bundle's N eigenvalues")
     extended = _extended_config(config, x_far)
     A = _cell_last(bundle.assemble(extended), len(config.reals), len(extended))

@@ -1,8 +1,8 @@
 """Special functions used throughout the kernel evaluators.
 
 The complementary error function comes from the standard library
-(math.erfc); erfcx and normal_cdf are built on it here, exact to a few
-units in the last place, and applied element by element to arrays.
+(math.erfc); erfcx is built on it here and normal_cdf on both, exact to
+a few units in the last place, and applied element by element to arrays.
 weighted_powers gives weighted monomial and Hermite rows by one
 three-term recurrence, gaussian_tail_moments their Gaussian tail
 moments by another.  The GinOE closed form is built from these two:
@@ -17,9 +17,6 @@ import sys
 import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
-# sqrt(2) - _SQRT2, the rounding error of the double nearest sqrt(2)
-_SQRT2_LO = -9.667293313452913e-17
-_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 _SQRT_PI = math.sqrt(math.pi)
 # beyond this erfcx is its asymptotic series; below -_ERFCX_OVERFLOW,
 # where 2 exp(x^2) passes the largest double, it is inf
@@ -27,7 +24,6 @@ _ERFCX_ASYMPTOTIC = 26.0
 _ERFCX_OVERFLOW = math.sqrt(math.log(0.5 * sys.float_info.max))
 # (-1)^k (2k-1)!! for k = 8, 7, ..., 0: the series in 1/(2x^2), Horner order
 _ERFCX_SERIES = (2027025.0, -135135.0, 10395.0, -945.0, 105.0, -15.0, 3.0, -1.0, 1.0)
-_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
 
 
 def _elementwise(f, x):
@@ -38,6 +34,13 @@ def _elementwise(f, x):
     if x.ndim == 0:
         return f(float(x))
     return np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _exp_square(c, x):
+    # exp(c x^2) with x^2 = hi^2 + (x - hi)(x + hi) and c hi^2 exact, for c a
+    # power of 2: hi has at most 19 bits below |x| = 64
+    hi = round(x * 8192.0) / 8192.0
+    return math.exp(c * hi * hi) * math.exp(c * (x - hi) * (x + hi))
 
 
 def _erfcx(x):
@@ -52,35 +55,18 @@ def _erfcx(x):
         return math.inf
     if x != x:
         return x
-    # x^2 = hi^2 + (x - hi)(x + hi) with hi^2 exact: hi has at most 18 bits
-    hi = round(x * 8192.0) / 8192.0
-    return math.exp(hi * hi) * math.exp((x - hi) * (x + hi)) * math.erfc(x)
-
-
-def _split(a):
-    c = _SPLIT * a
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-_SQRT2_HI, _SQRT2_TAIL = _split(_SQRT2)
+    return _exp_square(1.0, x) * math.erfc(x)
 
 
 def _normal_cdf(x):
-    # erfc amplifies a relative error of its argument t = -x/sqrt 2 by
-    # 2t^2, about 1400 at x = -37: above t = 1 take erfc(u) - r erfc'(u)
-    # with u = fl(t) and its residual r = t - u
+    # erfc amplifies a relative error of its argument u = -x/sqrt 2 by 2u^2,
+    # about 1400 at x = -37, erfcx does not: above u = 1 only it sees u
     u = -x / _SQRT2
     if not u > 1.0:  # nan too
         return 0.5 * math.erfc(u)
-    p = u * _SQRT2
-    u_hi, u_tail = _split(u)
-    # p + error = u * _SQRT2 exactly (Dekker's product)
-    error = ((u_hi * _SQRT2_HI - p) + u_hi * _SQRT2_TAIL + u_tail * _SQRT2_HI) + u_tail * _SQRT2_TAIL
-    if not math.isfinite(error):  # u infinite, or the split overflowed near the double range
-        return 0.5 * math.erfc(u)
-    r = ((-x - p) - error - u * _SQRT2_LO) / _SQRT2
-    return 0.5 * (math.erfc(u) - _TWO_OVER_SQRT_PI * math.exp(-u * u) * r)
+    if math.exp(-u * u) == 0.0:  # the value underflows, from u = 27.3 on
+        return 0.0
+    return 0.5 * _exp_square(-0.5, x) * _erfcx(u)
 
 
 def erfcx(x):
@@ -97,9 +83,10 @@ def erfcx(x):
 def normal_cdf(x):
     """Standard normal cumulative distribution function, 0.5 erfc(-x/sqrt 2).
 
-    The rounding of -x/sqrt 2 is corrected to first order, which keeps
-    the result exact to a few units in the last place far into the lower
-    tail.  A 0-d input gives a float, an array one of the same shape.
+    Below x = -sqrt 2 it is exp(-x^2/2) erfcx(-x/sqrt 2) / 2 with x^2 carried
+    exactly, which stays exact to a few units in the last place far into
+    the lower tail, and 0 where it underflows.  A 0-d input gives a float,
+    an array one of the same shape.
     """
     return _elementwise(_normal_cdf, x)
 

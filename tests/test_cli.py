@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -102,6 +103,23 @@ def test_density_paths_agree_pointwise():
         assert abs(finite - closed) <= 1e-8
 
 
+def test_density_summed_up_prints_the_closed_form_column():
+    grid = ["density", "--ensemble", "ginoe", "--grid=-3:3:13"]
+    for size in ("2", "5"):
+        code, summed, _ = run_cli(grid + ["--size", size, "--path", "summed-up"])
+        assert code == 0
+        header, body = split_csv(summed)
+        assert header["path"] == "summed-up" and "path_gap" not in header
+        assert body[0] == "x,density"
+        _, both = split_csv(run_cli(grid + ["--size", size, "--path", "both"])[1])
+        # x and density_closed_form of --path both, byte for byte
+        assert body[1:] == [",".join(line.split(",")[::2]) for line in both[1:]]
+    code, text, err = run_cli(["density", "--size", "4", "--grid=-1:1:5", "--path", "summed-up"])
+    assert code == 2 and text == "" and "ginoe" in err
+    code, text, err = run_cli(grid + ["--size", "1", "--path", "summed-up"])
+    assert code == 2 and text == "" and "size >= 2" in err
+
+
 def test_density_validation_exits():
     code, _, err = run_cli(["density", "--grid=-1:1:0"])
     assert code == 2 and "grid" in err
@@ -159,6 +177,33 @@ def test_correlate_symmetric_pair_dump_is_antisymmetric():
         _, i, j, value = line.split(",")
         matrix[int(i), int(j)] = float(value)
     assert np.allclose(matrix + matrix.T, 0.0, atol=1e-15)
+
+
+def test_correlate_assembles_the_point_matrix_once(monkeypatch):
+    calls = []
+
+    def counted_bundle(ensemble, size):
+        bundle = kernel_bundle(ensemble, size)
+
+        def assemble(config):
+            calls.append(config)
+            return bundle.assemble(config)
+
+        return dataclasses.replace(bundle, assemble=assemble)
+
+    monkeypatch.setattr(cli, "kernel_bundle", counted_bundle)
+    # the last stands for four eigenvalues at N = 3: rho reads 0, the dump stays
+    for ensemble, size, points in (
+        ("goe", "4", "-0.5,0.2,1.1"),
+        ("ginoe", "4", "0.5,0.3+0.5j"),
+        ("ginoe", "3", "0.1,0.2,0.3+0.5j"),
+    ):
+        calls.clear()
+        code, text, _ = run_cli(["correlate", "--ensemble", ensemble, "--size", size, "--points=" + points])
+        assert code == 0 and len(calls) == 1
+        header, body = split_csv(text)
+        assert len(body) == 2 + (2 * len(calls[0])) ** 2
+    assert float(body[1].split(",")[3]) == 0.0 and float(header["imag_residue"]) == 0.0
 
 
 def test_correlate_validation_exits():

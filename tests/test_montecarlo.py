@@ -17,11 +17,10 @@ import pytest
 from betaone import montecarlo
 from betaone.ginibre import sinclair_prefactor
 from betaone.ginoe_kernels import ginoe_kernel
-from betaone.kernels import goe_kernel
+from betaone.kernels import density_integral, goe_kernel
 from betaone.montecarlo import (
     MIN_COMPARISON_SAMPLES,
     empirical_vs_analytic,
-    expected_real_count,
     ginibre_spectra,
     goe_spectra,
     pair_mass_estimate,
@@ -181,13 +180,15 @@ def eks_real_count(N):
 
 
 def test_expected_real_count_matches_known_values():
+    # the report's expected_real_count is the density integral: the mean
+    # real count in the plane, N on the line
     # size 3 plane ensemble: 1 + 1/sqrt(2) real eigenvalues on average
     assert np.isclose(eks_real_count(3), 1.0 + 1.0 / math.sqrt(2.0), rtol=1e-15, atol=0)
     for N in range(1, 65):
-        assert np.isclose(expected_real_count(ginoe_kernel(N)), eks_real_count(N),
+        assert np.isclose(density_integral(ginoe_kernel(N)), eks_real_count(N),
                           rtol=1e-14, atol=0), N
     bundle = goe_kernel(4)
-    assert np.isclose(expected_real_count(bundle), 4.0, rtol=1e-8, atol=0)
+    assert np.isclose(density_integral(bundle), 4.0, rtol=1e-8, atol=0)
 
 
 def test_pair_mass_estimate_mechanics():

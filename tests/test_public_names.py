@@ -1,0 +1,55 @@
+"""Every public module-level name of the library is used outside the tests.
+
+A name counts as used when src/, bench/ or demos/ read it: as a name,
+an attribute, or a dotted string such as bench/units.py's
+need("ginoe_kernels.ginoe_rho").  Defining it is not a use.
+"""
+
+import ast
+import pathlib
+import re
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "betaone"
+DOTTED = re.compile(r"[A-Za-z_][\w.]*\Z")
+# library checks that only tests call
+TEST_ONLY = {
+    "ginibre.partition_function_check",
+    "ginibre.sinclair_prefactor",
+    "reduction.factorisation_check",
+    "montecarlo.pair_mass_estimate",
+}
+
+
+def defined_names(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def used_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and DOTTED.match(node.value):
+            yield from node.value.split(".")
+
+
+def test_public_names_are_used_outside_the_tests():
+    used = set()
+    for folder in ("src", "bench", "demos"):
+        for path in (ROOT / folder).rglob("*.py"):
+            used.update(used_names(ast.parse(path.read_text())))
+    unused = {
+        "%s.%s" % (path.stem, name)
+        for path in PACKAGE.glob("*.py")
+        for name in defined_names(ast.parse(path.read_text()))
+        if not name.startswith("_") and name not in used
+    }
+    assert unused == TEST_ONLY

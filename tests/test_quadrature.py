@@ -7,7 +7,6 @@ from scipy import special
 from betaone.quadrature import (
     ORDER,
     QuadratureError,
-    composite_rule,
     gauss_legendre_rule,
     integrate_line,
     panel_rule,
@@ -33,10 +32,16 @@ def test_rule_invariants():
 
 
 def test_composite_rule_concatenates_panels():
-    rule = composite_rule([-2.0, 0.5, 3.0], 6)
+    # arrays of panel ends give the panels' rules in order, each bit for
+    # bit the rule built on that panel alone
+    rule = gauss_legendre_rule(6, [-2.0, 0.5], [0.5, 3.0])
     assert rule.nodes.size == 12
-    assert rule.domain == (-2.0, 3.0)
+    assert np.all(np.diff(rule.nodes) > 0.0) and -2.0 < rule.nodes[0] and rule.nodes[-1] < 3.0
     assert np.isclose(rule.integrate(lambda x: x), 0.5 * (9.0 - 4.0), rtol=0, atol=1e-12)
+    for k, (a, b) in enumerate([(-2.0, 0.5), (0.5, 3.0)]):
+        panel = gauss_legendre_rule(6, a, b)
+        assert np.array_equal(rule.nodes[6 * k : 6 * k + 6], panel.nodes)
+        assert np.array_equal(rule.weights[6 * k : 6 * k + 6], panel.weights)
 
 
 def test_truncation_radius_bounds_weighted_tail():
@@ -69,7 +74,7 @@ def test_breakpoint_keeps_smooth_convergence_rate():
     # level already resolves the integral to near machine precision
     a = -0.7
     expected = SQRT_2PI * special.erf(a / math.sqrt(2.0))
-    rule = composite_rule([-truncation_radius(0), a, truncation_radius(0)], 32)
+    rule = gauss_legendre_rule(32, [-truncation_radius(0), a], [a, truncation_radius(0)])
     value = rule.integrate(lambda x: np.sign(a - x) * np.exp(-0.5 * x * x))
     assert np.isclose(value, expected, rtol=0, atol=1e-13)
 

@@ -39,7 +39,7 @@ def test_normal_cdf_against_high_precision_oracle():
     xs = np.concatenate([np.linspace(-37.0, 8.0, 901), rng.uniform(-37.0, 8.0, 600)])
     with mpmath.workdps(50):
         worst = max_relative_error(normal_cdf(xs), mpmath.ncdf, xs)
-    assert worst <= 2e-14, worst
+    assert worst <= 2e-15, worst
 
 
 def test_edge_values_and_shapes():
