@@ -23,7 +23,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from . import __version__
-from .ginibre import SQRT_2PI, ginoe_gram, ginoe_norm
+from .ginibre import SQRT_2PI, ginoe_gram
 from .ginoe_kernels import ginoe_kernel, ginoe_summed_S, interrelations_check
 from .kernels import PointConfiguration, density_integral, dyson_recurrence_check, goe_kernel
 from .montecarlo import (
@@ -35,7 +35,7 @@ from .montecarlo import (
 )
 from .pfaffian import dual_block, flatten_blocks, pfaffian, pfaffian_laplace, qdet, z_matrix
 from .reduction import verify_odd_limit_beta1, verify_odd_limit_ginoe
-from .skewortho import goe_gram, goe_norm, skew_deviation
+from .skewortho import goe_gram, skew_deviation
 
 PATHS = ("finite-sum", "summed-up", "both")
 # The bound on each verify check's deviation, with the worst reading over
@@ -46,17 +46,17 @@ GATES = {
     "elimination-vs-cofactor": 1e-10,  # 2.1e-14 at seed 406
     "quaternion-determinant-squared": 1e-10,  # 1.5e-14 at seed 242
     # also the agreement the Gram's refinement stops at
-    "gram-deviation": 1e-12,  # 2.4e-14 (GOE N = 50)
+    "gram-deviation": 1e-12,  # 2.1e-14 (GOE N = 60)
     "density-normalization": 1e-13,  # 8.9e-16
     "integrate-out-recurrence": 1e-13,  # 1.1e-15
-    "block-interrelations": 1e-12,  # 8.9e-14 (N = 51), five-point stencil
+    "block-interrelations": 1e-12,  # 1.6e-13 (N = 16), five-point stencil
     # relative to the GinOE kernel scale 1/sqrt(2 pi); density --path both too
-    "closed-form-agreement": 1e-13,  # 2.8e-15
+    "closed-form-agreement": 1e-13,  # 1.2e-15 (N = 63)
     # relative to the target matrix's largest entry
-    "exact-limit": 1e-13,  # 7.0e-16
+    "exact-limit": 1e-13,  # 8.3e-16
     # the worst ratio of successive far deviations: below 1 while they shrink
     "far-convergence": 1.0,  # 0.75
-    "pfaffian-identity-gap": 1e-12,  # 7.8e-15
+    "pfaffian-identity-gap": 1e-12,  # 1.1e-14 (GinOE N = 3)
 }
 MAX_CORRELATE_POINTS = 5
 MAX_SIZE = 64
@@ -382,13 +382,13 @@ def _suite_pfaffian(config):
 
 def _suite_skew(config):
     # the family's Gram, refined to the bound it is gated at
-    gram, norm = (goe_gram, goe_norm) if config.ensemble == "goe" else (ginoe_gram, ginoe_norm)
+    gram = goe_gram if config.ensemble == "goe" else ginoe_gram
     refined = gram(config.size, GATES["gram-deviation"])
     return [
         _check(
             "skew",
             "gram-deviation",
-            skew_deviation(refined.value, norm),
+            skew_deviation(refined.value),
             panels=refined.panels,
             refinement_difference=refined.difference,
         )

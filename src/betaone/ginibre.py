@@ -1,19 +1,22 @@
 """Explicit skew-orthogonal structure of the real Ginibre ensemble.
 
 Eigenvalues of a real Gaussian matrix split into reals and complex
-conjugate pairs, so the antisymmetric pairing has two sectors: twice
-the line pairing of skewortho, and an upper-half-plane integral whose
-weight erfc(sqrt2 y) e^{y^2 - x^2} is |pair_weight|^2.  The monic family
+conjugate pairs, so the antisymmetric pairing has two sectors: the line
+pairing of skewortho, and half an upper-half-plane integral whose
+weight erfc(sqrt2 y) e^{y^2 - x^2} is |pair_weight|^2.  On the
+normalized monomials m_k = x^k / sqrt(k!) of specfun the family
 
-    p_{2j}(x)   = x^{2j}
-    p_{2j+1}(x) = x^{2j+1} - 2j x^{2j-1}
+    (2 pi)^{1/4} p_{2j}   = m_{2j},
+    (2 pi)^{1/4} p_{2j+1} = sqrt(2j+1) m_{2j+1} - sqrt(2j) m_{2j-1}
 
-is skew-orthogonal for that pairing with pair norms 2 sqrt(2pi) (2k)!.
-Its Gram matrix is one quadrature sum per sector over the rows the
-kernels use (ginoe_rows): the line product, and -4 Im(W^T diag(w) conj W)
-over the upper half-plane.  At a fixed height the plane integrand is
-e^{-x^2} times a polynomial in x, so a Gauss-Hermite rule takes x
-exactly and only the height y is refined.
+(the monic x^{2j} and x^{2j+1} - 2j x^{2j-1} over the root of their
+pair norm sqrt(2pi) (2j)!) is skew-orthonormal for that pairing: its
+Gram matrix is the standard pairing J.  The Gram is one quadrature sum
+per sector over the rows the kernels use (ginoe_rows): the line
+product, and -2 Im(W^T diag(w) conj W) over the upper half-plane.  At a
+fixed height the plane integrand is e^{-x^2} times a polynomial in x,
+so a Gauss-Hermite rule takes x exactly and only the height y is
+refined.
 """
 
 from __future__ import annotations
@@ -33,18 +36,15 @@ SQRT2 = math.sqrt(2.0)
 
 
 def ginoe_coefficients(N):
-    """The family p_0..p_{N-1} as columns on the monomials 1, x, ..., x^{N-1}."""
+    """The family p_0..p_{N-1} as columns on the normalized monomials x^k / sqrt(k!)."""
     if N < 1:
         raise ValueError("family size must be positive")
     C = np.eye(N)
-    for j in range(1, N // 2):
-        C[2 * j - 1, 2 * j + 1] = -2.0 * j
-    return C
-
-
-def ginoe_norm(k):
-    """Pair norm of (p_{2k}, p_{2k+1})."""
-    return 2.0 * SQRT_2PI * math.factorial(2 * k)
+    for j in range(N // 2):
+        C[2 * j + 1, 2 * j + 1] = math.sqrt(2 * j + 1)
+        if j:
+            C[2 * j - 1, 2 * j + 1] = -math.sqrt(2 * j)
+    return C / SQRT_2PI**0.5
 
 
 def pair_weight(z):
@@ -93,7 +93,7 @@ def ginoe_rows(C):
 
 
 def plane_gram(C, panels, radius):
-    """Complex-sector pairing -4 sum w Im(W^T conj W) over the upper half-plane.
+    """Complex-sector pairing -2 sum w Im(W^T conj W) over the upper half-plane.
 
     At a fixed height, Im(W_j conj W_k) is e^{-x^2} times a polynomial
     of degree at most 2n - 2 in x, n = C.shape[0], so the n-node
@@ -102,8 +102,8 @@ def plane_gram(C, panels, radius):
     of [0, radius], taken half a panel (16 heights, 16 n^2 row entries)
     at a time, with the erfc root of pair_weight once per height.
     Im(W^T diag(w) conj W) is A - A^T with A = Im(W)^T diag(w) Re(W);
-    W = P C on the weighted monomials P, and C is real, so it maps
-    Re P and Im P apart.
+    W = P C on the normalized weighted monomials P, and C is real, so
+    it maps Re P and Im P apart.
     """
     n = C.shape[0]
     x, wx = hermgauss(n)
@@ -115,7 +115,7 @@ def plane_gram(C, panels, radius):
         z = x[:, None] + 1j * height
         P = weighted_powers(n, z, _folded_weight(z, r)).reshape(-1, n)
         A += ((P.imag @ C) * np.outer(wx, wy).reshape(-1, 1)).T @ (P.real @ C)
-    return -4.0 * (A - A.T)
+    return -2.0 * (A - A.T)
 
 
 def sector_grams(N, panels):
@@ -127,15 +127,13 @@ def sector_grams(N, panels):
     """
     C = ginoe_coefficients(N)
     radius = truncation_radius(2 * N)
-    real = 2.0 * line_gram(gaussian_line_rows(C, hermite=False), panels, radius)
+    real = line_gram(gaussian_line_rows(C, hermite=False), panels, radius)
     return real, plane_gram(C, panels, radius / SQRT2)
 
 
 def ginoe_gram(N, tol):
     """Refined Gram of the family of size N, both sectors summed."""
-    return refined_gram(
-        lambda panels: sum(sector_grams(N, panels)), ginoe_norm, N, tol, cap=PLANE_PANEL_CAP
-    )
+    return refined_gram(lambda panels: sum(sector_grams(N, panels)), tol, cap=PLANE_PANEL_CAP)
 
 
 def sinclair_prefactor(N):
@@ -149,25 +147,18 @@ def sinclair_prefactor(N):
 def partition_function_check(N):
     """Prefactor times the Pfaffian of the Gram; equals 1 for every N.
 
-    Odd N borders the Gram by the full weighted integrals of the
-    polynomials (twice the half moments the odd-size kernels hat with).
-    Row and column j are scaled by 1/sqrt(r_j), r_j the norm of the
-    pair holding j, and the border by 1, so the Pfaffian's pivots stay
-    of order one at every N.  The prefactor and the norm product each
-    leave floating range as N grows; they are taken together as one
-    factor per l = 1..N, sqrt(r_{(l-1)//2}) 2^{-l/2} / Gamma(l/2), of
-    order one.
+    The partition function pairs the monic family by twice the line plus
+    the plane integral, with pair norms r_k = 2 sqrt(2pi) (2k)!; odd N
+    borders it by the full weighted integrals.  That matrix is
+    S [[G, h], [-h^T, 0]] S, G the normalized family's Gram, h its half
+    moments and S = diag(sqrt(r_{j//2}), ..., sqrt2).  det(S) and the
+    prefactor each leave floating range as N grows: their product is
+    taken in logarithms, through math.lgamma.
     """
     G = ginoe_gram(N, 1e-12).value
-    roots = np.sqrt([ginoe_norm(j // 2) for j in range(N)])
-    halves = 0.5 * np.arange(1, N + 1)
-    factors = roots * 2.0 ** -halves / np.array([math.gamma(h) for h in halves])
-    scale = 1.0 / roots
     if N % 2:
-        C = ginoe_coefficients(N)
-        border = 2.0 * gaussian_line_rows(C, hermite=False)(np.inf)[0]
-        G = np.pad(G, ((0, 1), (0, 1)))
-        G[:N, N] = border
-        G[N, :N] = -border
-        scale = np.append(scale, 1.0)
-    return float(np.prod(factors)) * pfaffian(scale[:, None] * G * scale)
+        half = gaussian_line_rows(ginoe_coefficients(N), hermite=False)(np.inf)[0]
+        G = np.block([[G, half[:, None]], [-half, 0.0]])
+    log_det = 0.5 * sum(math.log(2.0 * SQRT_2PI) + math.lgamma(2 * (j // 2) + 1) for j in range(N))
+    log_prefactor = -0.25 * N * (N + 1) * math.log(2.0) - sum(math.lgamma(0.5 * l) for l in range(1, N + 1))
+    return math.exp(log_det + 0.5 * (N % 2) * math.log(2.0) + log_prefactor) * pfaffian(G)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ginibre import SQRT_2PI, ginoe_coefficients, ginoe_norm, ginoe_rows, pair_weight
+from .ginibre import SQRT_2PI, ginoe_coefficients, ginoe_rows, pair_weight
 from .kernels import KernelBundle, family_basis, rho
 from .quadrature import gauss_legendre_rule
 from .specfun import gaussian_tail_moments, weighted_powers
@@ -35,8 +35,7 @@ def ginoe_kernel(N):
     block at a real second argument and the integrated block unless
     both arguments are complex.
     """
-    weights = [2.0 / ginoe_norm(k) for k in range(N // 2)]
-    basis = family_basis(ginoe_rows(ginoe_coefficients(N)), weights, "plane", odd=N % 2 == 1)
+    basis = family_basis(ginoe_rows(ginoe_coefficients(N)), N, "plane")
     return KernelBundle.from_basis("ginoe", N, basis)
 
 
@@ -50,31 +49,30 @@ def ginoe_summed_S(N, mu, eta):
     mu is the complex form at zero imaginary part.  With z = eta at a
     real eta and conj(eta) at a complex one, Gamma(N-1, mu z)/(N-2)! is
     e^{-mu z} times the Poisson head sum_{k<N-1} (mu z)^k/k!, and e^{-mu z}
-    folds into the weights as pair_weight(mu) pair_weight(z) = W:
+    folds into the weights: the head is the row product
+    sum_{k<N-1} W_k(mu) W_k(z) of the normalized weighted monomials
+    W_k = x^k pair_weight / sqrt(k!) (specfun.weighted_powers), and
 
-        real eta:     (W head + mu^(N-1) pair_weight(mu) (T(0) - T(eta)) / (N-2)!) / sqrt(2 pi)
-        complex eta:  i (z - mu) W head / sqrt(2 pi)
+        real eta:     (head + W_{N-1}(mu) sqrt(N-1) (T(0) - T(eta))) / sqrt(2 pi)
+        complex eta:  i (z - mu) head / sqrt(2 pi)
 
-    T(x) is the tail moment of t^(N-2) e^{-t^2/2} over [x, inf), so
-    T(0) - T(eta) is the integral over [0, eta] at either sign.  Every
-    term is exactly 0 where its weight underflows.  The accuracy is
-    absolute: within 1e-14 of the kernel scale 1/sqrt(2 pi) for N up to
-    64, with no relative accuracy promised for entries far below it.
+    T(x) is the tail moment of t^(N-2) e^{-t^2/2} / sqrt((N-2)!) over
+    [x, inf), so T(0) - T(eta) is the integral over [0, eta] at either
+    sign.  Every term is exactly 0 where its weight underflows.  The
+    accuracy is absolute: within 1e-14 of the kernel scale 1/sqrt(2 pi),
+    with no relative accuracy promised for entries far below it.
     """
     if N < 2:
         raise ValueError("closed forms need N >= 2")
     mu, eta = np.asarray(mu), np.asarray(eta)
     complex_eta = np.iscomplexobj(eta)
     z = np.conjugate(eta) if complex_eta else eta.astype(float)
-    mu_weight = pair_weight(mu)
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = mu * z
-    factorials = np.cumprod(np.arange(N - 1, dtype=float).clip(1.0))  # 0!, 1!, ..., (N-2)!
-    head = (weighted_powers(N - 1, w, mu_weight * pair_weight(z)) / factorials).sum(-1)
+    mu_rows = weighted_powers(N, mu, pair_weight(mu))
+    head = (mu_rows[..., :-1] * weighted_powers(N - 1, z, pair_weight(z))).sum(-1)
     if complex_eta:
         return 1j / SQRT_2PI * (z - mu) * head
     partial = gaussian_tail_moments(N - 1, 0.0)[-1] - gaussian_tail_moments(N - 1, z)[..., -1]
-    edge = weighted_powers(N, mu, mu_weight)[..., -1] * partial / factorials[-1]
+    edge = mu_rows[..., -1] * np.sqrt(N - 1) * partial
     return (head + edge) / SQRT_2PI
 
 

@@ -5,12 +5,13 @@ matrix A = B M B^T + sign term.  Every point contributes two rows to
 B: its weighted family polynomials W and their partners (half-range
 transforms on the line); M is the antisymmetric pairing of the family
 and the sign term 1/2 sgn(x_i - x_j) couples the partner rows of real
-points.  Even sizes pair the polynomials (2k, 2k+1) by the inverse pair
-norms.  Odd sizes hat the rows once (every polynomial below the top
-loses the multiple of the top one that carries its weighted integral)
-and border M with a constant partner column (1 on the partner row of a
-real point, 0 elsewhere) tied to the top polynomial: what the sign term
-of a point sent to +infinity leaves behind (see reduction).
+points.  Both families are skew-orthonormal, so even sizes pair the
+polynomials by the standard pairing, 1 at (2k, 2k+1).  Odd sizes hat
+the rows once (every polynomial below the top loses the multiple of the
+top one that carries its weighted integral) and border M with a
+constant partner column (1 on the partner row of a real point, 0
+elsewhere) tied to the top polynomial: what the sign term of a point
+sent to +infinity leaves behind (see reduction).
 
 The kernel blocks are cell entries of A: the line ensembles here use
 the cell [[-I, S], [-S^T, D]] on rows (partner, W), the plane ensemble
@@ -25,7 +26,7 @@ import numpy as np
 
 from .pfaffian import pfaffian
 from .quadrature import integrate_line
-from .skewortho import gaussian_line_rows, goe_coefficients, goe_norm
+from .skewortho import expected_gram, gaussian_line_rows, goe_coefficients
 
 # layout -> (slot of the partner row in the cell, sign of the integrated
 # block on the partner-partner entry)
@@ -56,18 +57,16 @@ class PointConfiguration:
         return len(self.reals) + 2 * len(self.complexes)
 
 
-def pairing_upper(pair_weights, border=None):
+def pairing_upper(m, border=None):
     """Upper triangle U of the antisymmetric pairing M = U - U^T.
 
-    pair_weights[k] pairs columns 2k and 2k+1; for odd sizes border
-    pairs the top polynomial with the constant column appended last.
+    U, the positive part of the standard pairing J, holds 1 at (2k, 2k+1)
+    for each of the m pairs; for odd sizes border pairs the top
+    polynomial with the constant column appended last.
     """
-    m = 2 * len(pair_weights) + (0 if border is None else 2)
-    U = np.zeros((m, m))
-    for k, value in enumerate(pair_weights):
-        U[2 * k, 2 * k + 1] = value
+    U = np.maximum(expected_gram(2 * m + (0 if border is None else 2)), 0.0)
     if border is not None:
-        U[m - 2, m - 1] = border
+        U[-2, -1] = border
     return U
 
 
@@ -173,8 +172,8 @@ def hat_transform(h):
     return T
 
 
-def family_basis(rows, pair_weights, layout, odd=False):
-    """Pairing basis of a family; odd sizes get the hatted, bordered form.
+def family_basis(rows, N, layout):
+    """Pairing basis of a family of size N; odd N gets the hatted, bordered form.
 
     The border pairs the constant partner column with the top polynomial
     (unchanged by the hatting) through -1/2 over its partner at +infinity.
@@ -183,13 +182,13 @@ def family_basis(rows, pair_weights, layout, odd=False):
     that one cache.
     """
     rows = cached_rows(rows)
-    basis = PairingBasis(rows, pairing_upper(pair_weights), layout)
-    if not odd:
+    basis = PairingBasis(rows, pairing_upper(N // 2), layout)
+    if N % 2 == 0:
         return basis
     h = rows(np.inf)[basis.partner_slot]
     T = hat_transform(h)
     hatted = PairingBasis(lambda z: rows(z) @ T, basis.upper, layout)
-    return hatted.bordered(pairing_upper(pair_weights, -0.5 / h[-1]))
+    return hatted.bordered(pairing_upper(N // 2, -0.5 / h[-1]))
 
 
 @dataclass(frozen=True)
@@ -260,11 +259,10 @@ def rho(bundle, points):
 def goe_kernel(N):
     """GOE kernel bundle of N eigenvalues, parity derived from N.
 
-    Built from the closed-form family on the weighted He_n rows; odd N
-    is hatted and bordered.
+    Built from the closed-form family on the normalized weighted Hermite
+    rows; odd N is hatted and bordered.
     """
-    weights = [1.0 / goe_norm(m) for m in range(N // 2)]
-    basis = family_basis(gaussian_line_rows(goe_coefficients(N)), weights, "line", odd=N % 2 == 1)
+    basis = family_basis(gaussian_line_rows(goe_coefficients(N)), N, "line")
     return KernelBundle.from_basis("goe", N, basis)
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ginoe_kernels import ginoe_kernel
-from .kernels import KernelBundle, PointConfiguration, goe_kernel
+from .kernels import KernelBundle, PointConfiguration, goe_kernel, rho
 from .pfaffian import pfaffian
 
 CORNER_FLOOR = 1e-300
@@ -192,7 +192,7 @@ def factorisation_check(bundle, reduced_bundle, config, x_far):
     The ratio tends to 1 as the conditioning point recedes; its gap at
     finite distance measures how far the reduction is from its limit.
     An empty probe set is the one-point case, where numerator and
-    denominator coincide and the ratio is 1 identically.
+    denominator are the same Pfaffian and the ratio is 1 identically.
     """
     if reduced_bundle.N != bundle.N - 1:
         raise ValueError("target bundle must be one size smaller")
@@ -200,7 +200,7 @@ def factorisation_check(bundle, reduced_bundle, config, x_far):
         raise ValueError("factorisation check takes at most three probe points")
     extended = _extended_config(config, x_far)
     joint = np.real(pfaffian(bundle.assemble(extended)))
-    weight = _corner(bundle.scalar_kernel(x_far, x_far), x_far)
+    weight = _corner(rho(bundle, (x_far,)), x_far)
     if not _points(config):
         return joint / weight
     target = np.real(pfaffian(reduced_bundle.assemble(config)))

@@ -1,23 +1,23 @@
-"""Skew-orthogonal polynomial families and their Gram matrices.
+"""Skew-orthonormal polynomial families and their Gram matrices.
 
 The antisymmetric pairing on the real line is
 
     <f|g> = 1/2 iint f(x) e^{-x^2/2} g(y) e^{-y^2/2} sgn(y - x) dx dy.
 
-Monic polynomials R_0, R_1, ... are skew-orthogonal for it when
-<R_{2m}|R_{2n+1}> = r_n delta_{mn} and every even-even and odd-odd
-pairing vanishes.  The Gaussian family is in closed form on the monic
-Hermite polynomials He_n = H_n / 2^n:
+Polynomials R_0, R_1, ... are skew-orthonormal for it when
+<R_{2m}|R_{2n+1}> = delta_{mn} and every even-even and odd-odd pairing
+vanishes: their Gram matrix is the standard pairing J, with 1 at
+(2m, 2m+1).  The Gaussian family is in closed form on the normalized
+Hermite basis h_n = H_n / sqrt(2^n n!) of specfun:
 
-    R_{2m} = He_{2m},  R_{2m+1} = He_{2m+1} - m He_{2m-1},
-    r_m = sqrt(pi) (2m)! / 4^m.
+    pi^{1/4} R_{2m}   = h_{2m},
+    pi^{1/4} R_{2m+1} = sqrt(m + 1/2) h_{2m+1} - sqrt(m) h_{2m-1}.
 
 With W_k = R_k e^{-x^2/2} and eps_k(x) = 1/2 int sgn(x - y) W_k(y) dy
 its half-range transform, <R_j|R_k> = int eps_j W_k dx: the Gram matrix
 of a whole family is one quadrature sum eps^T diag(w) W over the rows
 the kernels are built from.  refined_gram doubles the panel count until
-two successive Grams agree, measured like skew_deviation: entry by
-entry relative to sqrt(r_j r_k), r_j the norm of the pair holding j.
+two successive Grams agree entry by entry, measured like skew_deviation.
 
 Polynomial coefficients are ascending, one family member per column of
 a coefficient matrix.
@@ -34,22 +34,19 @@ from .specfun import gaussian_basis, gaussian_tail_moments
 
 
 def goe_coefficients(N):
-    """The closed-form Gaussian family R_0..R_{N-1} as columns on He_0..He_{N-1}."""
+    """The closed-form Gaussian family R_0..R_{N-1} as columns on h_0..h_{N-1}."""
     if N < 1:
         raise ValueError("family size must be positive")
     C = np.eye(N)
-    for m in range(1, N // 2):
-        C[2 * m - 1, 2 * m + 1] = -m
-    return C
-
-
-def goe_norm(m):
-    """Pair norm r_m = <R_{2m}|R_{2m+1}> of the Gaussian family."""
-    return math.sqrt(math.pi) * (math.factorial(2 * m) / 4 ** m)
+    for m in range(N // 2):
+        C[2 * m + 1, 2 * m + 1] = math.sqrt(m + 0.5)
+        if m:
+            C[2 * m - 1, 2 * m + 1] = -math.sqrt(m)
+    return C / math.pi**0.25
 
 
 def gaussian_line_rows(C, hermite=True):
-    """Line rows (partner, W) of the columns of C, on He_n or on monomials.
+    """Line rows (partner, W) of the columns of C, on h_n or on x^n / sqrt(n!).
 
     W is the polynomial times e^(-x^2/2), its partner the half-range
     transform eps, both from the recurrences of specfun; at x = +inf the
@@ -78,40 +75,27 @@ def line_gram(rows, panels, radius):
     return (eps * rule.weights[:, None]).T @ W
 
 
-def expected_gram(norm, N):
-    """The pairing of a skew-orthogonal family of size N with pair norms norm(m)."""
-    G = np.zeros((N, N))
+def expected_gram(N):
+    """The standard pairing J of size N: 1 at (2m, 2m+1), -1 at (2m+1, 2m)."""
+    U = np.zeros((N, N))
     for m in range(N // 2):
-        G[2 * m, 2 * m + 1] = norm(m)
-        G[2 * m + 1, 2 * m] = -norm(m)
-    return G
+        U[2 * m, 2 * m + 1] = 1.0
+    return U - U.T
 
 
-def _pair_scale(norm, N):
-    s = np.sqrt([norm(j // 2) for j in range(N)])
-    return np.outer(s, s)
+def skew_deviation(G):
+    """Worst |G - J| entry, J the standard pairing."""
+    return float(np.abs(G - expected_gram(G.shape[0])).max())
 
 
-def skew_deviation(G, norm):
-    """Worst |G - expected| entry relative to sqrt(r_j r_k)."""
-    N = G.shape[0]
-    return float((np.abs(G - expected_gram(norm, N)) / _pair_scale(norm, N)).max())
-
-
-def refined_gram(gram_at, norm, N, tol, cap=LINE_PANEL_CAP):
-    """Refinement of gram_at(panels) until successive Grams agree within tol.
-
-    The gap between Grams is measured entry by entry relative to
-    sqrt(r_j r_k), as skew_deviation measures the final one.
-    """
-    scale = _pair_scale(norm, N)
-    return refine(
-        gram_at, tol, "skew Gram", cap=cap, gap=lambda G, H: (np.abs(G - H) / scale).max()
-    )
+def refined_gram(gram_at, tol, cap=LINE_PANEL_CAP):
+    """Refinement of gram_at(panels) until successive Grams agree within tol,
+    entry by entry, as skew_deviation measures the final one."""
+    return refine(gram_at, tol, "skew Gram", cap=cap, gap=lambda G, H: np.abs(G - H).max())
 
 
 def goe_gram(N, tol):
     """Refined Gram of the closed-form Gaussian family of size N."""
     rows = gaussian_line_rows(goe_coefficients(N))
     radius = truncation_radius(2 * N)
-    return refined_gram(lambda panels: line_gram(rows, panels, radius), goe_norm, N, tol)
+    return refined_gram(lambda panels: line_gram(rows, panels, radius), tol)

@@ -3,10 +3,10 @@
 The complementary error function comes from the standard library
 (math.erfc); erfcx is built on it here and normal_cdf on both, exact to
 a few units in the last place, and applied element by element to arrays.
-weighted_powers gives weighted monomial and Hermite rows by one
-three-term recurrence, gaussian_tail_moments their Gaussian tail
-moments by another.  The GinOE closed form is built from these two:
-the Poisson head and the Gaussian tail moments.
+weighted_powers gives the normalized monomial and Hermite rows, of order
+one at every degree, by one three-term recurrence, gaussian_tail_moments
+their Gaussian tail moments by another.  The GinOE closed form is built
+from these two: the Poisson head and the Gaussian tail moments.
 """
 
 from __future__ import annotations
@@ -92,11 +92,13 @@ def normal_cdf(x):
 
 
 def weighted_powers(n, z, weight, c=0.0):
-    """Rows P_k(z) times weight for k = 0..n-1, shape z.shape + (n,).
+    """Rows P_k(z) / a_k times weight for k = 0..n-1, shape z.shape + (n,).
 
     P_0 = 1 and P_{k+1} = z P_k - c k P_{k-1}: the monomials for c = 0,
-    the monic Hermite polynomials He_k = H_k / 2^k for c = 1/2.  Real or
-    complex z; exactly 0 where the weight vanishes, +-inf included.
+    the monic Hermite polynomials He_k = H_k / 2^k for c = 1/2.  With
+    a_{k+1} = a_k sqrt((k+1)(1 - c)) the rows are z^k / sqrt(k!) and
+    H_k / sqrt(2^k k!), no factorial formed.  Real or complex z; exactly
+    0 where the weight vanishes, +-inf included.
     """
     z = np.asarray(z)
     weight = np.broadcast_to(weight, z.shape)
@@ -105,18 +107,20 @@ def weighted_powers(n, z, weight, c=0.0):
     with np.errstate(invalid="ignore"):
         for k in range(n):
             out[..., k] = current
-            previous, current = current, z * current - c * k * previous
+            step = z * current
+            if c:
+                step = step - c * math.sqrt(k / (1.0 - c)) * previous
+            previous, current = current, step / math.sqrt((k + 1) * (1.0 - c))
     out[weight == 0.0] = 0.0
     return out
 
 
 def gaussian_basis(n, x, hermite=False):
-    """Weighted basis values P_k(x) e^(-x^2/2) for k = 0..n-1.
+    """Weighted basis values p_k(x) e^(-x^2/2) for k = 0..n-1.
 
-    P_k is the monomial x^k, or with hermite the monic Hermite polynomial
-    He_k = H_k / 2^k (see weighted_powers); P_k' = k P_{k-1}.  Vectorized
-    in x, shape x.shape + (n,); exactly 0 where the Gaussian underflows,
-    +-inf included.
+    p_k is x^k / sqrt(k!), or with hermite H_k / sqrt(2^k k!) (see
+    weighted_powers).  Vectorized in x, shape x.shape + (n,); exactly 0
+    where the Gaussian underflows, +-inf included.
     """
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):
@@ -125,22 +129,22 @@ def gaussian_basis(n, x, hermite=False):
 
 
 def gaussian_tail_moments(n, x, hermite=False):
-    """Integrals of P_k(t) e^(-t^2/2) over [x, inf) for k = 0..n-1.
+    """Integrals of p_k(t) e^(-t^2/2) over [x, inf) for k = 0..n-1.
 
-    P_k as in gaussian_basis.  Integrating (P_k e^(-t^2/2))' =
-    ((1 - c) k P_{k-1} - P_{k+1}) e^(-t^2/2) over [x, inf) gives the upward
-    recurrence T_{k+1} = (1 - c) k T_{k-1} + P_k(x) e^(-x^2/2) from the
-    erfc and Gaussian base cases.  It is stable for every sign of x; every
-    moment is exactly 0 at x = +inf, and x = -inf gives the full moments.
-    Vectorized in x; the result has shape x.shape + (n,).
+    p_k = P_k / a_k as in gaussian_basis, c = 1/2 with hermite and 0
+    without.  Integrating (P_k e^(-t^2/2))' over [x, inf) and dividing
+    by a_{k+1} gives the upward recurrence
+    T_{k+1} = sqrt(k / (k+1)) T_{k-1} + p_k(x) e^(-x^2/2) / sqrt((k+1)(1 - c))
+    from the erfc and Gaussian base cases.  It is stable for every sign
+    of x; every moment is exactly 0 at x = +inf, and x = -inf gives the
+    full moments.  Vectorized in x; the result has shape x.shape + (n,).
     """
     x = np.asarray(x, dtype=float)
     heads = gaussian_basis(max(n - 1, 1), x, hermite)
-    step = 0.5 if hermite else 1.0
+    heads /= np.sqrt((0.5 if hermite else 1.0) * np.arange(1, heads.shape[-1] + 1))
     out = np.empty(x.shape + (max(n, 2),))
     out[..., 0] = math.sqrt(2.0 * math.pi) * normal_cdf(-x)
     out[..., 1] = heads[..., 0]
     for k in range(2, n):
-        out[..., k] = heads[..., k - 1] + step * (k - 1) * out[..., k - 2]
+        out[..., k] = heads[..., k - 1] + math.sqrt((k - 1) / k) * out[..., k - 2]
     return out[..., :n]
-

@@ -14,7 +14,6 @@ import numpy as np
 
 from betaone.ginibre import (
     ginoe_gram,
-    ginoe_norm,
     partition_function_check,
 )
 from betaone.ginoe_kernels import (
@@ -120,16 +119,19 @@ def test_criterion_02_quaternion_determinant_squared():
 def test_criterion_03_ginoe_skew_orthogonality():
     start = time.time()
     N = 8
-    r0 = ginoe_norm(0)
+    # the monic family's Gram is the normalized one's times sqrt(r_j r_k),
+    # r_j the pair norm 2 sqrt(2pi) (2m)! of the pair m = j // 2 holding j
+    norms = [2.0 * SQRT_2PI * math.factorial(2 * (j // 2)) for j in range(N)]
+    r0 = norms[0]
     refined = ginoe_gram(N, 1e-12)
-    gram = refined.value
-    zeros = expected_gram(ginoe_norm, N) == 0.0
+    gram = refined.value * np.sqrt(np.outer(norms, norms))
+    zeros = expected_gram(N) == 0.0
     worst_zero = np.abs(gram[zeros]).max()
     worst_norm = max(
         relative(gram[2 * j, 2 * j + 1], 2.0 * SQRT_2PI * math.gamma(2 * j + 1))
         for j in range(N // 2)
     )
-    deviation = skew_deviation(gram, ginoe_norm)
+    deviation = skew_deviation(refined.value)
     assert worst_zero <= 1e-12 * r0
     assert worst_norm <= 1e-13
     assert deviation <= 1e-12

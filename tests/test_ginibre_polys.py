@@ -8,7 +8,6 @@ from scipy import special
 from betaone.ginibre import (
     ginoe_coefficients,
     ginoe_gram,
-    ginoe_norm,
     ginoe_rows,
     partition_function_check,
     plane_gram,
@@ -19,7 +18,7 @@ from betaone.ginibre import (
 from betaone.ginoe_kernels import ginoe_kernel
 from betaone.kernels import hat_transform
 from betaone.quadrature import ORDER, gauss_legendre_rule, panel_rule, truncation_radius
-from betaone.skewortho import gaussian_line_rows, goe_gram, goe_norm, skew_deviation
+from betaone.skewortho import gaussian_line_rows, goe_gram, skew_deviation
 from betaone.specfun import erfcx, weighted_powers
 
 SQRT_PI = math.sqrt(math.pi)
@@ -30,37 +29,64 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 # int_0^inf y e^{y^2} erfc(sqrt2 y) dy = (sqrt2 - 1)/2
 REAL_PIECE_12 = 2.0 * SQRT_PI
 COMPLEX_PIECE_12 = 2.0 * SQRT_PI * (math.sqrt(2.0) - 1.0)
+# rounding of coefficients of order one rescaled by irrational pair norms
+ULPS = 4.0 * np.finfo(float).eps
+
+
+def ginoe_norm(k):
+    # pair norm of the monic p_{2k} = x^{2k}, p_{2k+1} = x^{2k+1} - 2k x^{2k-1}
+    # under the full pairing, twice the line plus the plane integral
+    return 2.0 * SQRT_2PI * math.factorial(2 * k)
+
+
+def pair_roots(N):
+    # the library's family is normalized for half the full pairing, so its
+    # Grams times outer(pair_roots, pair_roots) are the monic family's
+    return np.sqrt([ginoe_norm(j // 2) for j in range(N)])
+
+
+def monic(C):
+    # columns of C on the normalized monomials x^k / sqrt(k!), rescaled to
+    # the monic family on the plain monomials
+    N = C.shape[0]
+    return C / np.sqrt([math.factorial(k) for k in range(N)])[:, None] * (pair_roots(N) / math.sqrt(2.0))
 
 
 def test_polynomial_coefficients():
-    C = ginoe_coefficients(6)
-    assert np.array_equal(C[:, 0], [1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-    assert np.array_equal(C[:, 1], [0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-    assert np.array_equal(C[:, 2], [0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
-    assert np.array_equal(C[:, 3], [0.0, -2.0, 0.0, 1.0, 0.0, 0.0])
-    assert np.array_equal(C[:, 5], [0.0, 0.0, 0.0, -4.0, 0.0, 1.0])
+    C = monic(ginoe_coefficients(6))
+    assert np.allclose(C[:, 0], [1.0, 0.0, 0.0, 0.0, 0.0, 0.0], rtol=0, atol=ULPS)
+    assert np.allclose(C[:, 1], [0.0, 1.0, 0.0, 0.0, 0.0, 0.0], rtol=0, atol=ULPS)
+    assert np.allclose(C[:, 2], [0.0, 0.0, 1.0, 0.0, 0.0, 0.0], rtol=0, atol=ULPS)
+    assert np.allclose(C[:, 3], [0.0, -2.0, 0.0, 1.0, 0.0, 0.0], rtol=0, atol=ULPS)
+    assert np.allclose(C[:, 5], [0.0, 0.0, 0.0, -4.0, 0.0, 1.0], rtol=0, atol=ULPS)
     with pytest.raises(ValueError):
         ginoe_coefficients(0)
 
 
 def test_norms_closed_form():
-    assert np.isclose(ginoe_norm(0), 2.0 * SQRT_2PI, rtol=1e-15, atol=0)
-    assert np.isclose(ginoe_norm(1), 4.0 * SQRT_2PI, rtol=1e-15, atol=0)
-    assert np.isclose(ginoe_norm(3), 2.0 * SQRT_2PI * 720.0, rtol=1e-15, atol=0)
+    # the leading coefficient c of p_{2k} on x^{2k} is 1 / sqrt(half its pair
+    # norm): the full pairing of the normalized pair is 2, of the monic 2 / c^2
+    C = ginoe_coefficients(7)
+    for k, norm in ((0, 2.0 * SQRT_2PI), (1, 4.0 * SQRT_2PI), (3, 2.0 * SQRT_2PI * 720.0)):
+        lead = C[2 * k, 2 * k] / math.sqrt(math.factorial(2 * k))
+        assert np.isclose(2.0 / lead**2, norm, rtol=1e-15, atol=0), k
+        assert np.isclose(ginoe_norm(k), norm, rtol=1e-15, atol=0), k
 
 
 def test_family_container():
     C = ginoe_coefficients(5)
     assert C.shape == (5, 5)
-    # p_3(w) times the pair weight, which is e^{-2} at the real point 2
-    assert np.isclose(plane_rows(C, np.array([2.0 + 0.0j]))[0, 3], (8.0 - 4.0) * math.exp(-2.0), rtol=1e-15, atol=0)
+    # the monic p_3(w) times the pair weight, which is e^{-2} at the real point 2
+    value = plane_rows(C, np.array([2.0 + 0.0j]))[0, 3] * pair_roots(5)[3] / math.sqrt(2.0)
+    assert np.isclose(value, (8.0 - 4.0) * math.exp(-2.0), rtol=1e-15, atol=0)
 
 
 def test_lowest_pairing_pieces_match_hand_values():
-    real, plane = sector_grams(2, 4)
+    # the monic pieces: twice the line and the whole plane integral
+    real, plane = np.array(sector_grams(2, 4)) * ginoe_norm(0)
     assert np.isclose(real[0, 1], REAL_PIECE_12, rtol=1e-14, atol=0)
     assert np.isclose(plane[0, 1], COMPLEX_PIECE_12, rtol=1e-14, atol=0)
-    assert np.isclose(ginoe_gram(2, 1e-12).value[0, 1], 2.0 * SQRT_2PI, rtol=1e-14, atol=0)
+    assert np.isclose(ginoe_gram(2, 1e-12).value[0, 1] * ginoe_norm(0), 2.0 * SQRT_2PI, rtol=1e-14, atol=0)
 
 
 def test_complex_piece_against_monte_carlo_oracle():
@@ -76,19 +102,20 @@ def test_complex_piece_against_monte_carlo_oracle():
     estimate = h.mean()
     stderr = h.std(ddof=1) / math.sqrt(n)
     _, plane = sector_grams(2, 4)
-    assert abs(plane[0, 1] - estimate) <= 3.0 * stderr
+    assert abs(plane[0, 1] * ginoe_norm(0) - estimate) <= 3.0 * stderr
 
 
 def test_pairing_antisymmetry_and_diagonal():
+    # the normalized Gram's entries are the monic family's relative to
+    # sqrt(r_j r_k), r_j the pair norm holding j
     gram = ginoe_gram(6, 1e-12).value
-    s = np.sqrt([ginoe_norm(j // 2) for j in range(6)])
-    scale = np.outer(s, s)
-    assert np.abs(np.diag(gram) / np.diag(scale)).max() <= 1e-15
-    assert np.abs((gram + gram.T) / scale).max() <= 1e-14
+    assert np.abs(np.diag(gram)).max() <= 1e-15
+    assert np.abs(gram + gram.T).max() <= 1e-14
 
 
 def test_skew_orthogonality_small_battery():
-    gram = ginoe_gram(4, 1e-12).value
+    s = pair_roots(4)
+    gram = ginoe_gram(4, 1e-12).value * np.outer(s, s)
     r0 = ginoe_norm(0)
     assert abs(gram[0, 2]) <= 1e-14 * r0
     assert abs(gram[1, 3]) <= 1e-14 * r0
@@ -96,7 +123,7 @@ def test_skew_orthogonality_small_battery():
 
 
 def plane_pairing(C, x, wx, heights):
-    # -4 Im sum wx wy W_j conj W_k over the nodes x + iy, one panel of the
+    # -2 Im sum wx wy W_j conj W_k over the nodes x + iy, one panel of the
     # rule `heights` at a time; W are the plane_rows, with pair_weight
     # written out as sqrt(erfcx(sqrt2 y)) e^{-(x^2 + y^2)/2 - ixy}, and
     # Im(W^T diag(w) conj W) is A - A^T with A = Im(W)^T diag(w) Re(W)
@@ -107,7 +134,7 @@ def plane_pairing(C, x, wx, heights):
         weight = np.sqrt(erfcx(math.sqrt(2.0) * y)) * np.exp(-0.5 * (x_**2 + y_**2) - 1j * x_ * y_)
         W = (weighted_powers(n, x_ + 1j * y_, weight) @ C).reshape(-1, n)
         A = A + (W.imag.T * np.outer(wx, wy).reshape(-1)) @ W.real
-    return -4.0 * (A - A.T)
+    return -2.0 * (A - A.T)
 
 
 def test_plane_gram_is_exact_in_x():
@@ -118,23 +145,23 @@ def test_plane_gram_is_exact_in_x():
     for N in (2, 5, 16, 33):
         C = ginoe_coefficients(N)
         radius = truncation_radius(2 * N) / math.sqrt(2.0)
-        s = np.sqrt([ginoe_norm(j // 2) for j in range(N)])
-        scale = np.outer(s, s)
+        # entries of the normalized family: the monic family's relative
+        # to sqrt(r_j r_k)
         G = plane_gram(C, 16, radius)
         heights = panel_rule((0.0, radius), 16)
         x, wx = hermgauss(N + 6)
         more = plane_pairing(C, x, wx * np.exp(x * x), heights)
-        assert np.abs((G - more) / scale).max() <= 3e-15, N
+        assert np.abs(G - more).max() <= 3e-15, N
         x = panel_rule((-radius, 0.0, radius), 16)
         tensor = plane_pairing(C, x.nodes, x.weights, heights)
-        assert np.abs((G - tensor) / scale).max() <= 1e-14, N
+        assert np.abs(G - tensor).max() <= 1e-14, N
 
 
 def test_grams_hold_at_every_size():
     for N in range(1, 65):
-        for refined, norm in ((ginoe_gram(N, 1e-12), ginoe_norm), (goe_gram(N, 1e-12), goe_norm)):
-            assert skew_deviation(refined.value, norm) <= 1e-12, (N, norm)
-            assert refined.difference <= 1e-12, (N, norm)
+        for ensemble, refined in (("ginoe", ginoe_gram(N, 1e-12)), ("goe", goe_gram(N, 1e-12))):
+            assert skew_deviation(refined.value) <= 1e-12, (N, ensemble)
+            assert refined.difference <= 1e-12, (N, ensemble)
 
 
 def half_moments(N):
@@ -142,7 +169,8 @@ def half_moments(N):
 
 
 def test_half_moments():
-    nus = half_moments(3)
+    # of the monic family
+    nus = half_moments(3) * pair_roots(3) / math.sqrt(2.0)
     assert np.isclose(nus[0], 0.5 * SQRT_2PI, rtol=1e-15, atol=0)
     assert nus[1] == 0.0
     assert np.isclose(nus[2], 0.5 * SQRT_2PI, rtol=1e-15, atol=0)
@@ -151,16 +179,20 @@ def test_half_moments():
 def test_hatted_family_small_case():
     # the plane partner at +infinity is minus the half moment; hatting
     # leaves it on the top polynomial and the constant column only
+    # on the monic family, whose columns are the library's times pair_roots / sqrt2
+    monic_scale = np.append(pair_roots(3) / math.sqrt(2.0), 1.0)
     basis = ginoe_kernel(3).family
-    at_infinity = basis.rows(np.inf)[basis.partner_slot]
+    at_infinity = basis.rows(np.inf)[basis.partner_slot] * monic_scale
     assert np.allclose(at_infinity, [0.0, 0.0, -0.5 * SQRT_2PI, 1.0], rtol=1e-15, atol=1e-15)
-    hat = ginoe_coefficients(3) @ hat_transform(-half_moments(3))
+    hat = monic(ginoe_coefficients(3)) @ hat_transform(-half_moments(3) * monic_scale[:3])
     assert np.allclose(hat[:, 0], [1.0, 0.0, -1.0], atol=1e-14)
     assert np.allclose(hat[:, 1], [0.0, 1.0, 0.0], atol=1e-14)
-    assert np.allclose(hat[:, 2], [0.0, 0.0, 1.0], atol=0)
-    # pair (0, 1) by 2 / r_0; the top with the constant column by -1/2 over its partner
-    assert np.isclose(basis.upper[0, 1], 2.0 / (2.0 * SQRT_2PI), rtol=1e-15, atol=0)
-    assert np.isclose(basis.upper[2, 3], 0.5 / (0.5 * SQRT_2PI), rtol=1e-15, atol=0)
+    assert np.allclose(hat[:, 2], [0.0, 0.0, 1.0], atol=ULPS)
+    # pair (0, 1) by the standard pairing, 2 / r_0 on the monic family; the
+    # top with the constant column by -1/2 over its partner
+    assert basis.upper[0, 1] == 1.0
+    assert np.isclose(basis.upper[0, 1] / monic_scale[0] ** 2, 2.0 / (2.0 * SQRT_2PI), rtol=1e-15, atol=0)
+    assert np.isclose(basis.upper[2, 3] / monic_scale[2], 0.5 / (0.5 * SQRT_2PI), rtol=1e-15, atol=0)
 
 
 def test_hatted_family_kills_weighted_integrals():

@@ -34,7 +34,7 @@ from betaone.ginoe_kernels import (
     interrelations_check,
     pair_weight,
 )
-from betaone.kernels import PointConfiguration, rho
+from betaone.kernels import PointConfiguration, goe_kernel, rho
 from betaone.pfaffian import as_antisymmetric, pfaffian
 from betaone.quadrature import (
     PLANE_PANEL_CAP,
@@ -56,9 +56,17 @@ def scalar_closed_form_size_two(x, y):
 
 
 def fugacity_partition(N):
-    """Partition sum as a function of the fugacity attached to each real."""
+    """Partition sum as a function of the fugacity attached to each real.
+
+    The sector Grams are those of the normalized family; the monic
+    family's are them times r_j r_k, r_j = sqrt(2 sqrt(2pi) (2m)!) with
+    m = j // 2, and its odd-size border the full integrals of the
+    normalized family times r_j / sqrt2, so the monic Pfaffian is the
+    normalized one times prod r_j (over sqrt2 at odd N).
+    """
     alpha, beta = sector_grams(N, ginoe_gram(N, 1e-12).panels)
-    pref = sinclair_prefactor(N)
+    roots = [math.sqrt(2.0 * SQRT_2PI * math.factorial(2 * (j // 2))) for j in range(N)]
+    pref = sinclair_prefactor(N) * math.prod(roots)
     if N % 2 == 0:
         return lambda z: pref * pfaffian(z * z * alpha + beta)
     # full weighted line integrals of the polynomials
@@ -69,7 +77,7 @@ def fugacity_partition(N):
         M[:N, :N] = z * z * alpha + beta
         M[:N, N] = z * border
         M[N, :N] = -z * border
-        return pref * pfaffian(M)
+        return pref / math.sqrt(2.0) * pfaffian(M)
 
     return value
 
@@ -260,6 +268,22 @@ def test_summed_forms_against_high_precision_oracle(N):
                 for j, b in enumerate(eta):
                     worst = max(worst, float(abs(closed[i, j] - mp_summed_S(N, a, b))))
     assert worst * SQRT_2PI <= 1e-14, worst * SQRT_2PI
+
+
+def test_kernels_hold_past_the_command_line_cap():
+    # no factorial is formed: at these sizes the pair norms (2N)! and the
+    # summed form's (N-2)! passed the largest double
+    for N in (176, 200):
+        bundle = ginoe_kernel(N)
+        # the real density at 0 is 1/sqrt(2 pi) at every N >= 2
+        assert abs(bundle.scalar_kernel(0.0, 0.0) * SQRT_2PI - 1.0) <= 1e-15, N
+        reals = np.linspace(-1.3, 1.3, 9) * math.sqrt(N)
+        points = (reals, reals + 0.5j)
+        for mu in points:
+            for eta in points:
+                gap = np.abs(bundle.scalar_kernel(mu[:, None], eta) - ginoe_summed_S(N, mu[:, None], eta))
+                assert gap.max() * SQRT_2PI <= 1e-14, N
+    assert np.isfinite(goe_kernel(200).scalar_kernel(0.0, 0.0))
 
 
 def test_summed_form_rejects_bad_inputs():

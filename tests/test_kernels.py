@@ -19,7 +19,7 @@ from betaone.kernels import (
 )
 from betaone.pfaffian import as_antisymmetric
 from betaone.reduction import conditioned_bundle
-from betaone.skewortho import gaussian_line_rows, goe_coefficients, goe_norm
+from betaone.skewortho import gaussian_line_rows, goe_coefficients
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -258,9 +258,8 @@ def test_rows_are_evaluated_once_per_point_array():
 
         return counted
 
-    weights = [1.0 / goe_norm(m) for m in range(2)]
     even_rows = counting(gaussian_line_rows(goe_coefficients(4)))
-    even = KernelBundle.from_basis("goe", 4, family_basis(even_rows, weights, "line"))
+    even = KernelBundle.from_basis("goe", 4, family_basis(even_rows, 4, "line"))
     config = PointConfiguration(reals=(-0.8, 0.1, 0.9))
     first = even.assemble(config)
     conditioned = [conditioned_bundle(even, far) for far in (16.0, 24.0, 16.0)]
@@ -280,7 +279,7 @@ def test_rows_are_evaluated_once_per_point_array():
 
     evaluated.clear()
     odd_rows = counting(gaussian_line_rows(goe_coefficients(5)))
-    odd = family_basis(odd_rows, weights, "line", odd=True)  # evaluates +inf for the hat
+    odd = family_basis(odd_rows, 5, "line")  # evaluates +inf for the hat
     x = np.linspace(-1.0, 1.0, 5)
     for basis in (odd, odd.bordered(odd.upper), odd):
         basis.rows(x.copy())

@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from betaone.cli import GATES
 from betaone.ginoe_kernels import ginoe_kernel
 from betaone.kernels import PointConfiguration, goe_kernel
 from betaone.pfaffian import pfaffian
@@ -184,6 +185,18 @@ def test_line_reduction_reports_converge_monotonically():
 
 def test_plane_reduction_report_converges_monotonically():
     check_reduction_reports(verify_odd_limit_ginoe)
+
+
+def test_reduction_gates_hold_past_the_command_line_cap():
+    # on unit pair norms no factorial limits the sizes the reduction
+    # reaches; with separate pair norms up to (2N)! it failed from GinOE
+    # N = 112 (far-convergence 3.9) and at GOE N = 160
+    for verify, N in ((verify_odd_limit_ginoe, 112), (verify_odd_limit_ginoe, 128),
+                      (verify_odd_limit_beta1, 160), (verify_odd_limit_beta1, 200)):
+        report = verify(N)
+        assert report.exact <= GATES["exact-limit"], (verify.__name__, N)
+        assert report.ratio < GATES["far-convergence"], (verify.__name__, N)
+        assert report.identity_gap <= GATES["pfaffian-identity-gap"], (verify.__name__, N)
 
 
 def test_exact_limit_holds_on_random_bulk_configurations():

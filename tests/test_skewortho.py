@@ -12,13 +12,14 @@ from betaone.skewortho import (
     gaussian_line_rows,
     goe_coefficients,
     goe_gram,
-    goe_norm,
     line_gram,
     skew_deviation,
 )
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+# rounding of coefficients of order one rescaled by irrational pair norms
+ULPS = 4.0 * np.finfo(float).eps
 
 # hand-derived pairings of low monomials under the Gaussian weight:
 # reduce the sign integral to tail moments and integrate by parts
@@ -31,8 +32,10 @@ MONOMIAL_PAIRINGS = {
 
 
 def monomial_gram(C, panels=4):
-    # line Gram of the columns of C, on monomials
-    rows = gaussian_line_rows(C, hermite=False)
+    # line Gram of the columns of C, on monomials: x^k is sqrt(k!) times
+    # the library's normalized monomial x^k / sqrt(k!)
+    roots = np.sqrt([math.factorial(k) for k in range(C.shape[0])])
+    rows = gaussian_line_rows(roots[:, None] * C, hermite=False)
     return line_gram(rows, panels, truncation_radius(2 * C.shape[0]))
 
 
@@ -45,6 +48,21 @@ def hermite_to_monomials(n):
         if k >= 1:
             M[:, k + 1] -= 0.5 * k * M[:, k - 1]
     return M
+
+
+def normalized_hermite_to_monomials(n):
+    # columns: the library's basis H_k / sqrt(2^k k!) = He_k / sqrt(k! / 2^k)
+    return hermite_to_monomials(n) / np.sqrt([math.factorial(k) / 2.0**k for k in range(n)])
+
+
+def goe_norm(m):
+    # pair norm of the monic family He_{2m}, He_{2m+1} - m He_{2m-1}
+    return SQRT_PI * math.factorial(2 * m) / 4**m
+
+
+def monic_roots(N):
+    # the monic family member j is the library's column j times monic_roots(N)[j]
+    return np.sqrt([goe_norm(j // 2) for j in range(N)])
 
 
 def half_moments(C):
@@ -66,28 +84,33 @@ def test_skew_inner_antisymmetry():
 
 
 def test_gaussian_family_exact_coefficients():
-    monomials = hermite_to_monomials(4) @ goe_coefficients(4)
-    assert np.array_equal(monomials[:, 0], [1.0, 0.0, 0.0, 0.0])
-    assert np.array_equal(monomials[:, 1], [0.0, 1.0, 0.0, 0.0])
-    assert np.array_equal(monomials[:, 2], [-0.5, 0.0, 1.0, 0.0])
-    assert np.array_equal(monomials[:, 3], [0.0, -2.5, 0.0, 1.0])
+    # the normalized columns times the roots of the pair norms
+    # sqrt(pi) (2m)! / 4^m are the monic family, up to rounding
+    normalized = normalized_hermite_to_monomials(4) @ goe_coefficients(4)
+    monomials = normalized * monic_roots(4)
+    assert np.allclose(monomials[:, 0], [1.0, 0.0, 0.0, 0.0], rtol=0, atol=ULPS)
+    assert np.allclose(monomials[:, 1], [0.0, 1.0, 0.0, 0.0], rtol=0, atol=ULPS)
+    assert np.allclose(monomials[:, 2], [-0.5, 0.0, 1.0, 0.0], rtol=0, atol=ULPS)
+    assert np.allclose(monomials[:, 3], [0.0, -2.5, 0.0, 1.0], rtol=0, atol=ULPS)
     assert np.isclose(goe_norm(0), SQRT_PI, rtol=1e-15, atol=0)
     assert np.isclose(goe_norm(1), 0.5 * SQRT_PI, rtol=1e-15, atol=0)
-    # the Gram of the monomial expansion is the family's Gram
-    family = monomial_gram(monomials)
-    assert skew_deviation(family, goe_norm) <= 1e-14
+    # the Gram of the monomial expansion is the family's Gram, the standard pairing
+    family = monomial_gram(normalized)
+    assert skew_deviation(family) <= 1e-14
 
 
 def test_family_skew_orthogonality_battery():
     refined = goe_gram(6, 1e-12)
-    gram = refined.value
+    roots = monic_roots(6)
+    gram = refined.value * np.outer(roots, roots)
     r_min = min(goe_norm(m) for m in range(3))
-    assert np.abs(gram - expected_gram(goe_norm, 6)).max() <= 1e-13 * r_min
+    assert np.abs(gram - expected_gram(6) * np.outer(roots, roots)).max() <= 1e-13 * r_min
     assert refined.difference <= 1e-12
 
 
 def test_phi_transform_closed_forms():
-    rows = gaussian_line_rows(goe_coefficients(4))
+    # on the monic family R_0 = 1, R_1 = x, R_2 = x^2 - 1/2
+    rows = gaussian_line_rows(goe_coefficients(4) * monic_roots(4))
     x = np.linspace(-3.0, 3.0, 13)
     eps = rows(x)[:, 0]
     assert np.allclose(
@@ -112,9 +135,10 @@ def test_phi_transform_against_quadrature_oracle():
 
 
 def test_hatted_family_exact_small_case():
-    C = goe_coefficients(3)
+    # on the monic family; hatting does not depend on the top column's scale
+    C = goe_coefficients(3) * monic_roots(3)
     half = half_moments(C)
-    hat = hermite_to_monomials(3) @ C @ hat_transform(half)
+    hat = normalized_hermite_to_monomials(3) @ C @ hat_transform(half)
     assert np.allclose(hat[:, 0], [2.0, 0.0, -2.0], rtol=0, atol=1e-15)
     assert np.allclose(hat[:, 1], [0.0, 1.0, 0.0], rtol=0, atol=0)
     assert np.allclose(hat[:, 2], [-0.5, 0.0, 1.0], rtol=0, atol=0)
@@ -139,7 +163,9 @@ def test_hatted_requires_odd_size():
 
 
 def test_generating_pfaffian_even_equals_norm_product():
-    got = pfaffian(goe_gram(4, 1e-12).value)
+    # the monic family's Gram: the library's times the roots of the pair norms
+    roots = monic_roots(4)
+    got = pfaffian(goe_gram(4, 1e-12).value * np.outer(roots, roots))
     assert np.isclose(got, goe_norm(0) * goe_norm(1), rtol=1e-14, atol=0)
     assert np.isclose(got, 0.5 * math.pi, rtol=1e-14, atol=0)
 
@@ -147,8 +173,9 @@ def test_generating_pfaffian_even_equals_norm_product():
 def test_generating_pfaffian_odd_equals_hatted_norm_product():
     # the Gram bordered by the half moments: the pair norm below the
     # top times the top polynomial's half moment
-    gram = np.pad(goe_gram(3, 1e-12).value, ((0, 1), (0, 1)))
-    border = half_moments(goe_coefficients(3))
+    roots = monic_roots(3)
+    gram = np.pad(goe_gram(3, 1e-12).value * np.outer(roots, roots), ((0, 1), (0, 1)))
+    border = half_moments(goe_coefficients(3) * roots)
     gram[:3, 3] = border
     gram[3, :3] = -border
     got = pfaffian(gram)
@@ -160,10 +187,10 @@ def test_coarse_rule_fails_loudly():
     # two panels per half-line cannot resolve the N = 64 family: the
     # deviation reads about 15 against a 1e-12 gate, not a quiet pass
     rows = gaussian_line_rows(goe_coefficients(64))
-    coarse = skew_deviation(line_gram(rows, 2, truncation_radius(128)), goe_norm)
+    coarse = skew_deviation(line_gram(rows, 2, truncation_radius(128)))
     assert 10.0 < coarse < 20.0
     refined = goe_gram(64, 1e-12)
-    assert skew_deviation(refined.value, goe_norm) <= 1e-12
+    assert skew_deviation(refined.value) <= 1e-12
     assert refined.panels > 2
 
 

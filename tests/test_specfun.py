@@ -77,8 +77,9 @@ def test_normal_cdf_basics():
 
 
 def tail_moment(k, x):
-    # the integral of t^k e^(-t^2/2) over [x, inf), alone
-    return gaussian_tail_moments(k + 1, x)[..., k]
+    # the integral of t^k e^(-t^2/2) over [x, inf), alone: sqrt(k!) times
+    # the moment of the normalized monomial t^k / sqrt(k!)
+    return gaussian_tail_moments(k + 1, x)[..., k] * math.sqrt(math.factorial(k))
 
 
 def test_gaussian_tail_moment_base_cases():
@@ -139,16 +140,17 @@ def test_gaussian_tail_moments_against_high_precision_oracle():
             for i, x in enumerate(xs):
                 tails = [mp_gaussian_tail(k, x) for k in range(64)]
                 for k in range(64):
-                    want = tails[k]
+                    want = tails[k] / mpmath.sqrt(mpmath.factorial(k))
                     if basis == "hermite":
+                        # He_k over sqrt(k! / 2^k): H_k / sqrt(2^k k!)
                         want = mpmath.fsum(
                             mpmath.mpf(c.numerator) / c.denominator * tails[j]
                             for j, c in enumerate(hermite[k])
-                        )
+                        ) / mpmath.sqrt(mpmath.factorial(k) / mpmath.mpf(2) ** k)
                     worst = max(worst, float(abs(table[i, k] - want) / abs(want)))
             assert not gaussian_tail_moments(64, np.inf, hermite=basis == "hermite").any()
     assert worst <= 1e-13
-    assert tail_moment(5, 0.7) == tables["monomial"][5, 5]
+    assert tail_moment(5, 0.7) == tables["monomial"][5, 5] * math.sqrt(math.factorial(5))
 
 
 def test_gaussian_full_moments():
