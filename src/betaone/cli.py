@@ -112,14 +112,15 @@ class RunConfig:
 
 
 def _fmt(value):
+    # float first: report values are nearly all floats, np.float64 among them
+    if isinstance(value, (float, np.floating)):
+        return "%.17g" % value
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, complex):
         return "%.17g%+.17gj" % (value.real, value.imag)
-    if isinstance(value, (float, np.floating)):
-        return "%.17g" % value
     return str(value)
 
 
@@ -510,72 +511,65 @@ COMMANDS = {
 }
 
 
-def build_parser():
+# each command's options: the parser of a command line holds only these
+COMMON = (
+    ("--ensemble", dict(choices=("goe", "ginoe"), default="goe", help="ensemble family (default: goe)")),
+    ("--size", dict(type=int, default=4, help="matrix size N (default: 4)")),
+    ("--out", dict(help="output path (default: stdout)")),
+    ("--format", dict(choices=("csv", "json"), help="report format (default: csv, or json for verify)")),
+)
+SEED = ("--seed", dict(type=int, default=0, help="random seed (default: 0)"))
+OPTIONS = {
+    "density": (
+        ("--grid", dict(required=True, help="grid as min:max:count"
+                        " (use --grid=-4:4:81 for negative minima)")),
+        ("--path", dict(choices=PATHS, default="finite-sum",
+                        help="kernel evaluation path; closed forms are ginoe only")),
+    ),
+    "correlate": (
+        ("--points", dict(required=True, help="comma separated points, complex entries like 0.3+0.5j"
+                          " (use --points=-0.5,0.5 when the first is negative)")),
+    ),
+    "verify": (
+        SEED,
+        ("--suite", dict(choices=(*SUITES, "all"), default="all", help="suite name (default: all)")),
+    ),
+    "mc-compare": (
+        SEED,
+        ("--samples", dict(type=int, required=True, help="sample count, >= 10000")),
+        ("--bins", dict(type=int, default=40, help="histogram bins (default: 40)")),
+    ),
+}
+
+
+def build_parser(command=None):
+    """The parser of one command's options, or, when `command` names none,
+    the top-level parser that lists the commands."""
+    if command in COMMANDS:
+        parser = argparse.ArgumentParser(prog="betaone " + command, description=COMMANDS[command].__doc__)
+        for flag, spec in (*COMMON, *OPTIONS[command]):
+            parser.add_argument(flag, **spec)
+        return parser
     parser = argparse.ArgumentParser(
         prog="betaone",
         description="Eigenvalue correlations for orthogonal-symmetry ensembles.",
+        epilog="commands:\n%s\nrun `betaone COMMAND --help` for the options of a command"
+        % "".join("  %-12s%s\n" % (name, run.__doc__) for name, run in COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument(
-            "--ensemble",
-            choices=("goe", "ginoe"),
-            default="goe",
-            help="ensemble family (default: goe)",
-        )
-        p.add_argument("--size", type=int, default=4, help="matrix size N (default: 4)")
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument(
-            "--format",
-            choices=("csv", "json"),
-            default=None,
-            help="report format (default: csv, or json for verify)",
-        )
-
-    def seeded(p):
-        p.add_argument("--seed", type=int, default=0, help="random seed (default: 0)")
-
-    p = sub.add_parser("density", help="one-point density on a uniform grid")
-    common(p)
-    p.add_argument(
-        "--grid",
-        required=True,
-        help="grid as min:max:count (use --grid=-4:4:81 for negative minima)",
-    )
-    p.add_argument(
-        "--path",
-        choices=PATHS,
-        default="finite-sum",
-        help="kernel evaluation path; closed forms are ginoe only",
-    )
-
-    p = sub.add_parser("correlate", help="correlation at explicit points")
-    common(p)
-    p.add_argument(
-        "--points",
-        required=True,
-        help="comma separated points, complex entries like 0.3+0.5j"
-        " (use --points=-0.5,0.5 when the first is negative)",
-    )
-
-    p = sub.add_parser("verify", help="internal consistency suites")
-    common(p)
-    seeded(p)
-    p.add_argument(
-        "--suite", choices=(*SUITES, "all"), default="all", help="suite name (default: all)"
-    )
-
-    p = sub.add_parser("mc-compare", help="sampled spectra against the density")
-    common(p)
-    seeded(p)
-    p.add_argument("--samples", type=int, required=True, help="sample count, >= 10000")
-    p.add_argument("--bins", type=int, default=40, help="histogram bins (default: 40)")
+    parser.add_argument("command", choices=COMMANDS, metavar="COMMAND", help="one of the commands below")
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv else None
+    if command not in COMMANDS:
+        # help, or a usage error; a command after "--" must still come first
+        parser = build_parser()
+        parser.parse_args(argv)
+        parser.error("the command must come first")
+    args = build_parser(command).parse_args(argv[1:], argparse.Namespace(command=command))
     try:
         config = make_config(args)
         text, code = COMMANDS[config.command](config)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -13,7 +14,7 @@ import pytest
 
 import betaone
 from betaone import cli, montecarlo
-from betaone.cli import COMMANDS, build_parser, kernel_bundle, main
+from betaone.cli import COMMANDS, kernel_bundle, main
 from betaone.ginoe_kernels import ginoe_rho
 from betaone.kernels import PointConfiguration
 from betaone.montecarlo import ginibre_spectra, pair_mass_estimate
@@ -456,11 +457,87 @@ def test_battery_padding_keeps_pfaffian_and_determinant():
         assert np.isclose(det, np.linalg.det(flatten_blocks(B)), rtol=1e-13, atol=0)
 
 
-def test_only_seeded_commands_take_a_seed():
-    for argv in (["density", "--grid=-1:1:5"], ["correlate", "--points", "0.5"]):
+def exit_cli(argv):
+    """Exit code, stdout and stderr of a command line that ends in SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         with pytest.raises(SystemExit) as info:
-            main(argv + ["--seed", "1"])
-        assert info.value.code == 2
+            main(argv)
+    return info.value.code, out.getvalue(), err.getvalue()
+
+
+VALID = {
+    "density": ["density", "--grid=-1:1:5"],
+    "correlate": ["correlate", "--points", "0.5"],
+    "verify": ["verify", "--suite", "skew"],
+    "mc-compare": ["mc-compare", "--samples", "10000"],
+}
+TAKES = {
+    "density": {"--grid", "--path"},
+    "correlate": {"--points"},
+    "verify": {"--suite", "--seed"},
+    "mc-compare": {"--seed", "--samples", "--bins"},
+}
+VALUES = {
+    "--grid": "-1:1:5",
+    "--path": "both",
+    "--points": "0.5",
+    "--suite": "skew",
+    "--seed": "1",
+    "--samples": "10000",
+    "--bins": "5",
+}
+
+
+def test_only_seeded_commands_take_a_seed():
+    # every command against every command-specific option it does not take
+    rejected = 0
+    for command, argv in VALID.items():
+        for flag in VALUES.keys() - TAKES[command]:
+            code, text, err = exit_cli(argv + ["%s=%s" % (flag, VALUES[flag])])
+            assert (code, text) == (2, ""), (command, flag)
+            assert "unrecognized arguments: %s=" % flag in err
+            rejected += 1
+    assert rejected == 4 * 7 - 8
+
+
+def test_top_level_lists_the_commands_or_exits_2():
+    for argv in ([], ["nonsense"], ["--size", "4", "density"], ["--", "verify"]):
+        code, text, err = exit_cli(argv)
+        assert (code, text) == (2, ""), argv
+        assert err.startswith("usage: betaone ")
+    code, text, _ = exit_cli(["--help"])
+    assert code == 0
+    assert all(command in text for command in COMMANDS)
+
+
+def test_a_command_line_builds_only_its_commands_options(monkeypatch):
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counting(parser, *args, **kwargs):
+        added.append(args)
+        return add_argument(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    code, _, _ = run_cli(["density", "--ensemble", "goe", "--size", "2", "--grid=-1:1:3"])
+    assert code == 0
+    # density's six options and -h; all four commands' parsers add 29
+    assert len(added) < 10, added
+
+
+def test_fmt_writes_each_value_type_as_before():
+    cases = [
+        (True, "true"),
+        (np.bool_(False), "false"),
+        (7, "7"),
+        (np.int64(-3), "-3"),
+        (0.1, "0.10000000000000001"),
+        (np.float64(-2.5), "-2.5"),
+        (complex(1.0, -0.5), "1-0.5j"),
+        ("goe", "goe"),
+    ]
+    assert [cli._fmt(value) for value, _ in cases] == [text for _, text in cases]
 
 
 @pytest.mark.parametrize("ensemble", ["goe", "ginoe"])
@@ -610,10 +687,9 @@ def test_unwritable_out_exits_2(tmp_path):
 
 
 def help_text(command):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
-        build_parser().parse_args([command, "--help"])
-    return out.getvalue()
+    code, text, _ = exit_cli([command, "--help"])
+    assert code == 0
+    return text
 
 
 def test_readme_command_line_options_exist():
