@@ -17,7 +17,6 @@ import json
 import locale  # noqa: F401  argparse's gettext imports it while building the parser
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import default_rng
@@ -33,7 +32,7 @@ from .montecarlo import (
     ginibre_spectra,
     goe_spectra,
 )
-from .pfaffian import dual_block, flatten_blocks, pfaffian, pfaffian_laplace, qdet, z_matrix
+from .pfaffian import dual_block, flatten_blocks, pfaffian, pfaffian_laplace, qdet, standard_pairing
 from .reduction import verify_odd_limit_beta1, verify_odd_limit_ginoe
 from .skewortho import goe_gram, skew_deviation
 
@@ -66,51 +65,6 @@ class ConfigError(ValueError):
     """Invalid run configuration; mapped to exit code 2."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    ensemble: str
-    size: int
-    out: str
-    format: str
-    seed: int = None
-    grid: tuple = None
-    path: str = "finite-sum"
-    points: tuple = ()
-    suite: str = "all"
-    samples: int = 0
-    bins: int = 40
-
-    @property
-    def parity(self):
-        return "even" if self.size % 2 == 0 else "odd"
-
-    def echo(self):
-        """Configuration keys in a fixed order, for report headers."""
-        rows = [
-            ("command", self.command),
-            ("version", __version__),
-            ("ensemble", self.ensemble),
-            ("size", self.size),
-            ("parity", self.parity),
-        ]
-        if self.seed is not None:
-            rows.append(("seed", self.seed))
-        rows.append(("format", self.format))
-        if self.command == "density":
-            lo, hi, count = self.grid
-            rows.append(("grid", "%s:%s:%d" % (_fmt(lo), _fmt(hi), count)))
-            rows.append(("path", self.path))
-        elif self.command == "correlate":
-            rows.append(("points", ",".join(_fmt_point(z) for z in self.points)))
-        elif self.command == "verify":
-            rows.append(("suite", self.suite))
-        elif self.command == "mc-compare":
-            rows.append(("samples", self.samples))
-            rows.append(("bins", self.bins))
-        return rows
-
-
 def _fmt(value):
     # float first: report values are nearly all floats, np.float64 among them
     if isinstance(value, (float, np.floating)):
@@ -128,32 +82,60 @@ def _fmt_point(z):
     return _fmt(z.real) if z.imag == 0.0 else _fmt(z)
 
 
-def _jsonable(value):
+# the echo of the options whose parsed value is not the value to print
+_ECHO = {
+    "grid": lambda grid: "%s:%s:%d" % (_fmt(grid[0]), _fmt(grid[1]), grid[2]),
+    "points": lambda points: ",".join(map(_fmt_point, points)),
+}
+
+
+def echo(config):
+    """Configuration keys in a fixed order, for report headers: the common
+    keys, the seed where the command takes one, the format, then the
+    command's other options in table order.  `--out` is not echoed."""
+    rows = [
+        ("command", config.command),
+        ("version", __version__),
+        ("ensemble", config.ensemble),
+        ("size", config.size),
+        ("parity", "odd" if config.size % 2 else "even"),
+    ]
+    if "seed" in vars(config):
+        rows.append(("seed", config.seed))
+    rows.append(("format", config.format))
+    for key in (flag[2:] for flag, _ in OPTIONS[config.command] if flag != SEED[0]):
+        value = getattr(config, key)
+        rows.append((key, _ECHO[key](value) if key in _ECHO else value))
+    return rows
+
+
+def _json_default(value):
+    # what json cannot write itself: numpy arrays, integers and booleans, and
+    # complex numbers as [real, imag]; numpy floats are floats to json
     if isinstance(value, complex):
         return [value.real, value.imag]
-    if isinstance(value, (np.integer, np.floating, np.bool_)):
-        return value.item()
     if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
+        return value.tolist()
+    return value.item()
 
 
 def _csv_text(config, columns, rows, extra=()):
-    lines = ["# %s=%s" % (k, _fmt(v)) for k, v in (*config.echo(), *extra)]
+    lines = ["# %s=%s" % (k, _fmt(v)) for k, v in (*echo(config), *extra)]
     lines.append(",".join(columns))
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
 def _json_text(config, payload, extra=()):
-    doc = {"config": {k: _jsonable(v) for k, v in config.echo()}}
-    for k, v in (*extra, *payload.items()):
-        doc[k] = _jsonable(v)
-    return json.dumps(doc, indent=2) + "\n"
+    doc = {"config": dict(echo(config)), **dict(extra), **payload}
+    return json.dumps(doc, indent=2, default=_json_default) + "\n"
+
+
+def _table_text(config, columns, series, extra):
+    # a column table: JSON maps each column to its series, CSV zips the rows
+    if config.format == "json":
+        return _json_text(config, dict(zip(columns, series)), extra)
+    return _csv_text(config, columns, zip(*series), extra)
 
 
 def _parse_grid(text):
@@ -195,33 +177,25 @@ def kernel_bundle(ensemble, size):
 
 
 def make_config(args):
+    """Check the parsed command line and turn it, in place, into the run
+    configuration: grid and points parsed, the format defaulted."""
     if args.size < 1:
         raise ConfigError("size must be a positive integer")
     if args.size > MAX_SIZE:
         raise ConfigError("size must be at most %d" % MAX_SIZE)
     # only verify (its pfaffian battery) and mc-compare draw random numbers
-    seed = getattr(args, "seed", None)
-    if seed is not None and seed < 0:
+    if getattr(args, "seed", 0) < 0:
         raise ConfigError("seed must be a non-negative integer")
-    command = args.command
-    fields = dict(
-        command=command,
-        ensemble=args.ensemble,
-        size=args.size,
-        seed=seed,
-        out=args.out,
-        format=args.format or ("json" if command == "verify" else "csv"),
-    )
-    if command == "density":
-        fields["grid"] = _parse_grid(args.grid)
-        fields["path"] = args.path
+    args.format = args.format or ("json" if args.command == "verify" else "csv")
+    if args.command == "density":
+        args.grid = _parse_grid(args.grid)
         if args.path != "finite-sum":
             if args.ensemble != "ginoe":
                 raise ConfigError("the closed-form path applies to ginoe only")
             if args.size < 2:
                 raise ConfigError("the closed-form path needs size >= 2")
-    elif command == "correlate":
-        points = _parse_points(args.points)
+    elif args.command == "correlate":
+        args.points = points = _parse_points(args.points)
         if len(points) > MAX_CORRELATE_POINTS:
             raise ConfigError(
                 "at most %d points are supported" % MAX_CORRELATE_POINTS
@@ -232,19 +206,14 @@ def make_config(args):
             raise ConfigError("complex points must lie above the real axis")
         if any(z.imag > 0 for z in points) and args.ensemble != "ginoe":
             raise ConfigError("complex points need the ginoe ensemble")
-        fields["points"] = points
-    elif command == "verify":
-        fields["suite"] = args.suite
-    elif command == "mc-compare":
+    elif args.command == "mc-compare":
         if args.samples < MIN_COMPARISON_SAMPLES:
             raise ConfigError(
                 "need at least %d samples" % MIN_COMPARISON_SAMPLES
             )
         if args.bins < 2:
             raise ConfigError("need at least two bins")
-        fields["samples"] = args.samples
-        fields["bins"] = args.bins
-    return RunConfig(**fields)
+    return args
 
 
 def cmd_density(config):
@@ -252,7 +221,7 @@ def cmd_density(config):
     lo, hi, count = config.grid
     xs = np.linspace(lo, hi, count)
     bundle = kernel_bundle(config.ensemble, config.size)
-    extra = [("kernel", "%s-%s" % (config.ensemble, config.parity))]
+    extra = [("kernel", "%s-%s" % (config.ensemble, bundle.parity))]
     finite = closed = None
     if config.path != "summed-up":
         finite = [float(v) for v in np.real(bundle.scalar_kernel(xs, xs))]
@@ -266,16 +235,11 @@ def cmd_density(config):
             )
         extra.append(("path_gap", gap))
         columns = ("x", "density_finite_sum", "density_closed_form")
-        series = (finite, closed)
+        series = (xs, finite, closed)
     else:
         columns = ("x", "density")
-        series = (finite if config.path == "finite-sum" else closed,)
-    if config.format == "json":
-        payload = {"x": list(xs)}
-        payload.update(zip(columns[1:], series))
-        return _json_text(config, payload, extra), 0
-    rows = list(zip(xs, *series))
-    return _csv_text(config, columns, rows, extra), 0
+        series = (xs, finite if config.path == "finite-sum" else closed)
+    return _table_text(config, columns, series, extra), 0
 
 
 def cmd_correlate(config):
@@ -337,10 +301,6 @@ def _stacked(matrices, unit):
     return stack
 
 
-def _unit_pairs(size):
-    return -z_matrix(size // 2)
-
-
 def _unit_blocks(size):
     return np.eye(size)[:, :, None, None] * np.eye(2)
 
@@ -361,10 +321,10 @@ def _suite_pfaffian(config):
         cofactor.append(A - A.T)
     worst_real, worst_complex = (
         _worst_gap(pfaffian(S) ** 2, np.linalg.det(S))
-        for S in (_stacked(real, _unit_pairs), _stacked(complex_, _unit_pairs))
+        for S in (_stacked(real, standard_pairing), _stacked(complex_, standard_pairing))
     )
     # the matching sum on each size's own stack: padding would reorder its terms
-    values, sizes = pfaffian(_stacked(cofactor, _unit_pairs)), [len(A) for A in cofactor]
+    values, sizes = pfaffian(_stacked(cofactor, standard_pairing)), [len(A) for A in cofactor]
     worst_cofactor = max(
         _worst_gap(values[np.equal(sizes, n)], pfaffian_laplace([A for A in cofactor if len(A) == n]))
         for n in set(sizes)
@@ -486,10 +446,7 @@ def cmd_mc_compare(config):
     ]
     columns = ("bin_lo", "bin_hi", "observed", "expected", "z")
     series = (report.edges[:-1], report.edges[1:], report.observed, report.expected, report.z_scores)
-    if config.format == "json":
-        text = _json_text(config, dict(zip(columns, series)), extra)
-    else:
-        text = _csv_text(config, columns, zip(*series), extra)
+    text = _table_text(config, columns, series, extra)
     if not report.passed:
         print(
             "mc-compare failed: flagged_bins=%d count_deviation=%s stderr=%s"
@@ -573,9 +530,6 @@ def main(argv=None):
     try:
         config = make_config(args)
         text, code = COMMANDS[config.command](config)
-    except ConfigError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         # LinAlgError subclasses ValueError, so it is caught first
         print("numerical failure: %s" % exc, file=sys.stderr)
@@ -585,6 +539,7 @@ def main(argv=None):
         print("out of memory: %s" % exc, file=sys.stderr)
         return 3
     except ValueError as exc:
+        # ConfigError among them
         print("error: %s" % exc, file=sys.stderr)
         return 2
     if config.out:

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pfaffian import pfaffian
+from .pfaffian import pfaffian, standard_pairing
 from .quadrature import integrate_line
-from .skewortho import expected_gram, gaussian_line_rows, goe_coefficients
+from .skewortho import gaussian_line_rows, goe_coefficients
 
 # layout -> (slot of the partner row in the cell, sign of the integrated
 # block on the partner-partner entry)
@@ -64,7 +64,7 @@ def pairing_upper(m, border=None):
     for each of the m pairs; for odd sizes border pairs the top
     polynomial with the constant column appended last.
     """
-    U = np.maximum(expected_gram(2 * m + (0 if border is None else 2)), 0.0)
+    U = np.maximum(standard_pairing(2 * m + (0 if border is None else 2)), 0.0)
     if border is not None:
         U[-2, -1] = border
     return U

@@ -40,12 +40,14 @@ def as_antisymmetric(matrix):
     return 0.5 * (A - np.swapaxes(A, -1, -2))
 
 
-def z_matrix(n_blocks):
-    """Block-diagonal matrix of n_blocks copies of [[0, -1], [1, 0]]."""
-    if n_blocks < 1:
-        raise ValueError("need at least one block")
-    D = np.diag(np.resize([-1.0, 0.0], 2 * n_blocks - 1), 1)
-    return D - D.T
+def standard_pairing(size):
+    """The standard pairing J of dimension size: 1 at (2m, 2m+1) and -1 at
+    (2m+1, 2m); an odd size leaves the last row and column zero.  At even
+    size J = -Z is the inverse of Z, the standard symplectic block-diagonal
+    matrix of copies of [[0, -1], [1, 0]]."""
+    U = np.zeros((size, size))
+    U[range(0, size - 1, 2), range(1, size, 2)] = 1.0
+    return U - U.T
 
 
 @functools.cache
@@ -152,11 +154,11 @@ def flatten_blocks(blocks):
 def qdet(blocks):
     """Quaternion determinant of a self-dual block matrix, or of each in a stack.
 
-    Computed as the Pfaffian of (flattened matrix) @ inverse(Z); for
+    Computed as the Pfaffian of (flattened matrix) @ J, J = inverse(Z); for
     scalar blocks c*I this reduces to the ordinary determinant of the
     scalars.  An (n, n, 2, 2) input gives a number, a stack
     (..., n, n, 2, 2) the batch shape (...).
     """
     B = np.asarray(blocks)
     check_self_dual(B)
-    return pfaffian(flatten_blocks(B) @ -z_matrix(B.shape[-3]))
+    return pfaffian(flatten_blocks(B) @ standard_pairing(2 * B.shape[-3]))

@@ -29,6 +29,7 @@ import math
 
 import numpy as np
 
+from .pfaffian import standard_pairing
 from .quadrature import LINE_PANEL_CAP, panel_rule, refine, truncation_radius
 from .specfun import gaussian_basis, gaussian_tail_moments
 
@@ -75,17 +76,9 @@ def line_gram(rows, panels, radius):
     return (eps * rule.weights[:, None]).T @ W
 
 
-def expected_gram(N):
-    """The standard pairing J of size N: 1 at (2m, 2m+1), -1 at (2m+1, 2m)."""
-    U = np.zeros((N, N))
-    for m in range(N // 2):
-        U[2 * m, 2 * m + 1] = 1.0
-    return U - U.T
-
-
 def skew_deviation(G):
     """Worst |G - J| entry, J the standard pairing."""
-    return float(np.abs(G - expected_gram(G.shape[0])).max())
+    return float(np.abs(G - standard_pairing(G.shape[0])).max())
 
 
 def refined_gram(gram_at, tol, cap=LINE_PANEL_CAP):

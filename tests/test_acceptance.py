@@ -37,6 +37,7 @@ from betaone.pfaffian import (
     pfaffian,
     pfaffian_laplace,
     qdet,
+    standard_pairing,
 )
 from betaone.reduction import (
     PointConfiguration,
@@ -45,7 +46,7 @@ from betaone.reduction import (
     verify_odd_limit_beta1,
     verify_odd_limit_ginoe,
 )
-from betaone.skewortho import expected_gram, skew_deviation
+from betaone.skewortho import skew_deviation
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -125,7 +126,7 @@ def test_criterion_03_ginoe_skew_orthogonality():
     r0 = norms[0]
     refined = ginoe_gram(N, 1e-12)
     gram = refined.value * np.sqrt(np.outer(norms, norms))
-    zeros = expected_gram(N) == 0.0
+    zeros = standard_pairing(N) == 0.0
     worst_zero = np.abs(gram[zeros]).max()
     worst_norm = max(
         relative(gram[2 * j, 2 * j + 1], 2.0 * SQRT_2PI * math.gamma(2 * j + 1))

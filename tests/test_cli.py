@@ -18,7 +18,7 @@ from betaone.cli import COMMANDS, kernel_bundle, main
 from betaone.ginoe_kernels import ginoe_rho
 from betaone.kernels import PointConfiguration
 from betaone.montecarlo import ginibre_spectra, pair_mass_estimate
-from betaone.pfaffian import flatten_blocks, pfaffian, qdet
+from betaone.pfaffian import flatten_blocks, pfaffian, qdet, standard_pairing
 from betaone.quadrature import gauss_legendre_rule
 
 
@@ -439,7 +439,7 @@ def test_battery_padding_keeps_pfaffian_and_determinant():
         for n in (2, 4, 6, 8, 10, 12, 4):
             A = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if complex_entries else 0.0)
             matrices.append(A - A.T)
-        stack = cli._stacked(matrices, cli._unit_pairs)
+        stack = cli._stacked(matrices, standard_pairing)
         assert stack.shape == (7, 12, 12)
         values, dets = pfaffian(stack), np.linalg.det(stack)
         for A, value, det in zip(matrices, values, dets):
@@ -629,6 +629,74 @@ def test_reports_end_in_one_line_feed(command, fmt):
     assert code == 0
     assert "\r" not in text
     assert text.endswith("\n") and not text.endswith("\n\n")
+
+
+# per command: a command line, its own options' echo, and its extra report
+# rows (top-level keys after "config" in JSON)
+HEADERS = {
+    "density": (
+        ["density", "--ensemble", "ginoe", "--size", "5", "--grid=-4.0:4:81", "--path", "both"],
+        {"grid": "-4:4:81", "path": "both"},
+        ["kernel", "path_gap"],
+    ),
+    "correlate": (
+        ["correlate", "--ensemble", "ginoe", "--size", "4", "--points=-0.5,0.1,0.3+0.6j"],
+        {"points": "-0.5,0.10000000000000001,0.29999999999999999+0.59999999999999998j"},
+        ["imag_residue"],
+    ),
+    "verify": (
+        ["verify", "--ensemble", "goe", "--size", "3", "--seed", "5", "--suite", "skew"],
+        {"suite": "skew"},
+        ["passed", "checks"],
+    ),
+    "mc-compare": (
+        ["mc-compare", "--ensemble", "goe", "--size", "2", "--samples", "10000", "--seed", "3"],
+        {"samples": "10000", "bins": "40"},
+        ["generator", "resamples", "flagged_bins", "mean_real_count", "expected_real_count",
+         "count_stderr", "overflow", "passed"],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_report_headers_keep_their_keys_and_order(command):
+    # the common keys, the seed where the command takes one, the format,
+    # the command's own options (grid and points normalized), its extra rows
+    argv, own, extra = HEADERS[command]
+    size = int(argv[argv.index("--size") + 1])
+    config = {
+        "command": command,
+        "version": betaone.__version__,
+        "ensemble": argv[argv.index("--ensemble") + 1],
+        "size": str(size),
+        "parity": "odd" if size % 2 else "even",
+    }
+    if "--seed" in argv:
+        config["seed"] = argv[argv.index("--seed") + 1]
+    for fmt in ("csv", "json"):
+        code, text, _ = run_cli(argv + ["--format", fmt])
+        assert code == 0
+        expected = {**config, "format": fmt, **own}
+        if fmt == "csv":
+            header, _ = split_csv(text)
+            assert list(header) == [*expected, *extra]
+        else:
+            doc = json.loads(text)
+            header = {k: str(v) for k, v in doc["config"].items()}
+            assert list(header) == list(expected)
+            assert list(doc)[: len(extra) + 1] == ["config", *extra]
+        assert {k: header[k] for k in expected} == expected
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_every_option_but_out_is_echoed(command):
+    # options read from the help text, so one added to a command's parser
+    # without a header row fails here
+    listed = set(re.findall(r"--[a-z][a-z-]*", help_text(command))) - {"--help", "--out"}
+    for fmt in ("csv", "json"):
+        _, text, _ = run_cli(HEADERS[command][0] + ["--format", fmt])
+        keys = split_csv(text)[0] if fmt == "csv" else json.loads(text)["config"]
+        assert listed and listed <= {"--" + key for key in keys}, listed - {"--" + key for key in keys}
 
 
 @pytest.mark.parametrize(

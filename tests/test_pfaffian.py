@@ -12,7 +12,7 @@ from betaone.pfaffian import (
     pfaffian,
     pfaffian_laplace,
     qdet,
-    z_matrix,
+    standard_pairing,
 )
 
 
@@ -168,17 +168,23 @@ def test_symmetrizes_roundoff():
 
 
 def test_z_matrix_structure():
-    Z1 = z_matrix(1)
-    assert np.array_equal(Z1, np.array([[0.0, -1.0], [1.0, 0.0]]))
-    Z2 = z_matrix(2)
-    assert Z2.shape == (4, 4)
-    assert np.array_equal(Z2[:2, :2], Z1)
-    assert np.array_equal(Z2[2:, 2:], Z1)
-    assert np.all(Z2[:2, 2:] == 0.0) and np.all(Z2[2:, :2] == 0.0)
+    # J = -Z, Z the block diagonal of [[0, -1], [1, 0]]
+    J1 = standard_pairing(2)
+    assert np.array_equal(J1, np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    J2 = standard_pairing(4)
+    assert J2.shape == (4, 4)
+    assert np.array_equal(J2[:2, :2], J1)
+    assert np.array_equal(J2[2:, 2:], J1)
+    assert np.all(J2[:2, 2:] == 0.0) and np.all(J2[2:, :2] == 0.0)
     for n in [1, 2, 5]:
-        Z = z_matrix(n)
-        assert np.array_equal(Z @ Z, -np.eye(2 * n))
-        as_antisymmetric(Z)
+        J = standard_pairing(2 * n)
+        assert np.array_equal(J @ J, -np.eye(2 * n))
+        as_antisymmetric(J)
+    # an odd size borders the pairs with a zero row and column
+    J5 = standard_pairing(5)
+    assert np.array_equal(J5[:4, :4], standard_pairing(4))
+    assert np.all(J5[4] == 0.0) and np.all(J5[:, 4] == 0.0)
+    assert standard_pairing(1).shape == (1, 1) and not standard_pairing(1).any()
 
 
 def test_qdet_identity_block():

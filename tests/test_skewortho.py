@@ -5,10 +5,9 @@ import pytest
 from scipy import special
 
 from betaone.kernels import goe_kernel, hat_transform
-from betaone.pfaffian import pfaffian
+from betaone.pfaffian import pfaffian, standard_pairing
 from betaone.quadrature import QuadratureError, gauss_legendre_rule, truncation_radius
 from betaone.skewortho import (
-    expected_gram,
     gaussian_line_rows,
     goe_coefficients,
     goe_gram,
@@ -104,7 +103,7 @@ def test_family_skew_orthogonality_battery():
     roots = monic_roots(6)
     gram = refined.value * np.outer(roots, roots)
     r_min = min(goe_norm(m) for m in range(3))
-    assert np.abs(gram - expected_gram(6) * np.outer(roots, roots)).max() <= 1e-13 * r_min
+    assert np.abs(gram - standard_pairing(6) * np.outer(roots, roots)).max() <= 1e-13 * r_min
     assert refined.difference <= 1e-12
 
 
