@@ -4,8 +4,9 @@ Runs the reduction for the Gaussian ensemble (sizes 4 -> 3, 6 -> 5,
 8 -> 7 and 20 -> 19) and the real Ginibre ensemble (4 -> 3) on the
 probe grid derived from each size, printing the deviation from the
 directly built odd kernel at each far point, at the exact limit, and
-the Pfaffian identity gap; then the updated scalar block at one pair
-of points on the way to its limit.
+the worst gap between the conditioned matrix and the Schur complement
+of the far point's cell; then the updated scalar block at one pair of
+points on the way to its limit.
 """
 
 import numpy as np
@@ -24,7 +25,7 @@ def show(label, report):
     print("  far point:  " + "  ".join(f"{far:8.1f}" for far in FAR_POINTS) + "       inf")
     devs = report.far + (report.exact,)
     print("  deviation:  " + "  ".join(f"{d:8.1e}" for d in devs))
-    print(f"  worst ratio {report.ratio:.3f}, identity gap {report.identity_gap:.1e}")
+    print(f"  worst ratio {report.ratio:.3f}, Schur complement gap {report.schur_gap:.1e}")
 
 
 def main():

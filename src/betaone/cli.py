@@ -55,7 +55,8 @@ GATES = {
     "exact-limit": 1e-13,  # 8.3e-16
     # the worst ratio of successive far deviations: below 1 while they shrink
     "far-convergence": 1.0,  # 0.75
-    "pfaffian-identity-gap": 1e-12,  # 1.1e-14 (GinOE N = 3)
+    # relative to the Schur complement's largest entry
+    "schur-complement-gap": 1e-13,  # 1.3e-15 (GinOE N = 60)
 }
 MAX_CORRELATE_POINTS = 5
 MAX_SIZE = 64
@@ -391,7 +392,7 @@ def _suite_reduction(config):
     return [
         _check("reduction", "exact-limit", report.exact),
         _check("reduction", "far-convergence", report.ratio),
-        _check("reduction", "pfaffian-identity-gap", report.identity_gap),
+        _check("reduction", "schur-complement-gap", report.schur_gap),
     ]
 
 

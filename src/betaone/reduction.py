@@ -2,21 +2,23 @@
 
 Pinning one eigenvalue of an even-size ensemble at a real point x_far
 and conditioning on it removes that point's cell from the correlation
-Pfaffian through a Schur complement, so that
+matrix through a Schur complement: with the far cell E last in the
+extended matrix [[B, C], [-C^T, E]], the other points see
 
-    Pf[extended] = corner * Pf[updated]
+    B + C E^-1 C^T,    and Pf[extended] = Pf E * Pf[B + C E^-1 C^T],
 
-at every finite x_far.  On the engine's basis the update is a bundle of
-its own (conditioned_bundle): the even rows plus the constant partner
-column, paired by the even M bordered through a rank-two term built
-from the far point's rows.  At x_far = +infinity the same construction
-is the exact limit, the kernel of the ensemble one size smaller; at
-finite distance each entry differs from it by c1/far + c2/far**2 + ...
+at every finite x_far.  On the engine's basis the complement is a
+bundle of its own (conditioned_bundle): the even rows plus the constant
+partner column, paired by the even M bordered through a rank-two term
+built from the far point's rows.  At x_far = +infinity the same
+construction is the exact limit, the kernel of the ensemble one size
+smaller; at finite distance each entry differs from it by
+c1/far + c2/far**2 + ...
 
 verify_odd_limit gates the reduction on one probe configuration derived
 from the size: the exact limit against the directly built odd kernel,
-the finite-far deviations shrinking along FAR_POINTS, and the Pfaffian
-identity at those same points.
+the finite-far deviations shrinking along FAR_POINTS, and the Schur
+complement at those same points.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ginoe_kernels import ginoe_kernel
-from .kernels import KernelBundle, PointConfiguration, goe_kernel, rho
+from .kernels import KernelBundle, PointConfiguration, goe_kernel
 from .pfaffian import pfaffian
 
 CORNER_FLOOR = 1e-300
@@ -75,52 +77,49 @@ def conditioned_bundle(bundle, x_far):
     return KernelBundle.from_basis(bundle.ensemble, bundle.N - 1, reduced)
 
 
-def _points(config):
-    return list(config.reals) + list(config.complexes)
-
-
-def _extended_config(config, x_far):
-    return PointConfiguration(
-        reals=tuple(config.reals) + (float(x_far),), complexes=config.complexes
-    )
-
-
 def _cell_last(A, cell, n_cells):
     order = [c for c in range(n_cells) if c != cell] + [cell]
     idx = np.concatenate([(2 * c, 2 * c + 1) for c in order])
     return A[np.ix_(idx, idx)]
 
 
-def pfaffian_reduction_identity(bundle, config, x_far, conditioned=None):
-    """Relative gap in Pf[extended] = corner * Pf[updated].
+def _far_cell_last(bundle, config, x_far):
+    """The matrix of config plus x_far, x_far's cell moved last, and its corner.
 
-    The updated matrix is the one the conditioned bundle assembles, so the
-    identity checks the bordered pairing against the extended matrix it
-    stands for; conditioned is conditioned_bundle(bundle, x_far) when the
-    caller has built it already.  Moving the far point's cell to the last
-    position is an even permutation of rows and columns, so it leaves the
-    Pfaffian alone.  The identity is exact at any finite far point and holds to
-    roundoff until the corner falls below CORNER_FLOOR.  Raises
-    ValueError when the configuration plus the far point holds more
-    eigenvalues than N (a complex point counting twice): both sides
-    vanish there and their gap is roundoff over roundoff.
+    Moving a cell is an even permutation of rows and columns, so it
+    leaves the Pfaffian alone.
     """
-    if config.eigenvalues + 1 > bundle.N:
-        raise ValueError("configuration plus the far point exceeds the bundle's N eigenvalues")
-    extended = _extended_config(config, x_far)
+    extended = PointConfiguration(
+        reals=config.reals + (float(x_far),), complexes=config.complexes
+    )
     A = _cell_last(bundle.assemble(extended), len(config.reals), len(extended))
-    corner = _corner(A[-2, -1], x_far)
-    if conditioned is None:
-        conditioned = conditioned_bundle(bundle, x_far)
-    updated = conditioned.assemble(config)
-    lhs = pfaffian(A)
-    return abs(lhs - corner * pfaffian(updated)) / max(abs(lhs), CORNER_FLOOR)
+    return A, _corner(A[-2, -1], x_far)
+
+
+def schur_complement_gap(bundle, config, x_far, updated=None):
+    """Gap between the conditioned matrix and the Schur complement it stands for.
+
+    The conditioned bundle's matrix on config against B + C E^-1 C^T, E
+    the far cell of the extended matrix, entry by entry, relative to
+    the complement's largest entry; updated is that matrix when the
+    caller has assembled it already.  Exact at any finite far point,
+    full configurations included, until the corner falls below
+    CORNER_FLOOR.
+    """
+    if len(config) == 0:
+        raise ValueError("need at least one point")
+    A, corner = _far_cell_last(bundle, config, x_far)
+    B, C = A[:-2, :-2], A[:-2, -2:]
+    schur = B + (np.outer(C[:, 1], C[:, 0]) - np.outer(C[:, 0], C[:, 1])) / corner
+    if updated is None:
+        updated = conditioned_bundle(bundle, x_far).assemble(config)
+    return float(np.abs(updated - schur).max() / np.abs(schur).max())
 
 
 def _probe_configuration(bundle):
-    """Seven bulk reals over +-0.9 sqrt(N), in the plane also at height 0.5."""
+    """Seven bulk reals over +-0.9 sqrt(N), for GinOE also at height 0.5."""
     grid = np.linspace(-0.9, 0.9, 7) * math.sqrt(bundle.N)
-    complexes = grid + 0.5j if bundle.family.layout == "plane" else ()
+    complexes = grid + 0.5j if bundle.ensemble == "ginoe" else ()
     return PointConfiguration(reals=grid, complexes=complexes)
 
 
@@ -128,12 +127,12 @@ def _probe_configuration(bundle):
 class ReductionReport:
     """Deviations of the reduced kernel from the odd target, relative to
     the target matrix's largest entry: exact at the limit, far at each
-    of FAR_POINTS; identity_gap is the worst Pfaffian identity gap there.
+    of FAR_POINTS; schur_gap is the worst Schur complement gap there.
     """
 
     exact: float
     far: tuple
-    identity_gap: float
+    schur_gap: float
 
     @property
     def ratio(self):
@@ -144,12 +143,9 @@ class ReductionReport:
 def verify_odd_limit(even_bundle, odd_bundle):
     """The reduction of even_bundle against the directly built odd_bundle.
 
-    The conditioned bundle at +inf and at each of FAR_POINTS is built
-    once; the deviations and the identity share it.  The identity runs on
-    the real probes only, at most N - 1 of them, so the extended
-    configuration holds at most N eigenvalues.  Complex probes stand for
-    a conjugate pair each and would fill it: with all fourteen at N = 10
-    the correlation vanishes identically and the gap measures roundoff.
+    The conditioned matrix at +inf and at each of FAR_POINTS is assembled
+    once on the whole probe grid; the deviations and the Schur gaps share
+    it.
     """
     if odd_bundle.N != even_bundle.N - 1:
         raise ValueError("target bundle must be one size smaller")
@@ -157,23 +153,16 @@ def verify_odd_limit(even_bundle, odd_bundle):
     target = odd_bundle.assemble(config)
     scale = np.abs(target).max()
 
-    conditioned = {
-        x_far: conditioned_bundle(even_bundle, x_far) for x_far in (np.inf, *FAR_POINTS)
-    }
-
-    def deviation(x_far):
-        reduced = conditioned[x_far].assemble(config)
+    def deviation(reduced):
         return float(np.abs(reduced - target).max() / scale)
 
-    identity_config = PointConfiguration(reals=config.reals[: odd_bundle.N])
-    return ReductionReport(
-        exact=deviation(np.inf),
-        far=tuple(deviation(x_far) for x_far in FAR_POINTS),
-        identity_gap=float(max(
-            pfaffian_reduction_identity(even_bundle, identity_config, x_far, conditioned[x_far])
-            for x_far in FAR_POINTS
-        )),
-    )
+    exact = deviation(conditioned_bundle(even_bundle, np.inf).assemble(config))
+    far, gaps = [], []
+    for x_far in FAR_POINTS:
+        reduced = conditioned_bundle(even_bundle, x_far).assemble(config)
+        far.append(deviation(reduced))
+        gaps.append(schur_complement_gap(even_bundle, config, x_far, reduced))
+    return ReductionReport(exact=exact, far=tuple(far), schur_gap=max(gaps))
 
 
 def verify_odd_limit_beta1(N):
@@ -191,17 +180,17 @@ def factorisation_check(bundle, reduced_bundle, config, x_far):
 
     The ratio tends to 1 as the conditioning point recedes; its gap at
     finite distance measures how far the reduction is from its limit.
-    An empty probe set is the one-point case, where numerator and
-    denominator are the same Pfaffian and the ratio is 1 identically.
+    The one-point weight is the far cell's corner.  An empty probe set
+    is the one-point case, where the extended matrix is that cell alone
+    and the ratio is 1 identically.
     """
     if reduced_bundle.N != bundle.N - 1:
         raise ValueError("target bundle must be one size smaller")
-    if len(_points(config)) > 3:
+    if len(config) > 3:
         raise ValueError("factorisation check takes at most three probe points")
-    extended = _extended_config(config, x_far)
-    joint = np.real(pfaffian(bundle.assemble(extended)))
-    weight = _corner(rho(bundle, (x_far,)), x_far)
-    if not _points(config):
+    A, weight = _far_cell_last(bundle, config, x_far)
+    joint = np.real(pfaffian(A))
+    if not len(config):
         return joint / weight
     target = np.real(pfaffian(reduced_bundle.assemble(config)))
     return joint / (weight * target)

@@ -41,7 +41,7 @@ from betaone.pfaffian import (
 )
 from betaone.reduction import (
     PointConfiguration,
-    pfaffian_reduction_identity,
+    conditioned_bundle,
     factorisation_check,
     verify_odd_limit_beta1,
     verify_odd_limit_ginoe,
@@ -199,20 +199,23 @@ def test_criterion_07_even_to_odd_reduction():
     for label, N, rep in reports:
         assert rep.exact <= 1e-12, (label, N)
         assert rep.ratio < 1.0, (label, N)
-        assert rep.identity_gap <= 1e-8, (label, N)
-    # the pre-limit identity also holds for two-point configurations
+        assert rep.schur_gap <= 1e-13, (label, N)
+    # the pre-limit Pfaffian identity Pf[extended] = corner * Pf[conditioned]
+    # for two-point configurations, the far point's cell at rows 4 and 5
     worst_identity = 0.0
     config = PointConfiguration(reals=(0.5, -0.2))
     for bundle in (goe_kernel(4), goe_kernel(6), ginoe_kernel(4)):
-        worst_identity = max(
-            worst_identity, pfaffian_reduction_identity(bundle, config, 6.0)
-        )
+        extended = bundle.assemble(PointConfiguration(reals=config.reals + (6.0,)))
+        lhs = pfaffian(extended)
+        rhs = extended[4, 5] * pfaffian(conditioned_bundle(bundle, 6.0).assemble(config))
+        worst_identity = max(worst_identity, abs(lhs - rhs) / abs(lhs))
     assert worst_identity <= 1e-8
     report(
         "criterion 7 (even to odd reduction)",
         f"N=4..64: worst exact limit {max(rep.exact for *_, rep in reports):.1e},"
         f" far ratio {max(rep.ratio for *_, rep in reports):.2f},"
-        f" identity gap {max(worst_identity, *(rep.identity_gap for *_, rep in reports)):.1e}",
+        f" Schur gap {max(rep.schur_gap for *_, rep in reports):.1e},"
+        f" two-point Pfaffian identity gap {worst_identity:.1e}",
         time.time() - start,
         120.0,
     )

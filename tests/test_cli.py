@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -314,7 +315,25 @@ def test_verify_reduction_suite_passes():
             by_name = {c["check"]: c for c in doc["checks"]}
             assert by_name["exact-limit"]["deviation"] <= 1e-12
             assert by_name["far-convergence"]["deviation"] < 1.0
-            assert by_name["pfaffian-identity-gap"]["deviation"] <= 1e-8
+            assert by_name["schur-complement-gap"]["deviation"] <= 1e-13
+
+
+def test_gate_table_matches_gates_and_emitted_checks():
+    # README's gate table, cli.GATES and the checks verify emits name the
+    # same twelve checks with the same gates, so a renamed check leaves no
+    # stale key or row behind
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("| suite | check | gate | worst reading |\n| --- | --- | --- | --- |\n")[1]
+    rows = [line.split(" | ") for line in section.split("\n\n")[0].splitlines()]
+    table = {(row[0].lstrip("| "), row[1].split(" (")[0]): float(row[2]) for row in rows}
+    emitted = {}
+    for ensemble in ("goe", "ginoe"):
+        code, text, _ = run_cli(["verify", "--suite", "all", "--ensemble", ensemble, "--size", "4"])
+        assert code == 0, ensemble
+        emitted.update({(c["suite"], c["check"]): c["tolerance"] for c in json.loads(text)["checks"]})
+    assert len(rows) == len(table) == 12
+    assert table == emitted
+    assert {check: gate for (_, check), gate in table.items()} == cli.GATES
 
 
 def test_verify_runs_at_odd_and_smallest_sizes():

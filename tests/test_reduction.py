@@ -5,8 +5,9 @@ x_far = +inf against the independently built odd-size kernels, entry
 by entry and on assembled matrices of random bulk configurations, for
 every even size up to 64.  The finite-distance deviations from the same
 targets must shrink along the far points on the fixed probe grid of
-verify_odd_limit, and the exact Pfaffian factorisation identity is
-checked at finite distances.
+verify_odd_limit, and the conditioned matrix must be the Schur
+complement of the far point's cell at finite distances, full and
+over-full configurations included.
 """
 
 import math
@@ -19,9 +20,10 @@ from betaone.ginoe_kernels import ginoe_kernel
 from betaone.kernels import PointConfiguration, goe_kernel
 from betaone.pfaffian import pfaffian
 from betaone.reduction import (
+    FAR_POINTS,
     conditioned_bundle,
     factorisation_check,
-    pfaffian_reduction_identity,
+    schur_complement_gap,
     verify_odd_limit_beta1,
     verify_odd_limit_ginoe,
 )
@@ -75,21 +77,33 @@ def test_reduction_identity_both_ensembles():
     for bundle in bundles:
         for config in configs:
             for far in (4.0, 6.0):
-                assert pfaffian_reduction_identity(bundle, config, far) <= 1e-8
+                assert schur_complement_gap(bundle, config, far) <= GATES["schur-complement-gap"]
+    with pytest.raises(ValueError):
+        schur_complement_gap(goe_kernel(4), PointConfiguration(reals=()), 6.0)
 
 
-def test_identity_rejects_configurations_beyond_n_eigenvalues():
+def test_schur_gap_holds_on_over_full_configurations():
     # 7 reals and 2 complex probes plus the far point hold 12 > 10
-    # eigenvalues; the gap there used to read 6.3 without an error
+    # eigenvalues; the Pfaffian identity's gap there read 6.3, roundoff
+    # over roundoff, while the matrix identity still holds entry by entry
     grid = np.linspace(-0.9, 0.9, 7) * math.sqrt(10.0)
     crowded = PointConfiguration(reals=grid, complexes=(0.1 + 0.5j, 0.6 + 0.5j))
-    with pytest.raises(ValueError):
-        pfaffian_reduction_identity(ginoe_kernel(10), crowded, 16.0)
-    with pytest.raises(ValueError):
-        pfaffian_reduction_identity(goe_kernel(4), PointConfiguration(reals=(-0.5, 0.1, 0.7, 1.2)), 8.0)
-    # exactly N eigenvalues with the far point is still an identity
-    full = PointConfiguration(reals=grid[:7], complexes=(0.1 + 0.5j,))
-    assert pfaffian_reduction_identity(ginoe_kernel(10), full, 16.0) <= 1e-8
+    assert schur_complement_gap(ginoe_kernel(10), crowded, 16.0) <= 1e-13
+    line = PointConfiguration(reals=(-0.5, 0.1, 0.7, 1.2))
+    assert schur_complement_gap(goe_kernel(4), line, 8.0) <= 1e-13
+    # exactly N eigenvalues with the far point
+    full = PointConfiguration(reals=grid, complexes=(0.1 + 0.5j,))
+    assert schur_complement_gap(ginoe_kernel(10), full, 16.0) <= 1e-13
+
+
+def test_schur_gap_holds_on_full_configurations():
+    # the probe reals and the same reals at +0.5i: the Pfaffian identity
+    # read 1.1e-9 at N = 22, 1.6e-10 at N = 24 and 7.8e-13 at N = 32
+    for N in (22, 24, 32):
+        grid = np.linspace(-0.9, 0.9, 7) * math.sqrt(N)
+        full = PointConfiguration(reals=grid, complexes=grid + 0.5j)
+        for far in FAR_POINTS:
+            assert schur_complement_gap(ginoe_kernel(N), full, far) <= 1e-13, (N, far)
 
 
 def test_conditioned_bundle_is_schur_complement():
@@ -176,7 +190,7 @@ def check_reduction_reports(verify):
         report = verify(N)
         assert report.exact <= 1e-12, N
         assert report.ratio < 1.0, N
-        assert report.identity_gap <= 1e-8, N
+        assert report.schur_gap <= GATES["schur-complement-gap"], N
 
 
 def test_line_reduction_reports_converge_monotonically():
@@ -196,7 +210,7 @@ def test_reduction_gates_hold_past_the_command_line_cap():
         report = verify(N)
         assert report.exact <= GATES["exact-limit"], (verify.__name__, N)
         assert report.ratio < GATES["far-convergence"], (verify.__name__, N)
-        assert report.identity_gap <= GATES["pfaffian-identity-gap"], (verify.__name__, N)
+        assert report.schur_gap <= GATES["schur-complement-gap"], (verify.__name__, N)
 
 
 def test_exact_limit_holds_on_random_bulk_configurations():
