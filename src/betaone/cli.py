@@ -11,12 +11,11 @@ echoing the configuration and the library version, then a column
 header, then data rows.
 """
 
-import argparse
 import cmath
 import json
-import locale  # noqa: F401  argparse's gettext imports it while building the parser
 import math
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.random import default_rng
@@ -469,24 +468,21 @@ COMMANDS = {
 }
 
 
-# each command's options: the parser of a command line holds only these
+# each command's options: a command line is parsed against these alone
 COMMON = (
     ("--ensemble", dict(choices=("goe", "ginoe"), default="goe", help="ensemble family (default: goe)")),
-    ("--size", dict(type=int, default=4, help="matrix size N (default: 4)")),
+    ("--size", dict(type=int, default=4, help="matrix size N, 1 to %d (default: 4)" % MAX_SIZE)),
     ("--out", dict(help="output path (default: stdout)")),
     ("--format", dict(choices=("csv", "json"), help="report format (default: csv, or json for verify)")),
 )
 SEED = ("--seed", dict(type=int, default=0, help="random seed (default: 0)"))
 OPTIONS = {
     "density": (
-        ("--grid", dict(required=True, help="grid as min:max:count"
-                        " (use --grid=-4:4:81 for negative minima)")),
-        ("--path", dict(choices=PATHS, default="finite-sum",
-                        help="kernel evaluation path; closed forms are ginoe only")),
+        ("--grid", dict(required=True, help="grid as min:max:count")),
+        ("--path", dict(choices=PATHS, default="finite-sum", help="evaluation path; closed forms are ginoe only")),
     ),
     "correlate": (
-        ("--points", dict(required=True, help="comma separated points, complex entries like 0.3+0.5j"
-                          " (use --points=-0.5,0.5 when the first is negative)")),
+        ("--points", dict(required=True, help="up to %d comma separated points like 0.3+0.5j" % MAX_CORRELATE_POINTS)),
     ),
     "verify": (
         SEED,
@@ -494,40 +490,69 @@ OPTIONS = {
     ),
     "mc-compare": (
         SEED,
-        ("--samples", dict(type=int, required=True, help="sample count, >= 10000")),
+        ("--samples", dict(type=int, required=True, help="sample count, >= %d" % MIN_COMPARISON_SAMPLES)),
         ("--bins", dict(type=int, default=40, help="histogram bins (default: 40)")),
     ),
 }
 
 
-def build_parser(command=None):
-    """The parser of one command's options, or, when `command` names none,
-    the top-level parser that lists the commands."""
-    if command in COMMANDS:
-        parser = argparse.ArgumentParser(prog="betaone " + command, description=COMMANDS[command].__doc__)
-        for flag, spec in (*COMMON, *OPTIONS[command]):
-            parser.add_argument(flag, **spec)
-        return parser
-    parser = argparse.ArgumentParser(
-        prog="betaone",
-        description="Eigenvalue correlations for orthogonal-symmetry ensembles.",
-        epilog="commands:\n%s\nrun `betaone COMMAND --help` for the options of a command"
-        % "".join("  %-12s%s\n" % (name, run.__doc__) for name, run in COMMANDS.items()),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument("command", choices=COMMANDS, metavar="COMMAND", help="one of the commands below")
-    return parser
+def _usage_error(usage, message):
+    # argparse's layout: the usage line, then "PROG: error: MESSAGE"
+    print("usage: %s\n%s: error: %s" % (usage, usage.split(" [", 1)[0], message), file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _help(usage, text, rows):
+    print("usage: %s\n\n%s" % (usage, text), *("  %-24s %s" % row for row in rows), sep="\n")
+    raise SystemExit(0)
+
+
+def parse_command_line(command, argv):
+    """The namespace of one command's options, read from its table: each is
+    `--name value` or `--name=value`, names in full, the last repeat winning."""
+    table = dict((*COMMON, *OPTIONS[command]))
+    shown = {flag: flag + " " + ("{%s}" % ",".join(spec["choices"]) if "choices" in spec else flag[2:].upper())
+             for flag, spec in table.items()}
+    usage = "betaone %s [-h] %s" % (command, " ".join(
+        shown[flag] if spec.get("required") else "[%s]" % shown[flag] for flag, spec in table.items()))
+    values, tokens = {flag: spec.get("default") for flag, spec in table.items()}, iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            _help(usage, COMMANDS[command].__doc__ + "\n\noptions:", [("-h, --help", "show this help message and exit")]
+                  + [(shown[flag], spec["help"]) for flag, spec in table.items()])
+        flag, equals, value = token.partition("=")
+        if flag not in table:
+            _usage_error(usage, "unrecognized arguments: %s" % token)
+        spec, value = table[flag], value if equals else next(tokens, None)
+        if value is None:
+            _usage_error(usage, "argument %s: expected one argument" % flag)
+        try:
+            value = spec.get("type", str)(value)
+        except ValueError:
+            _usage_error(usage, "argument %s: invalid %s value: %r" % (flag, spec["type"].__name__, value))
+        if value not in spec.get("choices", (value,)):
+            _usage_error(usage, "argument %s: invalid choice: %r (choose from %s)"
+                         % (flag, value, ", ".join(map(repr, spec["choices"]))))
+        values[flag] = value
+    missing = [flag for flag, spec in table.items() if spec.get("required") and values[flag] is None]
+    if missing:
+        _usage_error(usage, "the following arguments are required: %s" % ", ".join(missing))
+    return SimpleNamespace(command=command, **{flag[2:]: value for flag, value in values.items()})
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    command = argv[0] if argv else None
-    if command not in COMMANDS:
-        # help, or a usage error; a command after "--" must still come first
-        parser = build_parser()
-        parser.parse_args(argv)
-        parser.error("the command must come first")
-    args = build_parser(command).parse_args(argv[1:], argparse.Namespace(command=command))
+    if not argv or argv[0] not in COMMANDS:
+        # help on the commands, or the usage error of a line whose first word names none
+        usage = "betaone [-h] COMMAND"
+        if argv and argv[0] in ("-h", "--help"):
+            _help(usage, "Eigenvalue correlations for orthogonal-symmetry ensembles. Run `betaone COMMAND --help`"
+                  " for a command's options.\n\ncommands:", [(name, run.__doc__) for name, run in COMMANDS.items()])
+        _usage_error(usage, "the following arguments are required: COMMAND" if not argv else
+                     "the command must come first" if COMMANDS.keys() & set(argv) else
+                     "argument COMMAND: invalid choice: %r (choose from %s)"
+                     % (argv[0], ", ".join(map(repr, COMMANDS))))
+    args = parse_command_line(argv[0], argv[1:])
     try:
         config = make_config(args)
         text, code = COMMANDS[config.command](config)

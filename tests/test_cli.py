@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import dataclasses
 import io
@@ -530,19 +529,74 @@ def test_top_level_lists_the_commands_or_exits_2():
     assert all(command in text for command in COMMANDS)
 
 
+def usage_errors():
+    # (argv, the message after "betaone COMMAND: error: ") for every command
+    required = {"density": "--grid", "correlate": "--points", "mc-compare": "--samples"}
+    for command, valid in VALID.items():
+        yield [*valid, "--nonsense", "1"], "unrecognized arguments: --nonsense"
+        yield [*valid, "--ens", "goe"], "unrecognized arguments: --ens"
+        yield [*valid, "--size"], "argument --size: expected one argument"
+        yield [*valid, "--size", "4.0"], "argument --size: invalid int value: '4.0'"
+        yield [*valid, "--format=xml"], "argument --format: invalid choice: 'xml' (choose from 'csv', 'json')"
+        for flag in sorted(TAKES[command] & {"--seed", "--samples", "--bins"}):
+            yield [*valid, flag, "1e5"], "argument %s: invalid int value: '1e5'" % flag
+        if command in required:
+            yield [command, "--size", "3"], "the following arguments are required: " + required[command]
+
+
+@pytest.mark.parametrize("argv, message", [pytest.param(*case, id=" ".join(case[0])) for case in usage_errors()])
+def test_usage_errors_exit_2_with_the_commands_usage(argv, message):
+    code, text, err = exit_cli(argv)
+    assert (code, text) == (2, "")
+    assert err.startswith("usage: betaone %s [-h] " % argv[0])
+    assert err.splitlines()[1] == "betaone %s: error: %s" % (argv[0], message)
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_help_lists_exactly_the_table_options(command):
+    table = {flag for flag, _ in (*cli.COMMON, *cli.OPTIONS[command])}
+    text = help_text(command)
+    assert set(re.findall(r"--[a-z][a-z-]*", text)) == table | {"--help"}
+    assert text.startswith("usage: betaone %s [-h] " % command)
+    # one help line per table option
+    assert sum(line.startswith("  --") for line in text.splitlines()) == len(table)
+
+
+def test_last_repeat_of_an_option_wins():
+    argv = ["density", "--size", "3", "--grid=-1:1:5"]
+    assert run_cli(argv + ["--size", "2"]) == run_cli(["density", "--size", "2", "--grid=-1:1:5"])
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [(["density", "--size", "5"], "--grid", "-4:4:81"), (["correlate", "--size", "5"], "--points", "-0.5,0.2")],
+)
+def test_negative_values_parse_after_a_space(argv, flag, value):
+    spaced = run_cli(argv + [flag, value])
+    assert spaced[0] == 0
+    assert spaced == run_cli(argv + ["%s=%s" % (flag, value)])
+
+
+class _LookupRecorder(dict):
+    def __init__(self, table, looked_up):
+        super().__init__(table)
+        self.looked_up = looked_up
+
+    def __getitem__(self, key):
+        self.looked_up.append(key)
+        return super().__getitem__(key)
+
+
 def test_a_command_line_builds_only_its_commands_options(monkeypatch):
-    added = []
-    add_argument = argparse.ArgumentParser.add_argument
-
-    def counting(parser, *args, **kwargs):
-        added.append(args)
-        return add_argument(parser, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    looked_up = []
+    monkeypatch.setattr(cli, "OPTIONS", _LookupRecorder(cli.OPTIONS, looked_up))
     code, _, _ = run_cli(["density", "--ensemble", "goe", "--size", "2", "--grid=-1:1:3"])
     assert code == 0
-    # density's six options and -h; all four commands' parsers add 29
-    assert len(added) < 10, added
+    # only density's table is read, never another command's options
+    assert set(looked_up) == {"density"}, looked_up
+    args = cli.parse_command_line("density", ["--grid=-1:1:3"])
+    table = {flag[2:] for flag, _ in (*cli.COMMON, *cli.OPTIONS["density"])}
+    assert vars(args).keys() == table | {"command"}
 
 
 def test_fmt_writes_each_value_type_as_before():
@@ -817,6 +871,7 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = betaone.cli.main(argv)
     fresh[" ".join(argv)] = [code, sorted(set(sys.modules) - before)]
+fresh["parser"] = sorted(m for m in ("argparse", "gettext", "locale") if m in sys.modules)
 print(json.dumps(fresh))
 """
 
@@ -824,7 +879,9 @@ print(json.dumps(fresh))
 def test_commands_import_nothing_after_startup():
     # every module a command needs is imported with betaone.cli, which
     # does not import scipy; a call that imported one would move start-up
-    # cost into the command's own time
+    # cost into the command's own time.  The command line is parsed against
+    # the option table, so no argument parser (argparse, and the gettext
+    # and locale it imports) is loaded at all
     commands = [
         ["density", "--ensemble", "goe", "--size", "5", "--grid=-3:3:7"],
         ["density", "--ensemble", "ginoe", "--size", "6", "--grid=-3:3:7", "--path", "both"],
@@ -841,4 +898,5 @@ def test_commands_import_nothing_after_startup():
     )
     fresh = json.loads(proc.stdout)
     assert fresh.pop("scipy") == []
+    assert fresh.pop("parser") == []
     assert fresh == {" ".join(argv): [0, []] for argv in commands}
