@@ -1,25 +1,22 @@
 """Monte Carlo sampling of GOE and real Ginibre spectra.
 
-This is the ground truth the analytic kernels are judged against:
-matrices drawn entry by entry, eigenvalues from LAPACK in one stacked
-call per block of matrices.  Nothing here touches the kernel formulas,
-so agreement between the two sides checks the whole analytic chain at
-once.
+The ground truth for the analytic kernels: no kernel formula is used
+here.  Both ensembles are scored by the total of real eigenvalues below
+each bin edge.
 
-A batch of spectra is a (count, N) array, one row per matrix.  Real
-Ginibre rows come from `numpy.linalg.eigvals` (LAPACK dgeev), which
-returns each real eigenvalue with an imaginary part of exactly 0 and
-each complex eigenvalue together with its exact conjugate, so the
-reals are the entries with imag == 0 and the pair representatives the
-entries with imag > 0; no threshold is involved.  GOE rows come from
-`numpy.linalg.eigvalsh` and are real and ascending.
+Real Ginibre matrices are solved by LAPACK dgeev, which returns real
+eigenvalues with imaginary part exactly 0 and complex ones with their
+exact conjugates: the reals need no threshold.  GOE spectra are
+counted, not solved.  The eigenvalues of (G + G^T)/2 have the law of
+those of a tridiagonal matrix with N(0, 1) diagonal and squared
+off-diagonal chi^2_{N-k}/2 (Dumitriu and Edelman, J. Math. Phys. 43,
+2002); the count below x is the number of negative pivots of T - x, a
+Sturm sequence: samples x (bins + 1) x N pivot steps in all.
 
-A batch draws its standard normals from one numpy default_rng(seed)
-stream, matrix after matrix in row-major order, and solves them a
-block at a time.  So the batch of count n is the first n rows of any
-larger batch at the same seed, and no batch depends on the block size.
-The stream cannot start at an arbitrary matrix index, so a batch is
-not split across workers by index range.
+Ginibre entries come from one default_rng(seed) stream, GOE diagonals
+and squared off-diagonals from two streams spawned from
+SeedSequence(seed), all row-major: a batch of count n is the first n
+rows of any larger one at the same seed, whatever BLOCK_ENTRIES is.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from .kernels import density_integral
 from .quadrature import gauss_legendre_rule
 
 GENERATOR = "PCG64"
-BLOCK_ENTRIES = 1 << 16  # matrix entries drawn and solved per LAPACK call
+BLOCK_ENTRIES = 1 << 16  # matrix entries per LAPACK call, edge x sample cells per Sturm pass
 DEFAULT_SPAN = (-4.0, 4.0)
 BIN_QUAD_ORDER = 24
 Z_FLAG = 4.0
@@ -41,47 +38,56 @@ COUNT_SLACK = 1e-6  # absolute slack when the count variance vanishes (GOE)
 MIN_COMPARISON_SAMPLES = 10_000
 
 
-def _spectra(N, count, seed, solve, dtype):
-    """Eigenvalues of `count` matrices, one row per matrix.
-
-    Matrix i holds standard normals i N^2 .. (i + 1) N^2 - 1 of the
-    default_rng(seed) stream.  The matrices are drawn into one reused
-    block and solved a block at a time, so memory stays proportional
-    to count * N, and the block size does not change the samples.
-    """
+def ginibre_spectra(N, count, seed):
+    """Real Ginibre batch: the (count, N) complex spectra, solved a block at a time."""
     if N < 1:
         raise ValueError("N must be positive")
     draw = np.random.default_rng(seed).standard_normal
-    spectra = np.empty((count, N), dtype=dtype)
+    spectra = np.empty((count, N), dtype=complex)
     step = max(1, BLOCK_ENTRIES // (N * N))
     block = np.empty((min(step, count), N, N))
     for lo in range(0, count, step):
-        hi = min(lo + step, count)
-        draw(out=block[: hi - lo])
-        spectra[lo:hi] = solve(block[: hi - lo])
+        chunk = draw(out=block[: count - lo])
+        spectra[lo : lo + len(chunk)] = np.linalg.eigvals(chunk)
     return spectra
 
 
-def goe_spectra(N, count, seed):
-    """GOE batch: (G + G^T)/2 with G of independent standard normals.
-
-    Diagonal entries have variance 1 and off-diagonal entries variance
-    1/2, so the eigenvalue density carries the plain exp(-x^2/2) weight.
-    Returns the (count, N) array of ascending spectra.
-    """
-
-    def solve(G):
-        return np.linalg.eigvalsh(0.5 * (G + np.swapaxes(G, -1, -2)))
-
-    return _spectra(N, count, seed, solve, float)
+def goe_tridiagonal(N, count, seed):
+    """GOE batch as tridiagonal models: (count, N) diagonals a of standard
+    normals and (count, N - 1) squared off-diagonals b2_k = chi^2_{N-k}/2,
+    Gamma((N - k)/2) variates.  Only b2 enters the pivots: no square root."""
+    if N < 1:
+        raise ValueError("N must be positive")
+    diag, off = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
+    return diag.standard_normal((count, N)), off.standard_gamma(0.5 * np.arange(N - 1, 0, -1), (count, N - 1))
 
 
-def ginibre_spectra(N, count, seed):
-    """Real Ginibre batch: all N^2 entries independent standard normals.
-
-    Returns the (count, N) complex array of spectra.
-    """
-    return _spectra(N, count, seed, np.linalg.eigvals, complex)
+def sturm_totals(a, b2, edges):
+    """Eigenvalues below each edge, summed over a batch of tridiagonal matrices:
+    the negative pivots q_1 = a_1 - x, q_i = a_i - x - b2_{i-1}/q_{i-1}.  Pivots are
+    kept at least pivmin in size, as in LAPACK's bisection, keeping their sign; an
+    exact zero becomes +pivmin, which only raises eigenvalues: one at x is not below x."""
+    a, b2 = a.T.copy(), b2.T.copy()  # (N, count): each index a contiguous row of samples
+    N, count = a.shape
+    x = np.asarray(edges, dtype=float)[:, None]
+    pivmin = np.finfo(float).tiny * b2.max(initial=1.0)
+    below = np.zeros(len(x), dtype=np.int64)
+    step = max(1, BLOCK_ENTRIES // len(x))
+    for lo in range(0, count, step):
+        diag, off = a[:, lo : lo + step], b2[:, lo : lo + step]
+        q = diag[0] - x  # (edges, samples) pivots
+        ratio, mask, counts = np.empty_like(q), np.empty(q.shape, bool), np.zeros(q.shape, np.int32)
+        for i in range(N):
+            if i:
+                np.divide(off[i - 1], q, out=ratio)
+                np.subtract(diag[i], x, out=q)
+                q -= ratio
+            np.less(np.abs(q, out=ratio), pivmin, out=mask)
+            if mask.any():
+                q[mask] = np.copysign(pivmin, q[mask])
+            counts += np.less(q, 0.0, out=mask)
+        below += counts.sum(axis=1)
+    return below
 
 
 def real_counts(spectra):
@@ -98,10 +104,8 @@ def expected_bin_masses(bundle, edges):
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Sampled real-eigenvalue statistics scored against a kernel.
-
-    overflow counts the real eigenvalues outside the binned span.
-    """
+    """Sampled real-eigenvalue statistics scored against a kernel; overflow
+    counts the reals below the first edge or at or above the last."""
 
     ensemble: str
     size: int
@@ -130,43 +134,45 @@ class ComparisonReport:
         return not self.flagged and self.count_within
 
 
-def empirical_vs_analytic(spectra, bundle, bins=40, span=DEFAULT_SPAN):
-    """Score a batch of spectra against the kernel's real-eigenvalue density.
+def empirical_vs_analytic(sample, bundle, bins=40, span=DEFAULT_SPAN):
+    """Score a sample against the kernel's real-eigenvalue density.
 
-    Each bin total is compared with the integrated density under a
-    Poisson width floored at one count; eigenvalue repulsion makes the
-    true per-bin variance smaller than Poisson, so the score errs on
-    the loose side.  The mean real count per matrix is compared with
-    the full-line integral within three Monte Carlo standard errors
-    (plus a small absolute slack for the case of zero variance, where
-    every eigenvalue is real).
+    A batch of spectra is read through its sorted reals, a `goe_tridiagonal`
+    pair through Sturm counts, as totals of reals below each edge.  Each
+    left-closed bin is scored under a Poisson width floored at one count (loose:
+    repulsion makes the true variance smaller), and the mean real count per
+    matrix against the full-line integral within three standard errors, plus a
+    small absolute slack for GOE, where it is N with no variance.
     """
-    if len(spectra) < MIN_COMPARISON_SAMPLES:
+    tridiagonal = isinstance(sample, tuple)
+    rows = sample[0] if tridiagonal else np.asarray(sample)
+    samples, N = rows.shape
+    if samples < MIN_COMPARISON_SAMPLES:
         raise ValueError(f"need at least {MIN_COMPARISON_SAMPLES} samples")
-    if isinstance(bins, int):
-        edges = np.linspace(span[0], span[1], bins + 1)
+    edges = np.linspace(*span, bins + 1) if isinstance(bins, int) else np.asarray(bins, dtype=float)
+    if tridiagonal:
+        below, mean, stderr, total = sturm_totals(*sample, edges), float(N), 0.0, N * samples
     else:
-        edges = np.asarray(bins, dtype=float)
-    spectra = np.asarray(spectra)
-    reals = spectra.real[np.imag(spectra) == 0]
-    counts, _ = np.histogram(reals, edges)  # left-closed bins, the last closed
-    expected = len(spectra) * expected_bin_masses(bundle, edges)
+        below = np.searchsorted(np.sort(rows.real[np.imag(rows) == 0]), edges)
+        per_sample = real_counts(rows)
+        mean, total = float(per_sample.mean()), int(per_sample.sum())
+        stderr = float(per_sample.std(ddof=1) / math.sqrt(samples))
+    counts = np.diff(below)
+    expected = samples * expected_bin_masses(bundle, edges)
     z = (counts - expected) / np.sqrt(np.maximum(expected, 1.0))
-    per_sample = real_counts(spectra).astype(float)
-    stderr = float(per_sample.std(ddof=1) / math.sqrt(len(spectra)))
     return ComparisonReport(
         ensemble=bundle.ensemble,
         size=bundle.N,
-        samples=len(spectra),
+        samples=samples,
         edges=tuple(float(e) for e in edges),
         observed=tuple(int(c) for c in counts),
         expected=tuple(float(e) for e in expected),
         z_scores=tuple(float(v) for v in z),
         flagged=tuple(int(i) for i in np.flatnonzero(np.abs(z) > Z_FLAG)),
-        mean_real_count=float(per_sample.mean()),
+        mean_real_count=mean,
         expected_real_count=float(density_integral(bundle)),
         count_stderr=stderr,
-        overflow=int(reals.size - counts.sum()),
+        overflow=int(below[0] + total - below[-1]),
     )
 
 

@@ -29,7 +29,7 @@ from betaone.kernels import (
 from betaone.montecarlo import (
     empirical_vs_analytic,
     ginibre_spectra,
-    goe_spectra,
+    goe_tridiagonal,
 )
 from betaone.pfaffian import (
     dual_block,
@@ -276,7 +276,7 @@ def test_criterion_10_monte_carlo_ground_truth():
     runs = (
         (ginibre_spectra, 3, ginoe_kernel(3), 2101),
         (ginibre_spectra, 4, ginoe_kernel(4), 2102),
-        (goe_spectra, 3, goe_kernel(3), 2103),
+        (goe_tridiagonal, 3, goe_kernel(3), 2103),
     )
     details = []
     for sampler, N, bundle, seed in runs:

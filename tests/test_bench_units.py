@@ -12,6 +12,7 @@ UNITS = Path(__file__).resolve().parent.parent / "bench" / "units.py"
 # names of code that has since been deleted; their rows read as absent
 STALE = {
     "eigensolve.eig_nonsymmetric",
+    "montecarlo.goe_spectra",
     "skewortho.build_family_beta1",
     "skewortho.gaussian_weight",
 }

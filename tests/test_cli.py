@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import betaone
-from betaone import cli, montecarlo
+from betaone import cli
 from betaone.cli import COMMANDS, kernel_bundle, main
 from betaone.ginoe_kernels import ginoe_rho
 from betaone.kernels import PointConfiguration
@@ -776,7 +776,7 @@ def test_every_option_but_out_is_echoed(command):
     "argv, target",
     [
         (["density", "--grid=-4:4:10000000000000"], (np, "linspace")),
-        (["mc-compare", "--samples", "100000000000000"], (montecarlo, "_spectra")),
+        (["mc-compare", "--samples", "100000000000000"], (cli, "goe_tridiagonal")),
     ],
     ids=["density", "mc-compare"],
 )

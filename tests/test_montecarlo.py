@@ -5,14 +5,17 @@ densities, written out here independently of the kernel machinery:
 the two-eigenvalue symmetric ensemble in ordered coordinates, and the
 two sector masses of the size-2 plane ensemble whose sum must
 reproduce the exact normalization before the sector fraction is
-trusted.
+trusted.  The GOE counts are checked against LAPACK on the same
+tridiagonal matrices, and against dense GOE matrices drawn here.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
+from scipy import special
 
 from betaone import montecarlo
 from betaone.ginibre import sinclair_prefactor
@@ -22,33 +25,106 @@ from betaone.montecarlo import (
     MIN_COMPARISON_SAMPLES,
     empirical_vs_analytic,
     ginibre_spectra,
-    goe_spectra,
+    goe_tridiagonal,
     pair_mass_estimate,
     real_counts,
+    sturm_totals,
 )
 from betaone.quadrature import gauss_legendre_rule
 
 
+def goe_edges(N, bins=40):
+    # bins over the semicircle's support and a little past it
+    return np.linspace(-1.3, 1.3, bins + 1) * math.sqrt(2.0 * N)
+
+
+def tridiagonal_matrices(a, b2):
+    count, N = a.shape
+    T = np.zeros((count, N, N))
+    i, j = np.arange(N), np.arange(N - 1)
+    T[:, i, i] = a
+    T[:, j, j + 1] = T[:, j + 1, j] = np.sqrt(b2)
+    return T
+
+
+def totals_below(eigenvalues, edges):
+    return np.array([np.count_nonzero(eigenvalues < e) for e in edges])
+
+
 def test_spectra_follow_per_matrix_streams(monkeypatch):
-    # the batch is default_rng(seed)'s standard normals, matrix after
-    # matrix: the same at any block size (N=8 and N=64 span blocks of
-    # 1024 and 16 matrices by default), and a smaller batch is the
-    # prefix of a larger one; the seed 2^32 + 11 takes two words in
-    # numpy's seed hash
+    # the Ginibre batch is default_rng(seed)'s standard normals, matrix
+    # after matrix; the GOE draw is two streams spawned from
+    # SeedSequence(seed), standard normals and Gamma((N - k)/2) variates,
+    # each row-major.  Both are the same at any block size (N=8 and N=64
+    # span blocks of 1024 and 16 matrices by default, 41 edges a Sturm
+    # pass of 1598 samples), and a smaller batch is the prefix of a
+    # larger one; the seed 2^32 + 11 takes two words in numpy's seed hash
+    totals = {}
     for block_entries in (montecarlo.BLOCK_ENTRIES, 1000):
         monkeypatch.setattr(montecarlo, "BLOCK_ENTRIES", block_entries)
         for N, count, seed in ((3, 50, 7), (8, 1030, 2**32 + 11), (64, 40, 11)):
             G = np.random.default_rng(seed).standard_normal((count, N, N))
-            sym = 0.5 * (G + np.swapaxes(G, -1, -2))
+            diag, off = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
+            a = diag.standard_normal((count, N))
+            b2 = off.standard_gamma(0.5 * np.arange(N - 1, 0, -1), (count, N - 1))
+            edges = goe_edges(N)
             for n in (count, count - 3):
                 assert np.array_equal(ginibre_spectra(N, n, seed), np.linalg.eigvals(G[:n]))
-                assert np.array_equal(goe_spectra(N, n, seed), np.linalg.eigvalsh(sym[:n]))
+                draw = goe_tridiagonal(N, n, seed)
+                assert np.array_equal(draw[0], a[:n]) and np.array_equal(draw[1], b2[:n])
+                below = sturm_totals(*draw, edges)
+                assert np.array_equal(below, sturm_totals(a[:n], b2[:n], edges))
+                assert np.array_equal(below, totals.setdefault((N, n), below))
+    assert len(totals) == 6
 
 
 def test_negative_seed_is_rejected():
-    for sampler in (ginibre_spectra, goe_spectra):
+    for sampler in (ginibre_spectra, goe_tridiagonal):
         with pytest.raises(ValueError, match="non-negative"):
             sampler(3, 5, -1)
+
+
+def test_sturm_totals_equal_eigvalsh_counts():
+    for N, count in ((1, 300), (2, 300), (3, 300), (8, 200), (64, 40)):
+        a, b2 = goe_tridiagonal(N, count, seed=N)
+        edges = goe_edges(N)
+        eigenvalues = np.linalg.eigvalsh(tridiagonal_matrices(a, b2))
+        assert np.array_equal(sturm_totals(a, b2, edges), totals_below(eigenvalues, edges)), N
+
+
+def test_zero_pivots_count_like_eigvalsh():
+    # an edge exactly at a_1 makes the first pivot zero; with b2 = 0 the
+    # next step would divide zero by zero; the third matrix is 0.5 I
+    a = np.array([[0.5, 1.0, -0.3], [0.5, 1.0, -0.3], [0.5, 0.5, 0.5]])
+    b2 = np.array([[0.0, 0.7], [0.4, 0.7], [0.0, 0.0]])
+    edges = np.array([-2.0, -0.3, 0.5, 1.0, 2.0])
+    eigenvalues = np.linalg.eigvalsh(tridiagonal_matrices(a, b2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        below = sturm_totals(a, b2, edges)
+    assert below.tolist() == totals_below(eigenvalues, edges).tolist() == [0, 2, 3, 7, 9]
+
+
+def two_sample_chi2(first, second):
+    # Pearson's two-sample statistic for binned counts with unequal totals
+    # (Press et al., Numerical Recipes, section 14.3) on the cells that
+    # hold a count, and its degrees of freedom
+    keep = (first + second) > 0
+    r, s = first[keep].astype(float), second[keep].astype(float)
+    k = math.sqrt(s.sum() / r.sum())
+    return float(np.sum((k * r - s / k) ** 2 / (r + s))), int(keep.sum()) - 1
+
+
+def test_sturm_totals_match_dense_goe_in_distribution():
+    # dense (G + G^T)/2 drawn here, binned in 40 bins, against the Sturm
+    # totals of the tridiagonal draw, each size at alpha = 1e-3
+    alpha = 1e-3
+    for N, count, seed in ((4, 20_000, 2601), (16, 5_000, 2602)):
+        G = np.random.default_rng(seed).standard_normal((count, N, N))
+        dense, _ = np.histogram(np.linalg.eigvalsh(0.5 * (G + np.swapaxes(G, -1, -2))), goe_edges(N))
+        counted = np.diff(sturm_totals(*goe_tridiagonal(N, count, seed), goe_edges(N)))
+        statistic, dof = two_sample_chi2(dense, counted)
+        assert statistic <= 2.0 * special.gammainccinv(0.5 * dof, 0.5 * alpha), (N, statistic, dof)
 
 
 def test_reals_are_read_from_structure():
@@ -68,15 +144,12 @@ def test_reals_are_read_from_structure():
 
 
 def test_sample_goe_size_one_is_single_real():
-    spectra = goe_spectra(1, 3, 7)
-    draws = np.random.default_rng(7).standard_normal(3)
-    assert spectra.tolist() == [[x] for x in draws]
-
-
-def test_sample_goe_preserves_trace():
-    spectra = goe_spectra(5, 20, 0)
-    for row, G in zip(spectra, np.random.default_rng(0).standard_normal((20, 5, 5))):
-        assert abs(row.sum() - np.trace(0.5 * (G + G.T))) <= 1e-10
+    a, b2 = goe_tridiagonal(1, 3, 7)
+    draws = np.random.default_rng(np.random.SeedSequence(7).spawn(2)[0]).standard_normal(3)
+    assert a.tolist() == [[x] for x in draws] and b2.shape == (3, 0)
+    # each 1 x 1 matrix is its own eigenvalue: counted strictly below
+    edges = np.sort(np.concatenate([draws, [-5.0, 5.0]]))
+    assert sturm_totals(a, b2, edges).tolist() == [0, 0, 1, 2, 3]
 
 
 def test_sample_ginibre_size_one_and_determinism():
@@ -106,8 +179,9 @@ def ordered_pair_moment(power):
 
 
 def test_goe_two_by_two_largest_eigenvalue_mean():
-    samples = goe_spectra(2, 100_000, seed=17)
-    largest = samples[:, -1]
+    # the larger eigenvalue of each 2 x 2 tridiagonal model, in closed form
+    a, b2 = goe_tridiagonal(2, 100_000, seed=17)
+    largest = 0.5 * (a[:, 0] + a[:, 1]) + np.sqrt(0.25 * (a[:, 0] - a[:, 1]) ** 2 + b2[:, 0])
     oracle = ordered_pair_moment(1) / ordered_pair_moment(0)
     stderr = largest.std(ddof=1) / math.sqrt(largest.size)
     assert abs(largest.mean() - oracle) <= 3.0 * stderr
@@ -155,13 +229,13 @@ def test_empirical_density_bookkeeping():
 
 
 def test_comparison_requires_enough_samples():
-    samples = goe_spectra(2, 100, seed=1)
+    samples = goe_tridiagonal(2, 100, seed=1)
     with pytest.raises(ValueError):
         empirical_vs_analytic(samples, goe_kernel(2), bins=10)
 
 
 def test_comparison_report_round_trip():
-    samples = goe_spectra(2, 10_000, seed=19)
+    samples = goe_tridiagonal(2, 10_000, seed=19)
     report = empirical_vs_analytic(samples, goe_kernel(2), bins=20)
     assert report.flagged == ()
     assert report.mean_real_count == 2.0
