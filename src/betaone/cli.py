@@ -18,25 +18,23 @@ import sys
 from types import SimpleNamespace
 
 import numpy as np
-from numpy.random import default_rng
 
 from . import __version__
 from .ginibre import SQRT_2PI, ginoe_gram
 from .ginoe_kernels import ginoe_kernel, ginoe_summed_S, interrelations_check
 from .kernels import PointConfiguration, density_integral, dyson_recurrence_check, goe_kernel
 from .montecarlo import GENERATOR, MIN_COMPARISON_SAMPLES, empirical_vs_analytic, ginibre_spectra, goe_tridiagonal
-from .pfaffian import dual_block, flatten_blocks, pfaffian, pfaffian_laplace, qdet, standard_pairing
-from .reduction import verify_odd_limit_beta1, verify_odd_limit_ginoe
+from .pfaffian import pfaffian, pfaffian_laplace
+from .reduction import probe_configuration, verify_odd_limit
 from .skewortho import goe_gram, skew_deviation
 
 PATHS = ("finite-sum", "summed-up", "both")
 # The bound on each verify check's deviation, with the worst reading over
-# N = 1..64 in both ensembles (the pfaffian checks over seeds 0..1999).
+# N = 1..64 in both ensembles.
 GATES = {
-    "squared-vs-determinant-real": 1e-10,  # 6.8e-13 at seed 858
-    "squared-vs-determinant-complex": 1e-10,  # 7.5e-14 at seed 1929
-    "elimination-vs-cofactor": 1e-10,  # 2.1e-14 at seed 406
-    "quaternion-determinant-squared": 1e-10,  # 1.5e-14 at seed 242
+    # relative to the determinant and to the matching sum
+    "squared-vs-determinant": 1e-12,  # 6.9e-15 (GinOE N = 9)
+    "elimination-vs-cofactor": 1e-12,  # 1.3e-14 (GOE N = 50)
     # also the agreement the Gram's refinement stops at
     "gram-deviation": 1e-12,  # 2.1e-14 (GOE N = 60)
     "density-normalization": 1e-13,  # 8.9e-16
@@ -177,7 +175,8 @@ def make_config(args):
         raise ConfigError("size must be a positive integer")
     if args.size > MAX_SIZE:
         raise ConfigError("size must be at most %d" % MAX_SIZE)
-    # only verify (its pfaffian battery) and mc-compare draw random numbers
+    # mc-compare draws random numbers; verify takes and echoes a seed that
+    # no suite reads
     if getattr(args, "seed", 0) < 0:
         raise ConfigError("seed must be a non-negative integer")
     args.format = args.format or ("json" if args.command == "verify" else "csv")
@@ -269,76 +268,29 @@ def _check(suite, name, deviation, **diagnostics):
     }
 
 
-def _random_self_dual(rng, n_blocks):
-    blocks = np.zeros((n_blocks, n_blocks, 2, 2))
-    for i in range(n_blocks):
-        blocks[i, i] = rng.normal() * np.eye(2)
-        for j in range(i + 1, n_blocks):
-            b = rng.normal(size=(2, 2))
-            blocks[i, j] = b
-            blocks[j, i] = dual_block(b)
-    return blocks
-
-
-def _worst_gap(values, reference):
-    return np.max(np.abs(values - reference) / np.maximum(1.0, np.abs(reference)))
-
-
-def _stacked(matrices, unit):
-    # one stack at the largest size, each matrix padded by unit's diagonal:
-    # unit blocks [[0, 1], [-1, 0]] (or identity quaternion blocks) leave a
-    # real Pfaffian bit for bit, a complex one to roundoff, and the determinant
-    size = max(len(A) for A in matrices)
-    stack = np.array([unit(size)] * len(matrices), dtype=np.result_type(*matrices))
-    for S, A in zip(stack, matrices):
-        S[: len(A), : len(A)] = A
-    return stack
-
-
-def _unit_blocks(size):
-    return np.eye(size)[:, :, None, None] * np.eye(2)
-
-
-def _suite_pfaffian(config):
-    # one stacked Pfaffian per check, every matrix padded to the check's largest
-    rng = default_rng(config.seed)
-    real, complex_, cofactor = [], [], []
-    for _ in range(30):
-        n = 2 * int(rng.integers(1, 7))
-        A = rng.standard_normal((n, n))
-        real.append(A - A.T)
-        B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        complex_.append(B - B.T)
-    for _ in range(10):
-        n = 2 * int(rng.integers(1, 5))
-        A = rng.standard_normal((n, n))
-        cofactor.append(A - A.T)
-    worst_real, worst_complex = (
-        _worst_gap(pfaffian(S) ** 2, np.linalg.det(S))
-        for S in (_stacked(real, standard_pairing), _stacked(complex_, standard_pairing))
-    )
-    # the matching sum on each size's own stack: padding would reorder its terms
-    values, sizes = pfaffian(_stacked(cofactor, standard_pairing)), [len(A) for A in cofactor]
-    worst_cofactor = max(
-        _worst_gap(values[np.equal(sizes, n)], pfaffian_laplace([A for A in cofactor if len(A) == n]))
-        for n in set(sizes)
-    )
-    blocks = _stacked(
-        [_random_self_dual(rng, int(rng.integers(1, 5))) for _ in range(10)], _unit_blocks
-    )
-    worst_qdet = _worst_gap(qdet(blocks) ** 2, np.linalg.det(flatten_blocks(blocks)))
+def _suite_pfaffian(bundle):
+    # every window of k consecutive points of the reduction's probe grid (its
+    # reals, then its complexes), as principal submatrices of one matrix; a
+    # window holds at most N/2 eigenvalues, a complex point two, well short of
+    # a full configuration, where the Pfaffian loses accuracy to conditioning
+    probe = probe_configuration(bundle.ensemble, bundle.N + bundle.N % 2)
+    if bundle.N == 1:
+        probe = PointConfiguration(reals=probe.reals)
+    k = max(1, min(6, bundle.N // (4 if probe.complexes else 2)))
+    cells = np.arange(len(probe) - k + 1)[:, None] + np.arange(k)
+    rows = (2 * cells[:, :, None] + np.arange(2)).reshape(len(cells), 2 * k)
+    S = bundle.assemble(probe)[rows[:, :, None], rows[:, None, :]]
+    value, det, reference = pfaffian(S), np.linalg.det(S), pfaffian_laplace(S)
     return [
-        _check("pfaffian", "squared-vs-determinant-real", worst_real),
-        _check("pfaffian", "squared-vs-determinant-complex", worst_complex),
-        _check("pfaffian", "elimination-vs-cofactor", worst_cofactor),
-        _check("pfaffian", "quaternion-determinant-squared", worst_qdet),
+        _check("pfaffian", "squared-vs-determinant", np.max(np.abs(value**2 - det) / np.abs(det))),
+        _check("pfaffian", "elimination-vs-cofactor", np.max(np.abs(value - reference) / np.abs(reference))),
     ]
 
 
-def _suite_skew(config):
+def _suite_skew(bundle):
     # the family's Gram, refined to the bound it is gated at
-    gram = goe_gram if config.ensemble == "goe" else ginoe_gram
-    refined = gram(config.size, GATES["gram-deviation"])
+    gram = goe_gram if bundle.ensemble == "goe" else ginoe_gram
+    refined = gram(bundle.N, GATES["gram-deviation"])
     return [
         _check(
             "skew",
@@ -350,9 +302,8 @@ def _suite_skew(config):
     ]
 
 
-def _suite_kernels(config):
-    bundle = kernel_bundle(config.ensemble, config.size)
-    if config.ensemble == "goe":
+def _suite_kernels(bundle):
+    if bundle.ensemble == "goe":
         gap = abs(density_integral(bundle) - bundle.N) / bundle.N
         worst = 0.0
         for x in (-1.1, 0.37):
@@ -377,11 +328,12 @@ def _suite_kernels(config):
     return checks
 
 
-def _suite_reduction(config):
+def _suite_reduction(bundle):
     # an odd size is the target of the reduction from the even size above it
-    even = config.size + config.size % 2
-    verify = verify_odd_limit_beta1 if config.ensemble == "goe" else verify_odd_limit_ginoe
-    report = verify(even)
+    if bundle.parity == "even":
+        report = verify_odd_limit(bundle, kernel_bundle(bundle.ensemble, bundle.N - 1))
+    else:
+        report = verify_odd_limit(kernel_bundle(bundle.ensemble, bundle.N + 1), bundle)
     return [
         _check("reduction", "exact-limit", report.exact),
         _check("reduction", "far-convergence", report.ratio),
@@ -400,9 +352,11 @@ SUITES = {
 def cmd_verify(config):
     """Self-check suites built from the library's own cross relations."""
     names = SUITES if config.suite == "all" else (config.suite,)
+    # one bundle for every suite, so that they share its rows
+    bundle = kernel_bundle(config.ensemble, config.size)
     checks = []
     for name in names:
-        checks.extend(SUITES[name](config))
+        checks.extend(SUITES[name](bundle))
     failed = [c for c in checks if not c["passed"]]
     extra = [("passed", not failed), ("checks", len(checks))]
     if config.format == "csv":

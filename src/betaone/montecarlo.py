@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 from .kernels import density_integral
 from .quadrature import gauss_legendre_rule
@@ -42,7 +43,7 @@ def ginibre_spectra(N, count, seed):
     """Real Ginibre batch: the (count, N) complex spectra, solved a block at a time."""
     if N < 1:
         raise ValueError("N must be positive")
-    draw = np.random.default_rng(seed).standard_normal
+    draw = default_rng(seed).standard_normal
     spectra = np.empty((count, N), dtype=complex)
     step = max(1, BLOCK_ENTRIES // (N * N))
     block = np.empty((min(step, count), N, N))
@@ -58,7 +59,7 @@ def goe_tridiagonal(N, count, seed):
     Gamma((N - k)/2) variates.  Only b2 enters the pivots: no square root."""
     if N < 1:
         raise ValueError("N must be positive")
-    diag, off = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
+    diag, off = (default_rng(s) for s in SeedSequence(seed).spawn(2))
     return diag.standard_normal((count, N)), off.standard_gamma(0.5 * np.arange(N - 1, 0, -1), (count, N - 1))
 
 

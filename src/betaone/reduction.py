@@ -116,10 +116,10 @@ def schur_complement_gap(bundle, config, x_far, updated=None):
     return float(np.abs(updated - schur).max() / np.abs(schur).max())
 
 
-def _probe_configuration(bundle):
+def probe_configuration(ensemble, N):
     """Seven bulk reals over +-0.9 sqrt(N), for GinOE also at height 0.5."""
-    grid = np.linspace(-0.9, 0.9, 7) * math.sqrt(bundle.N)
-    complexes = grid + 0.5j if bundle.ensemble == "ginoe" else ()
+    grid = np.linspace(-0.9, 0.9, 7) * math.sqrt(N)
+    complexes = grid + 0.5j if ensemble == "ginoe" else ()
     return PointConfiguration(reals=grid, complexes=complexes)
 
 
@@ -149,7 +149,7 @@ def verify_odd_limit(even_bundle, odd_bundle):
     """
     if odd_bundle.N != even_bundle.N - 1:
         raise ValueError("target bundle must be one size smaller")
-    config = _probe_configuration(even_bundle)
+    config = probe_configuration(even_bundle.ensemble, even_bundle.N)
     target = odd_bundle.assemble(config)
     scale = np.abs(target).max()
 

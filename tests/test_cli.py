@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import importlib.util
 import io
 import json
 import os
@@ -18,7 +19,6 @@ from betaone.cli import COMMANDS, kernel_bundle, main
 from betaone.ginoe_kernels import ginoe_rho
 from betaone.kernels import PointConfiguration
 from betaone.montecarlo import ginibre_spectra, pair_mass_estimate
-from betaone.pfaffian import flatten_blocks, pfaffian, qdet, standard_pairing
 from betaone.quadrature import gauss_legendre_rule
 
 
@@ -319,7 +319,7 @@ def test_verify_reduction_suite_passes():
 
 def test_gate_table_matches_gates_and_emitted_checks():
     # README's gate table, cli.GATES and the checks verify emits name the
-    # same twelve checks with the same gates, so a renamed check leaves no
+    # same ten checks with the same gates, so a renamed check leaves no
     # stale key or row behind
     readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = readme.split("| suite | check | gate | worst reading |\n| --- | --- | --- | --- |\n")[1]
@@ -330,7 +330,7 @@ def test_gate_table_matches_gates_and_emitted_checks():
         code, text, _ = run_cli(["verify", "--suite", "all", "--ensemble", ensemble, "--size", "4"])
         assert code == 0, ensemble
         emitted.update({(c["suite"], c["check"]): c["tolerance"] for c in json.loads(text)["checks"]})
-    assert len(rows) == len(table) == 12
+    assert len(rows) == len(table) == 10
     assert table == emitted
     assert {check: gate for (_, check), gate in table.items()} == cli.GATES
 
@@ -419,7 +419,7 @@ def test_verify_closed_form_agreement_is_relative_to_the_kernel_scale():
 
 def test_verify_failure_names_the_quantity(monkeypatch):
     # an unreachable gate forces a clean failure path
-    monkeypatch.setitem(cli.GATES, "squared-vs-determinant-real", 1e-18)
+    monkeypatch.setitem(cli.GATES, "squared-vs-determinant", 1e-18)
     code, text, err = run_cli(["verify", "--suite", "pfaffian"])
     assert code == 1
     assert "squared-vs-determinant" in err
@@ -439,40 +439,44 @@ def test_verify_gates_cannot_be_overridden():
     assert info.value.code == 2
 
 
-def test_verify_pfaffian_passes_at_the_worst_seed():
-    # seed 858 reads 6.8e-13, the worst over seeds 0..1999, against 1e-10
-    code, text, _ = run_cli(["verify", "--suite", "pfaffian", "--seed", "858"])
-    assert code == 0
-    checks = {c["check"]: c for c in json.loads(text)["checks"]}
-    assert 1e-13 < checks["squared-vs-determinant-real"]["deviation"] <= 1e-12
+def test_verify_pfaffian_reads_the_runs_own_matrices():
+    # the checks run on the configured kernel's matrices, so their readings
+    # move with the size and the ensemble
+    readings = set()
+    for ensemble in ("goe", "ginoe"):
+        for size in (8, 9, 16):
+            code, text, _ = run_cli(["verify", "--suite", "pfaffian", "--ensemble", ensemble, "--size", str(size)])
+            assert code == 0, (ensemble, size)
+            checks = json.loads(text)["checks"]
+            assert [c["check"] for c in checks] == ["squared-vs-determinant", "elimination-vs-cofactor"]
+            readings.add(tuple(c["deviation"] for c in checks))
+    assert len(readings) == 6
 
 
-def test_battery_padding_keeps_pfaffian_and_determinant():
-    # unit blocks [[0, 1], [-1, 0]] on the diagonal: a real Pfaffian is the
-    # same bit for bit, a complex one to the roundoff of its products (the
-    # longer rows regroup them), and the determinant to roundoff
-    rng = np.random.default_rng(59)
-    for complex_entries in (False, True):
-        matrices = []
-        for n in (2, 4, 6, 8, 10, 12, 4):
-            A = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if complex_entries else 0.0)
-            matrices.append(A - A.T)
-        stack = cli._stacked(matrices, standard_pairing)
-        assert stack.shape == (7, 12, 12)
-        values, dets = pfaffian(stack), np.linalg.det(stack)
-        for A, value, det in zip(matrices, values, dets):
-            if complex_entries:
-                assert abs(value - pfaffian(A)) <= 1e-15 * abs(value)
-            else:
-                assert value == pfaffian(A)
-            assert np.isclose(det, np.linalg.det(A), rtol=1e-13, atol=0)
-    # identity quaternion blocks: the same quaternion determinant
-    blocks = [cli._random_self_dual(rng, n) for n in (1, 2, 3, 4)]
-    stack = cli._stacked(blocks, cli._unit_blocks)
-    assert stack.shape == (4, 4, 4, 2, 2)
-    for B, value, det in zip(blocks, qdet(stack), np.linalg.det(flatten_blocks(stack))):
-        assert value == qdet(B)
-        assert np.isclose(det, np.linalg.det(flatten_blocks(B)), rtol=1e-13, atol=0)
+def test_verify_output_does_not_depend_on_the_seed():
+    for ensemble, size in (("goe", "4"), ("ginoe", "7")):
+        argv = ["verify", "--suite", "all", "--ensemble", ensemble, "--size", size, "--format", "csv"]
+        first, second = (run_cli(argv + ["--seed", seed]) for seed in ("0", "7"))
+        assert first[0] == second[0] == 0
+        changed = [(a, b) for a, b in zip(first[1].splitlines(), second[1].splitlines()) if a != b]
+        assert changed == [("# seed=0", "# seed=7")]
+
+
+def test_bench_command_lines_parse():
+    # bench/run.py passes --seed to every verify and mc-compare job
+    bench = pathlib.Path(__file__).resolve().parent.parent / "bench"
+    sys.path.insert(0, str(bench))
+    try:
+        spec = importlib.util.spec_from_file_location("bench_run", bench / "run.py")
+        run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)
+    finally:
+        sys.path.remove(str(bench))
+    jobs = [argv for workload in run.WORKLOADS for _, argv in run.workload_jobs(workload, 5)]
+    assert sum("--seed" in argv for argv in jobs) == 7
+    for command, *argv in jobs:
+        args = cli.parse_command_line(command, argv)
+        assert args.seed == 5 if "--seed" in argv else "seed" not in vars(args)
 
 
 def exit_cli(argv):

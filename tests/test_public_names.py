@@ -19,6 +19,7 @@ TEST_ONLY = {
     "ginibre.sinclair_prefactor",
     "reduction.factorisation_check",
     "montecarlo.pair_mass_estimate",
+    "pfaffian.qdet",
 }
 # library names that only bench/ reads
 BENCH_ONLY = {"ginoe_kernels.ginoe_rho"}
