@@ -1,4 +1,4 @@
-"""Pfaffians and quaternion determinants.
+"""Pfaffians.
 
 The Pfaffian of an even-dimensional antisymmetric matrix is computed two
 ways: the first-row expansion as a signed sum over perfect matchings
@@ -6,9 +6,7 @@ ways: the first-row expansion as a signed sum over perfect matchings
 elimination with partial pivoting (production path, cubic cost).  Both
 take a stack (..., 2n, 2n), validate, pivot and floor each matrix on its
 own, and return the batch shape (...); a 2-D input is a stack of one and
-gives a Python float or complex.  A quaternion determinant of a
-self-dual block matrix reduces to the Pfaffian of its flattened form
-times the inverse of the standard symplectic block-diagonal matrix.
+gives a Python float or complex.
 """
 
 from __future__ import annotations
@@ -113,52 +111,3 @@ def pfaffian(matrix):
     value *= stack[:, n - 2, n - 1] if n else 1.0
     value = np.where(singular, 0.0, value).reshape(A.shape[:-2])
     return value if A.ndim > 2 else value.item()
-
-
-def dual_block(block):
-    """Quaternion dual of a 2x2 block, or of every block of a (..., 2, 2)
-    array: swap the diagonal, negate the rest."""
-    b = np.asarray(block)
-    dual = -b
-    dual[..., 0, 0] = b[..., 1, 1]
-    dual[..., 1, 1] = b[..., 0, 0]
-    return dual
-
-
-def check_self_dual(blocks):
-    """Raise unless blocks[j][i] is the dual of blocks[i][j] for all pairs.
-
-    blocks is an (n, n, 2, 2) block array or a stack (..., n, n, 2, 2) of
-    them, each measured against its own largest entry (at least 1).
-    """
-    B = np.asarray(blocks)
-    if B.ndim < 4 or B.shape[-4] != B.shape[-3] or B.shape[-2:] != (2, 2):
-        raise ValueError(f"expected (n, n, 2, 2) block arrays, got shape {B.shape}")
-    scale = np.maximum(1.0, np.abs(B).max(axis=(-4, -3, -2, -1), initial=0.0))
-    # defect[..., i, j] compares blocks[j][i] with the dual of blocks[i][j];
-    # it is symmetric in (i, j), so the first offender in row order has i <= j
-    defect = np.abs(np.swapaxes(B, -4, -3) - dual_block(B)).max(axis=(-2, -1))
-    bad = np.argwhere(defect > 1e-10 * scale[..., None, None])
-    if len(bad):
-        i, j = bad[0, -2:]
-        raise ValueError(f"blocks ({i},{j})/({j},{i}) are not mutually dual")
-
-
-def flatten_blocks(blocks):
-    """Reshape (..., n, n, 2, 2) block arrays into their 2n x 2n scalar form."""
-    B = np.asarray(blocks)
-    n = B.shape[-3]
-    return np.swapaxes(B, -3, -2).reshape(B.shape[:-4] + (2 * n, 2 * n))
-
-
-def qdet(blocks):
-    """Quaternion determinant of a self-dual block matrix, or of each in a stack.
-
-    Computed as the Pfaffian of (flattened matrix) @ J, J = inverse(Z); for
-    scalar blocks c*I this reduces to the ordinary determinant of the
-    scalars.  An (n, n, 2, 2) input gives a number, a stack
-    (..., n, n, 2, 2) the batch shape (...).
-    """
-    B = np.asarray(blocks)
-    check_self_dual(B)
-    return pfaffian(flatten_blocks(B) @ standard_pairing(2 * B.shape[-3]))

@@ -4,16 +4,15 @@ import warnings
 import numpy as np
 import pytest
 
+from betaone.ginoe_kernels import ginoe_kernel
+from betaone.kernels import goe_kernel
 from betaone.pfaffian import (
     as_antisymmetric,
-    check_self_dual,
-    dual_block,
-    flatten_blocks,
     pfaffian,
     pfaffian_laplace,
-    qdet,
     standard_pairing,
 )
+from betaone.reduction import probe_configuration
 
 
 def pfaffian_pairing_sum(A):
@@ -58,19 +57,6 @@ def random_antisymmetric(rng, n, complex_entries=False, batch=()):
     if complex_entries:
         M = M + 1j * rng.normal(size=batch + (n, n))
     return M - np.swapaxes(M, -1, -2)
-
-
-def random_self_dual(rng, n_blocks, complex_entries=False):
-    blocks = np.zeros((n_blocks, n_blocks, 2, 2), dtype=complex if complex_entries else float)
-    for i in range(n_blocks):
-        blocks[i, i] = rng.normal() * np.eye(2)
-        for j in range(i + 1, n_blocks):
-            b = rng.normal(size=(2, 2))
-            if complex_entries:
-                b = b + 1j * rng.normal(size=(2, 2))
-            blocks[i, j] = b
-            blocks[j, i] = dual_block(b)
-    return blocks
 
 
 def test_two_by_two():
@@ -187,81 +173,6 @@ def test_z_matrix_structure():
     assert standard_pairing(1).shape == (1, 1) and not standard_pairing(1).any()
 
 
-def test_qdet_identity_block():
-    blocks = np.zeros((1, 1, 2, 2))
-    blocks[0, 0] = np.eye(2)
-    assert np.isclose(qdet(blocks), 1.0, rtol=1e-15, atol=0)
-
-
-def test_qdet_diagonal_scalar_blocks():
-    rng = np.random.default_rng(17)
-    cs = rng.normal(size=4)
-    blocks = np.zeros((4, 4, 2, 2))
-    for i, c in enumerate(cs):
-        blocks[i, i] = c * np.eye(2)
-    assert np.isclose(qdet(blocks), np.prod(cs), rtol=1e-12, atol=0)
-
-
-def test_qdet_squared_is_flattened_determinant():
-    rng = np.random.default_rng(29)
-    for n_blocks in [2, 3, 4, 6]:
-        for complex_entries in [False, True]:
-            M = random_self_dual(rng, n_blocks, complex_entries)
-            q = qdet(M)
-            det = np.linalg.det(flatten_blocks(M))
-            assert np.isclose(q * q, det, rtol=1e-10, atol=1e-12), (n_blocks, complex_entries)
-
-
-def test_qdet_invariant_under_even_block_swaps():
-    rng = np.random.default_rng(37)
-    M = random_self_dual(rng, 4)
-    # swap quaternion indices 0<->2 and 1<->3: even permutation of rows/cols
-    order = [2, 3, 0, 1]
-    swapped = M[np.ix_(order, order)]
-    assert np.isclose(qdet(swapped), qdet(M), rtol=1e-11, atol=0)
-
-
-def test_qdet_rejects_non_self_dual():
-    rng = np.random.default_rng(41)
-    M = random_self_dual(rng, 3)
-    M[0, 1, 0, 0] += 0.1
-    with pytest.raises(ValueError):
-        qdet(M)
-
-
-def test_stacked_qdet_matches_matrix_by_matrix():
-    # each member checked and eliminated on its own: real stacks give the
-    # per-matrix values bit for bit, and keep their batch shape
-    rng = np.random.default_rng(43)
-    for n_blocks in (1, 3, 4):
-        stack = np.array([random_self_dual(rng, n_blocks) for _ in range(6)])
-        values = qdet(stack)
-        assert values.shape == (6,)
-        assert np.array_equal(values, [qdet(M) for M in stack])
-        assert np.array_equal(qdet(stack.reshape((2, 3) + stack.shape[1:])), values.reshape(2, 3))
-
-
-def test_qdet_stack_rejects_one_non_self_dual_member():
-    rng = np.random.default_rng(47)
-    stack = np.array([random_self_dual(rng, 3) for _ in range(5)])
-    qdet(stack)
-    # each member is measured against its own largest entry: a large
-    # neighbour does not hide a small defect
-    stack[0] *= 1e6
-    stack[3, 2, 0, 1, 1] += 1e-6
-    with pytest.raises(ValueError, match=r"blocks \(0,2\)/\(2,0\)"):
-        qdet(stack)
-    with pytest.raises(ValueError, match=r"blocks \(0,2\)/\(2,0\)"):
-        check_self_dual(stack[3])
-
-
-def test_check_self_dual_reports_shape_errors():
-    with pytest.raises(ValueError):
-        check_self_dual(np.zeros((2, 3, 2, 2)))
-    with pytest.raises(ValueError):
-        check_self_dual(np.zeros((2, 2, 3, 2)))
-
-
 @pytest.mark.parametrize("n", range(2, 34, 2))
 def test_stack_matches_matrix_by_matrix(n):
     # each matrix pivots on its own: real stacks give the per-matrix values
@@ -335,3 +246,26 @@ def test_stacked_laplace_matches_pairing_sum_and_elimination():
         for complex_entries in [False, True]:
             stack = random_antisymmetric(rng, n, complex_entries, (4,))
             assert np.allclose(pfaffian_laplace(stack), pfaffian(stack), rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("make, N", [(goe_kernel, 64), (ginoe_kernel, 32), (ginoe_kernel, 64)])
+def test_row_swaps_on_the_kernels_own_windows(make, N):
+    # verify's windows (every k consecutive probe points) pivot inside each
+    # point's own cell and swap no row at these sizes; ordered as all first
+    # rows of the cells, then all second rows, every window needs a row swap
+    # at the first step, so the sign kept on a swap is checked on the
+    # library's own matrices against the matching sum and against det(P) Pf(S)
+    bundle = make(N)
+    probe = probe_configuration(bundle.ensemble, N)
+    k = min(6, N // (4 if probe.complexes else 2))
+    cells = np.arange(len(probe) - k + 1)[:, None] + np.arange(k)
+    rows = (2 * cells[:, :, None] + np.arange(2)).reshape(len(cells), 2 * k)
+    S = bundle.assemble(probe)[rows[:, :, None], rows[:, None, :]]
+    order = np.r_[0 : 2 * k : 2, 1 : 2 * k : 2]
+    R = S[:, order[:, None], order]
+    assert np.all(np.argmax(np.abs(R[:, 1:, 0]), axis=1) != 0)
+    value = pfaffian(R)
+    reference = pfaffian_laplace(R)
+    assert np.all(np.abs(value - reference) <= 1e-12 * np.abs(reference))
+    sign = np.linalg.det(np.eye(2 * k)[order])
+    assert np.all(np.abs(value - sign * pfaffian(S)) <= 1e-12 * np.abs(value))

@@ -3,7 +3,8 @@
 A name counts as used when src/, bench/ or demos/ read it: as a name,
 an attribute, or a dotted string such as bench/units.py's
 need("ginoe_kernels.ginoe_rho").  Defining it is not a use.  The names
-that only bench/ reads are pinned too, so that a new one is noticed.
+that only the tests or only bench/ read are pinned, so that a new one is
+noticed, and each name pinned as test-only must be read by some test.
 """
 
 import ast
@@ -19,7 +20,6 @@ TEST_ONLY = {
     "ginibre.sinclair_prefactor",
     "reduction.factorisation_check",
     "montecarlo.pair_mass_estimate",
-    "pfaffian.qdet",
 }
 # library names that only bench/ reads
 BENCH_ONLY = {"ginoe_kernels.ginoe_rho"}
@@ -45,11 +45,14 @@ def used_names(tree):
             yield from node.value.split(".")
 
 
-def unused_names(folders):
+def sources(*folders):
+    return [path for folder in folders for path in (ROOT / folder).rglob("*.py")]
+
+
+def unused_names(paths):
     used = set()
-    for folder in folders:
-        for path in (ROOT / folder).rglob("*.py"):
-            used.update(used_names(ast.parse(path.read_text())))
+    for path in paths:
+        used.update(used_names(ast.parse(path.read_text())))
     return {
         "%s.%s" % (path.stem, name)
         for path in PACKAGE.glob("*.py")
@@ -59,8 +62,15 @@ def unused_names(folders):
 
 
 def test_public_names_are_used_outside_the_tests():
-    assert unused_names(("src", "bench", "demos")) == TEST_ONLY
+    assert unused_names(sources("src", "bench", "demos")) == TEST_ONLY
 
 
 def test_bench_only_names_are_pinned():
-    assert unused_names(("src", "demos")) - TEST_ONLY == BENCH_ONLY
+    assert unused_names(sources("src", "demos")) - TEST_ONLY == BENCH_ONLY
+
+
+def test_test_only_names_are_read_by_the_tests():
+    # a pinned name that no test reads is dead code; the pin list in this
+    # file is not a read
+    tests = [path for path in sources("tests") if path.name != pathlib.Path(__file__).name]
+    assert not unused_names(tests) & TEST_ONLY
