@@ -15,6 +15,7 @@ import cmath
 import json
 import math
 import sys
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,7 +24,7 @@ from . import __version__
 from .ginibre import SQRT_2PI, ginoe_gram
 from .ginoe_kernels import ginoe_kernel, ginoe_summed_S, interrelations_check
 from .kernels import PointConfiguration, density_integral, dyson_recurrence_check, goe_kernel
-from .montecarlo import GENERATOR, MIN_COMPARISON_SAMPLES, empirical_vs_analytic, ginibre_spectra, goe_tridiagonal
+from .montecarlo import GENERATOR, MIN_COMPARISON_SAMPLES, empirical_vs_analytic, ginibre_tallies, goe_tallies
 from .pfaffian import pfaffian, pfaffian_laplace
 from .reduction import probe_configuration, verify_odd_limit
 from .skewortho import goe_gram, skew_deviation
@@ -376,10 +377,9 @@ def cmd_verify(config):
 
 def cmd_mc_compare(config):
     """Sampled spectra against the analytic real-axis density."""
-    sampler = ginibre_spectra if config.ensemble == "ginoe" else goe_tridiagonal
-    sample = sampler(config.size, config.samples, config.seed)
-    bundle = kernel_bundle(config.ensemble, config.size)
-    report = empirical_vs_analytic(sample, bundle, bins=config.bins)
+    sampler = ginibre_tallies if config.ensemble == "ginoe" else goe_tallies
+    stream = partial(sampler, config.size, config.samples, config.seed)
+    report = empirical_vs_analytic(stream, kernel_bundle(config.ensemble, config.size), bins=config.bins)
     # every draw is used as drawn, so resamples is always 0; the key stays
     # because bench/run.py parses it
     extra = [
@@ -509,7 +509,7 @@ def main(argv=None):
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 3
     except MemoryError as exc:
-        # a grid or sample count too large to allocate
+        # a grid too large to allocate, or a machine short of memory
         print("out of memory: %s" % exc, file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -1,8 +1,10 @@
 """Monte Carlo sampling of GOE and real Ginibre spectra.
 
 The ground truth for the analytic kernels: no kernel formula is used
-here.  Both ensembles are scored by the total of real eigenvalues below
-each bin edge.
+here.  A batch is drawn, solved and tallied a block at a time, and only
+the sums of the tallies are kept: the reals below each bin edge and the
+histogram of real counts per sample.  Memory is bounded by BLOCK_ENTRIES
+whatever the sample count; time is linear in it.
 
 Real Ginibre matrices are solved by LAPACK dgeev, which returns real
 eigenvalues with imaginary part exactly 0 and complex ones with their
@@ -18,8 +20,6 @@ and squared off-diagonals from two streams spawned from
 SeedSequence(seed), all row-major: a batch of count n is the first n
 rows of any larger one at the same seed, whatever BLOCK_ENTRIES is.
 """
-
-from __future__ import annotations
 
 import math
 from dataclasses import dataclass
@@ -39,61 +39,75 @@ COUNT_SLACK = 1e-6  # absolute slack when the count variance vanishes (GOE)
 MIN_COMPARISON_SAMPLES = 10_000
 
 
-def ginibre_spectra(N, count, seed):
-    """Real Ginibre batch: the (count, N) complex spectra, solved a block at a time."""
+def ginibre_blocks(N, count, seed):
+    """Real Ginibre batch, a block at a time: (block, N) complex spectra, each
+    block drawn into one reused buffer and solved by stacked dgeev calls."""
     if N < 1:
         raise ValueError("N must be positive")
     draw = default_rng(seed).standard_normal
-    spectra = np.empty((count, N), dtype=complex)
     step = max(1, BLOCK_ENTRIES // (N * N))
     block = np.empty((min(step, count), N, N))
     for lo in range(0, count, step):
-        chunk = draw(out=block[: count - lo])
-        spectra[lo : lo + len(chunk)] = np.linalg.eigvals(chunk)
-    return spectra
+        yield np.linalg.eigvals(draw(out=block[: count - lo]))
 
 
-def goe_tridiagonal(N, count, seed):
-    """GOE batch as tridiagonal models: (count, N) diagonals a of standard
-    normals and (count, N - 1) squared off-diagonals b2_k = chi^2_{N-k}/2,
-    Gamma((N - k)/2) variates.  Only b2 enters the pivots: no square root."""
+def ginibre_spectra(N, count, seed):
+    """The whole (count, N) batch of `ginibre_blocks`."""
+    return np.concatenate([np.empty((0, N), complex), *ginibre_blocks(N, count, seed)])
+
+
+def spectra_tally(spectra, edges):
+    """A block of spectra as the reals below each edge and the histogram of
+    real counts per sample."""
+    real = np.imag(spectra) == 0
+    below = np.searchsorted(np.sort(spectra.real[real]), edges)
+    return below, np.bincount(np.count_nonzero(real, axis=1), minlength=spectra.shape[1] + 1)
+
+
+def ginibre_tallies(N, count, seed, edges):
+    """`ginibre_blocks` tallied block by block."""
+    return (spectra_tally(spectra, edges) for spectra in ginibre_blocks(N, count, seed))
+
+
+def goe_tallies(N, count, seed, edges):
+    """GOE batch as tridiagonal models, tallied a block at a time: (m, N)
+    diagonals of standard normals and (m, N - 1) squared off-diagonals
+    b2_k = chi^2_{N-k}/2, Gamma((N - k)/2) variates, transposed so that each
+    index is a contiguous row of samples.  Every sample has N reals."""
     if N < 1:
         raise ValueError("N must be positive")
     diag, off = (default_rng(s) for s in SeedSequence(seed).spawn(2))
-    return diag.standard_normal((count, N)), off.standard_gamma(0.5 * np.arange(N - 1, 0, -1), (count, N - 1))
-
-
-def sturm_totals(a, b2, edges):
-    """Eigenvalues below each edge, summed over a batch of tridiagonal matrices:
-    the negative pivots q_1 = a_1 - x, q_i = a_i - x - b2_{i-1}/q_{i-1}.  Pivots are
-    kept at least pivmin in size, as in LAPACK's bisection, keeping their sign; an
-    exact zero becomes +pivmin, which only raises eigenvalues: one at x is not below x."""
-    a, b2 = a.T.copy(), b2.T.copy()  # (N, count): each index a contiguous row of samples
-    N, count = a.shape
     x = np.asarray(edges, dtype=float)[:, None]
-    pivmin = np.finfo(float).tiny * b2.max(initial=1.0)
-    below = np.zeros(len(x), dtype=np.int64)
-    step = max(1, BLOCK_ENTRIES // len(x))
+    step = max(1, min(count, BLOCK_ENTRIES // len(x)))
+    work = tuple(np.empty((len(x), step), dtype) for dtype in (float, float, bool, np.int32))
+    shapes = 0.5 * np.arange(N - 1, 0, -1)
     for lo in range(0, count, step):
-        diag, off = a[:, lo : lo + step], b2[:, lo : lo + step]
-        q = diag[0] - x  # (edges, samples) pivots
-        ratio, mask, counts = np.empty_like(q), np.empty(q.shape, bool), np.zeros(q.shape, np.int32)
-        for i in range(N):
-            if i:
-                np.divide(off[i - 1], q, out=ratio)
-                np.subtract(diag[i], x, out=q)
-                q -= ratio
-            np.less(np.abs(q, out=ratio), pivmin, out=mask)
-            if mask.any():
-                q[mask] = np.copysign(pivmin, q[mask])
-            counts += np.less(q, 0.0, out=mask)
-        below += counts.sum(axis=1)
-    return below
+        m = min(step, count - lo)
+        a, b2 = diag.standard_normal((m, N)).T.copy(), off.standard_gamma(shapes, (m, N - 1)).T.copy()
+        yield sturm_totals(a, b2, x, work), m * np.bincount([N], minlength=N + 1)
 
 
-def real_counts(spectra):
-    """Number of real eigenvalues in each row of a batch of spectra."""
-    return np.count_nonzero(np.imag(spectra) == 0, axis=1)
+def sturm_totals(a, b2, x, work):
+    """Eigenvalues below each edge of the column x, summed over a block of tridiagonal
+    matrices, (N, m) diagonals a and (N - 1, m) squared off-diagonals b2: the negative
+    pivots q_1 = a_1 - x, q_i = a_i - x - b2_{i-1}/q_{i-1} (no square root).  Pivots are
+    kept at least pivmin (tiny x the block's largest b2) in size, as in LAPACK's bisection,
+    keeping their sign; an exact zero becomes +pivmin, which only raises eigenvalues: one
+    at x is not below x.  work holds (edges, >= m) pivot, ratio, mask and count arrays."""
+    pivmin = np.finfo(float).tiny * b2.max(initial=1.0)
+    q, ratio, mask, counts = (w[:, : a.shape[1]] for w in work)
+    counts.fill(0)
+    np.subtract(a[0], x, out=q)
+    for i in range(len(a)):
+        if i:
+            np.divide(b2[i - 1], q, out=ratio)
+            np.subtract(a[i], x, out=q)
+            q -= ratio
+        np.less(np.abs(q, out=ratio), pivmin, out=mask)
+        if mask.any():
+            q[mask] = np.copysign(pivmin, q[mask])
+        counts += np.less(q, 0.0, out=mask)
+    return counts.sum(axis=1)
 
 
 def expected_bin_masses(bundle, edges):
@@ -135,29 +149,24 @@ class ComparisonReport:
         return not self.flagged and self.count_within
 
 
-def empirical_vs_analytic(sample, bundle, bins=40, span=DEFAULT_SPAN):
-    """Score a sample against the kernel's real-eigenvalue density.
+def empirical_vs_analytic(stream, bundle, bins=40, span=DEFAULT_SPAN):
+    """Score a block stream against the kernel's real-eigenvalue density.
 
-    A batch of spectra is read through its sorted reals, a `goe_tridiagonal`
-    pair through Sturm counts, as totals of reals below each edge.  Each
-    left-closed bin is scored under a Poisson width floored at one count (loose:
-    repulsion makes the true variance smaller), and the mean real count per
-    matrix against the full-line integral within three standard errors, plus a
-    small absolute slack for GOE, where it is N with no variance.
+    `stream(edges)` yields the tallies of `ginibre_tallies` or `goe_tallies`.
+    Each left-closed bin is scored under a Poisson width floored at one count
+    (loose: repulsion makes the true variance smaller), and the mean real
+    count per matrix against the full-line integral within three standard
+    errors, from the exact sums of k and k^2 over the histogram, plus a small
+    absolute slack for GOE, where it is N with no variance.
     """
-    tridiagonal = isinstance(sample, tuple)
-    rows = sample[0] if tridiagonal else np.asarray(sample)
-    samples, N = rows.shape
+    edges = np.linspace(*span, bins + 1) if isinstance(bins, int) else np.asarray(bins, dtype=float)
+    below, histogram = 0, 0
+    for block_below, block_histogram in stream(edges):
+        below, histogram = below + block_below, histogram + block_histogram
+    samples = int(np.sum(histogram))
     if samples < MIN_COMPARISON_SAMPLES:
         raise ValueError(f"need at least {MIN_COMPARISON_SAMPLES} samples")
-    edges = np.linspace(*span, bins + 1) if isinstance(bins, int) else np.asarray(bins, dtype=float)
-    if tridiagonal:
-        below, mean, stderr, total = sturm_totals(*sample, edges), float(N), 0.0, N * samples
-    else:
-        below = np.searchsorted(np.sort(rows.real[np.imag(rows) == 0]), edges)
-        per_sample = real_counts(rows)
-        mean, total = float(per_sample.mean()), int(per_sample.sum())
-        stderr = float(per_sample.std(ddof=1) / math.sqrt(samples))
+    total, squares = (int(histogram @ np.arange(len(histogram)) ** p) for p in (1, 2))
     counts = np.diff(below)
     expected = samples * expected_bin_masses(bundle, edges)
     z = (counts - expected) / np.sqrt(np.maximum(expected, 1.0))
@@ -170,9 +179,9 @@ def empirical_vs_analytic(sample, bundle, bins=40, span=DEFAULT_SPAN):
         expected=tuple(float(e) for e in expected),
         z_scores=tuple(float(v) for v in z),
         flagged=tuple(int(i) for i in np.flatnonzero(np.abs(z) > Z_FLAG)),
-        mean_real_count=mean,
+        mean_real_count=total / samples,
         expected_real_count=float(density_integral(bundle)),
-        count_stderr=stderr,
+        count_stderr=math.sqrt((samples * squares - total * total) / (samples * samples * (samples - 1))),
         overflow=int(below[0] + total - below[-1]),
     )
 

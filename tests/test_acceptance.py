@@ -9,6 +9,7 @@ seeded Monte Carlo sampling.
 
 import math
 import time
+from functools import partial
 
 import numpy as np
 
@@ -28,8 +29,8 @@ from betaone.kernels import (
 )
 from betaone.montecarlo import (
     empirical_vs_analytic,
-    ginibre_spectra,
-    goe_tridiagonal,
+    ginibre_tallies,
+    goe_tallies,
 )
 from betaone.pfaffian import (
     pfaffian,
@@ -274,14 +275,14 @@ def test_criterion_09_block_interrelations():
 def test_criterion_10_monte_carlo_ground_truth():
     start = time.time()
     runs = (
-        (ginibre_spectra, 3, ginoe_kernel(3), 2101),
-        (ginibre_spectra, 4, ginoe_kernel(4), 2102),
-        (goe_tridiagonal, 3, goe_kernel(3), 2103),
+        (ginibre_tallies, 3, ginoe_kernel(3), 2101),
+        (ginibre_tallies, 4, ginoe_kernel(4), 2102),
+        (goe_tallies, 3, goe_kernel(3), 2103),
     )
     details = []
     for sampler, N, bundle, seed in runs:
-        samples = sampler(N, 100_000, seed)
-        comparison = empirical_vs_analytic(samples, bundle, bins=40)
+        # the block stream mc-compare reads
+        comparison = empirical_vs_analytic(partial(sampler, N, 100_000, seed), bundle, bins=40)
         assert comparison.flagged == (), (bundle.ensemble, N)
         assert comparison.count_within, (bundle.ensemble, N)
         details.append(

@@ -776,20 +776,37 @@ def test_every_option_but_out_is_echoed(command):
         assert listed and listed <= {"--" + key for key in keys}, listed - {"--" + key for key in keys}
 
 
+def allocation_fails(*args, **kwargs):
+    raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+
+def stub_grid(monkeypatch):
+    monkeypatch.setattr(np, "linspace", allocation_fails)
+
+
+def stub_block_buffers(monkeypatch):
+    # mc-compare's memory is its sampler's block buffers, whatever --samples
+    # is: np.empty fails from the moment the sampler is called, which is
+    # after the kernel is built
+    sampler = cli.goe_tallies
+
+    def failing_sampler(*args):
+        monkeypatch.setattr(np, "empty", allocation_fails)
+        return sampler(*args)
+
+    monkeypatch.setattr(cli, "goe_tallies", failing_sampler)
+
+
 @pytest.mark.parametrize(
-    "argv, target",
+    "argv, stub",
     [
-        (["density", "--grid=-4:4:10000000000000"], (np, "linspace")),
-        (["mc-compare", "--samples", "100000000000000"], (cli, "goe_tridiagonal")),
+        (["density", "--grid=-4:4:10000000000000"], stub_grid),
+        (["mc-compare", "--samples", "10000"], stub_block_buffers),
     ],
     ids=["density", "mc-compare"],
 )
-def test_allocation_failure_exits_3(monkeypatch, argv, target):
-    # the allocation is stubbed out: the real one would ask for terabytes
-    def failing(*args, **kwargs):
-        raise MemoryError("Unable to allocate 72.8 TiB for an array")
-
-    monkeypatch.setattr(*target, failing)
+def test_allocation_failure_exits_3(monkeypatch, argv, stub):
+    stub(monkeypatch)
     code, text, err = run_cli(argv)
     assert code == 3 and text == ""
     assert "out of memory" in err and "Unable to allocate" in err

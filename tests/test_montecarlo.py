@@ -6,28 +6,35 @@ the two-eigenvalue symmetric ensemble in ordered coordinates, and the
 two sector masses of the size-2 plane ensemble whose sum must
 reproduce the exact normalization before the sector fraction is
 trusted.  The GOE counts are checked against LAPACK on the same
-tridiagonal matrices, and against dense GOE matrices drawn here.
+tridiagonal matrices, and against dense GOE matrices drawn here.  The
+samplers are read as the command reads them: block streams of tallies.
 """
 
+import contextlib
+import io
 import math
+import tracemalloc
 import warnings
+from functools import partial
 
 import mpmath
 import numpy as np
 import pytest
 from scipy import special
 
-from betaone import montecarlo
+from betaone import cli, montecarlo
 from betaone.ginibre import sinclair_prefactor
 from betaone.ginoe_kernels import ginoe_kernel
 from betaone.kernels import density_integral, goe_kernel
 from betaone.montecarlo import (
     MIN_COMPARISON_SAMPLES,
     empirical_vs_analytic,
+    ginibre_blocks,
     ginibre_spectra,
-    goe_tridiagonal,
+    ginibre_tallies,
+    goe_tallies,
     pair_mass_estimate,
-    real_counts,
+    spectra_tally,
     sturm_totals,
 )
 from betaone.quadrature import gauss_legendre_rule
@@ -51,6 +58,29 @@ def totals_below(eigenvalues, edges):
     return np.array([np.count_nonzero(eigenvalues < e) for e in edges])
 
 
+def goe_draw(N, count, seed):
+    # the GOE streams as documented: standard normals and Gamma((N - k)/2)
+    # variates from two streams spawned from SeedSequence(seed), row-major
+    diag, off = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
+    return diag.standard_normal((count, N)), off.standard_gamma(0.5 * np.arange(N - 1, 0, -1), (count, N - 1))
+
+
+def sturm_below(a, b2, edges):
+    # sturm_totals on a (count, N) draw taken as one block
+    x = np.asarray(edges, dtype=float)[:, None]
+    work = tuple(np.empty((len(x), len(a)), dtype) for dtype in (float, float, bool, np.int32))
+    return sturm_totals(a.T.copy(), b2.T.copy(), x, work)
+
+
+def summed(tallies):
+    # a block stream's reals below each edge and its real-count histogram
+    return tuple(sum(part) for part in zip(*tallies))
+
+
+def real_counts(spectra):
+    return np.count_nonzero(np.imag(spectra) == 0, axis=1)
+
+
 def test_spectra_follow_per_matrix_streams(monkeypatch):
     # the Ginibre batch is default_rng(seed)'s standard normals, matrix
     # after matrix; the GOE draw is two streams spawned from
@@ -58,38 +88,50 @@ def test_spectra_follow_per_matrix_streams(monkeypatch):
     # each row-major.  Both are the same at any block size (N=8 and N=64
     # span blocks of 1024 and 16 matrices by default, 41 edges a Sturm
     # pass of 1598 samples), and a smaller batch is the prefix of a
-    # larger one; the seed 2^32 + 11 takes two words in numpy's seed hash
+    # larger one; the seed 2^32 + 11 takes two words in numpy's seed hash.
+    # The GOE tallies are the Sturm counts of that draw taken whole
     totals = {}
     for block_entries in (montecarlo.BLOCK_ENTRIES, 1000):
         monkeypatch.setattr(montecarlo, "BLOCK_ENTRIES", block_entries)
         for N, count, seed in ((3, 50, 7), (8, 1030, 2**32 + 11), (64, 40, 11)):
             G = np.random.default_rng(seed).standard_normal((count, N, N))
-            diag, off = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
-            a = diag.standard_normal((count, N))
-            b2 = off.standard_gamma(0.5 * np.arange(N - 1, 0, -1), (count, N - 1))
+            a, b2 = goe_draw(N, count, seed)
             edges = goe_edges(N)
             for n in (count, count - 3):
-                assert np.array_equal(ginibre_spectra(N, n, seed), np.linalg.eigvals(G[:n]))
-                draw = goe_tridiagonal(N, n, seed)
-                assert np.array_equal(draw[0], a[:n]) and np.array_equal(draw[1], b2[:n])
-                below = sturm_totals(*draw, edges)
-                assert np.array_equal(below, sturm_totals(a[:n], b2[:n], edges))
+                spectra = np.linalg.eigvals(G[:n])
+                assert np.array_equal(ginibre_spectra(N, n, seed), spectra)
+                below, histogram = summed(ginibre_tallies(N, n, seed, edges))
+                assert np.array_equal(below, totals_below(spectra.real[np.imag(spectra) == 0], edges))
+                assert np.array_equal(histogram, np.bincount(real_counts(spectra), minlength=N + 1))
+                below, histogram = summed(goe_tallies(N, n, seed, edges))
+                assert np.array_equal(below, sturm_below(a[:n], b2[:n], edges))
+                assert histogram.tolist() == [0] * N + [n]
                 assert np.array_equal(below, totals.setdefault((N, n), below))
     assert len(totals) == 6
 
 
+def test_blocks_are_bounded_by_block_entries():
+    # every block holds at most BLOCK_ENTRIES matrix entries (one matrix at
+    # least), and together the blocks hold the batch
+    for N, count in ((2, 16_390), (8, 2050), (260, 2)):
+        blocks = list(ginibre_blocks(N, count, 5))
+        assert max(len(b) for b in blocks) == max(1, min(count, montecarlo.BLOCK_ENTRIES // (N * N)))
+        assert sum(len(b) for b in blocks) == count
+
+
 def test_negative_seed_is_rejected():
-    for sampler in (ginibre_spectra, goe_tridiagonal):
+    for sampler in (ginibre_tallies, goe_tallies):
         with pytest.raises(ValueError, match="non-negative"):
-            sampler(3, 5, -1)
+            next(sampler(3, 5, -1, goe_edges(3)))
 
 
 def test_sturm_totals_equal_eigvalsh_counts():
     for N, count in ((1, 300), (2, 300), (3, 300), (8, 200), (64, 40)):
-        a, b2 = goe_tridiagonal(N, count, seed=N)
+        a, b2 = goe_draw(N, count, seed=N)
         edges = goe_edges(N)
         eigenvalues = np.linalg.eigvalsh(tridiagonal_matrices(a, b2))
-        assert np.array_equal(sturm_totals(a, b2, edges), totals_below(eigenvalues, edges)), N
+        below, _ = summed(goe_tallies(N, count, N, edges))
+        assert np.array_equal(below, totals_below(eigenvalues, edges)), N
 
 
 def test_zero_pivots_count_like_eigvalsh():
@@ -101,7 +143,7 @@ def test_zero_pivots_count_like_eigvalsh():
     eigenvalues = np.linalg.eigvalsh(tridiagonal_matrices(a, b2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        below = sturm_totals(a, b2, edges)
+        below = sturm_below(a, b2, edges)
     assert below.tolist() == totals_below(eigenvalues, edges).tolist() == [0, 2, 3, 7, 9]
 
 
@@ -122,7 +164,7 @@ def test_sturm_totals_match_dense_goe_in_distribution():
     for N, count, seed in ((4, 20_000, 2601), (16, 5_000, 2602)):
         G = np.random.default_rng(seed).standard_normal((count, N, N))
         dense, _ = np.histogram(np.linalg.eigvalsh(0.5 * (G + np.swapaxes(G, -1, -2))), goe_edges(N))
-        counted = np.diff(sturm_totals(*goe_tridiagonal(N, count, seed), goe_edges(N)))
+        counted = np.diff(summed(goe_tallies(N, count, seed, goe_edges(N)))[0])
         statistic, dof = two_sample_chi2(dense, counted)
         assert statistic <= 2.0 * special.gammainccinv(0.5 * dof, 0.5 * alpha), (N, statistic, dof)
 
@@ -132,11 +174,13 @@ def test_reals_are_read_from_structure():
     # times the norm would have counted two reals
     a, eps = 0.7, 1e-12
     eigs = np.linalg.eigvals(np.array([[a, eps], [-eps, a]]))
-    assert real_counts(eigs[None]).tolist() == [0]
+    below, histogram = spectra_tally(eigs[None], [1.0])
+    assert below.tolist() == [0] and histogram.tolist() == [1, 0, 0]
     assert eigs[0] == eigs[1].conjugate() and eigs[0].imag != 0.0
     for N in (2, 3, 8):
         spectra = ginibre_spectra(N, 2000, seed=N)
-        assert np.all((N - real_counts(spectra)) % 2 == 0)
+        # real counts of the parity of N alone
+        assert not summed(ginibre_tallies(N, 2000, N, []))[1][N - 1 :: -2].any()
         # every pair representative has its exact conjugate in its row
         assert np.array_equal(
             np.sort_complex(spectra), np.sort_complex(spectra.conj())
@@ -144,12 +188,11 @@ def test_reals_are_read_from_structure():
 
 
 def test_sample_goe_size_one_is_single_real():
-    a, b2 = goe_tridiagonal(1, 3, 7)
     draws = np.random.default_rng(np.random.SeedSequence(7).spawn(2)[0]).standard_normal(3)
-    assert a.tolist() == [[x] for x in draws] and b2.shape == (3, 0)
     # each 1 x 1 matrix is its own eigenvalue: counted strictly below
     edges = np.sort(np.concatenate([draws, [-5.0, 5.0]]))
-    assert sturm_totals(a, b2, edges).tolist() == [0, 0, 1, 2, 3]
+    below, histogram = summed(goe_tallies(1, 3, 7, edges))
+    assert below.tolist() == [0, 0, 1, 2, 3] and histogram.tolist() == [0, 3]
 
 
 def test_sample_ginibre_size_one_and_determinism():
@@ -180,7 +223,7 @@ def ordered_pair_moment(power):
 
 def test_goe_two_by_two_largest_eigenvalue_mean():
     # the larger eigenvalue of each 2 x 2 tridiagonal model, in closed form
-    a, b2 = goe_tridiagonal(2, 100_000, seed=17)
+    a, b2 = goe_draw(2, 100_000, seed=17)
     largest = 0.5 * (a[:, 0] + a[:, 1]) + np.sqrt(0.25 * (a[:, 0] - a[:, 1]) ** 2 + b2[:, 0])
     oracle = ordered_pair_moment(1) / ordered_pair_moment(0)
     stderr = largest.std(ddof=1) / math.sqrt(largest.size)
@@ -212,37 +255,68 @@ def test_ginibre_two_by_two_real_fraction():
     assert np.isclose(sinclair_prefactor(2) * (two_real + pair), 1.0,
                       rtol=1e-10, atol=0)
     p_real = sinclair_prefactor(2) * two_real
-    samples = ginibre_spectra(2, 100_000, seed=29)
-    hits = (real_counts(samples) == 2).astype(float)
-    stderr = hits.std(ddof=1) / math.sqrt(hits.size)
-    assert abs(hits.mean() - p_real) <= 3.0 * stderr
+    _, histogram = summed(ginibre_tallies(2, 100_000, 29, []))
+    assert histogram.sum() == 100_000 and histogram[1] == 0
+    hits = histogram[2] / 100_000
+    stderr = math.sqrt(hits * (1.0 - hits) / (100_000 - 1))
+    assert abs(hits - p_real) <= 3.0 * stderr
 
 
 def test_empirical_density_bookkeeping():
     rows = np.array([[-0.5, 0.5], [0.4, 5.0], [1j, -1j]])
     index = np.arange(MIN_COMPARISON_SAMPLES) % 3
     copies = np.bincount(index)
-    report = empirical_vs_analytic(rows[index], goe_kernel(2), bins=np.linspace(-1.0, 1.0, 5))
+
+    def stream(edges):
+        # two blocks
+        return (spectra_tally(rows[part], edges) for part in np.array_split(index, 2))
+
+    report = empirical_vs_analytic(stream, goe_kernel(2), bins=np.linspace(-1.0, 1.0, 5))
     # edges at -1, -0.5, 0, 0.5, 1; bins are closed on the left
     assert report.observed == (0, copies[0], copies[1], copies[0])
     assert report.overflow == copies[1]
+    # the count statistics from the histogram's sums are numpy's to rounding
+    per_sample = real_counts(rows[index])
+    assert report.mean_real_count == per_sample.mean()
+    stderr = per_sample.std(ddof=1) / math.sqrt(len(index))
+    assert report.count_stderr == pytest.approx(stderr, rel=1e-15)
 
 
 def test_comparison_requires_enough_samples():
-    samples = goe_tridiagonal(2, 100, seed=1)
     with pytest.raises(ValueError):
-        empirical_vs_analytic(samples, goe_kernel(2), bins=10)
+        empirical_vs_analytic(partial(goe_tallies, 2, 100, 1), goe_kernel(2), bins=10)
 
 
 def test_comparison_report_round_trip():
-    samples = goe_tridiagonal(2, 10_000, seed=19)
-    report = empirical_vs_analytic(samples, goe_kernel(2), bins=20)
+    report = empirical_vs_analytic(partial(goe_tallies, 2, 10_000, 19), goe_kernel(2), bins=20)
     assert report.flagged == ()
-    assert report.mean_real_count == 2.0
+    assert report.mean_real_count == 2.0 and report.count_stderr == 0.0
     assert report.count_within and report.passed
     assert report.samples == 10_000
     assert len(report.z_scores) == 20
     assert sum(report.observed) + report.overflow == 2 * 10_000
+
+
+def traced_peak(argv):
+    tracemalloc.reset_peak()
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(argv)
+    return tracemalloc.get_traced_memory()[1]
+
+
+def test_mc_compare_memory_is_flat_in_samples():
+    # the command keeps only the tallies of each block, so its traced peak
+    # does not grow with --samples; a run holding the batch grows by
+    # megabytes from 10^4 to 4 x 10^4 samples.  The first run builds what
+    # the later ones reuse
+    for ensemble, size in (("goe", 4), ("ginoe", 8)):
+        argv = ["mc-compare", "--ensemble", ensemble, "--size", str(size), "--seed", "3", "--samples"]
+        tracemalloc.start()
+        try:
+            _, small, large = (traced_peak(argv + [n]) for n in ("10000", "10000", "40000"))
+        finally:
+            tracemalloc.stop()
+        assert abs(large - small) <= 64 * 1024, (ensemble, small, large)
 
 
 def eks_real_count(N):

@@ -122,8 +122,10 @@ def test_permutation_congruence_flips_sign():
         perm = rng.permutation(n)
         P = np.eye(n)[perm]
         sign = _perm_sign(tuple(perm))
+        # against the expansion, not the elimination itself: a sign lost on a
+        # row swap would cancel between the two sides
         assert np.isclose(
-            pfaffian(P @ A @ P.T), sign * pfaffian(A), rtol=1e-10, atol=1e-12
+            pfaffian(P @ A @ P.T), sign * pfaffian_laplace(A), rtol=1e-10, atol=1e-12
         )
 
 

@@ -22,7 +22,7 @@ TEST_ONLY = {
     "montecarlo.pair_mass_estimate",
 }
 # library names that only bench/ reads
-BENCH_ONLY = {"ginoe_kernels.ginoe_rho"}
+BENCH_ONLY = {"ginoe_kernels.ginoe_rho", "montecarlo.ginibre_spectra"}
 
 
 def defined_names(tree):
