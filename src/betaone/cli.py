@@ -22,8 +22,8 @@ import numpy as np
 
 from . import __version__
 from .ginibre import SQRT_2PI, ginoe_gram
-from .ginoe_kernels import ginoe_kernel, ginoe_summed_S, interrelations_check
-from .kernels import PointConfiguration, density_integral, dyson_recurrence_check, goe_kernel
+from .ginoe_kernels import ginoe_kernel, ginoe_summed_S
+from .kernels import PointConfiguration, density_integral, dyson_recurrence_check, goe_kernel, interrelations_check
 from .montecarlo import GENERATOR, MIN_COMPARISON_SAMPLES, empirical_vs_analytic, ginibre_tallies, goe_tallies
 from .pfaffian import pfaffian, pfaffian_laplace
 from .reduction import probe_configuration, verify_odd_limit
@@ -40,7 +40,7 @@ GATES = {
     "gram-deviation": 1e-12,  # 2.1e-14 (GOE N = 60)
     "density-normalization": 1e-13,  # 8.9e-16
     "integrate-out-recurrence": 1e-13,  # 1.1e-15
-    "block-interrelations": 1e-12,  # 1.6e-13 (N = 16), five-point stencil
+    "block-interrelations": 1e-13,  # 1.2e-14 (GOE N = 52), partner rows against their W rows
     # relative to the GinOE kernel scale 1/sqrt(2 pi); density --path both too
     "closed-form-agreement": 1e-13,  # 1.2e-15 (N = 63)
     # relative to the target matrix's largest entry
@@ -304,22 +304,17 @@ def _suite_skew(bundle):
 
 
 def _suite_kernels(bundle):
+    # all pairs of a real grid across the spectrum and, in the plane, its copy at +0.5i
+    reals = np.linspace(-1.3, 1.3, 9) * math.sqrt(bundle.N)
+    points = (reals, reals + 0.5j) if bundle.ensemble == "ginoe" else (reals,)
+    relations = interrelations_check(bundle, *points)
+    checks = [_check("kernels", "block-interrelations", max(relations.values()))]
     if bundle.ensemble == "goe":
         gap = abs(density_integral(bundle) - bundle.N) / bundle.N
-        worst = 0.0
-        for x in (-1.1, 0.37):
-            report = dyson_recurrence_check(bundle, 1, (x,))
-            worst = max(worst, report["relative_deviation"])
-        return [
-            _check("kernels", "density-normalization", gap),
-            _check("kernels", "integrate-out-recurrence", worst),
-        ]
-    relations = interrelations_check(bundle, (0.3, -0.8), (0.4 + 0.6j,))
-    checks = [_check("kernels", "block-interrelations", max(relations.values()))]
-    if bundle.N >= 2:
-        # all pairs of a real grid across the spectrum and the same grid at +0.5i
-        reals = np.linspace(-1.3, 1.3, 9) * math.sqrt(bundle.N)
-        points = (reals, reals + 0.5j)
+        worst = max(dyson_recurrence_check(bundle, 1, (x,))["relative_deviation"] for x in (-1.1, 0.37))
+        checks.append(_check("kernels", "density-normalization", gap))
+        checks.append(_check("kernels", "integrate-out-recurrence", worst))
+    elif bundle.N >= 2:
         worst = max(
             np.abs(bundle.scalar_kernel(mu[:, None], eta) - ginoe_summed_S(bundle.N, mu[:, None], eta)).max()
             for mu in points

@@ -5,8 +5,9 @@ plane.  The convention here is by dtype: a float argument is a real
 eigenvalue, a complex argument is a complex one (even if its imaginary
 part is tiny).  Every point contributes the rows (W, P) of the kernel
 engine in kernels: W the family polynomials times the pair weight, P
-their partners, minus the half-range transform at a real point and i
-times W at the conjugate of a complex point.  The 2x2 cell layout is
+their partners, minus the half-range transform eps W at a real point and
+i conj(W) at a complex one (kernels.interrelations_check tests both).
+The 2x2 cell layout is
 
     [[ d(s,t),  s(s,t) ],
      [ -s(t,s), i(s,t) ]]
@@ -21,10 +22,7 @@ import numpy as np
 
 from .ginibre import SQRT_2PI, ginoe_coefficients, ginoe_rows, pair_weight
 from .kernels import KernelBundle, family_basis, rho
-from .quadrature import gauss_legendre_rule
 from .specfun import gaussian_tail_moments, weighted_powers
-
-FD_STEP = 1e-3
 
 
 def ginoe_kernel(N):
@@ -74,41 +72,6 @@ def ginoe_summed_S(N, mu, eta):
     partial = gaussian_tail_moments(N - 1, 0.0)[-1] - gaussian_tail_moments(N - 1, z)[..., -1]
     edge = mu_rows[..., -1] * np.sqrt(N - 1) * partial
     return (head + edge) / SQRT_2PI
-
-
-def interrelations_check(bundle, reals, complexes):
-    """Derivative, integral, and conjugation relations among the blocks.
-
-    Checked on all pairs of the given points at once, with the
-    five-point stencil (step FD_STEP, error of order FD_STEP^4) and a
-    64-node Gauss-Legendre rule; returns the worst absolute deviation
-    per relation.
-    """
-    s, d, i_ = bundle.scalar_kernel, bundle.derivative_kernel, bundle.integral_kernel
-    x = np.asarray(reals, dtype=float)[:, None]
-    w = np.asarray(complexes, dtype=complex)[:, None]
-    y, z, h = x.T, w.T, FD_STEP
-
-    def s_prime(mu):
-        # derivative of s(mu, .) at y
-        return (8.0 * (s(mu, y + h) - s(mu, y - h)) - (s(mu, y + 2 * h) - s(mu, y - 2 * h))) / (12.0 * h)
-
-    # integral of s(., y) along [x, y]
-    rule = gauss_legendre_rule(64, -1.0, 1.0)
-    nodes, weights = rule.nodes, rule.weights
-    half = 0.5 * (y - x)[..., None]
-    path = (s(0.5 * (x + y)[..., None] + half * nodes, y[..., None]) * weights * half).sum(-1)
-    relations = {
-        "derivative-real-real": d(x, y) + s_prime(x),
-        "integral-real-real": np.where(x != y, i_(x, y) - path - 0.5 * np.sign(x - y), 0.0),
-        "derivative-real-complex": d(x, z) + 1j * s(x, np.conjugate(z)),
-        "derivative-complex-real": d(w, y) + s_prime(w),
-        "derivative-complex-complex": d(w, z) + 1j * s(w, np.conjugate(z)),
-        "integral-complex-real": i_(w, y) - 1j * s(np.conjugate(w), y),
-        "integral-complex-complex": i_(w, z) - 1j * s(np.conjugate(w), z),
-        "integral-mixed-antisymmetry": i_(x, z) + i_(w, y).T,
-    }
-    return {key: float(np.abs(value).max(initial=0.0)) for key, value in relations.items()}
 
 
 def ginoe_rho(bundle, config):

@@ -15,7 +15,9 @@ sent to +infinity leaves behind (see reduction).
 
 The kernel blocks are cell entries of A: the line ensembles here use
 the cell [[-I, S], [-S^T, D]] on rows (partner, W), the plane ensemble
-(ginoe_kernels) [[D, S], [-S^T, I]] on rows (W, partner).
+(ginoe_kernels) [[D, S], [-S^T, I]] on rows (W, partner).  At a real
+point each partner row is +eps W (line) or -eps W (plane), eps W an
+antiderivative of its W row; interrelations_check tests that identity.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pfaffian import pfaffian, standard_pairing
-from .quadrature import integrate_line
+from .quadrature import integrate_line, panel_rule
 from .skewortho import gaussian_line_rows, goe_coefficients
 
 # layout -> (slot of the partner row in the cell, sign of the integrated
@@ -272,6 +274,46 @@ def density_integral(bundle):
     return integrate_line(
         lambda x: np.real(bundle.scalar_kernel(x, x)), tol=1e-9, breakpoints=(0.0,), degree=2 * bundle.N + 2
     )
+
+
+def interrelations_check(bundle, reals, complexes=()):
+    """Derivative, integral and conjugation relations among the blocks.
+
+    partner-antiderivative: between neighbouring reals (two or more,
+    distinct, in any order) each partner row moves by -integral_sign
+    times the integral of its W row, taken by two Gauss-Legendre panels
+    per gap (panel_rule).  integral-real-real: i(x, y) = integral_sign
+    sgn(x - y) / 2 - form(P(x), int_x^y W) at every pair of reals, from
+    the same gap integrals.  Complex points (the plane only) add the
+    conjugation relations on all pairs.  Returns the worst absolute
+    deviation per relation.
+    """
+    basis, s, d, i_ = bundle.family, bundle.scalar_kernel, bundle.derivative_kernel, bundle.integral_kernel
+    p, sign = basis.partner_slot, basis.integral_sign
+    y = np.sort(np.asarray(reals, dtype=float))
+    rule = panel_rule(y, 2)
+    weighted = basis.rows(rule.nodes)[:, 1 - p] * rule.weights[:, None]
+    gaps = weighted.reshape(len(y) - 1, -1, weighted.shape[-1]).sum(1)
+    P = basis.rows(y)[:, p]
+    # the integral of the W rows from the first real to each real
+    cumulative = np.concatenate([np.zeros_like(gaps[:1]), np.cumsum(gaps, axis=0)])
+    span = basis.form(P[:, None], cumulative - cumulative[:, None])
+    x = y[:, None]
+    relations = {
+        "partner-antiderivative": np.diff(P, axis=0) + sign * gaps,
+        "integral-real-real": i_(x, y) + span - sign * 0.5 * np.sign(x - y),
+    }
+    if len(complexes):
+        z = np.asarray(complexes, dtype=complex)
+        w = z[:, None]
+        relations.update({
+            "derivative-real-complex": d(x, z) + 1j * s(x, np.conjugate(z)),
+            "derivative-complex-complex": d(w, z) + 1j * s(w, np.conjugate(z)),
+            "integral-complex-real": i_(w, y) - 1j * s(np.conjugate(w), y),
+            "integral-complex-complex": i_(w, z) - 1j * s(np.conjugate(w), z),
+            "integral-mixed-antisymmetry": i_(x, z) + i_(w, y).T,
+        })
+    return {key: float(np.abs(value).max(initial=0.0)) for key, value in relations.items()}
 
 
 def dyson_recurrence_check(bundle, n, points):

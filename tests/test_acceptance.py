@@ -13,6 +13,7 @@ from functools import partial
 
 import numpy as np
 
+from betaone.cli import GATES
 from betaone.ginibre import (
     ginoe_gram,
     partition_function_check,
@@ -20,12 +21,12 @@ from betaone.ginibre import (
 from betaone.ginoe_kernels import (
     ginoe_kernel,
     ginoe_summed_S,
-    interrelations_check,
 )
 from betaone.kernels import (
     density_integral,
     dyson_recurrence_check,
     goe_kernel,
+    interrelations_check,
 )
 from betaone.montecarlo import (
     empirical_vs_analytic,
@@ -253,7 +254,7 @@ def test_criterion_09_block_interrelations():
     rng = np.random.default_rng(1009)
     worst = 0.0
     for N in (4, 5):
-        bundle = ginoe_kernel(N)
+        # random reals in any order: the check sorts them
         reals = tuple(rng.uniform(-2.0, 2.0, size=5))
         complexes = tuple(
             complex(u, v)
@@ -261,12 +262,15 @@ def test_criterion_09_block_interrelations():
                 rng.uniform(-1.5, 1.5, size=5), rng.uniform(0.2, 1.4, size=5)
             )
         )
-        relations = interrelations_check(bundle, reals, complexes)
-        worst = max(worst, max(relations.values()))
-    assert worst <= 1e-5
+        for relations in (
+            interrelations_check(goe_kernel(N), reals),
+            interrelations_check(ginoe_kernel(N), reals, complexes),
+        ):
+            worst = max(worst, max(relations.values()))
+    assert worst <= GATES["block-interrelations"]
     report(
         "criterion 9 (derivative and integral relations)",
-        f"worst deviation {worst:.2e} at 10 random points per size",
+        f"worst deviation {worst:.2e} at 10 random points per size, GOE and GinOE",
         time.time() - start,
         30.0,
     )

@@ -31,7 +31,6 @@ from betaone.ginoe_kernels import (
     ginoe_kernel,
     ginoe_rho,
     ginoe_summed_S,
-    interrelations_check,
     pair_weight,
 )
 from betaone.kernels import PointConfiguration, goe_kernel, rho
@@ -289,44 +288,6 @@ def test_kernels_hold_past_the_command_line_cap():
 def test_summed_form_rejects_bad_inputs():
     with pytest.raises(ValueError):
         ginoe_summed_S(1, 0.0, 0.0)
-
-
-def test_interrelations_even():
-    bundle = ginoe_kernel(4)
-    report = interrelations_check(
-        bundle, reals=(-1.3, 0.7), complexes=(0.4 + 0.6j, -0.9 + 1.4j)
-    )
-    assert set(report) == {
-        "derivative-real-real",
-        "integral-real-real",
-        "derivative-real-complex",
-        "derivative-complex-real",
-        "derivative-complex-complex",
-        "integral-complex-real",
-        "integral-complex-complex",
-        "integral-mixed-antisymmetry",
-    }
-    for key, deviation in report.items():
-        assert deviation < 1e-12, (key, deviation)
-
-
-def test_interrelations_odd():
-    bundle = ginoe_kernel(5)
-    report = interrelations_check(
-        bundle, reals=(-0.8, 1.4), complexes=(0.3 + 0.5j, -1.2 + 1.0j)
-    )
-    for key, deviation in report.items():
-        assert deviation < 1e-12, (key, deviation)
-
-
-def test_interrelations_stencil_holds_at_every_size():
-    # the five-point stencil reads at most 8.9e-14 (N = 51) over N = 1..64
-    # on the verify suite's points; the central difference read 1.1e-11
-    worst = max(
-        max(interrelations_check(ginoe_kernel(N), (0.3, -0.8), (0.4 + 0.6j,)).values())
-        for N in range(1, 65)
-    )
-    assert worst <= 2e-13
 
 
 def test_assembled_matrix_antisymmetric_mixed_points():

@@ -5,16 +5,19 @@ import numpy as np
 import pytest
 from scipy import special
 
+from betaone.cli import GATES
 from betaone.ginibre import ginoe_coefficients, ginoe_rows
 from betaone.ginoe_kernels import ginoe_kernel
 from betaone.kernels import (
     ROW_CACHE_BYTES,
     KernelBundle,
+    PairingBasis,
     PointConfiguration,
     density_integral,
     dyson_recurrence_check,
     family_basis,
     goe_kernel,
+    interrelations_check,
     rho,
 )
 from betaone.pfaffian import as_antisymmetric
@@ -337,3 +340,66 @@ def test_density_against_high_precision_oracle():
                 want = mp_goe_density(N, float(x))
                 worst = max(worst, float(abs(got - want) / want))
     assert worst <= 1e-12
+
+
+LINE_RELATIONS = {"partner-antiderivative", "integral-real-real"}
+PLANE_RELATIONS = LINE_RELATIONS | {
+    "derivative-real-complex",
+    "derivative-complex-complex",
+    "integral-complex-real",
+    "integral-complex-complex",
+    "integral-mixed-antisymmetry",
+}
+KERNELS = {"goe": goe_kernel, "ginoe": ginoe_kernel}
+
+
+def verify_grid(ensemble, N):
+    # the verify suite's reals over +-1.3 sqrt(N) and, in the plane, the same at +0.5i
+    reals = np.linspace(-1.3, 1.3, 9) * math.sqrt(N)
+    return (reals, reals + 0.5j) if ensemble == "ginoe" else (reals,)
+
+
+def interrelations_on_unsorted_points(N, reals, complexes):
+    # the check sorts the reals
+    line = interrelations_check(goe_kernel(N), reals)
+    plane = interrelations_check(ginoe_kernel(N), reals, complexes)
+    assert set(line) == LINE_RELATIONS
+    assert set(plane) == PLANE_RELATIONS
+    for key, deviation in (*line.items(), *plane.items()):
+        assert deviation <= GATES["block-interrelations"], (N, key, deviation)
+
+
+def test_interrelations_even():
+    interrelations_on_unsorted_points(4, (0.7, -1.3, 2.2, 0.1), (0.4 + 0.6j, -0.9 + 1.4j))
+
+
+def test_interrelations_odd():
+    interrelations_on_unsorted_points(5, (1.4, -0.8, -2.5, 0.2), (0.3 + 0.5j, -1.2 + 1.0j))
+
+
+def test_interrelations_hold_at_every_size():
+    # worst reading 1.2e-14 (GOE N = 52, partner-antiderivative); GinOE 3.0e-15
+    for ensemble, make in KERNELS.items():
+        for N in range(1, 65):
+            report = interrelations_check(make(N), *verify_grid(ensemble, N))
+            assert max(report.values()) <= GATES["block-interrelations"], (ensemble, N, report)
+
+
+def shifted_partners(bundle, shift):
+    # the bundle with every partner row moved by shift times its W row
+    basis, p = bundle.family, bundle.family.partner_slot
+
+    def rows(z):
+        value = basis.rows(z).copy()
+        value[..., p, :] += shift * value[..., 1 - p, :]
+        return value
+
+    return KernelBundle.from_basis(bundle.ensemble, bundle.N, PairingBasis(rows, basis.upper, basis.layout))
+
+
+def test_interrelations_fail_on_shifted_partner_rows():
+    # a partner row off by 1e-11 W is no antiderivative: it reads 1.2e-12 or more
+    for ensemble, make in KERNELS.items():
+        for N in (1, 4, 5, 64):
+            report = interrelations_check(shifted_partners(make(N), 1e-11), *verify_grid(ensemble, N))
+            assert report["partner-antiderivative"] > 5 * GATES["block-interrelations"], (ensemble, N)
