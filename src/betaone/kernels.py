@@ -152,6 +152,8 @@ def cached_rows(rows):
         if value is None:
             value = rows(z)
             value.flags.writeable = False
+            if value.nbytes > ROW_CACHE_BYTES:
+                return value
             held += value.nbytes
         cache[key] = value
         while held > ROW_CACHE_BYTES:

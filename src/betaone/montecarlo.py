@@ -6,17 +6,19 @@ the sums of the tallies are kept: the reals below each bin edge and the
 histogram of real counts per sample.  Memory is bounded by BLOCK_ENTRIES
 whatever the sample count; time is linear in it.
 
-Real Ginibre matrices are solved by LAPACK dgeev, which returns real
-eigenvalues with imaginary part exactly 0 and complex ones with their
-exact conjugates: the reals need no threshold.  GOE spectra are
-counted, not solved.  The eigenvalues of (G + G^T)/2 have the law of
+Real Ginibre matrices are drawn Householder-reduced to Hessenberg form
+(Edelman, J. Multivariate Anal. 60, 1997): N(0, 1) upper triangles over
+independent subdiagonals chi_{N-1}, ..., chi_1, which leaves dgeev
+nothing to reduce; it returns reals with imaginary part exactly 0 and
+complex pairs as exact conjugates: no threshold is needed.  GOE spectra
+are counted, not solved.  The eigenvalues of (G + G^T)/2 have the law of
 those of a tridiagonal matrix with N(0, 1) diagonal and squared
 off-diagonal chi^2_{N-k}/2 (Dumitriu and Edelman, J. Math. Phys. 43,
 2002); the count below x is the number of negative pivots of T - x, a
 Sturm sequence: samples x (bins + 1) x N pivot steps in all.
 
-Ginibre entries come from one default_rng(seed) stream, GOE diagonals
-and squared off-diagonals from two streams spawned from
+Ginibre upper triangles and subdiagonals, like GOE diagonals and
+squared off-diagonals, come from two streams spawned from
 SeedSequence(seed), all row-major: a batch of count n is the first n
 rows of any larger one at the same seed, whatever BLOCK_ENTRIES is.
 """
@@ -40,15 +42,21 @@ MIN_COMPARISON_SAMPLES = 10_000
 
 
 def ginibre_blocks(N, count, seed):
-    """Real Ginibre batch, a block at a time: (block, N) complex spectra, each
-    block drawn into one reused buffer and solved by stacked dgeev calls."""
+    """Real Ginibre batch as Hessenberg models, solved by stacked dgeev calls a
+    block at a time: (block, N) spectra.  Upper triangles are standard normals,
+    subdiagonals chi_{N-k} = sqrt(2 Gamma((N - k)/2)), in a zeroed buffer kept for the run."""
     if N < 1:
         raise ValueError("N must be positive")
-    draw = default_rng(seed).standard_normal
-    step = max(1, BLOCK_ENTRIES // (N * N))
-    block = np.empty((min(step, count), N, N))
+    upper, sub = (default_rng(s) for s in SeedSequence(seed).spawn(2))
+    step = max(1, min(count, BLOCK_ENTRIES // (N * N)))
+    block = np.zeros((step, N * N))
+    upper_at = np.ravel_multi_index(np.triu_indices(N), (N, N))
+    shapes = 0.5 * np.arange(N - 1, 0, -1)
     for lo in range(0, count, step):
-        yield np.linalg.eigvals(draw(out=block[: count - lo]))
+        m = min(step, count - lo)
+        block[:m, upper_at] = upper.standard_normal((m, len(upper_at)))
+        block[:m, N :: N + 1] = np.sqrt(2.0 * sub.standard_gamma(shapes, (m, N - 1)))  # entries (k + 1, k)
+        yield np.linalg.eigvals(block[:m].reshape(m, N, N))
 
 
 def ginibre_spectra(N, count, seed):

@@ -271,14 +271,14 @@ def test_rows_are_evaluated_once_per_point_array():
     assert len(evaluated) == 3  # the probes, 16 and 24
     assert np.array_equal(even.assemble(config), first)
     # the bound: rows of 64 bytes per point (two rows of four columns); an
-    # array filling half the budget is kept, one past it is not and evicts
-    # everything older
+    # array filling half the budget is kept, one past it is returned unkept
+    # and evicts nothing: the grid and the points are evaluated once
     half = np.linspace(-3.0, 3.0, ROW_CACHE_BYTES // 128)
     over = np.linspace(-3.0, 3.0, ROW_CACHE_BYTES // 64 + 1)
-    for x in (half, half, over, over):
+    for x in (half, half, over, half, over):
         even.scalar_kernel(x, x)
     even.assemble(config)
-    assert [len(np.atleast_1d(e)) for e in evaluated[3:]] == [len(half), len(over), len(over), 3]
+    assert [len(np.atleast_1d(e)) for e in evaluated[3:]] == [len(half), len(over), len(over)]
 
     evaluated.clear()
     odd_rows = counting(gaussian_line_rows(goe_coefficients(5)))

@@ -6,8 +6,10 @@ the two-eigenvalue symmetric ensemble in ordered coordinates, and the
 two sector masses of the size-2 plane ensemble whose sum must
 reproduce the exact normalization before the sector fraction is
 trusted.  The GOE counts are checked against LAPACK on the same
-tridiagonal matrices, and against dense GOE matrices drawn here.  The
-samplers are read as the command reads them: block streams of tallies.
+tridiagonal matrices, and against dense GOE matrices drawn here; the
+Ginibre spectra against LAPACK on the same Hessenberg matrices, and
+their all-real fractions against Edelman's closed form.  The samplers
+are read as the command reads them: block streams of tallies.
 """
 
 import contextlib
@@ -58,6 +60,19 @@ def totals_below(eigenvalues, edges):
     return np.array([np.count_nonzero(eigenvalues < e) for e in edges])
 
 
+def hessenberg_draw(N, count, seed):
+    # the Ginibre streams as documented: upper triangles of standard normals
+    # and subdiagonals sqrt(2 Gamma((N - k)/2)) from two streams spawned
+    # from SeedSequence(seed), row-major, into zero lower parts
+    upper, sub = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
+    H = np.zeros((count, N, N))
+    i, j = np.triu_indices(N)
+    H[:, i, j] = upper.standard_normal((count, len(i)))
+    k = np.arange(N - 1)
+    H[:, k + 1, k] = np.sqrt(2.0 * sub.standard_gamma(0.5 * np.arange(N - 1, 0, -1), (count, N - 1)))
+    return H
+
+
 def goe_draw(N, count, seed):
     # the GOE streams as documented: standard normals and Gamma((N - k)/2)
     # variates from two streams spawned from SeedSequence(seed), row-major
@@ -82,8 +97,8 @@ def real_counts(spectra):
 
 
 def test_spectra_follow_per_matrix_streams(monkeypatch):
-    # the Ginibre batch is default_rng(seed)'s standard normals, matrix
-    # after matrix; the GOE draw is two streams spawned from
+    # the Ginibre batch is the eigenvalues of the Hessenberg models of
+    # hessenberg_draw, the GOE draw two streams spawned from
     # SeedSequence(seed), standard normals and Gamma((N - k)/2) variates,
     # each row-major.  Both are the same at any block size (N=8 and N=64
     # span blocks of 1024 and 16 matrices by default, 41 edges a Sturm
@@ -94,11 +109,11 @@ def test_spectra_follow_per_matrix_streams(monkeypatch):
     for block_entries in (montecarlo.BLOCK_ENTRIES, 1000):
         monkeypatch.setattr(montecarlo, "BLOCK_ENTRIES", block_entries)
         for N, count, seed in ((3, 50, 7), (8, 1030, 2**32 + 11), (64, 40, 11)):
-            G = np.random.default_rng(seed).standard_normal((count, N, N))
+            H = hessenberg_draw(N, count, seed)
             a, b2 = goe_draw(N, count, seed)
             edges = goe_edges(N)
             for n in (count, count - 3):
-                spectra = np.linalg.eigvals(G[:n])
+                spectra = np.linalg.eigvals(H[:n])
                 assert np.array_equal(ginibre_spectra(N, n, seed), spectra)
                 below, histogram = summed(ginibre_tallies(N, n, seed, edges))
                 assert np.array_equal(below, totals_below(spectra.real[np.imag(spectra) == 0], edges))
@@ -251,15 +266,19 @@ def plane_sector_masses():
 
 def test_ginibre_two_by_two_real_fraction():
     two_real, pair = plane_sector_masses()
-    # the sector masses must reproduce the exact unit normalization
+    # the sector masses must reproduce the exact unit normalization, and
+    # the two-real one is the all-real probability 2^{-N(N-1)/4} of real
+    # Ginibre matrices (Edelman, J. Multivariate Anal. 60, 1997) at N = 2
     assert np.isclose(sinclair_prefactor(2) * (two_real + pair), 1.0,
                       rtol=1e-10, atol=0)
-    p_real = sinclair_prefactor(2) * two_real
-    _, histogram = summed(ginibre_tallies(2, 100_000, 29, []))
-    assert histogram.sum() == 100_000 and histogram[1] == 0
-    hits = histogram[2] / 100_000
-    stderr = math.sqrt(hits * (1.0 - hits) / (100_000 - 1))
-    assert abs(hits - p_real) <= 3.0 * stderr
+    assert np.isclose(sinclair_prefactor(2) * two_real, 2.0**-0.5, rtol=1e-10, atol=0)
+    # sampled: one subdiagonal chi at N = 2, two and three at N = 3 and 4
+    for N in (2, 3, 4):
+        _, histogram = summed(ginibre_tallies(N, 100_000, 29, []))
+        assert histogram.sum() == 100_000 and not histogram[N - 1 :: -2].any()
+        hits = histogram[N] / 100_000
+        stderr = math.sqrt(hits * (1.0 - hits) / (100_000 - 1))
+        assert abs(hits - 2.0 ** (-N * (N - 1) / 4)) <= 3.0 * stderr, (N, hits)
 
 
 def test_empirical_density_bookkeeping():
