@@ -63,13 +63,14 @@ def ginoe_summed_S(N, mu, eta):
     if N < 2:
         raise ValueError("closed forms need N >= 2")
     mu, eta = np.asarray(mu), np.asarray(eta)
-    complex_eta = np.iscomplexobj(eta)
-    z = np.conjugate(eta) if complex_eta else eta.astype(float)
     mu_rows = weighted_powers(N, mu, pair_weight(mu))
-    head = (mu_rows[..., :-1] * weighted_powers(N - 1, z, pair_weight(z))).sum(-1)
-    if complex_eta:
+    if np.iscomplexobj(eta):
+        z = np.conjugate(eta)
+        head = (mu_rows[..., :-1] * weighted_powers(N - 1, z, pair_weight(z))).sum(-1)
         return 1j / SQRT_2PI * (z - mu) * head
-    partial = gaussian_tail_moments(N - 1, 0.0)[-1] - gaussian_tail_moments(N - 1, z)[..., -1]
+    eta_rows, tails = gaussian_tail_moments(N - 1, eta)
+    head = (mu_rows[..., :-1] * eta_rows).sum(-1)
+    partial = gaussian_tail_moments(N - 1, 0.0)[1][-1] - tails[..., -1]
     edge = mu_rows[..., -1] * np.sqrt(N - 1) * partial
     return (head + edge) / SQRT_2PI
 

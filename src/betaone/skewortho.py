@@ -31,7 +31,7 @@ import numpy as np
 
 from .pfaffian import standard_pairing
 from .quadrature import LINE_PANEL_CAP, panel_rule, refine, truncation_radius
-from .specfun import gaussian_basis, gaussian_tail_moments
+from .specfun import gaussian_tail_moments
 
 
 def goe_coefficients(N):
@@ -50,18 +50,19 @@ def gaussian_line_rows(C, hermite=True):
     """Line rows (partner, W) of the columns of C, on h_n or on x^n / sqrt(n!).
 
     W is the polynomial times e^(-x^2/2), its partner the half-range
-    transform eps, both from the recurrences of specfun; at x = +inf the
-    partner is half the full weighted integral.
+    transform eps, both from one specfun.gaussian_tail_moments pass per
+    point array; at x = +inf the partner is half the full weighted
+    integral.
     """
     n = C.shape[0]
-    half = 0.5 * (gaussian_tail_moments(n, -np.inf, hermite) @ C)
+    half = 0.5 * (gaussian_tail_moments(n, -np.inf, hermite)[1] @ C)
 
     def rows(x):
         x = np.asarray(x)
         if np.iscomplexobj(x):
             raise ValueError("this ensemble lives on the real line only")
-        partner = half - gaussian_tail_moments(n, x, hermite) @ C
-        return np.stack([partner, gaussian_basis(n, x, hermite) @ C], axis=-2)
+        W, tails = gaussian_tail_moments(n, x, hermite)
+        return np.stack([half - tails @ C, W @ C], axis=-2)
 
     return rows
 

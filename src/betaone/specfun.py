@@ -4,9 +4,11 @@ The complementary error function comes from the standard library
 (math.erfc); erfcx is built on it here and normal_cdf on both, exact to
 a few units in the last place, and applied element by element to arrays.
 weighted_powers gives the normalized monomial and Hermite rows, of order
-one at every degree, by one three-term recurrence, gaussian_tail_moments
-their Gaussian tail moments by another.  The GinOE closed form is built
-from these two: the Poisson head and the Gaussian tail moments.
+one at every degree, by one three-term recurrence.  gaussian_tail_moments
+gives a real point set's Gaussian-weighted rows and their tail moments
+from one such pass: the moments' recurrence is driven by the rows.  The
+line rows W, their partners eps W and the GinOE closed form (the Poisson
+head and the Gaussian tail moments) are all built from these two.
 """
 
 from __future__ import annotations
@@ -115,36 +117,31 @@ def weighted_powers(n, z, weight, c=0.0):
     return out
 
 
-def gaussian_basis(n, x, hermite=False):
-    """Weighted basis values p_k(x) e^(-x^2/2) for k = 0..n-1.
+def gaussian_tail_moments(n, x, hermite=False):
+    """Weighted rows p_k(x) e^(-x^2/2) and their tail moments, k = 0..n-1.
 
-    p_k is x^k / sqrt(k!), or with hermite H_k / sqrt(2^k k!) (see
-    weighted_powers).  Vectorized in x, shape x.shape + (n,); exactly 0
-    where the Gaussian underflows, +-inf included.
+    p_k = P_k / a_k as in weighted_powers, c = 1/2 with hermite (H_k /
+    sqrt(2^k k!)) and 0 without (x^k / sqrt(k!)); the moments are the
+    integrals of p_k(t) e^(-t^2/2) over [x, inf).  Integrating
+    (P_k e^(-t^2/2))' over [x, inf) and dividing by a_{k+1} gives the
+    upward recurrence
+    T_{k+1} = sqrt(k / (k+1)) T_{k-1} + p_k(x) e^(-x^2/2) / sqrt((k+1)(1 - c))
+    from the erfc and Gaussian base cases, driven by the rows
+    themselves: one weighted_powers pass gives both.  It is stable for
+    every sign of x.  Rows and moments are exactly 0 at x = +inf, and
+    x = -inf gives the full moments.  Vectorized in x; returns
+    (rows, moments), each of shape x.shape + (n,).
     """
     x = np.asarray(x, dtype=float)
+    c = 0.5 if hermite else 0.0
     with np.errstate(over="ignore"):
         weight = np.exp(-0.5 * x * x)
-    return weighted_powers(n, x, weight, 0.5 if hermite else 0.0)
-
-
-def gaussian_tail_moments(n, x, hermite=False):
-    """Integrals of p_k(t) e^(-t^2/2) over [x, inf) for k = 0..n-1.
-
-    p_k = P_k / a_k as in gaussian_basis, c = 1/2 with hermite and 0
-    without.  Integrating (P_k e^(-t^2/2))' over [x, inf) and dividing
-    by a_{k+1} gives the upward recurrence
-    T_{k+1} = sqrt(k / (k+1)) T_{k-1} + p_k(x) e^(-x^2/2) / sqrt((k+1)(1 - c))
-    from the erfc and Gaussian base cases.  It is stable for every sign
-    of x; every moment is exactly 0 at x = +inf, and x = -inf gives the
-    full moments.  Vectorized in x; the result has shape x.shape + (n,).
-    """
-    x = np.asarray(x, dtype=float)
-    heads = gaussian_basis(max(n - 1, 1), x, hermite)
-    heads /= np.sqrt((0.5 if hermite else 1.0) * np.arange(1, heads.shape[-1] + 1))
-    out = np.empty(x.shape + (max(n, 2),))
-    out[..., 0] = math.sqrt(2.0 * math.pi) * normal_cdf(-x)
-    out[..., 1] = heads[..., 0]
+    rows = weighted_powers(n, x, weight, c)
+    heads = rows[..., :-1] / np.sqrt((1.0 - c) * np.arange(1, n))
+    moments = np.empty(x.shape + (n,))
+    if n:
+        moments[..., 0] = math.sqrt(2.0 * math.pi) * normal_cdf(-x)
+    moments[..., 1:2] = heads[..., :1]  # T_1 = e^(-x^2/2) / sqrt(1 - c), where n > 1
     for k in range(2, n):
-        out[..., k] = heads[..., k - 1] + math.sqrt((k - 1) / k) * out[..., k - 2]
-    return out[..., :n]
+        moments[..., k] = heads[..., k - 1] + math.sqrt((k - 1) / k) * moments[..., k - 2]
+    return rows, moments

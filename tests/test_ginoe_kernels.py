@@ -69,7 +69,7 @@ def fugacity_partition(N):
     if N % 2 == 0:
         return lambda z: pref * pfaffian(z * z * alpha + beta)
     # full weighted line integrals of the polynomials
-    border = gaussian_tail_moments(N, -np.inf) @ ginoe_coefficients(N)
+    border = gaussian_tail_moments(N, -np.inf)[1] @ ginoe_coefficients(N)
 
     def value(z):
         M = np.zeros((N + 1, N + 1))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from betaone import ginibre, ginoe_kernels, specfun
 from betaone.cli import GATES
 from betaone.ginibre import ginoe_coefficients, ginoe_rows
 from betaone.ginoe_kernels import ginoe_kernel
@@ -250,18 +251,20 @@ def test_cached_rows_match_a_fresh_evaluation_and_are_read_only(ensemble):
             plain[...] = 0.0
 
 
+def counting(fn, evaluated, point=0):
+    """fn, appending a copy of its argument number `point` to evaluated on every call."""
+
+    def counted(*args, **kwargs):
+        evaluated.append(np.array(args[point]))
+        return fn(*args, **kwargs)
+
+    return counted
+
+
 def test_rows_are_evaluated_once_per_point_array():
     # the hatted, bordered and conditioned bases all read one family cache
     evaluated = []
-
-    def counting(rows):
-        def counted(z):
-            evaluated.append(np.array(z))
-            return rows(z)
-
-        return counted
-
-    even_rows = counting(gaussian_line_rows(goe_coefficients(4)))
+    even_rows = counting(gaussian_line_rows(goe_coefficients(4)), evaluated)
     even = KernelBundle.from_basis("goe", 4, family_basis(even_rows, 4, "line"))
     config = PointConfiguration(reals=(-0.8, 0.1, 0.9))
     first = even.assemble(config)
@@ -281,12 +284,33 @@ def test_rows_are_evaluated_once_per_point_array():
     assert [len(np.atleast_1d(e)) for e in evaluated[3:]] == [len(half), len(over), len(over)]
 
     evaluated.clear()
-    odd_rows = counting(gaussian_line_rows(goe_coefficients(5)))
+    odd_rows = counting(gaussian_line_rows(goe_coefficients(5)), evaluated)
     odd = family_basis(odd_rows, 5, "line")  # evaluates +inf for the hat
     x = np.linspace(-1.0, 1.0, 5)
     for basis in (odd, odd.bordered(odd.upper), odd):
         basis.rows(x.copy())
     assert [e.shape for e in evaluated] == [(), (5,)]
+
+
+def test_real_points_pass_the_recurrence_once(monkeypatch):
+    # the rows W and the tail moments behind the partner eps W come from one
+    # weighted_powers pass per real point array, wherever the rows are read
+    passes = []
+    counted = counting(specfun.weighted_powers, passes, point=1)
+    for module in (specfun, ginibre, ginoe_kernels):
+        monkeypatch.setattr(module, "weighted_powers", counted)
+    x = np.linspace(-2.0, 2.0, 7)
+    for family_rows, coefficients in ((gaussian_line_rows, goe_coefficients), (ginoe_rows, ginoe_coefficients)):
+        passes.clear()
+        rows = family_rows(coefficients(5))
+        rows(x)
+        assert len(passes) == 2 and passes[0] == -np.inf and np.array_equal(passes[1], x)
+    passes.clear()
+    mu, eta = np.array([[0.3], [-1.1]]), np.array([0.7, -1.6])
+    ginoe_kernels.ginoe_summed_S(6, mu, eta)
+    assert len(passes) == 3
+    for point in (mu, eta, np.array(0.0)):
+        assert sum(p.shape == point.shape and np.array_equal(p, point) for p in passes) == 1
 
 
 def test_rho_vanishes_beyond_n_eigenvalues():

@@ -6,7 +6,9 @@ import numpy as np
 
 from scipy import special
 
-from betaone.specfun import erfcx, gaussian_tail_moments, normal_cdf
+from betaone.specfun import erfcx, gaussian_tail_moments, normal_cdf, weighted_powers
+
+SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def test_erfcx_matches_unscaled_form():
@@ -57,6 +59,19 @@ def test_edge_values_and_shapes():
         assert values.shape == (3, 4)
         assert np.array_equal(values.ravel(), [f(x) for x in grid.ravel()])
         assert f(np.zeros((0, 2))).shape == (0, 2)
+    # rows and moments of every length, on 0-d, array and empty input; a
+    # shorter call is the head of a longer one, bit for bit, and its rows
+    # are the Gaussian-weighted weighted_powers rows
+    for x in (0.3, np.linspace(-3.0, 3.0, 12).reshape(3, 4), np.zeros((0, 2))):
+        x = np.asarray(x, dtype=float)
+        for hermite in (False, True):
+            full = gaussian_tail_moments(8, x, hermite)
+            weighted = weighted_powers(8, x, np.exp(-0.5 * x * x), 0.5 if hermite else 0.0)
+            assert np.array_equal(full[0], weighted)
+            for n in (0, 1, 2, 5):
+                rows, moments = gaussian_tail_moments(n, x, hermite)
+                assert rows.shape == moments.shape == x.shape + (n,)
+                assert np.array_equal(rows, full[0][..., :n]) and np.array_equal(moments, full[1][..., :n])
     edges = np.array([-np.inf, np.nan, np.inf, -1e308, 1e308, 0.0])
     assert np.array_equal(normal_cdf(edges), [0.0, np.nan, 1.0, 0.0, 1.0, 0.5], equal_nan=True)
     assert np.array_equal(normal_cdf(edges), [normal_cdf(x) for x in edges], equal_nan=True)
@@ -79,7 +94,7 @@ def test_normal_cdf_basics():
 def tail_moment(k, x):
     # the integral of t^k e^(-t^2/2) over [x, inf), alone: sqrt(k!) times
     # the moment of the normalized monomial t^k / sqrt(k!)
-    return gaussian_tail_moments(k + 1, x)[..., k] * math.sqrt(math.factorial(k))
+    return gaussian_tail_moments(k + 1, x)[1][..., k] * math.sqrt(math.factorial(k))
 
 
 def test_gaussian_tail_moment_base_cases():
@@ -136,7 +151,7 @@ def test_gaussian_tail_moments_against_high_precision_oracle():
         for basis in ("monomial", "hermite"):
             table = tables[basis] = gaussian_tail_moments(
                 64, np.array(xs), hermite=basis == "hermite"
-            )
+            )[1]
             for i, x in enumerate(xs):
                 tails = [mp_gaussian_tail(k, x) for k in range(64)]
                 for k in range(64):
@@ -148,7 +163,8 @@ def test_gaussian_tail_moments_against_high_precision_oracle():
                             for j, c in enumerate(hermite[k])
                         ) / mpmath.sqrt(mpmath.factorial(k) / mpmath.mpf(2) ** k)
                     worst = max(worst, float(abs(table[i, k] - want) / abs(want)))
-            assert not gaussian_tail_moments(64, np.inf, hermite=basis == "hermite").any()
+            rows, moments = gaussian_tail_moments(64, np.inf, hermite=basis == "hermite")
+            assert not rows.any() and not moments.any()
     assert worst <= 1e-13
     assert tail_moment(5, 0.7) == tables["monomial"][5, 5] * math.sqrt(math.factorial(5))
 
@@ -158,3 +174,8 @@ def test_gaussian_full_moments():
     assert tail_moment(3, -np.inf) == 0.0
     assert np.isclose(tail_moment(4, -np.inf), 3.0 * math.sqrt(2.0 * math.pi), rtol=1e-15, atol=0)
     assert np.isclose(tail_moment(6, -np.inf), 15.0 * math.sqrt(2.0 * math.pi), rtol=1e-15, atol=0)
+    # on the Hermite rows: H_k e^(-x^2/2) integrates to sqrt(2 pi) k! / (k/2)!
+    # at even k, so h_2 to sqrt(pi) and h_4 to sqrt(3 pi / 4); the rows vanish
+    rows, moments = gaussian_tail_moments(6, -np.inf, hermite=True)
+    assert not rows.any() and not moments[1::2].any()
+    assert np.allclose(moments[::2], [SQRT_2PI, math.sqrt(math.pi), math.sqrt(0.75 * math.pi)], rtol=1e-15, atol=0)
