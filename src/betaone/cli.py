@@ -5,10 +5,11 @@ Exit codes: 0 success (and all checks passed where checks ran), 1 a
 verification or comparison failed, 2 invalid configuration or an
 `--out` path that cannot be written, 3 numerical
 failure or an allocation too large for memory.  Output is deterministic
-for a fixed configuration: fixed float formatting, no timestamps, seeded
-randomness only.  CSV reports start with `# key=value` comment lines
-echoing the configuration and the library version, then a column
-header, then data rows.
+for a fixed configuration and BLAS thread count (verify deviations
+differ between one and two OpenBLAS threads): fixed float formatting,
+no timestamps, seeded randomness only.  CSV reports start with
+`# key=value` comment lines echoing the configuration and the library
+version, then a column header, then data rows.
 """
 
 import cmath

@@ -29,7 +29,7 @@ from numpy.polynomial.hermite import hermgauss
 from .pfaffian import pfaffian
 from .quadrature import PLANE_PANEL_CAP, panel_rule, truncation_radius
 from .skewortho import gaussian_line_rows, line_gram, refined_gram
-from .specfun import erfcx, gaussian_tail_moments, weighted_powers
+from .specfun import erfcx, weighted_powers
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 SQRT2 = math.sqrt(2.0)
@@ -76,18 +76,18 @@ def plane_rows(C, z):
 def ginoe_rows(C):
     """Rows (W, partner) of the columns of C at real or complex points.
 
-    W is the polynomial times pair_weight; the partner is minus the
-    half-range transform at a real point and i conj(W) at a complex one.
+    W is the polynomial times pair_weight; the partner is i conj(W) at a
+    complex point, and at a real one the line rows of skewortho (minus
+    the half-range transform).
     """
-    half = 0.5 * (gaussian_tail_moments(C.shape[0], -np.inf)[1] @ C)
+    line = gaussian_line_rows(C, hermite=False)
 
     def rows(z):
         z = np.asarray(z)
-        if np.iscomplexobj(z):
-            W = plane_rows(C, z)
-            return np.stack([W, 1j * np.conjugate(W)], axis=-2)
-        W, tails = gaussian_tail_moments(C.shape[0], z)
-        return np.stack([W @ C, tails @ C - half], axis=-2)
+        if not np.iscomplexobj(z):
+            return line(z)
+        W = plane_rows(C, z)
+        return np.stack([W, 1j * np.conjugate(W)], axis=-2)
 
     return rows
 
@@ -157,7 +157,7 @@ def partition_function_check(N):
     """
     G = ginoe_gram(N, 1e-12).value
     if N % 2:
-        half = 0.5 * (gaussian_tail_moments(N, -np.inf)[1] @ ginoe_coefficients(N))
+        half = -ginoe_rows(ginoe_coefficients(N))(np.inf)[1]
         G = np.block([[G, half[:, None]], [-half, 0.0]])
     log_det = 0.5 * sum(math.log(2.0 * SQRT_2PI) + math.lgamma(2 * (j // 2) + 1) for j in range(N))
     log_prefactor = -0.25 * N * (N + 1) * math.log(2.0) - sum(math.lgamma(0.5 * l) for l in range(1, N + 1))

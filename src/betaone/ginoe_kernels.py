@@ -7,12 +7,8 @@ part is tiny).  Every point contributes the rows (W, P) of the kernel
 engine in kernels: W the family polynomials times the pair weight, P
 their partners, minus the half-range transform eps W at a real point and
 i conj(W) at a complex one (kernels.interrelations_check tests both).
-The 2x2 cell layout is
-
-    [[ d(s,t),  s(s,t) ],
-     [ -s(t,s), i(s,t) ]]
-
-whose Pfaffian over a point configuration gives the correlations with
+The engine's one cell, [[D, S], [-S^T, I]], the same as GOE's, gives
+through its Pfaffian over a point configuration the correlations with
 n1 real and n2 complex arguments.
 """
 
@@ -33,7 +29,7 @@ def ginoe_kernel(N):
     block at a real second argument and the integrated block unless
     both arguments are complex.
     """
-    basis = family_basis(ginoe_rows(ginoe_coefficients(N)), N, "plane")
+    basis = family_basis(ginoe_rows(ginoe_coefficients(N)), N)
     return KernelBundle.from_basis("ginoe", N, basis)
 
 

@@ -2,22 +2,22 @@
 
 An n-point correlation is the Pfaffian of a 2n x 2n antisymmetric
 matrix A = B M B^T + sign term.  Every point contributes two rows to
-B: its weighted family polynomials W and their partners (half-range
-transforms on the line); M is the antisymmetric pairing of the family
-and the sign term 1/2 sgn(x_i - x_j) couples the partner rows of real
-points.  Both families are skew-orthonormal, so even sizes pair the
-polynomials by the standard pairing, 1 at (2k, 2k+1).  Odd sizes hat
-the rows once (every polynomial below the top loses the multiple of the
-top one that carries its weighted integral) and border M with a
-constant partner column (1 on the partner row of a real point, 0
-elsewhere) tied to the top polynomial: what the sign term of a point
-sent to +infinity leaves behind (see reduction).
+B: its weighted family polynomials W and their partners P; M is the
+antisymmetric pairing of the family and the sign term 1/2 sgn(x_i - x_j)
+couples the partner rows of real points.  Both families are
+skew-orthonormal, so even sizes pair the polynomials by the standard
+pairing, 1 at (2k, 2k+1).  Odd sizes hat the rows once (every
+polynomial below the top loses the multiple of the top one that carries
+its weighted integral) and border M with a constant partner column (1
+on the partner row of a real point, 0 elsewhere) tied to the top
+polynomial: what the sign term of a point sent to +infinity leaves
+behind (see reduction).
 
-The kernel blocks are cell entries of A: the line ensembles here use
-the cell [[-I, S], [-S^T, D]] on rows (partner, W), the plane ensemble
-(ginoe_kernels) [[D, S], [-S^T, I]] on rows (W, partner).  At a real
-point each partner row is +eps W (line) or -eps W (plane), eps W an
-antiderivative of its W row; interrelations_check tests that identity.
+The kernel blocks are the entries of one cell, [[D, S], [-S^T, I]] on
+the rows (W, P), for every ensemble (Forrester and Nagao 2007): W sits
+at the first argument of S, its partner at the second.  At a real point
+P = -eps W, eps W an antiderivative of its W row; interrelations_check
+tests that identity.
 """
 
 from __future__ import annotations
@@ -30,9 +30,6 @@ from .pfaffian import pfaffian, standard_pairing
 from .quadrature import integrate_line, panel_rule
 from .skewortho import gaussian_line_rows, goe_coefficients
 
-# layout -> (slot of the partner row in the cell, sign of the integrated
-# block on the partner-partner entry)
-LAYOUTS = {"line": (0, -1.0), "plane": (1, 1.0)}
 # bytes of rows a family keeps, the least recently used dropped first
 ROW_CACHE_BYTES = 2**18
 
@@ -76,15 +73,13 @@ class PairingBasis:
     """Basis rows of a kernel family and their antisymmetric pairing.
 
     rows(z) maps points of one kind (float: real, complex: complex) to
-    an array z.shape + (2, m): the two rows of every point in cell
-    order.  upper is the upper triangle U of M = U - U^T.
+    an array z.shape + (2, m): the rows (W, P) of every point.  upper is
+    the upper triangle U of M = U - U^T.
     """
 
-    def __init__(self, rows, upper, layout):
+    def __init__(self, rows, upper):
         self.rows = rows
         self.upper = np.asarray(upper)
-        self.layout = layout
-        self.partner_slot, self.integral_sign = LAYOUTS[layout]
 
     @property
     def pairing(self):
@@ -100,7 +95,7 @@ class PairingBasis:
         second = first if eta is mu else self.rows(eta)
         value = self.form(first[..., a, :], second[..., b, :])
         real_pair = not (np.iscomplexobj(mu) or np.iscomplexobj(eta))
-        if a == b == self.partner_slot and real_pair:
+        if a == b == 1 and real_pair:
             value = value + 0.5 * np.sign(np.asarray(mu) - np.asarray(eta))
         return value
 
@@ -113,8 +108,8 @@ class PairingBasis:
         B = rows.reshape(rows.shape[:-3] + (-1, rows.shape[-1]))
         G = B @ self.upper @ np.swapaxes(B, -1, -2)
         A = G - np.swapaxes(G, -1, -2)
-        p, n = self.partner_slot, 2 * reals.shape[-1]
-        A[..., p:n:2, p:n:2] += 0.5 * np.sign(reals[..., :, None] - reals[..., None, :])
+        n = 2 * reals.shape[-1]
+        A[..., 1:n:2, 1:n:2] += 0.5 * np.sign(reals[..., :, None] - reals[..., None, :])
         return A
 
     def bordered(self, upper):
@@ -127,10 +122,10 @@ class PairingBasis:
             base = self.rows(z)
             extra = np.zeros(base.shape[:-1] + (1,), dtype=base.dtype)
             if not np.iscomplexobj(z):
-                extra[..., self.partner_slot, 0] = 1.0
+                extra[..., 1, 0] = 1.0
             return np.concatenate([base, extra], axis=-1)
 
-        return PairingBasis(rows, upper, self.layout)
+        return PairingBasis(rows, upper)
 
 
 def cached_rows(rows):
@@ -166,17 +161,17 @@ def cached_rows(rows):
 def hat_transform(h):
     """T with rows @ T the hatted rows of an odd-size family.
 
-    h holds the partners of the rows at +infinity (the half moments,
-    signed by the layout's partner rule).  Every column below the top
-    loses h_j / h_top times the top column, so its partner at +infinity
-    vanishes: the hatted polynomials integrate to zero against the weight.
+    h holds the partners of the rows at +infinity (minus the half
+    moments).  Every column below the top loses h_j / h_top times the
+    top column, so its partner at +infinity vanishes: the hatted
+    polynomials integrate to zero against the weight.
     """
     T = np.eye(len(h))
     T[-1, :-1] = -h[:-1] / h[-1]
     return T
 
 
-def family_basis(rows, N, layout):
+def family_basis(rows, N):
     """Pairing basis of a family of size N; odd N gets the hatted, bordered form.
 
     The border pairs the constant partner column with the top polynomial
@@ -186,12 +181,12 @@ def family_basis(rows, N, layout):
     that one cache.
     """
     rows = cached_rows(rows)
-    basis = PairingBasis(rows, pairing_upper(N // 2), layout)
+    basis = PairingBasis(rows, pairing_upper(N // 2))
     if N % 2 == 0:
         return basis
-    h = rows(np.inf)[basis.partner_slot]
+    h = rows(np.inf)[1]
     T = hat_transform(h)
-    hatted = PairingBasis(lambda z: rows(z) @ T, basis.upper, layout)
+    hatted = PairingBasis(lambda z: rows(z) @ T, basis.upper)
     return hatted.bordered(pairing_upper(N // 2, -0.5 / h[-1]))
 
 
@@ -217,16 +212,15 @@ class KernelBundle:
     @classmethod
     def from_basis(cls, ensemble, N, basis):
         """Bundle of N eigenvalues whose blocks are cell entries of the basis's matrix."""
-        p, w = basis.partner_slot, 1 - basis.partner_slot
 
         def scalar_kernel(mu, eta):
             return basis.entry(0, 1, mu, eta)
 
         def derivative_kernel(mu, eta):
-            return basis.entry(w, w, mu, eta)
+            return basis.entry(0, 0, mu, eta)
 
         def integral_kernel(mu, eta):
-            return basis.integral_sign * basis.entry(p, p, mu, eta)
+            return basis.entry(1, 1, mu, eta)
 
         def assemble(config):
             reals = np.asarray(config.reals, dtype=float)
@@ -266,7 +260,7 @@ def goe_kernel(N):
     Built from the closed-form family on the normalized weighted Hermite
     rows; odd N is hatted and bordered.
     """
-    basis = family_basis(gaussian_line_rows(goe_coefficients(N)), N, "line")
+    basis = family_basis(gaussian_line_rows(goe_coefficients(N)), N)
     return KernelBundle.from_basis("goe", N, basis)
 
 
@@ -282,28 +276,27 @@ def interrelations_check(bundle, reals, complexes=()):
     """Derivative, integral and conjugation relations among the blocks.
 
     partner-antiderivative: between neighbouring reals (two or more,
-    distinct, in any order) each partner row moves by -integral_sign
-    times the integral of its W row, taken by two Gauss-Legendre panels
-    per gap (panel_rule).  integral-real-real: i(x, y) = integral_sign
-    sgn(x - y) / 2 - form(P(x), int_x^y W) at every pair of reals, from
-    the same gap integrals.  Complex points (the plane only) add the
-    conjugation relations on all pairs.  Returns the worst absolute
-    deviation per relation.
+    distinct, in any order) each partner row moves by minus the
+    integral of its W row, taken by two Gauss-Legendre panels per gap
+    (panel_rule).  integral-real-real: i(x, y) = sgn(x - y) / 2 -
+    form(P(x), int_x^y W) at every pair of reals, from the same gap
+    integrals.  Complex points (the plane only) add the conjugation
+    relations on all pairs.  Returns the worst absolute deviation per
+    relation.
     """
     basis, s, d, i_ = bundle.family, bundle.scalar_kernel, bundle.derivative_kernel, bundle.integral_kernel
-    p, sign = basis.partner_slot, basis.integral_sign
     y = np.sort(np.asarray(reals, dtype=float))
     rule = panel_rule(y, 2)
-    weighted = basis.rows(rule.nodes)[:, 1 - p] * rule.weights[:, None]
+    weighted = basis.rows(rule.nodes)[:, 0] * rule.weights[:, None]
     gaps = weighted.reshape(len(y) - 1, -1, weighted.shape[-1]).sum(1)
-    P = basis.rows(y)[:, p]
+    P = basis.rows(y)[:, 1]
     # the integral of the W rows from the first real to each real
     cumulative = np.concatenate([np.zeros_like(gaps[:1]), np.cumsum(gaps, axis=0)])
     span = basis.form(P[:, None], cumulative - cumulative[:, None])
     x = y[:, None]
     relations = {
-        "partner-antiderivative": np.diff(P, axis=0) + sign * gaps,
-        "integral-real-real": i_(x, y) + span - sign * 0.5 * np.sign(x - y),
+        "partner-antiderivative": np.diff(P, axis=0) + gaps,
+        "integral-real-real": i_(x, y) + span - 0.5 * np.sign(x - y),
     }
     if len(complexes):
         z = np.asarray(complexes, dtype=complex)

@@ -65,7 +65,7 @@ def conditioned_bundle(bundle, x_far):
         raise ValueError("reduction starts from an even-size bundle")
     basis = bundle.family
     far = basis.rows(np.float64(x_far))
-    partner, weighted = far[basis.partner_slot], far[1 - basis.partner_slot]
+    weighted, partner = far
     if np.isposinf(x_far):
         weighted = np.eye(len(weighted))[-1]
     M = basis.pairing

@@ -16,8 +16,9 @@ Hermite basis h_n = H_n / sqrt(2^n n!) of specfun:
 With W_k = R_k e^{-x^2/2} and eps_k(x) = 1/2 int sgn(x - y) W_k(y) dy
 its half-range transform, <R_j|R_k> = int eps_j W_k dx: the Gram matrix
 of a whole family is one quadrature sum eps^T diag(w) W over the rows
-the kernels are built from.  refined_gram doubles the panel count until
-two successive Grams agree entry by entry, measured like skew_deviation.
+(W, P) the kernels are built from, whose partner is P = -eps W in both
+ensembles.  refined_gram doubles the panel count until two successive
+Grams agree entry by entry, measured like skew_deviation.
 
 Polynomial coefficients are ascending, one family member per column of
 a coefficient matrix.
@@ -47,12 +48,13 @@ def goe_coefficients(N):
 
 
 def gaussian_line_rows(C, hermite=True):
-    """Line rows (partner, W) of the columns of C, on h_n or on x^n / sqrt(n!).
+    """Line rows (W, P) of the columns of C, on h_n or on x^n / sqrt(n!).
 
-    W is the polynomial times e^(-x^2/2), its partner the half-range
-    transform eps, both from one specfun.gaussian_tail_moments pass per
-    point array; at x = +inf the partner is half the full weighted
-    integral.
+    W is the polynomial times e^(-x^2/2) and its partner P = -eps W is
+    minus the half-range transform, both from one
+    specfun.gaussian_tail_moments pass per point array; at x = +inf the
+    partner is minus half the full weighted integral.  GOE takes these
+    rows on h_n, GinOE on x^n / sqrt(n!) at its real points.
     """
     n = C.shape[0]
     half = 0.5 * (gaussian_tail_moments(n, -np.inf, hermite)[1] @ C)
@@ -62,7 +64,7 @@ def gaussian_line_rows(C, hermite=True):
         if np.iscomplexobj(x):
             raise ValueError("this ensemble lives on the real line only")
         W, tails = gaussian_tail_moments(n, x, hermite)
-        return np.stack([half - tails @ C, W @ C], axis=-2)
+        return np.stack([W @ C, tails @ C - half], axis=-2)
 
     return rows
 
@@ -70,11 +72,11 @@ def gaussian_line_rows(C, hermite=True):
 def line_gram(rows, panels, radius):
     """eps^T diag(w) W on `panels` panels per half-line of [-radius, radius].
 
-    rows are line rows (partner eps, W); entry (j, k) is <R_j|R_k>.
+    rows are line rows (W, P = -eps W); entry (j, k) is <R_j|R_k>.
     """
     rule = panel_rule((-radius, 0.0, radius), panels)
-    eps, W = np.moveaxis(rows(rule.nodes), -2, 0)
-    return (eps * rule.weights[:, None]).T @ W
+    W, P = np.moveaxis(rows(rule.nodes), -2, 0)
+    return -(P * rule.weights[:, None]).T @ W
 
 
 def skew_deviation(G):

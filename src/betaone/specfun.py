@@ -7,7 +7,7 @@ weighted_powers gives the normalized monomial and Hermite rows, of order
 one at every degree, by one three-term recurrence.  gaussian_tail_moments
 gives a real point set's Gaussian-weighted rows and their tail moments
 from one such pass: the moments' recurrence is driven by the rows.  The
-line rows W, their partners eps W and the GinOE closed form (the Poisson
+line rows W, their partners -eps W and the GinOE closed form (the Poisson
 head and the Gaussian tail moments) are all built from these two.
 """
 

@@ -165,7 +165,7 @@ def test_grams_hold_at_every_size():
 
 
 def half_moments(N):
-    return gaussian_line_rows(ginoe_coefficients(N), hermite=False)(np.inf)[0]
+    return -gaussian_line_rows(ginoe_coefficients(N), hermite=False)(np.inf)[1]
 
 
 def test_half_moments():
@@ -182,7 +182,7 @@ def test_hatted_family_small_case():
     # on the monic family, whose columns are the library's times pair_roots / sqrt2
     monic_scale = np.append(pair_roots(3) / math.sqrt(2.0), 1.0)
     basis = ginoe_kernel(3).family
-    at_infinity = basis.rows(np.inf)[basis.partner_slot] * monic_scale
+    at_infinity = basis.rows(np.inf)[1] * monic_scale
     assert np.allclose(at_infinity, [0.0, 0.0, -0.5 * SQRT_2PI, 1.0], rtol=1e-15, atol=1e-15)
     hat = monic(ginoe_coefficients(3)) @ hat_transform(-half_moments(3) * monic_scale[:3])
     assert np.allclose(hat[:, 0], [1.0, 0.0, -1.0], atol=1e-14)

@@ -44,6 +44,7 @@ from betaone.quadrature import (
     truncation_radius,
 )
 from betaone.specfun import gaussian_tail_moments
+from test_kernels import two_point_real_density
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -89,15 +90,6 @@ def expected_real_count(N, h=1e-4):
 def expected_real_pair_count(N, h=1e-4):
     Z = fugacity_partition(N)
     return (Z(1.0 + h) - 2.0 * Z(1.0) + Z(1.0 - h)) / (h * h)
-
-
-def two_point_real_density(bundle, x, y):
-    s = bundle.scalar_kernel
-    return (
-        s(x, x) * s(y, y)
-        - s(x, y) * s(y, x)
-        - bundle.derivative_kernel(x, y) * bundle.integral_kernel(x, y)
-    )
 
 
 def test_pair_weight_agrees_with_naive_form():

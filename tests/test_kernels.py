@@ -64,9 +64,9 @@ def test_smallest_odd_size_is_standard_normal():
     bundle = goe_kernel(1)
     x = np.linspace(-3.0, 3.0, 7)
     assert np.allclose(bundle.scalar_kernel(x, x), np.exp(-0.5 * x * x) / SQRT_2PI, rtol=1e-12, atol=0)
-    # the scalar kernel is independent of its first argument here
+    # the scalar kernel is independent of its second argument here
     assert np.isclose(
-        bundle.scalar_kernel(-2.0, 0.4), bundle.scalar_kernel(1.5, 0.4), rtol=0, atol=1e-15
+        bundle.scalar_kernel(0.4, -2.0), bundle.scalar_kernel(0.4, 1.5), rtol=0, atol=1e-15
     )
 
 
@@ -114,17 +114,13 @@ def test_assembled_matrix_is_antisymmetric():
         as_antisymmetric(bundle.assemble(config))
 
 
-def cells_from_kernels(bundle, points, layout):
+def cells_from_kernels(bundle, points):
     # reference loop: every 2x2 cell written out from the three kernels
     S, D, I = bundle.scalar_kernel, bundle.derivative_kernel, bundle.integral_kernel
     A = np.zeros((2 * len(points), 2 * len(points)), dtype=complex)
     for i, a in enumerate(points):
         for j, b in enumerate(points):
-            if layout == "line":
-                cell = [[-I(a, b), S(a, b)], [-S(b, a), D(a, b)]]
-            else:
-                cell = [[D(a, b), S(a, b)], [-S(b, a), I(a, b)]]
-            A[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = cell
+            A[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = [[D(a, b), S(a, b)], [-S(b, a), I(a, b)]]
     return A
 
 
@@ -132,15 +128,36 @@ def test_assembled_matrix_matches_kernel_cells():
     line = PointConfiguration(reals=(-1.1, 0.2, 0.9))
     mixed = PointConfiguration(reals=(-0.6, 1.1), complexes=(0.4 + 0.8j, -0.3 + 1.5j))
     cases = (
-        (goe_kernel(4), line, "line"),
-        (goe_kernel(5), line, "line"),
-        (ginoe_kernel(4), mixed, "plane"),
-        (ginoe_kernel(5), mixed, "plane"),
+        (goe_kernel(4), line),
+        (goe_kernel(5), line),
+        (ginoe_kernel(4), mixed),
+        (ginoe_kernel(5), mixed),
     )
-    for bundle, config, layout in cases:
+    for bundle, config in cases:
         points = list(config.reals) + list(config.complexes)
-        reference = cells_from_kernels(bundle, points, layout)
+        reference = cells_from_kernels(bundle, points)
         assert np.allclose(bundle.assemble(config), reference, rtol=0, atol=1e-14)
+
+
+def two_point_real_density(bundle, x, y):
+    # the Pfaffian of two real points' cells [[D, S], [-S^T, I]], written out
+    s = bundle.scalar_kernel
+    return (
+        s(x, x) * s(y, y)
+        - s(x, y) * s(y, x)
+        - bundle.derivative_kernel(x, y) * bundle.integral_kernel(x, y)
+    )
+
+
+def test_one_two_point_formula_for_both_ensembles():
+    # one cell for both ensembles: the same written-out 2x2 Pfaffian is rho
+    rng = np.random.default_rng(35)
+    for make in (goe_kernel, ginoe_kernel):
+        for N in range(2, 9):
+            bundle = make(N)
+            for x, y in rng.uniform(-0.9, 0.9, (4, 2)) * math.sqrt(N):
+                want = rho(bundle, [x, y])
+                assert abs(two_point_real_density(bundle, x, y) - want) <= 1e-13 * abs(want), (make, N)
 
 
 def test_vectorized_kernels_match_pointwise_calls():
@@ -265,7 +282,7 @@ def test_rows_are_evaluated_once_per_point_array():
     # the hatted, bordered and conditioned bases all read one family cache
     evaluated = []
     even_rows = counting(gaussian_line_rows(goe_coefficients(4)), evaluated)
-    even = KernelBundle.from_basis("goe", 4, family_basis(even_rows, 4, "line"))
+    even = KernelBundle.from_basis("goe", 4, family_basis(even_rows, 4))
     config = PointConfiguration(reals=(-0.8, 0.1, 0.9))
     first = even.assemble(config)
     conditioned = [conditioned_bundle(even, far) for far in (16.0, 24.0, 16.0)]
@@ -285,7 +302,7 @@ def test_rows_are_evaluated_once_per_point_array():
 
     evaluated.clear()
     odd_rows = counting(gaussian_line_rows(goe_coefficients(5)), evaluated)
-    odd = family_basis(odd_rows, 5, "line")  # evaluates +inf for the hat
+    odd = family_basis(odd_rows, 5)  # evaluates +inf for the hat
     x = np.linspace(-1.0, 1.0, 5)
     for basis in (odd, odd.bordered(odd.upper), odd):
         basis.rows(x.copy())
@@ -411,14 +428,14 @@ def test_interrelations_hold_at_every_size():
 
 def shifted_partners(bundle, shift):
     # the bundle with every partner row moved by shift times its W row
-    basis, p = bundle.family, bundle.family.partner_slot
+    basis = bundle.family
 
     def rows(z):
         value = basis.rows(z).copy()
-        value[..., p, :] += shift * value[..., 1 - p, :]
+        value[..., 1, :] += shift * value[..., 0, :]
         return value
 
-    return KernelBundle.from_basis(bundle.ensemble, bundle.N, PairingBasis(rows, basis.upper, basis.layout))
+    return KernelBundle.from_basis(bundle.ensemble, bundle.N, PairingBasis(rows, basis.upper))
 
 
 def test_interrelations_fail_on_shifted_partner_rows():

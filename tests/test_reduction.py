@@ -222,7 +222,7 @@ def test_exact_limit_holds_on_random_bulk_configurations():
         for even, odd in ((goe_kernel(N), goe_kernel(N - 1)),
                           (ginoe_kernel(N), ginoe_kernel(N - 1))):
             limit = conditioned_bundle(even, np.inf)
-            plane = even.family.layout == "plane"
+            plane = even.ensemble == "ginoe"
             for _ in range(5):
                 for n in (3, 7):
                     reals = rng.uniform(-edge, edge, n)

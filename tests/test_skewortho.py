@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy import special
 
+from betaone.ginibre import ginoe_coefficients
+from betaone.ginoe_kernels import ginoe_kernel
 from betaone.kernels import goe_kernel, hat_transform
 from betaone.pfaffian import pfaffian, standard_pairing
 from betaone.quadrature import QuadratureError, gauss_legendre_rule, truncation_radius
@@ -65,7 +67,7 @@ def monic_roots(N):
 
 
 def half_moments(C):
-    return gaussian_line_rows(C)(np.inf)[0]
+    return -gaussian_line_rows(C)(np.inf)[1]
 
 
 def test_skew_inner_monomial_closed_forms():
@@ -111,13 +113,13 @@ def test_phi_transform_closed_forms():
     # on the monic family R_0 = 1, R_1 = x, R_2 = x^2 - 1/2
     rows = gaussian_line_rows(goe_coefficients(4) * monic_roots(4))
     x = np.linspace(-3.0, 3.0, 13)
-    eps = rows(x)[:, 0]
+    eps = -rows(x)[:, 1]
     assert np.allclose(
         eps[:, 0], 0.5 * SQRT_2PI * special.erf(x / math.sqrt(2.0)), rtol=0, atol=1e-14
     )
     assert np.allclose(eps[:, 1], -np.exp(-0.5 * x * x), rtol=0, atol=1e-15)
     # saturation far to the right: half the full weighted integrals
-    far = rows(9.0)[0]
+    far = -rows(9.0)[1]
     assert np.isclose(far[0], 0.5 * SQRT_2PI, rtol=1e-15, atol=0)
     assert np.isclose(far[2], 0.25 * SQRT_2PI, rtol=1e-15, atol=0)
 
@@ -128,9 +130,9 @@ def test_phi_transform_against_quadrature_oracle():
     for k in [2, 3]:
         left = gauss_legendre_rule(200, -12.0, x0)
         right = gauss_legendre_rule(200, x0, 12.0)
-        f = lambda y: rows(y)[:, 1, k]
+        f = lambda y: rows(y)[:, 0, k]
         oracle = 0.5 * (left.integrate(f) - right.integrate(f))
-        assert np.isclose(rows(x0)[0, k], oracle, rtol=0, atol=1e-14), k
+        assert np.isclose(-rows(x0)[1, k], oracle, rtol=0, atol=1e-14), k
 
 
 def test_hatted_family_exact_small_case():
@@ -150,15 +152,17 @@ def test_hatted_family_kills_weighted_integrals():
     rows = goe_kernel(5).family.rows
     rule = gauss_legendre_rule(240, -12.0, 12.0)
     for n in range(4):
-        value = rule.integrate(lambda x: rows(x)[:, 1, n])
+        value = rule.integrate(lambda x: rows(x)[:, 0, n])
         assert abs(value) < 1e-10, n
 
 
 def test_hatted_requires_odd_size():
-    # an even size keeps the plain rows: no hatting, no border column
-    basis = goe_kernel(4).family
+    # an even size keeps the plain rows: no hatting, no border column;
+    # GinOE's real rows are the same builder's, on the monomial basis
     x = np.array([-0.7, 0.4])
-    assert np.array_equal(basis.rows(x), gaussian_line_rows(goe_coefficients(4))(x))
+    for basis, C, hermite in ((goe_kernel(4).family, goe_coefficients(4), True),
+                              (ginoe_kernel(4).family, ginoe_coefficients(4), False)):
+        assert np.array_equal(basis.rows(x), gaussian_line_rows(C, hermite=hermite)(x))
 
 
 def test_generating_pfaffian_even_equals_norm_product():
