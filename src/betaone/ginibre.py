@@ -78,7 +78,7 @@ def ginoe_rows(C):
 
     W is the polynomial times pair_weight; the partner is i conj(W) at a
     complex point, and at a real one the line rows of skewortho (minus
-    the half-range transform).
+    the half-range transform), whose direction it shares.
     """
     line = gaussian_line_rows(C, hermite=False)
 
@@ -89,6 +89,7 @@ def ginoe_rows(C):
         W = plane_rows(C, z)
         return np.stack([W, 1j * np.conjugate(W)], axis=-2)
 
+    rows.direction = line.direction
     return rows
 
 

@@ -134,7 +134,8 @@ def cached_rows(rows):
 
     Points are keyed exactly, by dtype, shape and bytes; rows larger than
     the whole budget (quadrature nodes at large N) are not kept.  Every
-    caller shares the arrays returned, so they are read-only.
+    caller shares the arrays returned, so they are read-only.  The rows'
+    own attributes, such as a line family's direction, pass through.
     """
     cache = {}
     held = 0
@@ -155,6 +156,7 @@ def cached_rows(rows):
             held -= cache.pop(next(iter(cache))).nbytes
         return value
 
+    vars(cached).update(vars(rows))
     return cached
 
 

@@ -10,14 +10,15 @@ extended matrix [[B, C], [-C^T, E]], the other points see
 at every finite x_far.  On the engine's basis the complement is a
 bundle of its own (conditioned_bundle): the even rows plus the constant
 partner column, paired by the even M bordered through a rank-two term
-built from the far point's rows.  At x_far = +infinity the same
-construction is the exact limit, the kernel of the ensemble one size
-smaller; at finite distance each entry differs from it by
-c1/far + c2/far**2 + ...
+built from the far point's rows.  The term is homogeneous of degree 0
+in the far W row, so that row enters by its direction, which does not
+underflow.  At x_far = +infinity the same construction is the exact
+limit, the kernel of the ensemble one size smaller; at finite distance
+each entry differs from it by c1/far + c2/far**2 + ...
 
 verify_odd_limit gates the reduction on one probe configuration derived
 from the size: the exact limit against the directly built odd kernel,
-the finite-far deviations shrinking along FAR_POINTS, and the Schur
+the finite-far deviations shrinking along far_points(N), and the Schur
 complement at those same points.
 """
 
@@ -30,47 +31,44 @@ import numpy as np
 
 from .ginoe_kernels import ginoe_kernel
 from .kernels import KernelBundle, PointConfiguration, goe_kernel
-from .pfaffian import pfaffian
-
-CORNER_FLOOR = 1e-300
-# past the spectrum's edge up to N = 64 (about 11.3), where the deviations
-# shrink like 1/far, and short of far = 37, where the corner falls below
-# CORNER_FLOOR
-FAR_POINTS = (16.0, 24.0, 32.0)
 
 
-def _corner(value, x_far):
-    if abs(value) < CORNER_FLOOR:
-        raise ArithmeticError(
-            f"conditioning weight underflowed at far point {x_far!r}"
-        )
-    return value
+def far_points(N):
+    """Three far points for size N: the first power of two strictly past
+    the spectrum's edge sqrt(2N), then doubled twice."""
+    first = math.ldexp(1.0, math.frexp(math.sqrt(2 * N))[1])
+    return (first, 2 * first, 4 * first)
+
+
+def _far_rows(basis, x_far):
+    # the far point's rows, W along its direction
+    x_far = np.float64(x_far)
+    return np.stack([basis.rows.direction(x_far), basis.rows(x_far)[1]])
 
 
 def conditioned_bundle(bundle, x_far):
     """Kernel of the other N-1 points with one pinned at x_far (+inf allowed).
 
-    With Phi, W the far point's partner and weighted rows and M the even
-    pairing, the bordered pairing is
+    With Phi the far point's partner row, W the direction of its
+    weighted row (skewortho.gaussian_line_rows) and M the even pairing,
+    the bordered pairing is
 
         [[M, 0], [0, 0]] + (u v^T - v u^T) / (Phi M W^T),
         u = [M W^T; 0],  v = [M Phi^T; -1/2],
 
     the -1/2 being the sign term between the far point and every real
     point below it, so the update is exact for probes below x_far.  At
-    +inf only the direction of the vanishing W enters, the top-degree
-    unit vector.
+    +inf W is the top-degree unit vector.
     """
     if bundle.parity != "even":
         raise ValueError("reduction starts from an even-size bundle")
     basis = bundle.family
-    far = basis.rows(np.float64(x_far))
-    weighted, partner = far
-    if np.isposinf(x_far):
-        weighted = np.eye(len(weighted))[-1]
+    direction, partner = _far_rows(basis, x_far)
     M = basis.pairing
-    corner = _corner(basis.form(partner, weighted), x_far)
-    u = np.append(M @ weighted, 0.0)
+    corner = basis.form(partner, direction)
+    if not abs(corner) > 0.0:
+        raise ArithmeticError(f"no conditioning weight at far point {x_far!r}")
+    u = np.append(M @ direction, 0.0)
     v = np.append(M @ partner, -0.5)
     bordered = np.pad(M, ((0, 1), (0, 1))) + (np.outer(u, v) - np.outer(v, u)) / corner
     reduced = basis.bordered(np.triu(bordered, 1))
@@ -83,34 +81,26 @@ def _cell_last(A, cell, n_cells):
     return A[np.ix_(idx, idx)]
 
 
-def _far_cell_last(bundle, config, x_far):
-    """The matrix of config plus x_far, x_far's cell moved last, and its corner.
-
-    Moving a cell is an even permutation of rows and columns, so it
-    leaves the Pfaffian alone.
-    """
-    extended = PointConfiguration(
-        reals=config.reals + (float(x_far),), complexes=config.complexes
-    )
-    A = _cell_last(bundle.assemble(extended), len(config.reals), len(extended))
-    return A, _corner(A[-2, -1], x_far)
-
-
 def schur_complement_gap(bundle, config, x_far, updated=None):
     """Gap between the conditioned matrix and the Schur complement it stands for.
 
     The conditioned bundle's matrix on config against B + C E^-1 C^T, E
-    the far cell of the extended matrix, entry by entry, relative to
-    the complement's largest entry; updated is that matrix when the
-    caller has assembled it already.  Exact at any finite far point,
-    full configurations included, until the corner falls below
-    CORNER_FLOOR.
+    the far cell of the extended matrix (moved last, its W row along the
+    direction), entry by entry, relative to the complement's largest
+    entry; updated is that matrix when the caller has assembled it
+    already.  Exact at any finite far point, full configurations
+    included.
     """
     if len(config) == 0:
         raise ValueError("need at least one point")
-    A, corner = _far_cell_last(bundle, config, x_far)
+    basis = bundle.family
+    reals = np.array(config.reals + (float(x_far),))
+    rows = [basis.rows(reals[:-1]), _far_rows(basis, x_far)[None]]
+    if config.complexes:
+        rows.append(basis.rows(np.asarray(config.complexes, dtype=complex)))
+    A = _cell_last(basis.matrix(np.concatenate(rows), reals), len(config.reals), len(config) + 1)
     B, C = A[:-2, :-2], A[:-2, -2:]
-    schur = B + (np.outer(C[:, 1], C[:, 0]) - np.outer(C[:, 0], C[:, 1])) / corner
+    schur = B + (np.outer(C[:, 1], C[:, 0]) - np.outer(C[:, 0], C[:, 1])) / A[-2, -1]
     if updated is None:
         updated = conditioned_bundle(bundle, x_far).assemble(config)
     return float(np.abs(updated - schur).max() / np.abs(schur).max())
@@ -127,10 +117,11 @@ def probe_configuration(ensemble, N):
 class ReductionReport:
     """Deviations of the reduced kernel from the odd target, relative to
     the target matrix's largest entry: exact at the limit, far at each
-    of FAR_POINTS; schur_gap is the worst Schur complement gap there.
+    of far_points; schur_gap is the worst Schur complement gap there.
     """
 
     exact: float
+    far_points: tuple
     far: tuple
     schur_gap: float
 
@@ -139,13 +130,18 @@ class ReductionReport:
         """Worst ratio of successive far deviations: below 1 while they shrink."""
         return max(b / a for a, b in zip(self.far, self.far[1:]))
 
+    @property
+    def c1(self):
+        """far times deviation at the largest far point, where it tends to c1."""
+        return self.far_points[-1] * self.far[-1]
+
 
 def verify_odd_limit(even_bundle, odd_bundle):
     """The reduction of even_bundle against the directly built odd_bundle.
 
-    The conditioned matrix at +inf and at each of FAR_POINTS is assembled
-    once on the whole probe grid; the deviations and the Schur gaps share
-    it.
+    The conditioned matrix at +inf and at each of far_points(N) is
+    assembled once on the whole probe grid; the deviations and the Schur
+    gaps share it.
     """
     if odd_bundle.N != even_bundle.N - 1:
         raise ValueError("target bundle must be one size smaller")
@@ -157,12 +153,13 @@ def verify_odd_limit(even_bundle, odd_bundle):
         return float(np.abs(reduced - target).max() / scale)
 
     exact = deviation(conditioned_bundle(even_bundle, np.inf).assemble(config))
+    points = far_points(even_bundle.N)
     far, gaps = [], []
-    for x_far in FAR_POINTS:
+    for x_far in points:
         reduced = conditioned_bundle(even_bundle, x_far).assemble(config)
         far.append(deviation(reduced))
         gaps.append(schur_complement_gap(even_bundle, config, x_far, reduced))
-    return ReductionReport(exact=exact, far=tuple(far), schur_gap=max(gaps))
+    return ReductionReport(exact=exact, far_points=points, far=tuple(far), schur_gap=max(gaps))
 
 
 def verify_odd_limit_beta1(N):
@@ -173,24 +170,3 @@ def verify_odd_limit_beta1(N):
 def verify_odd_limit_ginoe(N):
     """Plane-ensemble reduction N -> N-1 (N even)."""
     return verify_odd_limit(ginoe_kernel(N), ginoe_kernel(N - 1))
-
-
-def factorisation_check(bundle, reduced_bundle, config, x_far):
-    """Conditioned correlation over (one-point weight times reduced target).
-
-    The ratio tends to 1 as the conditioning point recedes; its gap at
-    finite distance measures how far the reduction is from its limit.
-    The one-point weight is the far cell's corner.  An empty probe set
-    is the one-point case, where the extended matrix is that cell alone
-    and the ratio is 1 identically.
-    """
-    if reduced_bundle.N != bundle.N - 1:
-        raise ValueError("target bundle must be one size smaller")
-    if len(config) > 3:
-        raise ValueError("factorisation check takes at most three probe points")
-    A, weight = _far_cell_last(bundle, config, x_far)
-    joint = np.real(pfaffian(A))
-    if not len(config):
-        return joint / weight
-    target = np.real(pfaffian(reduced_bundle.assemble(config)))
-    return joint / (weight * target)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .pfaffian import standard_pairing
 from .quadrature import LINE_PANEL_CAP, panel_rule, refine, truncation_radius
-from .specfun import gaussian_tail_moments
+from .specfun import gaussian_tail_moments, weighted_powers
 
 
 def goe_coefficients(N):
@@ -55,6 +55,10 @@ def gaussian_line_rows(C, hermite=True):
     specfun.gaussian_tail_moments pass per point array; at x = +inf the
     partner is minus half the full weighted integral.  GOE takes these
     rows on h_n, GinOE on x^n / sqrt(n!) at its real points.
+
+    rows.direction(x) is the direction of W at one real x, where the
+    weight may underflow (past x = 37): the polynomials alone, over
+    their largest entry, and at +inf the top-degree unit vector.
     """
     n = C.shape[0]
     half = 0.5 * (gaussian_tail_moments(n, -np.inf, hermite)[1] @ C)
@@ -66,6 +70,13 @@ def gaussian_line_rows(C, hermite=True):
         W, tails = gaussian_tail_moments(n, x, hermite)
         return np.stack([W @ C, tails @ C - half], axis=-2)
 
+    def direction(x):
+        if np.isposinf(x):
+            return np.eye(n)[-1]
+        q = weighted_powers(n, x, 1.0, 0.5 if hermite else 0.0) @ C
+        return q / np.abs(q).max()
+
+    rows.direction = direction
     return rows
 
 

@@ -20,6 +20,7 @@ from betaone.ginoe_kernels import ginoe_rho
 from betaone.kernels import PointConfiguration
 from betaone.montecarlo import ginibre_spectra, pair_mass_estimate
 from betaone.quadrature import gauss_legendre_rule
+from betaone.reduction import far_points
 
 
 def run_cli(argv):
@@ -315,6 +316,25 @@ def test_verify_reduction_suite_passes():
             assert by_name["exact-limit"]["deviation"] <= 1e-12
             assert by_name["far-convergence"]["deviation"] < 1.0
             assert by_name["schur-complement-gap"]["deviation"] <= 1e-13
+
+
+def test_verify_reduction_reports_far_diagnostics_deterministically():
+    # far-convergence carries its far points and far x deviation at the
+    # largest; at N = 2 the deviation is exactly c1/far, c1 = 0.5853
+    for ensemble in ("goe", "ginoe"):
+        for size, c1 in ((1, 0.5853), (2, 0.5853), (9, None), (64, None)):
+            argv = ["verify", "--suite", "reduction", "--ensemble", ensemble, "--size", str(size)]
+            code, text, _ = run_cli(argv)
+            assert code == 0 and run_cli(argv)[1] == text, (ensemble, size)
+            check = {c["check"]: c for c in json.loads(text)["checks"]}["far-convergence"]
+            assert check["far_points"] == list(far_points(size + size % 2)), (ensemble, size)
+            assert np.isfinite(check["c1"]) and check["c1"] > 0.0, (ensemble, size)
+            if c1 is not None:
+                assert abs(check["c1"] - c1) <= 1e-4, (ensemble, size)
+    code, text, _ = run_cli(argv + ["--format", "csv"])
+    _, body = split_csv(text)
+    assert body[0] == "suite,check,deviation,tolerance,passed"
+    assert all(len(row.split(",")) == 5 for row in body[1:])
 
 
 def test_gate_table_matches_gates_and_emitted_checks():

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath
@@ -271,6 +272,7 @@ def test_cached_rows_match_a_fresh_evaluation_and_are_read_only(ensemble):
 def counting(fn, evaluated, point=0):
     """fn, appending a copy of its argument number `point` to evaluated on every call."""
 
+    @functools.wraps(fn)
     def counted(*args, **kwargs):
         evaluated.append(np.array(args[point]))
         return fn(*args, **kwargs)

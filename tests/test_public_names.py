@@ -18,7 +18,6 @@ DOTTED = re.compile(r"[A-Za-z_][\w.]*\Z")
 TEST_ONLY = {
     "ginibre.partition_function_check",
     "ginibre.sinclair_prefactor",
-    "reduction.factorisation_check",
     "montecarlo.pair_mass_estimate",
 }
 # library names that only bench/ reads

@@ -7,7 +7,8 @@ every even size up to 64.  The finite-distance deviations from the same
 targets must shrink along the far points on the fixed probe grid of
 verify_odd_limit, and the conditioned matrix must be the Schur
 complement of the far point's cell at finite distances, full and
-over-full configurations included.
+over-full configurations included, and past the underflow of the far
+point's weight.
 """
 
 import math
@@ -20,9 +21,9 @@ from betaone.ginoe_kernels import ginoe_kernel
 from betaone.kernels import PointConfiguration, goe_kernel
 from betaone.pfaffian import pfaffian
 from betaone.reduction import (
-    FAR_POINTS,
     conditioned_bundle,
-    factorisation_check,
+    far_points,
+    probe_configuration,
     schur_complement_gap,
     verify_odd_limit_beta1,
     verify_odd_limit_ginoe,
@@ -102,7 +103,7 @@ def test_schur_gap_holds_on_full_configurations():
     for N in (22, 24, 32):
         grid = np.linspace(-0.9, 0.9, 7) * math.sqrt(N)
         full = PointConfiguration(reals=grid, complexes=grid + 0.5j)
-        for far in FAR_POINTS:
+        for far in far_points(N):
             assert schur_complement_gap(ginoe_kernel(N), full, far) <= 1e-13, (N, far)
 
 
@@ -126,9 +127,43 @@ def test_conditioned_bundle_is_schur_complement():
             assert np.allclose(updated, schur, rtol=0, atol=1e-13 * np.abs(schur).max())
 
 
-def test_identity_fails_loudly_when_corner_underflows():
+def test_reduction_holds_past_the_weight_underflow():
+    # the far W row's weight e^(-far^2/2) underflows from far = 37 on; its
+    # direction does not, so the update holds at any far point
+    for make in (goe_kernel, ginoe_kernel):
+        for N in (4, 64):
+            even = make(N)
+            config = probe_configuration(even.ensemble, N)
+            limit = conditioned_bundle(even, np.inf).assemble(config)
+            deviations = []
+            for far in (60.0, 1000.0):
+                reduced = conditioned_bundle(even, far).assemble(config)
+                assert np.isfinite(reduced).all(), (make.__name__, N, far)
+                deviations.append(np.abs(reduced - limit).max())
+            assert deviations[1] < deviations[0], (make.__name__, N, deviations)
+            gap = schur_complement_gap(even, config, 60.0)
+            assert gap <= GATES["schur-complement-gap"], (make.__name__, N, gap)
+
+
+def test_zero_corner_fails_loudly(monkeypatch):
+    even = goe_kernel(4)
+    monkeypatch.setattr(even.family.rows, "direction", lambda x: np.zeros(4))
     with pytest.raises(ArithmeticError):
-        conditioned_bundle(goe_kernel(4), 60.0)
+        conditioned_bundle(even, 8.0)
+
+
+def test_far_points_lie_past_the_edge_and_double():
+    for N in range(2, 201, 2):
+        points = far_points(N)
+        edge = math.sqrt(2 * N)
+        probes = probe_configuration("ginoe", N).reals
+        assert edge < points[0] and max(probes) < points[0], N
+        assert points[0] / 2 <= edge, N  # the first power of two past it
+        assert points[1] == 2 * points[0] and points[2] == 2 * points[1], N
+        assert math.log2(points[0]).is_integer(), N
+    assert far_points(2) == (4.0, 8.0, 16.0)
+    assert far_points(64) == (16.0, 32.0, 64.0)
+    assert far_points(128) == far_points(200) == (32.0, 64.0, 128.0)
 
 
 def test_closed_form_limit_matches_direct_odd_line_ensemble():
@@ -232,35 +267,3 @@ def test_exact_limit_holds_on_random_bulk_configurations():
                     target = odd.assemble(config)
                     gap = np.abs(limit.assemble(config) - target).max()
                     assert gap <= 1e-12 * np.abs(target).max(), (even.ensemble, N, n)
-
-
-def test_factorisation_single_point_is_exact():
-    empty = PointConfiguration(reals=())
-    assert factorisation_check(goe_kernel(4), goe_kernel(3), empty, 8.0) == 1.0
-
-
-def test_factorisation_two_point_both_ensembles():
-    config = PointConfiguration(reals=(0.07,))
-    for even, odd in ((goe_kernel(4), goe_kernel(3)),
-                      (ginoe_kernel(4), ginoe_kernel(3))):
-        gaps = [abs(factorisation_check(even, odd, config, far) - 1.0)
-                for far in (6.0, 8.0, 10.0)]
-        assert gaps[-1] <= 1e-2
-        assert all(b <= a for a, b in zip(gaps, gaps[1:]))
-
-
-def test_factorisation_rejects_too_many_probes():
-    config = PointConfiguration(reals=(0.1, 0.2, 0.3, 0.4))
-    with pytest.raises(ValueError):
-        factorisation_check(goe_kernel(6), goe_kernel(5), config, 8.0)
-
-
-def test_conditioning_odd_size_recovers_even_target():
-    # the reduction chain closes: conditioning the odd-size ensemble on a
-    # far eigenvalue walks back down to the even size below it
-    config = PointConfiguration(reals=(0.5,))
-    for joint, reduced, tol in ((goe_kernel(5), goe_kernel(4), 4e-3),
-                                (ginoe_kernel(3), ginoe_kernel(2), 2e-2)):
-        gaps = [abs(factorisation_check(joint, reduced, config, far) - 1.0)
-                for far in (6.0, 8.0, 10.0, 12.0)]
-        assert max(gaps) <= tol
