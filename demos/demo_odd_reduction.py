@@ -14,12 +14,7 @@ included.
 import numpy as np
 
 from betaone.cli import kernel_bundle
-from betaone.reduction import (
-    conditioned_bundle,
-    far_points,
-    verify_odd_limit_beta1,
-    verify_odd_limit_ginoe,
-)
+from betaone.reduction import conditioned_bundle, far_points, verify_odd_limit
 
 
 def show(label, report):
@@ -32,9 +27,10 @@ def show(label, report):
 
 
 def main():
-    for N in (4, 6, 8, 20):
-        show(f"gaussian weight, {N} -> {N - 1}", verify_odd_limit_beta1(N))
-    show("real ginibre, 4 -> 3", verify_odd_limit_ginoe(4))
+    runs = [("goe", "gaussian weight", N) for N in (4, 6, 8, 20)] + [("ginoe", "real ginibre", 4)]
+    for e, label, N in runs:
+        report = verify_odd_limit(kernel_bundle(e, N), kernel_bundle(e, N - 1))
+        show(f"{label}, {N} -> {N - 1}", report)
     print()
     bundle = kernel_bundle("goe", 4)
     target = kernel_bundle("goe", 3)

@@ -27,7 +27,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from .pfaffian import pfaffian
-from .quadrature import PLANE_PANEL_CAP, panel_rule, truncation_radius
+from .quadrature import PLANE_PANEL_CAP, panel_rule, reference_rule, truncation_radius
 from .skewortho import gaussian_line_rows, line_gram, refined_gram
 from .specfun import erfcx, weighted_powers
 
@@ -98,16 +98,17 @@ def plane_gram(C, panels, radius):
 
     At a fixed height, Im(W_j conj W_k) is e^{-x^2} times a polynomial
     of degree at most 2n - 2 in x, n = C.shape[0], so the n-node
-    Gauss-Hermite rule is exact in x; its weights carry e^{x^2} because
-    both rows already hold e^{-x^2/2}.  The heights are `panels` panels
-    of [0, radius], taken half a panel (16 heights, 16 n^2 row entries)
-    at a time, with the erfc root of pair_weight once per height.
+    Gauss-Hermite rule, built once per n, is exact in x; its weights
+    carry e^{x^2} because both rows already hold e^{-x^2/2}.  The
+    heights are `panels` panels of [0, radius], taken half a panel (16
+    heights, 16 n^2 row entries) at a time, with the erfc root of
+    pair_weight once per height.
     Im(W^T diag(w) conj W) is A - A^T with A = Im(W)^T diag(w) Re(W);
     W = P C on the normalized weighted monomials P, and C is real, so
     it maps Re P and Im P apart.
     """
     n = C.shape[0]
-    x, wx = hermgauss(n)
+    x, wx = reference_rule(hermgauss, n)
     wx = wx * np.exp(x * x)
     y = panel_rule((0.0, radius), panels)
     root = np.sqrt(erfcx(SQRT2 * y.nodes))

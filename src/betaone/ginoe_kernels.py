@@ -64,9 +64,10 @@ def ginoe_summed_S(N, mu, eta):
         z = np.conjugate(eta)
         head = (mu_rows[..., :-1] * weighted_powers(N - 1, z, pair_weight(z))).sum(-1)
         return 1j / SQRT_2PI * (z - mu) * head
-    eta_rows, tails = gaussian_tail_moments(N - 1, eta)
-    head = (mu_rows[..., :-1] * eta_rows).sum(-1)
-    partial = gaussian_tail_moments(N - 1, 0.0)[1][-1] - tails[..., -1]
+    # T(0) from the same pass as eta: 0 appended, the rest shaped back
+    eta_rows, tails = gaussian_tail_moments(N - 1, np.append(eta, 0.0))
+    head = (mu_rows[..., :-1] * eta_rows[:-1].reshape(eta.shape + (N - 1,))).sum(-1)
+    partial = tails[-1, -1] - tails[:-1, -1].reshape(eta.shape)
     edge = mu_rows[..., -1] * np.sqrt(N - 1) * partial
     return (head + edge) / SQRT_2PI
 

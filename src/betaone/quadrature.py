@@ -60,9 +60,11 @@ class QuadratureRule:
 
 
 @functools.cache
-def _legendre_reference(n):
-    # nodes and weights on [-1, 1], built once per node count
-    x, w = leggauss(n)
+def reference_rule(gauss, n):
+    """Nodes and weights of numpy's n-node rule gauss (leggauss on
+    [-1, 1], hermgauss against e^{-x^2}), built once per node count and
+    read-only."""
+    x, w = gauss(n)
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
@@ -71,7 +73,7 @@ def _legendre_reference(n):
 def gauss_legendre_rule(n, a, b):
     """Gauss-Legendre rule with n nodes mapped to [a, b]; for arrays of
     panel ends a and b, the rules of the panels [a_i, b_i] in order."""
-    x, w = _legendre_reference(n)
+    x, w = reference_rule(leggauss, n)
     a, b = np.asarray(a, dtype=float)[..., None], np.asarray(b, dtype=float)[..., None]
     half = 0.5 * (b - a)
     return QuadratureRule((0.5 * (a + b) + half * x).reshape(-1), (half * w).reshape(-1))

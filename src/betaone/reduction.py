@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ginoe_kernels import ginoe_kernel
-from .kernels import KernelBundle, PointConfiguration, goe_kernel
+from .kernels import KernelBundle, PointConfiguration
 
 
 def far_points(N):
@@ -160,11 +160,6 @@ def verify_odd_limit(even_bundle, odd_bundle):
         far.append(deviation(reduced))
         gaps.append(schur_complement_gap(even_bundle, config, x_far, reduced))
     return ReductionReport(exact=exact, far_points=points, far=tuple(far), schur_gap=max(gaps))
-
-
-def verify_odd_limit_beta1(N):
-    """Gaussian-weight reduction N -> N-1 (N even)."""
-    return verify_odd_limit(goe_kernel(N), goe_kernel(N - 1))
 
 
 def verify_odd_limit_ginoe(N):

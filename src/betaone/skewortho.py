@@ -53,8 +53,9 @@ def gaussian_line_rows(C, hermite=True):
     W is the polynomial times e^(-x^2/2) and its partner P = -eps W is
     minus the half-range transform, both from one
     specfun.gaussian_tail_moments pass per point array; at x = +inf the
-    partner is minus half the full weighted integral.  GOE takes these
-    rows on h_n, GinOE on x^n / sqrt(n!) at its real points.
+    partner is minus half the full weighted integral.  The full moments
+    and the rows at a lone +-inf take no pass.  GOE takes these rows on
+    h_n, GinOE on x^n / sqrt(n!) at its real points.
 
     rows.direction(x) is the direction of W at one real x, where the
     weight may underflow (past x = 37): the polynomials alone, over

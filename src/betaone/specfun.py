@@ -6,9 +6,11 @@ a few units in the last place, and applied element by element to arrays.
 weighted_powers gives the normalized monomial and Hermite rows, of order
 one at every degree, by one three-term recurrence.  gaussian_tail_moments
 gives a real point set's Gaussian-weighted rows and their tail moments
-from one such pass: the moments' recurrence is driven by the rows.  The
-line rows W, their partners -eps W and the GinOE closed form (the Poisson
-head and the Gaussian tail moments) are all built from these two.
+from one such pass: the moments' recurrence is driven by the rows.  At
+x = +-inf the rows vanish and the recurrence alone gives the moments,
+with no pass.  The line rows W, their partners -eps W and the GinOE
+closed form (the Poisson head and the Gaussian tail moments) are all
+built from these two.
 """
 
 from __future__ import annotations
@@ -128,11 +130,19 @@ def gaussian_tail_moments(n, x, hermite=False):
     T_{k+1} = sqrt(k / (k+1)) T_{k-1} + p_k(x) e^(-x^2/2) / sqrt((k+1)(1 - c))
     from the erfc and Gaussian base cases, driven by the rows
     themselves: one weighted_powers pass gives both.  It is stable for
-    every sign of x.  Rows and moments are exactly 0 at x = +inf, and
-    x = -inf gives the full moments.  Vectorized in x; returns
-    (rows, moments), each of shape x.shape + (n,).
+    every sign of x.  Vectorized in x; returns (rows, moments), each of
+    shape x.shape + (n,).  A 0-d x = +-inf takes no pass: its rows are
+    0 and the recurrence runs undriven, giving 0 at +inf and the full
+    moments at -inf, bit for bit what an array [+-inf] gives.
     """
     x = np.asarray(x, dtype=float)
+    if x.ndim == 0 and np.isinf(x):
+        moments = np.zeros(n)
+        if x < 0 and n:
+            moments[0] = math.sqrt(2.0 * math.pi)
+            for k in range(2, n, 2):
+                moments[k] = math.sqrt((k - 1) / k) * moments[k - 2]
+        return np.zeros(n), moments
     c = 0.5 if hermite else 0.0
     with np.errstate(over="ignore"):
         weight = np.exp(-0.5 * x * x)

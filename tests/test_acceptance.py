@@ -42,8 +42,7 @@ from betaone.reduction import (
     PointConfiguration,
     conditioned_bundle,
     probe_configuration,
-    verify_odd_limit_beta1,
-    verify_odd_limit_ginoe,
+    verify_odd_limit,
 )
 from betaone.skewortho import skew_deviation
 
@@ -193,8 +192,8 @@ def test_criterion_06_integrate_out_recurrence():
 def test_criterion_07_even_to_odd_reduction():
     start = time.time()
     reports = [
-        (label, N, verify(N))
-        for label, verify in (("beta1", verify_odd_limit_beta1), ("ginoe", verify_odd_limit_ginoe))
+        (label, N, verify_odd_limit(kernel(N), kernel(N - 1)))
+        for label, kernel in (("beta1", goe_kernel), ("ginoe", ginoe_kernel))
         for N in range(4, 65, 2)
     ]
     for label, N, rep in reports:

@@ -21,6 +21,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from betaone import ginoe_kernels
 from betaone.ginibre import (
     ginoe_coefficients,
     ginoe_gram,
@@ -275,6 +276,35 @@ def test_kernels_hold_past_the_command_line_cap():
                 gap = np.abs(bundle.scalar_kernel(mu[:, None], eta) - ginoe_summed_S(N, mu[:, None], eta))
                 assert gap.max() * SQRT_2PI <= 1e-14, N
     assert np.isfinite(goe_kernel(200).scalar_kernel(0.0, 0.0))
+
+
+def test_summed_form_reads_T0_from_the_eta_pass(monkeypatch):
+    # one pass over the real eta with 0 appended: every shape of eta gives
+    # what per-element calls give, bit for bit, and the appended point
+    # the moments of a lone 0 on the generic path
+    passes = []
+
+    def recorded(*args, **kwargs):
+        passes.append(gaussian_tail_moments(*args, **kwargs))
+        return passes[-1]
+
+    monkeypatch.setattr(ginoe_kernels, "gaussian_tail_moments", recorded)
+    N = 7
+    mu, eta = np.array([-1.3, 0.2, 2.4]), np.array([-2.2, -0.4, 0.0, 0.9, 3.1])
+    single = np.array([[ginoe_summed_S(N, m, e) for e in eta] for m in mu])
+    shapes = (
+        (mu[:, None], eta, single),  # broadcast
+        (mu[1], eta, single[1]),  # 1-D
+        (mu[:, None], eta[3], single[:, 3:4]),  # 0-d numpy float
+        (mu[2], np.array(eta[0]), single[2, 0]),  # 0-d array
+    )
+    for m, e, want in shapes:
+        got = ginoe_summed_S(N, m, e)
+        assert np.shape(got) == np.shape(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    zero = gaussian_tail_moments(N - 1, 0.0)
+    assert len(passes) == mu.size * eta.size + 4
+    for rows, moments in passes:
+        assert rows[-1].tobytes() == zero[0].tobytes() and moments[-1].tobytes() == zero[1].tobytes()
 
 
 def test_summed_form_rejects_bad_inputs():

@@ -313,7 +313,9 @@ def test_rows_are_evaluated_once_per_point_array():
 
 def test_real_points_pass_the_recurrence_once(monkeypatch):
     # the rows W and the tail moments behind the partner eps W come from one
-    # weighted_powers pass per real point array, wherever the rows are read
+    # weighted_powers pass per real point array, wherever the rows are read;
+    # the constants at +-inf (the full moments, the odd family's partners
+    # at +inf) take none, and the closed form reads T(0) from eta's pass
     passes = []
     counted = counting(specfun.weighted_powers, passes, point=1)
     for module in (specfun, ginibre, ginoe_kernels):
@@ -322,13 +324,16 @@ def test_real_points_pass_the_recurrence_once(monkeypatch):
     for family_rows, coefficients in ((gaussian_line_rows, goe_coefficients), (ginoe_rows, ginoe_coefficients)):
         passes.clear()
         rows = family_rows(coefficients(5))
+        family_basis(rows, 5)
+        rows(np.inf)
+        assert not passes
         rows(x)
-        assert len(passes) == 2 and passes[0] == -np.inf and np.array_equal(passes[1], x)
+        assert len(passes) == 1 and np.array_equal(passes[0], x)
     passes.clear()
     mu, eta = np.array([[0.3], [-1.1]]), np.array([0.7, -1.6])
     ginoe_kernels.ginoe_summed_S(6, mu, eta)
-    assert len(passes) == 3
-    for point in (mu, eta, np.array(0.0)):
+    assert len(passes) == 2
+    for point in (mu, np.append(eta, 0.0)):
         assert sum(p.shape == point.shape and np.array_equal(p, point) for p in passes) == 1
 
 

@@ -21,7 +21,7 @@ TEST_ONLY = {
     "montecarlo.pair_mass_estimate",
 }
 # library names that only bench/ reads
-BENCH_ONLY = {"ginoe_kernels.ginoe_rho", "montecarlo.ginibre_spectra"}
+BENCH_ONLY = {"ginoe_kernels.ginoe_rho", "montecarlo.ginibre_spectra", "reduction.verify_odd_limit_ginoe"}
 
 
 def defined_names(tree):

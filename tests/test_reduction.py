@@ -25,8 +25,7 @@ from betaone.reduction import (
     far_points,
     probe_configuration,
     schur_complement_gap,
-    verify_odd_limit_beta1,
-    verify_odd_limit_ginoe,
+    verify_odd_limit,
 )
 from betaone.reduction import _cell_last
 
@@ -220,32 +219,31 @@ def test_cell_move_keeps_pfaffian():
         assert np.isclose(moved, base, rtol=1e-12, atol=1e-300)
 
 
-def check_reduction_reports(verify):
+def check_reduction_reports(kernel):
     for N in EVEN_SIZES:
-        report = verify(N)
+        report = verify_odd_limit(kernel(N), kernel(N - 1))
         assert report.exact <= 1e-12, N
         assert report.ratio < 1.0, N
         assert report.schur_gap <= GATES["schur-complement-gap"], N
 
 
 def test_line_reduction_reports_converge_monotonically():
-    check_reduction_reports(verify_odd_limit_beta1)
+    check_reduction_reports(goe_kernel)
 
 
 def test_plane_reduction_report_converges_monotonically():
-    check_reduction_reports(verify_odd_limit_ginoe)
+    check_reduction_reports(ginoe_kernel)
 
 
 def test_reduction_gates_hold_past_the_command_line_cap():
     # on unit pair norms no factorial limits the sizes the reduction
     # reaches; with separate pair norms up to (2N)! it failed from GinOE
     # N = 112 (far-convergence 3.9) and at GOE N = 160
-    for verify, N in ((verify_odd_limit_ginoe, 112), (verify_odd_limit_ginoe, 128),
-                      (verify_odd_limit_beta1, 160), (verify_odd_limit_beta1, 200)):
-        report = verify(N)
-        assert report.exact <= GATES["exact-limit"], (verify.__name__, N)
-        assert report.ratio < GATES["far-convergence"], (verify.__name__, N)
-        assert report.schur_gap <= GATES["schur-complement-gap"], (verify.__name__, N)
+    for kernel, N in ((ginoe_kernel, 112), (ginoe_kernel, 128), (goe_kernel, 160), (goe_kernel, 200)):
+        report = verify_odd_limit(kernel(N), kernel(N - 1))
+        assert report.exact <= GATES["exact-limit"], (kernel.__name__, N)
+        assert report.ratio < GATES["far-convergence"], (kernel.__name__, N)
+        assert report.schur_gap <= GATES["schur-complement-gap"], (kernel.__name__, N)
 
 
 def test_exact_limit_holds_on_random_bulk_configurations():

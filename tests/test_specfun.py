@@ -179,3 +179,15 @@ def test_gaussian_full_moments():
     rows, moments = gaussian_tail_moments(6, -np.inf, hermite=True)
     assert not rows.any() and not moments[1::2].any()
     assert np.allclose(moments[::2], [SQRT_2PI, math.sqrt(math.pi), math.sqrt(0.75 * math.pi)], rtol=1e-15, atol=0)
+
+
+def test_lone_infinities_match_the_array_path():
+    # a 0-d +-inf takes no pass, its moments the undriven recurrence; the
+    # array path on a one-element [+-inf] is the reference, bit for bit
+    for hermite in (False, True):
+        for n in range(131):
+            for x in (-np.inf, np.inf):
+                reference = gaussian_tail_moments(n, np.array([x]), hermite)
+                for got, want in zip(gaussian_tail_moments(n, x, hermite), reference):
+                    assert got.shape == (n,) and got.dtype == want.dtype
+                    assert got.tobytes() == want[0].tobytes(), (n, x, hermite)
