@@ -24,10 +24,9 @@ from .specfun import gaussian_tail_moments, weighted_powers
 def ginoe_kernel(N):
     """Kernel bundle of N real Ginibre eigenvalues, parity derived from N.
 
-    At odd N the pairs run over the hatted polynomials; the top one
-    pairs with the constant partner column, which reaches the scalar
-    block at a real second argument and the integrated block unless
-    both arguments are complex.
+    At odd N the family is bordered (kernels.family_basis): the constant
+    partner column reaches the scalar block at a real second argument
+    and the integrated block unless both arguments are complex.
     """
     basis = family_basis(ginoe_rows(ginoe_coefficients(N)), N)
     return KernelBundle.from_basis("ginoe", N, basis)

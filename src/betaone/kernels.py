@@ -6,12 +6,12 @@ B: its weighted family polynomials W and their partners P; M is the
 antisymmetric pairing of the family and the sign term 1/2 sgn(x_i - x_j)
 couples the partner rows of real points.  Both families are
 skew-orthonormal, so even sizes pair the polynomials by the standard
-pairing, 1 at (2k, 2k+1).  Odd sizes hat the rows once (every
-polynomial below the top loses the multiple of the top one that carries
-its weighted integral) and border M with a constant partner column (1
-on the partner row of a real point, 0 elsewhere) tied to the top
-polynomial: what the sign term of a point sent to +infinity leaves
-behind (see reduction).
+pairing, 1 at (2k, 2k+1).  At odd sizes the top polynomial is left
+unpaired; PairingBasis.bordered adds a constant partner column (1 on
+the partner row of a real point, 0 elsewhere) and pairs it with the
+top polynomial through a rank-two border of M: what the sign term of a
+point sent to +infinity leaves behind.  The same rule, bordered through
+a far point's rows, is the even-to-odd reduction (see reduction).
 
 The kernel blocks are the entries of one cell, [[D, S], [-S^T, I]] on
 the rows (W, P), for every ensemble (Forrester and Nagao 2007): W sits
@@ -54,19 +54,6 @@ class PointConfiguration:
     def eigenvalues(self):
         """Eigenvalues the points stand for, a complex point for its conjugate pair."""
         return len(self.reals) + 2 * len(self.complexes)
-
-
-def pairing_upper(m, border=None):
-    """Upper triangle U of the antisymmetric pairing M = U - U^T.
-
-    U, the positive part of the standard pairing J, holds 1 at (2k, 2k+1)
-    for each of the m pairs; for odd sizes border pairs the top
-    polynomial with the constant column appended last.
-    """
-    U = np.maximum(standard_pairing(2 * m + (0 if border is None else 2)), 0.0)
-    if border is not None:
-        U[-2, -1] = border
-    return U
 
 
 class PairingBasis:
@@ -112,11 +99,29 @@ class PairingBasis:
         A[..., 1:n:2, 1:n:2] += 0.5 * np.sign(reals[..., :, None] - reals[..., None, :])
         return A
 
-    def bordered(self, upper):
-        """These rows plus a constant partner column, paired by upper.
+    def bordered(self, u, partner):
+        """These rows plus a constant partner column, paired through a rank-two border.
 
-        The column is 1 on the partner row of a real point, else 0.
+        The column is 1 on the partner row of a real point, else 0.  With
+        M this basis's pairing, the bordered pairing is
+
+            [[M, 0], [0, 0]] + (u v^T - v u^T) / (partner . u),
+            u = [u; 0],  v = [M partner^T; -1/2],
+
+        the -1/2 being the sign term between every real point and one at
+        +infinity (or at a far point above it) whose partner row is
+        partner.  A zero or nan partner . u raises ArithmeticError.
         """
+        corner = partner @ u
+        if not abs(corner) > 0.0:
+            raise ArithmeticError(f"no border weight: partner . u = {corner!r}")
+        M = self.pairing
+        m = len(u)
+        pairing = np.zeros((m + 1, m + 1))
+        pairing[:m, :m] = M
+        v = np.append(M @ partner, -0.5)
+        u = np.append(u, 0.0)
+        pairing += (np.outer(u, v) - np.outer(v, u)) / corner
 
         def rows(z):
             base = self.rows(z)
@@ -125,7 +130,7 @@ class PairingBasis:
                 extra[..., 1, 0] = 1.0
             return np.concatenate([base, extra], axis=-1)
 
-        return PairingBasis(rows, upper)
+        return PairingBasis(rows, np.triu(pairing, 1))
 
 
 def cached_rows(rows):
@@ -160,36 +165,23 @@ def cached_rows(rows):
     return cached
 
 
-def hat_transform(h):
-    """T with rows @ T the hatted rows of an odd-size family.
-
-    h holds the partners of the rows at +infinity (minus the half
-    moments).  Every column below the top loses h_j / h_top times the
-    top column, so its partner at +infinity vanishes: the hatted
-    polynomials integrate to zero against the weight.
-    """
-    T = np.eye(len(h))
-    T[-1, :-1] = -h[:-1] / h[-1]
-    return T
-
-
 def family_basis(rows, N):
-    """Pairing basis of a family of size N; odd N gets the hatted, bordered form.
+    """Pairing basis of a family of size N; odd N gets the bordered form.
 
-    The border pairs the constant partner column with the top polynomial
-    (unchanged by the hatting) through -1/2 over its partner at +infinity.
-    The family's rows are cached (cached_rows), and every basis derived
-    from it, hatted, bordered or conditioned, evaluates them through
-    that one cache.
+    The standard pairing leaves the top polynomial of an odd family
+    unpaired; bordered(e_top, rows(+inf)[1]) pairs it with the constant
+    partner column by -1/2 over its partner at +infinity.  That is the
+    hatted family (each polynomial below the top less the multiple of
+    the top one that carries its weighted integral) with the hat T moved
+    from the rows into the pairing, T M^ T^T.  The family's rows are
+    cached (cached_rows), and every basis derived from it, bordered or
+    conditioned, evaluates them through that one cache.
     """
     rows = cached_rows(rows)
-    basis = PairingBasis(rows, pairing_upper(N // 2))
+    basis = PairingBasis(rows, np.maximum(standard_pairing(N), 0.0))
     if N % 2 == 0:
         return basis
-    h = rows(np.inf)[1]
-    T = hat_transform(h)
-    hatted = PairingBasis(lambda z: rows(z) @ T, basis.upper)
-    return hatted.bordered(pairing_upper(N // 2, -0.5 / h[-1]))
+    return basis.bordered(np.eye(N)[-1], rows(np.inf)[1])
 
 
 @dataclass(frozen=True)
@@ -260,7 +252,7 @@ def goe_kernel(N):
     """GOE kernel bundle of N eigenvalues, parity derived from N.
 
     Built from the closed-form family on the normalized weighted Hermite
-    rows; odd N is hatted and bordered.
+    rows; odd N is bordered (family_basis).
     """
     basis = family_basis(gaussian_line_rows(goe_coefficients(N)), N)
     return KernelBundle.from_basis("goe", N, basis)

@@ -2,15 +2,16 @@
 
 Pinning one eigenvalue of an even-size ensemble at a real point x_far
 and conditioning on it removes that point's cell from the correlation
-matrix through a Schur complement: with the far cell E last in the
-extended matrix [[B, C], [-C^T, E]], the other points see
+matrix through a Schur complement: with the far cell E first in the
+extended matrix [[E, -C^T], [C, B]], the other points see
 
     B + C E^-1 C^T,    and Pf[extended] = Pf E * Pf[B + C E^-1 C^T],
 
 at every finite x_far.  On the engine's basis the complement is a
 bundle of its own (conditioned_bundle): the even rows plus the constant
 partner column, paired by the even M bordered through a rank-two term
-built from the far point's rows.  The term is homogeneous of degree 0
+built from the far point's rows, by the rule that builds the odd-size
+families (PairingBasis.bordered).  The term is homogeneous of degree 0
 in the far W row, so that row enters by its direction, which does not
 underflow.  At x_far = +infinity the same construction is the exact
 limit, the kernel of the ensemble one size smaller; at finite distance
@@ -49,58 +50,44 @@ def _far_rows(basis, x_far):
 def conditioned_bundle(bundle, x_far):
     """Kernel of the other N-1 points with one pinned at x_far (+inf allowed).
 
-    With Phi the far point's partner row, W the direction of its
-    weighted row (skewortho.gaussian_line_rows) and M the even pairing,
-    the bordered pairing is
-
-        [[M, 0], [0, 0]] + (u v^T - v u^T) / (Phi M W^T),
-        u = [M W^T; 0],  v = [M Phi^T; -1/2],
-
-    the -1/2 being the sign term between the far point and every real
-    point below it, so the update is exact for probes below x_far.  At
-    +inf W is the top-degree unit vector.
+    The even rows bordered (PairingBasis.bordered) through u = M W^T and
+    the far point's partner row Phi, W the direction of its weighted row
+    (skewortho.gaussian_line_rows) and M the even pairing: the border's
+    -1/2 is the sign term between the far point and every real point
+    below it, so the update is exact for probes below x_far.  At +inf W
+    is the top-degree unit vector.
     """
     if bundle.parity != "even":
         raise ValueError("reduction starts from an even-size bundle")
     basis = bundle.family
     direction, partner = _far_rows(basis, x_far)
-    M = basis.pairing
-    corner = basis.form(partner, direction)
-    if not abs(corner) > 0.0:
-        raise ArithmeticError(f"no conditioning weight at far point {x_far!r}")
-    u = np.append(M @ direction, 0.0)
-    v = np.append(M @ partner, -0.5)
-    bordered = np.pad(M, ((0, 1), (0, 1))) + (np.outer(u, v) - np.outer(v, u)) / corner
-    reduced = basis.bordered(np.triu(bordered, 1))
+    try:
+        reduced = basis.bordered(basis.pairing @ direction, partner)
+    except ArithmeticError as error:
+        raise ArithmeticError(f"no conditioning weight at far point {x_far!r}") from error
     return KernelBundle.from_basis(bundle.ensemble, bundle.N - 1, reduced)
-
-
-def _cell_last(A, cell, n_cells):
-    order = [c for c in range(n_cells) if c != cell] + [cell]
-    idx = np.concatenate([(2 * c, 2 * c + 1) for c in order])
-    return A[np.ix_(idx, idx)]
 
 
 def schur_complement_gap(bundle, config, x_far, updated=None):
     """Gap between the conditioned matrix and the Schur complement it stands for.
 
     The conditioned bundle's matrix on config against B + C E^-1 C^T, E
-    the far cell of the extended matrix (moved last, its W row along the
-    direction), entry by entry, relative to the complement's largest
-    entry; updated is that matrix when the caller has assembled it
-    already.  Exact at any finite far point, full configurations
-    included.
+    the far cell of the extended matrix (the far point first among the
+    reals, its W row along the direction), entry by entry, relative to
+    the complement's largest entry; updated is that matrix when the
+    caller has assembled it already.  Exact at any finite far point,
+    full configurations included.
     """
     if len(config) == 0:
         raise ValueError("need at least one point")
     basis = bundle.family
-    reals = np.array(config.reals + (float(x_far),))
-    rows = [basis.rows(reals[:-1]), _far_rows(basis, x_far)[None]]
+    reals = np.array((float(x_far),) + config.reals)
+    rows = [_far_rows(basis, x_far)[None], basis.rows(reals[1:])]
     if config.complexes:
         rows.append(basis.rows(np.asarray(config.complexes, dtype=complex)))
-    A = _cell_last(basis.matrix(np.concatenate(rows), reals), len(config.reals), len(config) + 1)
-    B, C = A[:-2, :-2], A[:-2, -2:]
-    schur = B + (np.outer(C[:, 1], C[:, 0]) - np.outer(C[:, 0], C[:, 1])) / A[-2, -1]
+    A = basis.matrix(np.concatenate(rows), reals)
+    B, C = A[2:, 2:], A[2:, :2]
+    schur = B + (np.outer(C[:, 1], C[:, 0]) - np.outer(C[:, 0], C[:, 1])) / A[0, 1]
     if updated is None:
         updated = conditioned_bundle(bundle, x_far).assemble(config)
     return float(np.abs(updated - schur).max() / np.abs(schur).max())

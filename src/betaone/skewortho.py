@@ -59,7 +59,8 @@ def gaussian_line_rows(C, hermite=True):
 
     rows.direction(x) is the direction of W at one real x, where the
     weight may underflow (past x = 37): the polynomials alone, over
-    their largest entry, and at +inf the top-degree unit vector.
+    their largest entry, and at +inf the top-degree unit vector; where
+    the polynomials overflow it raises ArithmeticError.
     """
     n = C.shape[0]
     half = 0.5 * (gaussian_tail_moments(n, -np.inf, hermite)[1] @ C)
@@ -74,7 +75,10 @@ def gaussian_line_rows(C, hermite=True):
     def direction(x):
         if np.isposinf(x):
             return np.eye(n)[-1]
-        q = weighted_powers(n, x, 1.0, 0.5 if hermite else 0.0) @ C
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = weighted_powers(n, x, 1.0, 0.5 if hermite else 0.0) @ C
+        if not np.isfinite(q).all():
+            raise ArithmeticError(f"size {n} polynomials overflow at far point {float(x)!r}")
         return q / np.abs(q).max()
 
     rows.direction = direction

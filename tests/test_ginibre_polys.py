@@ -16,10 +16,11 @@ from betaone.ginibre import (
     sinclair_prefactor,
 )
 from betaone.ginoe_kernels import ginoe_kernel
-from betaone.kernels import hat_transform
 from betaone.quadrature import ORDER, gauss_legendre_rule, panel_rule, truncation_radius
 from betaone.skewortho import gaussian_line_rows, goe_gram, skew_deviation
 from betaone.specfun import erfcx, weighted_powers
+
+from test_kernels import hat_transform
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -182,9 +183,11 @@ def test_hatted_family_small_case():
     # on the monic family, whose columns are the library's times pair_roots / sqrt2
     monic_scale = np.append(pair_roots(3) / math.sqrt(2.0), 1.0)
     basis = ginoe_kernel(3).family
+    T = hat_transform(-half_moments(3) * monic_scale[:3])
     at_infinity = basis.rows(np.inf)[1] * monic_scale
-    assert np.allclose(at_infinity, [0.0, 0.0, -0.5 * SQRT_2PI, 1.0], rtol=1e-15, atol=1e-15)
-    hat = monic(ginoe_coefficients(3)) @ hat_transform(-half_moments(3) * monic_scale[:3])
+    assert np.allclose(at_infinity[:3] @ T, [0.0, 0.0, -0.5 * SQRT_2PI], rtol=1e-15, atol=1e-15)
+    assert at_infinity[3] == 1.0
+    hat = monic(ginoe_coefficients(3)) @ T
     assert np.allclose(hat[:, 0], [1.0, 0.0, -1.0], atol=1e-14)
     assert np.allclose(hat[:, 1], [0.0, 1.0, 0.0], atol=1e-14)
     assert np.allclose(hat[:, 2], [0.0, 0.0, 1.0], atol=ULPS)
@@ -196,10 +199,14 @@ def test_hatted_family_small_case():
 
 
 def test_hatted_family_kills_weighted_integrals():
-    rows = ginoe_kernel(5).family.rows
+    # in pairing form: M times the partners at +infinity vanishes below the top
+    family = ginoe_kernel(5).family
+    at_infinity = family.rows(np.inf)[1]
+    assert np.abs((family.pairing @ at_infinity)[:-2]).max() <= 1e-15
+    T = hat_transform(at_infinity[:-1])
     rule = gauss_legendre_rule(240, -12.0, 12.0)
     for i in range(4):
-        value = rule.integrate(lambda x: rows(x)[:, 0, i])
+        value = rule.integrate(lambda x: family.rows(x)[:, 0, :-1] @ T[:, i])
         assert abs(value) < 1e-10, i
 
 

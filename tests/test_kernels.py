@@ -22,7 +22,7 @@ from betaone.kernels import (
     interrelations_check,
     rho,
 )
-from betaone.pfaffian import as_antisymmetric
+from betaone.pfaffian import as_antisymmetric, standard_pairing
 from betaone.reduction import conditioned_bundle
 from betaone.skewortho import gaussian_line_rows, goe_coefficients
 
@@ -238,7 +238,7 @@ def row_points(ensemble):
 
 
 def derived_bases(make, N):
-    # the hatted and bordered rows of the odd size N - 1, the plain rows of
+    # the bordered rows of the odd size N - 1, the plain rows of
     # the even size N, and those conditioned at a far point and at +inf
     even = make(N)
     return [
@@ -281,7 +281,7 @@ def counting(fn, evaluated, point=0):
 
 
 def test_rows_are_evaluated_once_per_point_array():
-    # the hatted, bordered and conditioned bases all read one family cache
+    # the bordered and conditioned bases all read one family cache
     evaluated = []
     even_rows = counting(gaussian_line_rows(goe_coefficients(4)), evaluated)
     even = KernelBundle.from_basis("goe", 4, family_basis(even_rows, 4))
@@ -304,11 +304,48 @@ def test_rows_are_evaluated_once_per_point_array():
 
     evaluated.clear()
     odd_rows = counting(gaussian_line_rows(goe_coefficients(5)), evaluated)
-    odd = family_basis(odd_rows, 5)  # evaluates +inf for the hat
+    odd = family_basis(odd_rows, 5)  # evaluates +inf for the border
+    # bordered once more, through its constant column: still the one cache
+    again = odd.bordered(np.eye(6)[-1], odd.rows(np.inf)[1])
     x = np.linspace(-1.0, 1.0, 5)
-    for basis in (odd, odd.bordered(odd.upper), odd):
+    for basis in (odd, again, odd):
         basis.rows(x.copy())
     assert [e.shape for e in evaluated] == [(), (5,)]
+
+
+def hat_transform(h):
+    """T with rows @ T the hatted rows of an odd-size family, h the partners at +infinity.
+
+    Every column below the top loses h_j / h_top times the top column, so
+    its partner at +infinity vanishes: the hatted polynomials integrate
+    to zero against the weight.
+    """
+    T = np.eye(len(h))
+    T[-1, :-1] = -h[:-1] / h[-1]
+    return T
+
+
+def hatted_pairing(h):
+    """T M^ T^T on the plain rows plus the constant column: M^ the standard
+    pairing of the hatted rows, the top bordered with the column by -1/2
+    over its partner at +infinity, and T the hat with the column kept."""
+    N = len(h)
+    M = standard_pairing(N + 1)
+    M[N - 1, N], M[N, N - 1] = -0.5 / h[-1], 0.5 / h[-1]
+    T = np.eye(N + 1)
+    T[:N, :N] = hat_transform(h)
+    return T @ M @ T.T
+
+
+@pytest.mark.parametrize("ensemble", ["goe", "ginoe"])
+def test_odd_pairing_is_the_hat_moved_into_the_pairing(ensemble):
+    # hatting the rows by T and pairing them by M^ is pairing the plain
+    # rows by T M^ T^T: the bordered pairing, to roundoff
+    make = ROW_FAMILIES[ensemble][0]
+    for N in range(1, 66, 2):
+        family = make(N).family
+        h = family.rows(np.inf)[1][:-1]
+        assert np.abs(family.pairing - hatted_pairing(h)).max() <= 1e-15, N
 
 
 def test_real_points_pass_the_recurrence_once(monkeypatch):

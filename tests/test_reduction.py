@@ -12,14 +12,15 @@ point's weight.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from betaone.cli import GATES
+from betaone.cli import GATES, SUITES, kernel_bundle
+from betaone.ginibre import ginoe_coefficients
 from betaone.ginoe_kernels import ginoe_kernel
-from betaone.kernels import PointConfiguration, goe_kernel
-from betaone.pfaffian import pfaffian
+from betaone.kernels import PairingBasis, PointConfiguration, goe_kernel
 from betaone.reduction import (
     conditioned_bundle,
     far_points,
@@ -27,7 +28,8 @@ from betaone.reduction import (
     schur_complement_gap,
     verify_odd_limit,
 )
-from betaone.reduction import _cell_last
+from betaone.skewortho import goe_coefficients
+from betaone.specfun import weighted_powers
 
 BLOCKS = ("scalar", "derivative", "integral")
 EVEN_SIZES = range(4, 65, 2)
@@ -115,13 +117,13 @@ def test_conditioned_bundle_is_schur_complement():
     )
     for bundle, config in cases:
         for far in (4.0, 6.0, 8.0):
+            # the far point first: its cell is the leading 2 x 2 block
             extended = PointConfiguration(
-                reals=config.reals + (far,), complexes=config.complexes
+                reals=(far,) + config.reals, complexes=config.complexes
             )
-            A = _cell_last(bundle.assemble(extended), len(config.reals), len(extended))
-            m = A.shape[0] - 2
-            einv = np.array([[0.0, -1.0], [1.0, 0.0]]) / A[m, m + 1]
-            schur = A[:m, :m] + A[:m, m:] @ einv @ A[:m, m:].T
+            A = bundle.assemble(extended)
+            einv = np.array([[0.0, -1.0], [1.0, 0.0]]) / A[0, 1]
+            schur = A[2:, 2:] + A[2:, :2] @ einv @ A[2:, :2].T
             updated = conditioned_bundle(bundle, far).assemble(config)
             assert np.allclose(updated, schur, rtol=0, atol=1e-13 * np.abs(schur).max())
 
@@ -146,9 +148,40 @@ def test_reduction_holds_past_the_weight_underflow():
 
 def test_zero_corner_fails_loudly(monkeypatch):
     even = goe_kernel(4)
-    monkeypatch.setattr(even.family.rows, "direction", lambda x: np.zeros(4))
-    with pytest.raises(ArithmeticError):
-        conditioned_bundle(even, 8.0)
+    for corner in (0.0, np.nan):
+        monkeypatch.setattr(even.family.rows, "direction", lambda x: np.full(4, corner))
+        with pytest.raises(ArithmeticError, match="far point 8.0"):
+            conditioned_bundle(even, 8.0)
+
+
+def test_far_direction_overflow_fails_loudly():
+    # the plain polynomials of the direction overflow where the top one
+    # passes the largest double: at N = 200 from far = 214 on (GOE) and
+    # from 302 on (GinOE); at 300 only GinOE's last recurrence step, whose
+    # value goes unused, overflows, and the reduction holds there
+    cases = ((goe_kernel, 256.0), (ginoe_kernel, 400.0))
+    for action in ("error", "ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            for make, far in cases:
+                even = make(200)
+                with pytest.raises(ArithmeticError, match=f"size 200 .* far point {far!r}"):
+                    even.family.rows.direction(np.float64(far))
+                with pytest.raises(ArithmeticError, match=f"far point {far!r}"):
+                    conditioned_bundle(even, far)
+            even = ginoe_kernel(200)
+            reduced = conditioned_bundle(even, 300.0).assemble(probe_configuration("ginoe", 200))
+            assert np.isfinite(reduced).all()
+
+
+def test_far_direction_is_the_scaled_polynomials():
+    # at the derived far points, bit for bit the polynomials over their largest entry
+    for make, C, c in ((goe_kernel, goe_coefficients, 0.5), (ginoe_kernel, ginoe_coefficients, 0.0)):
+        for N in (2, 4, 64, 128, 200):
+            direction = make(N).family.rows.direction
+            for far in far_points(N):
+                q = weighted_powers(N, np.float64(far), 1.0, c) @ C(N)
+                assert np.array_equal(direction(np.float64(far)), q / np.abs(q).max()), (N, far)
 
 
 def test_far_points_lie_past_the_edge_and_double():
@@ -209,14 +242,32 @@ def test_finite_distance_update_approaches_closed_form_limit():
     assert gap_far < gap_near
 
 
-def test_cell_move_keeps_pfaffian():
-    bundle = goe_kernel(4)
-    config = PointConfiguration(reals=(0.3, -0.7, 1.1))
-    A = bundle.assemble(config)
-    base = pfaffian(A)
-    for cell in range(3):
-        moved = pfaffian(_cell_last(A, cell, 3))
-        assert np.isclose(moved, base, rtol=1e-12, atol=1e-300)
+def test_flipped_border_sign_fails_the_checks_built_without_it(monkeypatch):
+    # exact-limit compares two uses of one rule, the odd family bordered
+    # through e_top and the conditioned one through M W^T, so a wrong border
+    # can pass it; the checks that do not go through bordered must not.
+    # The mutant flips the border's -1/2 to +1/2: v's last entry grows by
+    # one, and the constant column's pairings by u / (partner . u)
+    bordered = PairingBasis.bordered
+
+    def flipped(self, u, partner):
+        basis = bordered(self, u, partner)
+        upper = basis.upper.copy()
+        upper[:-1, -1] += u / (partner @ u)
+        return PairingBasis(basis.rows, upper)
+
+    monkeypatch.setattr(PairingBasis, "bordered", flipped)
+
+    def deviation(suite, ensemble, N, check):
+        records = SUITES[suite](kernel_bundle(ensemble, N))
+        return next(r["deviation"] for r in records if r["check"] == check)
+
+    # the Schur complement comes from the extended matrix of the even rows
+    assert deviation("reduction", "goe", 6, "schur-complement-gap") > 0.5
+    assert deviation("reduction", "ginoe", 6, "schur-complement-gap") > 0.5
+    # the odd kernels against the density's integral and the closed form
+    assert deviation("kernels", "goe", 5, "density-normalization") > 0.1
+    assert deviation("kernels", "ginoe", 5, "closed-form-agreement") > 0.5
 
 
 def check_reduction_reports(kernel):

@@ -6,7 +6,7 @@ from scipy import special
 
 from betaone.ginibre import ginoe_coefficients
 from betaone.ginoe_kernels import ginoe_kernel
-from betaone.kernels import goe_kernel, hat_transform
+from betaone.kernels import goe_kernel
 from betaone.pfaffian import pfaffian, standard_pairing
 from betaone.quadrature import QuadratureError, gauss_legendre_rule, truncation_radius
 from betaone.skewortho import (
@@ -16,6 +16,8 @@ from betaone.skewortho import (
     line_gram,
     skew_deviation,
 )
+
+from test_kernels import hat_transform
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -149,10 +151,16 @@ def test_hatted_family_exact_small_case():
 
 
 def test_hatted_family_kills_weighted_integrals():
-    rows = goe_kernel(5).family.rows
+    # the hat lives in the pairing: M times the partners at +infinity
+    # (minus the half moments) vanishes below the top polynomial, as the
+    # weighted integrals of the hatted polynomials do
+    family = goe_kernel(5).family
+    at_infinity = family.rows(np.inf)[1]
+    assert np.abs((family.pairing @ at_infinity)[:-2]).max() <= 1e-15
+    T = hat_transform(at_infinity[:-1])
     rule = gauss_legendre_rule(240, -12.0, 12.0)
     for n in range(4):
-        value = rule.integrate(lambda x: rows(x)[:, 0, n])
+        value = rule.integrate(lambda x: family.rows(x)[:, 0, :-1] @ T[:, n])
         assert abs(value) < 1e-10, n
 
 
