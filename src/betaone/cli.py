@@ -60,7 +60,7 @@ class ConfigError(ValueError):
 
 
 def _fmt(value):
-    # float first: report values are nearly all floats, np.float64 among them
+    # one header or echo value; _table_lines writes table cells the same way
     if isinstance(value, (float, np.floating)):
         return "%.17g" % value
     if isinstance(value, (bool, np.bool_)):
@@ -113,10 +113,30 @@ def _json_default(value):
     return value.item()
 
 
-def _csv_text(config, columns, rows, extra=()):
+def _table_lines(series):
+    # the data rows of a column table, each column of one kind: one `%` row
+    # template from the kinds, as _fmt writes them, applied to the columns as
+    # lists; a complex column is its real and its imaginary part
+    formats, columns = [], []
+    for values in map(np.asarray, series):
+        kind = values.dtype.kind
+        if kind == "c":
+            formats.append("%.17g%+.17gj")
+            columns += values.real.tolist(), values.imag.tolist()
+            continue
+        if kind == "b":
+            values = np.where(values, "true", "false")
+        formats.append("%.17g" if kind == "f" else "%d" if kind in "iu" else "%s")
+        columns.append(values.tolist())
+    return map(",".join(formats).__mod__, zip(*columns))
+
+
+def _csv_text(config, columns, tables, extra=()):
+    # the header, then the rows of each table in turn: all share the columns
     lines = ["# %s=%s" % (k, _fmt(v)) for k, v in (*echo(config), *extra)]
     lines.append(",".join(columns))
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    for series in tables:
+        lines.extend(_table_lines(series))
     return "\n".join(lines) + "\n"
 
 
@@ -126,10 +146,10 @@ def _json_text(config, payload, extra=()):
 
 
 def _table_text(config, columns, series, extra):
-    # a column table: JSON maps each column to its series, CSV zips the rows
+    # a column table: JSON maps each column to its series, CSV writes its rows
     if config.format == "json":
         return _json_text(config, dict(zip(columns, series)), extra)
-    return _csv_text(config, columns, zip(*series), extra)
+    return _csv_text(config, columns, (series,), extra)
 
 
 def _parse_grid(text):
@@ -219,11 +239,11 @@ def cmd_density(config):
     extra = [("kernel", "%s-%s" % (config.ensemble, bundle.parity))]
     finite = closed = None
     if config.path != "summed-up":
-        finite = [float(v) for v in np.real(bundle.scalar_kernel(xs, xs))]
+        finite = np.real(bundle.scalar_kernel(xs, xs))
     if config.path != "finite-sum":
-        closed = [float(v) for v in ginoe_summed_S(config.size, xs, xs)]
+        closed = ginoe_summed_S(config.size, xs, xs)
     if config.path == "both":
-        gap = max(abs(f - c) for f, c in zip(finite, closed))
+        gap = float(np.max(np.abs(finite - closed)))
         if gap * SQRT_2PI > GATES["closed-form-agreement"]:
             raise ArithmeticError(
                 "finite-sum and closed-form densities disagree by %.3e" % gap
@@ -250,12 +270,10 @@ def cmd_correlate(config):
     if config.format == "json":
         payload = {"rho": value.real, "matrix": matrix}
         return _json_text(config, payload, extra), 0
-    rows = [("rho", "", "", value.real)]
-    for i in range(matrix.shape[0]):
-        for j in range(matrix.shape[1]):
-            entry = matrix[i, j]
-            rows.append(("matrix", i, j, complex(entry) if np.iscomplexobj(matrix) else float(entry)))
-    return _csv_text(config, ("record", "row", "col", "value"), rows, extra), 0
+    # the value row, then the matrix entries row by row
+    rows, cols = np.indices(matrix.shape).reshape(2, -1)
+    tables = ((["rho"], [""], [""], [value.real]), (["matrix"] * matrix.size, rows, cols, matrix.ravel()))
+    return _csv_text(config, ("record", "row", "col", "value"), tables, extra), 0
 
 
 def _check(suite, name, deviation, **diagnostics):
@@ -358,8 +376,8 @@ def cmd_verify(config):
     extra = [("passed", not failed), ("checks", len(checks))]
     if config.format == "csv":
         columns = ("suite", "check", "deviation", "tolerance", "passed")
-        rows = [tuple(c[k] for k in columns) for c in checks]
-        text = _csv_text(config, columns, rows, extra)
+        series = [[c[k] for c in checks] for k in columns]
+        text = _csv_text(config, columns, (series,), extra)
     else:
         text = _json_text(config, {"passed": not failed, "checks": checks})
     for c in failed:

@@ -111,6 +111,8 @@ def weighted_powers(n, z, weight, c=0.0):
     with np.errstate(invalid="ignore"):
         for k in range(n):
             out[..., k] = current
+            if k == n - 1:
+                break  # row n would be computed only to be dropped
             step = z * current
             if c:
                 step = step - c * math.sqrt(k / (1.0 - c)) * previous

@@ -3,6 +3,7 @@ import dataclasses
 import importlib.util
 import io
 import json
+import math
 import os
 import pathlib
 import re
@@ -635,6 +636,60 @@ def test_fmt_writes_each_value_type_as_before():
         ("goe", "goe"),
     ]
     assert [cli._fmt(value) for value, _ in cases] == [text for _, text in cases]
+
+
+def fmt_rows(series):
+    # the reference for the table writer: each cell through _fmt, joined
+    return [",".join(map(cli._fmt, row)) for row in zip(*series)]
+
+
+def test_table_writer_matches_the_per_cell_format():
+    # every value kind the reports carry, a column of each, Python and numpy
+    floats = [0.1, -0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 2.0**60, -1.0 / 3.0]
+    complexes = [complex(0.0, -2.0), complex(3.0, 0.0), complex(-0.0, -0.0), complex(math.nan, 1.0),
+                 complex(math.inf, -math.inf), 1j, complex(-1.5, 0.1), complex(0.1, -0.0), 0j]
+    n = len(floats)
+    series = (
+        floats,
+        np.array(floats),
+        [np.float64(v) for v in floats],
+        list(range(-4, n - 4)),
+        np.arange(n, dtype=np.int64) - 5,
+        [np.int64(k) for k in range(n)],
+        [k % 2 == 1 for k in range(n)],
+        np.arange(n) % 3 == 0,
+        [np.bool_(k < 3) for k in range(n)],
+        ["goe", "", "matrix", "rho", "ginoe-odd", "x", "a b", "-", "true"],
+        complexes,
+        np.array(complexes),
+        [np.complex128(v) for v in complexes],
+    )
+    assert list(cli._table_lines(series)) == fmt_rows(series)
+    assert list(cli._table_lines(([], []))) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "--ensemble", "goe", "--size", "5", "--grid=-4:4:9"],
+    ["density", "--ensemble", "ginoe", "--size", "6", "--grid=-3:3:7", "--path", "both"],
+    ["density", "--ensemble", "ginoe", "--size", "7", "--grid=-3:3:7", "--path", "summed-up"],
+    ["correlate", "--ensemble", "goe", "--size", "4", "--points=-0.5,0.2,1.1"],
+    ["correlate", "--ensemble", "ginoe", "--size", "5", "--points=-0.4,0.3+0.6j"],
+    ["correlate", "--ensemble", "ginoe", "--size", "1", "--points=0.3+0.6j"],
+    ["verify", "--suite", "all", "--ensemble", "ginoe", "--size", "4", "--format", "csv"],
+    ["mc-compare", "--ensemble", "goe", "--size", "2", "--samples", "10000", "--bins", "8"],
+], ids=lambda argv: "-".join(argv[:5:2]))
+def test_every_csv_table_reads_as_the_per_cell_format(monkeypatch, argv):
+    tables, writer = [], cli._table_lines
+
+    def recording(series):
+        tables.append(series)
+        return writer(series)
+
+    monkeypatch.setattr(cli, "_table_lines", recording)
+    code, text, _ = run_cli(argv)
+    assert code == 0 and tables
+    _, body = split_csv(text)
+    assert body[1:] == [line for series in tables for line in fmt_rows(series)]
 
 
 @pytest.mark.parametrize("ensemble", ["goe", "ginoe"])

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+import pytest
 
 from scipy import special
 
@@ -191,3 +192,21 @@ def test_lone_infinities_match_the_array_path():
                 for got, want in zip(gaussian_tail_moments(n, x, hermite), reference):
                     assert got.shape == (n,) and got.dtype == want.dtype
                     assert got.tobytes() == want[0].tobytes(), (n, x, hermite)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_weighted_powers_stops_at_its_last_row():
+    # both stored rows are finite; a step past row n - 1 would overflow
+    rows = weighted_powers(2, np.array([1e200]), 1.0)
+    assert rows.tolist() == [[1.0, 1e200]]
+
+
+def test_weighted_powers_rows_are_a_prefix_of_longer_runs():
+    # row k does not depend on how many rows are asked for, bit for bit
+    x = np.array([-30.0, -2.5, -0.0, 0.3, 1.7, 8.0, np.inf])
+    z = np.array([0.3 + 0.6j, -1.2 + 0.05j, 4.0 + 2.0j])
+    for c in (0.0, 0.5):
+        for points, weight in ((x, np.exp(-0.5 * x * x)), (z, np.exp(-z.imag**2)), (x, 1.0)):
+            for n in range(1, 40):
+                short, longer = weighted_powers(n, points, weight, c), weighted_powers(n + 1, points, weight, c)
+                assert short.tobytes() == longer[..., :n].copy().tobytes(), (c, n)
