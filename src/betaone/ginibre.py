@@ -13,10 +13,10 @@ normalized monomials m_k = x^k / sqrt(k!) of specfun the family
 pair norm sqrt(2pi) (2j)!) is skew-orthonormal for that pairing: its
 Gram matrix is the standard pairing J.  The Gram is one quadrature sum
 per sector over the rows the kernels use (ginoe_rows): the line
-product, and -2 Im(W^T diag(w) conj W) over the upper half-plane.  At a
-fixed height the plane integrand is e^{-x^2} times a polynomial in x,
-so a Gauss-Hermite rule takes x exactly and only the height y is
-refined.
+product, and -2 Im(W^T diag(w) conj W) over the upper half-plane.  The
+plane integrand is e^{-x^2} omega(y), omega(y) = e^{y^2} erfc(sqrt2 y),
+times a polynomial in x and y, so one tensor rule of Gauss rules for the
+two weights takes it exactly: only the line sector is refined.
 """
 
 from __future__ import annotations
@@ -24,15 +24,15 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 from .pfaffian import pfaffian
-from .quadrature import PLANE_PANEL_CAP, panel_rule, reference_rule, truncation_radius
+from .quadrature import ORDER, panel_rule, reference_rule, stieltjes, truncation_radius
 from .skewortho import gaussian_line_rows, line_gram, refined_gram
 from .specfun import erfcx, weighted_powers
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 SQRT2 = math.sqrt(2.0)
+HEIGHT_RADIUS = math.sqrt(1075.0 * math.log(2.0))  # omega(y) <= e^{-y^2} underflows past it
 
 
 def ginoe_coefficients(N):
@@ -58,12 +58,8 @@ def pair_weight(z):
     if not np.iscomplexobj(z):
         with np.errstate(over="ignore"):
             return np.exp(-0.5 * z * z)
-    return _folded_weight(z, np.sqrt(erfcx(SQRT2 * np.abs(z.imag))))
-
-
-def _folded_weight(z, root):
-    # pair_weight from root = sqrt(erfcx(sqrt2 |Im z|)), as root exp(-|z|^2/2 - i Re z Im z):
     # z*z is never formed, and where |z|^2 overflows the weight is exactly 0
+    root = np.sqrt(erfcx(SQRT2 * np.abs(z.imag)))
     with np.errstate(over="ignore"):
         return root * np.exp(-0.5 * (z.real**2 + z.imag**2) - 1j * z.real * z.imag)
 
@@ -93,49 +89,48 @@ def ginoe_rows(C):
     return rows
 
 
-def plane_gram(C, panels, radius):
+def hermite_recurrence(n):
+    """gauss_rule's (a, b, weight) for e^{-x^2}, rows times e^{-x^2/2}: weights times e^{x^2}."""
+    return np.zeros(n), np.append(math.sqrt(math.pi), 0.5 * np.arange(1.0, n)), lambda x: np.exp(-0.5 * x * x)
+
+
+def height_recurrence(n):
+    """gauss_rule's (a, b) for omega on [0, HEIGHT_RADIUS], by stieltjes on 64 ORDER-node panels."""
+    y = panel_rule((0.0, HEIGHT_RADIUS), 64)
+    return stieltjes(y.nodes, y.weights * erfcx(SQRT2 * y.nodes) * np.exp(-y.nodes**2), n)
+
+
+def plane_gram(C):
     """Complex-sector pairing -2 sum w Im(W^T conj W) over the upper half-plane.
 
-    At a fixed height, Im(W_j conj W_k) is e^{-x^2} times a polynomial
-    of degree at most 2n - 2 in x, n = C.shape[0], so the n-node
-    Gauss-Hermite rule, built once per n, is exact in x; its weights
-    carry e^{x^2} because both rows already hold e^{-x^2/2}.  The
-    heights are `panels` panels of [0, radius], taken half a panel (16
-    heights, 16 n^2 row entries) at a time, with the erfc root of
-    pair_weight once per height.
-    Im(W^T diag(w) conj W) is A - A^T with A = Im(W)^T diag(w) Re(W);
-    W = P C on the normalized weighted monomials P, and C is real, so
-    it maps Re P and Im P apart.
+    Im(W_j conj W_k) is e^{-x^2} omega(y) times a polynomial of degree below
+    2n in x and in y, n = C.shape[0]: the n-node Gauss rules' tensor is exact.
+    The rows keep e^{-x^2/2} (the Hermite weights undo it) and drop omega and
+    pair_weight's phase, which cancels; ORDER / 2 heights at a time.  W = P C,
+    C real: with A = Im(P C)^T diag(w) Re(P C) the sum is A - A^T.
     """
     n = C.shape[0]
-    x, wx = reference_rule(hermgauss, n)
-    wx = wx * np.exp(x * x)
-    y = panel_rule((0.0, radius), panels)
-    root = np.sqrt(erfcx(SQRT2 * y.nodes))
+    x, wx = reference_rule(hermite_recurrence, n)
+    y, wy = reference_rule(height_recurrence, n)
     A = np.zeros((n, n))
-    for height, wy, r in zip(*(a.reshape(2 * panels, -1) for a in (y.nodes, y.weights, root))):
-        z = x[:, None] + 1j * height
-        P = weighted_powers(n, z, _folded_weight(z, r)).reshape(-1, n)
-        A += ((P.imag @ C) * np.outer(wx, wy).reshape(-1, 1)).T @ (P.real @ C)
+    for block in range(0, n, ORDER // 2):
+        z = x[:, None] + 1j * y[block : block + ORDER // 2]
+        P = weighted_powers(n, z, np.exp(-0.5 * x * x)[:, None]).reshape(-1, n)
+        A += ((P.imag @ C) * np.outer(wx, wy[block : block + ORDER // 2]).reshape(-1, 1)).T @ (P.real @ C)
     return -2.0 * (A - A.T)
 
 
-def sector_grams(N, panels):
-    """Real- and complex-sector pairings of the family of size N.
-
-    Both on `panels` panels per half-line.  The plane weight e^{-|w|^2}
-    is the line weight e^{-x^2/2} at sqrt2 |w|, so the plane radius is
-    the line one over sqrt2.
-    """
+def sector_grams(N):
+    """Sector pairings of the family of size N: real per panels per half-line, complex exact."""
     C = ginoe_coefficients(N)
-    radius = truncation_radius(2 * N)
-    real = line_gram(gaussian_line_rows(C, hermite=False), panels, radius)
-    return real, plane_gram(C, panels, radius / SQRT2)
+    rows, radius = gaussian_line_rows(C, hermite=False), truncation_radius(2 * N)
+    return (lambda panels: line_gram(rows, panels, radius)), plane_gram(C)
 
 
 def ginoe_gram(N, tol):
-    """Refined Gram of the family of size N, both sectors summed."""
-    return refined_gram(lambda panels: sum(sector_grams(N, panels)), tol, cap=PLANE_PANEL_CAP)
+    """Gram of the family of size N, both sectors summed: the line one refined."""
+    real, plane = sector_grams(N)
+    return refined_gram(lambda panels: real(panels) + plane, tol)
 
 
 def sinclair_prefactor(N):

@@ -1,12 +1,13 @@
-"""Composite Gauss-Legendre quadrature for Gaussian-weighted integrals.
+"""Gauss rules from their three-term recurrences, and composite
+Gauss-Legendre quadrature for Gaussian-weighted integrals on the line.
 
-Every integral in the library runs over the real line (or the heights
-of the upper half plane) against a weight that decays at least as fast
-as exp(-x^2/2).
-Integrands are truncated to a radius where the weighted tail is far below
-the requested tolerance, segments are split at any sign-function kinks,
-and refinement doubles the number of equal panels per segment, each
-carrying the same ORDER-node rule, until two successive estimates agree.
+Every Gauss rule comes from its weight's recurrence (gauss_rule):
+Legendre's in closed form, others by stieltjes.  Line integrands decay
+at least as fast as exp(-x^2/2); they are truncated to a radius where
+the weighted tail is far below the requested tolerance, segments are
+split at any sign-function kinks, and refinement doubles the number of
+equal panels per segment, each carrying the same ORDER-node rule, until
+two successive estimates agree.
 
 Integrands must be numpy-vectorized (scalar broadcasting is tolerated).
 """
@@ -18,13 +19,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 ORDER = 32
-# refinement stops with QuadratureError beyond these panel counts per
-# segment: 2048 nodes on a line segment, 512 heights in the half plane
-LINE_PANEL_CAP = 64
-PLANE_PANEL_CAP = 16
+LINE_PANEL_CAP = 64  # refine raises QuadratureError past this many panels per segment
 
 
 class QuadratureError(ArithmeticError):
@@ -54,26 +51,68 @@ class QuadratureRule:
             raise ValueError("weights must be positive")
 
     def integrate(self, f):
-        values = np.asarray(f(self.nodes))
-        values = np.broadcast_to(values, self.nodes.shape)
+        values = np.broadcast_to(np.asarray(f(self.nodes)), self.nodes.shape)
         return (values * self.weights).sum()
 
 
+def _christoffel(a, root, x, first):
+    # p_0 = first, root_{k+1} p_{k+1} = (x - a_k) p_k - root_k p_{k-1}: sum p_k^2, p_{n-1}, p_n
+    previous, current, total = 0.0, first, np.zeros_like(x)
+    for k in range(len(a)):
+        total = total + current * current
+        previous, current = current, ((x - a[k]) * current - root[k] * previous) / root[k + 1]
+    return total, previous, current
+
+
+def gauss_rule(a, b, weight=None):
+    """The len(a)-node Gauss rule of a weight with mass b_0 whose monic orthogonal
+    polynomials obey P_{k+1} = (x - a_k) P_k - b_k P_{k-1}.
+
+    Nodes: the Jacobi matrix's eigenvalues (Golub and Welsch, Math. Comp. 23,
+    1969), one Newton step on p_n (slope: Christoffel-Darboux), symmetrised if
+    a = 0.  Weights: 1 / sum_k p_k(x)^2, orthonormal p_k, relatively accurate
+    however small; over weight(x)^2 if the rows carry a factor weight(x).
+    """
+    a, root = np.asarray(a, dtype=float), np.append(np.sqrt(b), 1.0)
+    x = np.linalg.eigvalsh(np.diag(a) + np.diag(root[1:-1], 1), UPLO="U")
+    total, below, top = _christoffel(a, root, x, 1.0 / root[0])
+    x = x - top * below / total
+    if not a.any():
+        x = 0.5 * (x - x[::-1])
+    return x, 1.0 / _christoffel(a, root, x, (1.0 if weight is None else weight(x)) / root[0])[0]
+
+
+def stieltjes(x, w, n):
+    """gauss_rule's (a, b), k < n, for masses w at x: discretised Stieltjes (Gautschi,
+    Orthogonal Polynomials, 2004, section 2.2) on orthonormal polynomials."""
+    a, b = [], [w.sum()]
+    previous, current = 0.0, np.full_like(x, b[0] ** -0.5)
+    while len(a) < n:
+        a.append(w @ (x * current * current))
+        step = (x - a[-1]) * current - math.sqrt(b[-1]) * previous
+        b.append(w @ (step * step))
+        previous, current = current, step / math.sqrt(b[-1])
+    return np.array(a), np.array(b[:n])
+
+
+def legendre_recurrence(n):
+    """gauss_rule's (a, b) for the weight 1 on [-1, 1]: 0 and k^2 / (4k^2 - 1), b_0 = 2."""
+    k2 = np.arange(1.0, n) ** 2
+    return np.zeros(n), np.append(2.0, k2 / (4.0 * k2 - 1.0))
+
+
 @functools.cache
-def reference_rule(gauss, n):
-    """Nodes and weights of numpy's n-node rule gauss (leggauss on
-    [-1, 1], hermgauss against e^{-x^2}), built once per node count and
-    read-only."""
-    x, w = gauss(n)
-    x.flags.writeable = False
-    w.flags.writeable = False
+def reference_rule(recurrence, n):
+    """Nodes and weights of gauss_rule(*recurrence(n)), built once per recurrence and n, read-only."""
+    x, w = gauss_rule(*recurrence(n))
+    x.flags.writeable = w.flags.writeable = False
     return x, w
 
 
 def gauss_legendre_rule(n, a, b):
     """Gauss-Legendre rule with n nodes mapped to [a, b]; for arrays of
     panel ends a and b, the rules of the panels [a_i, b_i] in order."""
-    x, w = reference_rule(leggauss, n)
+    x, w = reference_rule(legendre_recurrence, n)
     a, b = np.asarray(a, dtype=float)[..., None], np.asarray(b, dtype=float)[..., None]
     half = 0.5 * (b - a)
     return QuadratureRule((0.5 * (a + b) + half * x).reshape(-1), (half * w).reshape(-1))
@@ -104,22 +143,20 @@ def _relative_gap(value, previous):
     return abs(value - previous) / max(1.0, abs(value))
 
 
-def refine(evaluate, tol, context, cap=LINE_PANEL_CAP, gap=_relative_gap):
+def refine(evaluate, tol, context, gap=_relative_gap):
     """Estimates on 1, 2, 4, ... panels per segment until two successive ones agree.
 
     evaluate(panels) returns a number or an array; gap(value, previous)
     measures their difference (by default relative to max(1, |value|)).
-    Agreement within tol ends the refinement; past cap panels it raises
+    Agreement within tol ends the refinement; past LINE_PANEL_CAP it raises
     QuadratureError with the last estimate.  One agreement suffices:
     doubling the panels moves every node, so no cancellation repeats
     across levels, and at ORDER nodes per panel the error of a resolved
     integrand falls by orders of magnitude per doubling, so the gap
     bounds the coarser estimate's error and the finer one is returned.
     """
-    previous = None
-    difference = math.inf
-    panels = 1
-    while panels <= cap:
+    previous, difference, panels = None, math.inf, 1
+    while panels <= LINE_PANEL_CAP:
         value = evaluate(panels)
         if previous is not None:
             difference = float(gap(value, previous))
@@ -140,6 +177,4 @@ def integrate_line(f, tol=1e-12, breakpoints=(), degree=0):
     T = truncation_radius(degree)
     inner = sorted(p for p in breakpoints if -T < p < T)
     edges = [-T, *inner, T]
-    return refine(
-        lambda panels: panel_rule(edges, panels).integrate(f), tol, "line integral"
-    ).value
+    return refine(lambda panels: panel_rule(edges, panels).integrate(f), tol, "line integral").value

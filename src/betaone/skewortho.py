@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .pfaffian import standard_pairing
-from .quadrature import LINE_PANEL_CAP, panel_rule, refine, truncation_radius
+from .quadrature import panel_rule, refine, truncation_radius
 from .specfun import gaussian_tail_moments, weighted_powers
 
 
@@ -100,10 +100,10 @@ def skew_deviation(G):
     return float(np.abs(G - standard_pairing(G.shape[0])).max())
 
 
-def refined_gram(gram_at, tol, cap=LINE_PANEL_CAP):
+def refined_gram(gram_at, tol):
     """Refinement of gram_at(panels) until successive Grams agree within tol,
     entry by entry, as skew_deviation measures the final one."""
-    return refine(gram_at, tol, "skew Gram", cap=cap, gap=lambda G, H: np.abs(G - H).max())
+    return refine(gram_at, tol, "skew Gram", gap=lambda G, H: np.abs(G - H).max())
 
 
 def goe_gram(N, tol):

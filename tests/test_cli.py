@@ -972,6 +972,17 @@ print(json.dumps(fresh))
 """
 
 
+def test_startup_loads_no_numpy_polynomial():
+    # every Gauss rule is built from its recurrence (quadrature.gauss_rule),
+    # so start-up leaves numpy's polynomial package, and the memory its
+    # import takes, unloaded
+    src = os.path.dirname(os.path.dirname(betaone.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    script = "import sys, betaone.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 def test_commands_import_nothing_after_startup():
     # every module a command needs is imported with betaone.cli, which
     # does not import scipy; a call that imported one would move start-up

@@ -1,14 +1,17 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from numpy.polynomial.hermite import hermgauss
 from scipy import special
 
 from betaone.ginibre import (
+    HEIGHT_RADIUS,
     ginoe_coefficients,
     ginoe_gram,
     ginoe_rows,
+    height_recurrence,
+    hermite_recurrence,
     partition_function_check,
     plane_gram,
     plane_rows,
@@ -16,7 +19,7 @@ from betaone.ginibre import (
     sinclair_prefactor,
 )
 from betaone.ginoe_kernels import ginoe_kernel
-from betaone.quadrature import ORDER, gauss_legendre_rule, panel_rule, truncation_radius
+from betaone.quadrature import gauss_legendre_rule, panel_rule, reference_rule, truncation_radius
 from betaone.skewortho import gaussian_line_rows, goe_gram, skew_deviation
 from betaone.specfun import erfcx, weighted_powers
 
@@ -84,7 +87,8 @@ def test_family_container():
 
 def test_lowest_pairing_pieces_match_hand_values():
     # the monic pieces: twice the line and the whole plane integral
-    real, plane = np.array(sector_grams(2, 4)) * ginoe_norm(0)
+    real, plane = sector_grams(2)
+    real, plane = real(4) * ginoe_norm(0), plane * ginoe_norm(0)
     assert np.isclose(real[0, 1], REAL_PIECE_12, rtol=1e-14, atol=0)
     assert np.isclose(plane[0, 1], COMPLEX_PIECE_12, rtol=1e-14, atol=0)
     assert np.isclose(ginoe_gram(2, 1e-12).value[0, 1] * ginoe_norm(0), 2.0 * SQRT_2PI, rtol=1e-14, atol=0)
@@ -102,7 +106,7 @@ def test_complex_piece_against_monte_carlo_oracle():
     h = -2.0 * math.pi * special.erfcx(math.sqrt(2.0) * y) * np.imag(p0 * np.conj(p1))
     estimate = h.mean()
     stderr = h.std(ddof=1) / math.sqrt(n)
-    _, plane = sector_grams(2, 4)
+    _, plane = sector_grams(2)
     assert abs(plane[0, 1] * ginoe_norm(0) - estimate) <= 3.0 * stderr
 
 
@@ -123,39 +127,72 @@ def test_skew_orthogonality_small_battery():
     assert np.isclose(gram[2, 3], ginoe_norm(1), rtol=1e-14, atol=0)
 
 
-def plane_pairing(C, x, wx, heights):
-    # -2 Im sum wx wy W_j conj W_k over the nodes x + iy, one panel of the
-    # rule `heights` at a time; W are the plane_rows, with pair_weight
-    # written out as sqrt(erfcx(sqrt2 y)) e^{-(x^2 + y^2)/2 - ixy}, and
-    # Im(W^T diag(w) conj W) is A - A^T with A = Im(W)^T diag(w) Re(W)
+def plane_pairing(C, x, wx, y, wy):
+    # -2 Im sum wx wy W_j conj W_k over the nodes x + iy, one height at a
+    # time; W are the plane_rows, with pair_weight written out as
+    # sqrt(erfcx(sqrt2 y)) e^{-(x^2 + y^2)/2 - ixy}, and Im(W^T diag(w) conj W)
+    # is A - A^T with A = Im(W)^T diag(w) Re(W)
     n = C.shape[0]
     A = 0.0
-    for y, wy in zip(heights.nodes.reshape(-1, ORDER), heights.weights.reshape(-1, ORDER)):
-        x_, y_ = np.meshgrid(x, y, indexing="ij")
-        weight = np.sqrt(erfcx(math.sqrt(2.0) * y)) * np.exp(-0.5 * (x_**2 + y_**2) - 1j * x_ * y_)
-        W = (weighted_powers(n, x_ + 1j * y_, weight) @ C).reshape(-1, n)
-        A = A + (W.imag.T * np.outer(wx, wy).reshape(-1)) @ W.real
+    for height, weight in zip(y, wy):
+        root = math.sqrt(erfcx(math.sqrt(2.0) * height))
+        W = weighted_powers(n, x + 1j * height, root * np.exp(-0.5 * (x**2 + height**2) - 1j * x * height)) @ C
+        A = A + (W.imag.T * (wx * weight)) @ W.real
     return -2.0 * (A - A.T)
 
 
-def test_plane_gram_is_exact_in_x():
-    # at a fixed height the x-integrand is e^{-x^2} times a polynomial of
-    # degree below 2N, so N Gauss-Hermite nodes give what N + 6 give (on
-    # the same heights) and what the 16-panel tensor Gauss-Legendre rule
-    # gives, to rounding
+def test_plane_gram_is_exact():
+    # the integrand is e^{-x^2} omega(y) times a polynomial of degree below
+    # 2N in x and in y, so N Gauss nodes in each give what N + 6 give and
+    # what the 16-panel tensor Gauss-Legendre rule gives, to rounding; the
+    # Gauss weights here carry e^{x^2} and 1 / omega(y), as the rows carry
+    # the whole pair weight
     for N in (2, 5, 16, 33):
         C = ginoe_coefficients(N)
-        radius = truncation_radius(2 * N) / math.sqrt(2.0)
-        # entries of the normalized family: the monic family's relative
-        # to sqrt(r_j r_k)
-        G = plane_gram(C, 16, radius)
-        heights = panel_rule((0.0, radius), 16)
-        x, wx = hermgauss(N + 6)
-        more = plane_pairing(C, x, wx * np.exp(x * x), heights)
+        G = plane_gram(C)
+        x, wx = reference_rule(hermite_recurrence, N + 6)
+        y, wy = reference_rule(height_recurrence, N + 6)
+        more = plane_pairing(C, x, wx, y, wy / (erfcx(math.sqrt(2.0) * y) * np.exp(-y * y)))
         assert np.abs(G - more).max() <= 3e-15, N
-        x = panel_rule((-radius, 0.0, radius), 16)
-        tensor = plane_pairing(C, x.nodes, x.weights, heights)
+        radius = truncation_radius(2 * N) / math.sqrt(2.0)
+        x, y = panel_rule((-radius, 0.0, radius), 16), panel_rule((0.0, radius), 16)
+        tensor = plane_pairing(C, x.nodes, x.weights, y.nodes, y.weights)
         assert np.abs(G - tensor).max() <= 1e-14, N
+
+
+def height_moments(count):
+    """The 50-digit moments M_k of omega(y) y^k on [0, HEIGHT_RADIUS], k < count.
+
+    M_0 is mpmath.quad's; the rest follow from omega' = 2y omega -
+    2 sqrt(2/pi) e^{-y^2} integrated against y^k: 2 M_{k+1} = [y^k omega] -
+    k M_{k-1} + 2 sqrt(2/pi) int y^k e^{-y^2}, the last half a lower
+    incomplete gamma function.  mpmath.quad checks one of them.
+    """
+    R = mpmath.mpf(HEIGHT_RADIUS)
+
+    def omega(y):
+        return mpmath.exp(y * y) * mpmath.erfc(mpmath.sqrt(2) * y)
+
+    edge, c = omega(R), mpmath.sqrt(2 / mpmath.pi)
+    M = [mpmath.quad(omega, [0, 2, 4, 8, R]), (edge - 1) / 2 + c * mpmath.sqrt(mpmath.pi) / 2 * mpmath.erf(R)]
+    for k in range(1, count - 1):
+        M.append((R**k * edge - k * M[k - 1]) / 2 + c * mpmath.gammainc((k + 1) / mpmath.mpf(2), 0, R * R) / 2)
+    quad = mpmath.quad(lambda y: omega(y) * y**17, [0, 2, 4, 6, 8, R])
+    assert abs(quad / M[17] - 1) < mpmath.mpf(10) ** -40
+    return M
+
+
+def test_height_rule_moments_against_high_precision_oracle():
+    # the n-node rule of omega, from stieltjes on one fixed discretisation,
+    # integrates y^k exactly for k <= 2n - 1: at n = N + 1 every degree up to
+    # 2N + 1, N <= 128, taken here in 50 digits from the rule's own doubles
+    with mpmath.workdps(50):
+        M = height_moments(2 * 129)
+        for n in (1, 2, 3, 5, 8, 17, 33, 65, 97, 129):
+            y, w = reference_rule(height_recurrence, n)
+            y, w = [mpmath.mpf(v) for v in y], [mpmath.mpf(v) for v in w]
+            worst = max(abs(mpmath.fsum(b * a**k for a, b in zip(y, w)) / M[k] - 1) for k in range(2 * n))
+            assert worst <= 5e-15, (n, float(worst))
 
 
 def test_grams_hold_at_every_size():

@@ -25,6 +25,8 @@ from betaone import ginoe_kernels
 from betaone.ginibre import (
     ginoe_coefficients,
     ginoe_gram,
+    height_recurrence,
+    hermite_recurrence,
     sector_grams,
     sinclair_prefactor,
 )
@@ -36,15 +38,8 @@ from betaone.ginoe_kernels import (
 )
 from betaone.kernels import PointConfiguration, goe_kernel, rho
 from betaone.pfaffian import as_antisymmetric, pfaffian
-from betaone.quadrature import (
-    PLANE_PANEL_CAP,
-    gauss_legendre_rule,
-    integrate_line,
-    panel_rule,
-    refine,
-    truncation_radius,
-)
-from betaone.specfun import gaussian_tail_moments
+from betaone.quadrature import gauss_legendre_rule, integrate_line, reference_rule
+from betaone.specfun import erfcx, gaussian_tail_moments
 from test_kernels import two_point_real_density
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -65,7 +60,8 @@ def fugacity_partition(N):
     normalized family times r_j / sqrt2, so the monic Pfaffian is the
     normalized one times prod r_j (over sqrt2 at odd N).
     """
-    alpha, beta = sector_grams(N, ginoe_gram(N, 1e-12).panels)
+    real, beta = sector_grams(N)
+    alpha = real(ginoe_gram(N, 1e-12).panels)
     roots = [math.sqrt(2.0 * SQRT_2PI * math.factorial(2 * (j // 2))) for j in range(N)]
     pref = sinclair_prefactor(N) * math.prod(roots)
     if N % 2 == 0:
@@ -156,20 +152,16 @@ def test_two_point_real_normalization_size_two():
 
 
 def test_complex_density_integrates_to_expected_pair_count():
+    # the density at x + iy is e^{-x^2} omega(y) times a polynomial of degree
+    # below 2N in x and in y, so the tensor of the N-node Gauss rules of the
+    # two weights takes it exactly: weights times e^{x^2} and over omega(y)
     for N in (2, 3):
         bundle = ginoe_kernel(N)
-
-        radius = truncation_radius(2 * N) / math.sqrt(2.0)
-
-        def planar(panels):
-            # tensor Gauss-Legendre rule on [-radius, radius] x [0, radius]
-            x = panel_rule((-radius, 0.0, radius), panels)
-            y = panel_rule((0.0, radius), panels)
-            w = (x.nodes[:, None] + 1j * y.nodes).reshape(-1)
-            weights = np.outer(x.weights, y.weights).reshape(-1)
-            return weights @ bundle.scalar_kernel(w, w).real
-
-        total = refine(planar, 1e-12, "complex density", cap=PLANE_PANEL_CAP).value
+        x, wx = reference_rule(hermite_recurrence, N)
+        y, wy = reference_rule(height_recurrence, N)
+        omega = erfcx(math.sqrt(2.0) * y) * np.exp(-y * y)
+        w = (x[:, None] + 1j * y).reshape(-1)
+        total = np.outer(wx, wy / omega).reshape(-1) @ bundle.scalar_kernel(w, w).real
         expected = 0.5 * (N - expected_real_count(N))
         assert np.isclose(total, expected, rtol=1e-6)
 
