@@ -74,7 +74,7 @@ def ginoe_rows(C):
 
     W is the polynomial times pair_weight; the partner is i conj(W) at a
     complex point, and at a real one the line rows of skewortho (minus
-    the half-range transform), whose direction it shares.
+    the half-range transform), whose direction and weighted it shares.
     """
     line = gaussian_line_rows(C, hermite=False)
 
@@ -85,7 +85,7 @@ def ginoe_rows(C):
         W = plane_rows(C, z)
         return np.stack([W, 1j * np.conjugate(W)], axis=-2)
 
-    rows.direction = line.direction
+    rows.direction, rows.weighted = line.direction, line.weighted
     return rows
 
 
@@ -95,8 +95,9 @@ def hermite_recurrence(n):
 
 
 def height_recurrence(n):
-    """gauss_rule's (a, b) for omega on [0, HEIGHT_RADIUS], by stieltjes on 64 ORDER-node panels."""
-    y = panel_rule((0.0, HEIGHT_RADIUS), 64)
+    """gauss_rule's (a, b) for omega on [0, HEIGHT_RADIUS], by stieltjes on max(8, ceil(n/2))
+    ORDER-node panels: twice or more the fewest whose rule meets 50-digit moments, n <= 129."""
+    y = panel_rule((0.0, HEIGHT_RADIUS), max(8, (n + 1) // 2))
     return stieltjes(y.nodes, y.weights * erfcx(SQRT2 * y.nodes) * np.exp(-y.nodes**2), n)
 
 

@@ -17,7 +17,8 @@ The kernel blocks are the entries of one cell, [[D, S], [-S^T, I]] on
 the rows (W, P), for every ensemble (Forrester and Nagao 2007): W sits
 at the first argument of S, its partner at the second.  At a real point
 P = -eps W, eps W an antiderivative of its W row; interrelations_check
-tests that identity.
+tests that identity on weighted(x), the W rows alone, which line rows
+carry beside direction(x), the direction of W at a far point.
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ class PairingBasis:
     """Basis rows of a kernel family and their antisymmetric pairing.
 
     rows(z) maps points of one kind (float: real, complex: complex) to
-    an array z.shape + (2, m): the rows (W, P) of every point.  upper is
-    the upper triangle U of M = U - U^T.
+    an array z.shape + (2, m), the rows (W, P) of every point, and
+    rows.weighted(x) real x to W alone; the pairing is M = upper - upper^T.
     """
 
     def __init__(self, rows, upper):
@@ -130,6 +131,11 @@ class PairingBasis:
                 extra[..., 1, 0] = 1.0
             return np.concatenate([base, extra], axis=-1)
 
+        def weighted(x):
+            W = self.rows.weighted(x)
+            return np.concatenate([W, np.zeros(W.shape[:-1] + (1,))], axis=-1)
+
+        rows.weighted = weighted
         return PairingBasis(rows, np.triu(pairing, 1))
 
 
@@ -140,7 +146,7 @@ def cached_rows(rows):
     Points are keyed exactly, by dtype, shape and bytes; rows larger than
     the whole budget (quadrature nodes at large N) are not kept.  Every
     caller shares the arrays returned, so they are read-only.  The rows'
-    own attributes, such as a line family's direction, pass through.
+    own attributes (direction, weighted) pass through, uncached.
     """
     cache = {}
     held = 0
@@ -281,7 +287,7 @@ def interrelations_check(bundle, reals, complexes=()):
     basis, s, d, i_ = bundle.family, bundle.scalar_kernel, bundle.derivative_kernel, bundle.integral_kernel
     y = np.sort(np.asarray(reals, dtype=float))
     rule = panel_rule(y, 2)
-    weighted = basis.rows(rule.nodes)[:, 0] * rule.weights[:, None]
+    weighted = basis.rows.weighted(rule.nodes) * rule.weights[:, None]
     gaps = weighted.reshape(len(y) - 1, -1, weighted.shape[-1]).sum(1)
     P = basis.rows(y)[:, 1]
     # the integral of the W rows from the first real to each real

@@ -32,7 +32,7 @@ import numpy as np
 
 from .pfaffian import standard_pairing
 from .quadrature import panel_rule, refine, truncation_radius
-from .specfun import gaussian_tail_moments, weighted_powers
+from .specfun import gaussian_rows, gaussian_tail_moments, weighted_powers
 
 
 def goe_coefficients(N):
@@ -61,6 +61,8 @@ def gaussian_line_rows(C, hermite=True):
     weight may underflow (past x = 37): the polynomials alone, over
     their largest entry, and at +inf the top-degree unit vector; where
     the polynomials overflow it raises ArithmeticError.
+    rows.weighted(x) is W alone at real x, bit for bit rows(x)[..., 0, :],
+    with no tail moments and so no normal CDF.
     """
     n = C.shape[0]
     half = 0.5 * (gaussian_tail_moments(n, -np.inf, hermite)[1] @ C)
@@ -72,6 +74,9 @@ def gaussian_line_rows(C, hermite=True):
         W, tails = gaussian_tail_moments(n, x, hermite)
         return np.stack([W @ C, tails @ C - half], axis=-2)
 
+    def weighted(x):
+        return gaussian_rows(n, x, hermite) @ C
+
     def direction(x):
         if np.isposinf(x):
             return np.eye(n)[-1]
@@ -81,7 +86,7 @@ def gaussian_line_rows(C, hermite=True):
             raise ArithmeticError(f"size {n} polynomials overflow at far point {float(x)!r}")
         return q / np.abs(q).max()
 
-    rows.direction = direction
+    rows.direction, rows.weighted = direction, weighted
     return rows
 
 

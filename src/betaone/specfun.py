@@ -121,6 +121,14 @@ def weighted_powers(n, z, weight, c=0.0):
     return out
 
 
+def gaussian_rows(n, x, hermite=False):
+    """Weighted rows p_k(x) e^(-x^2/2), k = 0..n-1, as gaussian_tail_moments gives them."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore"):
+        weight = np.exp(-0.5 * x * x)
+    return weighted_powers(n, x, weight, 0.5 if hermite else 0.0)
+
+
 def gaussian_tail_moments(n, x, hermite=False):
     """Weighted rows p_k(x) e^(-x^2/2) and their tail moments, k = 0..n-1.
 
@@ -146,9 +154,7 @@ def gaussian_tail_moments(n, x, hermite=False):
                 moments[k] = math.sqrt((k - 1) / k) * moments[k - 2]
         return np.zeros(n), moments
     c = 0.5 if hermite else 0.0
-    with np.errstate(over="ignore"):
-        weight = np.exp(-0.5 * x * x)
-    rows = weighted_powers(n, x, weight, c)
+    rows = gaussian_rows(n, x, hermite)
     heads = rows[..., :-1] / np.sqrt((1.0 - c) * np.arange(1, n))
     moments = np.empty(x.shape + (n,))
     if n:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from betaone import ginibre
 from betaone.ginibre import (
     HEIGHT_RADIUS,
     ginoe_coefficients,
@@ -193,6 +194,28 @@ def test_height_rule_moments_against_high_precision_oracle():
             y, w = [mpmath.mpf(v) for v in y], [mpmath.mpf(v) for v in w]
             worst = max(abs(mpmath.fsum(b * a**k for a, b in zip(y, w)) / M[k] - 1) for k in range(2 * n))
             assert worst <= 5e-15, (n, float(worst))
+
+
+def test_height_discretisation_grows_with_the_rule(monkeypatch):
+    # one discretisation per rule, its panels never fewer for a larger rule,
+    # at most 64 (a count that serves every n <= 128) and fewer up to n = 32;
+    # the oracle test above holds the rules built on it
+    class Recorded(Exception):
+        pass
+
+    panels = []
+
+    def recorded(edges, count):
+        panels.append((tuple(edges), count))
+        raise Recorded
+
+    monkeypatch.setattr(ginibre, "panel_rule", recorded)
+    for n in range(1, 129):
+        with pytest.raises(Recorded):
+            height_recurrence(n)
+    assert [edges for edges, _ in panels] == [(0.0, HEIGHT_RADIUS)] * 128
+    counts = [count for _, count in panels]
+    assert counts == sorted(counts) and max(counts) <= 64 and max(counts[:32]) < 64, counts
 
 
 def test_grams_hold_at_every_size():

@@ -479,6 +479,7 @@ def shifted_partners(bundle, shift):
         value[..., 1, :] += shift * value[..., 0, :]
         return value
 
+    rows.weighted = basis.rows.weighted
     return KernelBundle.from_basis(bundle.ensemble, bundle.N, PairingBasis(rows, basis.upper))
 
 
@@ -488,3 +489,34 @@ def test_interrelations_fail_on_shifted_partner_rows():
         for N in (1, 4, 5, 64):
             report = interrelations_check(shifted_partners(make(N), 1e-11), *verify_grid(ensemble, N))
             assert report["partner-antiderivative"] > 5 * GATES["block-interrelations"], (ensemble, N)
+
+
+def test_weighted_rows_are_the_w_half_of_the_rows():
+    # bit for bit, where the weight underflows (+-40) and at +-inf too, on
+    # even, bordered odd and conditioned families
+    x = np.array([-np.inf, -40.0, -1.3, 0.0, 0.7, 40.0, np.inf])
+    for ensemble, make in KERNELS.items():
+        for bundle in (make(4), make(5), conditioned_bundle(make(4), 8.0), conditioned_bundle(make(4), np.inf)):
+            rows, case = bundle.family.rows, (ensemble, bundle.N, bundle.family.upper.shape)
+            assert np.array_equal(rows.weighted(x), rows(x)[:, 0]), case
+            assert np.array_equal(rows.weighted(x[:, None]), rows(x[:, None])[..., 0, :]), case
+            for point in x:
+                assert np.array_equal(rows.weighted(point), rows(point)[0]), (case, point)
+
+
+def test_interrelations_take_the_normal_cdf_at_the_reals_only(monkeypatch):
+    # W alone at the 512 quadrature nodes: the partner rows, and with them
+    # the normal CDF, only at the reals (taken as a row and as a column)
+    cdf, elements = specfun.normal_cdf, []
+
+    def counted(x):
+        elements.append(np.size(x))
+        return cdf(x)
+
+    monkeypatch.setattr(specfun, "normal_cdf", counted)
+    for ensemble, make in KERNELS.items():
+        for N in (4, 5):
+            grid = verify_grid(ensemble, N)
+            elements.clear()
+            interrelations_check(make(N), *grid)
+            assert 0 < sum(elements) <= 2 * len(grid[0]), (ensemble, N, elements)
