@@ -143,10 +143,10 @@ def cached_rows(rows):
     """rows evaluated once per distinct point array, among the most recent
     ones whose rows fit in ROW_CACHE_BYTES together.
 
-    Points are keyed exactly, by dtype, shape and bytes; rows larger than
-    the whole budget (quadrature nodes at large N) are not kept.  Every
-    caller shares the arrays returned, so they are read-only.  The rows'
-    own attributes (direction, weighted) pass through, uncached.
+    Points are keyed exactly, by dtype and bytes, and their rows taken flat
+    (y and y[:, None] share them; a 0-d point stays one); rows over the
+    budget are not kept.  Every caller shares the arrays returned, so they
+    are read-only.  The rows' attributes (direction, weighted) pass, uncached.
     """
     cache = {}
     held = 0
@@ -154,18 +154,19 @@ def cached_rows(rows):
     def cached(z):
         nonlocal held
         z = np.asarray(z)
-        key = (z.dtype.str, z.shape, z.tobytes())
+        flat = z.reshape(-1) if z.ndim else z
+        key = (z.dtype.str, flat.shape, flat.tobytes())
         value = cache.pop(key, None)
         if value is None:
-            value = rows(z)
+            value = rows(flat)
             value.flags.writeable = False
             if value.nbytes > ROW_CACHE_BYTES:
-                return value
+                return value.reshape(z.shape + value.shape[-2:])
             held += value.nbytes
         cache[key] = value
         while held > ROW_CACHE_BYTES:
             held -= cache.pop(next(iter(cache))).nbytes
-        return value
+        return value.reshape(z.shape + value.shape[-2:])
 
     vars(cached).update(vars(rows))
     return cached

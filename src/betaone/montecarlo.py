@@ -15,7 +15,7 @@ are counted, not solved.  The eigenvalues of (G + G^T)/2 have the law of
 those of a tridiagonal matrix with N(0, 1) diagonal and squared
 off-diagonal chi^2_{N-k}/2 (Dumitriu and Edelman, J. Math. Phys. 43,
 2002); the count below x is the number of negative pivots of T - x, a
-Sturm sequence: samples x (bins + 1) x N pivot steps in all.
+Sturm sequence, taken at coarse edges and bisected between them.
 
 Ginibre upper triangles and subdiagonals, like GOE diagonals and
 squared off-diagonals, come from two streams spawned from
@@ -33,7 +33,8 @@ from .kernels import density_integral
 from .quadrature import gauss_legendre_rule
 
 GENERATOR = "PCG64"
-BLOCK_ENTRIES = 1 << 16  # matrix entries per LAPACK call, edge x sample cells per Sturm pass
+BLOCK_ENTRIES = 1 << 16  # matrix entries per LAPACK call, cells per GOE counting block
+BISECT_COST = 1.5  # cost of a bisection cell (rank x sample) over a grid cell (edge x sample)
 DEFAULT_SPAN = (-4.0, 4.0)
 BIN_QUAD_ORDER = 24
 Z_FLAG = 4.0
@@ -81,41 +82,62 @@ def goe_tallies(N, count, seed, edges):
     """GOE batch as tridiagonal models, tallied a block at a time: (m, N)
     diagonals of standard normals and (m, N - 1) squared off-diagonals
     b2_k = chi^2_{N-k}/2, Gamma((N - k)/2) variates, transposed so that each
-    index is a contiguous row of samples.  Every sample has N reals."""
+    index is a contiguous row of samples.  Every sample has N reals.  Edges must not
+    decrease; sturm_totals counts at every 2^k-th, k minimising edges counted + BISECT_COST N k."""
     if N < 1:
         raise ValueError("N must be positive")
     diag, off = (default_rng(s) for s in SeedSequence(seed).spawn(2))
-    x = np.asarray(edges, dtype=float)[:, None]
-    step = max(1, min(count, BLOCK_ENTRIES // len(x)))
-    work = tuple(np.empty((len(x), step), dtype) for dtype in (float, float, bool, np.int32))
+    x = np.asarray(edges, dtype=float)
+    counted = [-(-(len(x) - 1) >> k) + 1 for k in range(len(x).bit_length())]  # edges counted at width 2^k
+    k = min(range(len(counted)), key=lambda k: counted[k] + BISECT_COST * N * k)
+    # BLOCK_ENTRIES cells a block: its coarse edges and, bisecting, two per rank (first edge, edge tried)
+    step = max(1, min(count, BLOCK_ENTRIES // (counted[k] + (2 * N if k else 0))))
+    work = tuple(np.empty(max(counted[k], N if k else 1) * step, dtype) for dtype in (float, float, bool, np.int32))
     shapes = 0.5 * np.arange(N - 1, 0, -1)
     for lo in range(0, count, step):
         m = min(step, count - lo)
         a, b2 = diag.standard_normal((m, N)).T.copy(), off.standard_gamma(shapes, (m, N - 1)).T.copy()
-        yield sturm_totals(a, b2, x, work), m * np.bincount([N], minlength=N + 1)
+        yield sturm_totals(a, b2, x, 1 << k, work), m * np.bincount([N], minlength=N + 1)
 
 
-def sturm_totals(a, b2, x, work):
-    """Eigenvalues below each edge of the column x, summed over a block of tridiagonal
-    matrices, (N, m) diagonals a and (N - 1, m) squared off-diagonals b2: the negative
-    pivots q_1 = a_1 - x, q_i = a_i - x - b2_{i-1}/q_{i-1} (no square root).  Pivots are
-    kept at least pivmin (tiny x the block's largest b2) in size, as in LAPACK's bisection,
-    keeping their sign; an exact zero becomes +pivmin, which only raises eigenvalues: one
-    at x is not below x.  work holds (edges, >= m) pivot, ratio, mask and count arrays."""
-    pivmin = np.finfo(float).tiny * b2.max(initial=1.0)
-    q, ratio, mask, counts = (w[:, : a.shape[1]] for w in work)
-    counts.fill(0)
-    np.subtract(a[0], x, out=q)
-    for i in range(len(a)):
-        if i:
-            np.divide(b2[i - 1], q, out=ratio)
-            np.subtract(a[i], x, out=q)
-            q -= ratio
-        np.less(np.abs(q, out=ratio), pivmin, out=mask)
-        if mask.any():
-            q[mask] = np.copysign(pivmin, q[mask])
-        counts += np.less(q, 0.0, out=mask)
-    return counts.sum(axis=1)
+def sturm_totals(a, b2, x, width, work):
+    """Eigenvalues below each of the non-decreasing edges x, summed over a block of tridiagonal
+    matrices, (N, m) diagonals a and (N - 1, m) squared off-diagonals b2: the negative pivots
+    q_1 = a_1 - x, q_i = a_i - x - b2_{i-1}/q_{i-1} (no square root), kept at least pivmin =
+    tiny x max(1, max_k b2_k) per matrix (LAPACK's dstebz) in size with their sign; a zero becomes
+    +pivmin, which only raises eigenvalues: one at x is not below x.  The count is monotone in x
+    in floating point too (Demmel, Dhillon and Ren, ETNA 3, 1995): it is taken at every width-th
+    edge and the last, then every rank r of every matrix at once bisects its coarse cell down to
+    hi, its first edge counting r.  work holds flat arrays of (coarse edges, or N if more) x m."""
+    N, m = a.shape
+    pivmin = np.finfo(float).tiny * b2.max(axis=0, initial=1.0)
+    pivmax = pivmin.max()  # a scalar bound tried first
+
+    def counts_at(points):  # (K, 1) or (K, m) points: (K, m) counts
+        q, ratio, mask, counts = (w[: len(points) * m].reshape(-1, m) for w in work)
+        counts.fill(0)
+        np.subtract(a[0], points, out=q)
+        for i in range(N):
+            if i:
+                np.divide(b2[i - 1], q, out=ratio)
+                np.subtract(a[i], points, out=q)
+                q -= ratio
+            if np.abs(q, out=ratio).min() < pivmax:
+                np.less(ratio, pivmin, out=mask)
+                q[mask] = np.copysign(pivmin, q)[mask]
+            counts += np.less(q, 0.0, out=mask)
+        return counts
+    coarse = np.r_[0 : len(x) - 1 : width, len(x) - 1]
+    counts = counts_at(x[coarse, None])
+    if width == 1:  # every edge counted, no rank to place
+        return counts.sum(axis=1)
+    # each rank's coarse cell, from each matrix's histogram of counts, keyed count x m + matrix
+    counts[...] = counts * m + np.arange(m, dtype=counts.dtype)
+    hi = np.r_[coarse, len(x)][np.bincount(counts.ravel(), minlength=(N + 1) * m).reshape(N + 1, m)[:N].cumsum(0)]
+    for step in 1 << np.arange((width - 1).bit_length())[::-1]:
+        below = np.maximum(hi - step, 0)
+        np.copyto(hi, below, where=counts_at(x[below]) > np.arange(N)[:, None])
+    return np.cumsum(np.bincount(hi.ravel(), minlength=len(x) + 1))[: len(x)]
 
 
 def expected_bin_masses(bundle, edges):
@@ -163,11 +185,13 @@ def empirical_vs_analytic(stream, bundle, bins=40, span=DEFAULT_SPAN):
     `stream(edges)` yields the tallies of `ginibre_tallies` or `goe_tallies`.
     Each left-closed bin is scored under a Poisson width floored at one count
     (loose: repulsion makes the true variance smaller), and the mean real
-    count per matrix against the full-line integral within three standard
-    errors, from the exact sums of k and k^2 over the histogram, plus a small
-    absolute slack for GOE, where it is N with no variance.
+    count per matrix within three standard errors, from the exact sums of k
+    and k^2 over the histogram, against N for GOE (with a small absolute
+    slack: it has no variance) and the full-line integral for GinOE.
     """
     edges = np.linspace(*span, bins + 1) if isinstance(bins, int) else np.asarray(bins, dtype=float)
+    if np.any(np.diff(edges) < 0):
+        raise ValueError("bin edges must not decrease")
     below, histogram = 0, 0
     for block_below, block_histogram in stream(edges):
         below, histogram = below + block_below, histogram + block_histogram
@@ -188,7 +212,7 @@ def empirical_vs_analytic(stream, bundle, bins=40, span=DEFAULT_SPAN):
         z_scores=tuple(float(v) for v in z),
         flagged=tuple(int(i) for i in np.flatnonzero(np.abs(z) > Z_FLAG)),
         mean_real_count=total / samples,
-        expected_real_count=float(density_integral(bundle)),
+        expected_real_count=float(bundle.N if bundle.ensemble == "goe" else density_integral(bundle)),
         count_stderr=math.sqrt((samples * squares - total * total) / (samples * samples * (samples - 1))),
         overflow=int(below[0] + total - below[-1]),
     )

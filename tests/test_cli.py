@@ -723,6 +723,15 @@ def test_mc_compare_goe_passes():
     assert len(body) == 41
 
 
+@pytest.mark.parametrize("size", [1, 4, 64])
+def test_mc_compare_goe_expects_every_eigenvalue_real(size):
+    # every GOE eigenvalue is real: the expected real count is N exactly,
+    # not a quadrature of the density
+    _, text, _ = run_cli(["mc-compare", "--ensemble", "goe", "--size", str(size), "--samples", "10000"])
+    header, _ = split_csv(text)
+    assert float(header["expected_real_count"]) == float(header["mean_real_count"]) == size
+
+
 def test_mc_compare_json_embeds_config():
     code, text, _ = run_cli(
         [

@@ -263,7 +263,7 @@ def test_cached_rows_match_a_fresh_evaluation_and_are_read_only(ensemble):
             assert np.array_equal(basis.rows(z), new.rows(z))
         plain = warm[1].rows(z)
         assert np.array_equal(plain, family_rows(coefficients(6))(z))
-        assert warm[1].rows(np.array(z)) is plain
+        assert np.shares_memory(warm[1].rows(np.array(z)), plain)
         assert not plain.flags.writeable
         with pytest.raises(ValueError):
             plain[...] = 0.0
@@ -310,6 +310,8 @@ def test_rows_are_evaluated_once_per_point_array():
     x = np.linspace(-1.0, 1.0, 5)
     for basis in (odd, again, odd):
         basis.rows(x.copy())
+    # a column of the same points is the same rows, bit for bit
+    assert np.array_equal(odd.rows(x[:, None])[:, 0], odd.rows(x))
     assert [e.shape for e in evaluated] == [(), (5,)]
 
 
@@ -506,7 +508,8 @@ def test_weighted_rows_are_the_w_half_of_the_rows():
 
 def test_interrelations_take_the_normal_cdf_at_the_reals_only(monkeypatch):
     # W alone at the 512 quadrature nodes: the partner rows, and with them
-    # the normal CDF, only at the reals (taken as a row and as a column)
+    # the normal CDF, only at the reals, once (taken as a row and as a
+    # column, the two shapes share one evaluation)
     cdf, elements = specfun.normal_cdf, []
 
     def counted(x):
@@ -519,4 +522,4 @@ def test_interrelations_take_the_normal_cdf_at_the_reals_only(monkeypatch):
             grid = verify_grid(ensemble, N)
             elements.clear()
             interrelations_check(make(N), *grid)
-            assert 0 < sum(elements) <= 2 * len(grid[0]), (ensemble, N, elements)
+            assert 0 < sum(elements) <= len(grid[0]), (ensemble, N, elements)

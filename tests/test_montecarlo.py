@@ -80,11 +80,12 @@ def goe_draw(N, count, seed):
     return diag.standard_normal((count, N)), off.standard_gamma(0.5 * np.arange(N - 1, 0, -1), (count, N - 1))
 
 
-def sturm_below(a, b2, edges):
-    # sturm_totals on a (count, N) draw taken as one block
-    x = np.asarray(edges, dtype=float)[:, None]
-    work = tuple(np.empty((len(x), len(a)), dtype) for dtype in (float, float, bool, np.int32))
-    return sturm_totals(a.T.copy(), b2.T.copy(), x, work)
+def sturm_below(a, b2, edges, width=1):
+    # sturm_totals on a (count, N) draw taken as one block, counted at every
+    # width-th edge: width 1 is the grid, a count at every edge
+    x = np.asarray(edges, dtype=float)
+    work = tuple(np.empty(max(len(x), a.shape[1]) * len(a), dtype) for dtype in (float, float, bool, np.int32))
+    return sturm_totals(a.T.copy(), b2.T.copy(), x, width, work)
 
 
 def summed(tallies):
@@ -101,12 +102,13 @@ def test_spectra_follow_per_matrix_streams(monkeypatch):
     # hessenberg_draw, the GOE draw two streams spawned from
     # SeedSequence(seed), standard normals and Gamma((N - k)/2) variates,
     # each row-major.  Both are the same at any block size (N=8 and N=64
-    # span blocks of 1024 and 16 matrices by default, 41 edges a Sturm
-    # pass of 1598 samples), and a smaller batch is the prefix of a
-    # larger one; the seed 2^32 + 11 takes two words in numpy's seed hash.
-    # The GOE tallies are the Sturm counts of that draw taken whole
+    # span blocks of 1024 and 16 matrices by default; 41 edges a Sturm
+    # pass of 1771 samples at N=8, of 1598 at N=64), down to a block of one
+    # matrix, and a smaller batch is the prefix of a larger one; the seed
+    # 2^32 + 11 takes two words in numpy's seed hash.  The GOE tallies are
+    # the Sturm counts of that draw taken whole, at every edge
     totals = {}
-    for block_entries in (montecarlo.BLOCK_ENTRIES, 1000):
+    for block_entries in (montecarlo.BLOCK_ENTRIES, 1000, 1):
         monkeypatch.setattr(montecarlo, "BLOCK_ENTRIES", block_entries)
         for N, count, seed in ((3, 50, 7), (8, 1030, 2**32 + 11), (64, 40, 11)):
             H = hessenberg_draw(N, count, seed)
@@ -141,25 +143,52 @@ def test_negative_seed_is_rejected():
 
 
 def test_sturm_totals_equal_eigvalsh_counts():
-    for N, count in ((1, 300), (2, 300), (3, 300), (8, 200), (64, 40)):
+    # at every bin count the tallies' coarse edges and bisection place each
+    # eigenvalue where LAPACK does
+    for N, count in ((1, 300), (2, 300), (3, 300), (4, 300), (8, 200), (64, 40)):
         a, b2 = goe_draw(N, count, seed=N)
-        edges = goe_edges(N)
+        eigenvalues = np.sort(np.linalg.eigvalsh(tridiagonal_matrices(a, b2)), axis=None)
+        for bins in (2, 40, 2000) + ((20_000,) if N <= 8 else ()):
+            edges = goe_edges(N, bins)
+            below, _ = summed(goe_tallies(N, count, N, edges))
+            assert np.array_equal(below, np.searchsorted(eigenvalues, edges)), (N, bins)
+
+
+def test_bisection_totals_equal_the_grid():
+    # edges on computed eigenvalues and on diagonal entries (a zero first
+    # pivot), repeated and unevenly spaced: bisection from any coarse width
+    # finds the same totals as a count at every edge
+    rng = np.random.default_rng(43)
+    for N, count in ((1, 50), (2, 50), (3, 50), (5, 40), (16, 30), (33, 20)):
+        a, b2 = goe_draw(N, count, seed=100 + N)
         eigenvalues = np.linalg.eigvalsh(tridiagonal_matrices(a, b2))
-        below, _ = summed(goe_tallies(N, count, N, edges))
-        assert np.array_equal(below, totals_below(eigenvalues, edges)), N
+        scale = math.sqrt(2.0 * N)
+        edges = np.sort(np.concatenate([
+            goe_edges(N, 40), eigenvalues[:5].ravel(), a[:5, 0], a[:3, 0],
+            scale * rng.uniform(-1.5, 1.5, 60), scale * rng.uniform(0.1, 0.11, 20), [-np.inf, np.inf],
+        ]))
+        grid = sturm_below(a, b2, edges)
+        assert grid[0] == 0 and grid[-1] == N * count
+        for width in (2, 3, 4, 16, 64, 1 << 10):
+            assert np.array_equal(sturm_below(a, b2, edges, width), grid), (N, width)
+        assert np.array_equal(summed(goe_tallies(N, count, 100 + N, edges))[0], grid), N
 
 
 def test_zero_pivots_count_like_eigvalsh():
     # an edge exactly at a_1 makes the first pivot zero; with b2 = 0 the
-    # next step would divide zero by zero; the third matrix is 0.5 I
-    a = np.array([[0.5, 1.0, -0.3], [0.5, 1.0, -0.3], [0.5, 0.5, 0.5]])
-    b2 = np.array([[0.0, 0.7], [0.4, 0.7], [0.0, 0.0]])
-    edges = np.array([-2.0, -0.3, 0.5, 1.0, 2.0])
+    # next step would divide zero by zero; the third matrix is 0.5 I.  The
+    # fourth has a zero first pivot at 0.5 over b2_1 = 1e-10: its eigenvalue
+    # 0.5 - 1e-10 is below 0.5 only if its pivot floor is its own, not that
+    # of the fifth matrix's b2 = 1e300 (eigenvalues 0 and +-1e150)
+    a = np.array([[0.5, 1.0, -0.3], [0.5, 1.0, -0.3], [0.5, 0.5, 0.5], [0.5, 1.0, 3.0], [0.0, 0.0, 0.0]])
+    b2 = np.array([[0.0, 0.7], [0.4, 0.7], [0.0, 0.0], [1e-10, 0.0], [1e300, 0.0]])
+    edges = np.array([-2.0, -0.3, 0.5, 0.5, 1.0, 2.0])
     eigenvalues = np.linalg.eigvalsh(tridiagonal_matrices(a, b2))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        below = sturm_below(a, b2, edges)
-    assert below.tolist() == totals_below(eigenvalues, edges).tolist() == [0, 2, 3, 7, 9]
+    for width in (1, 2, 4):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            below = sturm_below(a, b2, edges, width)
+        assert below.tolist() == totals_below(eigenvalues, edges).tolist() == [1, 3, 6, 6, 10, 13], width
 
 
 def two_sample_chi2(first, second):
@@ -306,6 +335,12 @@ def test_comparison_requires_enough_samples():
         empirical_vs_analytic(partial(goe_tallies, 2, 100, 1), goe_kernel(2), bins=10)
 
 
+def test_comparison_rejects_decreasing_edges():
+    for sampler, bundle in ((goe_tallies, goe_kernel(2)), (ginibre_tallies, ginoe_kernel(2))):
+        with pytest.raises(ValueError, match="must not decrease"):
+            empirical_vs_analytic(partial(sampler, 2, 10_000, 1), bundle, bins=np.array([-1.0, 1.0, 0.0]))
+
+
 def test_comparison_report_round_trip():
     report = empirical_vs_analytic(partial(goe_tallies, 2, 10_000, 19), goe_kernel(2), bins=20)
     assert report.flagged == ()
@@ -347,8 +382,8 @@ def eks_real_count(N):
 
 
 def test_expected_real_count_matches_known_values():
-    # the report's expected_real_count is the density integral: the mean
-    # real count in the plane, N on the line
+    # the report's expected_real_count is the density integral for GinOE:
+    # the mean real count in the plane; on the line it reads N
     # size 3 plane ensemble: 1 + 1/sqrt(2) real eigenvalues on average
     assert np.isclose(eks_real_count(3), 1.0 + 1.0 / math.sqrt(2.0), rtol=1e-15, atol=0)
     for N in range(1, 65):
