@@ -8,14 +8,14 @@ whatever the sample count; time is linear in it.
 
 Real Ginibre matrices are drawn Householder-reduced to Hessenberg form
 (Edelman, J. Multivariate Anal. 60, 1997): N(0, 1) upper triangles over
-independent subdiagonals chi_{N-1}, ..., chi_1, which leaves dgeev
-nothing to reduce; it returns reals with imaginary part exactly 0 and
-complex pairs as exact conjugates: no threshold is needed.  GOE spectra
-are counted, not solved.  The eigenvalues of (G + G^T)/2 have the law of
-those of a tridiagonal matrix with N(0, 1) diagonal and squared
-off-diagonal chi^2_{N-k}/2 (Dumitriu and Edelman, J. Math. Phys. 43,
-2002); the count below x is the number of negative pivots of T - x, a
-Sturm sequence, taken at coarse edges and bisected between them.
+independent subdiagonals chi_{N-1}, ..., chi_1.  Up to N = 3 the characteristic
+polynomial solves them, a pair read as two reals by the sign of its discriminant;
+from N = 4 dgeev, with nothing to reduce, returns reals with imaginary part 0
+and pairs as exact conjugates.  GOE spectra are counted, not solved.  The
+eigenvalues of (G + G^T)/2 have the law of those of a tridiagonal matrix with
+N(0, 1) diagonal and squared off-diagonal chi^2_{N-k}/2 (Dumitriu and Edelman,
+J. Math. Phys. 43, 2002); the count below x is the number of negative pivots
+of T - x, a Sturm sequence, taken at coarse edges and bisected between them.
 
 Ginibre upper triangles and subdiagonals, like GOE diagonals and
 squared off-diagonals, come from two streams spawned from
@@ -42,8 +42,38 @@ COUNT_SLACK = 1e-6  # absolute slack when the count variance vanishes (GOE)
 MIN_COMPARISON_SAMPLES = 10_000
 
 
+def hessenberg_eigvals(H):
+    """Eigenvalues of a stack of Hessenberg matrices, (m, N, N) -> (m, N): stacked dgeev from N = 4, else closed forms.
+    A pair mid +- sqrt(disc) is two reals where disc >= 0, else exact conjugates: disc = ((a - d)/2)^2 + bc at N = 2
+    (dlanv2's, no cancellation); at N = 3 the pair left by the cubic's real root, Cardano's or trigonometric."""
+    m, N, _ = H.shape
+    if N > 3:
+        return np.linalg.eigvals(H)
+    if N == 1:
+        return H[:, 0].astype(complex)
+    out, h = np.zeros((m, N), complex), H.reshape(m, N * N).T
+    if N == 2:
+        mid, disc = 0.5 * (h[0] + h[3]), (0.5 * (h[0] - h[3])) ** 2 + h[1] * h[2]
+    else:  # x^3 - p x^2 + q x - r; x = s + t, s = p/3, gives t^3 + P t + Q, discriminant D
+        minor = h[4] * h[8] - h[5] * h[7]
+        p, q = h[0] + h[4] + h[8], h[0] * (h[4] + h[8]) - h[1] * h[3] + minor
+        r, s = h[0] * minor + h[3] * (h[2] * h[7] - h[1] * h[8]), p / 3.0
+        P, Q = q - 3.0 * s * s, ((s - p) * s + q) * s - r
+        del minor, p, q, r  # freed early: a block's temporaries set the sampler's peak memory
+        D = (0.5 * Q) ** 2 + (P / 3.0) ** 3
+        with np.errstate(all="ignore"):  # each branch is kept only where it is finite
+            u, R = np.cbrt(-0.5 * Q - np.copysign(np.sqrt(D), Q)), np.sqrt(-P / 3.0)
+            t = np.where(D < 0, 2.0 * R * np.cos(np.arccos(np.clip(-0.5 * Q / R**3, -1.0, 1.0)) / 3.0),
+                         u - np.where(u == 0, 0.0, P / (3.0 * u)))
+        out.real[:, 2], mid, disc = s + t, s - 0.5 * t, -(P + 0.75 * t * t)  # the pair: sum -t, product t^2 + P
+    root, real = np.sqrt(np.abs(disc)), disc >= 0
+    out.real[:, 0], out.real[:, 1] = mid + root * real, mid - root * real
+    out.imag[:, 0], out.imag[:, 1] = np.where(real, 0.0, root), np.where(real, 0.0, -root)
+    return out
+
+
 def ginibre_blocks(N, count, seed):
-    """Real Ginibre batch as Hessenberg models, solved by stacked dgeev calls a
+    """Real Ginibre batch as Hessenberg models, solved by `hessenberg_eigvals` a
     block at a time: (block, N) spectra.  Upper triangles are standard normals,
     subdiagonals chi_{N-k} = sqrt(2 Gamma((N - k)/2)), in a zeroed buffer kept for the run."""
     if N < 1:
@@ -57,7 +87,7 @@ def ginibre_blocks(N, count, seed):
         m = min(step, count - lo)
         block[:m, upper_at] = upper.standard_normal((m, len(upper_at)))
         block[:m, N :: N + 1] = np.sqrt(2.0 * sub.standard_gamma(shapes, (m, N - 1)))  # entries (k + 1, k)
-        yield np.linalg.eigvals(block[:m].reshape(m, N, N))
+        yield hessenberg_eigvals(block[:m].reshape(m, N, N))
 
 
 def ginibre_spectra(N, count, seed):

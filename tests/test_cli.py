@@ -902,10 +902,15 @@ def test_mc_compare_lapack_failure_exits_3(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvals", failing)
     code, text, err = run_cli(
-        ["mc-compare", "--ensemble", "ginoe", "--size", "3", "--samples", "10000"]
+        ["mc-compare", "--ensemble", "ginoe", "--size", "4", "--samples", "10000"]
     )
     assert code == 3 and text == ""
     assert "numerical failure" in err and "did not converge" in err
+    # up to N = 3 the spectra come from the characteristic polynomial, not LAPACK
+    code, text, _ = run_cli(
+        ["mc-compare", "--ensemble", "ginoe", "--size", "3", "--samples", "20000", "--seed", "0"]
+    )
+    assert code == 0 and text
 
 
 def test_mc_compare_rejects_small_sample_counts():

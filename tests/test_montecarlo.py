@@ -35,6 +35,7 @@ from betaone.montecarlo import (
     ginibre_spectra,
     ginibre_tallies,
     goe_tallies,
+    hessenberg_eigvals,
     pair_mass_estimate,
     spectra_tally,
     sturm_totals,
@@ -97,26 +98,40 @@ def real_counts(spectra):
     return np.count_nonzero(np.imag(spectra) == 0, axis=1)
 
 
+def assert_matches_dgeev(spectra, reference):
+    # the characteristic-polynomial solver against dgeev on the same
+    # matrices: the same real count per row, sorted spectra within 1e-12,
+    # every pair representative with its exact conjugate in its row
+    assert np.array_equal(real_counts(spectra), real_counts(reference))
+    assert np.abs(np.sort_complex(spectra) - np.sort_complex(reference)).max() <= 1e-12
+    assert np.array_equal(np.sort_complex(spectra), np.sort_complex(spectra.conj()))
+
+
 def test_spectra_follow_per_matrix_streams(monkeypatch):
     # the Ginibre batch is the eigenvalues of the Hessenberg models of
-    # hessenberg_draw, the GOE draw two streams spawned from
-    # SeedSequence(seed), standard normals and Gamma((N - k)/2) variates,
-    # each row-major.  Both are the same at any block size (N=8 and N=64
-    # span blocks of 1024 and 16 matrices by default; 41 edges a Sturm
-    # pass of 1771 samples at N=8, of 1598 at N=64), down to a block of one
-    # matrix, and a smaller batch is the prefix of a larger one; the seed
-    # 2^32 + 11 takes two words in numpy's seed hash.  The GOE tallies are
-    # the Sturm counts of that draw taken whole, at every edge
+    # hessenberg_draw (bit for bit from N = 4, where dgeev solves them; to
+    # 1e-12 with the same real counts below, see assert_matches_dgeev), the
+    # GOE draw two streams spawned from SeedSequence(seed), standard normals
+    # and Gamma((N - k)/2) variates, each row-major.  Both are the same at
+    # any block size (N=8 and N=64 span blocks of 1024 and 16 matrices by
+    # default; 41 edges a Sturm pass of 1771 samples at N=8, of 1598 at
+    # N=64), down to a block of one matrix, and a smaller batch is the
+    # prefix of a larger one; the seed 2^32 + 11 takes two words in numpy's
+    # seed hash.  The GOE tallies are the Sturm counts of that draw taken
+    # whole, at every edge
     totals = {}
     for block_entries in (montecarlo.BLOCK_ENTRIES, 1000, 1):
         monkeypatch.setattr(montecarlo, "BLOCK_ENTRIES", block_entries)
-        for N, count, seed in ((3, 50, 7), (8, 1030, 2**32 + 11), (64, 40, 11)):
+        for N, count, seed in ((2, 50, 5), (3, 50, 7), (8, 1030, 2**32 + 11), (64, 40, 11)):
             H = hessenberg_draw(N, count, seed)
             a, b2 = goe_draw(N, count, seed)
             edges = goe_edges(N)
             for n in (count, count - 3):
                 spectra = np.linalg.eigvals(H[:n])
-                assert np.array_equal(ginibre_spectra(N, n, seed), spectra)
+                if N > 3:
+                    assert np.array_equal(ginibre_spectra(N, n, seed), spectra)
+                else:
+                    assert_matches_dgeev(ginibre_spectra(N, n, seed), spectra)
                 below, histogram = summed(ginibre_tallies(N, n, seed, edges))
                 assert np.array_equal(below, totals_below(spectra.real[np.imag(spectra) == 0], edges))
                 assert np.array_equal(histogram, np.bincount(real_counts(spectra), minlength=N + 1))
@@ -124,7 +139,7 @@ def test_spectra_follow_per_matrix_streams(monkeypatch):
                 assert np.array_equal(below, sturm_below(a[:n], b2[:n], edges))
                 assert histogram.tolist() == [0] * N + [n]
                 assert np.array_equal(below, totals.setdefault((N, n), below))
-    assert len(totals) == 6
+    assert len(totals) == 8
 
 
 def test_blocks_are_bounded_by_block_entries():
@@ -214,13 +229,15 @@ def test_sturm_totals_match_dense_goe_in_distribution():
 
 
 def test_reals_are_read_from_structure():
-    # a conjugate pair 1e-12 off the axis: a realness threshold of 1e-7
-    # times the norm would have counted two reals
+    # a conjugate pair 1e-12 off the axis, from dgeev and from the closed
+    # form's discriminant: a realness threshold of 1e-7 times the norm
+    # would have counted two reals
     a, eps = 0.7, 1e-12
-    eigs = np.linalg.eigvals(np.array([[a, eps], [-eps, a]]))
-    below, histogram = spectra_tally(eigs[None], [1.0])
-    assert below.tolist() == [0] and histogram.tolist() == [1, 0, 0]
-    assert eigs[0] == eigs[1].conjugate() and eigs[0].imag != 0.0
+    matrix = np.array([[a, eps], [-eps, a]])
+    for eigs in (np.linalg.eigvals(matrix), hessenberg_eigvals(matrix[None])[0]):
+        below, histogram = spectra_tally(eigs[None], [1.0])
+        assert below.tolist() == [0] and histogram.tolist() == [1, 0, 0]
+        assert eigs[0] == eigs[1].conjugate() and eigs[0].imag != 0.0
     for N in (2, 3, 8):
         spectra = ginibre_spectra(N, 2000, seed=N)
         # real counts of the parity of N alone
@@ -229,6 +246,36 @@ def test_reals_are_read_from_structure():
         assert np.array_equal(
             np.sort_complex(spectra), np.sort_complex(spectra.conj())
         )
+
+
+def test_small_solver_at_triple_roots_and_without_warnings():
+    # triple roots, where Cardano's cube root is 0: three reals
+    triple = hessenberg_eigvals(np.array([[[1.0, 0, 0], [1, 1, 0], [0, 1, 1]], np.zeros((3, 3))]))
+    assert np.array_equal(triple, [[1, 1, 1], [0, 0, 0]]) and not np.signbit(triple.imag).any()
+    # sizes 1 to 3 against dgeev, real counts of the parity of N, and no
+    # warning from the branch of the cubic that is not taken
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for N in (1, 2, 3):
+            H = hessenberg_draw(N, 20_000, seed=40 + N)
+            spectra = hessenberg_eigvals(H)
+            assert_matches_dgeev(spectra, np.linalg.eigvals(H))
+            assert np.all(real_counts(spectra) % 2 == N % 2)
+
+
+def test_dgeev_solves_each_block_from_size_four(monkeypatch):
+    # one stacked eigvals call per block from N = 4 on, none below
+    calls, eigvals = [], np.linalg.eigvals
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    for N in (1, 2, 3, 4, 8):
+        calls.clear()
+        blocks = [len(b) for b in ginibre_blocks(N, 20_000, 3)]
+        assert [shape[0] for shape in calls] == (blocks if N > 3 else [])
 
 
 def test_sample_goe_size_one_is_single_real():
