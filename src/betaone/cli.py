@@ -35,15 +35,15 @@ PATHS = ("finite-sum", "summed-up", "both")
 # N = 1..64 in both ensembles at one OpenBLAS thread.
 GATES = {
     # relative to the determinant and to the matching sum
-    "squared-vs-determinant": 1e-12,  # 6.3e-15 (GinOE N = 45)
-    "elimination-vs-cofactor": 1e-12,  # 1.1e-14 (GinOE N = 31)
+    "squared-vs-determinant": 1e-12,  # 8.5e-15 (GinOE N = 13)
+    "elimination-vs-cofactor": 1e-12,  # 1.2e-14 (GinOE N = 31)
     # also the agreement the Gram's refinement stops at
     "gram-deviation": 1e-12,  # 1.9e-14 (GOE N = 63)
     "density-normalization": 1e-13,  # 4.2e-16 (GOE N = 17)
     "integrate-out-recurrence": 1e-13,  # 6.4e-16 (GOE N = 35)
     "block-interrelations": 1e-13,  # 8.9e-15 (GOE N = 52), partner rows against their W rows
     # relative to the GinOE kernel scale 1/sqrt(2 pi); density --path both too
-    "closed-form-agreement": 1e-13,  # 1.2e-15 (N = 63)
+    "closed-form-agreement": 1e-13,  # 1.3e-15 (N = 63)
     # relative to the target matrix's largest entry
     "exact-limit": 1e-13,  # 2.8e-16 (GOE N = 51, 52)
     # the worst ratio of successive far deviations: below 1 while they shrink

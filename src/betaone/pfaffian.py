@@ -3,10 +3,10 @@
 The Pfaffian of an even-dimensional antisymmetric matrix is computed two
 ways: the first-row expansion as a signed sum over perfect matchings
 (reference, factorial cost) and a skew-symmetric Parlett-Reid
-elimination with partial pivoting (production path, cubic cost).  Both
-take a stack (..., 2n, 2n), validate, pivot and floor each matrix on its
-own, and return the batch shape (...); a 2-D input is a stack of one and
-gives a Python float or complex.
+elimination that pivots on the whole trailing block (production path,
+cubic cost; a zero block gives exactly 0.0).  Both take a stack
+(..., 2n, 2n), treat each matrix on its own, and return the batch shape
+(...); a 2-D input is a stack of one and gives a Python float or complex.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import math
 import numpy as np
 
 LAPLACE_DIM_CAP = 12
-PIVOT_RATIO_FLOOR = 1e-13
 ASYMMETRY_TOL = 1e-12
 
 
@@ -75,39 +74,37 @@ def pfaffian_laplace(matrix):
 
 
 def pfaffian(matrix):
-    """Pfaffian by skew-symmetric elimination with partial pivoting.
+    """Pfaffian by skew-symmetric elimination with complete pivoting.
 
-    Equivalent to tridiagonalizing with congruence transforms whose
-    determinant is +-1; the Pfaffian is the product of the resulting
-    superdiagonal entries times the accumulated permutation sign.  A
-    stack takes the n/2 - 1 steps together, each matrix on its own
-    pivots.  A pivot below PIVOT_RATIO_FLOOR times the matrix's largest
-    entry (structurally singular input) gives an exact 0.
+    Parlett-Reid with Bunch's pivot rule (Math. Comp. 38, 1982): each step
+    moves the largest |entry| of the trailing block to (k, k+1) by
+    transpositions, one sign flip each, and eliminates two rows and
+    columns.  A stack takes the n/2 - 1 steps together, each matrix on its
+    own pivots.  A zero pivot means a zero trailing block: the value is 0.0.
     """
     A = as_antisymmetric(matrix)
     n = A.shape[-1]
     stack = A.reshape((math.prod(A.shape[:-2]), n, n))
     value = np.ones(len(stack), dtype=A.dtype)
-    floor = PIVOT_RATIO_FLOOR * np.abs(stack).max(axis=(1, 2), initial=0.0)
-    singular = np.zeros(len(stack), dtype=bool)
     for k in range(0, n - 2, 2):
-        # pivot: largest entry in column k below the diagonal
-        kp = k + 1 + np.argmax(np.abs(stack[:, k + 1 :, k]), axis=1)
-        s = np.flatnonzero(kp != k + 1)
+        # the first largest entry in row order: flat index 1 is (k, k+1), in
+        # place, and 0 the zero diagonal, reached only by a zero block
+        flat = np.abs(stack[:, k:, k:]).reshape(len(stack), (n - k) ** 2).argmax(axis=1)
+        s = np.flatnonzero(flat > 1)
         if s.size:
-            p = kp[s]
-            stack[s, k + 1], stack[s, p] = stack[s, p], stack[s, k + 1]
-            stack[s, :, k + 1], stack[s, :, p] = stack[s, :, p], stack[s, :, k + 1]
-            value[s] = -value[s]
+            i, j = divmod(flat[s], n - k)
+            # k+i goes to k (to k+1 when i = 1) and k+j to the other: two
+            # disjoint transpositions, the first trivial when i < 2
+            moves = k + np.array(((i == 1, i != 1), (i, j)))
+            stack[s, moves] = stack[s, moves[::-1]]
+            stack[s, :, moves] = stack[s, :, moves[::-1]]
+            value[s[i < 2]] *= -1
         pivot = stack[:, k, k + 1]
-        singular |= (np.abs(pivot) < floor) | (pivot == 0.0)
-        # a singular matrix is left as it is, so no step divides by its pivot
-        pivot = np.where(singular, 1.0, pivot)
         value *= pivot
-        tau = stack[:, k, k + 2 :] / pivot[:, None]
-        tau[singular] = 0.0
+        # a zero pivot leaves a zero block: divide its zero row by 1
+        tau = stack[:, k, k + 2 :] / (pivot + (pivot == 0))[:, None]
         outer = tau[:, :, None] * stack[:, None, k + 2 :, k + 1]
         stack[:, k + 2 :, k + 2 :] += outer - np.swapaxes(outer, 1, 2)
     value *= stack[:, n - 2, n - 1] if n else 1.0
-    value = np.where(singular, 0.0, value).reshape(A.shape[:-2])
+    value = value.reshape(A.shape[:-2]) + 0.0  # a flipped zero reads 0.0, not -0.0
     return value if A.ndim > 2 else value.item()

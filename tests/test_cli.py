@@ -209,6 +209,20 @@ def test_correlate_assembles_the_point_matrix_once(monkeypatch):
     assert float(body[1].split(",")[3]) == 0.0 and float(header["imag_residue"]) == 0.0
 
 
+def test_correlate_reads_tail_points_in_any_order():
+    # a tail point listed first gives the same small correlation as listed
+    # last, not an exact 0; an exactly singular matrix still prints 0, not -0
+    values = []
+    for points in ("10.5,0,0.5", "0,0.5,10.5"):
+        code, text, _ = run_cli(["correlate", "--ensemble", "goe", "--size", "8", "--points=" + points])
+        assert code == 0
+        assert "rho,,,0" not in text.splitlines()
+        values.append(float(split_csv(text)[1][1].split(",")[3]))
+    assert values[0] > 0 and abs(values[0] - values[1]) <= 1e-13 * values[1]
+    code, text, _ = run_cli(["correlate", "--ensemble", "goe", "--size", "4", "--points=0,1e5"])
+    assert code == 0 and split_csv(text)[1][1] == "rho,,,0"
+
+
 def test_correlate_validation_exits():
     code, _, err = run_cli(["correlate", "--points", "0.5,0.5"])
     assert code == 2 and "distinct" in err

@@ -1,11 +1,12 @@
 import itertools
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 from betaone.ginoe_kernels import ginoe_kernel
-from betaone.kernels import goe_kernel
+from betaone.kernels import PointConfiguration, goe_kernel
 from betaone.pfaffian import (
     as_antisymmetric,
     pfaffian,
@@ -135,6 +136,23 @@ def test_zero_row_column_pair_gives_exact_zero():
     A[:, 2] = 0.0
     A[2, :] = 0.0
     assert pfaffian(A) == 0.0
+    # -A negates every pivot, so one of A and -A reaches its zero pivot
+    # with a negative product
+    assert not np.signbit([pfaffian(A), pfaffian(-A)]).any()
+
+
+def test_largest_entry_moves_into_place_from_every_position():
+    # (0, 1) is zero and the largest entry sits at each other place above the
+    # diagonal in turn: every member needs a pivot move, from row 0, row 1 or
+    # neither, and one left in place would read an exact 0
+    rng = np.random.default_rng(73)
+    places = [(i, j) for i, j in itertools.combinations(range(6), 2) if (i, j) != (0, 1)]
+    stack = random_antisymmetric(rng, 6, batch=(len(places),)) / 100
+    stack[:, 0, 1] = stack[:, 1, 0] = 0.0
+    for A, (i, j) in zip(stack, places):
+        A[i, j], A[j, i] = 1.0, -1.0
+    reference = pfaffian_laplace(stack)
+    assert np.all(np.abs(pfaffian(stack) - reference) <= 1e-12 * np.abs(reference))
 
 
 def test_empty_matrix_pfaffian_is_one():
@@ -218,7 +236,9 @@ def test_singular_members_read_zero_and_leave_neighbours_alone():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         values = pfaffian(stack)
+        negated = pfaffian(-stack)
     assert values[1] == 0.0 and values[3] == 0.0
+    assert not np.signbit([values[[1, 3]], negated[[1, 3]]]).any()
     for i in (0, 2, 4):
         assert values[i] == pfaffian(stack[i]) != 0.0
 
@@ -252,11 +272,11 @@ def test_stacked_laplace_matches_pairing_sum_and_elimination():
 
 @pytest.mark.parametrize("make, N", [(goe_kernel, 64), (ginoe_kernel, 32), (ginoe_kernel, 64)])
 def test_row_swaps_on_the_kernels_own_windows(make, N):
-    # verify's windows (every k consecutive probe points) pivot inside each
-    # point's own cell and swap no row at these sizes; ordered as all first
-    # rows of the cells, then all second rows, every window needs a row swap
-    # at the first step, so the sign kept on a swap is checked on the
-    # library's own matrices against the matching sum and against det(P) Pf(S)
+    # verify's windows (every k consecutive probe points) of the library's own
+    # matrices, ordered as all first rows of the cells, then all second rows:
+    # the largest |entry| of every window then lies off (0, 1), so the first
+    # step moves it by transpositions, and the sign kept over them is checked
+    # against the matching sum and against det(P) Pf(S)
     bundle = make(N)
     probe = probe_configuration(bundle.ensemble, N)
     k = min(6, N // (4 if probe.complexes else 2))
@@ -265,9 +285,33 @@ def test_row_swaps_on_the_kernels_own_windows(make, N):
     S = bundle.assemble(probe)[rows[:, :, None], rows[:, None, :]]
     order = np.r_[0 : 2 * k : 2, 1 : 2 * k : 2]
     R = S[:, order[:, None], order]
-    assert np.all(np.argmax(np.abs(R[:, 1:, 0]), axis=1) != 0)
+    assert np.all(np.abs(R[:, 0, 1]) < np.abs(R).max(axis=(1, 2)))
     value = pfaffian(R)
     reference = pfaffian_laplace(R)
     assert np.all(np.abs(value - reference) <= 1e-12 * np.abs(reference))
     sign = np.linalg.det(np.eye(2 * k)[order])
     assert np.all(np.abs(value - sign * pfaffian(S)) <= 1e-12 * np.abs(value))
+
+
+@pytest.mark.parametrize(
+    "make, N, reals, complexes",
+    [
+        (goe_kernel, 8, (10.5, 0.0, 0.5), ()),
+        (goe_kernel, 8, (12.0, 0.0, 0.5), ()),
+        (ginoe_kernel, 8, (10.5, 0.0, 0.5), (0.3 + 0.6j,)),
+        (ginoe_kernel, 4, (0.0, 1e-12), ()),
+    ],
+)
+def test_tail_and_near_coincident_points_match_the_determinant(make, N, reals, complexes):
+    # a tail point makes correct correlations tiny (1.7e-18 at GOE N = 8, with
+    # 10.5 in the tail), and two near-coincident points make the matrix nearly
+    # singular; in every order of the points the elimination must agree with
+    # the 50-digit square root of the determinant of the same matrix
+    bundle = make(N)
+    for order in itertools.permutations(reals):
+        matrix = bundle.assemble(PointConfiguration(reals=order, complexes=complexes))
+        value = pfaffian(matrix)
+        with mpmath.workdps(50):
+            root = mpmath.sqrt(mpmath.det(mpmath.matrix(matrix.tolist())))
+            gap = min(abs(value - root), abs(value + root)) / abs(root)
+        assert gap <= 1e-13, (order, value)
