@@ -1,8 +1,9 @@
 """Density profiles for both ensembles at even and odd sizes.
 
-Prints the one-point density on a short grid, the total mass recovered
-by quadrature, and (for the real Ginibre ensemble) the agreement
-between the finite-sum kernel and its closed form.
+Prints the one-point density on a short grid, its exact total mass (N
+for GOE, the mean real count for real Ginibre), and (for the real
+Ginibre ensemble) the agreement between the finite-sum kernel and its
+closed form.
 """
 
 import numpy as np

@@ -24,9 +24,10 @@ import numpy as np
 from . import __version__
 from .ginibre import SQRT_2PI, ginoe_gram
 from .ginoe_kernels import ginoe_kernel, ginoe_summed_S
-from .kernels import PointConfiguration, density_integral, dyson_recurrence_check, goe_kernel, interrelations_check
+from .kernels import PointConfiguration, dyson_recurrence_check, goe_kernel, interrelations_check
 from .montecarlo import GENERATOR, MIN_COMPARISON_SAMPLES, empirical_vs_analytic, ginibre_tallies, goe_tallies
 from .pfaffian import pfaffian, pfaffian_laplace
+from .quadrature import integrate_line
 from .reduction import probe_configuration, verify_odd_limit
 from .skewortho import goe_gram, skew_deviation
 
@@ -37,8 +38,7 @@ GATES = {
     # relative to the determinant and to the matching sum
     "squared-vs-determinant": 1e-12,  # 8.5e-15 (GinOE N = 13)
     "elimination-vs-cofactor": 1e-12,  # 1.2e-14 (GinOE N = 31)
-    # also the agreement the Gram's refinement stops at
-    "gram-deviation": 1e-12,  # 1.9e-14 (GOE N = 63)
+    "gram-deviation": 1e-13,  # 2.8e-15 (GinOE N = 41)
     "density-normalization": 1e-13,  # 4.2e-16 (GOE N = 17)
     "integrate-out-recurrence": 1e-13,  # 6.4e-16 (GOE N = 35)
     "block-interrelations": 1e-13,  # 8.9e-15 (GOE N = 52), partner rows against their W rows
@@ -308,18 +308,9 @@ def _suite_pfaffian(bundle):
 
 
 def _suite_skew(bundle):
-    # the family's Gram, refined to the bound it is gated at
+    # the family's Gram, exact
     gram = goe_gram if bundle.ensemble == "goe" else ginoe_gram
-    refined = gram(bundle.N, GATES["gram-deviation"])
-    return [
-        _check(
-            "skew",
-            "gram-deviation",
-            skew_deviation(refined.value),
-            panels=refined.panels,
-            refinement_difference=refined.difference,
-        )
-    ]
+    return [_check("skew", "gram-deviation", skew_deviation(gram(bundle.N)))]
 
 
 def _suite_kernels(bundle):
@@ -329,7 +320,9 @@ def _suite_kernels(bundle):
     relations = interrelations_check(bundle, *points)
     checks = [_check("kernels", "block-interrelations", max(relations.values()))]
     if bundle.ensemble == "goe":
-        gap = abs(density_integral(bundle) - bundle.N) / bundle.N
+        # by quadrature, independent of the exact kernels.density_integral
+        total = integrate_line(lambda x: np.real(bundle.scalar_kernel(x, x)), 1e-9, (0.0,), 2 * bundle.N + 2)
+        gap = abs(total - bundle.N) / bundle.N
         worst = max(dyson_recurrence_check(bundle, 1, (x,))["relative_deviation"] for x in (-1.1, 0.37))
         checks.append(_check("kernels", "density-normalization", gap))
         checks.append(_check("kernels", "integrate-out-recurrence", worst))

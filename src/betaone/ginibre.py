@@ -11,12 +11,12 @@ normalized monomials m_k = x^k / sqrt(k!) of specfun the family
 
 (the monic x^{2j} and x^{2j+1} - 2j x^{2j-1} over the root of their
 pair norm sqrt(2pi) (2j)!) is skew-orthonormal for that pairing: its
-Gram matrix is the standard pairing J.  The Gram is one quadrature sum
-per sector over the rows the kernels use (ginoe_rows): the line
-product, and -2 Im(W^T diag(w) conj W) over the upper half-plane.  The
-plane integrand is e^{-x^2} omega(y), omega(y) = e^{y^2} erfc(sqrt2 y),
-times a polynomial in x and y, so one tensor rule of Gauss rules for the
-two weights takes it exactly: only the line sector is refined.
+Gram matrix is the standard pairing J.  The Gram sums one exact term
+per sector over the rows the kernels use (ginoe_rows): the line pairing
+of skewortho.line_pairing, and -2 Im(W^T diag(w) conj W) over the upper
+half-plane.  The plane integrand is e^{-x^2} omega(y), omega(y) =
+e^{y^2} erfc(sqrt2 y), times a polynomial in x and y, so one tensor rule
+of Gauss rules for the two weights takes it exactly.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import math
 import numpy as np
 
 from .pfaffian import pfaffian
-from .quadrature import ORDER, panel_rule, reference_rule, stieltjes, truncation_radius
-from .skewortho import gaussian_line_rows, line_gram, refined_gram
+from .quadrature import ORDER, panel_rule, reference_rule, stieltjes
+from .skewortho import gaussian_line_rows, line_pairing
 from .specfun import erfcx, weighted_powers
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -85,7 +85,7 @@ def ginoe_rows(C):
         W = plane_rows(C, z)
         return np.stack([W, 1j * np.conjugate(W)], axis=-2)
 
-    rows.direction, rows.weighted = line.direction, line.weighted
+    vars(rows).update(vars(line))
     return rows
 
 
@@ -121,17 +121,10 @@ def plane_gram(C):
     return -2.0 * (A - A.T)
 
 
-def sector_grams(N):
-    """Sector pairings of the family of size N: real per panels per half-line, complex exact."""
+def ginoe_gram(N):
+    """Gram of the family of size N, both sectors summed."""
     C = ginoe_coefficients(N)
-    rows, radius = gaussian_line_rows(C, hermite=False), truncation_radius(2 * N)
-    return (lambda panels: line_gram(rows, panels, radius)), plane_gram(C)
-
-
-def ginoe_gram(N, tol):
-    """Gram of the family of size N, both sectors summed: the line one refined."""
-    real, plane = sector_grams(N)
-    return refined_gram(lambda panels: real(panels) + plane, tol)
+    return line_pairing(C, hermite=False) + plane_gram(C)
 
 
 def sinclair_prefactor(N):
@@ -153,7 +146,7 @@ def partition_function_check(N):
     prefactor each leave floating range as N grows: their product is
     taken in logarithms, through math.lgamma.
     """
-    G = ginoe_gram(N, 1e-12).value
+    G = ginoe_gram(N)
     if N % 2:
         half = -ginoe_rows(ginoe_coefficients(N))(np.inf)[1]
         G = np.block([[G, half[:, None]], [-half, 0.0]])

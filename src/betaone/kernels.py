@@ -30,6 +30,7 @@ import numpy as np
 from .pfaffian import pfaffian, standard_pairing
 from .quadrature import integrate_line, panel_rule
 from .skewortho import gaussian_line_rows, goe_coefficients
+from .specfun import gaussian_row_integrals, gaussian_tail_moments
 
 # bytes of rows a family keeps, the least recently used dropped first
 ROW_CACHE_BYTES = 2**18
@@ -135,7 +136,7 @@ class PairingBasis:
             W = self.rows.weighted(x)
             return np.concatenate([W, np.zeros(W.shape[:-1] + (1,))], axis=-1)
 
-        rows.weighted = weighted
+        rows.weighted, rows.line = weighted, self.rows.line
         return PairingBasis(rows, np.triu(pairing, 1))
 
 
@@ -265,12 +266,29 @@ def goe_kernel(N):
     return KernelBundle.from_basis("goe", N, basis)
 
 
+def cumulative_count(bundle, t):
+    """Expected number of reals below t, exactly; vectorized in t, +-inf included.
+
+    A real point's rows are W = b C' and P = T C' + d: b and T the Gaussian rows of the
+    coefficients C (rows.line) and their tail moments, C' = C and d = -T(-inf) C / 2, with
+    a 0 and a 1 per border column.  So W M P^T integrates to sum_jk A_jk I_jk(t) +
+    v . (T(-inf) - T(t)), A = C' M C'^T, v = C' M d^T, I = specfun.gaussian_row_integrals.
+    """
+    C, hermite = bundle.family.rows.line
+    n, m = C.shape[0], bundle.family.upper.shape[0]
+    full = gaussian_tail_moments(n, -np.inf, hermite)[1]
+    B = np.pad(C, ((0, 0), (0, m - n))) @ bundle.family.pairing  # C' M
+    moments, columns = gaussian_row_integrals(n, t, hermite)
+    total = (full - moments) @ (B[:, n:].sum(axis=1) - 0.5 * B[:, :n] @ (full @ C))
+    for column, a in zip(columns, C @ B[:, :n].T):  # I[..., :, k] and A[:, k]
+        total += column @ a
+    return total
+
+
 def density_integral(bundle):
     """Integral of the real one-point density: N on the line, in the plane
-    the mean real count of Edelman, Kostlan and Shub (1994)."""
-    return integrate_line(
-        lambda x: np.real(bundle.scalar_kernel(x, x)), tol=1e-9, breakpoints=(0.0,), degree=2 * bundle.N + 2
-    )
+    the mean real count of Edelman, Kostlan and Shub (1994); cumulative_count at +inf."""
+    return float(cumulative_count(bundle, np.inf))
 
 
 def interrelations_check(bundle, reals, complexes=()):

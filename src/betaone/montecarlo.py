@@ -29,14 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import SeedSequence, default_rng
 
-from .kernels import density_integral
-from .quadrature import gauss_legendre_rule
+from .kernels import cumulative_count, density_integral
 
 GENERATOR = "PCG64"
 BLOCK_ENTRIES = 1 << 16  # matrix entries per LAPACK call, cells per GOE counting block
 BISECT_COST = 1.5  # cost of a bisection cell (rank x sample) over a grid cell (edge x sample)
 DEFAULT_SPAN = (-4.0, 4.0)
-BIN_QUAD_ORDER = 24
 Z_FLAG = 4.0
 COUNT_SLACK = 1e-6  # absolute slack when the count variance vanishes (GOE)
 MIN_COMPARISON_SAMPLES = 10_000
@@ -170,13 +168,6 @@ def sturm_totals(a, b2, x, width, work):
     return np.cumsum(np.bincount(hi.ravel(), minlength=len(x) + 1))[: len(x)]
 
 
-def expected_bin_masses(bundle, edges):
-    """Integral of the one-point density over each bin."""
-    rule = gauss_legendre_rule(BIN_QUAD_ORDER, edges[:-1], edges[1:])
-    terms = rule.weights * np.real(bundle.scalar_kernel(rule.nodes, rule.nodes))
-    return terms.reshape(len(edges) - 1, BIN_QUAD_ORDER).sum(axis=1)
-
-
 @dataclass(frozen=True)
 class ComparisonReport:
     """Sampled real-eigenvalue statistics scored against a kernel; overflow
@@ -213,10 +204,11 @@ def empirical_vs_analytic(stream, bundle, bins=40, span=DEFAULT_SPAN):
     """Score a block stream against the kernel's real-eigenvalue density.
 
     `stream(edges)` yields the tallies of `ginibre_tallies` or `goe_tallies`.
-    Each left-closed bin is scored under a Poisson width floored at one count
-    (loose: repulsion makes the true variance smaller), and the mean real
-    count per matrix within three standard errors, from the exact sums of k
-    and k^2 over the histogram, against N for GOE (with a small absolute
+    Each left-closed bin (its expected count exact, a difference of
+    kernels.cumulative_count) is scored under a Poisson width floored at one
+    count (loose: repulsion makes the true variance smaller), and the mean
+    real count per matrix within three standard errors, from the exact sums
+    of k and k^2 over the histogram, against N for GOE (with a small absolute
     slack: it has no variance) and the full-line integral for GinOE.
     """
     edges = np.linspace(*span, bins + 1) if isinstance(bins, int) else np.asarray(bins, dtype=float)
@@ -230,7 +222,7 @@ def empirical_vs_analytic(stream, bundle, bins=40, span=DEFAULT_SPAN):
         raise ValueError(f"need at least {MIN_COMPARISON_SAMPLES} samples")
     total, squares = (int(histogram @ np.arange(len(histogram)) ** p) for p in (1, 2))
     counts = np.diff(below)
-    expected = samples * expected_bin_masses(bundle, edges)
+    expected = samples * np.diff(cumulative_count(bundle, edges))
     z = (counts - expected) / np.sqrt(np.maximum(expected, 1.0))
     return ComparisonReport(
         ensemble=bundle.ensemble,

@@ -2,12 +2,13 @@
 Gauss-Legendre quadrature for Gaussian-weighted integrals on the line.
 
 Every Gauss rule comes from its weight's recurrence (gauss_rule):
-Legendre's in closed form, others by stieltjes.  Line integrands decay
-at least as fast as exp(-x^2/2); they are truncated to a radius where
-the weighted tail is far below the requested tolerance, segments are
-split at any sign-function kinks, and refinement doubles the number of
-equal panels per segment, each carrying the same ORDER-node rule, until
-two successive estimates agree.
+Legendre's in closed form, others by stieltjes.  Line integrands (the
+Gaussian rows' own are exact: specfun.gaussian_row_integrals) decay at
+least as fast as exp(-x^2/2); they are truncated to a radius where the
+weighted tail is far below the requested tolerance, segments are split
+at any sign-function kinks, and the number of equal panels per segment,
+each carrying the same ORDER-node rule, doubles until two successive
+estimates agree.
 
 Integrands must be numpy-vectorized (scalar broadcasting is tolerated).
 """
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 ORDER = 32
-LINE_PANEL_CAP = 64  # refine raises QuadratureError past this many panels per segment
+LINE_PANEL_CAP = 64  # integrate_line raises QuadratureError past this many panels per segment
 
 
 class QuadratureError(ArithmeticError):
@@ -130,51 +131,27 @@ def truncation_radius(degree):
     return max(10.0, math.sqrt(2.0 * (degree + 10) * math.log(10.0)) + 2.0)
 
 
-@dataclass(frozen=True)
-class Refinement:
-    """Final estimate, its panel count per segment, and its gap to the previous one."""
-
-    value: object
-    panels: int
-    difference: float
-
-
-def _relative_gap(value, previous):
-    return abs(value - previous) / max(1.0, abs(value))
-
-
-def refine(evaluate, tol, context, gap=_relative_gap):
-    """Estimates on 1, 2, 4, ... panels per segment until two successive ones agree.
-
-    evaluate(panels) returns a number or an array; gap(value, previous)
-    measures their difference (by default relative to max(1, |value|)).
-    Agreement within tol ends the refinement; past LINE_PANEL_CAP it raises
-    QuadratureError with the last estimate.  One agreement suffices:
-    doubling the panels moves every node, so no cancellation repeats
-    across levels, and at ORDER nodes per panel the error of a resolved
-    integrand falls by orders of magnitude per doubling, so the gap
-    bounds the coarser estimate's error and the finer one is returned.
-    """
-    previous, difference, panels = None, math.inf, 1
-    while panels <= LINE_PANEL_CAP:
-        value = evaluate(panels)
-        if previous is not None:
-            difference = float(gap(value, previous))
-            if difference <= tol:
-                return Refinement(value, panels, difference)
-        previous = value
-        panels *= 2
-    raise QuadratureError(f"{context} did not reach tolerance {tol}", previous, difference)
-
-
 def integrate_line(f, tol=1e-12, breakpoints=(), degree=0):
     """Integrate f over the real line assuming Gaussian-type decay.
 
     degree bounds the polynomial growth of the integrand against the
     exp(-x^2/2) weight and fixes the truncation radius; breakpoints list
-    the kink locations of any sign-function factors.
+    the kink locations of any sign-function factors.  The finer of the
+    first two successive estimates that agree within tol relative to
+    max(1, |value|) is returned; past LINE_PANEL_CAP panels per segment
+    it raises QuadratureError with the last.  One agreement suffices:
+    doubling moves every node, and at ORDER nodes per panel the error of
+    a resolved integrand falls by orders of magnitude per doubling.
     """
     T = truncation_radius(degree)
-    inner = sorted(p for p in breakpoints if -T < p < T)
-    edges = [-T, *inner, T]
-    return refine(lambda panels: panel_rule(edges, panels).integrate(f), tol, "line integral").value
+    edges = [-T, *sorted(p for p in breakpoints if -T < p < T), T]
+    previous, difference, panels = None, math.inf, 1
+    while panels <= LINE_PANEL_CAP:
+        value = panel_rule(edges, panels).integrate(f)
+        if previous is not None:
+            difference = float(abs(value - previous) / max(1.0, abs(value)))
+            if difference <= tol:
+                return value
+        previous = value
+        panels *= 2
+    raise QuadratureError(f"line integral did not reach tolerance {tol}", previous, difference)

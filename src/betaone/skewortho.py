@@ -15,10 +15,11 @@ Hermite basis h_n = H_n / sqrt(2^n n!) of specfun:
 
 With W_k = R_k e^{-x^2/2} and eps_k(x) = 1/2 int sgn(x - y) W_k(y) dy
 its half-range transform, <R_j|R_k> = int eps_j W_k dx: the Gram matrix
-of a whole family is one quadrature sum eps^T diag(w) W over the rows
-(W, P) the kernels are built from, whose partner is P = -eps W in both
-ensembles.  refined_gram doubles the panel count until two successive
-Grams agree entry by entry, measured like skew_deviation.
+of a whole family is -int P^T W over the rows (W, P) the kernels are
+built from, whose partner is P = -eps W in both ensembles.  P is the
+rows' tail moments less half their full integrals, so line_pairing
+takes it exactly, from the integrals of the Gaussian rows against their
+tail moments (specfun.gaussian_row_integrals).
 
 Polynomial coefficients are ascending, one family member per column of
 a coefficient matrix.
@@ -31,8 +32,7 @@ import math
 import numpy as np
 
 from .pfaffian import standard_pairing
-from .quadrature import panel_rule, refine, truncation_radius
-from .specfun import gaussian_rows, gaussian_tail_moments, weighted_powers
+from .specfun import gaussian_row_integrals, gaussian_rows, gaussian_tail_moments, weighted_powers
 
 
 def goe_coefficients(N):
@@ -62,7 +62,8 @@ def gaussian_line_rows(C, hermite=True):
     their largest entry, and at +inf the top-degree unit vector; where
     the polynomials overflow it raises ArithmeticError.
     rows.weighted(x) is W alone at real x, bit for bit rows(x)[..., 0, :],
-    with no tail moments and so no normal CDF.
+    with no tail moments and so no normal CDF.  rows.line is (C, hermite),
+    from which kernels.cumulative_count integrates the density exactly.
     """
     n = C.shape[0]
     half = 0.5 * (gaussian_tail_moments(n, -np.inf, hermite)[1] @ C)
@@ -86,18 +87,20 @@ def gaussian_line_rows(C, hermite=True):
             raise ArithmeticError(f"size {n} polynomials overflow at far point {float(x)!r}")
         return q / np.abs(q).max()
 
-    rows.direction, rows.weighted = direction, weighted
+    rows.direction, rows.weighted, rows.line = direction, weighted, (C, hermite)
     return rows
 
 
-def line_gram(rows, panels, radius):
-    """eps^T diag(w) W on `panels` panels per half-line of [-radius, radius].
+def line_pairing(C, hermite=True):
+    """The line pairing <R_j|R_k> of the columns of C, on h_n or on x^n / sqrt(n!), exactly.
 
-    rows are line rows (W, P = -eps W); entry (j, k) is <R_j|R_k>.
+    The line rows are W = b C and P = T C - half, half = T(-inf) C / 2, so
+    -int P^T W is -C^T I^T C + half (x) T(-inf) C, I = specfun.gaussian_row_integrals at +inf.
     """
-    rule = panel_rule((-radius, 0.0, radius), panels)
-    W, P = np.moveaxis(rows(rule.nodes), -2, 0)
-    return -(P * rule.weights[:, None]).T @ W
+    n = C.shape[0]
+    full = gaussian_tail_moments(n, -np.inf, hermite)[1] @ C
+    I = np.stack(tuple(gaussian_row_integrals(n, np.inf, hermite)[1]), axis=-1)
+    return 0.5 * np.outer(full, full) - C.T @ I.T @ C
 
 
 def skew_deviation(G):
@@ -105,14 +108,6 @@ def skew_deviation(G):
     return float(np.abs(G - standard_pairing(G.shape[0])).max())
 
 
-def refined_gram(gram_at, tol):
-    """Refinement of gram_at(panels) until successive Grams agree within tol,
-    entry by entry, as skew_deviation measures the final one."""
-    return refine(gram_at, tol, "skew Gram", gap=lambda G, H: np.abs(G - H).max())
-
-
-def goe_gram(N, tol):
-    """Refined Gram of the closed-form Gaussian family of size N."""
-    rows = gaussian_line_rows(goe_coefficients(N))
-    radius = truncation_radius(2 * N)
-    return refined_gram(lambda panels: line_gram(rows, panels, radius), tol)
+def goe_gram(N):
+    """Gram of the closed-form Gaussian family of size N."""
+    return line_pairing(goe_coefficients(N))

@@ -10,7 +10,9 @@ from one such pass: the moments' recurrence is driven by the rows.  At
 x = +-inf the rows vanish and the recurrence alone gives the moments,
 with no pass.  The line rows W, their partners -eps W and the GinOE
 closed form (the Poisson head and the Gaussian tail moments) are all
-built from these two.
+built from these two.  gaussian_row_integrals integrates the rows
+against their tail moments up to a point, by recurrences driven by the
+rows' products: the line Grams and the expected real counts are exact.
 """
 
 from __future__ import annotations
@@ -163,3 +165,68 @@ def gaussian_tail_moments(n, x, hermite=False):
     for k in range(2, n):
         moments[..., k] = heads[..., k - 1] + math.sqrt((k - 1) / k) * moments[..., k - 2]
     return rows, moments
+
+
+def gaussian_row_integrals(n, t, hermite=False):
+    """Tail moments T(t) and the integrals I_jk(t) of b_j T_k over (-inf, t], b and T as
+    gaussian_tail_moments gives them; vectorized in t, +-inf included.
+
+    T's recurrence integrated against b_j gives I_{j,k+1} = sqrt(k/(k+1))
+    I_{j,k-1} + E_jk / sqrt((k+1)(1 - c)), E_jk(t) the integral of b_j b_k,
+    and by parts I_j0 = T_j(-inf) T_0(-inf) - T_j(t) T_0(t) - I_0j, the row
+    I_0k first.  Hermite rows: E_jk = (b_j' b_k - b_j b_k') / (2(k - j)) off
+    the diagonal, b_k' = a_k b_{k-1} - a_{k+1} b_{k+1}, a_k = sqrt(k/2), and
+    E_{j+1,j+1} = E_jj + (a_{j+2} E_{j,j+2} - a_j E_{j-1,j+1}) / a_{j+1} from
+    E_00 = sqrt(pi) erfc(-t) / 2.  Monomial rows: E_jk = e_{j+k} sqrt(C(j+k, j)),
+    e_m = sqrt((m-1)/m) e_{m-2} / 2 - b_0 b_{m-1} / (2 sqrt m) from e_0 = E_00.
+    Returns T(t), shape t.shape + (n,), and a generator of the columns
+    I[..., :, k] of that shape, contiguous, for the caller to contract as
+    they come: no (n, n) array per point is formed.
+    """
+    t = np.asarray(t, dtype=float)
+    c = 0.5 if hermite else 0.0
+    rows, moments = gaussian_tail_moments(n + 2 if hermite else max(n, 2 * n - 2), t, hermite)
+    moments, full = moments[..., :n], gaussian_tail_moments(n, -np.inf, hermite)[1]
+    origin = 0.5 * _SQRT_PI * np.asarray(_elementwise(math.erfc, -t))  # E_00, no argument rounded
+    if hermite:
+        a = np.sqrt(0.5 * np.arange(n + 2))
+        slope = -a[1:] * rows[..., 1:]  # b_k', k <= n
+        slope[..., 1:] += a[1 : n + 1] * rows[..., :n]
+        skip = np.zeros(t.shape + (n,))  # E_{j-1,j+1}, 0 at j = 0
+        skip[..., 1:] = 0.25 * (slope[..., :-2] * rows[..., 2:-1] - rows[..., : n - 1] * slope[..., 2:])
+        steps = (a[2 : n + 1] * skip[..., 1:] - a[: n - 1] * skip[..., :-1]) / a[1:n]
+        diagonal = np.cumsum(np.concatenate([origin[..., None], steps], axis=-1), axis=-1)
+        gap = np.where(np.eye(n, dtype=bool), np.inf, 2.0 * (np.arange(n) - np.arange(n)[:, None]))
+        b = rows[..., :n]
+
+        def products(k):  # E[..., :, k]
+            column = (slope[..., :n] * b[..., k : k + 1] - b * slope[..., k : k + 1]) / gap[:, k]
+            column[..., k] = diagonal[..., k]
+            return column
+
+    else:
+        e = np.zeros(t.shape + (2 * n,))  # e_{m-1} at m, 0 at m = 0
+        e[..., 1] = origin
+        for m in range(2, 2 * n):
+            e[..., m] = (math.sqrt(m - 2) * e[..., m - 2] - rows[..., 0] * rows[..., m - 2]) / (2.0 * math.sqrt(m - 1))
+        roots = np.sqrt([[float(math.comb(j + k, j)) for k in range(n)] for j in range(n)])
+
+        def products(k):
+            return e[..., k + 1 : k + n + 1] * roots[:, k]
+
+    def step(k, before, drive):  # I_{., k} from I_{., k-2} and E_{., k-1}
+        return drive / math.sqrt(k * (1.0 - c)) + (math.sqrt((k - 1) / k) * before if k > 1 else 0.0)
+
+    def columns():
+        E = products(0)
+        row = np.empty(t.shape + (n,))  # I_0k
+        row[..., 0] = 0.5 * (full[0] ** 2 - moments[..., 0] ** 2)
+        for k in range(1, n):
+            row[..., k] = step(k, row[..., k - 2], E[..., k - 1])
+        before, last = None, full * full[0] - moments * moments[..., :1] - row
+        yield last
+        for k in range(1, n):
+            before, last = last, step(k, before, products(k - 1))
+            yield last
+
+    return moments, columns()

@@ -124,22 +124,21 @@ def test_criterion_03_ginoe_skew_orthogonality():
     # r_j the pair norm 2 sqrt(2pi) (2m)! of the pair m = j // 2 holding j
     norms = [2.0 * SQRT_2PI * math.factorial(2 * (j // 2)) for j in range(N)]
     r0 = norms[0]
-    refined = ginoe_gram(N, 1e-12)
-    gram = refined.value * np.sqrt(np.outer(norms, norms))
+    gram = ginoe_gram(N) * np.sqrt(np.outer(norms, norms))
     zeros = standard_pairing(N) == 0.0
     worst_zero = np.abs(gram[zeros]).max()
     worst_norm = max(
         relative(gram[2 * j, 2 * j + 1], 2.0 * SQRT_2PI * math.gamma(2 * j + 1))
         for j in range(N // 2)
     )
-    deviation = skew_deviation(refined.value)
+    deviation = skew_deviation(ginoe_gram(N))
     assert worst_zero <= 1e-12 * r0
     assert worst_norm <= 1e-13
     assert deviation <= 1e-12
     report(
         "criterion 3 (ginoe skew-orthogonality)",
         f"zero pairings {worst_zero:.2e}, norm gap {worst_norm:.2e},"
-        f" Gram deviation {deviation:.2e} on {refined.panels} panels",
+        f" Gram deviation {deviation:.2e}",
         time.time() - start,
         60.0,
     )
@@ -162,7 +161,7 @@ def test_criterion_05_density_normalization():
     worst = 0.0
     for N in (2, 3, 4, 5):
         worst = max(worst, relative(density_integral(goe_kernel(N)), N))
-    assert worst <= 1e-5
+    assert worst <= 1e-14
     report(
         "criterion 5 (density integrates to N)",
         f"worst relative gap {worst:.2e}",

@@ -16,12 +16,11 @@ from betaone.ginibre import (
     partition_function_check,
     plane_gram,
     plane_rows,
-    sector_grams,
     sinclair_prefactor,
 )
 from betaone.ginoe_kernels import ginoe_kernel
 from betaone.quadrature import gauss_legendre_rule, panel_rule, reference_rule, truncation_radius
-from betaone.skewortho import gaussian_line_rows, goe_gram, skew_deviation
+from betaone.skewortho import gaussian_line_rows, goe_gram, line_pairing, skew_deviation
 from betaone.specfun import erfcx, weighted_powers
 
 from test_kernels import hat_transform
@@ -88,11 +87,11 @@ def test_family_container():
 
 def test_lowest_pairing_pieces_match_hand_values():
     # the monic pieces: twice the line and the whole plane integral
-    real, plane = sector_grams(2)
-    real, plane = real(4) * ginoe_norm(0), plane * ginoe_norm(0)
+    C = ginoe_coefficients(2)
+    real, plane = line_pairing(C, hermite=False) * ginoe_norm(0), plane_gram(C) * ginoe_norm(0)
     assert np.isclose(real[0, 1], REAL_PIECE_12, rtol=1e-14, atol=0)
     assert np.isclose(plane[0, 1], COMPLEX_PIECE_12, rtol=1e-14, atol=0)
-    assert np.isclose(ginoe_gram(2, 1e-12).value[0, 1] * ginoe_norm(0), 2.0 * SQRT_2PI, rtol=1e-14, atol=0)
+    assert np.isclose(ginoe_gram(2)[0, 1] * ginoe_norm(0), 2.0 * SQRT_2PI, rtol=1e-14, atol=0)
 
 
 def test_complex_piece_against_monte_carlo_oracle():
@@ -107,21 +106,21 @@ def test_complex_piece_against_monte_carlo_oracle():
     h = -2.0 * math.pi * special.erfcx(math.sqrt(2.0) * y) * np.imag(p0 * np.conj(p1))
     estimate = h.mean()
     stderr = h.std(ddof=1) / math.sqrt(n)
-    _, plane = sector_grams(2)
+    plane = plane_gram(ginoe_coefficients(2))
     assert abs(plane[0, 1] * ginoe_norm(0) - estimate) <= 3.0 * stderr
 
 
 def test_pairing_antisymmetry_and_diagonal():
     # the normalized Gram's entries are the monic family's relative to
     # sqrt(r_j r_k), r_j the pair norm holding j
-    gram = ginoe_gram(6, 1e-12).value
+    gram = ginoe_gram(6)
     assert np.abs(np.diag(gram)).max() <= 1e-15
     assert np.abs(gram + gram.T).max() <= 1e-14
 
 
 def test_skew_orthogonality_small_battery():
     s = pair_roots(4)
-    gram = ginoe_gram(4, 1e-12).value * np.outer(s, s)
+    gram = ginoe_gram(4) * np.outer(s, s)
     r0 = ginoe_norm(0)
     assert abs(gram[0, 2]) <= 1e-14 * r0
     assert abs(gram[1, 3]) <= 1e-14 * r0
@@ -220,9 +219,8 @@ def test_height_discretisation_grows_with_the_rule(monkeypatch):
 
 def test_grams_hold_at_every_size():
     for N in range(1, 65):
-        for ensemble, refined in (("ginoe", ginoe_gram(N, 1e-12)), ("goe", goe_gram(N, 1e-12))):
-            assert skew_deviation(refined.value) <= 1e-12, (N, ensemble)
-            assert refined.difference <= 1e-12, (N, ensemble)
+        for ensemble, gram in (("ginoe", ginoe_gram(N)), ("goe", goe_gram(N))):
+            assert skew_deviation(gram) <= 1e-14, (N, ensemble)
 
 
 def half_moments(N):

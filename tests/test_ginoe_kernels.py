@@ -24,10 +24,9 @@ import pytest
 from betaone import ginoe_kernels
 from betaone.ginibre import (
     ginoe_coefficients,
-    ginoe_gram,
     height_recurrence,
     hermite_recurrence,
-    sector_grams,
+    plane_gram,
     sinclair_prefactor,
 )
 from betaone.ginoe_kernels import (
@@ -39,6 +38,7 @@ from betaone.ginoe_kernels import (
 from betaone.kernels import PointConfiguration, goe_kernel, rho
 from betaone.pfaffian import as_antisymmetric, pfaffian
 from betaone.quadrature import gauss_legendre_rule, integrate_line, reference_rule
+from betaone.skewortho import line_pairing
 from betaone.specfun import erfcx, gaussian_tail_moments
 from test_kernels import two_point_real_density
 
@@ -60,14 +60,14 @@ def fugacity_partition(N):
     normalized family times r_j / sqrt2, so the monic Pfaffian is the
     normalized one times prod r_j (over sqrt2 at odd N).
     """
-    real, beta = sector_grams(N)
-    alpha = real(ginoe_gram(N, 1e-12).panels)
+    C = ginoe_coefficients(N)
+    alpha, beta = line_pairing(C, hermite=False), plane_gram(C)
     roots = [math.sqrt(2.0 * SQRT_2PI * math.factorial(2 * (j // 2))) for j in range(N)]
     pref = sinclair_prefactor(N) * math.prod(roots)
     if N % 2 == 0:
         return lambda z: pref * pfaffian(z * z * alpha + beta)
     # full weighted line integrals of the polynomials
-    border = gaussian_tail_moments(N, -np.inf)[1] @ ginoe_coefficients(N)
+    border = gaussian_tail_moments(N, -np.inf)[1] @ C
 
     def value(z):
         M = np.zeros((N + 1, N + 1))

@@ -53,12 +53,14 @@ def test_density_is_one_point_correlation():
 
 def test_density_integrates_to_size_even():
     for N in [2, 4]:
-        assert np.isclose(density_integral(goe_kernel(N)), N, rtol=1e-8, atol=0), N
+        assert np.isclose(density_integral(goe_kernel(N)), N, rtol=1e-15, atol=0), N
 
 
 def test_density_integrates_to_size_odd():
     for N in [1, 3, 5]:
-        assert np.isclose(density_integral(goe_kernel(N)), N, rtol=1e-8, atol=0), N
+        assert np.isclose(density_integral(goe_kernel(N)), N, rtol=1e-15, atol=0), N
+        # the even kernel conditioned at +inf is the odd one, its border column included
+        assert np.isclose(density_integral(conditioned_bundle(goe_kernel(N + 1), np.inf)), N, rtol=1e-15, atol=0), N
 
 
 def test_smallest_odd_size_is_standard_normal():

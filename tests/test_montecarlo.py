@@ -27,7 +27,7 @@ from scipy import special
 from betaone import cli, montecarlo
 from betaone.ginibre import sinclair_prefactor
 from betaone.ginoe_kernels import ginoe_kernel
-from betaone.kernels import density_integral, goe_kernel
+from betaone.kernels import cumulative_count, density_integral, goe_kernel
 from betaone.montecarlo import (
     MIN_COMPARISON_SAMPLES,
     empirical_vs_analytic,
@@ -41,6 +41,9 @@ from betaone.montecarlo import (
     sturm_totals,
 )
 from betaone.quadrature import gauss_legendre_rule
+
+from test_ginoe_kernels import mp_summed_S
+from test_kernels import mp_goe_density
 
 
 def goe_edges(N, bins=40):
@@ -435,9 +438,56 @@ def test_expected_real_count_matches_known_values():
     assert np.isclose(eks_real_count(3), 1.0 + 1.0 / math.sqrt(2.0), rtol=1e-15, atol=0)
     for N in range(1, 65):
         assert np.isclose(density_integral(ginoe_kernel(N)), eks_real_count(N),
-                          rtol=1e-14, atol=0), N
+                          rtol=2e-15, atol=0), N
     bundle = goe_kernel(4)
-    assert np.isclose(density_integral(bundle), 4.0, rtol=1e-8, atol=0)
+    assert np.isclose(density_integral(bundle), 4.0, rtol=1e-15, atol=0)
+
+
+# the t grid of the cumulative counts, both tails and +-inf; beyond +-12
+# every density at N <= 8 is below 1e-23
+COUNT_CUTS = (-12.0, -5.0, -1.5, 0.3, 2.0, 5.0, 12.0)
+
+
+def mp_density(ensemble, N):
+    """The 50-digit closed-form real density: the GOE Hermite-function form, the
+    GinOE incomplete-gamma form (N >= 2) and the standard normal at GinOE N = 1."""
+    if ensemble == "goe":
+        return lambda x: mp_goe_density(N, x)
+    if N == 1:
+        return mpmath.npdf
+    return lambda x: mp_summed_S(N, x, float(x)).real
+
+
+@pytest.mark.parametrize("ensemble", ["goe", "ginoe"])
+@pytest.mark.parametrize("N", range(1, 9))
+def test_cumulative_count_against_high_precision_oracle(ensemble, N):
+    # 50-digit Gauss-Legendre quadratures between the cuts, summed; up to 93
+    # nodes a piece, whose own error estimate stays below 1e-30
+    with mpmath.workdps(50):
+        density = mp_density(ensemble, N)
+        pieces, errors = zip(*(mpmath.quad(density, [a, b], method="gauss-legendre", error=True, maxdegree=5)
+                               for a, b in zip(COUNT_CUTS, COUNT_CUTS[1:])))
+        assert max(errors) <= 1e-30
+        want = [0.0] + [float(mpmath.fsum(pieces[:k])) for k in range(1, len(pieces) + 1)]
+    t = np.array([-np.inf, *COUNT_CUTS[1:-1], np.inf])
+    got = cumulative_count(cli.kernel_bundle(ensemble, N), t)
+    assert got[0] == 0.0
+    assert np.abs(got - want).max() <= 1e-14 * N, (got, want)
+
+
+@pytest.mark.parametrize("ensemble", ["goe", "ginoe"])
+def test_bin_masses_are_differences_of_the_count(ensemble):
+    # against 24 Gauss-Legendre nodes a bin of the kernel density, on 40
+    # bins over +-1.3 sqrt(2N) and on mc-compare's default span in 2000
+    for N in (*range(1, 9), 33, 64):
+        bundle = cli.kernel_bundle(ensemble, N)
+        edge = 1.3 * math.sqrt(2.0 * N)
+        for edges in (np.linspace(-edge, edge, 41), np.linspace(-4.0, 4.0, 2001)):
+            rule = gauss_legendre_rule(24, edges[:-1], edges[1:])
+            terms = rule.weights * np.real(bundle.scalar_kernel(rule.nodes, rule.nodes))
+            quadrature = terms.reshape(len(edges) - 1, 24).sum(axis=1)
+            masses = np.diff(cumulative_count(bundle, edges))
+            assert np.abs(masses - quadrature).max() <= 2e-14 * N, (N, len(edges))
 
 
 def test_pair_mass_estimate_mechanics():

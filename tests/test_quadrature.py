@@ -16,7 +16,6 @@ from betaone.quadrature import (
     legendre_recurrence,
     panel_rule,
     reference_rule,
-    refine,
     truncation_radius,
 )
 from betaone.specfun import weighted_powers
@@ -115,14 +114,6 @@ def test_panel_rule_splits_every_segment_evenly():
     assert rule.nodes.size == 8 * ORDER
     assert np.all(np.diff(rule.nodes) > 0.0)
     assert np.isclose(rule.weights.sum(), 5.0, rtol=1e-15, atol=0)
-
-
-def test_refinement_reports_panels_and_last_difference():
-    estimates = {1: 1.0, 2: 0.5, 4: 0.5 + 1e-13}
-    refined = refine(estimates.__getitem__, 1e-12, "toy")
-    assert refined.panels == 4
-    assert refined.value == 0.5 + 1e-13
-    assert np.isclose(refined.difference, 1e-13, rtol=1e-3)
 
 
 def polished_rule(nodes, step):

@@ -1,19 +1,19 @@
 import math
 
 import numpy as np
-import pytest
 from scipy import special
 
+from betaone import ginibre, skewortho
 from betaone.ginibre import ginoe_coefficients
 from betaone.ginoe_kernels import ginoe_kernel
 from betaone.kernels import goe_kernel
 from betaone.pfaffian import pfaffian, standard_pairing
-from betaone.quadrature import QuadratureError, gauss_legendre_rule, truncation_radius
+from betaone.quadrature import gauss_legendre_rule
 from betaone.skewortho import (
     gaussian_line_rows,
     goe_coefficients,
     goe_gram,
-    line_gram,
+    line_pairing,
     skew_deviation,
 )
 
@@ -34,12 +34,11 @@ MONOMIAL_PAIRINGS = {
 }
 
 
-def monomial_gram(C, panels=4):
+def monomial_gram(C):
     # line Gram of the columns of C, on monomials: x^k is sqrt(k!) times
     # the library's normalized monomial x^k / sqrt(k!)
     roots = np.sqrt([math.factorial(k) for k in range(C.shape[0])])
-    rows = gaussian_line_rows(roots[:, None] * C, hermite=False)
-    return line_gram(rows, panels, truncation_radius(2 * C.shape[0]))
+    return line_pairing(roots[:, None] * C, hermite=False)
 
 
 def hermite_to_monomials(n):
@@ -103,12 +102,10 @@ def test_gaussian_family_exact_coefficients():
 
 
 def test_family_skew_orthogonality_battery():
-    refined = goe_gram(6, 1e-12)
     roots = monic_roots(6)
-    gram = refined.value * np.outer(roots, roots)
+    gram = goe_gram(6) * np.outer(roots, roots)
     r_min = min(goe_norm(m) for m in range(3))
     assert np.abs(gram - standard_pairing(6) * np.outer(roots, roots)).max() <= 1e-13 * r_min
-    assert refined.difference <= 1e-12
 
 
 def test_phi_transform_closed_forms():
@@ -176,7 +173,7 @@ def test_hatted_requires_odd_size():
 def test_generating_pfaffian_even_equals_norm_product():
     # the monic family's Gram: the library's times the roots of the pair norms
     roots = monic_roots(4)
-    got = pfaffian(goe_gram(4, 1e-12).value * np.outer(roots, roots))
+    got = pfaffian(goe_gram(4) * np.outer(roots, roots))
     assert np.isclose(got, goe_norm(0) * goe_norm(1), rtol=1e-14, atol=0)
     assert np.isclose(got, 0.5 * math.pi, rtol=1e-14, atol=0)
 
@@ -185,7 +182,7 @@ def test_generating_pfaffian_odd_equals_hatted_norm_product():
     # the Gram bordered by the half moments: the pair norm below the
     # top times the top polynomial's half moment
     roots = monic_roots(3)
-    gram = np.pad(goe_gram(3, 1e-12).value * np.outer(roots, roots), ((0, 1), (0, 1)))
+    gram = np.pad(goe_gram(3) * np.outer(roots, roots), ((0, 1), (0, 1)))
     border = half_moments(goe_coefficients(3) * roots)
     gram[:3, 3] = border
     gram[3, :3] = -border
@@ -194,18 +191,21 @@ def test_generating_pfaffian_odd_equals_hatted_norm_product():
     assert np.isclose(got, SQRT_PI * 0.25 * SQRT_2PI, rtol=1e-14, atol=0)
 
 
-def test_coarse_rule_fails_loudly():
-    # two panels per half-line cannot resolve the N = 64 family: the
-    # deviation reads about 15 against a 1e-12 gate, not a quiet pass
-    rows = gaussian_line_rows(goe_coefficients(64))
-    coarse = skew_deviation(line_gram(rows, 2, truncation_radius(128)))
-    assert 10.0 < coarse < 20.0
-    refined = goe_gram(64, 1e-12)
-    assert skew_deviation(refined.value) <= 1e-12
-    assert refined.panels > 2
+def test_perturbed_family_fails_loudly(monkeypatch):
+    # the exact Gram still checks the family: one off-diagonal coefficient
+    # moved by a relative 1e-10 reads far above the 1e-13 gate, at both ends
+    # of the size range, in both ensembles
+    for N in (4, 64):
+        for module, name, gram in ((skewortho, "goe_coefficients", goe_gram),
+                                   (ginibre, "ginoe_coefficients", ginibre.ginoe_gram)):
+            exact = getattr(module, name)
+            assert skew_deviation(gram(N)) <= 1e-14, (N, name)
 
+            def perturbed(size, exact=exact):
+                C = exact(size)
+                C[1, 3] *= 1.0 + 1e-10
+                return C
 
-def test_refinement_past_reach_raises():
-    with pytest.raises(QuadratureError) as info:
-        goe_gram(8, 1e-18)
-    assert 0.0 < info.value.error < 1e-13
+            monkeypatch.setattr(module, name, perturbed)
+            assert skew_deviation(gram(N)) > 1e-13, (N, name)
+            monkeypatch.setattr(module, name, exact)

@@ -7,7 +7,8 @@ import pytest
 
 from scipy import special
 
-from betaone.specfun import erfcx, gaussian_tail_moments, normal_cdf, weighted_powers
+from betaone.quadrature import panel_rule
+from betaone.specfun import erfcx, gaussian_row_integrals, gaussian_tail_moments, normal_cdf, weighted_powers
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -192,6 +193,26 @@ def test_lone_infinities_match_the_array_path():
                 for got, want in zip(gaussian_tail_moments(n, x, hermite), reference):
                     assert got.shape == (n,) and got.dtype == want.dtype
                     assert got.tobytes() == want[0].tobytes(), (n, x, hermite)
+
+
+def test_gaussian_row_integrals_against_quadrature_oracle():
+    # I_jk(t), the integral of b_j T_k up to t, against eight 32-node
+    # Gauss-Legendre panels on [-16, t] of the rows and tail moments; by parts
+    # I + I^T is T(-inf) T(-inf)^T - T(t) T(t)^T at every t, +-inf included
+    t = np.array([-3.3, -0.4, 0.0, 1.3, 4.0])
+    for hermite in (False, True):
+        full = gaussian_tail_moments(12, -np.inf, hermite)[1]
+        moments, columns = gaussian_row_integrals(12, np.append(t, [-np.inf, np.inf]), hermite)
+        I = np.stack(tuple(columns), axis=-1)
+        assert I.shape == (7, 12, 12) and not I[5].any()
+        for i, end in enumerate(t):
+            rule = panel_rule((-16.0, end), 8)
+            rows, tails = gaussian_tail_moments(12, rule.nodes, hermite)
+            oracle = (rows * rule.weights[:, None]).T @ tails
+            assert np.abs(I[i] - oracle).max() <= 1e-14, (hermite, end)
+        parts = np.outer(full, full) - moments[:, :, None] * moments[:, None, :]
+        assert np.abs(I + np.swapaxes(I, 1, 2) - parts).max() <= 1e-14, hermite
+        assert np.array_equal(moments[-2:], [full, np.zeros(12)])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
