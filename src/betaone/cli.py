@@ -39,13 +39,13 @@ GATES = {
     "squared-vs-determinant": 1e-12,  # 8.5e-15 (GinOE N = 13)
     "elimination-vs-cofactor": 1e-12,  # 1.2e-14 (GinOE N = 31)
     "gram-deviation": 1e-13,  # 2.8e-15 (GinOE N = 41)
-    "density-normalization": 1e-13,  # 4.2e-16 (GOE N = 17)
+    "density-normalization": 1e-13,  # 4.4e-16 (GOE N = 64)
     "integrate-out-recurrence": 1e-13,  # 6.4e-16 (GOE N = 35)
-    "block-interrelations": 1e-13,  # 8.9e-15 (GOE N = 52), partner rows against their W rows
+    "block-interrelations": 1e-13,  # 1.0e-14 (GOE N = 52), partner rows against their W rows
     # relative to the GinOE kernel scale 1/sqrt(2 pi); density --path both too
     "closed-form-agreement": 1e-13,  # 1.3e-15 (N = 63)
     # relative to the target matrix's largest entry
-    "exact-limit": 1e-13,  # 2.8e-16 (GOE N = 51, 52)
+    "exact-limit": 1e-13,  # 2.6e-16 (GOE N = 59, 60)
     # the worst ratio of successive far deviations: below 1 while they shrink
     "far-convergence": 1.0,  # 0.50 (N = 1, 2, where the deviation is c1/far)
     # relative to the Schur complement's largest entry

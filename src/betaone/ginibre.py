@@ -3,12 +3,8 @@
 Eigenvalues of a real Gaussian matrix split into reals and complex
 conjugate pairs, so the antisymmetric pairing has two sectors: the line
 pairing of skewortho, and half an upper-half-plane integral whose
-weight erfc(sqrt2 y) e^{y^2 - x^2} is |pair_weight|^2.  On the
-normalized monomials m_k = x^k / sqrt(k!) of specfun the family
-
-    (2 pi)^{1/4} p_{2j}   = m_{2j},
-    (2 pi)^{1/4} p_{2j+1} = sqrt(2j+1) m_{2j+1} - sqrt(2j) m_{2j-1}
-
+weight erfc(sqrt2 y) e^{y^2 - x^2} is |pair_weight|^2.  The family
+skewortho.family_coefficients on the normalized monomials m_k = x^k / sqrt(k!)
 (the monic x^{2j} and x^{2j+1} - 2j x^{2j-1} over the root of their
 pair norm sqrt(2pi) (2j)!) is skew-orthonormal for that pairing: its
 Gram matrix is the standard pairing J.  The Gram sums one exact term
@@ -27,24 +23,12 @@ import numpy as np
 
 from .pfaffian import pfaffian
 from .quadrature import ORDER, panel_rule, reference_rule, stieltjes
-from .skewortho import gaussian_line_rows, line_pairing
+from .skewortho import family_coefficients, gaussian_line_rows, line_pairing
 from .specfun import erfcx, weighted_powers
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 SQRT2 = math.sqrt(2.0)
 HEIGHT_RADIUS = math.sqrt(1075.0 * math.log(2.0))  # omega(y) <= e^{-y^2} underflows past it
-
-
-def ginoe_coefficients(N):
-    """The family p_0..p_{N-1} as columns on the normalized monomials x^k / sqrt(k!)."""
-    if N < 1:
-        raise ValueError("family size must be positive")
-    C = np.eye(N)
-    for j in range(N // 2):
-        C[2 * j + 1, 2 * j + 1] = math.sqrt(2 * j + 1)
-        if j:
-            C[2 * j - 1, 2 * j + 1] = -math.sqrt(2 * j)
-    return C / SQRT_2PI**0.5
 
 
 def pair_weight(z):
@@ -97,8 +81,8 @@ def hermite_recurrence(n):
 def height_recurrence(n):
     """gauss_rule's (a, b) for omega on [0, HEIGHT_RADIUS], by stieltjes on max(8, ceil(n/2))
     ORDER-node panels: twice or more the fewest whose rule meets 50-digit moments, n <= 129."""
-    y = panel_rule((0.0, HEIGHT_RADIUS), max(8, (n + 1) // 2))
-    return stieltjes(y.nodes, y.weights * erfcx(SQRT2 * y.nodes) * np.exp(-y.nodes**2), n)
+    y, w = panel_rule((0.0, HEIGHT_RADIUS), max(8, (n + 1) // 2))
+    return stieltjes(y, w * erfcx(SQRT2 * y) * np.exp(-y**2), n)
 
 
 def plane_gram(C):
@@ -123,7 +107,7 @@ def plane_gram(C):
 
 def ginoe_gram(N):
     """Gram of the family of size N, both sectors summed."""
-    C = ginoe_coefficients(N)
+    C = family_coefficients(N)
     return line_pairing(C, hermite=False) + plane_gram(C)
 
 
@@ -148,7 +132,7 @@ def partition_function_check(N):
     """
     G = ginoe_gram(N)
     if N % 2:
-        half = -ginoe_rows(ginoe_coefficients(N))(np.inf)[1]
+        half = -ginoe_rows(family_coefficients(N))(np.inf)[1]
         G = np.block([[G, half[:, None]], [-half, 0.0]])
     log_det = 0.5 * sum(math.log(2.0 * SQRT_2PI) + math.lgamma(2 * (j // 2) + 1) for j in range(N))
     log_prefactor = -0.25 * N * (N + 1) * math.log(2.0) - sum(math.lgamma(0.5 * l) for l in range(1, N + 1))

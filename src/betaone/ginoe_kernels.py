@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ginibre import SQRT_2PI, ginoe_coefficients, ginoe_rows, pair_weight
+from .ginibre import SQRT_2PI, ginoe_rows, pair_weight
 from .kernels import KernelBundle, family_basis, rho
+from .skewortho import family_coefficients
 from .specfun import gaussian_tail_moments, weighted_powers
 
 
@@ -28,7 +29,7 @@ def ginoe_kernel(N):
     partner column reaches the scalar block at a real second argument
     and the integrated block unless both arguments are complex.
     """
-    basis = family_basis(ginoe_rows(ginoe_coefficients(N)), N)
+    basis = family_basis(ginoe_rows(family_coefficients(N)), N)
     return KernelBundle.from_basis("ginoe", N, basis)
 
 

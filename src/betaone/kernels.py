@@ -29,7 +29,7 @@ import numpy as np
 
 from .pfaffian import pfaffian, standard_pairing
 from .quadrature import integrate_line, panel_rule
-from .skewortho import gaussian_line_rows, goe_coefficients
+from .skewortho import family_coefficients, gaussian_line_rows
 from .specfun import gaussian_row_integrals, gaussian_tail_moments
 
 # bytes of rows a family keeps, the least recently used dropped first
@@ -262,7 +262,7 @@ def goe_kernel(N):
     Built from the closed-form family on the normalized weighted Hermite
     rows; odd N is bordered (family_basis).
     """
-    basis = family_basis(gaussian_line_rows(goe_coefficients(N)), N)
+    basis = family_basis(gaussian_line_rows(family_coefficients(N), hermite=True), N)
     return KernelBundle.from_basis("goe", N, basis)
 
 
@@ -305,8 +305,8 @@ def interrelations_check(bundle, reals, complexes=()):
     """
     basis, s, d, i_ = bundle.family, bundle.scalar_kernel, bundle.derivative_kernel, bundle.integral_kernel
     y = np.sort(np.asarray(reals, dtype=float))
-    rule = panel_rule(y, 2)
-    weighted = basis.rows.weighted(rule.nodes) * rule.weights[:, None]
+    nodes, weights = panel_rule(y, 2)
+    weighted = basis.rows.weighted(nodes) * weights[:, None]
     gaps = weighted.reshape(len(y) - 1, -1, weighted.shape[-1]).sum(1)
     P = basis.rows(y)[:, 1]
     # the integral of the W rows from the first real to each real

@@ -36,7 +36,6 @@ BLOCK_ENTRIES = 1 << 16  # matrix entries per LAPACK call, cells per GOE countin
 BISECT_COST = 1.5  # cost of a bisection cell (rank x sample) over a grid cell (edge x sample)
 DEFAULT_SPAN = (-4.0, 4.0)
 Z_FLAG = 4.0
-COUNT_SLACK = 1e-6  # absolute slack when the count variance vanishes (GOE)
 MIN_COMPARISON_SAMPLES = 10_000
 
 
@@ -192,8 +191,7 @@ class ComparisonReport:
 
     @property
     def count_within(self):
-        slack = max(3.0 * self.count_stderr, COUNT_SLACK * self.size)
-        return self.count_deviation <= slack
+        return self.count_deviation <= 3.0 * self.count_stderr
 
     @property
     def passed(self):
@@ -208,8 +206,9 @@ def empirical_vs_analytic(stream, bundle, bins=40, span=DEFAULT_SPAN):
     kernels.cumulative_count) is scored under a Poisson width floored at one
     count (loose: repulsion makes the true variance smaller), and the mean
     real count per matrix within three standard errors, from the exact sums
-    of k and k^2 over the histogram, against N for GOE (with a small absolute
-    slack: it has no variance) and the full-line integral for GinOE.
+    of k and k^2 over the histogram, against N for GOE and the full-line
+    integral for GinOE.  Where every sample has the same real count (GOE,
+    GinOE at N = 1) the standard error is 0 and the count must match exactly.
     """
     edges = np.linspace(*span, bins + 1) if isinstance(bins, int) else np.asarray(bins, dtype=float)
     if np.any(np.diff(edges) < 0):

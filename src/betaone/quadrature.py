@@ -1,11 +1,11 @@
 """Gauss rules from their three-term recurrences, and composite
 Gauss-Legendre quadrature for Gaussian-weighted integrals on the line.
 
-Every Gauss rule comes from its weight's recurrence (gauss_rule):
-Legendre's in closed form, others by stieltjes.  Line integrands (the
-Gaussian rows' own are exact: specfun.gaussian_row_integrals) decay at
-least as fast as exp(-x^2/2); they are truncated to a radius where the
-weighted tail is far below the requested tolerance, segments are split
+Every Gauss rule is a pair (nodes, weights) from its weight's recurrence
+(gauss_rule): Legendre's in closed form, others by stieltjes.  Line
+integrands (the Gaussian rows' own are exact, specfun.gaussian_row_integrals)
+decay at least as fast as exp(-x^2/2); they are truncated to a radius where
+the weighted tail is far below the requested tolerance, segments are split
 at any sign-function kinks, and the number of equal panels per segment,
 each carrying the same ORDER-node rule, doubles until two successive
 estimates agree.
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,24 +35,6 @@ class QuadratureError(ArithmeticError):
         super().__init__(f"{message} (error {error:.3e})")
         self.estimate = estimate
         self.error = error
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and positive weights."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        if self.nodes.size < 2:
-            raise ValueError("a rule needs at least two nodes")
-        if np.any(self.weights <= 0.0):
-            raise ValueError("weights must be positive")
-
-    def integrate(self, f):
-        values = np.broadcast_to(np.asarray(f(self.nodes)), self.nodes.shape)
-        return (values * self.weights).sum()
 
 
 def _christoffel(a, root, x, first):
@@ -111,12 +92,12 @@ def reference_rule(recurrence, n):
 
 
 def gauss_legendre_rule(n, a, b):
-    """Gauss-Legendre rule with n nodes mapped to [a, b]; for arrays of
-    panel ends a and b, the rules of the panels [a_i, b_i] in order."""
+    """Nodes and weights of the n-node Gauss-Legendre rule mapped to [a, b];
+    for arrays of panel ends a and b, the rules of the panels [a_i, b_i] in order."""
     x, w = reference_rule(legendre_recurrence, n)
     a, b = np.asarray(a, dtype=float)[..., None], np.asarray(b, dtype=float)[..., None]
     half = 0.5 * (b - a)
-    return QuadratureRule((0.5 * (a + b) + half * x).reshape(-1), (half * w).reshape(-1))
+    return (0.5 * (a + b) + half * x).reshape(-1), (half * w).reshape(-1)
 
 
 def panel_rule(edges, panels):
@@ -147,7 +128,8 @@ def integrate_line(f, tol=1e-12, breakpoints=(), degree=0):
     edges = [-T, *sorted(p for p in breakpoints if -T < p < T), T]
     previous, difference, panels = None, math.inf, 1
     while panels <= LINE_PANEL_CAP:
-        value = panel_rule(edges, panels).integrate(f)
+        x, w = panel_rule(edges, panels)
+        value = (np.broadcast_to(np.asarray(f(x)), x.shape) * w).sum()
         if previous is not None:
             difference = float(abs(value - previous) / max(1.0, abs(value)))
             if difference <= tol:

@@ -7,11 +7,19 @@ The antisymmetric pairing on the real line is
 Polynomials R_0, R_1, ... are skew-orthonormal for it when
 <R_{2m}|R_{2n+1}> = delta_{mn} and every even-even and odd-odd pairing
 vanishes: their Gram matrix is the standard pairing J, with 1 at
-(2m, 2m+1).  The Gaussian family is in closed form on the normalized
-Hermite basis h_n = H_n / sqrt(2^n n!) of specfun:
+(2m, 2m+1).  One family is skew-orthonormal in both ensembles, on the
+basis b_n = h_n | m_n of specfun: for this pairing on the normalized
+Hermite functions h_n = H_n / sqrt(2^n n!) (GOE), and for GinOE's two
+sectors (ginibre) on the normalized monomials m_n = x^n / sqrt(n!):
 
-    pi^{1/4} R_{2m}   = h_{2m},
-    pi^{1/4} R_{2m+1} = sqrt(m + 1/2) h_{2m+1} - sqrt(m) h_{2m-1}.
+    (2 pi)^{1/4} R_{2m}   = b_{2m},
+    (2 pi)^{1/4} R_{2m+1} = sqrt(2m+1) b_{2m+1} - sqrt(2m) b_{2m-1},
+
+the tau = 1 and tau = 0 members of Forrester and Nagao's partially
+symmetric family (J. Phys. A 41, 2008, 375003).  Scaling a column pair
+(2m, 2m+1) by (d, 1/d) moves no kernel entry and no Gram: on h_n the
+pairs (2^{1/4}, 2^{-1/4}) give the usual pi^{-1/4} (h_{2m};
+sqrt(m + 1/2) h_{2m+1} - sqrt(m) h_{2m-1}).
 
 With W_k = R_k e^{-x^2/2} and eps_k(x) = 1/2 int sgn(x - y) W_k(y) dy
 its half-range transform, <R_j|R_k> = int eps_j W_k dx: the Gram matrix
@@ -35,19 +43,19 @@ from .pfaffian import standard_pairing
 from .specfun import gaussian_row_integrals, gaussian_rows, gaussian_tail_moments, weighted_powers
 
 
-def goe_coefficients(N):
-    """The closed-form Gaussian family R_0..R_{N-1} as columns on h_0..h_{N-1}."""
+def family_coefficients(N):
+    """The family R_0..R_{N-1} as columns on b_0..b_{N-1}, h_n for GOE and m_n for GinOE."""
     if N < 1:
         raise ValueError("family size must be positive")
     C = np.eye(N)
     for m in range(N // 2):
-        C[2 * m + 1, 2 * m + 1] = math.sqrt(m + 0.5)
+        C[2 * m + 1, 2 * m + 1] = math.sqrt(2 * m + 1)
         if m:
-            C[2 * m - 1, 2 * m + 1] = -math.sqrt(m)
-    return C / math.pi**0.25
+            C[2 * m - 1, 2 * m + 1] = -math.sqrt(2 * m)
+    return C / math.sqrt(2.0 * math.pi) ** 0.5
 
 
-def gaussian_line_rows(C, hermite=True):
+def gaussian_line_rows(C, hermite):
     """Line rows (W, P) of the columns of C, on h_n or on x^n / sqrt(n!).
 
     W is the polynomial times e^(-x^2/2) and its partner P = -eps W is
@@ -91,7 +99,7 @@ def gaussian_line_rows(C, hermite=True):
     return rows
 
 
-def line_pairing(C, hermite=True):
+def line_pairing(C, hermite):
     """The line pairing <R_j|R_k> of the columns of C, on h_n or on x^n / sqrt(n!), exactly.
 
     The line rows are W = b C and P = T C - half, half = T(-inf) C / 2, so
@@ -109,5 +117,5 @@ def skew_deviation(G):
 
 
 def goe_gram(N):
-    """Gram of the closed-form Gaussian family of size N."""
-    return line_pairing(goe_coefficients(N))
+    """Gram of the family of size N on the Hermite basis."""
+    return line_pairing(family_coefficients(N), hermite=True)

@@ -8,7 +8,6 @@ from scipy import special
 from betaone import ginibre
 from betaone.ginibre import (
     HEIGHT_RADIUS,
-    ginoe_coefficients,
     ginoe_gram,
     ginoe_rows,
     height_recurrence,
@@ -20,7 +19,7 @@ from betaone.ginibre import (
 )
 from betaone.ginoe_kernels import ginoe_kernel
 from betaone.quadrature import gauss_legendre_rule, panel_rule, reference_rule, truncation_radius
-from betaone.skewortho import gaussian_line_rows, goe_gram, line_pairing, skew_deviation
+from betaone.skewortho import family_coefficients, gaussian_line_rows, goe_gram, line_pairing, skew_deviation
 from betaone.specfun import erfcx, weighted_powers
 
 from test_kernels import hat_transform
@@ -57,20 +56,20 @@ def monic(C):
 
 
 def test_polynomial_coefficients():
-    C = monic(ginoe_coefficients(6))
+    C = monic(family_coefficients(6))
     assert np.allclose(C[:, 0], [1.0, 0.0, 0.0, 0.0, 0.0, 0.0], rtol=0, atol=ULPS)
     assert np.allclose(C[:, 1], [0.0, 1.0, 0.0, 0.0, 0.0, 0.0], rtol=0, atol=ULPS)
     assert np.allclose(C[:, 2], [0.0, 0.0, 1.0, 0.0, 0.0, 0.0], rtol=0, atol=ULPS)
     assert np.allclose(C[:, 3], [0.0, -2.0, 0.0, 1.0, 0.0, 0.0], rtol=0, atol=ULPS)
     assert np.allclose(C[:, 5], [0.0, 0.0, 0.0, -4.0, 0.0, 1.0], rtol=0, atol=ULPS)
     with pytest.raises(ValueError):
-        ginoe_coefficients(0)
+        family_coefficients(0)
 
 
 def test_norms_closed_form():
     # the leading coefficient c of p_{2k} on x^{2k} is 1 / sqrt(half its pair
     # norm): the full pairing of the normalized pair is 2, of the monic 2 / c^2
-    C = ginoe_coefficients(7)
+    C = family_coefficients(7)
     for k, norm in ((0, 2.0 * SQRT_2PI), (1, 4.0 * SQRT_2PI), (3, 2.0 * SQRT_2PI * 720.0)):
         lead = C[2 * k, 2 * k] / math.sqrt(math.factorial(2 * k))
         assert np.isclose(2.0 / lead**2, norm, rtol=1e-15, atol=0), k
@@ -78,7 +77,7 @@ def test_norms_closed_form():
 
 
 def test_family_container():
-    C = ginoe_coefficients(5)
+    C = family_coefficients(5)
     assert C.shape == (5, 5)
     # the monic p_3(w) times the pair weight, which is e^{-2} at the real point 2
     value = plane_rows(C, np.array([2.0 + 0.0j]))[0, 3] * pair_roots(5)[3] / math.sqrt(2.0)
@@ -87,7 +86,7 @@ def test_family_container():
 
 def test_lowest_pairing_pieces_match_hand_values():
     # the monic pieces: twice the line and the whole plane integral
-    C = ginoe_coefficients(2)
+    C = family_coefficients(2)
     real, plane = line_pairing(C, hermite=False) * ginoe_norm(0), plane_gram(C) * ginoe_norm(0)
     assert np.isclose(real[0, 1], REAL_PIECE_12, rtol=1e-14, atol=0)
     assert np.isclose(plane[0, 1], COMPLEX_PIECE_12, rtol=1e-14, atol=0)
@@ -106,7 +105,7 @@ def test_complex_piece_against_monte_carlo_oracle():
     h = -2.0 * math.pi * special.erfcx(math.sqrt(2.0) * y) * np.imag(p0 * np.conj(p1))
     estimate = h.mean()
     stderr = h.std(ddof=1) / math.sqrt(n)
-    plane = plane_gram(ginoe_coefficients(2))
+    plane = plane_gram(family_coefficients(2))
     assert abs(plane[0, 1] * ginoe_norm(0) - estimate) <= 3.0 * stderr
 
 
@@ -148,15 +147,14 @@ def test_plane_gram_is_exact():
     # Gauss weights here carry e^{x^2} and 1 / omega(y), as the rows carry
     # the whole pair weight
     for N in (2, 5, 16, 33):
-        C = ginoe_coefficients(N)
+        C = family_coefficients(N)
         G = plane_gram(C)
         x, wx = reference_rule(hermite_recurrence, N + 6)
         y, wy = reference_rule(height_recurrence, N + 6)
         more = plane_pairing(C, x, wx, y, wy / (erfcx(math.sqrt(2.0) * y) * np.exp(-y * y)))
         assert np.abs(G - more).max() <= 3e-15, N
         radius = truncation_radius(2 * N) / math.sqrt(2.0)
-        x, y = panel_rule((-radius, 0.0, radius), 16), panel_rule((0.0, radius), 16)
-        tensor = plane_pairing(C, x.nodes, x.weights, y.nodes, y.weights)
+        tensor = plane_pairing(C, *panel_rule((-radius, 0.0, radius), 16), *panel_rule((0.0, radius), 16))
         assert np.abs(G - tensor).max() <= 1e-14, N
 
 
@@ -224,7 +222,7 @@ def test_grams_hold_at_every_size():
 
 
 def half_moments(N):
-    return -gaussian_line_rows(ginoe_coefficients(N), hermite=False)(np.inf)[1]
+    return -gaussian_line_rows(family_coefficients(N), hermite=False)(np.inf)[1]
 
 
 def test_half_moments():
@@ -245,7 +243,7 @@ def test_hatted_family_small_case():
     at_infinity = basis.rows(np.inf)[1] * monic_scale
     assert np.allclose(at_infinity[:3] @ T, [0.0, 0.0, -0.5 * SQRT_2PI], rtol=1e-15, atol=1e-15)
     assert at_infinity[3] == 1.0
-    hat = monic(ginoe_coefficients(3)) @ T
+    hat = monic(family_coefficients(3)) @ T
     assert np.allclose(hat[:, 0], [1.0, 0.0, -1.0], atol=1e-14)
     assert np.allclose(hat[:, 1], [0.0, 1.0, 0.0], atol=1e-14)
     assert np.allclose(hat[:, 2], [0.0, 0.0, 1.0], atol=ULPS)
@@ -262,9 +260,9 @@ def test_hatted_family_kills_weighted_integrals():
     at_infinity = family.rows(np.inf)[1]
     assert np.abs((family.pairing @ at_infinity)[:-2]).max() <= 1e-15
     T = hat_transform(at_infinity[:-1])
-    rule = gauss_legendre_rule(240, -12.0, 12.0)
+    x, w = gauss_legendre_rule(240, -12.0, 12.0)
     for i in range(4):
-        value = rule.integrate(lambda x: family.rows(x)[:, 0, :-1] @ T[:, i])
+        value = w @ (family.rows(x)[:, 0, :-1] @ T[:, i])
         assert abs(value) < 1e-10, i
 
 
@@ -272,7 +270,7 @@ def test_hatted_requires_odd_size():
     # an even size keeps the plain rows: no hatting, no border column
     basis = ginoe_kernel(4).family
     x = np.array([-0.7, 0.4])
-    assert np.array_equal(basis.rows(x), ginoe_rows(ginoe_coefficients(4))(x))
+    assert np.array_equal(basis.rows(x), ginoe_rows(family_coefficients(4))(x))
 
 
 def test_sinclair_prefactor_small_values():

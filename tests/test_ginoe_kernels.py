@@ -23,7 +23,6 @@ import pytest
 
 from betaone import ginoe_kernels
 from betaone.ginibre import (
-    ginoe_coefficients,
     height_recurrence,
     hermite_recurrence,
     plane_gram,
@@ -38,7 +37,7 @@ from betaone.ginoe_kernels import (
 from betaone.kernels import PointConfiguration, goe_kernel, rho
 from betaone.pfaffian import as_antisymmetric, pfaffian
 from betaone.quadrature import gauss_legendre_rule, integrate_line, reference_rule
-from betaone.skewortho import line_pairing
+from betaone.skewortho import family_coefficients, line_pairing
 from betaone.specfun import erfcx, gaussian_tail_moments
 from test_kernels import two_point_real_density
 
@@ -60,7 +59,7 @@ def fugacity_partition(N):
     normalized family times r_j / sqrt2, so the monic Pfaffian is the
     normalized one times prod r_j (over sqrt2 at odd N).
     """
-    C = ginoe_coefficients(N)
+    C = family_coefficients(N)
     alpha, beta = line_pairing(C, hermite=False), plane_gram(C)
     roots = [math.sqrt(2.0 * SQRT_2PI * math.factorial(2 * (j // 2))) for j in range(N)]
     pref = sinclair_prefactor(N) * math.prod(roots)
@@ -142,11 +141,10 @@ def test_two_point_real_normalization_size_two():
     # of ordered real pairs, sqrt(2) at size 2; fixes the ordering of
     # the integrated block's sign term
     bundle = ginoe_kernel(2)
-    outer = gauss_legendre_rule(140, -9.0, 9.0)
     total = 0.0
-    for x, wx in zip(outer.nodes, outer.weights):
-        inner = gauss_legendre_rule(140, x, 9.0)
-        total += wx * (inner.weights @ two_point_real_density(bundle, x, inner.nodes))
+    for x, wx in zip(*gauss_legendre_rule(140, -9.0, 9.0)):
+        nodes, weights = gauss_legendre_rule(140, x, 9.0)
+        total += wx * (weights @ two_point_real_density(bundle, x, nodes))
     assert np.isclose(2.0 * total, math.sqrt(2.0), rtol=0, atol=5e-6)
     assert np.isclose(expected_real_pair_count(2), math.sqrt(2.0), rtol=1e-6)
 

@@ -8,7 +8,7 @@ from scipy import special
 
 from betaone import ginibre, ginoe_kernels, specfun
 from betaone.cli import GATES
-from betaone.ginibre import ginoe_coefficients, ginoe_rows
+from betaone.ginibre import ginoe_rows
 from betaone.ginoe_kernels import ginoe_kernel
 from betaone.kernels import (
     ROW_CACHE_BYTES,
@@ -24,7 +24,7 @@ from betaone.kernels import (
 )
 from betaone.pfaffian import as_antisymmetric, standard_pairing
 from betaone.reduction import conditioned_bundle
-from betaone.skewortho import gaussian_line_rows, goe_coefficients
+from betaone.skewortho import family_coefficients, gaussian_line_rows
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -226,8 +226,8 @@ def test_parity_validation():
 
 
 ROW_FAMILIES = {
-    "goe": (goe_kernel, gaussian_line_rows, goe_coefficients),
-    "ginoe": (ginoe_kernel, ginoe_rows, ginoe_coefficients),
+    "goe": (goe_kernel, functools.partial(gaussian_line_rows, hermite=True)),
+    "ginoe": (ginoe_kernel, ginoe_rows),
 }
 
 
@@ -253,7 +253,7 @@ def derived_bases(make, N):
 
 @pytest.mark.parametrize("ensemble", ["goe", "ginoe"])
 def test_cached_rows_match_a_fresh_evaluation_and_are_read_only(ensemble):
-    make, family_rows, coefficients = ROW_FAMILIES[ensemble]
+    make, family_rows = ROW_FAMILIES[ensemble]
     points = row_points(ensemble)
     warm = derived_bases(make, 6)
     for basis in warm:
@@ -264,7 +264,7 @@ def test_cached_rows_match_a_fresh_evaluation_and_are_read_only(ensemble):
         for basis, new in zip(warm, fresh):
             assert np.array_equal(basis.rows(z), new.rows(z))
         plain = warm[1].rows(z)
-        assert np.array_equal(plain, family_rows(coefficients(6))(z))
+        assert np.array_equal(plain, family_rows(family_coefficients(6))(z))
         assert np.shares_memory(warm[1].rows(np.array(z)), plain)
         assert not plain.flags.writeable
         with pytest.raises(ValueError):
@@ -285,7 +285,7 @@ def counting(fn, evaluated, point=0):
 def test_rows_are_evaluated_once_per_point_array():
     # the bordered and conditioned bases all read one family cache
     evaluated = []
-    even_rows = counting(gaussian_line_rows(goe_coefficients(4)), evaluated)
+    even_rows = counting(gaussian_line_rows(family_coefficients(4), hermite=True), evaluated)
     even = KernelBundle.from_basis("goe", 4, family_basis(even_rows, 4))
     config = PointConfiguration(reals=(-0.8, 0.1, 0.9))
     first = even.assemble(config)
@@ -305,7 +305,7 @@ def test_rows_are_evaluated_once_per_point_array():
     assert [len(np.atleast_1d(e)) for e in evaluated[3:]] == [len(half), len(over), len(over)]
 
     evaluated.clear()
-    odd_rows = counting(gaussian_line_rows(goe_coefficients(5)), evaluated)
+    odd_rows = counting(gaussian_line_rows(family_coefficients(5), hermite=True), evaluated)
     odd = family_basis(odd_rows, 5)  # evaluates +inf for the border
     # bordered once more, through its constant column: still the one cache
     again = odd.bordered(np.eye(6)[-1], odd.rows(np.inf)[1])
@@ -362,9 +362,9 @@ def test_real_points_pass_the_recurrence_once(monkeypatch):
     for module in (specfun, ginibre, ginoe_kernels):
         monkeypatch.setattr(module, "weighted_powers", counted)
     x = np.linspace(-2.0, 2.0, 7)
-    for family_rows, coefficients in ((gaussian_line_rows, goe_coefficients), (ginoe_rows, ginoe_coefficients)):
+    for _, family_rows in ROW_FAMILIES.values():
         passes.clear()
-        rows = family_rows(coefficients(5))
+        rows = family_rows(family_coefficients(5))
         family_basis(rows, 5)
         rows(np.inf)
         assert not passes
@@ -467,7 +467,7 @@ def test_interrelations_odd():
 
 
 def test_interrelations_hold_at_every_size():
-    # worst reading 1.2e-14 (GOE N = 52, partner-antiderivative); GinOE 3.0e-15
+    # worst reading 1.0e-14 (GOE N = 52, partner-antiderivative); GinOE 3.0e-15
     for ensemble, make in KERNELS.items():
         for N in range(1, 65):
             report = interrelations_check(make(N), *verify_grid(ensemble, N))

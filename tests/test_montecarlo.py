@@ -13,6 +13,7 @@ are read as the command reads them: block streams of tallies.
 """
 
 import contextlib
+import dataclasses
 import io
 import math
 import tracemalloc
@@ -306,12 +307,11 @@ def test_batch_diagnostics_and_parity():
 
 def ordered_pair_moment(power):
     # integral of x_max^power |x1-x2| exp(-(x1^2+x2^2)/2) over x1 > x2
-    outer = gauss_legendre_rule(80, -8.0, 8.0)
     total = 0.0
-    for x, wx in zip(outer.nodes, outer.weights):
-        inner = gauss_legendre_rule(80, -8.0, x)
-        vals = (x - inner.nodes) * np.exp(-(x * x + inner.nodes**2) / 2.0)
-        total += wx * x**power * float(inner.weights @ vals)
+    for x, wx in zip(*gauss_legendre_rule(80, -8.0, 8.0)):
+        nodes, weights = gauss_legendre_rule(80, -8.0, x)
+        vals = (x - nodes) * np.exp(-(x * x + nodes**2) / 2.0)
+        total += wx * x**power * float(weights @ vals)
     return total
 
 
@@ -329,16 +329,16 @@ def test_goe_two_by_two_largest_eigenvalue_mean():
 def plane_sector_masses():
     # both sector weights of the size-2 plane ensemble, by quadrature:
     # two reals with the sign-ordered coupling, or one conjugate pair
-    line = gauss_legendre_rule(200, -9.0, 9.0)
-    vals = line.nodes * np.exp(-line.nodes**2 / 2.0) * (
-        np.array([math.erf(t / math.sqrt(2.0)) for t in line.nodes])
+    x, wx = gauss_legendre_rule(200, -9.0, 9.0)
+    vals = x * np.exp(-x**2 / 2.0) * (
+        np.array([math.erf(t / math.sqrt(2.0)) for t in x])
     )
-    two_real = math.sqrt(2.0 * math.pi) * float(line.weights @ vals)
-    half = gauss_legendre_rule(200, 0.0, 9.0)
+    two_real = math.sqrt(2.0 * math.pi) * float(wx @ vals)
+    y, wy = gauss_legendre_rule(200, 0.0, 9.0)
     tail = 4.0 * math.sqrt(math.pi) * float(
-        half.weights
-        @ (half.nodes * np.exp(half.nodes**2)
-           * np.array([math.erfc(math.sqrt(2.0) * y) for y in half.nodes]))
+        wy
+        @ (y * np.exp(y**2)
+           * np.array([math.erfc(math.sqrt(2.0) * h) for h in y]))
     )
     return two_real, tail
 
@@ -399,6 +399,16 @@ def test_comparison_report_round_trip():
     assert report.samples == 10_000
     assert len(report.z_scores) == 20
     assert sum(report.observed) + report.overflow == 2 * 10_000
+
+
+def test_zero_variance_count_must_match_exactly():
+    # every GOE sample has N reals: with no standard error the count is
+    # within only at a deviation of exactly 0, so 1e-12 off fails
+    report = empirical_vs_analytic(partial(goe_tallies, 2, 10_000, 19), goe_kernel(2), bins=20)
+    assert report.count_stderr == 0.0 and report.count_deviation == 0.0 and report.count_within
+    off = dataclasses.replace(report, expected_real_count=report.expected_real_count + 1e-12)
+    assert off.count_deviation > 0.0
+    assert not off.count_within and not off.passed
 
 
 def traced_peak(argv):
@@ -483,8 +493,8 @@ def test_bin_masses_are_differences_of_the_count(ensemble):
         bundle = cli.kernel_bundle(ensemble, N)
         edge = 1.3 * math.sqrt(2.0 * N)
         for edges in (np.linspace(-edge, edge, 41), np.linspace(-4.0, 4.0, 2001)):
-            rule = gauss_legendre_rule(24, edges[:-1], edges[1:])
-            terms = rule.weights * np.real(bundle.scalar_kernel(rule.nodes, rule.nodes))
+            nodes, weights = gauss_legendre_rule(24, edges[:-1], edges[1:])
+            terms = weights * np.real(bundle.scalar_kernel(nodes, nodes))
             quadrature = terms.reshape(len(edges) - 1, 24).sum(axis=1)
             masses = np.diff(cumulative_count(bundle, edges))
             assert np.abs(masses - quadrature).max() <= 2e-14 * N, (N, len(edges))

@@ -24,30 +24,29 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def test_rule_integrates_constants_exactly():
-    rule = gauss_legendre_rule(8, -1.5, 2.25)
-    assert np.isclose(rule.integrate(lambda x: np.ones_like(x)), 3.75, rtol=0, atol=1e-12)
-    assert np.isclose(rule.integrate(lambda x: 1.0), 3.75, rtol=0, atol=1e-12)
+    x, w = gauss_legendre_rule(8, -1.5, 2.25)
+    assert np.isclose(w @ np.ones_like(x), 3.75, rtol=0, atol=1e-12)
+    # integrate_line broadcasts a scalar integrand over its nodes
+    assert np.isclose(integrate_line(lambda x: 1.0), 2.0 * truncation_radius(0), rtol=1e-15, atol=0)
 
 
 def test_rule_invariants():
-    rule = gauss_legendre_rule(12, 0.0, 1.0)
-    assert rule.nodes.size == 12
-    assert np.all(rule.weights > 0.0)
-    with pytest.raises(ValueError):
-        gauss_legendre_rule(1, 0.0, 1.0)
+    x, w = gauss_legendre_rule(12, 0.0, 1.0)
+    assert x.size == 12
+    assert np.all(w > 0.0)
 
 
 def test_composite_rule_concatenates_panels():
     # arrays of panel ends give the panels' rules in order, each bit for
     # bit the rule built on that panel alone
-    rule = gauss_legendre_rule(6, [-2.0, 0.5], [0.5, 3.0])
-    assert rule.nodes.size == 12
-    assert np.all(np.diff(rule.nodes) > 0.0) and -2.0 < rule.nodes[0] and rule.nodes[-1] < 3.0
-    assert np.isclose(rule.integrate(lambda x: x), 0.5 * (9.0 - 4.0), rtol=0, atol=1e-12)
+    x, w = gauss_legendre_rule(6, [-2.0, 0.5], [0.5, 3.0])
+    assert x.size == 12
+    assert np.all(np.diff(x) > 0.0) and -2.0 < x[0] and x[-1] < 3.0
+    assert np.isclose(w @ x, 0.5 * (9.0 - 4.0), rtol=0, atol=1e-12)
     for k, (a, b) in enumerate([(-2.0, 0.5), (0.5, 3.0)]):
-        panel = gauss_legendre_rule(6, a, b)
-        assert np.array_equal(rule.nodes[6 * k : 6 * k + 6], panel.nodes)
-        assert np.array_equal(rule.weights[6 * k : 6 * k + 6], panel.weights)
+        nodes, weights = gauss_legendre_rule(6, a, b)
+        assert np.array_equal(x[6 * k : 6 * k + 6], nodes)
+        assert np.array_equal(w[6 * k : 6 * k + 6], weights)
 
 
 def test_truncation_radius_bounds_weighted_tail():
@@ -80,8 +79,8 @@ def test_breakpoint_keeps_smooth_convergence_rate():
     # level already resolves the integral to near machine precision
     a = -0.7
     expected = SQRT_2PI * special.erf(a / math.sqrt(2.0))
-    rule = gauss_legendre_rule(32, [-truncation_radius(0), a], [a, truncation_radius(0)])
-    value = rule.integrate(lambda x: np.sign(a - x) * np.exp(-0.5 * x * x))
+    x, w = gauss_legendre_rule(32, [-truncation_radius(0), a], [a, truncation_radius(0)])
+    value = w @ (np.sign(a - x) * np.exp(-0.5 * x * x))
     assert np.isclose(value, expected, rtol=0, atol=1e-13)
 
 
@@ -110,10 +109,10 @@ def test_undeclared_kink_raises_with_estimate():
 
 
 def test_panel_rule_splits_every_segment_evenly():
-    rule = panel_rule((-2.0, 0.5, 3.0), 4)
-    assert rule.nodes.size == 8 * ORDER
-    assert np.all(np.diff(rule.nodes) > 0.0)
-    assert np.isclose(rule.weights.sum(), 5.0, rtol=1e-15, atol=0)
+    x, w = panel_rule((-2.0, 0.5, 3.0), 4)
+    assert x.size == 8 * ORDER
+    assert np.all(np.diff(x) > 0.0)
+    assert np.isclose(w.sum(), 5.0, rtol=1e-15, atol=0)
 
 
 def polished_rule(nodes, step):

@@ -4,14 +4,15 @@ import numpy as np
 from scipy import special
 
 from betaone import ginibre, skewortho
-from betaone.ginibre import ginoe_coefficients
+from betaone.ginibre import ginoe_rows, plane_gram
 from betaone.ginoe_kernels import ginoe_kernel
-from betaone.kernels import goe_kernel
+from betaone.kernels import KernelBundle, family_basis, goe_kernel
 from betaone.pfaffian import pfaffian, standard_pairing
 from betaone.quadrature import gauss_legendre_rule
+from betaone.reduction import probe_configuration
 from betaone.skewortho import (
+    family_coefficients,
     gaussian_line_rows,
-    goe_coefficients,
     goe_gram,
     line_pairing,
     skew_deviation,
@@ -63,12 +64,14 @@ def goe_norm(m):
 
 
 def monic_roots(N):
-    # the monic family member j is the library's column j times monic_roots(N)[j]
-    return np.sqrt([goe_norm(j // 2) for j in range(N)])
+    # the monic family member j is the library's column j on h_n times
+    # monic_roots(N)[j]: the roots of the pair norms, with the pair scaling
+    # (2^{1/4}, 2^{-1/4}) from the library's (2 pi)^{-1/4} to pi^{-1/4}
+    return np.sqrt([goe_norm(j // 2) for j in range(N)]) * 2.0 ** np.where(np.arange(N) % 2, -0.25, 0.25)
 
 
 def half_moments(C):
-    return -gaussian_line_rows(C)(np.inf)[1]
+    return -gaussian_line_rows(C, hermite=True)(np.inf)[1]
 
 
 def test_skew_inner_monomial_closed_forms():
@@ -88,7 +91,7 @@ def test_skew_inner_antisymmetry():
 def test_gaussian_family_exact_coefficients():
     # the normalized columns times the roots of the pair norms
     # sqrt(pi) (2m)! / 4^m are the monic family, up to rounding
-    normalized = normalized_hermite_to_monomials(4) @ goe_coefficients(4)
+    normalized = normalized_hermite_to_monomials(4) @ family_coefficients(4)
     monomials = normalized * monic_roots(4)
     assert np.allclose(monomials[:, 0], [1.0, 0.0, 0.0, 0.0], rtol=0, atol=ULPS)
     assert np.allclose(monomials[:, 1], [0.0, 1.0, 0.0, 0.0], rtol=0, atol=ULPS)
@@ -110,7 +113,7 @@ def test_family_skew_orthogonality_battery():
 
 def test_phi_transform_closed_forms():
     # on the monic family R_0 = 1, R_1 = x, R_2 = x^2 - 1/2
-    rows = gaussian_line_rows(goe_coefficients(4) * monic_roots(4))
+    rows = gaussian_line_rows(family_coefficients(4) * monic_roots(4), hermite=True)
     x = np.linspace(-3.0, 3.0, 13)
     eps = -rows(x)[:, 1]
     assert np.allclose(
@@ -124,19 +127,17 @@ def test_phi_transform_closed_forms():
 
 
 def test_phi_transform_against_quadrature_oracle():
-    rows = gaussian_line_rows(goe_coefficients(4))
+    rows = gaussian_line_rows(family_coefficients(4), hermite=True)
     x0 = 0.7
     for k in [2, 3]:
-        left = gauss_legendre_rule(200, -12.0, x0)
-        right = gauss_legendre_rule(200, x0, 12.0)
-        f = lambda y: rows(y)[:, 0, k]
-        oracle = 0.5 * (left.integrate(f) - right.integrate(f))
+        (left, wl), (right, wr) = gauss_legendre_rule(200, -12.0, x0), gauss_legendre_rule(200, x0, 12.0)
+        oracle = 0.5 * (wl @ rows(left)[:, 0, k] - wr @ rows(right)[:, 0, k])
         assert np.isclose(-rows(x0)[1, k], oracle, rtol=0, atol=1e-14), k
 
 
 def test_hatted_family_exact_small_case():
     # on the monic family; hatting does not depend on the top column's scale
-    C = goe_coefficients(3) * monic_roots(3)
+    C = family_coefficients(3) * monic_roots(3)
     half = half_moments(C)
     hat = normalized_hermite_to_monomials(3) @ C @ hat_transform(half)
     assert np.allclose(hat[:, 0], [2.0, 0.0, -2.0], rtol=0, atol=1e-15)
@@ -155,9 +156,9 @@ def test_hatted_family_kills_weighted_integrals():
     at_infinity = family.rows(np.inf)[1]
     assert np.abs((family.pairing @ at_infinity)[:-2]).max() <= 1e-15
     T = hat_transform(at_infinity[:-1])
-    rule = gauss_legendre_rule(240, -12.0, 12.0)
+    x, w = gauss_legendre_rule(240, -12.0, 12.0)
     for n in range(4):
-        value = rule.integrate(lambda x: family.rows(x)[:, 0, :-1] @ T[:, n])
+        value = w @ (family.rows(x)[:, 0, :-1] @ T[:, n])
         assert abs(value) < 1e-10, n
 
 
@@ -165,9 +166,8 @@ def test_hatted_requires_odd_size():
     # an even size keeps the plain rows: no hatting, no border column;
     # GinOE's real rows are the same builder's, on the monomial basis
     x = np.array([-0.7, 0.4])
-    for basis, C, hermite in ((goe_kernel(4).family, goe_coefficients(4), True),
-                              (ginoe_kernel(4).family, ginoe_coefficients(4), False)):
-        assert np.array_equal(basis.rows(x), gaussian_line_rows(C, hermite=hermite)(x))
+    for basis, hermite in ((goe_kernel(4).family, True), (ginoe_kernel(4).family, False)):
+        assert np.array_equal(basis.rows(x), gaussian_line_rows(family_coefficients(4), hermite=hermite)(x))
 
 
 def test_generating_pfaffian_even_equals_norm_product():
@@ -183,7 +183,7 @@ def test_generating_pfaffian_odd_equals_hatted_norm_product():
     # top times the top polynomial's half moment
     roots = monic_roots(3)
     gram = np.pad(goe_gram(3) * np.outer(roots, roots), ((0, 1), (0, 1)))
-    border = half_moments(goe_coefficients(3) * roots)
+    border = half_moments(family_coefficients(3) * roots)
     gram[:3, 3] = border
     gram[3, :3] = -border
     got = pfaffian(gram)
@@ -195,17 +195,52 @@ def test_perturbed_family_fails_loudly(monkeypatch):
     # the exact Gram still checks the family: one off-diagonal coefficient
     # moved by a relative 1e-10 reads far above the 1e-13 gate, at both ends
     # of the size range, in both ensembles
+    def perturbed(size):
+        C = family_coefficients(size)
+        C[1, 3] *= 1.0 + 1e-10
+        return C
+
     for N in (4, 64):
-        for module, name, gram in ((skewortho, "goe_coefficients", goe_gram),
-                                   (ginibre, "ginoe_coefficients", ginibre.ginoe_gram)):
-            exact = getattr(module, name)
-            assert skew_deviation(gram(N)) <= 1e-14, (N, name)
+        for module, gram in ((skewortho, goe_gram), (ginibre, ginibre.ginoe_gram)):
+            assert skew_deviation(gram(N)) <= 1e-14, (N, module.__name__)
+            monkeypatch.setattr(module, "family_coefficients", perturbed)
+            assert skew_deviation(gram(N)) > 1e-13, (N, module.__name__)
+            monkeypatch.undo()
 
-            def perturbed(size, exact=exact):
-                C = exact(size)
-                C[1, 3] *= 1.0 + 1e-10
-                return C
 
-            monkeypatch.setattr(module, name, perturbed)
-            assert skew_deviation(gram(N)) > 1e-13, (N, name)
-            monkeypatch.setattr(module, name, exact)
+def rescaled_moves(ensemble, N, scale):
+    # the largest move of an assembled entry on the probe configuration,
+    # over the largest entry, and of the Gram, when the columns of the
+    # family are scaled by `scale`
+    def bundle_and_gram(C):
+        if ensemble == "goe":
+            rows, gram = gaussian_line_rows(C, hermite=True), line_pairing(C, hermite=True)
+        else:
+            rows, gram = ginoe_rows(C), line_pairing(C, hermite=False) + plane_gram(C)
+        return KernelBundle.from_basis(ensemble, N, family_basis(rows, N)), gram
+
+    C = family_coefficients(N)
+    (bundle, gram), (scaled, scaled_gram) = bundle_and_gram(C), bundle_and_gram(C * scale)
+    probe = probe_configuration(ensemble, N + N % 2)
+    A, B = bundle.assemble(probe), scaled.assemble(probe)
+    return float(np.abs(B - A).max() / np.abs(A).max()), float(np.abs(scaled_gram - gram).max())
+
+
+def test_pair_rescaling_moves_no_entry_and_no_gram():
+    # a column pair (2j, 2j+1) scaled by (d, 1/d), and an odd family's
+    # unpaired top column by any d: what lets one matrix serve both
+    # ensembles, on h_n and on m_n
+    rng = np.random.default_rng(47)
+    for ensemble in ("goe", "ginoe"):
+        for N in (4, 5, 64):
+            d = rng.uniform(0.5, 2.0, N // 2)
+            scale = np.ones(N)
+            scale[0 : 2 * (N // 2) : 2], scale[1 : 2 * (N // 2) : 2] = d, 1.0 / d
+            if N % 2:
+                scale[-1] = -3.7
+            entries, gram = rescaled_moves(ensemble, N, scale)
+            assert entries <= 1e-14 and gram <= 1e-14, (ensemble, N, entries, gram)
+            # a pair whose scales do not multiply to 1 moves both
+            scale[1] = 1.25 / d[0]
+            entries, gram = rescaled_moves(ensemble, N, scale)
+            assert entries > 1e-14 and gram > 1e-14, (ensemble, N, entries, gram)

@@ -206,9 +206,9 @@ def test_gaussian_row_integrals_against_quadrature_oracle():
         I = np.stack(tuple(columns), axis=-1)
         assert I.shape == (7, 12, 12) and not I[5].any()
         for i, end in enumerate(t):
-            rule = panel_rule((-16.0, end), 8)
-            rows, tails = gaussian_tail_moments(12, rule.nodes, hermite)
-            oracle = (rows * rule.weights[:, None]).T @ tails
+            nodes, weights = panel_rule((-16.0, end), 8)
+            rows, tails = gaussian_tail_moments(12, nodes, hermite)
+            oracle = (rows * weights[:, None]).T @ tails
             assert np.abs(I[i] - oracle).max() <= 1e-14, (hermite, end)
         parts = np.outer(full, full) - moments[:, :, None] * moments[:, None, :]
         assert np.abs(I + np.swapaxes(I, 1, 2) - parts).max() <= 1e-14, hermite
