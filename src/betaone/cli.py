@@ -27,7 +27,6 @@ from .ginoe_kernels import ginoe_kernel, ginoe_summed_S
 from .kernels import PointConfiguration, dyson_recurrence_check, goe_kernel, interrelations_check
 from .montecarlo import GENERATOR, MIN_COMPARISON_SAMPLES, empirical_vs_analytic, ginibre_tallies, goe_tallies
 from .pfaffian import pfaffian, pfaffian_laplace
-from .quadrature import integrate_line
 from .reduction import probe_configuration, verify_odd_limit
 from .skewortho import goe_gram, skew_deviation
 
@@ -39,8 +38,8 @@ GATES = {
     "squared-vs-determinant": 1e-12,  # 8.5e-15 (GinOE N = 13)
     "elimination-vs-cofactor": 1e-12,  # 1.2e-14 (GinOE N = 31)
     "gram-deviation": 1e-13,  # 2.8e-15 (GinOE N = 41)
-    "density-normalization": 1e-13,  # 4.4e-16 (GOE N = 64)
-    "integrate-out-recurrence": 1e-13,  # 6.4e-16 (GOE N = 35)
+    "density-normalization": 1e-13,  # 4.3e-16 (GOE N = 33)
+    "integrate-out-recurrence": 1e-13,  # 5.7e-16 (GOE N = 31)
     "block-interrelations": 1e-13,  # 1.0e-14 (GOE N = 52), partner rows against their W rows
     # relative to the GinOE kernel scale 1/sqrt(2 pi); density --path both too
     "closed-form-agreement": 1e-13,  # 1.3e-15 (N = 63)
@@ -320,12 +319,11 @@ def _suite_kernels(bundle):
     relations = interrelations_check(bundle, *points)
     checks = [_check("kernels", "block-interrelations", max(relations.values()))]
     if bundle.ensemble == "goe":
-        # by quadrature, independent of the exact kernels.density_integral
-        total = integrate_line(lambda x: np.real(bundle.scalar_kernel(x, x)), 1e-9, (0.0,), 2 * bundle.N + 2)
-        gap = abs(total - bundle.N) / bundle.N
-        worst = max(dyson_recurrence_check(bundle, 1, (x,))["relative_deviation"] for x in (-1.1, 0.37))
-        checks.append(_check("kernels", "density-normalization", gap))
-        checks.append(_check("kernels", "integrate-out-recurrence", worst))
+        # by quadrature, independent of the exact kernels.density_integral: the
+        # empty probe integrates the density to N, the others the pair density
+        density, *pairs = dyson_recurrence_check(bundle, ((), (-1.1,), (0.37,)))
+        checks.append(_check("kernels", "density-normalization", density["relative_deviation"]))
+        checks.append(_check("kernels", "integrate-out-recurrence", max(r["relative_deviation"] for r in pairs)))
     elif bundle.N >= 2:
         worst = max(
             np.abs(bundle.scalar_kernel(mu[:, None], eta) - ginoe_summed_S(bundle.N, mu[:, None], eta)).max()

@@ -330,32 +330,35 @@ def interrelations_check(bundle, reals, complexes=()):
     return {key: float(np.abs(value).max(initial=0.0)) for key, value in relations.items()}
 
 
-def dyson_recurrence_check(bundle, n, points):
-    """Integrating out one argument drops an n+1 point correlation to
-    (N - n) times the n point one; returns both sides and the deviation.
+def dyson_recurrence_check(bundle, probes):
+    """Integrating out one argument drops an n+1 point correlation to (N - n) times the
+    n point one, at each probe of n points, the empty one (rho_0 = 1) included; returns
+    both sides and the deviation per probe.  One integrate_line pass, split at every
+    probe point, takes them all: each level's node rows serve every probe, and the
+    probes of one size, their rows evaluated once, share one stacked Pfaffian.
     """
-    points = tuple(float(p) for p in points)
-    if len(points) != n:
-        raise ValueError("need exactly n probe points")
-    base = rho(bundle, points)
-    basis = bundle.family
+    probes = [tuple(float(p) for p in points) for points in probes]
+    basis, N = bundle.family, bundle.N
+    expected, groups = np.zeros(len(probes)), []
+    for n in {len(points) for points in probes if len(points) < N}:  # at n >= N both sides are 0, as in rho
+        ks = [k for k, points in enumerate(probes) if len(points) == n]
+        points = np.array([probes[k] for k in ks])
+        rows = basis.rows(points)
+        expected[ks] = (N - n) * pfaffian(basis.matrix(rows, points))
+        groups.append((n, ks, points, rows))
 
     def integrand(ys):
-        ys = np.atleast_1d(np.asarray(ys, dtype=float))
-        if n >= bundle.N:  # n + 1 eigenvalues are more than N: exactly 0, as in rho
-            return np.zeros(ys.shape)
-        reals = np.concatenate([np.broadcast_to(points, ys.shape + (n,)), ys[:, None]], axis=1)
-        return pfaffian(basis.matrix(basis.rows(reals), reals))
+        nodes, values = basis.rows(ys), np.zeros((len(probes),) + ys.shape)
+        for n, ks, points, rows in groups:
+            reals = np.empty((len(ks), len(ys), n + 1))
+            reals[..., :n], reals[..., n] = points[:, None], ys
+            stacked = np.empty(reals.shape + nodes.shape[1:])
+            stacked[:, :, :n], stacked[:, :, n] = rows[:, None], nodes
+            values[ks] = pfaffian(basis.matrix(stacked, reals))
+        return values
 
-    integrated = integrate_line(
-        integrand, tol=1e-8, breakpoints=points, degree=2 * bundle.N
-    )
-    expected = (bundle.N - n) * base
-    scale = max(abs(expected), 1e-12)
-    return {
-        "n": n,
-        "points": points,
-        "integrated": integrated,
-        "expected": expected,
-        "relative_deviation": abs(integrated - expected) / scale,
-    }
+    breakpoints = {p for points in probes for p in points}
+    integrated = integrate_line(integrand, tol=1e-9, breakpoints=breakpoints, degree=2 * N + 2)
+    deviations = np.abs(integrated - expected) / np.maximum(np.abs(expected), 1e-12)
+    keys = ("n", "points", "integrated", "expected", "relative_deviation")
+    return [dict(zip(keys, report)) for report in zip(map(len, probes), probes, integrated, expected, deviations)]

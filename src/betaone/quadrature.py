@@ -10,7 +10,8 @@ at any sign-function kinks, and the number of equal panels per segment,
 each carrying the same ORDER-node rule, doubles until two successive
 estimates agree.
 
-Integrands must be numpy-vectorized (scalar broadcasting is tolerated).
+Integrands must be numpy-vectorized (scalar broadcasting is tolerated), or
+stacked, nodes on the last axis, and refined until every component agrees.
 """
 
 from __future__ import annotations
@@ -119,19 +120,20 @@ def integrate_line(f, tol=1e-12, breakpoints=(), degree=0):
     exp(-x^2/2) weight and fixes the truncation radius; breakpoints list
     the kink locations of any sign-function factors.  The finer of the
     first two successive estimates that agree within tol relative to
-    max(1, |value|) is returned; past LINE_PANEL_CAP panels per segment
-    it raises QuadratureError with the last.  One agreement suffices:
-    doubling moves every node, and at ORDER nodes per panel the error of
-    a resolved integrand falls by orders of magnitude per doubling.
+    max(1, |value|), in every component of a stacked integrand, is
+    returned; past LINE_PANEL_CAP panels per segment it raises
+    QuadratureError with the last.  One agreement suffices: doubling
+    moves every node, and at ORDER nodes per panel the error of a
+    resolved integrand falls by orders of magnitude per doubling.
     """
     T = truncation_radius(degree)
     edges = [-T, *sorted(p for p in breakpoints if -T < p < T), T]
     previous, difference, panels = None, math.inf, 1
     while panels <= LINE_PANEL_CAP:
         x, w = panel_rule(edges, panels)
-        value = (np.broadcast_to(np.asarray(f(x)), x.shape) * w).sum()
+        value = (np.asarray(f(x)) * w).sum(-1)
         if previous is not None:
-            difference = float(abs(value - previous) / max(1.0, abs(value)))
+            difference = float(np.max(abs(value - previous) / np.maximum(1.0, abs(value))))
             if difference <= tol:
                 return value
         previous = value

@@ -175,9 +175,7 @@ def test_criterion_06_integrate_out_recurrence():
     probes = (-1.5, -0.6, 0.0, 0.8, 1.7)
     worst = 0.0
     for N in (3, 4, 5, 6):
-        bundle = goe_kernel(N)
-        for x in probes:
-            check = dyson_recurrence_check(bundle, 1, (x,))
+        for check in dyson_recurrence_check(goe_kernel(N), [(x,) for x in probes]):
             worst = max(worst, check["relative_deviation"])
     assert worst <= 1e-5
     report(

@@ -189,15 +189,18 @@ def test_pair_correlation_nonnegative_and_vanishing_at_coincidence():
 
 
 def test_dyson_recurrence_small_cases():
-    report = dyson_recurrence_check(goe_kernel(4), 1, [0.3])
-    assert report["relative_deviation"] < 1e-6
-    report = dyson_recurrence_check(goe_kernel(3), 1, [-0.8])
-    assert report["relative_deviation"] < 1e-6
-    report = dyson_recurrence_check(goe_kernel(4), 2, [-0.5, 1.1])
+    empty, single, pair = dyson_recurrence_check(goe_kernel(4), [(), (0.3,), (-0.5, 1.1)])
+    # the empty probe is the density's normalization: rho_0 = 1, N expected
+    assert empty["n"] == 0 and empty["expected"] == 4.0
+    assert abs(empty["integrated"] - 4.0) <= 1e-13
+    assert single["relative_deviation"] < 1e-6
+    assert pair["n"] == 2 and pair["relative_deviation"] < 1e-6
+    report, = dyson_recurrence_check(goe_kernel(3), [(-0.8,)])
     assert report["relative_deviation"] < 1e-6
     # at n = N the n + 1 point correlation is 0: both sides vanish exactly
-    for bundle, points in ((goe_kernel(1), [0.37]), (goe_kernel(2), [-1.1, 0.4])):
-        report = dyson_recurrence_check(bundle, bundle.N, points)
+    for N, points in ((1, (0.37,)), (2, (-1.1, 0.4))):
+        report, = dyson_recurrence_check(goe_kernel(N), [points])
+        assert report["n"] == N and report["points"] == points
         assert report["integrated"] == report["expected"] == 0.0
         assert report["relative_deviation"] == 0.0
 

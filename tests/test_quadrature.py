@@ -97,6 +97,35 @@ def test_linearity_on_random_weighted_polynomials():
         assert np.isclose(combined, separate, rtol=1e-12, atol=1e-12)
 
 
+def test_stacked_integrand_reads_each_component_as_alone():
+    # the nodes on the last axis: refinement goes on until the slowest
+    # component agrees, and every component reads exactly its own sum on
+    # that partition, which is where the slowest one stops on its own
+    a = 0.3
+    components = (
+        lambda x: np.exp(-0.5 * x * x),
+        lambda x: np.sign(x - a) * x**3 * np.exp(-0.5 * x * x),
+        lambda x: np.cos(9.0 * x) * np.exp(-0.5 * x * x),
+    )
+    sizes = []
+
+    def stacked(x):
+        sizes.append(x.size)
+        return np.array([f(x) for f in components])
+
+    values = integrate_line(stacked, breakpoints=[a], degree=3)
+    assert values.shape == (3,) and len(sizes) > 2
+    T = truncation_radius(3)
+    x, w = panel_rule((-T, a, T), sizes[-1] // (2 * ORDER))
+    for f, value in zip(components, values):
+        assert value == (f(x) * w).sum()
+    assert values[2] == integrate_line(components[2], breakpoints=[a], degree=3)
+    # the others stop sooner alone, on another partition
+    assert values[0] != integrate_line(components[0], breakpoints=[a], degree=3)
+    assert np.isclose(values[0], SQRT_2PI, rtol=1e-15, atol=0)
+    assert np.isclose(values[2], SQRT_2PI * math.exp(-40.5), rtol=1e-9, atol=1e-15)
+
+
 def test_undeclared_kink_raises_with_estimate():
     with pytest.raises(QuadratureError) as info:
         integrate_line(

@@ -76,7 +76,11 @@ def test_edge_values_and_shapes():
                 assert np.array_equal(rows, full[0][..., :n]) and np.array_equal(moments, full[1][..., :n])
     edges = np.array([-np.inf, np.nan, np.inf, -1e308, 1e308, 0.0])
     assert np.array_equal(normal_cdf(edges), [0.0, np.nan, 1.0, 0.0, 1.0, 0.5], equal_nan=True)
-    assert np.array_equal(normal_cdf(edges), [normal_cdf(x) for x in edges], equal_nan=True)
+    # an array's elements read bit for bit their 0-d values, on both sides of
+    # the switch to erfcx at x = -sqrt 2 too
+    switch = -math.sqrt(2.0)
+    edges = np.append(edges, [-0.0, np.nextafter(switch, -np.inf), switch, np.nextafter(switch, 0.0)])
+    assert normal_cdf(edges).tobytes() == np.array([normal_cdf(x) for x in edges]).tobytes()
 
 
 def test_erfcx_and_normal_cdf_match_scipy():
