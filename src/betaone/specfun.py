@@ -92,16 +92,9 @@ def normal_cdf(x):
     Below x = -sqrt 2 it is exp(-x^2/2) erfcx(-x/sqrt 2) / 2 with x^2 carried
     exactly, which stays exact to a few units in the last place far into
     the lower tail, and 0 where it underflows.  A 0-d input gives a float,
-    an array one of the same shape; an array's other elements take math.erfc in one pass.
+    an array one of the same shape.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        return _normal_cdf(float(x))
-    u = -x / _SQRT2
-    out, tail = np.empty(x.shape), u > 1.0
-    out[~tail] = 0.5 * _elementwise(math.erfc, u[~tail])  # nan too, as in _normal_cdf
-    out[tail] = _elementwise(_normal_cdf, x[tail])
-    return out
+    return _elementwise(_normal_cdf, x)
 
 
 def weighted_powers(n, z, weight, c=0.0):

@@ -120,8 +120,6 @@ def test_stacked_integrand_reads_each_component_as_alone():
     for f, value in zip(components, values):
         assert value == (f(x) * w).sum()
     assert values[2] == integrate_line(components[2], breakpoints=[a], degree=3)
-    # the others stop sooner alone, on another partition
-    assert values[0] != integrate_line(components[0], breakpoints=[a], degree=3)
     assert np.isclose(values[0], SQRT_2PI, rtol=1e-15, atol=0)
     assert np.isclose(values[2], SQRT_2PI * math.exp(-40.5), rtol=1e-9, atol=1e-15)
 
