@@ -325,10 +325,12 @@ def _suite_kernels(bundle):
         checks.append(_check("kernels", "density-normalization", density["relative_deviation"]))
         checks.append(_check("kernels", "integrate-out-recurrence", max(r["relative_deviation"] for r in pairs)))
     elif bundle.N >= 2:
+        # the scalar block S = form(W, P) on rows taken once per point set
+        rows = [bundle.family.rows(p) for p in points]
         worst = max(
-            np.abs(bundle.scalar_kernel(mu[:, None], eta) - ginoe_summed_S(bundle.N, mu[:, None], eta)).max()
-            for mu in points
-            for eta in points
+            np.abs(bundle.family.form(R[:, None, 0], Q[:, 1]) - ginoe_summed_S(bundle.N, mu[:, None], eta)).max()
+            for mu, R in zip(points, rows)
+            for eta, Q in zip(points, rows)
         )
         checks.append(_check("kernels", "closed-form-agreement", worst * SQRT_2PI))
     return checks

@@ -66,8 +66,8 @@ def ginoe_rows(C):
         z = np.asarray(z)
         if not np.iscomplexobj(z):
             return line(z)
-        W = plane_rows(C, z)
-        return np.stack([W, 1j * np.conjugate(W)], axis=-2)
+        W = plane_rows(C, z.ravel() if z.ndim else z)  # flattened, as the line rows are
+        return np.stack([W, 1j * np.conjugate(W)], axis=-2).reshape(z.shape + (2, C.shape[1]))
 
     vars(rows).update(vars(line))
     return rows

@@ -19,6 +19,10 @@ at the first argument of S, its partner at the second.  At a real point
 P = -eps W, eps W an antiderivative of its W row; interrelations_check
 tests that identity on weighted(x), the W rows alone, which line rows
 carry beside direction(x), the direction of W at a far point.
+
+Rows are evaluated at every call, on the points flattened, and kept by
+no basis: a caller that needs one point array's rows twice takes them
+once and forms its entries from them, as verify's suites do.
 """
 
 from __future__ import annotations
@@ -31,9 +35,6 @@ from .pfaffian import pfaffian, standard_pairing
 from .quadrature import integrate_line, panel_rule
 from .skewortho import family_coefficients, gaussian_line_rows
 from .specfun import gaussian_row_integrals, gaussian_tail_moments
-
-# bytes of rows a family keeps, the least recently used dropped first
-ROW_CACHE_BYTES = 2**18
 
 
 @dataclass(frozen=True)
@@ -88,6 +89,13 @@ class PairingBasis:
             value = value + 0.5 * np.sign(np.asarray(mu) - np.asarray(eta))
         return value
 
+    def config_rows(self, config):
+        """Rows (n, 2, m) of the n points of a PointConfiguration, its reals first."""
+        rows = [self.rows(np.asarray(config.reals, dtype=float))]
+        if config.complexes:
+            rows.append(self.rows(np.asarray(config.complexes, dtype=complex)))
+        return np.concatenate(rows)
+
     def matrix(self, rows, reals):
         """Assembled matrices from rows (..., n, 2, m) of n points.
 
@@ -140,39 +148,6 @@ class PairingBasis:
         return PairingBasis(rows, np.triu(pairing, 1))
 
 
-def cached_rows(rows):
-    """rows evaluated once per distinct point array, among the most recent
-    ones whose rows fit in ROW_CACHE_BYTES together.
-
-    Points are keyed exactly, by dtype and bytes, and their rows taken flat
-    (y and y[:, None] share them; a 0-d point stays one); rows over the
-    budget are not kept.  Every caller shares the arrays returned, so they
-    are read-only.  The rows' attributes (direction, weighted) pass, uncached.
-    """
-    cache = {}
-    held = 0
-
-    def cached(z):
-        nonlocal held
-        z = np.asarray(z)
-        flat = z.reshape(-1) if z.ndim else z
-        key = (z.dtype.str, flat.shape, flat.tobytes())
-        value = cache.pop(key, None)
-        if value is None:
-            value = rows(flat)
-            value.flags.writeable = False
-            if value.nbytes > ROW_CACHE_BYTES:
-                return value.reshape(z.shape + value.shape[-2:])
-            held += value.nbytes
-        cache[key] = value
-        while held > ROW_CACHE_BYTES:
-            held -= cache.pop(next(iter(cache))).nbytes
-        return value.reshape(z.shape + value.shape[-2:])
-
-    vars(cached).update(vars(rows))
-    return cached
-
-
 def family_basis(rows, N):
     """Pairing basis of a family of size N; odd N gets the bordered form.
 
@@ -181,11 +156,10 @@ def family_basis(rows, N):
     partner column by -1/2 over its partner at +infinity.  That is the
     hatted family (each polynomial below the top less the multiple of
     the top one that carries its weighted integral) with the hat T moved
-    from the rows into the pairing, T M^ T^T.  The family's rows are
-    cached (cached_rows), and every basis derived from it, bordered or
-    conditioned, evaluates them through that one cache.
+    from the rows into the pairing, T M^ T^T.  Every basis derived from
+    the family, bordered or conditioned, calls the family's rows itself;
+    none keeps them.
     """
-    rows = cached_rows(rows)
     basis = PairingBasis(rows, np.maximum(standard_pairing(N), 0.0))
     if N % 2 == 0:
         return basis
@@ -225,11 +199,7 @@ class KernelBundle:
             return basis.entry(1, 1, mu, eta)
 
         def assemble(config):
-            reals = np.asarray(config.reals, dtype=float)
-            rows = [basis.rows(reals)]
-            if config.complexes:
-                rows.append(basis.rows(np.asarray(config.complexes, dtype=complex)))
-            return basis.matrix(np.concatenate(rows), reals)
+            return basis.matrix(basis.config_rows(config), np.asarray(config.reals, dtype=float))
 
         kernels = (scalar_kernel, derivative_kernel, integral_kernel, assemble)
         return cls(ensemble, N, "odd" if N % 2 else "even", basis, *kernels)
@@ -299,33 +269,41 @@ def interrelations_check(bundle, reals, complexes=()):
     integral of its W row, taken by two Gauss-Legendre panels per gap
     (panel_rule).  integral-real-real: i(x, y) = sgn(x - y) / 2 -
     form(P(x), int_x^y W) at every pair of reals, from the same gap
-    integrals.  Complex points (the plane only) add the conjugation
-    relations on all pairs.  Returns the worst absolute deviation per
-    relation.
+    integrals.  Complex points z (the plane only) add the conjugation
+    relations on all pairs.  The rows are taken once each at the reals,
+    at z and at conj z, and every block is a cell entry of those rows,
+    as PairingBasis.entry forms it.  Returns the worst absolute
+    deviation per relation.
     """
-    basis, s, d, i_ = bundle.family, bundle.scalar_kernel, bundle.derivative_kernel, bundle.integral_kernel
+    basis = bundle.family
     y = np.sort(np.asarray(reals, dtype=float))
     nodes, weights = panel_rule(y, 2)
     weighted = basis.rows.weighted(nodes) * weights[:, None]
     gaps = weighted.reshape(len(y) - 1, -1, weighted.shape[-1]).sum(1)
-    P = basis.rows(y)[:, 1]
+    Y = basis.rows(y)
+    P = Y[:, 1]
+
+    def cell(a, first, b, second):  # entry (a, b) from each point of first to each of second
+        return basis.form(first[:, None, a], second[:, b])
+
     # the integral of the W rows from the first real to each real
     cumulative = np.concatenate([np.zeros_like(gaps[:1]), np.cumsum(gaps, axis=0)])
     span = basis.form(P[:, None], cumulative - cumulative[:, None])
-    x = y[:, None]
+    sign = 0.5 * np.sign(y[:, None] - y)
+    integral = cell(1, Y, 1, Y) + sign  # i(x, y)
     relations = {
         "partner-antiderivative": np.diff(P, axis=0) + gaps,
-        "integral-real-real": i_(x, y) + span - 0.5 * np.sign(x - y),
+        "integral-real-real": integral + span - sign,
     }
     if len(complexes):
         z = np.asarray(complexes, dtype=complex)
-        w = z[:, None]
+        Z, Zbar = basis.rows(z), basis.rows(np.conjugate(z))
         relations.update({
-            "derivative-real-complex": d(x, z) + 1j * s(x, np.conjugate(z)),
-            "derivative-complex-complex": d(w, z) + 1j * s(w, np.conjugate(z)),
-            "integral-complex-real": i_(w, y) - 1j * s(np.conjugate(w), y),
-            "integral-complex-complex": i_(w, z) - 1j * s(np.conjugate(w), z),
-            "integral-mixed-antisymmetry": i_(x, z) + i_(w, y).T,
+            "derivative-real-complex": cell(0, Y, 0, Z) + 1j * cell(0, Y, 1, Zbar),
+            "derivative-complex-complex": cell(0, Z, 0, Z) + 1j * cell(0, Z, 1, Zbar),
+            "integral-complex-real": cell(1, Z, 1, Y) - 1j * cell(0, Zbar, 1, Y),
+            "integral-complex-complex": cell(1, Z, 1, Z) - 1j * cell(0, Zbar, 1, Z),
+            "integral-mixed-antisymmetry": cell(1, Y, 1, Z) + cell(1, Z, 1, Y).T,
         })
     return {key: float(np.abs(value).max(initial=0.0)) for key, value in relations.items()}
 

@@ -203,10 +203,11 @@ def empirical_vs_analytic(stream, bundle, bins=40, span=DEFAULT_SPAN):
 
     `stream(edges)` yields the tallies of `ginibre_tallies` or `goe_tallies`.
     Each left-closed bin (its expected count exact, a difference of
-    kernels.cumulative_count) is scored under a Poisson width floored at one
-    count (loose: repulsion makes the true variance smaller), and the mean
-    real count per matrix within three standard errors, from the exact sums
-    of k and k^2 over the histogram, against N for GOE and the full-line
+    kernels.cumulative_count, taken in the lower tail by the density's
+    symmetry) is scored under a Poisson width floored at one count
+    (loose: repulsion makes the true variance smaller), and the mean real
+    count per matrix within three standard errors, from the exact sums of
+    k and k^2 over the histogram, against N for GOE and the full-line
     integral for GinOE.  Where every sample has the same real count (GOE,
     GinOE at N = 1) the standard error is 0 and the count must match exactly.
     """
@@ -221,7 +222,12 @@ def empirical_vs_analytic(stream, bundle, bins=40, span=DEFAULT_SPAN):
         raise ValueError(f"need at least {MIN_COMPARISON_SAMPLES} samples")
     total, squares = (int(histogram @ np.arange(len(histogram)) ** p) for p in (1, 2))
     counts = np.diff(below)
-    expected = samples * np.diff(cumulative_count(bundle, edges))
+    # rho(x) = rho(-x): every bin's mass from the counts below -|edge|, none
+    # of them near the full count, so upper-tail bins keep relative accuracy
+    full = float(bundle.N if bundle.ensemble == "goe" else density_integral(bundle))
+    F = cumulative_count(bundle, -np.abs(edges))
+    a, b = F[:-1], F[1:]
+    expected = samples * np.where(edges[1:] <= 0, b - a, np.where(edges[:-1] > 0, a - b, full - a - b))
     z = (counts - expected) / np.sqrt(np.maximum(expected, 1.0))
     return ComparisonReport(
         ensemble=bundle.ensemble,
@@ -233,7 +239,7 @@ def empirical_vs_analytic(stream, bundle, bins=40, span=DEFAULT_SPAN):
         z_scores=tuple(float(v) for v in z),
         flagged=tuple(int(i) for i in np.flatnonzero(np.abs(z) > Z_FLAG)),
         mean_real_count=total / samples,
-        expected_real_count=float(bundle.N if bundle.ensemble == "goe" else density_integral(bundle)),
+        expected_real_count=full,
         count_stderr=math.sqrt((samples * squares - total * total) / (samples * samples * (samples - 1))),
         overflow=int(below[0] + total - below[-1]),
     )

@@ -41,10 +41,14 @@ def far_points(N):
     return (first, 2 * first, 4 * first)
 
 
-def _far_rows(basis, x_far):
-    # the far point's rows, W along its direction
-    x_far = np.float64(x_far)
-    return np.stack([basis.rows.direction(x_far), basis.rows(x_far)[1]])
+def _conditioned(basis, x_far):
+    # the even basis bordered at x_far, and the far point's rows, W along its direction
+    point = np.float64(x_far)
+    far = np.stack([basis.rows.direction(point), basis.rows(point)[1]])
+    try:
+        return basis.bordered(basis.pairing @ far[0], far[1]), far
+    except ArithmeticError as error:
+        raise ArithmeticError(f"no conditioning weight at far point {x_far!r}") from error
 
 
 def conditioned_bundle(bundle, x_far):
@@ -59,37 +63,23 @@ def conditioned_bundle(bundle, x_far):
     """
     if bundle.parity != "even":
         raise ValueError("reduction starts from an even-size bundle")
-    basis = bundle.family
-    direction, partner = _far_rows(basis, x_far)
-    try:
-        reduced = basis.bordered(basis.pairing @ direction, partner)
-    except ArithmeticError as error:
-        raise ArithmeticError(f"no conditioning weight at far point {x_far!r}") from error
-    return KernelBundle.from_basis(bundle.ensemble, bundle.N - 1, reduced)
+    return KernelBundle.from_basis(bundle.ensemble, bundle.N - 1, _conditioned(bundle.family, x_far)[0])
 
 
-def schur_complement_gap(bundle, config, x_far, updated=None):
-    """Gap between the conditioned matrix and the Schur complement it stands for.
+def schur_complement_gap(extended, updated):
+    """Gap between a conditioned matrix and the Schur complement it stands for.
 
-    The conditioned bundle's matrix on config against B + C E^-1 C^T, E
-    the far cell of the extended matrix (the far point first among the
-    reals, its W row along the direction), entry by entry, relative to
-    the complement's largest entry; updated is that matrix when the
-    caller has assembled it already.  Exact at any finite far point,
-    full configurations included.
+    extended is the matrix [[E, -C^T], [C, B]] of the far point (first
+    among the reals, its W row along the direction) and the other
+    points on the even basis, updated the conditioned matrix of those
+    other points; updated against B + C E^-1 C^T, entry by entry,
+    relative to the complement's largest entry.  Exact at any finite
+    far point, full configurations included.
     """
-    if len(config) == 0:
+    if len(extended) <= 2:
         raise ValueError("need at least one point")
-    basis = bundle.family
-    reals = np.array((float(x_far),) + config.reals)
-    rows = [_far_rows(basis, x_far)[None], basis.rows(reals[1:])]
-    if config.complexes:
-        rows.append(basis.rows(np.asarray(config.complexes, dtype=complex)))
-    A = basis.matrix(np.concatenate(rows), reals)
-    B, C = A[2:, 2:], A[2:, :2]
-    schur = B + (np.outer(C[:, 1], C[:, 0]) - np.outer(C[:, 0], C[:, 1])) / A[0, 1]
-    if updated is None:
-        updated = conditioned_bundle(bundle, x_far).assemble(config)
+    B, C = extended[2:, 2:], extended[2:, :2]
+    schur = B + (np.outer(C[:, 1], C[:, 0]) - np.outer(C[:, 0], C[:, 1])) / extended[0, 1]
     return float(np.abs(updated - schur).max() / np.abs(schur).max())
 
 
@@ -126,26 +116,32 @@ class ReductionReport:
 def verify_odd_limit(even_bundle, odd_bundle):
     """The reduction of even_bundle against the directly built odd_bundle.
 
-    The conditioned matrix at +inf and at each of far_points(N) is
-    assembled once on the whole probe grid; the deviations and the Schur
-    gaps share it.
+    The probe rows are taken once, from the conditioned basis at +inf:
+    the even rows plus the constant partner column, the same for every
+    far point.  Each far point's bordered basis assembles its matrix on
+    them, and the extended matrix of its Schur gap takes them without
+    the column, after the far point's rows.
     """
     if odd_bundle.N != even_bundle.N - 1:
         raise ValueError("target bundle must be one size smaller")
     config = probe_configuration(even_bundle.ensemble, even_bundle.N)
     target = odd_bundle.assemble(config)
     scale = np.abs(target).max()
+    limit, even = conditioned_bundle(even_bundle, np.inf).family, even_bundle.family
+    reals, rows = np.asarray(config.reals), limit.config_rows(config)
 
     def deviation(reduced):
         return float(np.abs(reduced - target).max() / scale)
 
-    exact = deviation(conditioned_bundle(even_bundle, np.inf).assemble(config))
+    exact = deviation(limit.matrix(rows, reals))
     points = far_points(even_bundle.N)
     far, gaps = [], []
     for x_far in points:
-        reduced = conditioned_bundle(even_bundle, x_far).assemble(config)
+        basis, far_rows = _conditioned(even, x_far)
+        reduced = basis.matrix(rows, reals)
         far.append(deviation(reduced))
-        gaps.append(schur_complement_gap(even_bundle, config, x_far, reduced))
+        extended = even.matrix(np.concatenate([far_rows[None], rows[..., :-1]]), np.append(x_far, reals))
+        gaps.append(schur_complement_gap(extended, reduced))
     return ReductionReport(exact=exact, far_points=points, far=tuple(far), schur_gap=max(gaps))
 
 

@@ -80,8 +80,9 @@ def gaussian_line_rows(C, hermite):
         x = np.asarray(x)
         if np.iscomplexobj(x):
             raise ValueError("this ensemble lives on the real line only")
-        W, tails = gaussian_tail_moments(n, x, hermite)
-        return np.stack([W @ C, tails @ C - half], axis=-2)
+        # on the points flattened: a stacked matmul would round differently
+        W, tails = gaussian_tail_moments(n, x.ravel() if x.ndim else x, hermite)
+        return np.stack([W @ C, tails @ C - half], axis=-2).reshape(x.shape + (2, C.shape[1]))
 
     def weighted(x):
         return gaussian_rows(n, x, hermite) @ C

@@ -1,4 +1,7 @@
+import collections
+import contextlib
 import functools
+import io
 import math
 
 import mpmath
@@ -6,12 +9,11 @@ import numpy as np
 import pytest
 from scipy import special
 
-from betaone import ginibre, ginoe_kernels, specfun
+from betaone import cli, ginibre, ginoe_kernels, kernels, specfun
 from betaone.cli import GATES
 from betaone.ginibre import ginoe_rows
 from betaone.ginoe_kernels import ginoe_kernel
 from betaone.kernels import (
-    ROW_CACHE_BYTES,
     KernelBundle,
     PairingBasis,
     PointConfiguration,
@@ -234,46 +236,6 @@ ROW_FAMILIES = {
 }
 
 
-def row_points(ensemble):
-    # real arrays, a 0-d real and both infinities; complex points in the plane
-    points = [np.array([-0.7, 0.0, 1.3]), np.array([[0.25], [-2.0]]), np.float64(0.4), np.inf, -np.inf]
-    if ensemble == "ginoe":
-        points += [np.array([0.3 + 0.6j, -1.1 + 0.2j]), np.complex128(0.5 + 1.5j)]
-    return points
-
-
-def derived_bases(make, N):
-    # the bordered rows of the odd size N - 1, the plain rows of
-    # the even size N, and those conditioned at a far point and at +inf
-    even = make(N)
-    return [
-        make(N - 1).family,
-        even.family,
-        conditioned_bundle(even, 16.0).family,
-        conditioned_bundle(even, np.inf).family,
-    ]
-
-
-@pytest.mark.parametrize("ensemble", ["goe", "ginoe"])
-def test_cached_rows_match_a_fresh_evaluation_and_are_read_only(ensemble):
-    make, family_rows = ROW_FAMILIES[ensemble]
-    points = row_points(ensemble)
-    warm = derived_bases(make, 6)
-    for basis in warm:
-        for z in points:
-            basis.rows(z)
-    for z in points:
-        fresh = derived_bases(make, 6)
-        for basis, new in zip(warm, fresh):
-            assert np.array_equal(basis.rows(z), new.rows(z))
-        plain = warm[1].rows(z)
-        assert np.array_equal(plain, family_rows(family_coefficients(6))(z))
-        assert np.shares_memory(warm[1].rows(np.array(z)), plain)
-        assert not plain.flags.writeable
-        with pytest.raises(ValueError):
-            plain[...] = 0.0
-
-
 def counting(fn, evaluated, point=0):
     """fn, appending a copy of its argument number `point` to evaluated on every call."""
 
@@ -285,39 +247,43 @@ def counting(fn, evaluated, point=0):
     return counted
 
 
-def test_rows_are_evaluated_once_per_point_array():
-    # the bordered and conditioned bases all read one family cache
-    evaluated = []
-    even_rows = counting(gaussian_line_rows(family_coefficients(4), hermite=True), evaluated)
-    even = KernelBundle.from_basis("goe", 4, family_basis(even_rows, 4))
-    config = PointConfiguration(reals=(-0.8, 0.1, 0.9))
-    first = even.assemble(config)
-    conditioned = [conditioned_bundle(even, far) for far in (16.0, 24.0, 16.0)]
-    for bundle in (even, *conditioned, even):
-        bundle.assemble(config)
-    assert len(evaluated) == 3  # the probes, 16 and 24
-    assert np.array_equal(even.assemble(config), first)
-    # the bound: rows of 64 bytes per point (two rows of four columns); an
-    # array filling half the budget is kept, one past it is returned unkept
-    # and evicts nothing: the grid and the points are evaluated once
-    half = np.linspace(-3.0, 3.0, ROW_CACHE_BYTES // 128)
-    over = np.linspace(-3.0, 3.0, ROW_CACHE_BYTES // 64 + 1)
-    for x in (half, half, over, half, over):
-        even.scalar_kernel(x, x)
-    even.assemble(config)
-    assert [len(np.atleast_1d(e)) for e in evaluated[3:]] == [len(half), len(over), len(over)]
+FAMILY_BUILDERS = {"goe": (kernels, "gaussian_line_rows"), "ginoe": (ginoe_kernels, "ginoe_rows")}
 
-    evaluated.clear()
-    odd_rows = counting(gaussian_line_rows(family_coefficients(5), hermite=True), evaluated)
-    odd = family_basis(odd_rows, 5)  # evaluates +inf for the border
-    # bordered once more, through its constant column: still the one cache
-    again = odd.bordered(np.eye(6)[-1], odd.rows(np.inf)[1])
-    x = np.linspace(-1.0, 1.0, 5)
-    for basis in (odd, again, odd):
-        basis.rows(x.copy())
-    # a column of the same points is the same rows, bit for bit
-    assert np.array_equal(odd.rows(x[:, None])[:, 0], odd.rows(x))
-    assert [e.shape for e in evaluated] == [(), (5,)]
+
+@pytest.mark.parametrize("ensemble", ["goe", "ginoe"])
+def test_each_verify_suite_takes_a_point_arrays_rows_once(monkeypatch, ensemble):
+    # the row passes of every family a verify run builds, keyed by the exact
+    # points: none twice within a suite, but for the plane's kernels grid,
+    # which the block interrelations and the closed-form agreement each take
+    sizes = {"goe": (4, 5), "ginoe": (8, 9)}[ensemble]
+    module, name = FAMILY_BUILDERS[ensemble]
+    build, families = getattr(module, name), []
+
+    def counted_family(C, **options):
+        families.append([])
+        return counting(build(C, **options), families[-1])
+
+    monkeypatch.setattr(module, name, counted_family)
+    for N in sizes:
+        shared = set()
+        if ensemble == "ginoe":
+            shared = {(p.dtype.str, p.tobytes()) for p in verify_grid(ensemble, N)}
+        for suite in cli.SUITES:
+            families.clear()
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["verify", "--suite", suite, "--ensemble", ensemble, "--size", str(N)]) == 0
+            assert families, (N, suite)
+            for evaluated in families:
+                passes = collections.Counter((p.dtype.str, p.tobytes()) for p in evaluated)
+                repeated = {key: count for key, count in passes.items() if count > 1}
+                expected = dict.fromkeys(shared, 2) if suite == "kernels" else {}
+                assert repeated == expected, (N, suite, len(evaluated))
+    # a column of points gets its points' rows bit for bit (a stacked matmul
+    # would round differently), so rows taken once serve it too
+    for N in (*sizes, 64):
+        rows = ROW_FAMILIES[ensemble][1](family_coefficients(N))
+        for points in verify_grid(ensemble, N):
+            assert np.array_equal(rows(points[:, None]), rows(points)[:, None]), (N, points.dtype)
 
 
 def hat_transform(h):
@@ -513,8 +479,7 @@ def test_weighted_rows_are_the_w_half_of_the_rows():
 
 def test_interrelations_take_the_normal_cdf_at_the_reals_only(monkeypatch):
     # W alone at the 512 quadrature nodes: the partner rows, and with them
-    # the normal CDF, only at the reals, once (taken as a row and as a
-    # column, the two shapes share one evaluation)
+    # the normal CDF, only at the reals, once
     cdf, elements = specfun.normal_cdf, []
 
     def counted(x):

@@ -500,6 +500,26 @@ def test_bin_masses_are_differences_of_the_count(ensemble):
             assert np.abs(masses - quadrature).max() <= 2e-14 * N, (N, len(edges))
 
 
+def test_upper_tail_bins_keep_relative_accuracy():
+    # each bin's mass comes from counts below -|edge|: in the upper tail
+    # within 1e-14 of a 30-digit quadrature (a difference of counts near N
+    # read 7.9e-12 at [5.7, 6.0]), and a mirror image on mirrored edges
+    def stream(N, edges):
+        # every sample with N reals, none of them binned
+        yield np.zeros(len(edges), dtype=np.int64), np.bincount([N], minlength=N + 1) * MIN_COMPARISON_SAMPLES
+
+    edges = np.array([5.1, 5.4, 5.7, 6.0])
+    report = empirical_vs_analytic(partial(stream, 8), goe_kernel(8), bins=edges)
+    with mpmath.workdps(30):
+        want = np.array([float(mpmath.quad(lambda x: mp_goe_density(8, x), [a, b])) for a, b in zip(edges, edges[1:])])
+    got = np.array(report.expected) / MIN_COMPARISON_SAMPLES
+    assert np.all(np.abs(got - want) <= 1e-14 * want), (got - want) / want
+    x = np.linspace(0.3, 4.0, 9)
+    for bundle in (goe_kernel(8), ginoe_kernel(3), ginoe_kernel(8)):
+        report = empirical_vs_analytic(partial(stream, bundle.N), bundle, bins=np.r_[-x[::-1], x])
+        assert report.expected == report.expected[::-1], bundle.N
+
+
 def test_pair_mass_estimate_mechanics():
     samples = np.array(
         [
