@@ -36,7 +36,7 @@ PATHS = ("finite-sum", "summed-up", "both")
 GATES = {
     # relative to the determinant and to the matching sum
     "squared-vs-determinant": 1e-12,  # 8.5e-15 (GinOE N = 13)
-    "elimination-vs-cofactor": 1e-12,  # 1.2e-14 (GinOE N = 31)
+    "elimination-vs-cofactor": 1e-12,  # 5.6e-15 (GinOE N = 13)
     "gram-deviation": 1e-13,  # 2.8e-15 (GinOE N = 41)
     "density-normalization": 1e-13,  # 4.3e-16 (GOE N = 33)
     "integrate-out-recurrence": 1e-13,  # 5.7e-16 (GOE N = 31)
@@ -326,9 +326,9 @@ def _suite_kernels(bundle):
         checks.append(_check("kernels", "integrate-out-recurrence", max(r["relative_deviation"] for r in pairs)))
     elif bundle.N >= 2:
         # the scalar block S = form(W, P) on rows taken once per point set
-        rows = [bundle.family.rows(p) for p in points]
+        rows = [bundle.rows(p) for p in points]
         worst = max(
-            np.abs(bundle.family.form(R[:, None, 0], Q[:, 1]) - ginoe_summed_S(bundle.N, mu[:, None], eta)).max()
+            np.abs(bundle.form(R[:, None, 0], Q[:, 1]) - ginoe_summed_S(bundle.N, mu[:, None], eta)).max()
             for mu, R in zip(points, rows)
             for eta, Q in zip(points, rows)
         )

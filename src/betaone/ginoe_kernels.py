@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ginibre import SQRT_2PI, ginoe_rows, pair_weight
-from .kernels import KernelBundle, family_basis, rho
+from .kernels import family_bundle, rho
 from .skewortho import family_coefficients
 from .specfun import gaussian_tail_moments, weighted_powers
 
@@ -25,12 +25,11 @@ from .specfun import gaussian_tail_moments, weighted_powers
 def ginoe_kernel(N):
     """Kernel bundle of N real Ginibre eigenvalues, parity derived from N.
 
-    At odd N the family is bordered (kernels.family_basis): the constant
+    At odd N the family is bordered (kernels.family_bundle): the constant
     partner column reaches the scalar block at a real second argument
     and the integrated block unless both arguments are complex.
     """
-    basis = family_basis(ginoe_rows(family_coefficients(N)), N)
-    return KernelBundle.from_basis("ginoe", N, basis)
+    return family_bundle("ginoe", ginoe_rows(family_coefficients(N)), N)
 
 
 def ginoe_summed_S(N, mu, eta):

@@ -7,11 +7,13 @@ antisymmetric pairing of the family and the sign term 1/2 sgn(x_i - x_j)
 couples the partner rows of real points.  Both families are
 skew-orthonormal, so even sizes pair the polynomials by the standard
 pairing, 1 at (2k, 2k+1).  At odd sizes the top polynomial is left
-unpaired; PairingBasis.bordered adds a constant partner column (1 on
+unpaired; KernelBundle.bordered adds a constant partner column (1 on
 the partner row of a real point, 0 elsewhere) and pairs it with the
 top polynomial through a rank-two border of M: what the sign term of a
 point sent to +infinity leaves behind.  The same rule, bordered through
-a far point's rows, is the even-to-odd reduction (see reduction).
+a far point's rows to one size less, is the even-to-odd reduction (see
+reduction).  One object, KernelBundle, carries the rows, the pairing
+and the size; its kernels and assembled matrices are its methods.
 
 The kernel blocks are the entries of one cell, [[D, S], [-S^T, I]] on
 the rows (W, P), for every ensemble (Forrester and Nagao 2007): W sits
@@ -21,7 +23,7 @@ tests that identity on weighted(x), the W rows alone, which line rows
 carry beside direction(x), the direction of W at a far point.
 
 Rows are evaluated at every call, on the points flattened, and kept by
-no basis: a caller that needs one point array's rows twice takes them
+no bundle: a caller that needs one point array's rows twice takes them
 once and forms its entries from them, as verify's suites do.
 """
 
@@ -59,17 +61,25 @@ class PointConfiguration:
         return len(self.reals) + 2 * len(self.complexes)
 
 
-class PairingBasis:
-    """Basis rows of a kernel family and their antisymmetric pairing.
+class KernelBundle:
+    """Kernel of N eigenvalues of an ensemble: basis rows and their antisymmetric pairing.
 
     rows(z) maps points of one kind (float: real, complex: complex) to
     an array z.shape + (2, m), the rows (W, P) of every point, and
     rows.weighted(x) real x to W alone; the pairing is M = upper - upper^T.
+    The blocks of the cell [[D, S], [-S^T, I]] are the entries (0, 0),
+    (0, 1) and (1, 1); scalar_kernel(x, x) is the one-point density, and
+    the Pfaffian of the assembled matrix of a point configuration its
+    correlation.
     """
 
-    def __init__(self, rows, upper):
-        self.rows = rows
+    def __init__(self, ensemble, N, rows, upper):
+        self.ensemble, self.N, self.rows = ensemble, N, rows
         self.upper = np.asarray(upper)
+
+    @property
+    def parity(self):
+        return "odd" if self.N % 2 else "even"
 
     @property
     def pairing(self):
@@ -88,6 +98,10 @@ class PairingBasis:
         if a == b == 1 and real_pair:
             value = value + 0.5 * np.sign(np.asarray(mu) - np.asarray(eta))
         return value
+
+    def scalar_kernel(self, mu, eta):
+        """The scalar block S, entry (0, 1)."""
+        return self.entry(0, 1, mu, eta)
 
     def config_rows(self, config):
         """Rows (n, 2, m) of the n points of a PointConfiguration, its reals first."""
@@ -109,11 +123,16 @@ class PairingBasis:
         A[..., 1:n:2, 1:n:2] += 0.5 * np.sign(reals[..., :, None] - reals[..., None, :])
         return A
 
-    def bordered(self, u, partner):
-        """These rows plus a constant partner column, paired through a rank-two border.
+    def assemble(self, config):
+        """The antisymmetric matrix of a PointConfiguration, one cell per point."""
+        return self.matrix(self.config_rows(config), np.asarray(config.reals, dtype=float))
+
+    def bordered(self, u, partner, N):
+        """Bundle of N eigenvalues: these rows plus a constant partner column,
+        paired through a rank-two border.
 
         The column is 1 on the partner row of a real point, else 0.  With
-        M this basis's pairing, the bordered pairing is
+        M this bundle's pairing, the bordered pairing is
 
             [[M, 0], [0, 0]] + (u v^T - v u^T) / (partner . u),
             u = [u; 0],  v = [M partner^T; -1/2],
@@ -145,79 +164,33 @@ class PairingBasis:
             return np.concatenate([W, np.zeros(W.shape[:-1] + (1,))], axis=-1)
 
         rows.weighted, rows.line = weighted, self.rows.line
-        return PairingBasis(rows, np.triu(pairing, 1))
+        return KernelBundle(self.ensemble, N, rows, np.triu(pairing, 1))
 
 
-def family_basis(rows, N):
-    """Pairing basis of a family of size N; odd N gets the bordered form.
+def family_bundle(ensemble, rows, N):
+    """Kernel bundle of a family of size N; odd N gets the bordered form.
 
     The standard pairing leaves the top polynomial of an odd family
-    unpaired; bordered(e_top, rows(+inf)[1]) pairs it with the constant
+    unpaired; bordered(e_top, rows(+inf)[1], N) pairs it with the constant
     partner column by -1/2 over its partner at +infinity.  That is the
     hatted family (each polynomial below the top less the multiple of
     the top one that carries its weighted integral) with the hat T moved
-    from the rows into the pairing, T M^ T^T.  Every basis derived from
+    from the rows into the pairing, T M^ T^T.  Every bundle derived from
     the family, bordered or conditioned, calls the family's rows itself;
     none keeps them.
     """
-    basis = PairingBasis(rows, np.maximum(standard_pairing(N), 0.0))
+    bundle = KernelBundle(ensemble, N, rows, np.maximum(standard_pairing(N), 0.0))
     if N % 2 == 0:
-        return basis
-    return basis.bordered(np.eye(N)[-1], rows(np.inf)[1])
+        return bundle
+    return bundle.bordered(np.eye(N)[-1], rows(np.inf)[1], N)
 
 
-@dataclass(frozen=True)
-class KernelBundle:
-    """Evaluable kernel triple with its point-matrix assembler.
-
-    scalar_kernel(x, x) is the one-point density; derivative_kernel and
-    integral_kernel complete the 2x2 cell structure whose Pfaffian over
-    a point configuration gives the correlations.  family is the
-    PairingBasis all four are evaluated from.
-    """
-
-    ensemble: str
-    N: int
-    parity: str
-    family: object
-    scalar_kernel: callable
-    derivative_kernel: callable
-    integral_kernel: callable
-    assemble: callable
-
-    @classmethod
-    def from_basis(cls, ensemble, N, basis):
-        """Bundle of N eigenvalues whose blocks are cell entries of the basis's matrix."""
-
-        def scalar_kernel(mu, eta):
-            return basis.entry(0, 1, mu, eta)
-
-        def derivative_kernel(mu, eta):
-            return basis.entry(0, 0, mu, eta)
-
-        def integral_kernel(mu, eta):
-            return basis.entry(1, 1, mu, eta)
-
-        def assemble(config):
-            return basis.matrix(basis.config_rows(config), np.asarray(config.reals, dtype=float))
-
-        kernels = (scalar_kernel, derivative_kernel, integral_kernel, assemble)
-        return cls(ensemble, N, "odd" if N % 2 else "even", basis, *kernels)
-
-
-def _as_config(points):
-    if isinstance(points, PointConfiguration):
-        return points
-    return PointConfiguration(reals=tuple(np.atleast_1d(points)))
-
-
-def rho(bundle, points):
-    """n-point correlation at a point configuration.
+def rho(bundle, config):
+    """n-point correlation at a PointConfiguration.
 
     Exactly 0.0 when the configuration holds more eigenvalues than N, a
     complex point standing for a conjugate pair.
     """
-    config = _as_config(points)
     if len(config) == 0:
         raise ValueError("need at least one point")
     A = bundle.assemble(config)
@@ -230,10 +203,9 @@ def goe_kernel(N):
     """GOE kernel bundle of N eigenvalues, parity derived from N.
 
     Built from the closed-form family on the normalized weighted Hermite
-    rows; odd N is bordered (family_basis).
+    rows; odd N is bordered (family_bundle).
     """
-    basis = family_basis(gaussian_line_rows(family_coefficients(N), hermite=True), N)
-    return KernelBundle.from_basis("goe", N, basis)
+    return family_bundle("goe", gaussian_line_rows(family_coefficients(N), hermite=True), N)
 
 
 def cumulative_count(bundle, t):
@@ -244,10 +216,10 @@ def cumulative_count(bundle, t):
     a 0 and a 1 per border column.  So W M P^T integrates to sum_jk A_jk I_jk(t) +
     v . (T(-inf) - T(t)), A = C' M C'^T, v = C' M d^T, I = specfun.gaussian_row_integrals.
     """
-    C, hermite = bundle.family.rows.line
-    n, m = C.shape[0], bundle.family.upper.shape[0]
+    C, hermite = bundle.rows.line
+    n, m = C.shape[0], bundle.upper.shape[0]
     full = gaussian_tail_moments(n, -np.inf, hermite)[1]
-    B = np.pad(C, ((0, 0), (0, m - n))) @ bundle.family.pairing  # C' M
+    B = np.pad(C, ((0, 0), (0, m - n))) @ bundle.pairing  # C' M
     moments, columns = gaussian_row_integrals(n, t, hermite)
     total = (full - moments) @ (B[:, n:].sum(axis=1) - 0.5 * B[:, :n] @ (full @ C))
     for column, a in zip(columns, C @ B[:, :n].T):  # I[..., :, k] and A[:, k]
@@ -272,23 +244,22 @@ def interrelations_check(bundle, reals, complexes=()):
     integrals.  Complex points z (the plane only) add the conjugation
     relations on all pairs.  The rows are taken once each at the reals,
     at z and at conj z, and every block is a cell entry of those rows,
-    as PairingBasis.entry forms it.  Returns the worst absolute
+    as KernelBundle.entry forms it.  Returns the worst absolute
     deviation per relation.
     """
-    basis = bundle.family
     y = np.sort(np.asarray(reals, dtype=float))
     nodes, weights = panel_rule(y, 2)
-    weighted = basis.rows.weighted(nodes) * weights[:, None]
+    weighted = bundle.rows.weighted(nodes) * weights[:, None]
     gaps = weighted.reshape(len(y) - 1, -1, weighted.shape[-1]).sum(1)
-    Y = basis.rows(y)
+    Y = bundle.rows(y)
     P = Y[:, 1]
 
     def cell(a, first, b, second):  # entry (a, b) from each point of first to each of second
-        return basis.form(first[:, None, a], second[:, b])
+        return bundle.form(first[:, None, a], second[:, b])
 
     # the integral of the W rows from the first real to each real
     cumulative = np.concatenate([np.zeros_like(gaps[:1]), np.cumsum(gaps, axis=0)])
-    span = basis.form(P[:, None], cumulative - cumulative[:, None])
+    span = bundle.form(P[:, None], cumulative - cumulative[:, None])
     sign = 0.5 * np.sign(y[:, None] - y)
     integral = cell(1, Y, 1, Y) + sign  # i(x, y)
     relations = {
@@ -297,7 +268,7 @@ def interrelations_check(bundle, reals, complexes=()):
     }
     if len(complexes):
         z = np.asarray(complexes, dtype=complex)
-        Z, Zbar = basis.rows(z), basis.rows(np.conjugate(z))
+        Z, Zbar = bundle.rows(z), bundle.rows(np.conjugate(z))
         relations.update({
             "derivative-real-complex": cell(0, Y, 0, Z) + 1j * cell(0, Y, 1, Zbar),
             "derivative-complex-complex": cell(0, Z, 0, Z) + 1j * cell(0, Z, 1, Zbar),
@@ -316,23 +287,23 @@ def dyson_recurrence_check(bundle, probes):
     probes of one size, their rows evaluated once, share one stacked Pfaffian.
     """
     probes = [tuple(float(p) for p in points) for points in probes]
-    basis, N = bundle.family, bundle.N
+    N = bundle.N
     expected, groups = np.zeros(len(probes)), []
     for n in {len(points) for points in probes if len(points) < N}:  # at n >= N both sides are 0, as in rho
         ks = [k for k, points in enumerate(probes) if len(points) == n]
         points = np.array([probes[k] for k in ks])
-        rows = basis.rows(points)
-        expected[ks] = (N - n) * pfaffian(basis.matrix(rows, points))
+        rows = bundle.rows(points)
+        expected[ks] = (N - n) * pfaffian(bundle.matrix(rows, points))
         groups.append((n, ks, points, rows))
 
     def integrand(ys):
-        nodes, values = basis.rows(ys), np.zeros((len(probes),) + ys.shape)
+        nodes, values = bundle.rows(ys), np.zeros((len(probes),) + ys.shape)
         for n, ks, points, rows in groups:
             reals = np.empty((len(ks), len(ys), n + 1))
             reals[..., :n], reals[..., n] = points[:, None], ys
             stacked = np.empty(reals.shape + nodes.shape[1:])
             stacked[:, :, :n], stacked[:, :, n] = rows[:, None], nodes
-            values[ks] = pfaffian(basis.matrix(stacked, reals))
+            values[ks] = pfaffian(bundle.matrix(stacked, reals))
         return values
 
     breakpoints = {p for points in probes for p in points}

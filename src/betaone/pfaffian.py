@@ -1,12 +1,13 @@
 """Pfaffians.
 
 The Pfaffian of an even-dimensional antisymmetric matrix is computed two
-ways: the first-row expansion as a signed sum over perfect matchings
-(reference, factorial cost) and a skew-symmetric Parlett-Reid
-elimination that pivots on the whole trailing block (production path,
-cubic cost; a zero block gives exactly 0.0).  Both take a stack
-(..., 2n, 2n), treat each matrix on its own, and return the batch shape
-(...); a 2-D input is a stack of one and gives a Python float or complex.
+ways: the first-row expansion as a correctly rounded signed sum over
+perfect matchings (reference, factorial cost) and a skew-symmetric
+Parlett-Reid elimination that pivots on the whole trailing block
+(production path, cubic cost; a zero block gives exactly 0.0).  Both
+take a stack (..., 2n, 2n), treat each matrix on its own, and return
+the batch shape (...); a 2-D input is a stack of one and gives a Python
+float or complex.
 """
 
 from __future__ import annotations
@@ -64,12 +65,20 @@ def _expansion(n):
 
 def pfaffian_laplace(matrix):
     """Pfaffian by expansion along the first row, a cross-check for small
-    matrices: one gather, product and signed sum over the matchings."""
+    matrices: one gather and product over the matchings, then each
+    matrix's signed sum correctly rounded (math.fsum, real and imaginary
+    parts apart), so that its bits depend on the terms alone and not on
+    the summation order numpy or BLAS picks for the memory at hand."""
     A = as_antisymmetric(matrix)
     if A.shape[-1] > LAPLACE_DIM_CAP:
         raise ValueError(f"expansion is infeasible beyond dim {LAPLACE_DIM_CAP}")
     pairs, signs = _expansion(A.shape[-1])
-    value = A[..., pairs[..., 0], pairs[..., 1]].prod(axis=-1) @ signs
+    terms = (A[..., pairs[..., 0], pairs[..., 1]].prod(axis=-1) * signs).reshape(-1, len(signs))
+    value = np.zeros(len(terms), dtype=A.dtype)
+    value.real = [math.fsum(t) for t in terms.real.tolist()]
+    if np.iscomplexobj(A):
+        value.imag = [math.fsum(t) for t in terms.imag.tolist()]
+    value = value.reshape(A.shape[:-2])
     return value if A.ndim > 2 else value.item()
 
 

@@ -11,11 +11,12 @@ at every finite x_far.  On the engine's basis the complement is a
 bundle of its own (conditioned_bundle): the even rows plus the constant
 partner column, paired by the even M bordered through a rank-two term
 built from the far point's rows, by the rule that builds the odd-size
-families (PairingBasis.bordered).  The term is homogeneous of degree 0
-in the far W row, so that row enters by its direction, which does not
-underflow.  At x_far = +infinity the same construction is the exact
-limit, the kernel of the ensemble one size smaller; at finite distance
-each entry differs from it by c1/far + c2/far**2 + ...
+families (KernelBundle.bordered, to size N - 1).  The term is
+homogeneous of degree 0 in the far W row, so that row enters by its
+direction, which does not underflow.  At x_far = +infinity the same
+construction is the exact limit, the kernel of the ensemble one size
+smaller; at finite distance each entry differs from it by
+c1/far + c2/far**2 + ...
 
 verify_odd_limit gates the reduction on one probe configuration derived
 from the size: the exact limit against the directly built odd kernel,
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ginoe_kernels import ginoe_kernel
-from .kernels import KernelBundle, PointConfiguration
+from .kernels import PointConfiguration
 
 
 def far_points(N):
@@ -41,12 +42,12 @@ def far_points(N):
     return (first, 2 * first, 4 * first)
 
 
-def _conditioned(basis, x_far):
-    # the even basis bordered at x_far, and the far point's rows, W along its direction
+def _conditioned(bundle, x_far):
+    # the even bundle bordered at x_far to N - 1, and the far point's rows, W along its direction
     point = np.float64(x_far)
-    far = np.stack([basis.rows.direction(point), basis.rows(point)[1]])
+    far = np.stack([bundle.rows.direction(point), bundle.rows(point)[1]])
     try:
-        return basis.bordered(basis.pairing @ far[0], far[1]), far
+        return bundle.bordered(bundle.pairing @ far[0], far[1], bundle.N - 1), far
     except ArithmeticError as error:
         raise ArithmeticError(f"no conditioning weight at far point {x_far!r}") from error
 
@@ -54,7 +55,7 @@ def _conditioned(basis, x_far):
 def conditioned_bundle(bundle, x_far):
     """Kernel of the other N-1 points with one pinned at x_far (+inf allowed).
 
-    The even rows bordered (PairingBasis.bordered) through u = M W^T and
+    The even rows bordered (KernelBundle.bordered) through u = M W^T and
     the far point's partner row Phi, W the direction of its weighted row
     (skewortho.gaussian_line_rows) and M the even pairing: the border's
     -1/2 is the sign term between the far point and every real point
@@ -63,7 +64,7 @@ def conditioned_bundle(bundle, x_far):
     """
     if bundle.parity != "even":
         raise ValueError("reduction starts from an even-size bundle")
-    return KernelBundle.from_basis(bundle.ensemble, bundle.N - 1, _conditioned(bundle.family, x_far)[0])
+    return _conditioned(bundle, x_far)[0]
 
 
 def schur_complement_gap(extended, updated):
@@ -116,9 +117,9 @@ class ReductionReport:
 def verify_odd_limit(even_bundle, odd_bundle):
     """The reduction of even_bundle against the directly built odd_bundle.
 
-    The probe rows are taken once, from the conditioned basis at +inf:
+    The probe rows are taken once, from the conditioned bundle at +inf:
     the even rows plus the constant partner column, the same for every
-    far point.  Each far point's bordered basis assembles its matrix on
+    far point.  Each far point's bordered bundle assembles its matrix on
     them, and the extended matrix of its Schur gap takes them without
     the column, after the far point's rows.
     """
@@ -127,7 +128,7 @@ def verify_odd_limit(even_bundle, odd_bundle):
     config = probe_configuration(even_bundle.ensemble, even_bundle.N)
     target = odd_bundle.assemble(config)
     scale = np.abs(target).max()
-    limit, even = conditioned_bundle(even_bundle, np.inf).family, even_bundle.family
+    limit = conditioned_bundle(even_bundle, np.inf)
     reals, rows = np.asarray(config.reals), limit.config_rows(config)
 
     def deviation(reduced):
@@ -137,10 +138,10 @@ def verify_odd_limit(even_bundle, odd_bundle):
     points = far_points(even_bundle.N)
     far, gaps = [], []
     for x_far in points:
-        basis, far_rows = _conditioned(even, x_far)
-        reduced = basis.matrix(rows, reals)
+        conditioned, far_rows = _conditioned(even_bundle, x_far)
+        reduced = conditioned.matrix(rows, reals)
         far.append(deviation(reduced))
-        extended = even.matrix(np.concatenate([far_rows[None], rows[..., :-1]]), np.append(x_far, reals))
+        extended = even_bundle.matrix(np.concatenate([far_rows[None], rows[..., :-1]]), np.append(x_far, reals))
         gaps.append(schur_complement_gap(extended, reduced))
     return ReductionReport(exact=exact, far_points=points, far=tuple(far), schur_gap=max(gaps))
 

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import importlib.util
 import io
 import json
@@ -183,12 +182,14 @@ def test_correlate_assembles_the_point_matrix_once(monkeypatch):
 
     def counted_bundle(ensemble, size):
         bundle = kernel_bundle(ensemble, size)
+        assemble = bundle.assemble
 
-        def assemble(config):
+        def counted(config):
             calls.append(config)
-            return bundle.assemble(config)
+            return assemble(config)
 
-        return dataclasses.replace(bundle, assemble=assemble)
+        bundle.assemble = counted
+        return bundle
 
     monkeypatch.setattr(cli, "kernel_bundle", counted_bundle)
     # the last stands for four eigenvalues at N = 3: rho reads 0, the dump stays

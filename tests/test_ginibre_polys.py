@@ -238,9 +238,9 @@ def test_hatted_family_small_case():
     # leaves it on the top polynomial and the constant column only
     # on the monic family, whose columns are the library's times pair_roots / sqrt2
     monic_scale = np.append(pair_roots(3) / math.sqrt(2.0), 1.0)
-    basis = ginoe_kernel(3).family
+    bundle = ginoe_kernel(3)
     T = hat_transform(-half_moments(3) * monic_scale[:3])
-    at_infinity = basis.rows(np.inf)[1] * monic_scale
+    at_infinity = bundle.rows(np.inf)[1] * monic_scale
     assert np.allclose(at_infinity[:3] @ T, [0.0, 0.0, -0.5 * SQRT_2PI], rtol=1e-15, atol=1e-15)
     assert at_infinity[3] == 1.0
     hat = monic(family_coefficients(3)) @ T
@@ -249,28 +249,28 @@ def test_hatted_family_small_case():
     assert np.allclose(hat[:, 2], [0.0, 0.0, 1.0], atol=ULPS)
     # pair (0, 1) by the standard pairing, 2 / r_0 on the monic family; the
     # top with the constant column by -1/2 over its partner
-    assert basis.upper[0, 1] == 1.0
-    assert np.isclose(basis.upper[0, 1] / monic_scale[0] ** 2, 2.0 / (2.0 * SQRT_2PI), rtol=1e-15, atol=0)
-    assert np.isclose(basis.upper[2, 3] / monic_scale[2], 0.5 / (0.5 * SQRT_2PI), rtol=1e-15, atol=0)
+    assert bundle.upper[0, 1] == 1.0
+    assert np.isclose(bundle.upper[0, 1] / monic_scale[0] ** 2, 2.0 / (2.0 * SQRT_2PI), rtol=1e-15, atol=0)
+    assert np.isclose(bundle.upper[2, 3] / monic_scale[2], 0.5 / (0.5 * SQRT_2PI), rtol=1e-15, atol=0)
 
 
 def test_hatted_family_kills_weighted_integrals():
     # in pairing form: M times the partners at +infinity vanishes below the top
-    family = ginoe_kernel(5).family
-    at_infinity = family.rows(np.inf)[1]
-    assert np.abs((family.pairing @ at_infinity)[:-2]).max() <= 1e-15
+    bundle = ginoe_kernel(5)
+    at_infinity = bundle.rows(np.inf)[1]
+    assert np.abs((bundle.pairing @ at_infinity)[:-2]).max() <= 1e-15
     T = hat_transform(at_infinity[:-1])
     x, w = gauss_legendre_rule(240, -12.0, 12.0)
     for i in range(4):
-        value = w @ (family.rows(x)[:, 0, :-1] @ T[:, i])
+        value = w @ (bundle.rows(x)[:, 0, :-1] @ T[:, i])
         assert abs(value) < 1e-10, i
 
 
 def test_hatted_requires_odd_size():
     # an even size keeps the plain rows: no hatting, no border column
-    basis = ginoe_kernel(4).family
+    bundle = ginoe_kernel(4)
     x = np.array([-0.7, 0.4])
-    assert np.array_equal(basis.rows(x), ginoe_rows(family_coefficients(4))(x))
+    assert np.array_equal(bundle.rows(x), ginoe_rows(family_coefficients(4))(x))
 
 
 def test_sinclair_prefactor_small_values():

@@ -179,7 +179,7 @@ def test_odd_size_one_kernel():
         assert np.isclose(
             bundle.scalar_kernel(x, 0.7), np.exp(-0.5 * x * x) / SQRT_2PI, rtol=1e-14
         )
-        assert bundle.derivative_kernel(x, 0.7) == 0.0
+        assert bundle.entry(0, 0, x, 0.7) == 0.0
     # a single eigenvalue admits no two-point correlation
     for x, y in ((0.3, 1.1), (-2.0, 0.5)):
         assert abs(two_point_real_density(bundle, x, y)) < 1e-16

@@ -15,17 +15,16 @@ from betaone.ginibre import ginoe_rows
 from betaone.ginoe_kernels import ginoe_kernel
 from betaone.kernels import (
     KernelBundle,
-    PairingBasis,
     PointConfiguration,
     density_integral,
     dyson_recurrence_check,
-    family_basis,
+    family_bundle,
     goe_kernel,
     interrelations_check,
     rho,
 )
 from betaone.pfaffian import as_antisymmetric, standard_pairing
-from betaone.reduction import conditioned_bundle
+from betaone.reduction import conditioned_bundle, far_points
 from betaone.skewortho import family_coefficients, gaussian_line_rows
 
 SQRT_PI = math.sqrt(math.pi)
@@ -50,7 +49,8 @@ def test_two_point_scalar_kernel_closed_form():
 def test_density_is_one_point_correlation():
     bundle = goe_kernel(4)
     for x in [-1.7, 0.0, 0.8]:
-        assert np.isclose(rho(bundle, [x]), bundle.scalar_kernel(x, x), rtol=1e-12, atol=0)
+        one_point = rho(bundle, PointConfiguration(reals=(x,)))
+        assert np.isclose(one_point, bundle.scalar_kernel(x, x), rtol=1e-12, atol=0)
 
 
 def test_density_integrates_to_size_even():
@@ -89,7 +89,7 @@ def test_odd_derivative_kernel_closed_form():
             * (y - x)
             * (1.0 + x * y)
         )
-        assert np.isclose(bundle.derivative_kernel(x, y), expected, rtol=1e-9, atol=1e-13)
+        assert np.isclose(bundle.entry(0, 0, x, y), expected, rtol=1e-9, atol=1e-13)
 
 
 def test_kernel_antisymmetries():
@@ -98,19 +98,19 @@ def test_kernel_antisymmetries():
         for _ in range(5):
             x, y = rng.normal(size=2)
             assert np.isclose(
-                bundle.derivative_kernel(x, y),
-                -bundle.derivative_kernel(y, x),
+                bundle.entry(0, 0, x, y),
+                -bundle.entry(0, 0, y, x),
                 rtol=1e-11,
                 atol=1e-14,
             )
             assert np.isclose(
-                bundle.integral_kernel(x, y),
-                -bundle.integral_kernel(y, x),
+                bundle.entry(1, 1, x, y),
+                -bundle.entry(1, 1, y, x),
                 rtol=1e-11,
                 atol=1e-14,
             )
-        assert bundle.derivative_kernel(0.3, 0.3) == 0.0
-        assert bundle.integral_kernel(0.3, 0.3) == 0.0
+        assert bundle.entry(0, 0, 0.3, 0.3) == 0.0
+        assert bundle.entry(1, 1, 0.3, 0.3) == 0.0
 
 
 def test_assembled_matrix_is_antisymmetric():
@@ -119,9 +119,14 @@ def test_assembled_matrix_is_antisymmetric():
         as_antisymmetric(bundle.assemble(config))
 
 
+def kernel_blocks(bundle):
+    # the scalar, derivative and integral blocks: cell entries (0, 1), (0, 0) and (1, 1)
+    return bundle.scalar_kernel, functools.partial(bundle.entry, 0, 0), functools.partial(bundle.entry, 1, 1)
+
+
 def cells_from_kernels(bundle, points):
     # reference loop: every 2x2 cell written out from the three kernels
-    S, D, I = bundle.scalar_kernel, bundle.derivative_kernel, bundle.integral_kernel
+    S, D, I = kernel_blocks(bundle)
     A = np.zeros((2 * len(points), 2 * len(points)), dtype=complex)
     for i, a in enumerate(points):
         for j, b in enumerate(points):
@@ -150,7 +155,7 @@ def two_point_real_density(bundle, x, y):
     return (
         s(x, x) * s(y, y)
         - s(x, y) * s(y, x)
-        - bundle.derivative_kernel(x, y) * bundle.integral_kernel(x, y)
+        - bundle.entry(0, 0, x, y) * bundle.entry(1, 1, x, y)
     )
 
 
@@ -161,14 +166,14 @@ def test_one_two_point_formula_for_both_ensembles():
         for N in range(2, 9):
             bundle = make(N)
             for x, y in rng.uniform(-0.9, 0.9, (4, 2)) * math.sqrt(N):
-                want = rho(bundle, [x, y])
+                want = rho(bundle, PointConfiguration(reals=(x, y)))
                 assert abs(two_point_real_density(bundle, x, y) - want) <= 1e-13 * abs(want), (make, N)
 
 
 def test_vectorized_kernels_match_pointwise_calls():
     xs = np.linspace(-3.0, 3.0, 13)
     for bundle in (goe_kernel(4), goe_kernel(5), ginoe_kernel(5)):
-        for kernel in (bundle.scalar_kernel, bundle.derivative_kernel, bundle.integral_kernel):
+        for kernel in kernel_blocks(bundle):
             grid = kernel(xs[:, None], xs[None, :])
             loop = np.array([[kernel(x, y) for y in xs] for x in xs])
             assert np.allclose(grid, loop, rtol=0, atol=1e-14)
@@ -176,8 +181,8 @@ def test_vectorized_kernels_match_pointwise_calls():
 
 def test_pair_correlation_exchange_symmetry():
     for bundle in [goe_kernel(4), goe_kernel(3)]:
-        a = rho(bundle, [0.7, -0.4])
-        b = rho(bundle, [-0.4, 0.7])
+        a = rho(bundle, PointConfiguration(reals=(0.7, -0.4)))
+        b = rho(bundle, PointConfiguration(reals=(-0.4, 0.7)))
         assert np.isclose(a, b, rtol=1e-10, atol=1e-14)
 
 
@@ -186,8 +191,8 @@ def test_pair_correlation_nonnegative_and_vanishing_at_coincidence():
     rng = np.random.default_rng(9)
     for _ in range(10):
         x, y = rng.normal(size=2) * 1.5
-        assert rho(bundle, [x, y]) > -1e-12
-    assert abs(rho(bundle, [0.4, 0.4])) < 1e-12
+        assert rho(bundle, PointConfiguration(reals=(x, y))) > -1e-12
+    assert abs(rho(bundle, PointConfiguration(reals=(0.4, 0.4)))) < 1e-12
 
 
 def test_dyson_recurrence_small_cases():
@@ -223,7 +228,7 @@ def test_parity_validation():
         for N in (3, 4):
             bundle = make(N)
             assert bundle.parity == ("odd" if N % 2 else "even")
-            assert bundle.family.rows(0.3).shape == (2, N + N % 2)
+            assert bundle.rows(0.3).shape == (2, N + N % 2)
         with pytest.raises(ValueError):
             make(0)
     with pytest.raises(ValueError):
@@ -316,9 +321,9 @@ def test_odd_pairing_is_the_hat_moved_into_the_pairing(ensemble):
     # rows by T M^ T^T: the bordered pairing, to roundoff
     make = ROW_FAMILIES[ensemble][0]
     for N in range(1, 66, 2):
-        family = make(N).family
-        h = family.rows(np.inf)[1][:-1]
-        assert np.abs(family.pairing - hatted_pairing(h)).max() <= 1e-15, N
+        bundle = make(N)
+        h = bundle.rows(np.inf)[1][:-1]
+        assert np.abs(bundle.pairing - hatted_pairing(h)).max() <= 1e-15, N
 
 
 def test_real_points_pass_the_recurrence_once(monkeypatch):
@@ -331,10 +336,10 @@ def test_real_points_pass_the_recurrence_once(monkeypatch):
     for module in (specfun, ginibre, ginoe_kernels):
         monkeypatch.setattr(module, "weighted_powers", counted)
     x = np.linspace(-2.0, 2.0, 7)
-    for _, family_rows in ROW_FAMILIES.values():
+    for ensemble, (_, family_rows) in ROW_FAMILIES.items():
         passes.clear()
         rows = family_rows(family_coefficients(5))
-        family_basis(rows, 5)
+        family_bundle(ensemble, rows, 5)
         rows(np.inf)
         assert not passes
         rows(x)
@@ -349,8 +354,8 @@ def test_real_points_pass_the_recurrence_once(monkeypatch):
 
 def test_rho_vanishes_beyond_n_eigenvalues():
     # more eigenvalues than N, a complex point counting twice: exactly 0
-    assert rho(goe_kernel(3), [-0.4, 0.1, 0.6, 1.2]) == 0.0
-    assert rho(goe_kernel(2), [-0.4, 0.1, 0.6]) == 0.0
+    assert rho(goe_kernel(3), PointConfiguration(reals=(-0.4, 0.1, 0.6, 1.2))) == 0.0
+    assert rho(goe_kernel(2), PointConfiguration(reals=(-0.4, 0.1, 0.6))) == 0.0
     bundle = ginoe_kernel(4)
     over = PointConfiguration(reals=(0.2,), complexes=(0.3 + 0.5j, -0.6 + 0.9j))
     assert rho(bundle, over) == 0.0
@@ -445,15 +450,13 @@ def test_interrelations_hold_at_every_size():
 
 def shifted_partners(bundle, shift):
     # the bundle with every partner row moved by shift times its W row
-    basis = bundle.family
-
     def rows(z):
-        value = basis.rows(z).copy()
+        value = bundle.rows(z).copy()
         value[..., 1, :] += shift * value[..., 0, :]
         return value
 
-    rows.weighted = basis.rows.weighted
-    return KernelBundle.from_basis(bundle.ensemble, bundle.N, PairingBasis(rows, basis.upper))
+    rows.weighted = bundle.rows.weighted
+    return KernelBundle(bundle.ensemble, bundle.N, rows, bundle.upper)
 
 
 def test_interrelations_fail_on_shifted_partner_rows():
@@ -470,7 +473,7 @@ def test_weighted_rows_are_the_w_half_of_the_rows():
     x = np.array([-np.inf, -40.0, -1.3, 0.0, 0.7, 40.0, np.inf])
     for ensemble, make in KERNELS.items():
         for bundle in (make(4), make(5), conditioned_bundle(make(4), 8.0), conditioned_bundle(make(4), np.inf)):
-            rows, case = bundle.family.rows, (ensemble, bundle.N, bundle.family.upper.shape)
+            rows, case = bundle.rows, (ensemble, bundle.N, bundle.upper.shape)
             assert np.array_equal(rows.weighted(x), rows(x)[:, 0]), case
             assert np.array_equal(rows.weighted(x[:, None]), rows(x[:, None])[..., 0, :]), case
             for point in x:
@@ -493,3 +496,21 @@ def test_interrelations_take_the_normal_cdf_at_the_reals_only(monkeypatch):
             elements.clear()
             interrelations_check(make(N), *grid)
             assert 0 < sum(elements) <= len(grid[0]), (ensemble, N, elements)
+
+
+def test_bordering_carries_the_size():
+    # bordered sets the size it is given: the odd families report theirs, the
+    # even kernel conditioned at a far point or at +inf one less, and the
+    # limit counts the reals of the odd family
+    for ensemble, make in KERNELS.items():
+        for N in (1, 5, 63):
+            bundle = make(N)
+            assert (bundle.N, bundle.parity, bundle.ensemble) == (N, "odd", ensemble)
+        for N in (2, 6, 64):
+            even = make(N)
+            for x_far in (*far_points(N), np.inf):
+                bundle = conditioned_bundle(even, x_far)
+                assert (bundle.N, bundle.parity, bundle.ensemble) == (N - 1, "odd", ensemble), x_far
+            limit, odd = density_integral(bundle), density_integral(make(N - 1))
+            assert abs(limit - odd) <= 1e-13 * odd, (ensemble, N, limit, odd)
+

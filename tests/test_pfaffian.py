@@ -1,10 +1,16 @@
+import io
 import itertools
+import os
+import subprocess
+import sys
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
+import betaone
+from betaone import pfaffian as pfaffian_module
 from betaone.ginoe_kernels import ginoe_kernel
 from betaone.kernels import PointConfiguration, goe_kernel
 from betaone.pfaffian import (
@@ -270,19 +276,23 @@ def test_stacked_laplace_matches_pairing_sum_and_elimination():
             assert np.allclose(pfaffian_laplace(stack), pfaffian(stack), rtol=1e-10, atol=1e-12)
 
 
-@pytest.mark.parametrize("make, N", [(goe_kernel, 64), (ginoe_kernel, 32), (ginoe_kernel, 64)])
-def test_row_swaps_on_the_kernels_own_windows(make, N):
-    # verify's windows (every k consecutive probe points) of the library's own
-    # matrices, ordered as all first rows of the cells, then all second rows:
-    # the largest |entry| of every window then lies off (0, 1), so the first
-    # step moves it by transpositions, and the sign kept over them is checked
-    # against the matching sum and against det(P) Pf(S)
+def kernel_windows(make, N):
+    # verify's windows, every k consecutive probe points, of the library's own matrix
     bundle = make(N)
     probe = probe_configuration(bundle.ensemble, N)
     k = min(6, N // (4 if probe.complexes else 2))
     cells = np.arange(len(probe) - k + 1)[:, None] + np.arange(k)
     rows = (2 * cells[:, :, None] + np.arange(2)).reshape(len(cells), 2 * k)
-    S = bundle.assemble(probe)[rows[:, :, None], rows[:, None, :]]
+    return bundle.assemble(probe)[rows[:, :, None], rows[:, None, :]], k
+
+
+@pytest.mark.parametrize("make, N", [(goe_kernel, 64), (ginoe_kernel, 32), (ginoe_kernel, 64)])
+def test_row_swaps_on_the_kernels_own_windows(make, N):
+    # verify's windows ordered as all first rows of the cells, then all second
+    # rows: the largest |entry| of every window then lies off (0, 1), so the
+    # first step moves it by transpositions, and the sign kept over them is
+    # checked against the matching sum and against det(P) Pf(S)
+    S, k = kernel_windows(make, N)
     order = np.r_[0 : 2 * k : 2, 1 : 2 * k : 2]
     R = S[:, order[:, None], order]
     assert np.all(np.abs(R[:, 0, 1]) < np.abs(R).max(axis=(1, 2)))
@@ -291,6 +301,48 @@ def test_row_swaps_on_the_kernels_own_windows(make, N):
     assert np.all(np.abs(value - reference) <= 1e-12 * np.abs(reference))
     sign = np.linalg.det(np.eye(2 * k)[order])
     assert np.all(np.abs(value - sign * pfaffian(S)) <= 1e-12 * np.abs(value))
+
+
+
+def at_offset(array, offset):
+    """A copy of array whose data starts offset doubles past a 64-byte boundary."""
+    buffer = np.empty(array.nbytes + 128, dtype=np.uint8)
+    start = -buffer.ctypes.data % 64 + 8 * offset
+    copy = buffer[start : start + array.nbytes].view(array.dtype).reshape(array.shape)
+    copy[...] = array
+    return copy
+
+
+LAPLACE_SCRIPT = """
+import io, sys
+import numpy as np
+from betaone.pfaffian import pfaffian_laplace
+print(pfaffian_laplace(np.load(io.BytesIO(sys.stdin.buffer.read()))).tobytes().hex())
+"""
+
+
+def test_cofactor_reference_ignores_memory_and_threads(monkeypatch):
+    # the GinOE N = 64 windows (9 of 12 x 12) give one result, bit for bit:
+    # with the windows and the cached expansion signs copied to each of the
+    # 8 double offsets within 64 bytes, and in fresh processes at one and two
+    # OpenBLAS threads (a BLAS matrix-vector sum splits by the thread count)
+    S, k = kernel_windows(ginoe_kernel, 64)
+    pairs, signs = pfaffian_module._expansion(2 * k)
+    results = set()
+    for offset in range(8):
+        monkeypatch.setattr(pfaffian_module, "_expansion", lambda n: (pairs, at_offset(signs, offset)))
+        results.add(pfaffian_laplace(at_offset(S, offset)).tobytes().hex())
+    windows = io.BytesIO()
+    np.save(windows, S)
+    src = os.path.dirname(os.path.dirname(betaone.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-c", LAPLACE_SCRIPT], input=windows.getvalue(), capture_output=True, env=env, check=True
+        )
+        results.add(proc.stdout.decode().strip())
+    assert len(results) == 1
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ import pytest
 
 from betaone.cli import GATES, SUITES, kernel_bundle
 from betaone.ginoe_kernels import ginoe_kernel
-from betaone.kernels import PairingBasis, PointConfiguration, goe_kernel
+from betaone.kernels import KernelBundle, PointConfiguration, goe_kernel
 from betaone.reduction import (
     conditioned_bundle,
     far_points,
@@ -37,17 +37,17 @@ EVEN_SIZES = range(4, 65, 2)
 def block_values(bundle, mu, eta):
     return {
         "scalar": bundle.scalar_kernel(mu, eta),
-        "derivative": bundle.derivative_kernel(mu, eta),
-        "integral": bundle.integral_kernel(mu, eta),
+        "derivative": bundle.entry(0, 0, mu, eta),
+        "integral": bundle.entry(1, 1, mu, eta),
     }
 
 
 def schur_gap(bundle, config, x_far):
     # schur_complement_gap of the conditioned matrix on config, the far point
     # first in the extended matrix with its W row along its direction
-    basis, point = bundle.family, np.float64(x_far)
-    far = np.stack([basis.rows.direction(point), basis.rows(point)[1]])
-    extended = basis.matrix(np.concatenate([far[None], basis.config_rows(config)]), np.array((x_far, *config.reals)))
+    point = np.float64(x_far)
+    far = np.stack([bundle.rows.direction(point), bundle.rows(point)[1]])
+    extended = bundle.matrix(np.concatenate([far[None], bundle.config_rows(config)]), np.array((x_far, *config.reals)))
     return schur_complement_gap(extended, conditioned_bundle(bundle, x_far).assemble(config))
 
 
@@ -157,7 +157,7 @@ def test_reduction_holds_past_the_weight_underflow():
 def test_zero_corner_fails_loudly(monkeypatch):
     even = goe_kernel(4)
     for corner in (0.0, np.nan):
-        monkeypatch.setattr(even.family.rows, "direction", lambda x: np.full(4, corner))
+        monkeypatch.setattr(even.rows, "direction", lambda x: np.full(4, corner))
         with pytest.raises(ArithmeticError, match="far point 8.0"):
             conditioned_bundle(even, 8.0)
 
@@ -174,7 +174,7 @@ def test_far_direction_overflow_fails_loudly():
             for make, far in cases:
                 even = make(200)
                 with pytest.raises(ArithmeticError, match=f"size 200 .* far point {far!r}"):
-                    even.family.rows.direction(np.float64(far))
+                    even.rows.direction(np.float64(far))
                 with pytest.raises(ArithmeticError, match=f"far point {far!r}"):
                     conditioned_bundle(even, far)
             even = ginoe_kernel(200)
@@ -186,7 +186,7 @@ def test_far_direction_is_the_scaled_polynomials():
     # at the derived far points, bit for bit the polynomials over their largest entry
     for make, c in ((goe_kernel, 0.5), (ginoe_kernel, 0.0)):
         for N in (2, 4, 64, 128, 200):
-            direction = make(N).family.rows.direction
+            direction = make(N).rows.direction
             for far in far_points(N):
                 q = weighted_powers(N, np.float64(far), 1.0, c) @ family_coefficients(N)
                 assert np.array_equal(direction(np.float64(far)), q / np.abs(q).max()), (N, far)
@@ -256,15 +256,15 @@ def test_flipped_border_sign_fails_the_checks_built_without_it(monkeypatch):
     # can pass it; the checks that do not go through bordered must not.
     # The mutant flips the border's -1/2 to +1/2: v's last entry grows by
     # one, and the constant column's pairings by u / (partner . u)
-    bordered = PairingBasis.bordered
+    bordered = KernelBundle.bordered
 
-    def flipped(self, u, partner):
-        basis = bordered(self, u, partner)
-        upper = basis.upper.copy()
+    def flipped(self, u, partner, N):
+        bundle = bordered(self, u, partner, N)
+        upper = bundle.upper.copy()
         upper[:-1, -1] += u / (partner @ u)
-        return PairingBasis(basis.rows, upper)
+        return KernelBundle(bundle.ensemble, N, bundle.rows, upper)
 
-    monkeypatch.setattr(PairingBasis, "bordered", flipped)
+    monkeypatch.setattr(KernelBundle, "bordered", flipped)
 
     def deviation(suite, ensemble, N, check):
         records = SUITES[suite](kernel_bundle(ensemble, N))

@@ -6,7 +6,7 @@ from scipy import special
 from betaone import ginibre, skewortho
 from betaone.ginibre import ginoe_rows, plane_gram
 from betaone.ginoe_kernels import ginoe_kernel
-from betaone.kernels import KernelBundle, family_basis, goe_kernel
+from betaone.kernels import family_bundle, goe_kernel
 from betaone.pfaffian import pfaffian, standard_pairing
 from betaone.quadrature import gauss_legendre_rule
 from betaone.reduction import probe_configuration
@@ -152,13 +152,13 @@ def test_hatted_family_kills_weighted_integrals():
     # the hat lives in the pairing: M times the partners at +infinity
     # (minus the half moments) vanishes below the top polynomial, as the
     # weighted integrals of the hatted polynomials do
-    family = goe_kernel(5).family
-    at_infinity = family.rows(np.inf)[1]
-    assert np.abs((family.pairing @ at_infinity)[:-2]).max() <= 1e-15
+    bundle = goe_kernel(5)
+    at_infinity = bundle.rows(np.inf)[1]
+    assert np.abs((bundle.pairing @ at_infinity)[:-2]).max() <= 1e-15
     T = hat_transform(at_infinity[:-1])
     x, w = gauss_legendre_rule(240, -12.0, 12.0)
     for n in range(4):
-        value = w @ (family.rows(x)[:, 0, :-1] @ T[:, n])
+        value = w @ (bundle.rows(x)[:, 0, :-1] @ T[:, n])
         assert abs(value) < 1e-10, n
 
 
@@ -166,8 +166,8 @@ def test_hatted_requires_odd_size():
     # an even size keeps the plain rows: no hatting, no border column;
     # GinOE's real rows are the same builder's, on the monomial basis
     x = np.array([-0.7, 0.4])
-    for basis, hermite in ((goe_kernel(4).family, True), (ginoe_kernel(4).family, False)):
-        assert np.array_equal(basis.rows(x), gaussian_line_rows(family_coefficients(4), hermite=hermite)(x))
+    for bundle, hermite in ((goe_kernel(4), True), (ginoe_kernel(4), False)):
+        assert np.array_equal(bundle.rows(x), gaussian_line_rows(family_coefficients(4), hermite=hermite)(x))
 
 
 def test_generating_pfaffian_even_equals_norm_product():
@@ -217,7 +217,7 @@ def rescaled_moves(ensemble, N, scale):
             rows, gram = gaussian_line_rows(C, hermite=True), line_pairing(C, hermite=True)
         else:
             rows, gram = ginoe_rows(C), line_pairing(C, hermite=False) + plane_gram(C)
-        return KernelBundle.from_basis(ensemble, N, family_basis(rows, N)), gram
+        return family_bundle(ensemble, rows, N), gram
 
     C = family_coefficients(N)
     (bundle, gram), (scaled, scaled_gram) = bundle_and_gram(C), bundle_and_gram(C * scale)
