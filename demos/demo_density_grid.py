@@ -9,7 +9,7 @@ closed form.
 import numpy as np
 
 from betaone.cli import kernel_bundle
-from betaone.ginoe_kernels import ginoe_summed_S
+from betaone.ginibre import ginoe_summed_S
 from betaone.kernels import density_integral
 
 

@@ -22,9 +22,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from .ginibre import SQRT_2PI, ginoe_gram
-from .ginoe_kernels import ginoe_kernel, ginoe_summed_S
-from .kernels import PointConfiguration, dyson_recurrence_check, goe_kernel, interrelations_check
+from .ginibre import SQRT_2PI, ginoe_gram, ginoe_summed_S
+from .kernels import PointConfiguration, dyson_recurrence_check, interrelations_check, kernel_bundle
 from .montecarlo import GENERATOR, MIN_COMPARISON_SAMPLES, empirical_vs_analytic, ginibre_tallies, goe_tallies
 from .pfaffian import pfaffian, pfaffian_laplace
 from .reduction import probe_configuration, verify_odd_limit
@@ -182,11 +181,6 @@ def _parse_points(text):
     if not points:
         raise ConfigError("need at least one point")
     return tuple(points)
-
-
-def kernel_bundle(ensemble, size):
-    """Kernel bundle for the ensemble at the given size, parity derived."""
-    return {"goe": goe_kernel, "ginoe": ginoe_kernel}[ensemble](size)
 
 
 def make_config(args):

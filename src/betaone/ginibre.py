@@ -13,6 +13,9 @@ of skewortho.line_pairing, and -2 Im(W^T diag(w) conj W) over the upper
 half-plane.  The plane integrand is e^{-x^2} omega(y), omega(y) =
 e^{y^2} erfc(sqrt2 y), times a polynomial in x and y, so one tensor rule
 of Gauss rules for the two weights takes it exactly.
+
+A float point is a real eigenvalue, a complex one complex (kernels.kernel_bundle
+builds on these rows); ginoe_summed_S is their scalar kernel in closed form.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 from .pfaffian import pfaffian
 from .quadrature import ORDER, panel_rule, reference_rule, stieltjes
 from .skewortho import family_coefficients, gaussian_line_rows, line_pairing
-from .specfun import erfcx, weighted_powers
+from .specfun import erfcx, gaussian_tail_moments, weighted_powers
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 SQRT2 = math.sqrt(2.0)
@@ -71,6 +74,45 @@ def ginoe_rows(C):
 
     vars(rows).update(vars(line))
     return rows
+
+
+def ginoe_summed_S(N, mu, eta):
+    """Closed form of the scalar kernel: the Poisson head and the Gaussian tail moments.
+
+    The parity-free form of Forrester and Nagao (2007) and Sommers and
+    Wieczorek (2008), valid for every size N >= 2.  Broadcasts over mu
+    and eta like KernelBundle.scalar_kernel.  Only the dtype of eta picks
+    the form (a float is a real point, a complex a complex one): a real
+    mu is the complex form at zero imaginary part.  With z = eta at a
+    real eta and conj(eta) at a complex one, Gamma(N-1, mu z)/(N-2)! is
+    e^{-mu z} times the Poisson head sum_{k<N-1} (mu z)^k/k!, and e^{-mu z}
+    folds into the weights: the head is the row product
+    sum_{k<N-1} W_k(mu) W_k(z) of the normalized weighted monomials
+    W_k = x^k pair_weight / sqrt(k!) (specfun.weighted_powers), and
+
+        real eta:     (head + W_{N-1}(mu) sqrt(N-1) (T(0) - T(eta))) / sqrt(2 pi)
+        complex eta:  i (z - mu) head / sqrt(2 pi)
+
+    T(x) is the tail moment of t^(N-2) e^{-t^2/2} / sqrt((N-2)!) over
+    [x, inf), so T(0) - T(eta) is the integral over [0, eta] at either
+    sign.  Every term is exactly 0 where its weight underflows.  The
+    accuracy is absolute: within 1e-14 of the kernel scale 1/sqrt(2 pi),
+    with no relative accuracy promised for entries far below it.
+    """
+    if N < 2:
+        raise ValueError("closed forms need N >= 2")
+    mu, eta = np.asarray(mu), np.asarray(eta)
+    mu_rows = weighted_powers(N, mu, pair_weight(mu))
+    if np.iscomplexobj(eta):
+        z = np.conjugate(eta)
+        head = (mu_rows[..., :-1] * weighted_powers(N - 1, z, pair_weight(z))).sum(-1)
+        return 1j / SQRT_2PI * (z - mu) * head
+    # T(0) from the same pass as eta: 0 appended, the rest shaped back
+    eta_rows, tails = gaussian_tail_moments(N - 1, np.append(eta, 0.0))
+    head = (mu_rows[..., :-1] * eta_rows[:-1].reshape(eta.shape + (N - 1,))).sum(-1)
+    partial = tails[-1, -1] - tails[:-1, -1].reshape(eta.shape)
+    edge = mu_rows[..., -1] * np.sqrt(N - 1) * partial
+    return (head + edge) / SQRT_2PI
 
 
 def hermite_recurrence(n):

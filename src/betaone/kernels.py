@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ginibre import ginoe_rows
 from .pfaffian import pfaffian, standard_pairing
 from .quadrature import integrate_line, panel_rule
 from .skewortho import family_coefficients, gaussian_line_rows
@@ -199,13 +200,17 @@ def rho(bundle, config):
     return pfaffian(A)
 
 
-def goe_kernel(N):
-    """GOE kernel bundle of N eigenvalues, parity derived from N.
+def kernel_bundle(ensemble, N):
+    """Kernel bundle of N eigenvalues of "goe" or "ginoe", parity derived from N.
 
-    Built from the closed-form family on the normalized weighted Hermite
-    rows; odd N is bordered (family_bundle).
+    One family (skewortho.family_coefficients) on the ensemble's rows,
+    GOE's weighted Hermite rows or ginibre.ginoe_rows; odd N is bordered.
     """
-    return family_bundle("goe", gaussian_line_rows(family_coefficients(N), hermite=True), N)
+    if ensemble not in ("goe", "ginoe"):
+        raise ValueError(f"unknown ensemble {ensemble!r}")
+    C = family_coefficients(N)
+    rows = gaussian_line_rows(C, hermite=True) if ensemble == "goe" else ginoe_rows(C)
+    return family_bundle(ensemble, rows, N)
 
 
 def cumulative_count(bundle, t):

@@ -31,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ginoe_kernels import ginoe_kernel
-from .kernels import PointConfiguration
+from .kernels import PointConfiguration, kernel_bundle
 
 
 def far_points(N):
@@ -148,4 +147,4 @@ def verify_odd_limit(even_bundle, odd_bundle):
 
 def verify_odd_limit_ginoe(N):
     """Plane-ensemble reduction N -> N-1 (N even)."""
-    return verify_odd_limit(ginoe_kernel(N), ginoe_kernel(N - 1))
+    return verify_odd_limit(kernel_bundle("ginoe", N), kernel_bundle("ginoe", N - 1))

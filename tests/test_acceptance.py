@@ -16,17 +16,14 @@ import numpy as np
 from betaone.cli import GATES
 from betaone.ginibre import (
     ginoe_gram,
-    partition_function_check,
-)
-from betaone.ginoe_kernels import (
-    ginoe_kernel,
     ginoe_summed_S,
+    partition_function_check,
 )
 from betaone.kernels import (
     density_integral,
     dyson_recurrence_check,
-    goe_kernel,
     interrelations_check,
+    kernel_bundle,
 )
 from betaone.montecarlo import (
     empirical_vs_analytic,
@@ -96,9 +93,9 @@ def test_criterion_02_quaternion_determinant_squared():
     # points as verify checks it
     start = time.time()
     worst = 0.0
-    for make in (goe_kernel, ginoe_kernel):
+    for ensemble in ("goe", "ginoe"):
         for N in (2, 8, 32, 64):
-            bundle = make(N)
+            bundle = kernel_bundle(ensemble, N)
             probe = probe_configuration(bundle.ensemble, N + N % 2)
             A = bundle.assemble(probe)
             assert np.array_equal(A, -A.T), (bundle.ensemble, N)
@@ -160,7 +157,7 @@ def test_criterion_05_density_normalization():
     start = time.time()
     worst = 0.0
     for N in (2, 3, 4, 5):
-        worst = max(worst, relative(density_integral(goe_kernel(N)), N))
+        worst = max(worst, relative(density_integral(kernel_bundle("goe", N)), N))
     assert worst <= 1e-14
     report(
         "criterion 5 (density integrates to N)",
@@ -175,7 +172,7 @@ def test_criterion_06_integrate_out_recurrence():
     probes = (-1.5, -0.6, 0.0, 0.8, 1.7)
     worst = 0.0
     for N in (3, 4, 5, 6):
-        for check in dyson_recurrence_check(goe_kernel(N), [(x,) for x in probes]):
+        for check in dyson_recurrence_check(kernel_bundle("goe", N), [(x,) for x in probes]):
             worst = max(worst, check["relative_deviation"])
     assert worst <= 1e-5
     report(
@@ -189,8 +186,8 @@ def test_criterion_06_integrate_out_recurrence():
 def test_criterion_07_even_to_odd_reduction():
     start = time.time()
     reports = [
-        (label, N, verify_odd_limit(kernel(N), kernel(N - 1)))
-        for label, kernel in (("beta1", goe_kernel), ("ginoe", ginoe_kernel))
+        (label, N, verify_odd_limit(kernel_bundle(ensemble, N), kernel_bundle(ensemble, N - 1)))
+        for label, ensemble in (("beta1", "goe"), ("ginoe", "ginoe"))
         for N in range(4, 65, 2)
     ]
     for label, N, rep in reports:
@@ -201,7 +198,7 @@ def test_criterion_07_even_to_odd_reduction():
     # for two-point configurations, the far point's cell at rows 4 and 5
     worst_identity = 0.0
     config = PointConfiguration(reals=(0.5, -0.2))
-    for bundle in (goe_kernel(4), goe_kernel(6), ginoe_kernel(4)):
+    for bundle in (kernel_bundle("goe", 4), kernel_bundle("goe", 6), kernel_bundle("ginoe", 4)):
         extended = bundle.assemble(PointConfiguration(reals=config.reals + (6.0,)))
         lhs = pfaffian(extended)
         rhs = extended[4, 5] * pfaffian(conditioned_bundle(bundle, 6.0).assemble(config))
@@ -223,7 +220,7 @@ def test_criterion_08_summed_kernels_match_finite_sums():
     shifts = np.linspace(-1.9, 1.9, 20)
     worst = 0.0
     for N in (4, 5):
-        bundle = ginoe_kernel(N)
+        bundle = kernel_bundle("ginoe", N)
         for t in shifts:
             probes = {
                 "rr": (t, 0.3 - 0.4 * t),
@@ -258,8 +255,8 @@ def test_criterion_09_block_interrelations():
             )
         )
         for relations in (
-            interrelations_check(goe_kernel(N), reals),
-            interrelations_check(ginoe_kernel(N), reals, complexes),
+            interrelations_check(kernel_bundle("goe", N), reals),
+            interrelations_check(kernel_bundle("ginoe", N), reals, complexes),
         ):
             worst = max(worst, max(relations.values()))
     assert worst <= GATES["block-interrelations"]
@@ -274,9 +271,9 @@ def test_criterion_09_block_interrelations():
 def test_criterion_10_monte_carlo_ground_truth():
     start = time.time()
     runs = (
-        (ginibre_tallies, 3, ginoe_kernel(3), 2101),
-        (ginibre_tallies, 4, ginoe_kernel(4), 2102),
-        (goe_tallies, 3, goe_kernel(3), 2103),
+        (ginibre_tallies, 3, kernel_bundle("ginoe", 3), 2101),
+        (ginibre_tallies, 4, kernel_bundle("ginoe", 4), 2102),
+        (goe_tallies, 3, kernel_bundle("goe", 3), 2103),
     )
     details = []
     for sampler, N, bundle, seed in runs:
@@ -303,9 +300,9 @@ def test_criterion_11_factorisation_ratio():
     start = time.time()
     config = PointConfiguration(reals=(0.07,))
     gaps = {}
-    for label, make in (("beta1", goe_kernel), ("ginoe", ginoe_kernel)):
-        conditioned = pfaffian(conditioned_bundle(make(4), 10.0).assemble(config))
-        gaps[label] = abs(conditioned / pfaffian(make(3).assemble(config)) - 1.0)
+    for label, ensemble in (("beta1", "goe"), ("ginoe", "ginoe")):
+        conditioned = pfaffian(conditioned_bundle(kernel_bundle(ensemble, 4), 10.0).assemble(config))
+        gaps[label] = abs(conditioned / pfaffian(kernel_bundle(ensemble, 3).assemble(config)) - 1.0)
     assert all(gap <= 1e-2 for gap in gaps.values()), gaps
     report(
         "criterion 11 (conditioned correlation factorises)",

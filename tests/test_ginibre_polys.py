@@ -17,7 +17,7 @@ from betaone.ginibre import (
     plane_rows,
     sinclair_prefactor,
 )
-from betaone.ginoe_kernels import ginoe_kernel
+from betaone.kernels import kernel_bundle
 from betaone.quadrature import gauss_legendre_rule, panel_rule, reference_rule, truncation_radius
 from betaone.skewortho import family_coefficients, gaussian_line_rows, goe_gram, line_pairing, skew_deviation
 from betaone.specfun import erfcx, weighted_powers
@@ -238,7 +238,7 @@ def test_hatted_family_small_case():
     # leaves it on the top polynomial and the constant column only
     # on the monic family, whose columns are the library's times pair_roots / sqrt2
     monic_scale = np.append(pair_roots(3) / math.sqrt(2.0), 1.0)
-    bundle = ginoe_kernel(3)
+    bundle = kernel_bundle("ginoe", 3)
     T = hat_transform(-half_moments(3) * monic_scale[:3])
     at_infinity = bundle.rows(np.inf)[1] * monic_scale
     assert np.allclose(at_infinity[:3] @ T, [0.0, 0.0, -0.5 * SQRT_2PI], rtol=1e-15, atol=1e-15)
@@ -256,7 +256,7 @@ def test_hatted_family_small_case():
 
 def test_hatted_family_kills_weighted_integrals():
     # in pairing form: M times the partners at +infinity vanishes below the top
-    bundle = ginoe_kernel(5)
+    bundle = kernel_bundle("ginoe", 5)
     at_infinity = bundle.rows(np.inf)[1]
     assert np.abs((bundle.pairing @ at_infinity)[:-2]).max() <= 1e-15
     T = hat_transform(at_infinity[:-1])
@@ -268,7 +268,7 @@ def test_hatted_family_kills_weighted_integrals():
 
 def test_hatted_requires_odd_size():
     # an even size keeps the plain rows: no hatting, no border column
-    bundle = ginoe_kernel(4)
+    bundle = kernel_bundle("ginoe", 4)
     x = np.array([-0.7, 0.4])
     assert np.array_equal(bundle.rows(x), ginoe_rows(family_coefficients(4))(x))
 

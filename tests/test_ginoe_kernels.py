@@ -21,20 +21,17 @@ import mpmath
 import numpy as np
 import pytest
 
-from betaone import ginoe_kernels
+from betaone import ginibre
 from betaone.ginibre import (
+    ginoe_summed_S,
     height_recurrence,
     hermite_recurrence,
+    pair_weight,
     plane_gram,
     sinclair_prefactor,
 )
-from betaone.ginoe_kernels import (
-    ginoe_kernel,
-    ginoe_rho,
-    ginoe_summed_S,
-    pair_weight,
-)
-from betaone.kernels import PointConfiguration, goe_kernel, rho
+from betaone.ginoe_kernels import ginoe_rho
+from betaone.kernels import PointConfiguration, kernel_bundle, rho
 from betaone.pfaffian import as_antisymmetric, pfaffian
 from betaone.quadrature import gauss_legendre_rule, integrate_line, reference_rule
 from betaone.skewortho import family_coefficients, line_pairing
@@ -105,7 +102,7 @@ def test_pair_weight_stable_far_from_axis():
 
 
 def test_even_size_two_scalar_closed_form():
-    bundle = ginoe_kernel(2)
+    bundle = kernel_bundle("ginoe", 2)
     for x in (-1.5, -0.3, 0.8, 2.0):
         for y in (-1.1, 0.2, 1.7):
             assert np.isclose(
@@ -118,7 +115,7 @@ def test_even_size_two_scalar_closed_form():
 
 def test_even_real_density_integrates_to_expected_count():
     for N in (2, 4):
-        bundle = ginoe_kernel(N)
+        bundle = kernel_bundle("ginoe", N)
         total = integrate_line(
             lambda x: bundle.scalar_kernel(x, x), tol=1e-11, degree=2 * N
         )
@@ -128,7 +125,7 @@ def test_even_real_density_integrates_to_expected_count():
 
 def test_odd_real_density_integrates_to_expected_count():
     for N in (1, 3, 5):
-        bundle = ginoe_kernel(N)
+        bundle = kernel_bundle("ginoe", N)
         total = integrate_line(
             lambda x: bundle.scalar_kernel(x, x), tol=1e-11, degree=2 * N
         )
@@ -140,7 +137,7 @@ def test_two_point_real_normalization_size_two():
     # integral of the two-real-point density equals the expected number
     # of ordered real pairs, sqrt(2) at size 2; fixes the ordering of
     # the integrated block's sign term
-    bundle = ginoe_kernel(2)
+    bundle = kernel_bundle("ginoe", 2)
     total = 0.0
     for x, wx in zip(*gauss_legendre_rule(140, -9.0, 9.0)):
         nodes, weights = gauss_legendre_rule(140, x, 9.0)
@@ -154,7 +151,7 @@ def test_complex_density_integrates_to_expected_pair_count():
     # below 2N in x and in y, so the tensor of the N-node Gauss rules of the
     # two weights takes it exactly: weights times e^{x^2} and over omega(y)
     for N in (2, 3):
-        bundle = ginoe_kernel(N)
+        bundle = kernel_bundle("ginoe", N)
         x, wx = reference_rule(hermite_recurrence, N)
         y, wy = reference_rule(height_recurrence, N)
         omega = erfcx(math.sqrt(2.0) * y) * np.exp(-y * y)
@@ -165,7 +162,7 @@ def test_complex_density_integrates_to_expected_pair_count():
 
 
 def test_complex_density_is_real_and_nonnegative():
-    bundle = ginoe_kernel(4)
+    bundle = kernel_bundle("ginoe", 4)
     for w in (0.3 + 0.4j, -1.5 + 1.1j, 2.0 + 0.2j, 0.0 + 2.5j):
         value = bundle.scalar_kernel(w, w)
         assert abs(value.imag) < 1e-14
@@ -173,7 +170,7 @@ def test_complex_density_is_real_and_nonnegative():
 
 
 def test_odd_size_one_kernel():
-    bundle = ginoe_kernel(1)
+    bundle = kernel_bundle("ginoe", 1)
     xs = np.linspace(-3.0, 3.0, 13)
     for x in xs:
         assert np.isclose(
@@ -189,7 +186,7 @@ def test_summed_forms_match_pair_sums():
     reals = np.array([-1.2, 0.4, 2.1])
     comps = np.array([0.5 + 0.7j, -1.1 + 1.9j])
     for N in (4, 5, 2, 3):
-        bundle = ginoe_kernel(N)
+        bundle = kernel_bundle("ginoe", N)
         for mu, eta in ((reals, reals), (reals, comps), (comps, reals), (comps, comps)):
             closed = ginoe_summed_S(N, mu[:, None], eta)
             assert closed.shape == (mu.size, eta.size)
@@ -206,7 +203,7 @@ def test_summed_forms_match_pair_sums():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for (N, eta), finite_rr in huge.items():
-            bundle = ginoe_kernel(N)
+            bundle = kernel_bundle("ginoe", N)
             assert abs(ginoe_summed_S(N, 0.3, eta) - finite_rr) <= 1e-15
             for mu in (0.3, 0.3 + 0.4j):
                 assert abs(ginoe_summed_S(N, mu, eta) - bundle.scalar_kernel(mu, eta)) <= 1e-15
@@ -256,7 +253,7 @@ def test_kernels_hold_past_the_command_line_cap():
     # no factorial is formed: at these sizes the pair norms (2N)! and the
     # summed form's (N-2)! passed the largest double
     for N in (176, 200):
-        bundle = ginoe_kernel(N)
+        bundle = kernel_bundle("ginoe", N)
         # the real density at 0 is 1/sqrt(2 pi) at every N >= 2
         assert abs(bundle.scalar_kernel(0.0, 0.0) * SQRT_2PI - 1.0) <= 1e-15, N
         reals = np.linspace(-1.3, 1.3, 9) * math.sqrt(N)
@@ -265,7 +262,7 @@ def test_kernels_hold_past_the_command_line_cap():
             for eta in points:
                 gap = np.abs(bundle.scalar_kernel(mu[:, None], eta) - ginoe_summed_S(N, mu[:, None], eta))
                 assert gap.max() * SQRT_2PI <= 1e-14, N
-    assert np.isfinite(goe_kernel(200).scalar_kernel(0.0, 0.0))
+    assert np.isfinite(kernel_bundle("goe", 200).scalar_kernel(0.0, 0.0))
 
 
 def test_summed_form_reads_T0_from_the_eta_pass(monkeypatch):
@@ -278,7 +275,7 @@ def test_summed_form_reads_T0_from_the_eta_pass(monkeypatch):
         passes.append(gaussian_tail_moments(*args, **kwargs))
         return passes[-1]
 
-    monkeypatch.setattr(ginoe_kernels, "gaussian_tail_moments", recorded)
+    monkeypatch.setattr(ginibre, "gaussian_tail_moments", recorded)
     N = 7
     mu, eta = np.array([-1.3, 0.2, 2.4]), np.array([-2.2, -0.4, 0.0, 0.9, 3.1])
     single = np.array([[ginoe_summed_S(N, m, e) for e in eta] for m in mu])
@@ -304,21 +301,21 @@ def test_summed_form_rejects_bad_inputs():
 
 def test_assembled_matrix_antisymmetric_mixed_points():
     config = PointConfiguration(reals=(-0.6, 1.1), complexes=(0.4 + 0.8j,))
-    for bundle in (ginoe_kernel(4), ginoe_kernel(5)):
+    for bundle in (kernel_bundle("ginoe", 4), kernel_bundle("ginoe", 5)):
         A = bundle.assemble(config)
         as_antisymmetric(A)
         assert A.shape == (6, 6)
 
 
 def test_correlations_invariant_under_point_reordering():
-    bundle = ginoe_kernel(4)
+    bundle = kernel_bundle("ginoe", 4)
     a = ginoe_rho(bundle, PointConfiguration(reals=(-0.6, 1.1), complexes=(0.4 + 0.8j,)))
     b = ginoe_rho(bundle, PointConfiguration(reals=(1.1, -0.6), complexes=(0.4 + 0.8j,)))
     assert np.isclose(a[0], b[0], rtol=1e-11)
 
 
 def test_mixed_correlation_real_with_small_residue():
-    bundle = ginoe_kernel(5)
+    bundle = kernel_bundle("ginoe", 5)
     value, residue = ginoe_rho(
         bundle, PointConfiguration(reals=(0.5,), complexes=(0.2 + 0.9j, -1.0 + 0.6j))
     )
@@ -327,7 +324,7 @@ def test_mixed_correlation_real_with_small_residue():
 
 
 def test_rho_agrees_with_generic_entry_point():
-    bundle = ginoe_kernel(4)
+    bundle = kernel_bundle("ginoe", 4)
     config = PointConfiguration(reals=(0.3, -1.2))
     direct = rho(bundle, config)
     wrapped, residue = ginoe_rho(bundle, config)

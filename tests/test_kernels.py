@@ -9,18 +9,17 @@ import numpy as np
 import pytest
 from scipy import special
 
-from betaone import cli, ginibre, ginoe_kernels, kernels, specfun
+from betaone import cli, ginibre, kernels, specfun
 from betaone.cli import GATES
 from betaone.ginibre import ginoe_rows
-from betaone.ginoe_kernels import ginoe_kernel
 from betaone.kernels import (
     KernelBundle,
     PointConfiguration,
     density_integral,
     dyson_recurrence_check,
     family_bundle,
-    goe_kernel,
     interrelations_check,
+    kernel_bundle,
     rho,
 )
 from betaone.pfaffian import as_antisymmetric, standard_pairing
@@ -29,6 +28,7 @@ from betaone.skewortho import family_coefficients, gaussian_line_rows
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+ENSEMBLES = ("goe", "ginoe")
 
 
 def two_point_density_closed_form(x):
@@ -41,13 +41,13 @@ def two_point_density_closed_form(x):
 
 
 def test_two_point_scalar_kernel_closed_form():
-    bundle = goe_kernel(2)
+    bundle = kernel_bundle("goe", 2)
     x = np.linspace(-3.0, 3.0, 25)
     assert np.allclose(bundle.scalar_kernel(x, x), two_point_density_closed_form(x), rtol=1e-10, atol=1e-13)
 
 
 def test_density_is_one_point_correlation():
-    bundle = goe_kernel(4)
+    bundle = kernel_bundle("goe", 4)
     for x in [-1.7, 0.0, 0.8]:
         one_point = rho(bundle, PointConfiguration(reals=(x,)))
         assert np.isclose(one_point, bundle.scalar_kernel(x, x), rtol=1e-12, atol=0)
@@ -55,18 +55,18 @@ def test_density_is_one_point_correlation():
 
 def test_density_integrates_to_size_even():
     for N in [2, 4]:
-        assert np.isclose(density_integral(goe_kernel(N)), N, rtol=1e-15, atol=0), N
+        assert np.isclose(density_integral(kernel_bundle("goe", N)), N, rtol=1e-15, atol=0), N
 
 
 def test_density_integrates_to_size_odd():
     for N in [1, 3, 5]:
-        assert np.isclose(density_integral(goe_kernel(N)), N, rtol=1e-15, atol=0), N
+        assert np.isclose(density_integral(kernel_bundle("goe", N)), N, rtol=1e-15, atol=0), N
         # the even kernel conditioned at +inf is the odd one, its border column included
-        assert np.isclose(density_integral(conditioned_bundle(goe_kernel(N + 1), np.inf)), N, rtol=1e-15, atol=0), N
+        assert np.isclose(density_integral(conditioned_bundle(kernel_bundle("goe", N + 1), np.inf)), N, rtol=1e-15, atol=0), N
 
 
 def test_smallest_odd_size_is_standard_normal():
-    bundle = goe_kernel(1)
+    bundle = kernel_bundle("goe", 1)
     x = np.linspace(-3.0, 3.0, 7)
     assert np.allclose(bundle.scalar_kernel(x, x), np.exp(-0.5 * x * x) / SQRT_2PI, rtol=1e-12, atol=0)
     # the scalar kernel is independent of its second argument here
@@ -78,7 +78,7 @@ def test_smallest_odd_size_is_standard_normal():
 def test_odd_derivative_kernel_closed_form():
     # hand-derived for size 3: prefactor 2/sqrt(pi), antisymmetric
     # factor (y - x)(1 + xy) under the joint Gaussian weight
-    bundle = goe_kernel(3)
+    bundle = kernel_bundle("goe", 3)
     rng = np.random.default_rng(3)
     for _ in range(8):
         x, y = rng.normal(size=2) * 1.5
@@ -93,7 +93,7 @@ def test_odd_derivative_kernel_closed_form():
 
 
 def test_kernel_antisymmetries():
-    for bundle in [goe_kernel(4), goe_kernel(3)]:
+    for bundle in [kernel_bundle("goe", 4), kernel_bundle("goe", 3)]:
         rng = np.random.default_rng(5)
         for _ in range(5):
             x, y = rng.normal(size=2)
@@ -114,7 +114,7 @@ def test_kernel_antisymmetries():
 
 
 def test_assembled_matrix_is_antisymmetric():
-    for bundle in [goe_kernel(4), goe_kernel(5)]:
+    for bundle in [kernel_bundle("goe", 4), kernel_bundle("goe", 5)]:
         config = PointConfiguration(reals=(-1.1, 0.2, 0.9))
         as_antisymmetric(bundle.assemble(config))
 
@@ -138,10 +138,10 @@ def test_assembled_matrix_matches_kernel_cells():
     line = PointConfiguration(reals=(-1.1, 0.2, 0.9))
     mixed = PointConfiguration(reals=(-0.6, 1.1), complexes=(0.4 + 0.8j, -0.3 + 1.5j))
     cases = (
-        (goe_kernel(4), line),
-        (goe_kernel(5), line),
-        (ginoe_kernel(4), mixed),
-        (ginoe_kernel(5), mixed),
+        (kernel_bundle("goe", 4), line),
+        (kernel_bundle("goe", 5), line),
+        (kernel_bundle("ginoe", 4), mixed),
+        (kernel_bundle("ginoe", 5), mixed),
     )
     for bundle, config in cases:
         points = list(config.reals) + list(config.complexes)
@@ -162,17 +162,17 @@ def two_point_real_density(bundle, x, y):
 def test_one_two_point_formula_for_both_ensembles():
     # one cell for both ensembles: the same written-out 2x2 Pfaffian is rho
     rng = np.random.default_rng(35)
-    for make in (goe_kernel, ginoe_kernel):
+    for ensemble in ENSEMBLES:
         for N in range(2, 9):
-            bundle = make(N)
+            bundle = kernel_bundle(ensemble, N)
             for x, y in rng.uniform(-0.9, 0.9, (4, 2)) * math.sqrt(N):
                 want = rho(bundle, PointConfiguration(reals=(x, y)))
-                assert abs(two_point_real_density(bundle, x, y) - want) <= 1e-13 * abs(want), (make, N)
+                assert abs(two_point_real_density(bundle, x, y) - want) <= 1e-13 * abs(want), (ensemble, N)
 
 
 def test_vectorized_kernels_match_pointwise_calls():
     xs = np.linspace(-3.0, 3.0, 13)
-    for bundle in (goe_kernel(4), goe_kernel(5), ginoe_kernel(5)):
+    for bundle in (kernel_bundle("goe", 4), kernel_bundle("goe", 5), kernel_bundle("ginoe", 5)):
         for kernel in kernel_blocks(bundle):
             grid = kernel(xs[:, None], xs[None, :])
             loop = np.array([[kernel(x, y) for y in xs] for x in xs])
@@ -180,14 +180,14 @@ def test_vectorized_kernels_match_pointwise_calls():
 
 
 def test_pair_correlation_exchange_symmetry():
-    for bundle in [goe_kernel(4), goe_kernel(3)]:
+    for bundle in [kernel_bundle("goe", 4), kernel_bundle("goe", 3)]:
         a = rho(bundle, PointConfiguration(reals=(0.7, -0.4)))
         b = rho(bundle, PointConfiguration(reals=(-0.4, 0.7)))
         assert np.isclose(a, b, rtol=1e-10, atol=1e-14)
 
 
 def test_pair_correlation_nonnegative_and_vanishing_at_coincidence():
-    bundle = goe_kernel(4)
+    bundle = kernel_bundle("goe", 4)
     rng = np.random.default_rng(9)
     for _ in range(10):
         x, y = rng.normal(size=2) * 1.5
@@ -196,17 +196,17 @@ def test_pair_correlation_nonnegative_and_vanishing_at_coincidence():
 
 
 def test_dyson_recurrence_small_cases():
-    empty, single, pair = dyson_recurrence_check(goe_kernel(4), [(), (0.3,), (-0.5, 1.1)])
+    empty, single, pair = dyson_recurrence_check(kernel_bundle("goe", 4), [(), (0.3,), (-0.5, 1.1)])
     # the empty probe is the density's normalization: rho_0 = 1, N expected
     assert empty["n"] == 0 and empty["expected"] == 4.0
     assert abs(empty["integrated"] - 4.0) <= 1e-13
     assert single["relative_deviation"] < 1e-6
     assert pair["n"] == 2 and pair["relative_deviation"] < 1e-6
-    report, = dyson_recurrence_check(goe_kernel(3), [(-0.8,)])
+    report, = dyson_recurrence_check(kernel_bundle("goe", 3), [(-0.8,)])
     assert report["relative_deviation"] < 1e-6
     # at n = N the n + 1 point correlation is 0: both sides vanish exactly
     for N, points in ((1, (0.37,)), (2, (-1.1, 0.4))):
-        report, = dyson_recurrence_check(goe_kernel(N), [points])
+        report, = dyson_recurrence_check(kernel_bundle("goe", N), [points])
         assert report["n"] == N and report["points"] == points
         assert report["integrated"] == report["expected"] == 0.0
         assert report["relative_deviation"] == 0.0
@@ -215,7 +215,7 @@ def test_dyson_recurrence_small_cases():
 def test_point_configuration_validation():
     with pytest.raises(ValueError):
         PointConfiguration(reals=(0.0,), complexes=(1.0 - 2.0j,))
-    bundle = goe_kernel(2)
+    bundle = kernel_bundle("goe", 2)
     with pytest.raises(ValueError):
         rho(bundle, PointConfiguration(reals=(0.0,), complexes=(1.0 + 2.0j,)))
     with pytest.raises(ValueError):
@@ -224,21 +224,23 @@ def test_point_configuration_validation():
 
 def test_parity_validation():
     # the parity comes from N; odd sizes carry the border column
-    for make in (goe_kernel, ginoe_kernel):
+    for ensemble in ENSEMBLES:
         for N in (3, 4):
-            bundle = make(N)
+            bundle = kernel_bundle(ensemble, N)
             assert bundle.parity == ("odd" if N % 2 else "even")
             assert bundle.rows(0.3).shape == (2, N + N % 2)
         with pytest.raises(ValueError):
-            make(0)
+            kernel_bundle(ensemble, 0)
     with pytest.raises(ValueError):
-        goe_kernel(4).scalar_kernel(0.1 + 0.2j, 0.3)
+        kernel_bundle("goe", 4).scalar_kernel(0.1 + 0.2j, 0.3)
 
 
-ROW_FAMILIES = {
-    "goe": (goe_kernel, functools.partial(gaussian_line_rows, hermite=True)),
-    "ginoe": (ginoe_kernel, ginoe_rows),
-}
+def test_kernel_bundle_rejects_an_unknown_ensemble():
+    with pytest.raises(ValueError, match="unknown ensemble 'gue'"):
+        kernel_bundle("gue", 4)
+
+
+ROW_FAMILIES = {"goe": functools.partial(gaussian_line_rows, hermite=True), "ginoe": ginoe_rows}
 
 
 def counting(fn, evaluated, point=0):
@@ -252,7 +254,7 @@ def counting(fn, evaluated, point=0):
     return counted
 
 
-FAMILY_BUILDERS = {"goe": (kernels, "gaussian_line_rows"), "ginoe": (ginoe_kernels, "ginoe_rows")}
+FAMILY_BUILDERS = {"goe": (kernels, "gaussian_line_rows"), "ginoe": (kernels, "ginoe_rows")}
 
 
 @pytest.mark.parametrize("ensemble", ["goe", "ginoe"])
@@ -286,7 +288,7 @@ def test_each_verify_suite_takes_a_point_arrays_rows_once(monkeypatch, ensemble)
     # a column of points gets its points' rows bit for bit (a stacked matmul
     # would round differently), so rows taken once serve it too
     for N in (*sizes, 64):
-        rows = ROW_FAMILIES[ensemble][1](family_coefficients(N))
+        rows = ROW_FAMILIES[ensemble](family_coefficients(N))
         for points in verify_grid(ensemble, N):
             assert np.array_equal(rows(points[:, None]), rows(points)[:, None]), (N, points.dtype)
 
@@ -319,9 +321,8 @@ def hatted_pairing(h):
 def test_odd_pairing_is_the_hat_moved_into_the_pairing(ensemble):
     # hatting the rows by T and pairing them by M^ is pairing the plain
     # rows by T M^ T^T: the bordered pairing, to roundoff
-    make = ROW_FAMILIES[ensemble][0]
     for N in range(1, 66, 2):
-        bundle = make(N)
+        bundle = kernel_bundle(ensemble, N)
         h = bundle.rows(np.inf)[1][:-1]
         assert np.abs(bundle.pairing - hatted_pairing(h)).max() <= 1e-15, N
 
@@ -333,10 +334,10 @@ def test_real_points_pass_the_recurrence_once(monkeypatch):
     # at +inf) take none, and the closed form reads T(0) from eta's pass
     passes = []
     counted = counting(specfun.weighted_powers, passes, point=1)
-    for module in (specfun, ginibre, ginoe_kernels):
+    for module in (specfun, ginibre):
         monkeypatch.setattr(module, "weighted_powers", counted)
     x = np.linspace(-2.0, 2.0, 7)
-    for ensemble, (_, family_rows) in ROW_FAMILIES.items():
+    for ensemble, family_rows in ROW_FAMILIES.items():
         passes.clear()
         rows = family_rows(family_coefficients(5))
         family_bundle(ensemble, rows, 5)
@@ -346,7 +347,7 @@ def test_real_points_pass_the_recurrence_once(monkeypatch):
         assert len(passes) == 1 and np.array_equal(passes[0], x)
     passes.clear()
     mu, eta = np.array([[0.3], [-1.1]]), np.array([0.7, -1.6])
-    ginoe_kernels.ginoe_summed_S(6, mu, eta)
+    ginibre.ginoe_summed_S(6, mu, eta)
     assert len(passes) == 2
     for point in (mu, np.append(eta, 0.0)):
         assert sum(p.shape == point.shape and np.array_equal(p, point) for p in passes) == 1
@@ -354,12 +355,12 @@ def test_real_points_pass_the_recurrence_once(monkeypatch):
 
 def test_rho_vanishes_beyond_n_eigenvalues():
     # more eigenvalues than N, a complex point counting twice: exactly 0
-    assert rho(goe_kernel(3), PointConfiguration(reals=(-0.4, 0.1, 0.6, 1.2))) == 0.0
-    assert rho(goe_kernel(2), PointConfiguration(reals=(-0.4, 0.1, 0.6))) == 0.0
-    bundle = ginoe_kernel(4)
+    assert rho(kernel_bundle("goe", 3), PointConfiguration(reals=(-0.4, 0.1, 0.6, 1.2))) == 0.0
+    assert rho(kernel_bundle("goe", 2), PointConfiguration(reals=(-0.4, 0.1, 0.6))) == 0.0
+    bundle = kernel_bundle("ginoe", 4)
     over = PointConfiguration(reals=(0.2,), complexes=(0.3 + 0.5j, -0.6 + 0.9j))
     assert rho(bundle, over) == 0.0
-    assert rho(ginoe_kernel(3), PointConfiguration(reals=(0.2, 0.7), complexes=(0.1 + 0.4j,))) == 0.0
+    assert rho(kernel_bundle("ginoe", 3), PointConfiguration(reals=(0.2, 0.7), complexes=(0.1 + 0.4j,))) == 0.0
     full = PointConfiguration(reals=(0.2, -0.5), complexes=(0.3 + 0.5j,))
     assert abs(rho(bundle, full)) > 0.0
 
@@ -398,7 +399,7 @@ def test_density_against_high_precision_oracle():
         for N in (12, 31, 32, 48, 63, 64):
             edge = math.sqrt(2.0 * N)
             xs = edge * np.array([-1.3, -1.1, -0.9, -0.5, -0.05, 0.02, 0.3, 0.7, 1.0, 1.3])
-            bundle = goe_kernel(N)
+            bundle = kernel_bundle("goe", N)
             for x, got in zip(xs, bundle.scalar_kernel(xs, xs)):
                 want = mp_goe_density(N, float(x))
                 worst = max(worst, float(abs(got - want) / want))
@@ -413,7 +414,6 @@ PLANE_RELATIONS = LINE_RELATIONS | {
     "integral-complex-complex",
     "integral-mixed-antisymmetry",
 }
-KERNELS = {"goe": goe_kernel, "ginoe": ginoe_kernel}
 
 
 def verify_grid(ensemble, N):
@@ -424,8 +424,8 @@ def verify_grid(ensemble, N):
 
 def interrelations_on_unsorted_points(N, reals, complexes):
     # the check sorts the reals
-    line = interrelations_check(goe_kernel(N), reals)
-    plane = interrelations_check(ginoe_kernel(N), reals, complexes)
+    line = interrelations_check(kernel_bundle("goe", N), reals)
+    plane = interrelations_check(kernel_bundle("ginoe", N), reals, complexes)
     assert set(line) == LINE_RELATIONS
     assert set(plane) == PLANE_RELATIONS
     for key, deviation in (*line.items(), *plane.items()):
@@ -442,9 +442,9 @@ def test_interrelations_odd():
 
 def test_interrelations_hold_at_every_size():
     # worst reading 1.0e-14 (GOE N = 52, partner-antiderivative); GinOE 3.0e-15
-    for ensemble, make in KERNELS.items():
+    for ensemble in ENSEMBLES:
         for N in range(1, 65):
-            report = interrelations_check(make(N), *verify_grid(ensemble, N))
+            report = interrelations_check(kernel_bundle(ensemble, N), *verify_grid(ensemble, N))
             assert max(report.values()) <= GATES["block-interrelations"], (ensemble, N, report)
 
 
@@ -461,9 +461,9 @@ def shifted_partners(bundle, shift):
 
 def test_interrelations_fail_on_shifted_partner_rows():
     # a partner row off by 1e-11 W is no antiderivative: it reads 1.2e-12 or more
-    for ensemble, make in KERNELS.items():
+    for ensemble in ENSEMBLES:
         for N in (1, 4, 5, 64):
-            report = interrelations_check(shifted_partners(make(N), 1e-11), *verify_grid(ensemble, N))
+            report = interrelations_check(shifted_partners(kernel_bundle(ensemble, N), 1e-11), *verify_grid(ensemble, N))
             assert report["partner-antiderivative"] > 5 * GATES["block-interrelations"], (ensemble, N)
 
 
@@ -471,8 +471,9 @@ def test_weighted_rows_are_the_w_half_of_the_rows():
     # bit for bit, where the weight underflows (+-40) and at +-inf too, on
     # even, bordered odd and conditioned families
     x = np.array([-np.inf, -40.0, -1.3, 0.0, 0.7, 40.0, np.inf])
-    for ensemble, make in KERNELS.items():
-        for bundle in (make(4), make(5), conditioned_bundle(make(4), 8.0), conditioned_bundle(make(4), np.inf)):
+    for ensemble in ENSEMBLES:
+        even = kernel_bundle(ensemble, 4)
+        for bundle in (even, kernel_bundle(ensemble, 5), conditioned_bundle(even, 8.0), conditioned_bundle(even, np.inf)):
             rows, case = bundle.rows, (ensemble, bundle.N, bundle.upper.shape)
             assert np.array_equal(rows.weighted(x), rows(x)[:, 0]), case
             assert np.array_equal(rows.weighted(x[:, None]), rows(x[:, None])[..., 0, :]), case
@@ -490,11 +491,11 @@ def test_interrelations_take_the_normal_cdf_at_the_reals_only(monkeypatch):
         return cdf(x)
 
     monkeypatch.setattr(specfun, "normal_cdf", counted)
-    for ensemble, make in KERNELS.items():
+    for ensemble in ENSEMBLES:
         for N in (4, 5):
             grid = verify_grid(ensemble, N)
             elements.clear()
-            interrelations_check(make(N), *grid)
+            interrelations_check(kernel_bundle(ensemble, N), *grid)
             assert 0 < sum(elements) <= len(grid[0]), (ensemble, N, elements)
 
 
@@ -502,15 +503,15 @@ def test_bordering_carries_the_size():
     # bordered sets the size it is given: the odd families report theirs, the
     # even kernel conditioned at a far point or at +inf one less, and the
     # limit counts the reals of the odd family
-    for ensemble, make in KERNELS.items():
+    for ensemble in ENSEMBLES:
         for N in (1, 5, 63):
-            bundle = make(N)
+            bundle = kernel_bundle(ensemble, N)
             assert (bundle.N, bundle.parity, bundle.ensemble) == (N, "odd", ensemble)
         for N in (2, 6, 64):
-            even = make(N)
+            even = kernel_bundle(ensemble, N)
             for x_far in (*far_points(N), np.inf):
                 bundle = conditioned_bundle(even, x_far)
                 assert (bundle.N, bundle.parity, bundle.ensemble) == (N - 1, "odd", ensemble), x_far
-            limit, odd = density_integral(bundle), density_integral(make(N - 1))
+            limit, odd = density_integral(bundle), density_integral(kernel_bundle(ensemble, N - 1))
             assert abs(limit - odd) <= 1e-13 * odd, (ensemble, N, limit, odd)
 

@@ -27,8 +27,7 @@ from scipy import special
 
 from betaone import cli, montecarlo
 from betaone.ginibre import sinclair_prefactor
-from betaone.ginoe_kernels import ginoe_kernel
-from betaone.kernels import cumulative_count, density_integral, goe_kernel
+from betaone.kernels import cumulative_count, density_integral, kernel_bundle
 from betaone.montecarlo import (
     MIN_COMPARISON_SAMPLES,
     empirical_vs_analytic,
@@ -369,7 +368,7 @@ def test_empirical_density_bookkeeping():
         # two blocks
         return (spectra_tally(rows[part], edges) for part in np.array_split(index, 2))
 
-    report = empirical_vs_analytic(stream, goe_kernel(2), bins=np.linspace(-1.0, 1.0, 5))
+    report = empirical_vs_analytic(stream, kernel_bundle("goe", 2), bins=np.linspace(-1.0, 1.0, 5))
     # edges at -1, -0.5, 0, 0.5, 1; bins are closed on the left
     assert report.observed == (0, copies[0], copies[1], copies[0])
     assert report.overflow == copies[1]
@@ -382,17 +381,17 @@ def test_empirical_density_bookkeeping():
 
 def test_comparison_requires_enough_samples():
     with pytest.raises(ValueError):
-        empirical_vs_analytic(partial(goe_tallies, 2, 100, 1), goe_kernel(2), bins=10)
+        empirical_vs_analytic(partial(goe_tallies, 2, 100, 1), kernel_bundle("goe", 2), bins=10)
 
 
 def test_comparison_rejects_decreasing_edges():
-    for sampler, bundle in ((goe_tallies, goe_kernel(2)), (ginibre_tallies, ginoe_kernel(2))):
+    for sampler, bundle in ((goe_tallies, kernel_bundle("goe", 2)), (ginibre_tallies, kernel_bundle("ginoe", 2))):
         with pytest.raises(ValueError, match="must not decrease"):
             empirical_vs_analytic(partial(sampler, 2, 10_000, 1), bundle, bins=np.array([-1.0, 1.0, 0.0]))
 
 
 def test_comparison_report_round_trip():
-    report = empirical_vs_analytic(partial(goe_tallies, 2, 10_000, 19), goe_kernel(2), bins=20)
+    report = empirical_vs_analytic(partial(goe_tallies, 2, 10_000, 19), kernel_bundle("goe", 2), bins=20)
     assert report.flagged == ()
     assert report.mean_real_count == 2.0 and report.count_stderr == 0.0
     assert report.count_within and report.passed
@@ -404,7 +403,7 @@ def test_comparison_report_round_trip():
 def test_zero_variance_count_must_match_exactly():
     # every GOE sample has N reals: with no standard error the count is
     # within only at a deviation of exactly 0, so 1e-12 off fails
-    report = empirical_vs_analytic(partial(goe_tallies, 2, 10_000, 19), goe_kernel(2), bins=20)
+    report = empirical_vs_analytic(partial(goe_tallies, 2, 10_000, 19), kernel_bundle("goe", 2), bins=20)
     assert report.count_stderr == 0.0 and report.count_deviation == 0.0 and report.count_within
     off = dataclasses.replace(report, expected_real_count=report.expected_real_count + 1e-12)
     assert off.count_deviation > 0.0
@@ -447,9 +446,9 @@ def test_expected_real_count_matches_known_values():
     # size 3 plane ensemble: 1 + 1/sqrt(2) real eigenvalues on average
     assert np.isclose(eks_real_count(3), 1.0 + 1.0 / math.sqrt(2.0), rtol=1e-15, atol=0)
     for N in range(1, 65):
-        assert np.isclose(density_integral(ginoe_kernel(N)), eks_real_count(N),
+        assert np.isclose(density_integral(kernel_bundle("ginoe", N)), eks_real_count(N),
                           rtol=2e-15, atol=0), N
-    bundle = goe_kernel(4)
+    bundle = kernel_bundle("goe", 4)
     assert np.isclose(density_integral(bundle), 4.0, rtol=1e-15, atol=0)
 
 
@@ -509,13 +508,13 @@ def test_upper_tail_bins_keep_relative_accuracy():
         yield np.zeros(len(edges), dtype=np.int64), np.bincount([N], minlength=N + 1) * MIN_COMPARISON_SAMPLES
 
     edges = np.array([5.1, 5.4, 5.7, 6.0])
-    report = empirical_vs_analytic(partial(stream, 8), goe_kernel(8), bins=edges)
+    report = empirical_vs_analytic(partial(stream, 8), kernel_bundle("goe", 8), bins=edges)
     with mpmath.workdps(30):
         want = np.array([float(mpmath.quad(lambda x: mp_goe_density(8, x), [a, b])) for a, b in zip(edges, edges[1:])])
     got = np.array(report.expected) / MIN_COMPARISON_SAMPLES
     assert np.all(np.abs(got - want) <= 1e-14 * want), (got - want) / want
     x = np.linspace(0.3, 4.0, 9)
-    for bundle in (goe_kernel(8), ginoe_kernel(3), ginoe_kernel(8)):
+    for bundle in (kernel_bundle("goe", 8), kernel_bundle("ginoe", 3), kernel_bundle("ginoe", 8)):
         report = empirical_vs_analytic(partial(stream, bundle.N), bundle, bins=np.r_[-x[::-1], x])
         assert report.expected == report.expected[::-1], bundle.N
 

@@ -11,8 +11,7 @@ import pytest
 
 import betaone
 from betaone import pfaffian as pfaffian_module
-from betaone.ginoe_kernels import ginoe_kernel
-from betaone.kernels import PointConfiguration, goe_kernel
+from betaone.kernels import PointConfiguration, kernel_bundle
 from betaone.pfaffian import (
     as_antisymmetric,
     pfaffian,
@@ -276,9 +275,9 @@ def test_stacked_laplace_matches_pairing_sum_and_elimination():
             assert np.allclose(pfaffian_laplace(stack), pfaffian(stack), rtol=1e-10, atol=1e-12)
 
 
-def kernel_windows(make, N):
+def kernel_windows(ensemble, N):
     # verify's windows, every k consecutive probe points, of the library's own matrix
-    bundle = make(N)
+    bundle = kernel_bundle(ensemble, N)
     probe = probe_configuration(bundle.ensemble, N)
     k = min(6, N // (4 if probe.complexes else 2))
     cells = np.arange(len(probe) - k + 1)[:, None] + np.arange(k)
@@ -286,13 +285,18 @@ def kernel_windows(make, N):
     return bundle.assemble(probe)[rows[:, :, None], rows[:, None, :]], k
 
 
-@pytest.mark.parametrize("make, N", [(goe_kernel, 64), (ginoe_kernel, 32), (ginoe_kernel, 64)])
-def test_row_swaps_on_the_kernels_own_windows(make, N):
+def kernel_id(value):
+    # a case's id is its ensemble's name with _kernel appended
+    return f"{value}_kernel" if isinstance(value, str) else None
+
+
+@pytest.mark.parametrize("ensemble, N", [("goe", 64), ("ginoe", 32), ("ginoe", 64)], ids=kernel_id)
+def test_row_swaps_on_the_kernels_own_windows(ensemble, N):
     # verify's windows ordered as all first rows of the cells, then all second
     # rows: the largest |entry| of every window then lies off (0, 1), so the
     # first step moves it by transpositions, and the sign kept over them is
     # checked against the matching sum and against det(P) Pf(S)
-    S, k = kernel_windows(make, N)
+    S, k = kernel_windows(ensemble, N)
     order = np.r_[0 : 2 * k : 2, 1 : 2 * k : 2]
     R = S[:, order[:, None], order]
     assert np.all(np.abs(R[:, 0, 1]) < np.abs(R).max(axis=(1, 2)))
@@ -326,7 +330,7 @@ def test_cofactor_reference_ignores_memory_and_threads(monkeypatch):
     # with the windows and the cached expansion signs copied to each of the
     # 8 double offsets within 64 bytes, and in fresh processes at one and two
     # OpenBLAS threads (a BLAS matrix-vector sum splits by the thread count)
-    S, k = kernel_windows(ginoe_kernel, 64)
+    S, k = kernel_windows("ginoe", 64)
     pairs, signs = pfaffian_module._expansion(2 * k)
     results = set()
     for offset in range(8):
@@ -346,20 +350,21 @@ def test_cofactor_reference_ignores_memory_and_threads(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "make, N, reals, complexes",
+    "ensemble, N, reals, complexes",
     [
-        (goe_kernel, 8, (10.5, 0.0, 0.5), ()),
-        (goe_kernel, 8, (12.0, 0.0, 0.5), ()),
-        (ginoe_kernel, 8, (10.5, 0.0, 0.5), (0.3 + 0.6j,)),
-        (ginoe_kernel, 4, (0.0, 1e-12), ()),
+        ("goe", 8, (10.5, 0.0, 0.5), ()),
+        ("goe", 8, (12.0, 0.0, 0.5), ()),
+        ("ginoe", 8, (10.5, 0.0, 0.5), (0.3 + 0.6j,)),
+        ("ginoe", 4, (0.0, 1e-12), ()),
     ],
+    ids=kernel_id,
 )
-def test_tail_and_near_coincident_points_match_the_determinant(make, N, reals, complexes):
+def test_tail_and_near_coincident_points_match_the_determinant(ensemble, N, reals, complexes):
     # a tail point makes correct correlations tiny (1.7e-18 at GOE N = 8, with
     # 10.5 in the tail), and two near-coincident points make the matrix nearly
     # singular; in every order of the points the elimination must agree with
     # the 50-digit square root of the determinant of the same matrix
-    bundle = make(N)
+    bundle = kernel_bundle(ensemble, N)
     for order in itertools.permutations(reals):
         matrix = bundle.assemble(PointConfiguration(reals=order, complexes=complexes))
         value = pfaffian(matrix)

@@ -73,3 +73,12 @@ def test_test_only_names_are_read_by_the_tests():
     # file is not a read
     tests = [path for path in sources("tests") if path.name != pathlib.Path(__file__).name]
     assert not unused_names(tests) & TEST_ONLY
+
+
+def test_no_library_module_imports_ginoe_kernels():
+    # it holds only the bench's ginoe_rho: the kernels come from kernels, the closed form from ginibre
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or "", *(alias.name for alias in node.names)]
+                assert not any("ginoe_kernels" in name.split(".") for name in names), path.name

@@ -17,9 +17,8 @@ import warnings
 import numpy as np
 import pytest
 
-from betaone.cli import GATES, SUITES, kernel_bundle
-from betaone.ginoe_kernels import ginoe_kernel
-from betaone.kernels import KernelBundle, PointConfiguration, goe_kernel
+from betaone.cli import GATES, SUITES
+from betaone.kernels import KernelBundle, PointConfiguration, kernel_bundle
 from betaone.reduction import (
     conditioned_bundle,
     far_points,
@@ -53,11 +52,11 @@ def schur_gap(bundle, config, x_far):
 
 def test_reduce_star_rejects_odd_bundle():
     with pytest.raises(ValueError):
-        conditioned_bundle(goe_kernel(3), 8.0)
+        conditioned_bundle(kernel_bundle("goe", 3), 8.0)
 
 
 def test_reduce_star_coincident_points_antisymmetric():
-    bundle = conditioned_bundle(goe_kernel(4), 8.0)
+    bundle = conditioned_bundle(kernel_bundle("goe", 4), 8.0)
     for x in (-0.6, 0.0, 0.9):
         entry = block_values(bundle, x, x)
         assert abs(entry["derivative"]) <= 1e-10
@@ -70,8 +69,8 @@ def test_reduce_star_coincident_points_antisymmetric():
 
 
 def test_starred_entries_near_target_at_moderate_distance():
-    starred = block_values(conditioned_bundle(goe_kernel(4), 6.0), 0.5, -0.2)
-    target = block_values(goe_kernel(3), 0.5, -0.2)
+    starred = block_values(conditioned_bundle(kernel_bundle("goe", 4), 6.0), 0.5, -0.2)
+    target = block_values(kernel_bundle("goe", 3), 0.5, -0.2)
     for name in BLOCKS:
         assert np.isfinite(starred[name])
         assert abs(starred[name] - target[name]) <= 0.10 * abs(target[name])
@@ -83,13 +82,13 @@ def test_reduction_identity_both_ensembles():
         PointConfiguration(reals=(0.5,)),
         PointConfiguration(reals=(0.5, -0.2)),
     )
-    bundles = [goe_kernel(4), goe_kernel(6), ginoe_kernel(4), ginoe_kernel(6)]
+    bundles = [kernel_bundle("goe", 4), kernel_bundle("goe", 6), kernel_bundle("ginoe", 4), kernel_bundle("ginoe", 6)]
     for bundle in bundles:
         for config in configs:
             for far in (4.0, 6.0):
                 assert schur_gap(bundle, config, far) <= GATES["schur-complement-gap"]
     with pytest.raises(ValueError):
-        schur_gap(goe_kernel(4), PointConfiguration(reals=()), 6.0)
+        schur_gap(kernel_bundle("goe", 4), PointConfiguration(reals=()), 6.0)
 
 
 def test_schur_gap_holds_on_over_full_configurations():
@@ -98,12 +97,12 @@ def test_schur_gap_holds_on_over_full_configurations():
     # over roundoff, while the matrix identity still holds entry by entry
     grid = np.linspace(-0.9, 0.9, 7) * math.sqrt(10.0)
     crowded = PointConfiguration(reals=grid, complexes=(0.1 + 0.5j, 0.6 + 0.5j))
-    assert schur_gap(ginoe_kernel(10), crowded, 16.0) <= 1e-13
+    assert schur_gap(kernel_bundle("ginoe", 10), crowded, 16.0) <= 1e-13
     line = PointConfiguration(reals=(-0.5, 0.1, 0.7, 1.2))
-    assert schur_gap(goe_kernel(4), line, 8.0) <= 1e-13
+    assert schur_gap(kernel_bundle("goe", 4), line, 8.0) <= 1e-13
     # exactly N eigenvalues with the far point
     full = PointConfiguration(reals=grid, complexes=(0.1 + 0.5j,))
-    assert schur_gap(ginoe_kernel(10), full, 16.0) <= 1e-13
+    assert schur_gap(kernel_bundle("ginoe", 10), full, 16.0) <= 1e-13
 
 
 def test_schur_gap_holds_on_full_configurations():
@@ -113,15 +112,15 @@ def test_schur_gap_holds_on_full_configurations():
         grid = np.linspace(-0.9, 0.9, 7) * math.sqrt(N)
         full = PointConfiguration(reals=grid, complexes=grid + 0.5j)
         for far in far_points(N):
-            assert schur_gap(ginoe_kernel(N), full, far) <= 1e-13, (N, far)
+            assert schur_gap(kernel_bundle("ginoe", N), full, far) <= 1e-13, (N, far)
 
 
 def test_conditioned_bundle_is_schur_complement():
     # the bordered rank-two pairing against the Schur complement of the
     # far point's cell in the extended matrix, entry by entry
     cases = (
-        (goe_kernel(6), PointConfiguration(reals=(0.5, -0.2, 1.3))),
-        (ginoe_kernel(6), PointConfiguration(reals=(0.5, -0.2), complexes=(0.3 + 0.7j,))),
+        (kernel_bundle("goe", 6), PointConfiguration(reals=(0.5, -0.2, 1.3))),
+        (kernel_bundle("ginoe", 6), PointConfiguration(reals=(0.5, -0.2), complexes=(0.3 + 0.7j,))),
     )
     for bundle, config in cases:
         for far in (4.0, 6.0, 8.0):
@@ -139,23 +138,23 @@ def test_conditioned_bundle_is_schur_complement():
 def test_reduction_holds_past_the_weight_underflow():
     # the far W row's weight e^(-far^2/2) underflows from far = 37 on; its
     # direction does not, so the update holds at any far point
-    for make in (goe_kernel, ginoe_kernel):
+    for ensemble in ("goe", "ginoe"):
         for N in (4, 64):
-            even = make(N)
+            even = kernel_bundle(ensemble, N)
             config = probe_configuration(even.ensemble, N)
             limit = conditioned_bundle(even, np.inf).assemble(config)
             deviations = []
             for far in (60.0, 1000.0):
                 reduced = conditioned_bundle(even, far).assemble(config)
-                assert np.isfinite(reduced).all(), (make.__name__, N, far)
+                assert np.isfinite(reduced).all(), (ensemble, N, far)
                 deviations.append(np.abs(reduced - limit).max())
-            assert deviations[1] < deviations[0], (make.__name__, N, deviations)
+            assert deviations[1] < deviations[0], (ensemble, N, deviations)
             gap = schur_gap(even, config, 60.0)
-            assert gap <= GATES["schur-complement-gap"], (make.__name__, N, gap)
+            assert gap <= GATES["schur-complement-gap"], (ensemble, N, gap)
 
 
 def test_zero_corner_fails_loudly(monkeypatch):
-    even = goe_kernel(4)
+    even = kernel_bundle("goe", 4)
     for corner in (0.0, np.nan):
         monkeypatch.setattr(even.rows, "direction", lambda x: np.full(4, corner))
         with pytest.raises(ArithmeticError, match="far point 8.0"):
@@ -167,26 +166,26 @@ def test_far_direction_overflow_fails_loudly():
     # passes the largest double: at N = 200 from far = 214 on (GOE) and
     # from 302 on (GinOE); at 300 only GinOE's last recurrence step, whose
     # value goes unused, overflows, and the reduction holds there
-    cases = ((goe_kernel, 256.0), (ginoe_kernel, 400.0))
+    cases = (("goe", 256.0), ("ginoe", 400.0))
     for action in ("error", "ignore"):
         with warnings.catch_warnings():
             warnings.simplefilter(action)
-            for make, far in cases:
-                even = make(200)
+            for ensemble, far in cases:
+                even = kernel_bundle(ensemble, 200)
                 with pytest.raises(ArithmeticError, match=f"size 200 .* far point {far!r}"):
                     even.rows.direction(np.float64(far))
                 with pytest.raises(ArithmeticError, match=f"far point {far!r}"):
                     conditioned_bundle(even, far)
-            even = ginoe_kernel(200)
+            even = kernel_bundle("ginoe", 200)
             reduced = conditioned_bundle(even, 300.0).assemble(probe_configuration("ginoe", 200))
             assert np.isfinite(reduced).all()
 
 
 def test_far_direction_is_the_scaled_polynomials():
     # at the derived far points, bit for bit the polynomials over their largest entry
-    for make, c in ((goe_kernel, 0.5), (ginoe_kernel, 0.0)):
+    for ensemble, c in (("goe", 0.5), ("ginoe", 0.0)):
         for N in (2, 4, 64, 128, 200):
-            direction = make(N).rows.direction
+            direction = kernel_bundle(ensemble, N).rows.direction
             for far in far_points(N):
                 q = weighted_powers(N, np.float64(far), 1.0, c) @ family_coefficients(N)
                 assert np.array_equal(direction(np.float64(far)), q / np.abs(q).max()), (N, far)
@@ -208,7 +207,7 @@ def test_far_points_lie_past_the_edge_and_double():
 
 def test_closed_form_limit_matches_direct_odd_line_ensemble():
     for N in (4, 6, 8, 10):
-        limit, odd = conditioned_bundle(goe_kernel(N), np.inf), goe_kernel(N - 1)
+        limit, odd = conditioned_bundle(kernel_bundle("goe", N), np.inf), kernel_bundle("goe", N - 1)
         for mu, eta in ((0.5, -0.2), (1.1, 0.3), (0.07, 0.07), (-1.4, 0.9)):
             lim = block_values(limit, mu, eta)
             tgt = block_values(odd, mu, eta)
@@ -219,7 +218,7 @@ def test_closed_form_limit_matches_direct_odd_line_ensemble():
 def test_closed_form_limit_matches_direct_odd_plane_ensemble():
     z1, z2 = 0.2 + 0.3j, -0.5 + 0.8j
     for N in (4, 6, 8, 10):
-        limit, odd = conditioned_bundle(ginoe_kernel(N), np.inf), ginoe_kernel(N - 1)
+        limit, odd = conditioned_bundle(kernel_bundle("ginoe", N), np.inf), kernel_bundle("ginoe", N - 1)
         for mu, eta in ((0.3, -0.4), (0.3, 0.3), (z1, z2), (0.3, z1), (z1, 0.3)):
             lim = block_values(limit, mu, eta)
             tgt = block_values(odd, mu, eta)
@@ -230,7 +229,7 @@ def test_closed_form_limit_matches_direct_odd_plane_ensemble():
 def test_plane_ensemble_complex_sector_limit_is_tight():
     # no extra odd-size terms live on the upper half-plane pairs, so the
     # limiting update there lands on the direct odd kernel to roundoff
-    limit, odd = conditioned_bundle(ginoe_kernel(4), np.inf), ginoe_kernel(3)
+    limit, odd = conditioned_bundle(kernel_bundle("ginoe", 4), np.inf), kernel_bundle("ginoe", 3)
     z1, z2 = 0.2 + 0.3j, -0.5 + 0.8j
     for mu, eta in ((z1, z1), (z1, z2), (z2, z1)):
         lim = block_values(limit, mu, eta)
@@ -240,7 +239,7 @@ def test_plane_ensemble_complex_sector_limit_is_tight():
 
 
 def test_finite_distance_update_approaches_closed_form_limit():
-    even = goe_kernel(4)
+    even = kernel_bundle("goe", 4)
 
     def scalar(x_far):
         return conditioned_bundle(even, x_far).scalar_kernel(0.5, -0.2)
@@ -280,31 +279,31 @@ def test_flipped_border_sign_fails_the_checks_built_without_it(monkeypatch):
     assert deviation("kernels", "ginoe", 5, "closed-form-agreement") > 0.5
 
 
-def check_reduction_reports(kernel):
+def check_reduction_reports(ensemble):
     for N in EVEN_SIZES:
-        report = verify_odd_limit(kernel(N), kernel(N - 1))
+        report = verify_odd_limit(kernel_bundle(ensemble, N), kernel_bundle(ensemble, N - 1))
         assert report.exact <= 1e-12, N
         assert report.ratio < 1.0, N
         assert report.schur_gap <= GATES["schur-complement-gap"], N
 
 
 def test_line_reduction_reports_converge_monotonically():
-    check_reduction_reports(goe_kernel)
+    check_reduction_reports("goe")
 
 
 def test_plane_reduction_report_converges_monotonically():
-    check_reduction_reports(ginoe_kernel)
+    check_reduction_reports("ginoe")
 
 
 def test_reduction_gates_hold_past_the_command_line_cap():
     # on unit pair norms no factorial limits the sizes the reduction
     # reaches; with separate pair norms up to (2N)! it failed from GinOE
     # N = 112 (far-convergence 3.9) and at GOE N = 160
-    for kernel, N in ((ginoe_kernel, 112), (ginoe_kernel, 128), (goe_kernel, 160), (goe_kernel, 200)):
-        report = verify_odd_limit(kernel(N), kernel(N - 1))
-        assert report.exact <= GATES["exact-limit"], (kernel.__name__, N)
-        assert report.ratio < GATES["far-convergence"], (kernel.__name__, N)
-        assert report.schur_gap <= GATES["schur-complement-gap"], (kernel.__name__, N)
+    for ensemble, N in (("ginoe", 112), ("ginoe", 128), ("goe", 160), ("goe", 200)):
+        report = verify_odd_limit(kernel_bundle(ensemble, N), kernel_bundle(ensemble, N - 1))
+        assert report.exact <= GATES["exact-limit"], (ensemble, N)
+        assert report.ratio < GATES["far-convergence"], (ensemble, N)
+        assert report.schur_gap <= GATES["schur-complement-gap"], (ensemble, N)
 
 
 def test_exact_limit_holds_on_random_bulk_configurations():
@@ -313,8 +312,8 @@ def test_exact_limit_holds_on_random_bulk_configurations():
     rng = np.random.default_rng(20080)
     for N in EVEN_SIZES:
         edge = 0.9 * math.sqrt(N)
-        for even, odd in ((goe_kernel(N), goe_kernel(N - 1)),
-                          (ginoe_kernel(N), ginoe_kernel(N - 1))):
+        for even, odd in ((kernel_bundle("goe", N), kernel_bundle("goe", N - 1)),
+                          (kernel_bundle("ginoe", N), kernel_bundle("ginoe", N - 1))):
             limit = conditioned_bundle(even, np.inf)
             plane = even.ensemble == "ginoe"
             for _ in range(5):

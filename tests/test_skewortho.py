@@ -5,8 +5,7 @@ from scipy import special
 
 from betaone import ginibre, skewortho
 from betaone.ginibre import ginoe_rows, plane_gram
-from betaone.ginoe_kernels import ginoe_kernel
-from betaone.kernels import family_bundle, goe_kernel
+from betaone.kernels import family_bundle, kernel_bundle
 from betaone.pfaffian import pfaffian, standard_pairing
 from betaone.quadrature import gauss_legendre_rule
 from betaone.reduction import probe_configuration
@@ -152,7 +151,7 @@ def test_hatted_family_kills_weighted_integrals():
     # the hat lives in the pairing: M times the partners at +infinity
     # (minus the half moments) vanishes below the top polynomial, as the
     # weighted integrals of the hatted polynomials do
-    bundle = goe_kernel(5)
+    bundle = kernel_bundle("goe", 5)
     at_infinity = bundle.rows(np.inf)[1]
     assert np.abs((bundle.pairing @ at_infinity)[:-2]).max() <= 1e-15
     T = hat_transform(at_infinity[:-1])
@@ -166,7 +165,7 @@ def test_hatted_requires_odd_size():
     # an even size keeps the plain rows: no hatting, no border column;
     # GinOE's real rows are the same builder's, on the monomial basis
     x = np.array([-0.7, 0.4])
-    for bundle, hermite in ((goe_kernel(4), True), (ginoe_kernel(4), False)):
+    for bundle, hermite in ((kernel_bundle("goe", 4), True), (kernel_bundle("ginoe", 4), False)):
         assert np.array_equal(bundle.rows(x), gaussian_line_rows(family_coefficients(4), hermite=hermite)(x))
 
 
