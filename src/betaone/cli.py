@@ -5,9 +5,8 @@ Exit codes: 0 success (and all checks passed where checks ran), 1 a
 verification or comparison failed, 2 invalid configuration or an
 `--out` path that cannot be written, 3 numerical
 failure or an allocation too large for memory.  Output is deterministic
-for a fixed configuration and BLAS thread count (verify deviations
-differ between one and two OpenBLAS threads): fixed float formatting,
-no timestamps, seeded randomness only.  CSV reports start with
+for a fixed configuration: fixed float formatting, no timestamps, seeded
+randomness only.  CSV reports start with
 `# key=value` comment lines echoing the configuration and the library
 version, then a column header, then data rows.
 """
@@ -31,12 +30,12 @@ from .skewortho import goe_gram, skew_deviation
 
 PATHS = ("finite-sum", "summed-up", "both")
 # The bound on each verify check's deviation, with the worst reading over
-# N = 1..64 in both ensembles at one OpenBLAS thread.
+# N = 1..64 in both ensembles.
 GATES = {
     # relative to the determinant and to the matching sum
     "squared-vs-determinant": 1e-12,  # 8.5e-15 (GinOE N = 13)
     "elimination-vs-cofactor": 1e-12,  # 5.6e-15 (GinOE N = 13)
-    "gram-deviation": 1e-13,  # 2.8e-15 (GinOE N = 41)
+    "gram-deviation": 1e-13,  # 2.7e-15 (GinOE N = 55)
     "density-normalization": 1e-13,  # 4.3e-16 (GOE N = 33)
     "integrate-out-recurrence": 1e-13,  # 5.7e-16 (GOE N = 31)
     "block-interrelations": 1e-13,  # 1.0e-14 (GOE N = 52), partner rows against their W rows

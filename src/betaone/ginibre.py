@@ -134,7 +134,9 @@ def plane_gram(C):
     2n in x and in y, n = C.shape[0]: the n-node Gauss rules' tensor is exact.
     The rows keep e^{-x^2/2} (the Hermite weights undo it) and drop omega and
     pair_weight's phase, which cancels; ORDER / 2 heights at a time.  W = P C,
-    C real: with A = Im(P C)^T diag(w) Re(P C) the sum is A - A^T.
+    C real: with A = Im(P)^T diag(w) Re(P) and B = C^T A C the sum is B - B^T.
+    A sums over the nodes by einsum, in a fixed order and without BLAS, so it
+    reads the same at any thread count.
     """
     n = C.shape[0]
     x, wx = reference_rule(hermite_recurrence, n)
@@ -143,8 +145,10 @@ def plane_gram(C):
     for block in range(0, n, ORDER // 2):
         z = x[:, None] + 1j * y[block : block + ORDER // 2]
         P = weighted_powers(n, z, np.exp(-0.5 * x * x)[:, None]).reshape(-1, n)
-        A += ((P.imag @ C) * np.outer(wx, wy[block : block + ORDER // 2]).reshape(-1, 1)).T @ (P.real @ C)
-    return -2.0 * (A - A.T)
+        w = np.outer(wx, wy[block : block + ORDER // 2]).reshape(-1, 1)
+        A += np.einsum("pj,pk->jk", P.imag * w, P.real.copy(), optimize=False)
+    B = C.T @ A @ C
+    return -2.0 * (B - B.T)
 
 
 def ginoe_gram(N):

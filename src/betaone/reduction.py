@@ -16,12 +16,12 @@ homogeneous of degree 0 in the far W row, so that row enters by its
 direction, which does not underflow.  At x_far = +infinity the same
 construction is the exact limit, the kernel of the ensemble one size
 smaller; at finite distance each entry differs from it by
-c1/far + c2/far**2 + ...
+c1/far + c2/far**2 + ..., c1 from the pairing's first_order term.
 
-verify_odd_limit gates the reduction on one probe configuration derived
-from the size: the exact limit against the directly built odd kernel,
-the finite-far deviations shrinking along far_points(N), and the Schur
-complement at those same points.
+verify_odd_limit gates the reduction of a kernels.kernel_bundle to the one
+a size smaller on a probe grid derived from the size (the exact limit, the
+finite-far deviations shrinking along far_points(N), the Schur complement
+there) and reports c1 exactly.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import PointConfiguration, kernel_bundle
+from .specfun import gaussian_tail_moments
 
 
 def far_points(N):
@@ -94,23 +95,35 @@ def probe_configuration(ensemble, N):
 class ReductionReport:
     """Deviations of the reduced kernel from the odd target, relative to
     the target matrix's largest entry: exact at the limit, far at each
-    of far_points; schur_gap is the worst Schur complement gap there.
+    of far_points; schur_gap is the worst Schur complement gap there, and
+    c1 the largest entry of the deviation's exact 1/far term (first_order).
     """
 
     exact: float
     far_points: tuple
     far: tuple
     schur_gap: float
+    c1: float
 
     @property
     def ratio(self):
         """Worst ratio of successive far deviations: below 1 while they shrink."""
         return max(b / a for a, b in zip(self.far, self.far[1:]))
 
-    @property
-    def c1(self):
-        """far times deviation at the largest far point, where it tends to c1."""
-        return self.far_points[-1] * self.far[-1]
+
+def first_order(bundle):
+    """The 1/f term of conditioned_bundle(bundle, f)'s pairing as f -> +inf.
+
+    The far direction over its top entry is e_top + a e_{N-2}/f + O(1/f^2), a the leading
+    coefficients' ratio (specfun.weighted_powers).  That moves u by a M e_{N-2}, and not the
+    corner: p . M e_{N-2} = 0 for the partner row p at +inf, the odd top polynomial's half
+    integral.  So KernelBundle.bordered's pairing moves by a (u1 v^T - v u1^T) / (p . u).
+    """
+    C, hermite = bundle.rows.line
+    M, p = bundle.pairing, -0.5 * (gaussian_tail_moments(len(C), -np.inf, hermite)[1] @ C)
+    a = C[-2, -2] / C[-1, -1] * math.sqrt((bundle.N - 1) * (0.5 if hermite else 1.0))
+    u1, v = np.append(M[:, -2], 0.0), np.append(M @ p, -0.5)
+    return a * (np.outer(u1, v) - np.outer(v, u1)) / (p @ M[:, -1])
 
 
 def verify_odd_limit(even_bundle, odd_bundle):
@@ -134,6 +147,8 @@ def verify_odd_limit(even_bundle, odd_bundle):
         return float(np.abs(reduced - target).max() / scale)
 
     exact = deviation(limit.matrix(rows, reals))
+    B = rows.reshape(-1, rows.shape[-1])
+    c1 = float(np.abs(B @ first_order(even_bundle) @ B.T).max() / scale)
     points = far_points(even_bundle.N)
     far, gaps = [], []
     for x_far in points:
@@ -142,7 +157,7 @@ def verify_odd_limit(even_bundle, odd_bundle):
         far.append(deviation(reduced))
         extended = even_bundle.matrix(np.concatenate([far_rows[None], rows[..., :-1]]), np.append(x_far, reals))
         gaps.append(schur_complement_gap(extended, reduced))
-    return ReductionReport(exact=exact, far_points=points, far=tuple(far), schur_gap=max(gaps))
+    return ReductionReport(exact=exact, far_points=points, far=tuple(far), schur_gap=max(gaps), c1=c1)
 
 
 def verify_odd_limit_ginoe(N):

@@ -22,6 +22,7 @@ from betaone.kernels import KernelBundle, PointConfiguration, kernel_bundle
 from betaone.reduction import (
     conditioned_bundle,
     far_points,
+    first_order,
     probe_configuration,
     schur_complement_gap,
     verify_odd_limit,
@@ -247,6 +248,31 @@ def test_finite_distance_update_approaches_closed_form_limit():
     gap_near = abs(scalar(8.0) - scalar(np.inf))
     gap_far = abs(scalar(16.0) - scalar(np.inf))
     assert gap_far < gap_near
+
+
+def test_first_order_term_leaves_a_second_order_remainder():
+    # A(f) = A(inf) + delta/f + O(1/f^2) on the probe rows, delta = B first_order B^T:
+    # the remainder falls by 4 or more per doubling of f (4.0-5.8 at these sizes),
+    # where the deviation without delta falls by about 2 (a 1/f law)
+    for ensemble in ("goe", "ginoe"):
+        for N in (4, 64):
+            even = kernel_bundle(ensemble, N)
+            config = probe_configuration(ensemble, N)
+            scale = np.abs(kernel_bundle(ensemble, N - 1).assemble(config)).max()
+            limit = conditioned_bundle(even, np.inf)
+            rows, reals = limit.config_rows(config), np.asarray(config.reals)
+            B = rows.reshape(-1, rows.shape[-1])
+            delta, exact = B @ first_order(even) @ B.T, limit.matrix(rows, reals)
+            deviations = [conditioned_bundle(even, f).matrix(rows, reals) - exact for f in far_points(N)]
+
+            def ratios(term):
+                rem = [np.abs(d - term / f).max() / scale for d, f in zip(deviations, far_points(N))]
+                return [a / b for a, b in zip(rem, rem[1:])]
+
+            assert min(ratios(delta)) >= 3.0, (ensemble, N, ratios(delta))
+            assert min(ratios(0.0)) < 2.5, (ensemble, N, ratios(0.0))
+            report = verify_odd_limit(even, kernel_bundle(ensemble, N - 1))
+            assert report.c1 == np.abs(delta).max() / scale, (ensemble, N)
 
 
 def test_flipped_border_sign_fails_the_checks_built_without_it(monkeypatch):
