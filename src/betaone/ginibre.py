@@ -12,10 +12,9 @@ per sector over the rows the kernels use (ginoe_rows): the line pairing
 of skewortho.line_pairing, and -2 Im(W^T diag(w) conj W) over the upper
 half-plane.  The plane integrand is e^{-x^2} omega(y), omega(y) =
 e^{y^2} erfc(sqrt2 y), times a polynomial in x and y, so one tensor rule
-of Gauss rules for the two weights takes it exactly.
-
-A float point is a real eigenvalue, a complex one complex (kernels.kernel_bundle
-builds on these rows); ginoe_summed_S is their scalar kernel in closed form.
+of Gauss rules for the two weights takes it exactly.  A float point is a
+real eigenvalue, a complex one complex; kernels.kernel_bundle builds on
+these rows, and ginoe_summed_S is their scalar kernel in closed form.
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ top polynomial through a rank-two border of M: what the sign term of a
 point sent to +infinity leaves behind.  The same rule, bordered through
 a far point's rows to one size less, is the even-to-odd reduction (see
 reduction).  One object, KernelBundle, carries the rows, the pairing
-and the size; its kernels and assembled matrices are its methods.
+and the size; its kernels and assembled matrices are its methods, and
+kernel_bundle(ensemble, N) is the one constructor for both ensembles.
 
 The kernel blocks are the entries of one cell, [[D, S], [-S^T, I]] on
 the rows (W, P), for every ensemble (Forrester and Nagao 2007): W sits

@@ -233,9 +233,6 @@ def test_parity_validation():
             kernel_bundle(ensemble, 0)
     with pytest.raises(ValueError):
         kernel_bundle("goe", 4).scalar_kernel(0.1 + 0.2j, 0.3)
-
-
-def test_kernel_bundle_rejects_an_unknown_ensemble():
     with pytest.raises(ValueError, match="unknown ensemble 'gue'"):
         kernel_bundle("gue", 4)
 
