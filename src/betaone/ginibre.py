@@ -25,7 +25,7 @@ import numpy as np
 
 from .pfaffian import pfaffian
 from .quadrature import ORDER, panel_rule, reference_rule, stieltjes
-from .skewortho import family_coefficients, gaussian_line_rows, line_pairing
+from .skewortho import family_coefficients, line_pairing
 from .specfun import erfcx, gaussian_tail_moments, weighted_powers
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -53,26 +53,6 @@ def pair_weight(z):
 def plane_rows(C, z):
     """Column polynomials of C at complex z times pair_weight(z), shape z.shape + (columns,)."""
     return weighted_powers(C.shape[0], z, pair_weight(z)) @ C
-
-
-def ginoe_rows(C):
-    """Rows (W, partner) of the columns of C at real or complex points.
-
-    W is the polynomial times pair_weight; the partner is i conj(W) at a
-    complex point, and at a real one the line rows of skewortho (minus
-    the half-range transform), whose direction and weighted it shares.
-    """
-    line = gaussian_line_rows(C, hermite=False)
-
-    def rows(z):
-        z = np.asarray(z)
-        if not np.iscomplexobj(z):
-            return line(z)
-        W = plane_rows(C, z.ravel() if z.ndim else z)  # flattened, as the line rows are
-        return np.stack([W, 1j * np.conjugate(W)], axis=-2).reshape(z.shape + (2, C.shape[1]))
-
-    vars(rows).update(vars(line))
-    return rows
 
 
 def ginoe_summed_S(N, mu, eta):
@@ -177,7 +157,7 @@ def partition_function_check(N):
     """
     G = ginoe_gram(N)
     if N % 2:
-        half = -ginoe_rows(family_coefficients(N))(np.inf)[1]
+        half = 0.5 * (gaussian_tail_moments(N, -np.inf)[1] @ family_coefficients(N))
         G = np.block([[G, half[:, None]], [-half, 0.0]])
     log_det = 0.5 * sum(math.log(2.0 * SQRT_2PI) + math.lgamma(2 * (j // 2) + 1) for j in range(N))
     log_prefactor = -0.25 * N * (N + 1) * math.log(2.0) - sum(math.lgamma(0.5 * l) for l in range(1, N + 1))

@@ -12,16 +12,19 @@ the partner row of a real point, 0 elsewhere) and pairs it with the
 top polynomial through a rank-two border of M: what the sign term of a
 point sent to +infinity leaves behind.  The same rule, bordered through
 a far point's rows to one size less, is the even-to-odd reduction (see
-reduction).  One object, KernelBundle, carries the rows, the pairing
-and the size; its kernels and assembled matrices are its methods, and
-kernel_bundle(ensemble, N) is the one constructor for both ensembles.
+reduction); it changes the pairing alone, the family staying the
+same.  One object, KernelBundle, carries the family's coefficients,
+the pairing and the size; its rows, kernels and assembled matrices are
+its methods, and kernel_bundle(ensemble, N) is the one constructor for
+both ensembles.
 
 The kernel blocks are the entries of one cell, [[D, S], [-S^T, I]] on
 the rows (W, P), for every ensemble (Forrester and Nagao 2007): W sits
 at the first argument of S, its partner at the second.  At a real point
 P = -eps W, eps W an antiderivative of its W row; interrelations_check
-tests that identity on weighted(x), the W rows alone, which line rows
-carry beside direction(x), the direction of W at a far point.
+tests that identity on KernelBundle.weighted(x), the W rows alone, and
+the reduction takes KernelBundle.direction(x), the direction of W at a
+far point.
 
 Rows are evaluated at every call, on the points flattened, and kept by
 no bundle: a caller that needs one point array's rows twice takes them
@@ -34,11 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ginibre import ginoe_rows
+from .ginibre import plane_rows
 from .pfaffian import pfaffian, standard_pairing
 from .quadrature import integrate_line, panel_rule
-from .skewortho import family_coefficients, gaussian_line_rows
-from .specfun import gaussian_row_integrals, gaussian_tail_moments
+from .skewortho import family_coefficients
+from .specfun import gaussian_row_integrals, gaussian_rows, gaussian_tail_moments, weighted_powers
 
 
 @dataclass(frozen=True)
@@ -64,20 +67,74 @@ class PointConfiguration:
 
 
 class KernelBundle:
-    """Kernel of N eigenvalues of an ensemble: basis rows and their antisymmetric pairing.
+    """Kernel of N eigenvalues of an ensemble: a family and its antisymmetric pairing.
 
-    rows(z) maps points of one kind (float: real, complex: complex) to
-    an array z.shape + (2, m), the rows (W, P) of every point, and
-    rows.weighted(x) real x to W alone; the pairing is M = upper - upper^T.
-    The blocks of the cell [[D, S], [-S^T, I]] are the entries (0, 0),
-    (0, 1) and (1, 1); scalar_kernel(x, x) is the one-point density, and
-    the Pfaffian of the assembled matrix of a point configuration its
-    correlation.
+    C holds the family as columns on the ensemble's basis (h_n for GOE,
+    hermite, and m_n for GinOE; skewortho); any columns of the pairing
+    M = upper - upper^T past C's are border columns, W 0 and partner 1
+    at a real point, 0 at a complex one.  rows(z) maps points of one kind
+    (float: real, complex: complex) to an array z.shape + (2, m), the rows
+    (W, P) of every point.  The blocks of the cell [[D, S], [-S^T, I]] are
+    the entries (0, 0), (0, 1) and (1, 1); scalar_kernel(x, x) is the
+    one-point density, and the Pfaffian of the assembled matrix of a point
+    configuration its correlation.
     """
 
-    def __init__(self, ensemble, N, rows, upper):
-        self.ensemble, self.N, self.rows = ensemble, N, rows
+    def __init__(self, ensemble, N, C, upper):
+        self.ensemble, self.N, self.C = ensemble, N, C
         self.upper = np.asarray(upper)
+        self.hermite = ensemble == "goe"
+        # P = T C - half at a real point, T its tail moments: the constant once per bundle
+        self.half = 0.5 * (gaussian_tail_moments(len(C), -np.inf, self.hermite)[1] @ C)
+
+    def _padded(self, rows):
+        # rows (..., columns of C) with the border columns appended, all 0
+        border = self.upper.shape[0] - self.C.shape[1]
+        if not border:
+            return rows
+        return np.concatenate([rows, np.zeros(rows.shape[:-1] + (border,), dtype=rows.dtype)], axis=-1)
+
+    def rows(self, z):
+        """Rows (W, P) at points of one kind, on the points flattened.
+
+        At real points W is the polynomials times e^(-x^2/2) and P = -eps W
+        minus its half-range transform, both from one
+        specfun.gaussian_tail_moments pass; at x = +inf P is minus half the
+        full weighted integral, and a lone +-inf takes no pass.  At complex
+        points (GinOE only) W is the polynomials times ginibre.pair_weight
+        and P = i conj(W).  A border column's partner is 1 at a real point.
+        """
+        z = np.asarray(z)
+        flat = z.ravel() if z.ndim else z  # a stacked matmul would round differently
+        if not np.iscomplexobj(z):
+            W, tails = gaussian_tail_moments(len(self.C), flat, self.hermite)
+            rows = self._padded(np.stack([W @ self.C, tails @ self.C - self.half], axis=-2))
+            rows[..., 1, self.C.shape[1] :] = 1.0
+        elif self.hermite:
+            raise ValueError("this ensemble lives on the real line only")
+        else:
+            W = plane_rows(self.C, flat)
+            rows = self._padded(np.stack([W, 1j * np.conjugate(W)], axis=-2))
+        return rows.reshape(z.shape + (2, self.upper.shape[0]))
+
+    def weighted(self, x):
+        """W alone at real x, bit for bit rows(x)[..., 0, :], with no tail moments
+        and so no normal CDF."""
+        return self._padded(gaussian_rows(len(self.C), x, self.hermite) @ self.C)
+
+    def direction(self, x):
+        """The direction of W at one real x, where the weight may underflow (past
+        x = 37): the polynomials alone over their largest entry, at +inf the
+        top-degree unit vector.  Where the polynomials overflow it raises
+        ArithmeticError."""
+        n = len(self.C)
+        if np.isposinf(x):
+            return self._padded(np.eye(n)[-1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = weighted_powers(n, x, 1.0, 0.5 if self.hermite else 0.0) @ self.C
+        if not np.isfinite(q).all():
+            raise ArithmeticError(f"size {n} polynomials overflow at far point {float(x)!r}")
+        return self._padded(q / np.abs(q).max())
 
     @property
     def parity(self):
@@ -130,8 +187,8 @@ class KernelBundle:
         return self.matrix(self.config_rows(config), np.asarray(config.reals, dtype=float))
 
     def bordered(self, u, partner, N):
-        """Bundle of N eigenvalues: these rows plus a constant partner column,
-        paired through a rank-two border.
+        """Bundle of N eigenvalues: this family plus a constant partner column,
+        paired through a rank-two border; only the pairing changes.
 
         The column is 1 on the partner row of a real point, else 0.  With
         M this bundle's pairing, the bordered pairing is
@@ -153,38 +210,23 @@ class KernelBundle:
         v = np.append(M @ partner, -0.5)
         u = np.append(u, 0.0)
         pairing += (np.outer(u, v) - np.outer(v, u)) / corner
-
-        def rows(z):
-            base = self.rows(z)
-            extra = np.zeros(base.shape[:-1] + (1,), dtype=base.dtype)
-            if not np.iscomplexobj(z):
-                extra[..., 1, 0] = 1.0
-            return np.concatenate([base, extra], axis=-1)
-
-        def weighted(x):
-            W = self.rows.weighted(x)
-            return np.concatenate([W, np.zeros(W.shape[:-1] + (1,))], axis=-1)
-
-        rows.weighted, rows.line = weighted, self.rows.line
-        return KernelBundle(self.ensemble, N, rows, np.triu(pairing, 1))
+        return KernelBundle(self.ensemble, N, self.C, np.triu(pairing, 1))
 
 
-def family_bundle(ensemble, rows, N):
-    """Kernel bundle of a family of size N; odd N gets the bordered form.
+def family_bundle(ensemble, C, N):
+    """Kernel bundle of the family C of size N; odd N gets the bordered form.
 
     The standard pairing leaves the top polynomial of an odd family
     unpaired; bordered(e_top, rows(+inf)[1], N) pairs it with the constant
     partner column by -1/2 over its partner at +infinity.  That is the
     hatted family (each polynomial below the top less the multiple of
     the top one that carries its weighted integral) with the hat T moved
-    from the rows into the pairing, T M^ T^T.  Every bundle derived from
-    the family, bordered or conditioned, calls the family's rows itself;
-    none keeps them.
+    from the rows into the pairing, T M^ T^T.
     """
-    bundle = KernelBundle(ensemble, N, rows, np.maximum(standard_pairing(N), 0.0))
+    bundle = KernelBundle(ensemble, N, C, np.maximum(standard_pairing(N), 0.0))
     if N % 2 == 0:
         return bundle
-    return bundle.bordered(np.eye(N)[-1], rows(np.inf)[1], N)
+    return bundle.bordered(np.eye(N)[-1], bundle.rows(np.inf)[1], N)
 
 
 def rho(bundle, config):
@@ -204,25 +246,24 @@ def rho(bundle, config):
 def kernel_bundle(ensemble, N):
     """Kernel bundle of N eigenvalues of "goe" or "ginoe", parity derived from N.
 
-    One family (skewortho.family_coefficients) on the ensemble's rows,
-    GOE's weighted Hermite rows or ginibre.ginoe_rows; odd N is bordered.
+    One family (skewortho.family_coefficients) on the ensemble's basis,
+    the Hermite functions for GOE and the monomials for GinOE; odd N is
+    bordered.
     """
     if ensemble not in ("goe", "ginoe"):
         raise ValueError(f"unknown ensemble {ensemble!r}")
-    C = family_coefficients(N)
-    rows = gaussian_line_rows(C, hermite=True) if ensemble == "goe" else ginoe_rows(C)
-    return family_bundle(ensemble, rows, N)
+    return family_bundle(ensemble, family_coefficients(N), N)
 
 
 def cumulative_count(bundle, t):
     """Expected number of reals below t, exactly; vectorized in t, +-inf included.
 
     A real point's rows are W = b C' and P = T C' + d: b and T the Gaussian rows of the
-    coefficients C (rows.line) and their tail moments, C' = C and d = -T(-inf) C / 2, with
+    coefficients C (bundle.C) and their tail moments, C' = C and d = -T(-inf) C / 2, with
     a 0 and a 1 per border column.  So W M P^T integrates to sum_jk A_jk I_jk(t) +
     v . (T(-inf) - T(t)), A = C' M C'^T, v = C' M d^T, I = specfun.gaussian_row_integrals.
     """
-    C, hermite = bundle.rows.line
+    C, hermite = bundle.C, bundle.hermite
     n, m = C.shape[0], bundle.upper.shape[0]
     full = gaussian_tail_moments(n, -np.inf, hermite)[1]
     B = np.pad(C, ((0, 0), (0, m - n))) @ bundle.pairing  # C' M
@@ -255,7 +296,7 @@ def interrelations_check(bundle, reals, complexes=()):
     """
     y = np.sort(np.asarray(reals, dtype=float))
     nodes, weights = panel_rule(y, 2)
-    weighted = bundle.rows.weighted(nodes) * weights[:, None]
+    weighted = bundle.weighted(nodes) * weights[:, None]
     gaps = weighted.reshape(len(y) - 1, -1, weighted.shape[-1]).sum(1)
     Y = bundle.rows(y)
     P = Y[:, 1]

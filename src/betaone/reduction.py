@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import PointConfiguration, kernel_bundle
-from .specfun import gaussian_tail_moments
 
 
 def far_points(N):
@@ -45,7 +44,7 @@ def far_points(N):
 def _conditioned(bundle, x_far):
     # the even bundle bordered at x_far to N - 1, and the far point's rows, W along its direction
     point = np.float64(x_far)
-    far = np.stack([bundle.rows.direction(point), bundle.rows(point)[1]])
+    far = np.stack([bundle.direction(point), bundle.rows(point)[1]])
     try:
         return bundle.bordered(bundle.pairing @ far[0], far[1], bundle.N - 1), far
     except ArithmeticError as error:
@@ -57,7 +56,7 @@ def conditioned_bundle(bundle, x_far):
 
     The even rows bordered (KernelBundle.bordered) through u = M W^T and
     the far point's partner row Phi, W the direction of its weighted row
-    (skewortho.gaussian_line_rows) and M the even pairing: the border's
+    (KernelBundle.direction) and M the even pairing: the border's
     -1/2 is the sign term between the far point and every real point
     below it, so the update is exact for probes below x_far.  At +inf W
     is the top-degree unit vector.
@@ -119,9 +118,8 @@ def first_order(bundle):
     corner: p . M e_{N-2} = 0 for the partner row p at +inf, the odd top polynomial's half
     integral.  So KernelBundle.bordered's pairing moves by a (u1 v^T - v u1^T) / (p . u).
     """
-    C, hermite = bundle.rows.line
-    M, p = bundle.pairing, -0.5 * (gaussian_tail_moments(len(C), -np.inf, hermite)[1] @ C)
-    a = C[-2, -2] / C[-1, -1] * math.sqrt((bundle.N - 1) * (0.5 if hermite else 1.0))
+    C, M, p = bundle.C, bundle.pairing, -bundle.half
+    a = C[-2, -2] / C[-1, -1] * math.sqrt((bundle.N - 1) * (0.5 if bundle.hermite else 1.0))
     u1, v = np.append(M[:, -2], 0.0), np.append(M @ p, -0.5)
     return a * (np.outer(u1, v) - np.outer(v, u1)) / (p @ M[:, -1])
 

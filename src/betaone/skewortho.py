@@ -40,7 +40,7 @@ import math
 import numpy as np
 
 from .pfaffian import standard_pairing
-from .specfun import gaussian_row_integrals, gaussian_rows, gaussian_tail_moments, weighted_powers
+from .specfun import gaussian_row_integrals, gaussian_tail_moments
 
 
 def family_coefficients(N):
@@ -53,51 +53,6 @@ def family_coefficients(N):
         if m:
             C[2 * m - 1, 2 * m + 1] = -math.sqrt(2 * m)
     return C / math.sqrt(2.0 * math.pi) ** 0.5
-
-
-def gaussian_line_rows(C, hermite):
-    """Line rows (W, P) of the columns of C, on h_n or on x^n / sqrt(n!).
-
-    W is the polynomial times e^(-x^2/2) and its partner P = -eps W is
-    minus the half-range transform, both from one
-    specfun.gaussian_tail_moments pass per point array; at x = +inf the
-    partner is minus half the full weighted integral.  The full moments
-    and the rows at a lone +-inf take no pass.  GOE takes these rows on
-    h_n, GinOE on x^n / sqrt(n!) at its real points.
-
-    rows.direction(x) is the direction of W at one real x, where the
-    weight may underflow (past x = 37): the polynomials alone, over
-    their largest entry, and at +inf the top-degree unit vector; where
-    the polynomials overflow it raises ArithmeticError.
-    rows.weighted(x) is W alone at real x, bit for bit rows(x)[..., 0, :],
-    with no tail moments and so no normal CDF.  rows.line is (C, hermite),
-    from which kernels.cumulative_count integrates the density exactly.
-    """
-    n = C.shape[0]
-    half = 0.5 * (gaussian_tail_moments(n, -np.inf, hermite)[1] @ C)
-
-    def rows(x):
-        x = np.asarray(x)
-        if np.iscomplexobj(x):
-            raise ValueError("this ensemble lives on the real line only")
-        # on the points flattened: a stacked matmul would round differently
-        W, tails = gaussian_tail_moments(n, x.ravel() if x.ndim else x, hermite)
-        return np.stack([W @ C, tails @ C - half], axis=-2).reshape(x.shape + (2, C.shape[1]))
-
-    def weighted(x):
-        return gaussian_rows(n, x, hermite) @ C
-
-    def direction(x):
-        if np.isposinf(x):
-            return np.eye(n)[-1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            q = weighted_powers(n, x, 1.0, 0.5 if hermite else 0.0) @ C
-        if not np.isfinite(q).all():
-            raise ArithmeticError(f"size {n} polynomials overflow at far point {float(x)!r}")
-        return q / np.abs(q).max()
-
-    rows.direction, rows.weighted, rows.line = direction, weighted, (C, hermite)
-    return rows
 
 
 def line_pairing(C, hermite):

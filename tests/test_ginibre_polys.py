@@ -9,7 +9,6 @@ from betaone import ginibre
 from betaone.ginibre import (
     HEIGHT_RADIUS,
     ginoe_gram,
-    ginoe_rows,
     height_recurrence,
     hermite_recurrence,
     partition_function_check,
@@ -19,10 +18,10 @@ from betaone.ginibre import (
 )
 from betaone.kernels import kernel_bundle
 from betaone.quadrature import gauss_legendre_rule, panel_rule, reference_rule, truncation_radius
-from betaone.skewortho import family_coefficients, gaussian_line_rows, goe_gram, line_pairing, skew_deviation
+from betaone.skewortho import family_coefficients, goe_gram, line_pairing, skew_deviation
 from betaone.specfun import erfcx, weighted_powers
 
-from test_kernels import hat_transform
+from test_kernels import hat_transform, line_rows
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -222,7 +221,7 @@ def test_grams_hold_at_every_size():
 
 
 def half_moments(N):
-    return -gaussian_line_rows(family_coefficients(N), hermite=False)(np.inf)[1]
+    return -line_rows(family_coefficients(N), hermite=False)(np.inf)[1]
 
 
 def test_half_moments():
@@ -270,7 +269,7 @@ def test_hatted_requires_odd_size():
     # an even size keeps the plain rows: no hatting, no border column
     bundle = kernel_bundle("ginoe", 4)
     x = np.array([-0.7, 0.4])
-    assert np.array_equal(bundle.rows(x), ginoe_rows(family_coefficients(4))(x))
+    assert np.array_equal(bundle.rows(x), line_rows(family_coefficients(4), hermite=False)(x))
 
 
 def test_sinclair_prefactor_small_values():

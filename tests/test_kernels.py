@@ -11,7 +11,6 @@ from scipy import special
 
 from betaone import cli, ginibre, kernels, specfun
 from betaone.cli import GATES
-from betaone.ginibre import ginoe_rows
 from betaone.kernels import (
     KernelBundle,
     PointConfiguration,
@@ -24,7 +23,7 @@ from betaone.kernels import (
 )
 from betaone.pfaffian import as_antisymmetric, standard_pairing
 from betaone.reduction import conditioned_bundle, far_points
-from betaone.skewortho import family_coefficients, gaussian_line_rows
+from betaone.skewortho import family_coefficients
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -237,7 +236,10 @@ def test_parity_validation():
         kernel_bundle("gue", 4)
 
 
-ROW_FAMILIES = {"goe": functools.partial(gaussian_line_rows, hermite=True), "ginoe": ginoe_rows}
+def line_rows(C, hermite):
+    """Rows (W, P) of the columns of C at real points, on h_n (hermite) or on m_n: an
+    unbordered bundle's."""
+    return KernelBundle("goe" if hermite else "ginoe", len(C), C, np.zeros((C.shape[1],) * 2)).rows
 
 
 def counting(fn, evaluated, point=0):
@@ -251,23 +253,26 @@ def counting(fn, evaluated, point=0):
     return counted
 
 
-FAMILY_BUILDERS = {"goe": (kernels, "gaussian_line_rows"), "ginoe": (kernels, "ginoe_rows")}
-
-
 @pytest.mark.parametrize("ensemble", ["goe", "ginoe"])
 def test_each_verify_suite_takes_a_point_arrays_rows_once(monkeypatch, ensemble):
     # the row passes of every family a verify run builds, keyed by the exact
     # points: none twice within a suite, but for the plane's kernels grid,
-    # which the block interrelations and the closed-form agreement each take
+    # which the block interrelations and the closed-form agreement each take.
+    # A family is one family_bundle's coefficients C, which the bundles
+    # bordered or conditioned from it share
     sizes = {"goe": (4, 5), "ginoe": (8, 9)}[ensemble]
-    module, name = FAMILY_BUILDERS[ensemble]
-    build, families = getattr(module, name), []
+    build, take_rows, families = kernels.family_bundle, KernelBundle.rows, {}
 
-    def counted_family(C, **options):
-        families.append([])
-        return counting(build(C, **options), families[-1])
+    def counted_family(ensemble, C, N):
+        families[id(C)] = []
+        return build(ensemble, C, N)
 
-    monkeypatch.setattr(module, name, counted_family)
+    def counted_rows(bundle, z):
+        families[id(bundle.C)].append(np.array(z))
+        return take_rows(bundle, z)
+
+    monkeypatch.setattr(kernels, "family_bundle", counted_family)
+    monkeypatch.setattr(KernelBundle, "rows", counted_rows)
     for N in sizes:
         shared = set()
         if ensemble == "ginoe":
@@ -277,7 +282,7 @@ def test_each_verify_suite_takes_a_point_arrays_rows_once(monkeypatch, ensemble)
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(["verify", "--suite", suite, "--ensemble", ensemble, "--size", str(N)]) == 0
             assert families, (N, suite)
-            for evaluated in families:
+            for evaluated in families.values():
                 passes = collections.Counter((p.dtype.str, p.tobytes()) for p in evaluated)
                 repeated = {key: count for key, count in passes.items() if count > 1}
                 expected = dict.fromkeys(shared, 2) if suite == "kernels" else {}
@@ -285,7 +290,7 @@ def test_each_verify_suite_takes_a_point_arrays_rows_once(monkeypatch, ensemble)
     # a column of points gets its points' rows bit for bit (a stacked matmul
     # would round differently), so rows taken once serve it too
     for N in (*sizes, 64):
-        rows = ROW_FAMILIES[ensemble](family_coefficients(N))
+        rows = kernel_bundle(ensemble, N).rows
         for points in verify_grid(ensemble, N):
             assert np.array_equal(rows(points[:, None]), rows(points)[:, None]), (N, points.dtype)
 
@@ -334,13 +339,12 @@ def test_real_points_pass_the_recurrence_once(monkeypatch):
     for module in (specfun, ginibre):
         monkeypatch.setattr(module, "weighted_powers", counted)
     x = np.linspace(-2.0, 2.0, 7)
-    for ensemble, family_rows in ROW_FAMILIES.items():
+    for ensemble in ENSEMBLES:
         passes.clear()
-        rows = family_rows(family_coefficients(5))
-        family_bundle(ensemble, rows, 5)
-        rows(np.inf)
+        bundle = family_bundle(ensemble, family_coefficients(5), 5)
+        bundle.rows(np.inf)
         assert not passes
-        rows(x)
+        bundle.rows(x)
         assert len(passes) == 1 and np.array_equal(passes[0], x)
     passes.clear()
     mu, eta = np.array([[0.3], [-1.1]]), np.array([0.7, -1.6])
@@ -447,13 +451,13 @@ def test_interrelations_hold_at_every_size():
 
 def shifted_partners(bundle, shift):
     # the bundle with every partner row moved by shift times its W row
-    def rows(z):
-        value = bundle.rows(z).copy()
-        value[..., 1, :] += shift * value[..., 0, :]
-        return value
+    class Shifted(KernelBundle):
+        def rows(self, z):
+            value = super().rows(z)
+            value[..., 1, :] += shift * value[..., 0, :]
+            return value
 
-    rows.weighted = bundle.rows.weighted
-    return KernelBundle(bundle.ensemble, bundle.N, rows, bundle.upper)
+    return Shifted(bundle.ensemble, bundle.N, bundle.C, bundle.upper)
 
 
 def test_interrelations_fail_on_shifted_partner_rows():
@@ -466,16 +470,31 @@ def test_interrelations_fail_on_shifted_partner_rows():
 
 def test_weighted_rows_are_the_w_half_of_the_rows():
     # bit for bit, where the weight underflows (+-40) and at +-inf too, on
-    # even, bordered odd and conditioned families
+    # even, bordered odd and conditioned families.  A border column is W 0,
+    # in weighted and direction too, with partner 1 at a real point and 0 at
+    # a complex one; bordering keeps the family's coefficients
     x = np.array([-np.inf, -40.0, -1.3, 0.0, 0.7, 40.0, np.inf])
+    z = np.array([-1.3 + 0.5j, 0.7 + 2.0j])
     for ensemble in ENSEMBLES:
         even = kernel_bundle(ensemble, 4)
-        for bundle in (even, kernel_bundle(ensemble, 5), conditioned_bundle(even, 8.0), conditioned_bundle(even, np.inf)):
+        odd = kernel_bundle(ensemble, 5)
+        assert np.array_equal(odd.C, family_coefficients(5))
+        for bundle in (even, odd, conditioned_bundle(even, 8.0), conditioned_bundle(even, np.inf)):
             rows, case = bundle.rows, (ensemble, bundle.N, bundle.upper.shape)
-            assert np.array_equal(rows.weighted(x), rows(x)[:, 0]), case
-            assert np.array_equal(rows.weighted(x[:, None]), rows(x[:, None])[..., 0, :]), case
+            assert np.array_equal(bundle.weighted(x), rows(x)[:, 0]), case
+            assert np.array_equal(bundle.weighted(x[:, None]), rows(x[:, None])[..., 0, :]), case
             for point in x:
-                assert np.array_equal(rows.weighted(point), rows(point)[0]), (case, point)
+                assert np.array_equal(bundle.weighted(point), rows(point)[0]), (case, point)
+            border = slice(bundle.C.shape[1], None)
+            assert bundle.upper.shape[0] - bundle.C.shape[1] == (bundle is not even), case
+            if bundle.N == 3:
+                assert bundle.C is even.C, case
+            assert not bundle.weighted(x)[:, border].any(), case
+            for point in (0.7, 8.0, np.inf):
+                assert not bundle.direction(np.float64(point))[border].any(), (case, point)
+            assert (rows(x)[:, 1, border] == 1.0).all(), case
+            if ensemble == "ginoe":
+                assert not rows(z)[..., border].any(), case
 
 
 def test_interrelations_take_the_normal_cdf_at_the_reals_only(monkeypatch):

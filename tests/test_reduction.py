@@ -46,7 +46,7 @@ def schur_gap(bundle, config, x_far):
     # schur_complement_gap of the conditioned matrix on config, the far point
     # first in the extended matrix with its W row along its direction
     point = np.float64(x_far)
-    far = np.stack([bundle.rows.direction(point), bundle.rows(point)[1]])
+    far = np.stack([bundle.direction(point), bundle.rows(point)[1]])
     extended = bundle.matrix(np.concatenate([far[None], bundle.config_rows(config)]), np.array((x_far, *config.reals)))
     return schur_complement_gap(extended, conditioned_bundle(bundle, x_far).assemble(config))
 
@@ -157,7 +157,7 @@ def test_reduction_holds_past_the_weight_underflow():
 def test_zero_corner_fails_loudly(monkeypatch):
     even = kernel_bundle("goe", 4)
     for corner in (0.0, np.nan):
-        monkeypatch.setattr(even.rows, "direction", lambda x: np.full(4, corner))
+        monkeypatch.setattr(even, "direction", lambda x: np.full(4, corner))
         with pytest.raises(ArithmeticError, match="far point 8.0"):
             conditioned_bundle(even, 8.0)
 
@@ -174,7 +174,7 @@ def test_far_direction_overflow_fails_loudly():
             for ensemble, far in cases:
                 even = kernel_bundle(ensemble, 200)
                 with pytest.raises(ArithmeticError, match=f"size 200 .* far point {far!r}"):
-                    even.rows.direction(np.float64(far))
+                    even.direction(np.float64(far))
                 with pytest.raises(ArithmeticError, match=f"far point {far!r}"):
                     conditioned_bundle(even, far)
             even = kernel_bundle("ginoe", 200)
@@ -186,7 +186,7 @@ def test_far_direction_is_the_scaled_polynomials():
     # at the derived far points, bit for bit the polynomials over their largest entry
     for ensemble, c in (("goe", 0.5), ("ginoe", 0.0)):
         for N in (2, 4, 64, 128, 200):
-            direction = kernel_bundle(ensemble, N).rows.direction
+            direction = kernel_bundle(ensemble, N).direction
             for far in far_points(N):
                 q = weighted_powers(N, np.float64(far), 1.0, c) @ family_coefficients(N)
                 assert np.array_equal(direction(np.float64(far)), q / np.abs(q).max()), (N, far)
@@ -287,7 +287,7 @@ def test_flipped_border_sign_fails_the_checks_built_without_it(monkeypatch):
         bundle = bordered(self, u, partner, N)
         upper = bundle.upper.copy()
         upper[:-1, -1] += u / (partner @ u)
-        return KernelBundle(bundle.ensemble, N, bundle.rows, upper)
+        return KernelBundle(bundle.ensemble, N, bundle.C, upper)
 
     monkeypatch.setattr(KernelBundle, "bordered", flipped)
 

@@ -4,20 +4,19 @@ import numpy as np
 from scipy import special
 
 from betaone import ginibre, skewortho
-from betaone.ginibre import ginoe_rows, plane_gram
+from betaone.ginibre import plane_gram
 from betaone.kernels import family_bundle, kernel_bundle
 from betaone.pfaffian import pfaffian, standard_pairing
 from betaone.quadrature import gauss_legendre_rule
 from betaone.reduction import probe_configuration
 from betaone.skewortho import (
     family_coefficients,
-    gaussian_line_rows,
     goe_gram,
     line_pairing,
     skew_deviation,
 )
 
-from test_kernels import hat_transform
+from test_kernels import hat_transform, line_rows
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -70,7 +69,7 @@ def monic_roots(N):
 
 
 def half_moments(C):
-    return -gaussian_line_rows(C, hermite=True)(np.inf)[1]
+    return -line_rows(C, hermite=True)(np.inf)[1]
 
 
 def test_skew_inner_monomial_closed_forms():
@@ -112,7 +111,7 @@ def test_family_skew_orthogonality_battery():
 
 def test_phi_transform_closed_forms():
     # on the monic family R_0 = 1, R_1 = x, R_2 = x^2 - 1/2
-    rows = gaussian_line_rows(family_coefficients(4) * monic_roots(4), hermite=True)
+    rows = line_rows(family_coefficients(4) * monic_roots(4), hermite=True)
     x = np.linspace(-3.0, 3.0, 13)
     eps = -rows(x)[:, 1]
     assert np.allclose(
@@ -126,7 +125,7 @@ def test_phi_transform_closed_forms():
 
 
 def test_phi_transform_against_quadrature_oracle():
-    rows = gaussian_line_rows(family_coefficients(4), hermite=True)
+    rows = line_rows(family_coefficients(4), hermite=True)
     x0 = 0.7
     for k in [2, 3]:
         (left, wl), (right, wr) = gauss_legendre_rule(200, -12.0, x0), gauss_legendre_rule(200, x0, 12.0)
@@ -166,7 +165,7 @@ def test_hatted_requires_odd_size():
     # GinOE's real rows are the same builder's, on the monomial basis
     x = np.array([-0.7, 0.4])
     for bundle, hermite in ((kernel_bundle("goe", 4), True), (kernel_bundle("ginoe", 4), False)):
-        assert np.array_equal(bundle.rows(x), gaussian_line_rows(family_coefficients(4), hermite=hermite)(x))
+        assert np.array_equal(bundle.rows(x), line_rows(family_coefficients(4), hermite=hermite)(x))
 
 
 def test_generating_pfaffian_even_equals_norm_product():
@@ -213,10 +212,10 @@ def rescaled_moves(ensemble, N, scale):
     # family are scaled by `scale`
     def bundle_and_gram(C):
         if ensemble == "goe":
-            rows, gram = gaussian_line_rows(C, hermite=True), line_pairing(C, hermite=True)
+            gram = line_pairing(C, hermite=True)
         else:
-            rows, gram = ginoe_rows(C), line_pairing(C, hermite=False) + plane_gram(C)
-        return family_bundle(ensemble, rows, N), gram
+            gram = line_pairing(C, hermite=False) + plane_gram(C)
+        return family_bundle(ensemble, C, N), gram
 
     C = family_coefficients(N)
     (bundle, gram), (scaled, scaled_gram) = bundle_and_gram(C), bundle_and_gram(C * scale)
