@@ -8,13 +8,13 @@ skewortho.family_coefficients on the normalized monomials m_k = x^k / sqrt(k!)
 (the monic x^{2j} and x^{2j+1} - 2j x^{2j-1} over the root of their
 pair norm sqrt(2pi) (2j)!) is skew-orthonormal for that pairing: its
 Gram matrix is the standard pairing J.  The Gram sums one exact term
-per sector over the rows the kernels use (ginoe_rows): the line pairing
+per sector over the rows the kernels use (KernelBundle.rows): the line pairing
 of skewortho.line_pairing, and -2 Im(W^T diag(w) conj W) over the upper
 half-plane.  The plane integrand is e^{-x^2} omega(y), omega(y) =
 e^{y^2} erfc(sqrt2 y), times a polynomial in x and y, so one tensor rule
-of Gauss rules for the two weights takes it exactly.  A float point is a
-real eigenvalue, a complex one complex; kernels.kernel_bundle builds on
-these rows, and ginoe_summed_S is their scalar kernel in closed form.
+of Gauss rules for the two weights takes it exactly.  A kernel bundle
+takes plane_rows at its complex points, and ginoe_summed_S is the scalar
+kernel in closed form.
 """
 
 from __future__ import annotations
@@ -114,8 +114,8 @@ def plane_gram(C):
     The rows keep e^{-x^2/2} (the Hermite weights undo it) and drop omega and
     pair_weight's phase, which cancels; ORDER / 2 heights at a time.  W = P C,
     C real: with A = Im(P)^T diag(w) Re(P) and B = C^T A C the sum is B - B^T.
-    A sums over the nodes by einsum, in a fixed order and without BLAS, so it
-    reads the same at any thread count.
+    A and B are einsum products, each summed in a fixed order without BLAS, so
+    they read the same at any thread count.
     """
     n = C.shape[0]
     x, wx = reference_rule(hermite_recurrence, n)
@@ -126,7 +126,7 @@ def plane_gram(C):
         P = weighted_powers(n, z, np.exp(-0.5 * x * x)[:, None]).reshape(-1, n)
         w = np.outer(wx, wy[block : block + ORDER // 2]).reshape(-1, 1)
         A += np.einsum("pj,pk->jk", P.imag * w, P.real.copy(), optimize=False)
-    B = C.T @ A @ C
+    B = np.einsum("ji,jl->il", C, np.einsum("jk,kl->jl", A, C, optimize=False), optimize=False)
     return -2.0 * (B - B.T)
 
 

@@ -12,11 +12,10 @@ the partner row of a real point, 0 elsewhere) and pairs it with the
 top polynomial through a rank-two border of M: what the sign term of a
 point sent to +infinity leaves behind.  The same rule, bordered through
 a far point's rows to one size less, is the even-to-odd reduction (see
-reduction); it changes the pairing alone, the family staying the
-same.  One object, KernelBundle, carries the family's coefficients,
-the pairing and the size; its rows, kernels and assembled matrices are
-its methods, and kernel_bundle(ensemble, N) is the one constructor for
-both ensembles.
+reduction): a new pairing of the same family.  One object, KernelBundle,
+carries the family's coefficients, the pairing and the size; its rows,
+kernels and assembled matrices are its methods, and kernel_bundle(ensemble,
+N) is the one constructor for both ensembles.
 
 The kernel blocks are the entries of one cell, [[D, S], [-S^T, I]] on
 the rows (W, P), for every ensemble (Forrester and Nagao 2007): W sits
@@ -69,15 +68,15 @@ class PointConfiguration:
 class KernelBundle:
     """Kernel of N eigenvalues of an ensemble: a family and its antisymmetric pairing.
 
-    C holds the family as columns on the ensemble's basis (h_n for GOE,
-    hermite, and m_n for GinOE; skewortho); any columns of the pairing
-    M = upper - upper^T past C's are border columns, W 0 and partner 1
-    at a real point, 0 at a complex one.  rows(z) maps points of one kind
-    (float: real, complex: complex) to an array z.shape + (2, m), the rows
-    (W, P) of every point.  The blocks of the cell [[D, S], [-S^T, I]] are
-    the entries (0, 0), (0, 1) and (1, 1); scalar_kernel(x, x) is the
-    one-point density, and the Pfaffian of the assembled matrix of a point
-    configuration its correlation.
+    C holds the family as columns on the ensemble's basis (skewortho): h_n for
+    GOE, where hermite is true, and m_n for GinOE.  Columns of the pairing
+    M = upper - upper^T past C's are border columns: W 0, partner 1 at a real
+    point and 0 at a complex one.  rows(z) maps points of one kind (float:
+    real, complex: complex) to an array z.shape + (2, m), the rows (W, P) of
+    every point.  The blocks of the cell [[D, S], [-S^T, I]] are the entries
+    (0, 0), (0, 1) and (1, 1); scalar_kernel(x, x) is the one-point density,
+    and the Pfaffian of the assembled matrix of a point configuration its
+    correlation.
     """
 
     def __init__(self, ensemble, N, C, upper):
@@ -97,12 +96,11 @@ class KernelBundle:
     def rows(self, z):
         """Rows (W, P) at points of one kind, on the points flattened.
 
-        At real points W is the polynomials times e^(-x^2/2) and P = -eps W
-        minus its half-range transform, both from one
-        specfun.gaussian_tail_moments pass; at x = +inf P is minus half the
-        full weighted integral, and a lone +-inf takes no pass.  At complex
-        points (GinOE only) W is the polynomials times ginibre.pair_weight
-        and P = i conj(W).  A border column's partner is 1 at a real point.
+        At real points W is the polynomials times e^(-x^2/2) and P = -eps W, minus
+        its half-range transform, both from one specfun.gaussian_tail_moments pass;
+        at x = +inf P is minus half the full weighted integral, and a lone +-inf
+        takes no pass.  At complex points (GinOE only) W is the polynomials times
+        ginibre.pair_weight and P = i conj(W).
         """
         z = np.asarray(z)
         flat = z.ravel() if z.ndim else z  # a stacked matmul would round differently
@@ -118,15 +116,13 @@ class KernelBundle:
         return rows.reshape(z.shape + (2, self.upper.shape[0]))
 
     def weighted(self, x):
-        """W alone at real x, bit for bit rows(x)[..., 0, :], with no tail moments
-        and so no normal CDF."""
+        """W alone at real x, bit for bit rows(x)[..., 0, :], with no tail moments (no normal CDF)."""
         return self._padded(gaussian_rows(len(self.C), x, self.hermite) @ self.C)
 
     def direction(self, x):
-        """The direction of W at one real x, where the weight may underflow (past
-        x = 37): the polynomials alone over their largest entry, at +inf the
-        top-degree unit vector.  Where the polynomials overflow it raises
-        ArithmeticError."""
+        """The direction of W at one real x, where the weight may underflow (past x = 37):
+        the polynomials alone over their largest entry, at +inf the top-degree unit
+        vector.  Where the polynomials overflow it raises ArithmeticError."""
         n = len(self.C)
         if np.isposinf(x):
             return self._padded(np.eye(n)[-1])

@@ -98,15 +98,16 @@ def pfaffian(matrix):
     for k in range(0, n - 2, 2):
         # the first largest entry in row order: flat index 1 is (k, k+1), in
         # place, and 0 the zero diagonal, reached only by a zero block
-        flat = np.abs(stack[:, k:, k:]).reshape(len(stack), (n - k) ** 2).argmax(axis=1)
+        trailing = stack[:, k:, k:]
+        flat = np.abs(trailing).reshape(len(stack), (n - k) ** 2).argmax(axis=1)
         s = np.flatnonzero(flat > 1)
         if s.size:
             i, j = divmod(flat[s], n - k)
-            # k+i goes to k (to k+1 when i = 1) and k+j to the other: two
-            # disjoint transpositions, the first trivial when i < 2
-            moves = k + np.array(((i == 1, i != 1), (i, j)))
-            stack[s, moves] = stack[s, moves[::-1]]
-            stack[s, :, moves] = stack[s, :, moves[::-1]]
+            # k+i goes to k (to k+1 when i = 1) and k+j to the other, in the trailing block (no
+            # later step reads before k): two disjoint transpositions, the first trivial when i < 2
+            moves = np.array(((i == 1, i != 1), (i, j)))
+            trailing[s, moves] = trailing[s, moves[::-1]]
+            trailing[s, :, moves] = trailing[s, :, moves[::-1]]
             value[s[i < 2]] *= -1
         pivot = stack[:, k, k + 1]
         value *= pivot

@@ -60,11 +60,14 @@ def line_pairing(C, hermite):
 
     The line rows are W = b C and P = T C - half, half = T(-inf) C / 2, so
     -int P^T W is -C^T I^T C + half (x) T(-inf) C, I = specfun.gaussian_row_integrals at +inf.
+    C^T I^T C is two einsum products, each summed in a fixed order without BLAS, so it
+    reads the same at any thread count.
     """
     n = C.shape[0]
     full = gaussian_tail_moments(n, -np.inf, hermite)[1] @ C
     I = np.stack(tuple(gaussian_row_integrals(n, np.inf, hermite)[1]), axis=-1)
-    return 0.5 * np.outer(full, full) - C.T @ I.T @ C
+    IC = np.einsum("kj,kl->jl", I, C, optimize=False)
+    return 0.5 * np.outer(full, full) - np.einsum("ji,jl->il", C, IC, optimize=False)
 
 
 def skew_deviation(G):

@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 from scipy import special
 
+import betaone
 from betaone import ginibre
 from betaone.ginibre import (
     HEIGHT_RADIUS,
@@ -212,6 +216,31 @@ def test_height_discretisation_grows_with_the_rule(monkeypatch):
     assert [edges for edges, _ in panels] == [(0.0, HEIGHT_RADIUS)] * 128
     counts = [count for _, count in panels]
     assert counts == sorted(counts) and max(counts) <= 64 and max(counts[:32]) < 64, counts
+
+
+GRAM_HASHES = """
+import hashlib, sys
+from betaone.ginibre import plane_gram
+from betaone.skewortho import family_coefficients, line_pairing
+C = family_coefficients(int(sys.argv[1]))
+for gram in (line_pairing(C, hermite=True), line_pairing(C, hermite=False), plane_gram(C)):
+    print(hashlib.sha256(gram.tobytes()).hexdigest())
+"""
+
+
+def test_gram_is_independent_of_the_blas_thread_count_past_the_size_cap():
+    # one process per OpenBLAS thread count: at N = 129 a BLAS product C^T X C
+    # goes multithreaded and reads differently at two threads in the GinOE
+    # line sector and the plane Gram; the fixed-order einsum products do not
+    src = os.path.dirname(os.path.dirname(betaone.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", GRAM_HASHES, "129"], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_grams_hold_at_every_size():
