@@ -80,8 +80,7 @@ class KernelBundle:
     """
 
     def __init__(self, ensemble, N, C, upper):
-        self.ensemble, self.N, self.C = ensemble, N, C
-        self.upper = np.asarray(upper)
+        self.ensemble, self.N, self.C, self.upper = ensemble, N, C, np.asarray(upper)
         self.hermite = ensemble == "goe"
         # P = T C - half at a real point, T its tail moments: the constant once per bundle
         self.half = 0.5 * (gaussian_tail_moments(len(C), -np.inf, self.hermite)[1] @ C)
@@ -107,7 +106,8 @@ class KernelBundle:
         if not np.iscomplexobj(z):
             W, tails = gaussian_tail_moments(len(self.C), flat, self.hermite)
             rows = self._padded(np.stack([W @ self.C, tails @ self.C - self.half], axis=-2))
-            rows[..., 1, self.C.shape[1] :] = 1.0
+            if rows.shape[-1] > self.C.shape[1]:
+                rows[..., 1, self.C.shape[1] :] = 1.0
         elif self.hermite:
             raise ValueError("this ensemble lives on the real line only")
         else:
