@@ -106,8 +106,7 @@ class KernelBundle:
         if not np.iscomplexobj(z):
             W, tails = gaussian_tail_moments(len(self.C), flat, self.hermite)
             rows = self._padded(np.stack([W @ self.C, tails @ self.C - self.half], axis=-2))
-            if rows.shape[-1] > self.C.shape[1]:
-                rows[..., 1, self.C.shape[1] :] = 1.0
+            rows[..., 1, self.C.shape[1] :] = 1.0
         elif self.hermite:
             raise ValueError("this ensemble lives on the real line only")
         else:
@@ -264,7 +263,7 @@ def cumulative_count(bundle, t):
     full = gaussian_tail_moments(n, -np.inf, hermite)[1]
     B = np.pad(C, ((0, 0), (0, m - n))) @ bundle.pairing  # C' M
     moments, columns = gaussian_row_integrals(n, t, hermite)
-    total = (full - moments) @ (B[:, n:].sum(axis=1) - 0.5 * B[:, :n] @ (full @ C))
+    total = (full - moments) @ (B[:, n:].sum(axis=1) - B[:, :n] @ bundle.half)
     for column, a in zip(columns, C @ B[:, :n].T):  # I[..., :, k] and A[:, k]
         total += column @ a
     return total
