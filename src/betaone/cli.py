@@ -21,12 +21,12 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from .ginibre import SQRT_2PI, ginoe_gram, ginoe_summed_S
+from .ginibre import SQRT_2PI, ginoe_summed_S
 from .kernels import PointConfiguration, dyson_recurrence_check, interrelations_check, kernel_bundle
 from .montecarlo import GENERATOR, MIN_COMPARISON_SAMPLES, empirical_vs_analytic, ginibre_tallies, goe_tallies
 from .pfaffian import pfaffian, pfaffian_laplace
 from .reduction import probe_configuration, verify_odd_limit
-from .skewortho import goe_gram, skew_deviation
+from .skewortho import skew_deviation
 
 PATHS = ("finite-sum", "summed-up", "both")
 # The bound on each verify check's deviation, with the worst reading over
@@ -300,9 +300,8 @@ def _suite_pfaffian(bundle):
 
 
 def _suite_skew(bundle):
-    # the family's Gram, exact
-    gram = goe_gram if bundle.ensemble == "goe" else ginoe_gram
-    return [_check("skew", "gram-deviation", skew_deviation(gram(bundle.N)))]
+    # the Gram of the bundle's own family, exact
+    return [_check("skew", "gram-deviation", skew_deviation(bundle.gram()))]
 
 
 def _suite_kernels(bundle):

@@ -7,10 +7,10 @@ weight erfc(sqrt2 y) e^{y^2 - x^2} is |pair_weight|^2.  The family
 skewortho.family_coefficients on the normalized monomials m_k = x^k / sqrt(k!)
 (the monic x^{2j} and x^{2j+1} - 2j x^{2j-1} over the root of their
 pair norm sqrt(2pi) (2j)!) is skew-orthonormal for that pairing: its
-Gram matrix is the standard pairing J.  The Gram sums one exact term
-per sector over the rows the kernels use (KernelBundle.rows): the line pairing
-of skewortho.line_pairing, and -2 Im(W^T diag(w) conj W) over the upper
-half-plane.  The plane integrand is e^{-x^2} omega(y), omega(y) =
+Gram matrix is the standard pairing J.  KernelBundle.gram sums one exact
+term per sector over the rows the kernels use: the line pairing of
+skewortho.line_pairing, and plane_gram, -2 Im(W^T diag(w) conj W) over the
+upper half-plane.  The plane integrand is e^{-x^2} omega(y), omega(y) =
 e^{y^2} erfc(sqrt2 y), times a polynomial in x and y, so one tensor rule
 of Gauss rules for the two weights takes it exactly.  A kernel bundle
 takes plane_rows at its complex points, and ginoe_summed_S is the scalar
@@ -25,7 +25,6 @@ import numpy as np
 
 from .pfaffian import pfaffian
 from .quadrature import ORDER, panel_rule, reference_rule, stieltjes
-from .skewortho import family_coefficients, line_pairing
 from .specfun import erfcx, gaussian_tail_moments, weighted_powers
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -130,12 +129,6 @@ def plane_gram(C):
     return -2.0 * (B - B.T)
 
 
-def ginoe_gram(N):
-    """Gram of the family of size N, both sectors summed."""
-    C = family_coefficients(N)
-    return line_pairing(C, hermite=False) + plane_gram(C)
-
-
 def sinclair_prefactor(N):
     """Normalization constant that makes the partition Pfaffian equal 1."""
     denom = 1.0
@@ -144,21 +137,20 @@ def sinclair_prefactor(N):
     return 2.0 ** (-0.25 * N * (N + 1)) / denom
 
 
-def partition_function_check(N):
-    """Prefactor times the Pfaffian of the Gram; equals 1 for every N.
+def partition_function_check(bundle):
+    """Prefactor times the Pfaffian of a GinOE bundle's Gram; equals 1 for every N.
 
     The partition function pairs the monic family by twice the line plus
     the plane integral, with pair norms r_k = 2 sqrt(2pi) (2k)!; odd N
     borders it by the full weighted integrals.  That matrix is
-    S [[G, h], [-h^T, 0]] S, G the normalized family's Gram, h its half
-    moments and S = diag(sqrt(r_{j//2}), ..., sqrt2).  det(S) and the
-    prefactor each leave floating range as N grows: their product is
-    taken in logarithms, through math.lgamma.
+    S [[G, h], [-h^T, 0]] S, G the normalized family's Gram (bundle.gram),
+    h its half moments (bundle.half) and S = diag(sqrt(r_{j//2}), ...,
+    sqrt2).  det(S) and the prefactor each leave floating range as N
+    grows: their product is taken in logarithms, through math.lgamma.
     """
-    G = ginoe_gram(N)
+    N, G = bundle.N, bundle.gram()
     if N % 2:
-        half = 0.5 * (gaussian_tail_moments(N, -np.inf)[1] @ family_coefficients(N))
-        G = np.block([[G, half[:, None]], [-half, 0.0]])
+        G = np.block([[G, bundle.half[:, None]], [-bundle.half, 0.0]])
     log_det = 0.5 * sum(math.log(2.0 * SQRT_2PI) + math.lgamma(2 * (j // 2) + 1) for j in range(N))
     log_prefactor = -0.25 * N * (N + 1) * math.log(2.0) - sum(math.lgamma(0.5 * l) for l in range(1, N + 1))
     return math.exp(log_det + 0.5 * (N % 2) * math.log(2.0) + log_prefactor) * pfaffian(G)

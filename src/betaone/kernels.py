@@ -14,8 +14,9 @@ point sent to +infinity leaves behind.  The same rule, bordered through
 a far point's rows to one size less, is the even-to-odd reduction (see
 reduction): a new pairing of the same family.  One object, KernelBundle,
 carries the family's coefficients, the pairing and the size; its rows,
-kernels and assembled matrices are its methods, and kernel_bundle(ensemble,
-N) is the one constructor for both ensembles.
+kernels, assembled matrices and the family's Gram (gram, the one place the
+line and plane sectors are summed) are its methods, and
+kernel_bundle(ensemble, N) is the one constructor for both ensembles.
 
 The kernel blocks are the entries of one cell, [[D, S], [-S^T, I]] on
 the rows (W, P), for every ensemble (Forrester and Nagao 2007): W sits
@@ -36,10 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ginibre import plane_rows
+from .ginibre import plane_gram, plane_rows
 from .pfaffian import pfaffian, standard_pairing
 from .quadrature import integrate_line, panel_rule
-from .skewortho import family_coefficients
+from .skewortho import family_coefficients, line_pairing
 from .specfun import gaussian_row_integrals, gaussian_rows, gaussian_tail_moments, weighted_powers
 
 
@@ -80,6 +81,8 @@ class KernelBundle:
     """
 
     def __init__(self, ensemble, N, C, upper):
+        if ensemble not in ("goe", "ginoe"):
+            raise ValueError(f"unknown ensemble {ensemble!r}")
         self.ensemble, self.N, self.C, self.upper = ensemble, N, C, np.asarray(upper)
         self.hermite = ensemble == "goe"
         # P = T C - half at a real point, T its tail moments: the constant once per bundle
@@ -130,6 +133,12 @@ class KernelBundle:
         if not np.isfinite(q).all():
             raise ArithmeticError(f"size {n} polynomials overflow at far point {float(x)!r}")
         return self._padded(q / np.abs(q).max())
+
+    def gram(self):
+        """The family's Gram <R_j|R_k>, from C alone: skewortho.line_pairing, plus
+        ginibre.plane_gram for GinOE.  Skew-orthonormal, it is the standard pairing J."""
+        G = line_pairing(self.C, self.hermite)
+        return G if self.hermite else G + plane_gram(self.C)
 
     @property
     def parity(self):
@@ -212,8 +221,9 @@ def family_bundle(ensemble, C, N):
     """Kernel bundle of the family C of size N; odd N gets the bordered form.
 
     The standard pairing leaves the top polynomial of an odd family
-    unpaired; bordered(e_top, rows(+inf)[1], N) pairs it with the constant
-    partner column by -1/2 over its partner at +infinity.  That is the
+    unpaired; bordered(e_top, -half, N) pairs it with the constant partner
+    column by -1/2 over its partner at +infinity, minus the half moments
+    (as reduction.first_order reads it).  That is the
     hatted family (each polynomial below the top less the multiple of
     the top one that carries its weighted integral) with the hat T moved
     from the rows into the pairing, T M^ T^T.
@@ -221,7 +231,7 @@ def family_bundle(ensemble, C, N):
     bundle = KernelBundle(ensemble, N, C, np.maximum(standard_pairing(N), 0.0))
     if N % 2 == 0:
         return bundle
-    return bundle.bordered(np.eye(N)[-1], bundle.rows(np.inf)[1], N)
+    return bundle.bordered(np.eye(N)[-1], -bundle.half, N)
 
 
 def rho(bundle, config):
@@ -245,8 +255,6 @@ def kernel_bundle(ensemble, N):
     the Hermite functions for GOE and the monomials for GinOE; odd N is
     bordered.
     """
-    if ensemble not in ("goe", "ginoe"):
-        raise ValueError(f"unknown ensemble {ensemble!r}")
     return family_bundle(ensemble, family_coefficients(N), N)
 
 

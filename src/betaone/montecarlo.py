@@ -198,7 +198,7 @@ class ComparisonReport:
         return not self.flagged and self.count_within
 
 
-def empirical_vs_analytic(stream, bundle, bins=40, span=DEFAULT_SPAN):
+def empirical_vs_analytic(stream, bundle, bins=40):
     """Score a block stream against the kernel's real-eigenvalue density.
 
     `stream(edges)` yields the tallies of `ginibre_tallies` or `goe_tallies`.
@@ -211,7 +211,7 @@ def empirical_vs_analytic(stream, bundle, bins=40, span=DEFAULT_SPAN):
     integral for GinOE.  Where every sample has the same real count (GOE,
     GinOE at N = 1) the standard error is 0 and the count must match exactly.
     """
-    edges = np.linspace(*span, bins + 1) if isinstance(bins, int) else np.asarray(bins, dtype=float)
+    edges = np.linspace(*DEFAULT_SPAN, bins + 1) if isinstance(bins, int) else np.asarray(bins, dtype=float)
     if np.any(np.diff(edges) < 0):
         raise ValueError("bin edges must not decrease")
     below, histogram = 0, 0

@@ -73,8 +73,3 @@ def line_pairing(C, hermite):
 def skew_deviation(G):
     """Worst |G - J| entry, J the standard pairing."""
     return float(np.abs(G - standard_pairing(G.shape[0])).max())
-
-
-def goe_gram(N):
-    """Gram of the family of size N on the Hermite basis."""
-    return line_pairing(family_coefficients(N), hermite=True)

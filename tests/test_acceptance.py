@@ -15,7 +15,6 @@ import numpy as np
 
 from betaone.cli import GATES
 from betaone.ginibre import (
-    ginoe_gram,
     ginoe_summed_S,
     partition_function_check,
 )
@@ -121,14 +120,15 @@ def test_criterion_03_ginoe_skew_orthogonality():
     # r_j the pair norm 2 sqrt(2pi) (2m)! of the pair m = j // 2 holding j
     norms = [2.0 * SQRT_2PI * math.factorial(2 * (j // 2)) for j in range(N)]
     r0 = norms[0]
-    gram = ginoe_gram(N) * np.sqrt(np.outer(norms, norms))
+    family = kernel_bundle("ginoe", N).gram()
+    gram = family * np.sqrt(np.outer(norms, norms))
     zeros = standard_pairing(N) == 0.0
     worst_zero = np.abs(gram[zeros]).max()
     worst_norm = max(
         relative(gram[2 * j, 2 * j + 1], 2.0 * SQRT_2PI * math.gamma(2 * j + 1))
         for j in range(N // 2)
     )
-    deviation = skew_deviation(ginoe_gram(N))
+    deviation = skew_deviation(family)
     assert worst_zero <= 1e-12 * r0
     assert worst_norm <= 1e-13
     assert deviation <= 1e-12
@@ -143,7 +143,7 @@ def test_criterion_03_ginoe_skew_orthogonality():
 
 def test_criterion_04_partition_function_normalization():
     start = time.time()
-    worst = max(abs(partition_function_check(N) - 1.0) for N in (2, 3, 4))
+    worst = max(abs(partition_function_check(kernel_bundle("ginoe", N)) - 1.0) for N in (2, 3, 4))
     assert worst <= 1e-13
     report(
         "criterion 4 (prefactor times Gram pfaffian)",

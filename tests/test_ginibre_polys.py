@@ -12,7 +12,6 @@ import betaone
 from betaone import ginibre
 from betaone.ginibre import (
     HEIGHT_RADIUS,
-    ginoe_gram,
     height_recurrence,
     hermite_recurrence,
     partition_function_check,
@@ -22,7 +21,7 @@ from betaone.ginibre import (
 )
 from betaone.kernels import kernel_bundle
 from betaone.quadrature import gauss_legendre_rule, panel_rule, reference_rule, truncation_radius
-from betaone.skewortho import family_coefficients, goe_gram, line_pairing, skew_deviation
+from betaone.skewortho import family_coefficients, line_pairing, skew_deviation
 from betaone.specfun import erfcx, weighted_powers
 
 from test_kernels import hat_transform, line_rows
@@ -93,7 +92,7 @@ def test_lowest_pairing_pieces_match_hand_values():
     real, plane = line_pairing(C, hermite=False) * ginoe_norm(0), plane_gram(C) * ginoe_norm(0)
     assert np.isclose(real[0, 1], REAL_PIECE_12, rtol=1e-14, atol=0)
     assert np.isclose(plane[0, 1], COMPLEX_PIECE_12, rtol=1e-14, atol=0)
-    assert np.isclose(ginoe_gram(2)[0, 1] * ginoe_norm(0), 2.0 * SQRT_2PI, rtol=1e-14, atol=0)
+    assert np.isclose(kernel_bundle("ginoe", 2).gram()[0, 1] * ginoe_norm(0), 2.0 * SQRT_2PI, rtol=1e-14, atol=0)
 
 
 def test_complex_piece_against_monte_carlo_oracle():
@@ -115,14 +114,14 @@ def test_complex_piece_against_monte_carlo_oracle():
 def test_pairing_antisymmetry_and_diagonal():
     # the normalized Gram's entries are the monic family's relative to
     # sqrt(r_j r_k), r_j the pair norm holding j
-    gram = ginoe_gram(6)
+    gram = kernel_bundle("ginoe", 6).gram()
     assert np.abs(np.diag(gram)).max() <= 1e-15
     assert np.abs(gram + gram.T).max() <= 1e-14
 
 
 def test_skew_orthogonality_small_battery():
     s = pair_roots(4)
-    gram = ginoe_gram(4) * np.outer(s, s)
+    gram = kernel_bundle("ginoe", 4).gram() * np.outer(s, s)
     r0 = ginoe_norm(0)
     assert abs(gram[0, 2]) <= 1e-14 * r0
     assert abs(gram[1, 3]) <= 1e-14 * r0
@@ -245,8 +244,8 @@ def test_gram_is_independent_of_the_blas_thread_count_past_the_size_cap():
 
 def test_grams_hold_at_every_size():
     for N in range(1, 65):
-        for ensemble, gram in (("ginoe", ginoe_gram(N)), ("goe", goe_gram(N))):
-            assert skew_deviation(gram) <= 1e-14, (N, ensemble)
+        for ensemble in ("ginoe", "goe"):
+            assert skew_deviation(kernel_bundle(ensemble, N).gram()) <= 1e-14, (N, ensemble)
 
 
 def half_moments(N):
@@ -309,12 +308,12 @@ def test_sinclair_prefactor_small_values():
 
 
 def test_partition_function_normalization_small_sizes():
-    assert np.isclose(partition_function_check(2), 1.0, rtol=1e-14, atol=0)
-    assert np.isclose(partition_function_check(3), 1.0, rtol=1e-14, atol=0)
+    assert np.isclose(partition_function_check(kernel_bundle("ginoe", 2)), 1.0, rtol=1e-14, atol=0)
+    assert np.isclose(partition_function_check(kernel_bundle("ginoe", 3)), 1.0, rtol=1e-14, atol=0)
 
 
 def test_partition_function_normalization_past_factorial_range():
     # the pair norms span 2 sqrt(2pi) (2k)!; unscaled, the Gram read as
     # singular from N = 18 on.  Worst gap over N = 1..64 is 1e-14 (N = 64).
     for N in (17, 18, 19, 32, 63, 64):
-        assert abs(partition_function_check(N) - 1.0) <= 1e-12
+        assert abs(partition_function_check(kernel_bundle("ginoe", N)) - 1.0) <= 1e-12

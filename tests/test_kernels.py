@@ -234,6 +234,31 @@ def test_parity_validation():
         kernel_bundle("goe", 4).scalar_kernel(0.1 + 0.2j, 0.3)
     with pytest.raises(ValueError, match="unknown ensemble 'gue'"):
         kernel_bundle("gue", 4)
+    # the bundle checks its own name: a misspelt one builds no GinOE bundle under it
+    with pytest.raises(ValueError, match="unknown ensemble 'GOE'"):
+        family_bundle("GOE", family_coefficients(4), 4)
+    with pytest.raises(ValueError, match="unknown ensemble 'gue'"):
+        KernelBundle("gue", 4, family_coefficients(4), np.maximum(standard_pairing(4), 0.0))
+
+
+def test_skew_suite_reads_the_bundles_own_family():
+    # one coefficient of the bundle's C bent by a relative 1e-8: verify's skew
+    # suite must see it, at both parities and at both ends of the size range
+    for ensemble in ENSEMBLES:
+        for N in (4, 5, 64):
+            C = family_coefficients(N)
+            C[0, 0] *= 1.0 + 1e-8
+            (check,) = cli._suite_skew(family_bundle(ensemble, C, N))
+            assert check["check"] == "gram-deviation"
+            assert not check["passed"] and check["deviation"] > 1e-9, (ensemble, N, check)
+    # the Gram is C's alone: the border and the conditioning only re-pair the family
+    for ensemble in ENSEMBLES:
+        odd = kernel_bundle(ensemble, 5)
+        unbordered = KernelBundle(ensemble, 5, odd.C, np.maximum(standard_pairing(5), 0.0))
+        assert np.array_equal(odd.gram(), unbordered.gram()), ensemble
+        even = kernel_bundle(ensemble, 6)
+        for far in (8.0, np.inf):
+            assert np.array_equal(conditioned_bundle(even, far).gram(), even.gram()), (ensemble, far)
 
 
 def line_rows(C, hermite):

@@ -3,15 +3,12 @@ import math
 import numpy as np
 from scipy import special
 
-from betaone import ginibre, skewortho
-from betaone.ginibre import plane_gram
 from betaone.kernels import family_bundle, kernel_bundle
 from betaone.pfaffian import pfaffian, standard_pairing
 from betaone.quadrature import gauss_legendre_rule
 from betaone.reduction import probe_configuration
 from betaone.skewortho import (
     family_coefficients,
-    goe_gram,
     line_pairing,
     skew_deviation,
 )
@@ -104,7 +101,7 @@ def test_gaussian_family_exact_coefficients():
 
 def test_family_skew_orthogonality_battery():
     roots = monic_roots(6)
-    gram = goe_gram(6) * np.outer(roots, roots)
+    gram = kernel_bundle("goe", 6).gram() * np.outer(roots, roots)
     r_min = min(goe_norm(m) for m in range(3))
     assert np.abs(gram - standard_pairing(6) * np.outer(roots, roots)).max() <= 1e-13 * r_min
 
@@ -171,7 +168,7 @@ def test_hatted_requires_odd_size():
 def test_generating_pfaffian_even_equals_norm_product():
     # the monic family's Gram: the library's times the roots of the pair norms
     roots = monic_roots(4)
-    got = pfaffian(goe_gram(4) * np.outer(roots, roots))
+    got = pfaffian(kernel_bundle("goe", 4).gram() * np.outer(roots, roots))
     assert np.isclose(got, goe_norm(0) * goe_norm(1), rtol=1e-14, atol=0)
     assert np.isclose(got, 0.5 * math.pi, rtol=1e-14, atol=0)
 
@@ -180,7 +177,7 @@ def test_generating_pfaffian_odd_equals_hatted_norm_product():
     # the Gram bordered by the half moments: the pair norm below the
     # top times the top polynomial's half moment
     roots = monic_roots(3)
-    gram = np.pad(goe_gram(3) * np.outer(roots, roots), ((0, 1), (0, 1)))
+    gram = np.pad(kernel_bundle("goe", 3).gram() * np.outer(roots, roots), ((0, 1), (0, 1)))
     border = half_moments(family_coefficients(3) * roots)
     gram[:3, 3] = border
     gram[3, :3] = -border
@@ -189,7 +186,7 @@ def test_generating_pfaffian_odd_equals_hatted_norm_product():
     assert np.isclose(got, SQRT_PI * 0.25 * SQRT_2PI, rtol=1e-14, atol=0)
 
 
-def test_perturbed_family_fails_loudly(monkeypatch):
+def test_perturbed_family_fails_loudly():
     # the exact Gram still checks the family: one off-diagonal coefficient
     # moved by a relative 1e-10 reads far above the 1e-13 gate, at both ends
     # of the size range, in both ensembles
@@ -199,11 +196,11 @@ def test_perturbed_family_fails_loudly(monkeypatch):
         return C
 
     for N in (4, 64):
-        for module, gram in ((skewortho, goe_gram), (ginibre, ginibre.ginoe_gram)):
-            assert skew_deviation(gram(N)) <= 1e-14, (N, module.__name__)
-            monkeypatch.setattr(module, "family_coefficients", perturbed)
-            assert skew_deviation(gram(N)) > 1e-13, (N, module.__name__)
-            monkeypatch.undo()
+        for ensemble in ("goe", "ginoe"):
+            family = family_bundle(ensemble, family_coefficients(N), N).gram()
+            bent = family_bundle(ensemble, perturbed(N), N).gram()
+            assert skew_deviation(family) <= 1e-14, (N, ensemble)
+            assert skew_deviation(bent) > 1e-13, (N, ensemble)
 
 
 def rescaled_moves(ensemble, N, scale):
@@ -211,11 +208,8 @@ def rescaled_moves(ensemble, N, scale):
     # over the largest entry, and of the Gram, when the columns of the
     # family are scaled by `scale`
     def bundle_and_gram(C):
-        if ensemble == "goe":
-            gram = line_pairing(C, hermite=True)
-        else:
-            gram = line_pairing(C, hermite=False) + plane_gram(C)
-        return family_bundle(ensemble, C, N), gram
+        bundle = family_bundle(ensemble, C, N)
+        return bundle, bundle.gram()
 
     C = family_coefficients(N)
     (bundle, gram), (scaled, scaled_gram) = bundle_and_gram(C), bundle_and_gram(C * scale)
