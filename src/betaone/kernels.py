@@ -136,7 +136,7 @@ class KernelBundle:
 
     def gram(self):
         """The family's Gram <R_j|R_k>, from C alone: skewortho.line_pairing, plus
-        ginibre.plane_gram for GinOE.  Skew-orthonormal, it is the standard pairing J."""
+        ginibre.plane_gram for GinOE.  For a skew-orthonormal family it is J."""
         G = line_pairing(self.C, self.hermite)
         return G if self.hermite else G + plane_gram(self.C)
 
@@ -222,8 +222,8 @@ def family_bundle(ensemble, C, N):
 
     The standard pairing leaves the top polynomial of an odd family
     unpaired; bordered(e_top, -half, N) pairs it with the constant partner
-    column by -1/2 over its partner at +infinity, minus the half moments
-    (as reduction.first_order reads it).  That is the
+    column by -1/2 over its partner row at +infinity, which is minus the
+    half moments (reduction.first_order reads it so too).  That is the
     hatted family (each polynomial below the top less the multiple of
     the top one that carries its weighted integral) with the hat T moved
     from the rows into the pairing, T M^ T^T.
